@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict
 
-from ..common import LINE_SIZE, AccessOutcome, MemoryKind
+from ..common import AccessOutcome, MemoryKind
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from ..stats import Stats
@@ -69,27 +69,23 @@ class ChameleonGroups(MigrationSystem):
                 self._cache_mode[segment] = True
             self._cache_mode.move_to_end(segment)
             self.cache_mode_hits += 1
-            result = self.near.access(
+            latency = self.near.access(
                 (segment % self._cache_capacity) * self.segment_bytes + offset,
-                is_write, now_ns, LINE_SIZE, demand=True)
+                is_write, now_ns, demand=True)
             # The competing counters keep observing the segment while it is
             # served from the cache-mode copy, so a persistently hot segment
             # still gets promoted into the flat NM space by a group swap.
             self._note_access(segment, False, is_write, now_ns)
-            return self._outcome(result.latency_ns, served_from_nm=True,
+            return self._outcome(latency, served_from_nm=True,
                                  is_write=is_write, dram_cache_hit=True,
                                  path="cache-mode")
 
-        if location.in_near:
-            result = self.near.access(location.frame * self.segment_bytes + offset,
-                                      is_write, now_ns, LINE_SIZE, demand=True)
-            served_from_nm = True
-        else:
-            result = self.far.access(location.frame * self.segment_bytes + offset,
-                                     is_write, now_ns, LINE_SIZE, demand=True)
-            served_from_nm = False
+        served_from_nm = location.in_near
+        memory = self.near if served_from_nm else self.far
+        latency = memory.access(location.frame * self.segment_bytes + offset,
+                                is_write, now_ns, demand=True)
         self._note_access(segment, served_from_nm, is_write, now_ns)
-        return self._outcome(result.latency_ns, served_from_nm, is_write,
+        return self._outcome(latency, served_from_nm, is_write,
                              path="nm" if served_from_nm else "fm")
 
     def fast_path(self, addresses):

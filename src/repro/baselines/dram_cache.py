@@ -119,10 +119,9 @@ class DramCacheSystem(MemorySystem):
             line.touch(block, is_write)
             self.cache_hits += 1
             latency += self._tag_overhead(now_ns, hit=True)
-            nm_result = self.near.access(
+            latency += self.near.access(
                 self._nm_address(set_index, tag, block * LINE_SIZE),
-                is_write, now_ns, LINE_SIZE, demand=True)
-            latency += nm_result.latency_ns
+                is_write, now_ns, demand=True)
             return self._outcome(latency, served_from_nm=True, is_write=is_write,
                                  dram_cache_hit=True, path="cache-hit")
 
@@ -132,10 +131,9 @@ class DramCacheSystem(MemorySystem):
         if len(cache_set) >= self.ways:
             self._evict(cache_set, set_index, now_ns)
 
-        fetch = self.far.transfer_block(address - address % self.line_size,
-                                        self.line_size, False, now_ns,
-                                        demand=True)
-        latency += fetch.latency_ns
+        latency += self.far.transfer_block(address - address % self.line_size,
+                                           self.line_size, False, now_ns,
+                                           demand=True)
         # Install in near memory (background fill traffic).
         self.near.transfer_block(self._nm_address(set_index, tag),
                                  self.line_size, True, now_ns, demand=False)
@@ -252,9 +250,7 @@ class DramCacheSystem(MemorySystem):
         elif not hit:
             needs_dram_tag = self.tag_in_dram_miss
         if needs_dram_tag:
-            result = self.near.access(0, False, now_ns, LINE_SIZE,
-                                      metadata=True)
-            latency += result.latency_ns
+            latency += self.near.access(0, False, now_ns, metadata=True)
         return latency
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ metric in Figures 2 and 12-18.
 
 from __future__ import annotations
 
-from ..common import LINE_SIZE, AccessOutcome
+from ..common import AccessOutcome
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from .base import MemorySystem
@@ -29,8 +29,8 @@ class FarMemoryOnly(MemorySystem):
     def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
         """Serve the request from far memory (the only memory there is)."""
         address = address % self.config.far.capacity_bytes
-        result = self.far.access(address, is_write, now_ns, LINE_SIZE)
-        return self._outcome(result.latency_ns, served_from_nm=False,
+        latency = self.far.access(address, is_write, now_ns)
+        return self._outcome(latency, served_from_nm=False,
                              is_write=is_write, path="fm")
 
     def fast_path(self, addresses):

@@ -118,15 +118,10 @@ class MigrationSystem(MemorySystem):
 
         latency = self._translation_latency(segment, now_ns)
         location = self.remap.lookup(segment)
-        if location.in_near:
-            result = self.near.access(location.frame * self.segment_bytes + offset,
-                                      is_write, now_ns, LINE_SIZE, demand=True)
-            served_from_nm = True
-        else:
-            result = self.far.access(location.frame * self.segment_bytes + offset,
-                                     is_write, now_ns, LINE_SIZE, demand=True)
-            served_from_nm = False
-        latency += result.latency_ns
+        served_from_nm = location.in_near
+        memory = self.near if served_from_nm else self.far
+        latency += memory.access(location.frame * self.segment_bytes + offset,
+                                 is_write, now_ns, demand=True)
         if not served_from_nm:
             self._interval_fm_accesses += 1
         self._note_access(segment, served_from_nm, is_write, now_ns)
@@ -219,9 +214,8 @@ class MigrationSystem(MemorySystem):
             return 0.0
         if self.remap_cache.lookup(segment):
             return 0.0
-        result = self.near.access((segment * 8) % self.config.near.capacity_bytes,
-                                  False, now_ns, LINE_SIZE, metadata=True)
-        return result.latency_ns
+        return self.near.access((segment * 8) % self.config.near.capacity_bytes,
+                                False, now_ns, metadata=True)
 
     def _maybe_end_interval(self, now_ns: float) -> None:
         if now_ns < self._interval_end_ns:
@@ -295,9 +289,9 @@ class MigrationSystem(MemorySystem):
             self.remap_cache.refresh(victim_segment)
             # Two remap-table updates (background metadata writes).
             self.near.access((segment * 8) % self.config.near.capacity_bytes,
-                             True, now_ns, LINE_SIZE, metadata=True)
+                             True, now_ns, metadata=True)
             self.near.access((victim_segment * 8) % self.config.near.capacity_bytes,
-                             True, now_ns, LINE_SIZE, metadata=True)
+                             True, now_ns, metadata=True)
         self.migrations += 1
         return True
 

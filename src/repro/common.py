@@ -70,16 +70,6 @@ class AccessOutcome:
     path: str = ""
 
 
-@dataclass
-class DeviceAccess:
-    """Result of a single access issued to a DRAM device."""
-
-    latency_ns: float
-    row_hit: bool
-    energy_pj: float
-    completion_ns: float = 0.0
-
-
 def align_down(address: int, granularity: int) -> int:
     """Align ``address`` down to a multiple of ``granularity``."""
     return address - (address % granularity)
@@ -130,12 +120,6 @@ class TrafficCounter:
     def total_bytes(self) -> int:
         return self.read_bytes + self.write_bytes
 
-    def add(self, is_write: bool, nbytes: int) -> None:
-        if is_write:
-            self.write_bytes += nbytes
-        else:
-            self.read_bytes += nbytes
-
 
 @dataclass
 class EnergyCounter:
@@ -151,7 +135,3 @@ class EnergyCounter:
     @property
     def total_mj(self) -> float:
         return self.total_pj * 1e-9
-
-    def add(self, rw_pj: float = 0.0, act_pre_pj: float = 0.0) -> None:
-        self.rw_pj += rw_pj
-        self.act_pre_pj += act_pre_pj

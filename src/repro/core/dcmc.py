@@ -135,9 +135,8 @@ class DCMC:
             return 0.0
         self.counters.inc("metadata.accesses")
         address = self._metadata_base + (key * LINE_SIZE) % self._metadata_span
-        result = self.near.access(address, is_write, now_ns, LINE_SIZE,
-                                  metadata=True)
-        return result.latency_ns if critical else 0.0
+        latency = self.near.access(address, is_write, now_ns, metadata=True)
+        return latency if critical else 0.0
 
     # ------------------------------------------------------------------
     # main access path (Figure 7)
@@ -241,11 +240,10 @@ class DCMC:
                         latency: float) -> DcmcAccess:
         self.counters.inc("line.hits")
         nm_addr = self._nm_address(entry.nm_frame, offset)
-        result = self.near.access(nm_addr, is_write, now_ns, LINE_SIZE,
-                                  demand=True)
+        latency += self.near.access(nm_addr, is_write, now_ns, demand=True)
         if is_write:
             entry.set_dirty(line)
-        return DcmcAccess(latency + result.latency_ns, served_from_nm=True,
+        return DcmcAccess(latency, served_from_nm=True,
                           path="xta-hit/line-hit")
 
     # -- 1b ------------------------------------------------------------
@@ -256,8 +254,8 @@ class DCMC:
         self.policy.note_demand_fm_access(now_ns)
         line_offset = line * self.dram_line_bytes
         fm_addr = self._fm_address(entry.fm_frame, line_offset)
-        fetched = self.far.transfer_block(fm_addr, self.dram_line_bytes, False,
-                                          now_ns, demand=True)
+        latency += self.far.transfer_block(fm_addr, self.dram_line_bytes,
+                                           False, now_ns, demand=True)
         # Install the line in the NM frame backing this sector (background).
         self.near.transfer_block(self._nm_address(entry.nm_frame, line_offset),
                                  self.dram_line_bytes, True, now_ns,
@@ -265,7 +263,7 @@ class DCMC:
         entry.set_valid(line)
         if is_write:
             entry.set_dirty(line)
-        return DcmcAccess(latency + fetched.latency_ns, served_from_nm=False,
+        return DcmcAccess(latency, served_from_nm=False,
                           path="xta-hit/line-miss")
 
     # -- 2 -------------------------------------------------------------
@@ -286,9 +284,10 @@ class DCMC:
             self.counters.inc("fills.sector_in_nm")
             self.xta.allocate(victim, sector, nm_frame=location.frame,
                               fm_frame=None)
-            result = self.near.access(self._nm_address(location.frame, offset),
-                                      is_write, now_ns, LINE_SIZE, demand=True)
-            return DcmcAccess(latency + result.latency_ns, served_from_nm=True,
+            latency += self.near.access(
+                self._nm_address(location.frame, offset), is_write, now_ns,
+                demand=True)
+            return DcmcAccess(latency, served_from_nm=True,
                               path="xta-miss/sector-in-nm")
 
         # 2b: sector lives in FM; obtain a cache frame and fetch the line.
@@ -303,7 +302,7 @@ class DCMC:
         self._metadata_access(frame, True, now_ns, critical=False)
 
         line_offset = line * self.dram_line_bytes
-        fetched = self.far.transfer_block(
+        latency += self.far.transfer_block(
             self._fm_address(location.frame, line_offset),
             self.dram_line_bytes, False, now_ns, demand=True)
         self.near.transfer_block(self._nm_address(frame, line_offset),
@@ -312,7 +311,7 @@ class DCMC:
         entry.set_valid(line)
         if is_write:
             entry.set_dirty(line)
-        return DcmcAccess(latency + fetched.latency_ns, served_from_nm=False,
+        return DcmcAccess(latency, served_from_nm=False,
                           path="xta-miss/sector-in-fm")
 
     # ------------------------------------------------------------------

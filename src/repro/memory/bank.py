@@ -1,4 +1,4 @@
-"""DRAM bank model: open-row tracking and bank-level timing state."""
+"""DRAM bank state: the open row and bank-level timing."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ class Bank:
 
     ``open_row`` is ``None`` while the bank is precharged (no open row).
     ``ready_at_ns`` is the earliest time at which a new command can use
-    the bank.
+    the bank.  The timing kernels (:mod:`repro.memory.kernels`) read and
+    advance both, and count the row-buffer events below.
     """
 
     open_row: int | None = None
@@ -21,26 +22,3 @@ class Bank:
     row_hits: int = 0
     row_misses: int = 0
     activations: int = 0
-
-    def classify(self, row: int) -> str:
-        """Classify an access to ``row``: ``hit``, ``miss`` or ``empty``."""
-        if self.open_row is None:
-            return "empty"
-        if self.open_row == row:
-            return "hit"
-        return "miss"
-
-    def record(self, row: int, kind: str) -> None:
-        """Update the open row and counters after an access of ``kind``."""
-        if kind == "hit":
-            self.row_hits += 1
-        elif kind == "miss":
-            self.row_misses += 1
-            self.activations += 1
-        else:  # empty bank: an activation, but not a row-buffer conflict
-            self.activations += 1
-        self.open_row = row
-
-    def precharge(self) -> None:
-        """Close the open row (used by tests and refresh-like maintenance)."""
-        self.open_row = None

@@ -1,4 +1,4 @@
-"""DRAM channel model: a set of banks sharing one data bus."""
+"""DRAM channel state: a set of banks sharing one data bus."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from .bank import Bank
 class Channel:
     """One DRAM channel: per-bank state plus shared data-bus occupancy.
 
-    The data bus is modelled as a single resource whose next-free time
-    advances by the burst duration of every transfer; this is what limits
-    per-channel bandwidth and creates queueing under load.
+    The data bus is a single resource whose next-free time advances by the
+    burst duration of every transfer; this is what limits per-channel
+    bandwidth and creates queueing under load.
     """
 
     banks: List[Bank]
@@ -26,11 +26,3 @@ class Channel:
     @classmethod
     def with_banks(cls, num_banks: int) -> "Channel":
         return cls(banks=[Bank() for _ in range(num_banks)])
-
-    def reserve_bus(self, start_ns: float, duration_ns: float) -> float:
-        """Reserve the data bus for ``duration_ns`` starting no earlier than
-        ``start_ns``; returns the actual transfer start time."""
-        begin = max(start_ns, self.bus_free_at_ns)
-        self.bus_free_at_ns = begin + duration_ns
-        self.busy_ns += duration_ns
-        return begin

@@ -3,15 +3,17 @@
 The controller is the interface every memory-system design uses to talk to
 the near and far memories.  It adds a fixed controller pipeline overhead,
 distinguishes demand traffic (processor requests) from background traffic
-(fills, writebacks, migrations, metadata) and exposes convenience helpers
-for multi-line transfers such as sector migrations and page fills.
+(fills, writebacks, migrations, metadata) and moves multi-line blocks such
+as sector migrations and page fills.  The timing itself is the pair of
+kernels :func:`~repro.memory.kernels.make_kernels` compiles for the
+controller once, at construction; both methods are thin calls into them.
 """
 
 from __future__ import annotations
 
-from ..common import LINE_SIZE, DeviceAccess
 from ..params import DramParams
 from .device import DramDevice
+from .kernels import KIND_BACKGROUND, KIND_DEMAND, KIND_METADATA, make_kernels
 
 
 class MemoryController:
@@ -25,6 +27,7 @@ class MemoryController:
         self.demand_bytes = 0
         self.background_bytes = 0
         self.metadata_bytes = 0
+        self._line, self._block = make_kernels(self)
 
     @property
     def name(self) -> str:
@@ -35,50 +38,30 @@ class MemoryController:
         return self.device.params.capacity_bytes
 
     # ------------------------------------------------------------------
-    # single accesses
+    # accesses
     # ------------------------------------------------------------------
     def access(self, address: int, is_write: bool, now_ns: float,
-               nbytes: int = LINE_SIZE, demand: bool = True,
-               metadata: bool = False) -> DeviceAccess:
-        """Issue one access and classify its traffic.
+               demand: bool = True, metadata: bool = False) -> float:
+        """Issue one 64 B access and return its latency in ns.
 
         ``demand`` marks processor-critical accesses; everything else
         (fills beyond the critical line, writebacks, migrations) is
         background traffic.  ``metadata`` additionally tags remap-table
         style bookkeeping traffic so it can be reported separately.
         """
-        result = self.device.access(address, nbytes, is_write, now_ns)
-        result = DeviceAccess(
-            latency_ns=result.latency_ns + self.CONTROLLER_OVERHEAD_NS,
-            row_hit=result.row_hit,
-            energy_pj=result.energy_pj,
-            completion_ns=result.completion_ns + self.CONTROLLER_OVERHEAD_NS,
-        )
-        if metadata:
-            self.metadata_bytes += nbytes
-        elif demand:
-            self.demand_bytes += nbytes
-        else:
-            self.background_bytes += nbytes
-        return result
+        return self._line(address, is_write, now_ns,
+                          KIND_METADATA if metadata
+                          else KIND_DEMAND if demand else KIND_BACKGROUND)
 
-    # ------------------------------------------------------------------
-    # bulk helpers
-    # ------------------------------------------------------------------
     def transfer_block(self, address: int, nbytes: int, is_write: bool,
-                       now_ns: float, demand: bool = False) -> DeviceAccess:
+                       now_ns: float, demand: bool = False) -> float:
         """Move a contiguous block (sector/page) as a streaming transfer.
 
         The block is issued as consecutive line-sized bursts; the returned
         latency is the time until the *first* line is available (critical
         word first) while bus occupancy accounts for the whole block.
         """
-        lines = max(1, nbytes // LINE_SIZE)
-        first = self.access(address, is_write, now_ns, LINE_SIZE, demand=demand)
-        for i in range(1, lines):
-            self.access(address + i * LINE_SIZE, is_write, now_ns,
-                        LINE_SIZE, demand=False)
-        return first
+        return self._block(address, nbytes, is_write, now_ns, demand)
 
     # ------------------------------------------------------------------
     # measurement control

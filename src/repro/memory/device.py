@@ -1,12 +1,14 @@
-"""Event-based DRAM device model.
+"""Event-based DRAM device state.
 
-A :class:`DramDevice` maps physical addresses onto channels, banks and rows
-and computes, for each access, a completion time from
+A :class:`DramDevice` holds the channels and banks of one memory plus its
+traffic and energy counters.  The timing kernels
+(:mod:`repro.memory.kernels`) map each access onto a channel, bank and
+row and compute its completion time from
 
 * the bank's readiness (previous command to the same bank),
 * the row-buffer state (hit / miss / empty),
 * the channel data bus occupancy (this is what bounds bandwidth), and
-* the burst transfer time of the requested number of bytes.
+* the burst transfer time of one 64 B line.
 
 There is no cycle loop: state is a handful of timestamps advanced per
 request, which captures the latency/bandwidth asymmetry between HBM2 and
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..common import DeviceAccess, TrafficCounter
+from ..common import TrafficCounter
 from ..params import DramParams
 from .channel import Channel
 from .energy import EnergyModel
@@ -26,7 +28,12 @@ from .timing import DramTimings
 
 
 class DramDevice:
-    """One DRAM device (the near memory or the far memory)."""
+    """One DRAM device (the near memory or the far memory).
+
+    Channels interleave at ``channel_interleave_bytes`` granularity so
+    that streaming accesses spread over all channels; banks interleave at
+    row granularity within a channel.
+    """
 
     def __init__(self, params: DramParams) -> None:
         self.params = params
@@ -39,75 +46,6 @@ class DramDevice:
         self.traffic = TrafficCounter()
         self.reads = 0
         self.writes = 0
-
-    # ------------------------------------------------------------------
-    # address mapping
-    # ------------------------------------------------------------------
-    def locate(self, address: int) -> tuple[int, int, int]:
-        """Map a byte address to ``(channel, bank, row)``.
-
-        Channels interleave at ``channel_interleave_bytes`` granularity so
-        that streaming accesses spread over all channels; banks interleave
-        at row granularity within a channel.
-        """
-        p = self.params
-        chunk = address // p.channel_interleave_bytes
-        channel = chunk % p.channels
-        row_global = address // p.row_bytes
-        bank = (row_global // p.channels) % p.banks_per_channel
-        row = row_global // (p.channels * p.banks_per_channel)
-        return channel, bank, row
-
-    # ------------------------------------------------------------------
-    # access
-    # ------------------------------------------------------------------
-    def access(self, address: int, nbytes: int, is_write: bool,
-               now_ns: float) -> DeviceAccess:
-        """Issue one access of ``nbytes`` starting at ``address``.
-
-        Returns the request latency (time from ``now_ns`` until the data has
-        fully transferred), whether it was a row-buffer hit, and the dynamic
-        energy it consumed.  Device state (bank rows, bus occupancy, energy
-        and traffic counters) is updated as a side effect.
-        """
-        if nbytes <= 0:
-            raise ValueError("access size must be positive")
-        channel_idx, bank_idx, row = self.locate(address)
-        channel = self.channels[channel_idx]
-        bank = channel.banks[bank_idx]
-
-        kind = bank.classify(row)
-        if kind == "hit":
-            array_latency = self.timings.row_hit_latency_ns()
-        elif kind == "empty":
-            array_latency = self.timings.row_empty_latency_ns()
-        else:
-            array_latency = self.timings.row_miss_latency_ns()
-
-        ready = max(now_ns, bank.ready_at_ns)
-        data_ready = ready + array_latency
-        burst = self.timings.burst_ns(nbytes)
-        transfer_start = channel.reserve_bus(data_ready, burst)
-        completion = transfer_start + burst
-
-        bank.ready_at_ns = completion
-        bank.record(row, kind)
-
-        energy_pj = self.energy.transfer(nbytes)
-        if kind != "hit":
-            energy_pj += self.energy.activate()
-        self.traffic.add(is_write, nbytes)
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-
-        return DeviceAccess(
-            latency_ns=completion - now_ns,
-            row_hit=(kind == "hit"),
-            energy_pj=energy_pj,
-            completion_ns=completion,
-        )
 
     # ------------------------------------------------------------------
     # reporting

@@ -15,7 +15,11 @@ from ..params import DramParams
 
 @dataclass
 class EnergyModel:
-    """Accumulates dynamic energy for one DRAM device."""
+    """Dynamic-energy parameters and accumulated energy of one DRAM device.
+
+    The timing kernels add ``rw_pj_per_bit * 512`` per 64 B line and
+    ``act_pre_pj`` per row activation to :attr:`counter`.
+    """
 
     rw_pj_per_bit: float
     act_pre_pj: float
@@ -28,17 +32,6 @@ class EnergyModel:
             act_pre_pj=params.act_pre_energy_nj * 1000.0,
             counter=EnergyCounter(),
         )
-
-    def transfer(self, nbytes: int) -> float:
-        """Account the read/write + I/O energy of an ``nbytes`` transfer."""
-        pj = self.rw_pj_per_bit * nbytes * 8
-        self.counter.add(rw_pj=pj)
-        return pj
-
-    def activate(self) -> float:
-        """Account one row activation + precharge pair."""
-        self.counter.add(act_pre_pj=self.act_pre_pj)
-        return self.act_pre_pj
 
     @property
     def total_pj(self) -> float:

@@ -1,28 +1,34 @@
-"""Inlined access kernels over the live device/controller state.
+"""The DRAM timing model: inlined access kernels over live controller state.
 
-:func:`make_kernels` compiles one :class:`~repro.memory.controller.MemoryController`
-into a pair of closures that replicate :meth:`MemoryController.access` and
-:meth:`MemoryController.transfer_block` without any method dispatch or
-:class:`~repro.common.DeviceAccess` allocation.  The design fast paths
-(``MemorySystem.fast_path``) are built from these kernels.
+:func:`make_kernels` compiles one
+:class:`~repro.memory.controller.MemoryController` into a pair of closures
+and is the only implementation of DRAM timing and energy in the package.
+The controller builds its own pair once and its
+:meth:`~repro.memory.controller.MemoryController.access` /
+:meth:`~repro.memory.controller.MemoryController.transfer_block` methods
+are thin calls into them; the design fast paths
+(``MemorySystem.fast_path``) call :func:`make_kernels` for a pair of their
+own and skip the method call.
 
-The contract is *bit identity*: every float is produced by the same
-operations in the same order as the method chain
-``controller.access -> device.access -> bank/channel/energy/traffic``, and
-all state stays in the original objects (banks, channels, counters), so the
-kernels can interleave freely with the slow-path methods — evictions, swaps
-and interval migrations keep calling ``controller.access`` /
-``transfer_block`` and observe exactly the state the kernels left behind.
-``tests/test_fastpath.py`` pins the kernel against the method chain and
+Per 64 B line a kernel maps the address to ``(channel, bank, row)``,
+classifies the row-buffer state (hit / miss / empty), waits for the bank,
+serialises the burst on the channel's data bus, and accounts traffic and
+dynamic energy.  All state lives in the device objects (banks, channels,
+counters), which are plain data, so every pair of kernels compiled for one
+controller shares it: the fast paths interleave freely with the slow-path
+methods.  ``tests/test_fastpath.py`` pins the kernels against the frozen
+golden ``tests/data/golden/dram_timing.json`` float for float and
 ``tests/test_engine_equivalence.py`` pins the full engine per design.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 from ..common import LINE_SIZE
-from .controller import MemoryController
+
+if TYPE_CHECKING:
+    from .controller import MemoryController
 
 #: Traffic classes accepted by the line kernel (mirrors the ``demand`` /
 #: ``metadata`` flags of :meth:`MemoryController.access`).
@@ -34,16 +40,17 @@ LineKernel = Callable[[int, bool, float, int], float]
 BlockKernel = Callable[[int, int, bool, float, bool], float]
 
 
-def make_kernels(controller: MemoryController) -> Tuple[LineKernel, BlockKernel]:
+def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
+                                                          BlockKernel]:
     """Return ``(line_access, block_transfer)`` kernels for ``controller``.
 
     ``line_access(address, is_write, now_ns, kind)`` issues one 64 B access
     and returns its latency in ns (controller overhead included); ``kind``
     selects the traffic class (:data:`KIND_DEMAND` / :data:`KIND_BACKGROUND`
     / :data:`KIND_METADATA`).  ``block_transfer(address, nbytes, is_write,
-    now_ns, demand)`` streams a block as consecutive line bursts and returns
-    the latency of the first line (critical word first), exactly like
-    :meth:`MemoryController.transfer_block`.
+    now_ns, demand)`` streams a block as consecutive line bursts, all
+    issued at ``now_ns``, and returns the latency of the first line
+    (critical word first); only that line is demand traffic.
     """
     device = controller.device
     params = device.params
@@ -115,12 +122,66 @@ def make_kernels(controller: MemoryController) -> Tuple[LineKernel, BlockKernel]
 
     def block_transfer(address: int, nbytes: int, is_write: bool,
                        now_ns: float, demand: bool) -> float:
+        # The line body of ``line_access``, inlined.  Floats are added one
+        # line at a time in line order (the energy sums through locals),
+        # so every sum is bit-identical to issuing the lines one by one;
+        # the integer counters are bumped once per block.
         lines = max(1, nbytes // LINE_SIZE)
-        first = line_access(address, is_write, now_ns,
-                            KIND_DEMAND if demand else KIND_BACKGROUND)
-        for i in range(1, lines):
-            line_access(address + i * LINE_SIZE, is_write, now_ns,
-                        KIND_BACKGROUND)
+        rw_pj = energy_counter.rw_pj
+        act_pj = energy_counter.act_pre_pj
+        first = 0.0
+        for line_address in range(address, address + lines * LINE_SIZE,
+                                  LINE_SIZE):
+            channel = channels[(line_address // interleave) % num_channels]
+            row_global = line_address // row_bytes
+            bank = channel.banks[(row_global // num_channels)
+                                 % banks_per_channel]
+            row = row_global // banks_stride
+
+            open_row = bank.open_row
+            if open_row is None:
+                array_latency = empty_ns
+                bank.activations += 1
+                act_pj += act_pre_pj
+            elif open_row == row:
+                array_latency = hit_ns
+                bank.row_hits += 1
+            else:
+                array_latency = miss_ns
+                bank.row_misses += 1
+                bank.activations += 1
+                act_pj += act_pre_pj
+            bank.open_row = row
+
+            ready = bank.ready_at_ns
+            if now_ns > ready:
+                ready = now_ns
+            data_ready = ready + array_latency
+            begin = channel.bus_free_at_ns
+            if data_ready > begin:
+                begin = data_ready
+            completion = begin + burst_ns
+            channel.bus_free_at_ns = completion
+            channel.busy_ns += burst_ns
+            bank.ready_at_ns = completion
+            rw_pj += line_rw_pj
+            if line_address == address:
+                first = (completion - now_ns) + overhead_ns
+        energy_counter.rw_pj = rw_pj
+        energy_counter.act_pre_pj = act_pj
+
+        block_bytes = lines * LINE_SIZE
+        if is_write:
+            traffic.write_bytes += block_bytes
+            device.writes += lines
+        else:
+            traffic.read_bytes += block_bytes
+            device.reads += lines
+        if demand:
+            controller.demand_bytes += LINE_SIZE
+            controller.background_bytes += block_bytes - LINE_SIZE
+        else:
+            controller.background_bytes += block_bytes
         return first
 
     return line_access, block_transfer

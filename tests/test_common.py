@@ -45,17 +45,13 @@ def test_memory_request_line_address():
 
 
 def test_traffic_counter():
-    counter = TrafficCounter()
-    counter.add(False, 64)
-    counter.add(True, 128)
+    counter = TrafficCounter(read_bytes=64, write_bytes=128)
     assert counter.read_bytes == 64
     assert counter.write_bytes == 128
     assert counter.total_bytes == 192
 
 
 def test_energy_counter():
-    counter = EnergyCounter()
-    counter.add(rw_pj=100.0)
-    counter.add(act_pre_pj=50.0)
+    counter = EnergyCounter(rw_pj=100.0, act_pre_pj=50.0)
     assert counter.total_pj == pytest.approx(150.0)
     assert counter.total_mj == pytest.approx(150.0e-9)

@@ -1,14 +1,20 @@
-"""Bit-identity of the inlined access kernels and the fast-path dispatch.
+"""Bit-identity of the DRAM timing kernels and the fast-path dispatch.
 
 ``tests/test_engine_equivalence.py`` pins the end-to-end contract; the tests
 here pin the layers underneath it:
 
-* :func:`repro.memory.kernels.make_kernels` against the
-  ``controller.access`` / ``transfer_block`` method chain on a randomized
-  schedule (state and returned latencies must match float for float);
+* the controller methods and the :func:`repro.memory.kernels.make_kernels`
+  closures against the frozen golden ``tests/data/golden/dram_timing.json``
+  (every returned latency and the final controller state, float for
+  float), recorded from the method-chain timing model the kernels replaced
+  and regenerated with ``tools/make_dram_golden.py``;
 * the ``MemorySystem.fast_path`` protocol (default ``None``, step closure
   mutating the same counters as ``access``).
 """
+
+import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,95 +23,41 @@ from repro.baselines import DESIGN_FACTORIES
 from repro.common import LINE_SIZE
 from repro.memory.controller import MemoryController
 from repro.memory.kernels import make_kernels
-from repro.params import ddr4_params, hbm2_params, make_config
+from repro.params import hbm2_params, make_config
 from repro.sim.perfbench import NullMemorySystem
 
 CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "tests" / "data" / "golden"
+                     / "dram_timing.json").read_text())
+SCHEDULES = runpy.run_path(str(ROOT / "tools" / "make_dram_golden.py"))
 
 
-def _controller_state(controller: MemoryController) -> dict:
-    device = controller.device
-    return {
-        "demand_bytes": controller.demand_bytes,
-        "background_bytes": controller.background_bytes,
-        "metadata_bytes": controller.metadata_bytes,
-        "reads": device.reads,
-        "writes": device.writes,
-        "read_bytes": device.traffic.read_bytes,
-        "write_bytes": device.traffic.write_bytes,
-        "rw_pj": device.energy.counter.rw_pj,
-        "act_pre_pj": device.energy.counter.act_pre_pj,
-        "banks": [
-            (bank.open_row, bank.ready_at_ns, bank.row_hits, bank.row_misses,
-             bank.activations)
-            for channel in device.channels for bank in channel.banks
-        ],
-        "buses": [(c.bus_free_at_ns, c.busy_ns) for c in device.channels],
-    }
+def assert_matches_golden(case: str, route: str) -> None:
+    got = SCHEDULES["CASES"][case](route)
+    expected = GOLDEN[case]
+    assert len(got["latencies"]) == len(expected["latencies"])
+    for i, (left, right) in enumerate(zip(got["latencies"],
+                                          expected["latencies"])):
+        assert left == right, f"{case} access {i}: {left!r} != {right!r}"
+    for key, value in expected["state"].items():
+        assert got["state"][key] == value, f"{case} state {key!r} diverged"
 
 
-def _random_schedule(seed: int, n: int = 400):
-    rng = np.random.default_rng(seed)
-    addresses = (rng.integers(0, 1 << 28, size=n) // LINE_SIZE) * LINE_SIZE
-    writes = rng.random(n) < 0.3
-    kinds = rng.integers(0, 3, size=n)
-    times = np.cumsum(rng.random(n) * 40.0)
-    return zip(addresses.tolist(), writes.tolist(), kinds.tolist(),
-               times.tolist())
-
-
-@pytest.mark.parametrize("params_factory", [hbm2_params, ddr4_params],
-                         ids=["hbm2", "ddr4"])
-def test_line_kernel_matches_controller_access(params_factory):
-    params = params_factory(1 << 27)
-    slow = MemoryController(params)
-    fast = MemoryController(params)
-    line_access, _ = make_kernels(fast)
-    for address, is_write, kind, now_ns in _random_schedule(7):
-        expected = slow.access(address, is_write, now_ns, LINE_SIZE,
-                               demand=(kind == 0), metadata=(kind == 2))
-        got = line_access(address, is_write, now_ns, kind)
-        assert got == expected.latency_ns
-    assert _controller_state(fast) == _controller_state(slow)
+@pytest.mark.parametrize("params_name", ["hbm2", "ddr4"])
+def test_line_kernel_matches_controller_access(params_name):
+    for route in ("controller", "kernels"):
+        assert_matches_golden(f"line_{params_name}", route)
 
 
 def test_block_kernel_matches_transfer_block():
-    params = hbm2_params(1 << 27)
-    slow = MemoryController(params)
-    fast = MemoryController(params)
-    _, block_transfer = make_kernels(fast)
-    rng = np.random.default_rng(3)
-    now = 0.0
-    for _ in range(60):
-        address = int(rng.integers(0, 1 << 24)) * LINE_SIZE
-        nbytes = int(rng.choice([64, 256, 1024, 2048, 4096]))
-        is_write = bool(rng.random() < 0.5)
-        demand = bool(rng.random() < 0.5)
-        now += float(rng.random() * 200.0)
-        expected = slow.transfer_block(address, nbytes, is_write, now,
-                                       demand=demand)
-        got = block_transfer(address, nbytes, is_write, now, demand)
-        assert got == expected.latency_ns
-    assert _controller_state(fast) == _controller_state(slow)
+    for route in ("controller", "kernels"):
+        assert_matches_golden("block", route)
 
 
 def test_kernel_interleaves_with_slow_path():
-    """Kernel and method-chain accesses share the same live state."""
-    params = ddr4_params(1 << 28)
-    slow = MemoryController(params)
-    fast = MemoryController(params)
-    line_access, _ = make_kernels(fast)
-    for i, (address, is_write, kind, now_ns) in enumerate(_random_schedule(11)):
-        expected = slow.access(address, is_write, now_ns, LINE_SIZE,
-                               demand=(kind == 0), metadata=(kind == 2))
-        if i % 3 == 0:
-            got = fast.access(address, is_write, now_ns, LINE_SIZE,
-                              demand=(kind == 0),
-                              metadata=(kind == 2)).latency_ns
-        else:
-            got = line_access(address, is_write, now_ns, kind)
-        assert got == expected.latency_ns
-    assert _controller_state(fast) == _controller_state(slow)
+    """Controller-method and kernel accesses share the same live state."""
+    assert_matches_golden("interleaved", "mixed")
 
 
 def test_kernel_counters_reset_in_place():

@@ -1,13 +1,10 @@
-"""Tests for the DRAM substrate: timings, banks, channels, devices, controllers."""
+"""Tests for the DRAM substrate: timings, and the controller's timing kernels
+over bank, channel, device and energy state."""
 
 import pytest
 
 from repro.common import LINE_SIZE
-from repro.memory.bank import Bank
-from repro.memory.channel import Channel
 from repro.memory.controller import MemoryController
-from repro.memory.device import DramDevice
-from repro.memory.energy import EnergyModel
 from repro.memory.timing import DramTimings
 from repro.params import ddr4_params, hbm2_params
 
@@ -43,97 +40,115 @@ def test_burst_time_scales_with_size(hbm):
 
 
 # ---------------------------------------------------------------------------
-# banks and channels
+# banks and channels, driven through the controller's timing kernels
 # ---------------------------------------------------------------------------
-def test_bank_classify_and_record():
-    bank = Bank()
-    assert bank.classify(5) == "empty"
-    bank.record(5, "empty")
-    assert bank.classify(5) == "hit"
-    assert bank.classify(6) == "miss"
-    bank.record(6, "miss")
-    assert bank.open_row == 6
-    assert bank.row_misses == 1
+#: HBM2 (8 channels, 8 banks, 2 KB rows, 256 B channel interleave): three
+#: addresses on channel 0, two of them rows 0 and 1 of bank 0 and one in
+#: bank 1.
+BANK0_ROW0 = 0
+BANK0_ROW1 = 64 * 2048
+BANK1_ROW0 = 8 * 2048
 
 
-def test_bank_precharge():
-    bank = Bank()
-    bank.record(1, "empty")
-    bank.precharge()
-    assert bank.open_row is None
+def _bank(controller, channel, bank):
+    return controller.device.channels[channel].banks[bank]
 
 
-def test_channel_bus_serialises_transfers():
-    channel = Channel.with_banks(4)
-    first = channel.reserve_bus(0.0, 10.0)
-    second = channel.reserve_bus(0.0, 10.0)
-    assert first == 0.0
-    assert second == 10.0
-    assert channel.busy_ns == 20.0
+def test_bank_classify_and_record(hbm):
+    """Empty bank -> activation; same row -> hit; other row -> miss."""
+    controller = MemoryController(hbm)
+    bank = _bank(controller, 0, 0)
+    controller.access(BANK0_ROW0, False, 0.0)
+    assert (bank.open_row, bank.activations, bank.row_misses) == (0, 1, 0)
+    controller.access(BANK0_ROW0 + LINE_SIZE, False, 100.0)
+    assert bank.row_hits == 1 and bank.activations == 1
+    controller.access(BANK0_ROW1, False, 200.0)
+    assert bank.open_row == 1
+    assert bank.row_misses == 1 and bank.activations == 2
+
+
+def test_bank_precharge(hbm):
+    """A precharged bank (no open row) costs an activation, not a miss."""
+    controller = MemoryController(hbm)
+    controller.access(BANK0_ROW0, False, 0.0)
+    bank = _bank(controller, 0, 0)
+    bank.open_row = None
+    controller.access(BANK0_ROW1, False, 100.0)
+    assert bank.row_misses == 0 and bank.activations == 2
+
+
+def test_channel_bus_serialises_transfers(hbm):
+    """Two banks of one channel share its data bus: the second burst
+    waits for the first."""
+    controller = MemoryController(hbm)
+    burst = controller.device.timings.burst_ns(LINE_SIZE)
+    first = controller.access(BANK0_ROW0, False, 0.0)
+    second = controller.access(BANK1_ROW0, False, 0.0)
+    assert second == first + burst
+    channel = controller.device.channels[0]
+    assert channel.busy_ns == 2 * burst
+    assert channel.bus_free_at_ns == first - \
+        MemoryController.CONTROLLER_OVERHEAD_NS + burst
 
 
 # ---------------------------------------------------------------------------
-# device
+# device state
 # ---------------------------------------------------------------------------
 def test_device_row_hit_is_faster_than_miss(hbm):
-    device = DramDevice(hbm)
-    first = device.access(0, 64, False, 0.0)
-    second = device.access(64, 64, False, first.completion_ns)
-    assert not first.row_hit
-    # The second access may map to a different channel; force the same line.
-    third = device.access(0, 64, False, second.completion_ns)
-    assert third.row_hit
-    assert third.latency_ns < first.latency_ns
+    controller = MemoryController(hbm)
+    empty = controller.access(BANK0_ROW0, False, 0.0)
+    hit = controller.access(BANK0_ROW0, False, 100.0)
+    miss = controller.access(BANK0_ROW1, False, 200.0)
+    assert hit < empty < miss
 
 
 def test_device_counts_traffic_and_energy(hbm):
-    device = DramDevice(hbm)
-    device.access(0, 64, False, 0.0)
-    device.access(4096, 64, True, 0.0)
+    controller = MemoryController(hbm)
+    controller.access(0, False, 0.0)
+    controller.access(4096, True, 0.0)
+    device = controller.device
     assert device.reads == 1 and device.writes == 1
     assert device.traffic.total_bytes == 128
     assert device.energy.total_pj > 0
 
 
-def test_device_locate_spreads_channels(hbm):
-    device = DramDevice(hbm)
-    channels = {device.locate(i * hbm.channel_interleave_bytes)[0]
-                for i in range(hbm.channels)}
-    assert len(channels) == hbm.channels
-
-
-def test_device_rejects_empty_access(hbm):
-    device = DramDevice(hbm)
-    with pytest.raises(ValueError):
-        device.access(0, 0, False, 0.0)
+def test_channel_interleave_spreads_accesses(hbm):
+    controller = MemoryController(hbm)
+    for i in range(hbm.channels):
+        controller.access(i * hbm.channel_interleave_bytes, False, 0.0)
+    assert all(c.busy_ns > 0 for c in controller.device.channels)
 
 
 def test_bandwidth_contention_increases_latency(ddr):
     """Issuing many simultaneous requests must queue on the channel bus."""
-    device = DramDevice(ddr)
-    latencies = [device.access(i * 64, 64, False, 0.0).latency_ns
-                 for i in range(64)]
+    controller = MemoryController(ddr)
+    latencies = [controller.access(i * 64, False, 0.0) for i in range(64)]
     assert latencies[-1] > latencies[0]
 
 
 def test_row_hit_rate_reported(hbm):
-    device = DramDevice(hbm)
+    controller = MemoryController(hbm)
     for _ in range(4):
-        device.access(0, 64, False, 0.0)
+        controller.access(0, False, 0.0)
+    device = controller.device
     assert 0.5 < device.row_hit_rate <= 1.0
-    assert device.summary()["row_hit_rate"] == device.row_hit_rate
+    assert controller.summary()["row_hit_rate"] == device.row_hit_rate
 
 
 # ---------------------------------------------------------------------------
 # energy model
 # ---------------------------------------------------------------------------
 def test_energy_model_accounting(hbm):
-    model = EnergyModel.from_params(hbm)
-    transfer_pj = model.transfer(64)
-    assert transfer_pj == pytest.approx(hbm.rw_energy_pj_per_bit * 64 * 8)
-    activate_pj = model.activate()
-    assert activate_pj == pytest.approx(hbm.act_pre_energy_nj * 1000.0)
-    assert model.total_pj == pytest.approx(transfer_pj + activate_pj)
+    controller = MemoryController(hbm)
+    model = controller.device.energy
+    assert model.rw_pj_per_bit == hbm.rw_energy_pj_per_bit
+    assert model.act_pre_pj == hbm.act_pre_energy_nj * 1000.0
+    controller.access(BANK0_ROW0, False, 0.0)       # activation + transfer
+    controller.access(BANK0_ROW0, False, 100.0)     # row hit: transfer only
+    line_pj = hbm.rw_energy_pj_per_bit * LINE_SIZE * 8
+    assert model.counter.rw_pj == 2 * line_pj
+    assert model.counter.act_pre_pj == model.act_pre_pj
+    assert controller.energy_pj == pytest.approx(2 * line_pj + model.act_pre_pj)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +166,23 @@ def test_controller_classifies_traffic(hbm):
 
 
 def test_controller_adds_overhead(hbm):
+    """An idle device: activate, column access, one burst, plus overhead."""
     controller = MemoryController(hbm)
-    direct = DramDevice(hbm).access(0, 64, False, 0.0)
-    via_controller = controller.access(0, False, 0.0)
-    assert via_controller.latency_ns == pytest.approx(
-        direct.latency_ns + MemoryController.CONTROLLER_OVERHEAD_NS)
+    timings = controller.device.timings
+    latency = controller.access(0, False, 0.0)
+    assert latency == (timings.row_empty_latency_ns() + timings.burst_ns(64)
+                       + MemoryController.CONTROLLER_OVERHEAD_NS)
 
 
 def test_controller_transfer_block_moves_whole_block(hbm):
     controller = MemoryController(hbm)
-    result = controller.transfer_block(0, 2048, False, 0.0)
+    latency = controller.transfer_block(0, 2048, False, 0.0, demand=True)
     assert controller.total_bytes == 2048
-    assert result.latency_ns > 0
+    assert controller.device.reads == 2048 // LINE_SIZE
+    assert controller.demand_bytes == LINE_SIZE
+    assert controller.background_bytes == 2048 - LINE_SIZE
+    # Critical word first: the block's latency is its first line's.
+    assert latency == MemoryController(hbm).access(0, False, 0.0)
 
 
 def test_controller_reset_counters_keeps_timing_state(hbm):

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and
 invariants of the reproduction."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,9 @@ from repro.core.nm_allocator import NMFramePool
 from repro.core.policy import eviction_cost, migration_cost, net_cost
 from repro.core.remap import FreeFMStack, RemapTable
 from repro.core.xta import XTA
-from repro.memory.device import DramDevice
-from repro.params import hbm2_params
+from repro.common import LINE_SIZE
+from repro.memory.controller import MemoryController
+from repro.params import ddr4_params, hbm2_params
 from repro.stats import Stats
 
 
@@ -166,20 +168,69 @@ def test_frame_pool_invariants_under_random_operations(ops, seed):
 
 
 # ---------------------------------------------------------------------------
-# DRAM device
+# DRAM timing (the controller's kernels over device state)
 # ---------------------------------------------------------------------------
 @given(st.lists(st.tuples(st.integers(0, (1 << 22) - 64), st.booleans()),
                 min_size=1, max_size=100))
 @settings(max_examples=30)
 def test_dram_device_time_and_energy_are_monotone(requests):
-    device = DramDevice(hbm2_params(4 << 20))
+    controller = MemoryController(hbm2_params(4 << 20))
+    device = controller.device
     now = 0.0
     last_energy = 0.0
     for address, is_write in requests:
-        result = device.access(address - address % 64, 64, is_write, now)
-        assert result.latency_ns > 0
-        assert result.completion_ns >= now
+        latency = controller.access(address - address % 64, is_write, now)
+        assert latency > MemoryController.CONTROLLER_OVERHEAD_NS
         assert device.energy.total_pj >= last_energy
         last_energy = device.energy.total_pj
-        now = max(now, result.completion_ns - 10.0)
+        now = max(now, now + latency - 10.0)
     assert device.traffic.total_bytes == 64 * len(requests)
+
+
+#: One operation of a random controller schedule: a line access of one
+#: traffic class, or a block transfer of up to 4 KB.
+DRAM_OPS = st.one_of(
+    st.tuples(st.just("line"), st.integers(0, (1 << 26) - 64),
+              st.booleans(), st.sampled_from(("demand", "background",
+                                              "metadata"))),
+    st.tuples(st.just("block"), st.integers(0, (1 << 26) - 4096),
+              st.booleans(), st.sampled_from((64, 256, 2048, 4096)),
+              st.booleans()),
+)
+
+
+@given(params_factory=st.sampled_from((hbm2_params, ddr4_params)),
+       ops=st.lists(st.tuples(DRAM_OPS, st.floats(0.0, 50.0)),
+                    min_size=1, max_size=60))
+@settings(max_examples=40)
+def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
+    """Every 64 B line is counted once as traffic, once in exactly one
+    traffic class, and pays exactly its line and activation energy."""
+    controller = MemoryController(params_factory(1 << 26))
+    device = controller.device
+    now = 0.0
+    for op, gap in ops:
+        now += gap
+        if op[0] == "line":
+            _, address, is_write, kind = op
+            controller.access(address - address % 64, is_write, now,
+                              demand=(kind == "demand"),
+                              metadata=(kind == "metadata"))
+        else:
+            _, address, is_write, nbytes, demand = op
+            controller.transfer_block(address - address % 64, nbytes,
+                                      is_write, now, demand=demand)
+    lines = device.reads + device.writes
+    assert device.traffic.read_bytes + device.traffic.write_bytes == \
+        lines * LINE_SIZE
+    assert (controller.demand_bytes + controller.background_bytes
+            + controller.metadata_bytes) == controller.total_bytes
+    counter = device.energy.counter
+    line_rw_pj = device.energy.rw_pj_per_bit * LINE_SIZE * 8
+    activations = sum(b.activations for c in device.channels
+                      for b in c.banks)
+    assert counter.rw_pj == pytest.approx(lines * line_rw_pj, rel=1e-12)
+    assert counter.act_pre_pj == pytest.approx(
+        activations * device.energy.act_pre_pj, rel=1e-12)
+    hits = sum(b.row_hits for c in device.channels for b in c.banks)
+    assert hits + activations == lines

@@ -23,6 +23,8 @@ from repro.sim.simulator import RunResult
 BACKENDS = ("json", "sqlite")
 WRITERS = 4
 CELLS_PER_WRITER = 25
+#: Wall-clock budget for all writers together; a hang fails fast.
+WRITER_TIMEOUT_S = 60
 
 
 def _root(tmp_path, backend):
@@ -80,14 +82,26 @@ def test_concurrent_readers_never_see_partial_cells(tmp_path, backend):
 
     reader_thread = threading.Thread(target=read_loop, daemon=True)
     reader_thread.start()
+    # Spawned, not forked: a child forked while the reader thread is inside
+    # SQLite can inherit a held lock and hang.
+    context = multiprocessing.get_context("spawn")
     processes = [
-        multiprocessing.Process(target=_writer_process, args=(root, w))
+        context.Process(target=_writer_process, args=(root, w))
         for w in range(WRITERS)]
     for process in processes:
         process.start()
+    deadline = time.monotonic() + WRITER_TIMEOUT_S
     for process in processes:
-        process.join(timeout=120)
-        assert process.exitcode == 0
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
+    hung = [process for process in processes if process.is_alive()]
+    for process in hung:
+        process.terminate()
+        process.join(timeout=10)
+    if hung:
+        stop.set()
+    assert not hung, f"{len(hung)} writer(s) still running after " \
+        f"{WRITER_TIMEOUT_S} s"
+    assert [process.exitcode for process in processes] == [0] * WRITERS
 
     # Writers are done: keep reading until every cell is visible.
     deadline = time.monotonic() + 60

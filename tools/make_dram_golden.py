@@ -1,0 +1,153 @@
+#!/usr/bin/env python
+"""Regenerate the frozen DRAM-timing golden, tests/data/golden/dram_timing.json.
+
+The golden records, for four seeded schedules, every latency the memory
+controller returned and the controller's full state afterwards (traffic
+and energy counters, every bank's open row, readiness and event counts,
+every channel's bus occupancy):
+
+* ``line_hbm2`` / ``line_ddr4`` — 400 random line accesses of all three
+  traffic classes (demand, background, metadata);
+* ``block`` — 60 random block transfers of 64 B to 4 KB on HBM2;
+* ``interleaved`` — 400 DDR4 line accesses, every third through
+  :meth:`MemoryController.access` and the rest through a line kernel
+  from :func:`repro.memory.kernels.make_kernels`, sharing one state.
+
+``tests/test_fastpath.py`` replays the schedules and compares against the
+file with float ``==``, so any change to the timing or energy arithmetic
+shows up as a diff.  Floats round-trip exactly through JSON.
+
+Usage::
+
+    PYTHONPATH=src python tools/make_dram_golden.py [--out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+from pathlib import Path
+from typing import Callable, Dict, List
+
+import numpy as np
+
+from repro.common import LINE_SIZE
+from repro.memory.controller import MemoryController
+from repro.memory.kernels import make_kernels
+from repro.params import ddr4_params, hbm2_params
+
+DEFAULT_OUT = (Path(__file__).resolve().parents[1]
+               / "tests" / "data" / "golden" / "dram_timing.json")
+
+
+def controller_state(controller: MemoryController) -> dict:
+    """Every counter and timestamp of ``controller``, JSON-shaped."""
+    device = controller.device
+    return {
+        "demand_bytes": controller.demand_bytes,
+        "background_bytes": controller.background_bytes,
+        "metadata_bytes": controller.metadata_bytes,
+        "reads": device.reads,
+        "writes": device.writes,
+        "read_bytes": device.traffic.read_bytes,
+        "write_bytes": device.traffic.write_bytes,
+        "rw_pj": device.energy.counter.rw_pj,
+        "act_pre_pj": device.energy.counter.act_pre_pj,
+        "banks": [
+            [bank.open_row, bank.ready_at_ns, bank.row_hits,
+             bank.row_misses, bank.activations]
+            for channel in device.channels for bank in channel.banks
+        ],
+        "buses": [[c.bus_free_at_ns, c.busy_ns] for c in device.channels],
+    }
+
+
+def line_schedule(seed: int, n: int = 400) -> List[tuple]:
+    """``(address, is_write, kind, now_ns)`` line accesses, time-ordered."""
+    rng = np.random.default_rng(seed)
+    addresses = (rng.integers(0, 1 << 28, size=n) // LINE_SIZE) * LINE_SIZE
+    writes = rng.random(n) < 0.3
+    kinds = rng.integers(0, 3, size=n)
+    times = np.cumsum(rng.random(n) * 40.0)
+    return list(zip(addresses.tolist(), writes.tolist(), kinds.tolist(),
+                    times.tolist()))
+
+
+def block_schedule(seed: int, n: int = 60) -> List[tuple]:
+    """``(address, nbytes, is_write, now_ns, demand)`` block transfers."""
+    rng = np.random.default_rng(seed)
+    now = 0.0
+    out = []
+    for _ in range(n):
+        address = int(rng.integers(0, 1 << 24)) * LINE_SIZE
+        nbytes = int(rng.choice([64, 256, 1024, 2048, 4096]))
+        is_write = bool(rng.random() < 0.5)
+        demand = bool(rng.random() < 0.5)
+        now += float(rng.random() * 200.0)
+        out.append((address, nbytes, is_write, now, demand))
+    return out
+
+
+def run_line(params, seed: int, route: str) -> dict:
+    """Replay :func:`line_schedule` on a fresh controller.
+
+    ``route`` is ``"controller"`` (:meth:`MemoryController.access`),
+    ``"kernels"`` (the line kernel :func:`make_kernels` returns) or
+    ``"mixed"`` (the controller for every third access, else the kernel).
+    """
+    controller = MemoryController(params)
+    line_access, _ = make_kernels(controller)
+    latencies = []
+    for i, (address, is_write, kind, now_ns) in enumerate(
+            line_schedule(seed)):
+        if route == "kernels" or (route == "mixed" and i % 3):
+            latency = line_access(address, is_write, now_ns, kind)
+        else:
+            latency = controller.access(address, is_write, now_ns,
+                                        demand=(kind == 0),
+                                        metadata=(kind == 2))
+        latencies.append(latency)
+    return {"latencies": latencies, "state": controller_state(controller)}
+
+
+def run_block(params, seed: int, route: str) -> dict:
+    controller = MemoryController(params)
+    _, block_transfer = make_kernels(controller)
+    transfer = (controller.transfer_block if route == "controller"
+                else block_transfer)
+    latencies = [transfer(address, nbytes, is_write, now, demand)
+                 for address, nbytes, is_write, now, demand
+                 in block_schedule(seed)]
+    return {"latencies": latencies, "state": controller_state(controller)}
+
+
+#: Case name -> ``run(route)``; the golden is written from the
+#: ``"controller"`` route (``"mixed"`` for ``interleaved``).
+CASES: Dict[str, Callable[[str], dict]] = {
+    "line_hbm2": lambda route: run_line(hbm2_params(1 << 27), 7, route),
+    "line_ddr4": lambda route: run_line(ddr4_params(1 << 27), 7, route),
+    "block": lambda route: run_block(hbm2_params(1 << 27), 3, route),
+    "interleaved": lambda route: run_line(ddr4_params(1 << 28), 11, "mixed"),
+}
+
+
+def build() -> Dict[str, dict]:
+    return {name: run("controller") for name, run in CASES.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    args = parser.parse_args(argv)
+    golden = build()
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    # One case per line: compact, yet a change names the case it touched.
+    lines = [f" {json.dumps(name)}: {json.dumps(golden[name])}"
+             for name in CASES]
+    args.out.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
