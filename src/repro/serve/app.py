@@ -33,6 +33,11 @@ from .respcache import CacheEntry, ResponseCache, etag_of, source_sig
 #: (matches ``python -m repro report``'s default output directory).
 DEFAULT_ARTIFACTS_DIR = "artifacts"
 
+#: Largest request body the HTTP transport reads (a job spec is a few
+#: hundred bytes).  A larger ``Content-Length`` is refused with ``413``
+#: before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ServeApp:
     """One serving instance: store + bench registry + job queue + cache."""
@@ -127,13 +132,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self, method: str) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        body = self.rfile.read(length) if length > 0 else b""
-        response = self.server.app.handle(
-            method, self.path, dict(self.headers.items()), body)
+        app = self.server.app
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            refusal = error_response(
+                400, f"Content-Length must be a non-negative integer, "
+                     f"got {declared!r}")
+        elif int(declared) > MAX_BODY_BYTES:
+            refusal = error_response(
+                413, f"request body of {declared} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit", limit=MAX_BODY_BYTES)
+        else:
+            length = int(declared)
+            body = self.rfile.read(length) if length else b""
+            self._send(app.handle(method, self.path,
+                                  dict(self.headers.items()), body))
+            return
+        # The body was never read, so the connection cannot carry another
+        # request: close it after the refusal.
+        refusal.headers["Connection"] = "close"
+        self._send(app._finish(refusal))
+
+    def _send(self, response: Response) -> None:
         self.send_response(response.status)
         for name, value in response.headers.items():
             self.send_header(name, value)

@@ -144,9 +144,9 @@ def cells(app, params, query, body) -> Response:
 
 def cell(app, params, query, body) -> Response:
     key = params["key"]
-    status, result = app.store.probe(key)
+    status, result, record = app.store.read_cell(key)
     if status == CELL_OK:
-        payload = app.store.read_payload(key) or {}
+        payload = record.payload or {}
         return json_response({
             "key": key,
             "status": status,

@@ -153,6 +153,15 @@ def _payload_checksum(job: Optional[Dict[str, Any]],
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _text_checksum(job: Optional[str], result: str) -> str:
+    """:func:`_payload_checksum` of a cell whose ``job``/``result`` are
+    already canonical JSON text: ``"job"`` sorts before ``"result"``, so
+    the canonical document is the two texts in a fixed frame."""
+    canonical = ('{"job":' + ("null" if job is None else job)
+                 + ',"result":' + result + "}")
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # backend protocol
 # ---------------------------------------------------------------------------
@@ -163,15 +172,64 @@ REC_UNREADABLE = "unreadable"     # storage-level read error; bytes unseen
 REC_UNPARSEABLE = "unparseable"   # bytes read but not a JSON object
 
 
-@dataclass
 class CellRecord:
-    """One backend fetch: a payload document, or why there is none."""
+    """One backend fetch: a payload document, or why there is none.
 
-    key: str
-    disposition: str                       # one of the ``REC_*`` constants
-    payload: Optional[Dict[str, Any]] = None
-    raw: Optional[str] = None              # original text of unparseable cells
-    error: str = ""
+    A SQLite row arrives as its stored ``columns`` — ``(format, checksum,
+    job text, result text)`` — and the payload document is decoded from
+    them only when ``payload``, ``disposition`` or ``raw`` is first read,
+    so a scan that verifies the texts directly never builds it.  Column
+    text that does not decode turns the record :data:`REC_UNPARSEABLE`
+    with that text as ``raw``.
+    """
+
+    __slots__ = ("key", "error", "columns", "_disposition", "_payload",
+                 "_raw")
+
+    def __init__(self, key: str, disposition: str,
+                 payload: Optional[Dict[str, Any]] = None,
+                 raw: Optional[str] = None, error: str = "",
+                 columns: Optional[Tuple[Any, Any, Any, Any]] = None
+                 ) -> None:
+        self.key = key
+        self.error = error
+        self.columns = columns
+        self._disposition = disposition    # one of the ``REC_*`` constants
+        self._payload = payload
+        self._raw = raw                    # original text of unparseable cells
+
+    def _decode(self) -> None:
+        if self.columns is None:
+            return
+        fmt, checksum, job, result = self.columns
+        self.columns = None
+        docs = []
+        for text in (job, result):
+            try:
+                docs.append(None if text is None else json.loads(text))
+            except ValueError:
+                # The undecodable text stands in for the cell, so it stays
+                # unparseable wherever it is migrated or quarantined to.
+                self._disposition, self._raw = REC_UNPARSEABLE, text
+                return
+        self._payload = {"format": fmt, "key": self.key,
+                         "checksum": checksum, "job": docs[0],
+                         "result": docs[1]}
+
+    @property
+    def disposition(self) -> str:
+        self._decode()
+        return self._disposition
+
+    @property
+    def payload(self) -> Optional[Dict[str, Any]]:
+        self._decode()
+        return self._payload
+
+    @property
+    def raw(self) -> Optional[str]:
+        self._decode()
+        return self._raw
 
 
 class StoreBackend:
@@ -580,14 +638,8 @@ class SqliteBackend(StoreBackend):
             except ValueError:
                 return CellRecord(key, REC_UNPARSEABLE, raw=extra)
             return CellRecord(key, REC_PAYLOAD, payload=payload, raw=extra)
-        try:
-            payload = {"format": fmt, "key": key, "checksum": checksum,
-                       "job": None if job is None else json.loads(job),
-                       "result": None if result is None
-                       else json.loads(result)}
-        except ValueError:             # pragma: no cover - column damage
-            return CellRecord(key, REC_UNPARSEABLE, raw=result)
-        return CellRecord(key, REC_PAYLOAD, payload=payload)
+        return CellRecord(key, REC_PAYLOAD,
+                          columns=(fmt, checksum, job, result))
 
     # -- reads -------------------------------------------------------------
     def fetch_many(self, keys: Sequence[str]) -> Dict[str, CellRecord]:
@@ -909,6 +961,19 @@ class ResultStore:
 
     def _classify(self, record: CellRecord
                   ) -> Tuple[str, Optional[RunResult]]:
+        columns = record.columns
+        if columns is not None:
+            # Stored column texts are canonical, so the checksum verifies
+            # on them directly; only a mismatch (damage, or equal JSON in
+            # another spelling) pays for decoding and re-encoding below.
+            fmt, checksum, job, result = columns
+            if (fmt == STORE_FORMAT and isinstance(result, str)
+                    and (job is None or isinstance(job, str))
+                    and checksum == _text_checksum(job, result)):
+                try:
+                    return CELL_OK, RunResult.from_dict(json.loads(result))
+                except (KeyError, TypeError, ValueError):
+                    return CELL_CORRUPT, None
         if record.disposition == REC_MISS:
             return CELL_MISS, None
         if record.disposition == REC_UNREADABLE:
@@ -939,8 +1004,16 @@ class ResultStore:
         :data:`CELL_CORRUPT` (unreadable JSON, checksum mismatch, or a
         body :class:`RunResult` cannot hydrate).
         """
+        return self.read_cell(key)[:2]
+
+    def read_cell(self, key: str
+                  ) -> Tuple[str, Optional[RunResult], CellRecord]:
+        """:meth:`probe` plus the fetched :class:`CellRecord`, so a caller
+        that also serves a healthy cell's checksum and job description
+        (``GET /v1/cells/<key>``) reads the backend once."""
         _check_key(key)
-        return self._classify(self.backend.fetch_many([key])[key])
+        record = self.backend.fetch_many([key])[key]
+        return (*self._classify(record), record)
 
     def probe_many(self, keys: Sequence[str]
                    ) -> Dict[str, Tuple[str, Optional[RunResult]]]:

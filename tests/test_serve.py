@@ -8,6 +8,8 @@ verify dedup (a repeated identical POST must not simulate again) and
 conditional-request ``304`` behaviour.
 """
 
+import contextlib
+import http.client
 import json
 import threading
 import time
@@ -21,9 +23,12 @@ from repro.cli import main
 from repro.report.artifacts import write_artifact
 from repro.report.registry import BenchResult, Table, get_bench
 from repro.serve import JobSpecError, ResponseCache, ServeApp, make_server
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.respcache import CacheEntry, etag_of
 from repro.serve.router import Router
+from repro.sim.simulator import RunResult
 from repro.sim.store import ResultStore
+from repro.stats import Stats
 
 REFS = 300
 JOB = {"design": "HYBRID2", "workload": "mcf", "refs": REFS,
@@ -221,6 +226,36 @@ def test_cell_miss_and_malformed_key(tmp_path):
         app.close()
 
 
+def test_cell_get_reads_the_backend_once(tmp_path):
+    """An uncached ``GET /v1/cells/<key>`` verifies the cell and serves
+    its checksum and job description from one backend select."""
+    app = ServeApp(f"sqlite:{tmp_path / 'store'}",
+                   artifacts_dir=tmp_path / "artifacts")
+    try:
+        keys = [f"{i:064x}" for i in (1, 2)]
+        for cycles, key in enumerate(keys):
+            result = RunResult(
+                design="HYBRID2", workload="mcf", cycles=float(cycles),
+                instructions=10, references=5, nm_service_ratio=0.5,
+                nm_traffic_bytes=64.0, fm_traffic_bytes=128.0, energy_pj=1.0,
+                flat_capacity_bytes=1 << 20, stats=Stats())
+            app.store.put(key, result, job={"design": "HYBRID2"})
+        backend = app.store.backend
+        for key in keys:
+            before = backend.select_queries
+            response = app.handle("GET", f"/v1/cells/{key}")
+            assert backend.select_queries - before == 1
+            cell = body_of(response)
+            assert response.status == 200 and cell["status"] == "ok"
+            assert cell["checksum"] == app.store.read_payload(key)["checksum"]
+            assert cell["job"] == {"design": "HYBRID2"}
+            before = backend.select_queries
+            assert app.handle("GET", f"/v1/cells/{key}").status == 200
+            assert backend.select_queries == before      # response cache
+    finally:
+        app.close()
+
+
 # ---------------------------------------------------------------------------
 # write path (app level)
 # ---------------------------------------------------------------------------
@@ -303,16 +338,66 @@ def _post(base, path, payload):
         return error.code, json.loads(error.read())
 
 
+@contextlib.contextmanager
+def serving(app):
+    """Run ``app`` on an ephemeral port; yields ``(host, port)``."""
+    server = make_server(app, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        thread.join(timeout=5.0)
+        server.server_close()
+        app.close()
+
+
+def _post_declared(address, length, body=b""):
+    """POST ``/v1/jobs`` declaring ``Content-Length: length`` but sending
+    only ``body``; returns ``(status, headers, payload)``."""
+    conn = http.client.HTTPConnection(*address, timeout=30)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return (response.status, dict(response.headers),
+                json.loads(response.read()))
+    finally:
+        conn.close()
+
+
+def test_oversized_request_body_is_refused_unread(tmp_path):
+    app = make_app(tmp_path)
+    with serving(app) as address:
+        status, headers, payload = _post_declared(
+            address, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert payload["limit"] == MAX_BODY_BYTES
+        assert headers["Connection"] == "close"
+        assert headers["X-Repro-Version"] == package_version()
+        # A body within the limit still reaches the handler.
+        status, _, payload = _post_declared(address, "8", b"not json")
+        assert status == 400 and "not valid JSON" in payload["error"]
+        assert app.queue.jobs() == []
+
+
+@pytest.mark.parametrize("declared", ["abc", "-5", "1.5"])
+def test_malformed_content_length_is_a_400(tmp_path, declared):
+    with serving(make_app(tmp_path)) as address:
+        status, headers, payload = _post_declared(address, declared)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert headers["Connection"] == "close"
+
+
 @pytest.mark.slow
 def test_service_end_to_end(tmp_path):
     """Empty store -> POST job -> events to completion -> cell + chart."""
     app = make_app(tmp_path)
-    server = make_server(app, "127.0.0.1", 0)
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(app) as (host, port):
+        base = f"http://{host}:{port}"
         status, _, body = _get(base, "/v1/health")
         assert status == 200
         assert json.loads(body)["store"]["cells"] == 0
@@ -370,11 +455,6 @@ def test_service_end_to_end(tmp_path):
         status, _, body = _get(base, "/v1/cells")
         listed = json.loads(body)
         assert listed["total"] == 1 and listed["keys"] == [key]
-    finally:
-        server.shutdown()
-        thread.join(timeout=5.0)
-        server.server_close()
-        app.close()
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,20 @@ no per-cell I/O), multi-process concurrent writers, and lossless
 migration in both directions.
 """
 
+import hashlib
 import json
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.params import make_config
 from repro.sim.faults import corrupt_store_cell
 from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK, CELL_STALE,
                              CELL_UNREADABLE, DEFAULT_SQLITE_SHARDS,
-                             REC_UNREADABLE, CellRecord, ResultStore,
-                             SqliteBackend, migrate_store)
+                             REC_UNREADABLE, STORE_FORMAT, CellRecord,
+                             ResultStore, SqliteBackend, migrate_store)
 from repro.sim.simulator import RunResult
 from repro.sim.sweep import SweepJob, coerce_design, run_jobs
 from repro.stats import Stats
@@ -279,6 +282,168 @@ def test_migrate_round_trip_is_lossless(tmp_path):
         assert origin.probe(key)[0] == back.probe(key)[0]
         assert ((origin.read_payload(key) or {}).get("checksum")
                 == (back.read_payload(key) or {}).get("checksum"))
+
+
+def insert_row(store, row):
+    """Write one ``cells`` row verbatim, bypassing the payload mapping
+    (column damage a payload document cannot express)."""
+    backend = store.backend
+    conn = backend._conn(backend.shard_of(row[0]), create=True)
+    with conn:
+        conn.execute("INSERT OR REPLACE INTO cells (key, format, checksum, "
+                     "job, result, extra) VALUES (?, ?, ?, ?, ?, ?)", row)
+
+
+def test_migrate_sqlite_round_trip_is_lossless(tmp_path):
+    """sqlite -> json -> sqlite keeps every cell's status and checksum,
+    including rows whose column text is reformatted or undecodable."""
+    origin = ResultStore(f"sqlite:{tmp_path / 'a'}")
+    keys = seed_mixed_store(origin)
+    job = {"design": "HYBRID2", "seed": 1}
+    for key, mangle in (("0a" * 32, lambda text: text[:-1]),
+                        ("0b" * 32, lambda text: text),
+                        ("0c" * 32, lambda text: text.replace(",", ", "))):
+        row = origin.backend._row_of(
+            key, origin._payload_of(key, sample_result(), job))
+        insert_row(origin, row[:3] + (mangle(row[3]),) + row[4:])
+        keys.append(key)
+    middle = ResultStore(f"json:{tmp_path / 'b'}")
+    back = ResultStore(f"sqlite:{tmp_path / 'c'}")
+    first, second = migrate_store(origin, middle), migrate_store(middle, back)
+    assert first.verified, first.mismatches
+    assert second.verified, second.mismatches
+    assert (first.ok, first.stale, first.corrupt) == (4, 1, 3)
+    for key in keys:
+        assert origin.probe(key)[0] == back.probe(key)[0]
+        assert ((origin.read_payload(key) or {}).get("checksum")
+                == (back.read_payload(key) or {}).get("checksum"))
+
+
+# ---------------------------------------------------------------------------
+# verification on the stored text: the same verdict as decoding every cell
+# ---------------------------------------------------------------------------
+def decoded_verdict(row):
+    """Reference classification of a ``cells`` row: decode the payload
+    document, re-encode it canonically, recompute the checksum."""
+    key, fmt, checksum, job, result, extra = row
+    try:
+        if extra is not None:
+            payload = json.loads(extra)
+            if not isinstance(payload, dict):
+                return CELL_CORRUPT, None
+        else:
+            payload = {"format": fmt, "checksum": checksum,
+                       "job": None if job is None else json.loads(job),
+                       "result": None if result is None
+                       else json.loads(result)}
+    except ValueError:
+        return CELL_CORRUPT, None
+    if payload.get("format") != STORE_FORMAT:
+        return CELL_STALE, None
+    canonical = json.dumps({"job": payload.get("job"),
+                            "result": payload.get("result")},
+                           sort_keys=True, separators=(",", ":"))
+    if payload.get("checksum") != hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest():
+        return CELL_CORRUPT, None
+    try:
+        return CELL_OK, RunResult.from_dict(payload["result"]).as_dict()
+    except (KeyError, TypeError, ValueError):
+        return CELL_CORRUPT, None
+
+
+#: Text SQLite can hold (no lone surrogates).
+storable_text = st.text(st.characters(blacklist_categories=("Cs",)),
+                        max_size=12)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+run_results = st.builds(
+    lambda cycles, refs, counters: RunResult(
+        design="HYBRID2", workload="mcf", cycles=cycles, instructions=refs,
+        references=refs, nm_service_ratio=0.5, nm_traffic_bytes=cycles,
+        fm_traffic_bytes=1.0, energy_pj=2.5, flat_capacity_bytes=1 << 20,
+        stats=Stats().merge(counters)),
+    finite, st.integers(0, 1 << 40),
+    st.dictionaries(st.text("abc.", min_size=1, max_size=6), finite,
+                    max_size=4))
+job_specs = st.one_of(
+    st.none(),
+    st.dictionaries(storable_text,
+                    st.one_of(st.integers(), finite, storable_text,
+                              st.none()), max_size=4))
+DAMAGE = ("none", "flip_checksum", "format", "reformat", "truncate_job",
+          "truncate_result", "garbage_job", "garbage_result", "job_null",
+          "result_null", "extra_payload", "extra_non_object")
+
+
+def reformat(text):
+    """The same JSON in another spelling: spaced separators, keys in
+    reverse order."""
+    doc = json.loads(text)
+    if isinstance(doc, dict):
+        doc = dict(reversed(list(doc.items())))
+    return json.dumps(doc, indent=1)
+
+
+@pytest.fixture(scope="module")
+def row_store(tmp_path_factory):
+    store = ResultStore(f"sqlite:{tmp_path_factory.mktemp('rows')}")
+    yield store
+    store.backend.close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(result=run_results, job=job_specs, damage=st.sampled_from(DAMAGE),
+       data=st.data())
+def test_stored_text_verdict_matches_decoding(row_store, result, job,
+                                              damage, data):
+    key = "5a" * 32
+    payload = row_store._payload_of(key, result, job)
+    key, fmt, checksum, job_text, result_text, extra = \
+        row_store.backend._row_of(key, payload)
+    if damage == "flip_checksum":
+        at = data.draw(st.integers(0, len(checksum) - 1))
+        swap = data.draw(st.sampled_from(
+            [c for c in "0123456789abcdef" if c != checksum[at]]))
+        checksum = checksum[:at] + swap + checksum[at + 1:]
+    elif damage == "format":
+        fmt = data.draw(st.one_of(
+            st.none(), st.just(str(STORE_FORMAT)),
+            st.integers().filter(lambda f: f != STORE_FORMAT)))
+    elif damage == "reformat":
+        result_text = reformat(result_text)
+        if job_text is not None and data.draw(st.booleans()):
+            job_text = reformat(job_text)
+    elif damage == "truncate_job" and job_text is not None:
+        job_text = job_text[:data.draw(st.integers(0, len(job_text) - 1))]
+    elif damage == "truncate_result":
+        result_text = result_text[:data.draw(
+            st.integers(0, len(result_text) - 1))]
+    elif damage == "garbage_job":
+        job_text = data.draw(storable_text)
+    elif damage == "garbage_result":
+        result_text = data.draw(storable_text)
+    elif damage == "job_null":
+        job_text = None
+    elif damage == "result_null":
+        result_text = None
+    elif damage == "extra_payload":
+        fmt = checksum = job_text = result_text = None
+        extra = json.dumps(payload, sort_keys=True)
+    elif damage == "extra_non_object":
+        fmt = checksum = job_text = result_text = None
+        extra = json.dumps(data.draw(st.one_of(
+            st.lists(st.integers(), max_size=3), st.integers(),
+            storable_text)))
+    insert_row(row_store, (key, fmt, checksum, job_text, result_text, extra))
+    # The reference reads the row back: column affinity may have
+    # converted a value on the way in (the text '2' becomes the integer).
+    backend = row_store.backend
+    stored = backend._conn(backend.shard_of(key)).execute(
+        "SELECT key, format, checksum, job, result, extra FROM cells "
+        "WHERE key = ?", (key,)).fetchone()
+    status, loaded = row_store.probe(key)
+    assert (status, None if loaded is None else loaded.as_dict()) \
+        == decoded_verdict(stored)
 
 
 # ---------------------------------------------------------------------------
