@@ -55,25 +55,19 @@ class RemapTable:
 
         rng = np.random.default_rng(seed)
         order = rng.permutation(num_sectors)
-        self._kind: List[MemoryKind] = [MemoryKind.FAR] * num_sectors
-        self._frame: List[int] = [0] * num_sectors
-        #: inverted remap table: NM frame -> sector (-1 when not a flat home)
-        self._inverse_nm: dict[int, int] = {}
-        self._inverse_fm: List[int] = [-1] * fm_frames
-
         nm_count = len(nm_flat_frames)
-        for i, sector in enumerate(order):
-            sector = int(sector)
-            if i < nm_count:
-                frame = nm_flat_frames[i]
-                self._kind[sector] = MemoryKind.NEAR
-                self._frame[sector] = frame
-                self._inverse_nm[frame] = sector
-            else:
-                frame = i - nm_count
-                self._kind[sector] = MemoryKind.FAR
-                self._frame[sector] = frame
-                self._inverse_fm[frame] = sector
+        near, far = order[:nm_count], order[nm_count:]
+        kind = np.full(num_sectors, MemoryKind.FAR, dtype=object)
+        kind[near] = MemoryKind.NEAR
+        frame = np.empty(num_sectors, dtype=np.int64)
+        frame[near] = nm_flat_frames
+        frame[far] = np.arange(fm_frames)
+        self._kind: List[MemoryKind] = kind.tolist()
+        self._frame: List[int] = frame.tolist()
+        #: inverted remap table: NM frame -> sector (-1 when not a flat home)
+        self._inverse_nm: dict[int, int] = dict(zip(nm_flat_frames,
+                                                    near.tolist()))
+        self._inverse_fm: List[int] = far.tolist()
 
     # ------------------------------------------------------------------
     # lookups

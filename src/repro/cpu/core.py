@@ -16,13 +16,23 @@ parallelism).
   whose latency is ``L`` stalls the core by roughly ``L / overlap`` where
   ``overlap`` is the number of in-flight misses, bounded by
   ``max_outstanding_misses``.
+
+:func:`~repro.sim.simulator.simulate` does not step :class:`IntervalCore`
+objects.  Everything in the model except the stall itself depends on the
+instruction gaps alone, so :func:`miss_columns` computes it for a whole
+trace up front and the driver keeps only each core's time; it does not
+fill the per-core :class:`CoreStats` breakdown.
+:class:`~repro.sim.simulator.Simulator` (the full SRAM-hierarchy path)
+still runs :class:`IntervalCore` and fills it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque
+from typing import Deque, Tuple
+
+import numpy as np
 
 from ..params import CoreParams
 
@@ -125,3 +135,25 @@ class IntervalCore:
             "llc_misses": self.stats.llc_misses,
             "stall_cycles": self.stats.stall_cycles,
         }
+
+
+def miss_columns(gaps: np.ndarray,
+                 params: CoreParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The latency-independent part of :meth:`IntervalCore.memory_miss`
+    for one core's misses, in order, with ``gaps[j]`` instructions
+    (negative gaps count as 0) retired before miss ``j``.
+
+    Returns ``(instructions, overlap)``: the core's instruction count
+    right after miss ``j``, and the divisor ``memory_miss`` applies to its
+    latency (``len(window) + 1``).  The window only ever drops its oldest
+    entries, and a miss adds at most one to the count of earlier misses
+    within ``rob_size`` instructions, so the window holds
+    ``min(earlier, max_outstanding_misses - 1)`` entries: one
+    ``searchsorted`` per core instead of a deque per miss.
+    """
+    n = len(gaps)
+    instructions = np.cumsum(np.maximum(gaps, 0)) + np.arange(1, n + 1)
+    earlier = np.arange(n) - np.searchsorted(
+        instructions, instructions - params.rob_size)
+    overlap = np.minimum(earlier, params.max_outstanding_misses - 1) + 1
+    return instructions, overlap

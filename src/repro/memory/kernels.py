@@ -23,6 +23,7 @@ golden ``tests/data/golden/dram_timing.json`` float for float and
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Tuple
 
 from ..common import LINE_SIZE
@@ -61,6 +62,8 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     row_bytes = params.row_bytes
     banks_per_channel = params.banks_per_channel
     banks_stride = num_channels * banks_per_channel
+    # Lines inside one aligned span share a channel, a bank and a row.
+    span = math.gcd(interleave, row_bytes)
     hit_ns = timings.row_hit_latency_ns()
     empty_ns = timings.row_empty_latency_ns()
     miss_ns = timings.row_miss_latency_ns()
@@ -122,16 +125,21 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
 
     def block_transfer(address: int, nbytes: int, is_write: bool,
                        now_ns: float, demand: bool) -> float:
-        # The line body of ``line_access``, inlined.  Floats are added one
-        # line at a time in line order (the energy sums through locals),
-        # so every sum is bit-identical to issuing the lines one by one;
-        # the integer counters are bumped once per block.
+        # The line body of ``line_access``, inlined, once per run of lines
+        # inside one ``span``-aligned span: those share a channel, bank and
+        # row, so after the run's first line every line is a row hit that
+        # starts when the previous one completes (the bank and the bus are
+        # both free then).  Floats are still added one line at a time in
+        # line order (the energy sums through locals), so every sum is
+        # bit-identical to issuing the lines one by one; the integer
+        # counters are bumped once per run or per block.
         lines = max(1, nbytes // LINE_SIZE)
+        end = address + lines * LINE_SIZE
         rw_pj = energy_counter.rw_pj
         act_pj = energy_counter.act_pre_pj
         first = 0.0
-        for line_address in range(address, address + lines * LINE_SIZE,
-                                  LINE_SIZE):
+        line_address = address
+        while line_address < end:
             channel = channels[(line_address // interleave) % num_channels]
             row_global = line_address // row_bytes
             bank = channel.banks[(row_global // num_channels)
@@ -161,12 +169,22 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
             if data_ready > begin:
                 begin = data_ready
             completion = begin + burst_ns
-            channel.bus_free_at_ns = completion
-            channel.busy_ns += burst_ns
-            bank.ready_at_ns = completion
+            busy = channel.busy_ns + burst_ns
             rw_pj += line_rw_pj
             if line_address == address:
                 first = (completion - now_ns) + overhead_ns
+
+            run_end = min(end, (line_address // span + 1) * span)
+            run = -((line_address - run_end) // LINE_SIZE)
+            for _ in range(run - 1):
+                completion = completion + hit_ns + burst_ns
+                busy += burst_ns
+                rw_pj += line_rw_pj
+            bank.row_hits += run - 1
+            channel.bus_free_at_ns = completion
+            channel.busy_ns = busy
+            bank.ready_at_ns = completion
+            line_address += run * LINE_SIZE
         energy_counter.rw_pj = rw_pj
         energy_counter.act_pre_pj = act_pj
 

@@ -186,5 +186,7 @@ def simulate_reference(system: MemorySystem,
         for idx in finished:
             live.remove(idx)
 
-    return _collect_result(system, cores, name, references, cycles_offset,
-                           instruction_offset)
+    return _collect_result(
+        system, name, references,
+        max((c.time_cycles for c in cores), default=0.0) - cycles_offset,
+        sum(c.stats.instructions for c in cores) - instruction_offset)

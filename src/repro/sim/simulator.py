@@ -21,13 +21,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, islice, repeat
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..baselines.base import MemorySystem
 from ..cache.hierarchy import CacheHierarchy
-from ..cpu.core import IntervalCore
+from ..cpu.core import IntervalCore, miss_columns
 from ..cpu.trace import Trace, TraceRecord
 from ..stats import Stats
 from ..workloads.synthetic import WorkloadSpec, generate_multiprogrammed
@@ -100,13 +100,10 @@ class RunResult:
         return baseline.cycles / self.cycles
 
 
-def _collect_result(system: MemorySystem, cores: Sequence[IntervalCore],
-                    workload_name: str, references: int,
-                    cycles_offset: float = 0.0,
-                    instruction_offset: int = 0) -> RunResult:
+def _collect_result(system: MemorySystem, workload_name: str,
+                    references: int, cycles: float,
+                    instructions: int) -> RunResult:
     stats = system.collect_stats()
-    cycles = max((core.time_cycles for core in cores), default=0.0) - cycles_offset
-    instructions = sum(core.stats.instructions for core in cores) - instruction_offset
     return RunResult(
         design=system.name,
         workload=workload_name,
@@ -139,13 +136,22 @@ def simulate(system: MemorySystem,
     cycles, traffic and energy describe the measured region only — the usual
     SimPoint-style methodology.
 
-    The driver iterates trace *columns* directly with the interval-core
-    timing arithmetic inlined over locals, instead of materialising a
-    ``TraceRecord`` and paying three method calls per reference; per-core
-    state is written back into :class:`IntervalCore` objects at the end so
-    result collection (and callers inspecting cores) see the classic model.
-    Counters are bit-identical to the seed per-record driver preserved in
-    :mod:`repro.sim.legacy`, which the equivalence tests pin.
+    Cores take one reference each per round-robin pass, in index order.
+    Every part of the interval-core model that does not depend on latency
+    (instruction counts and the overlap divisor of each miss, see
+    :func:`~repro.cpu.core.miss_columns`) is computed per core in numpy
+    before the run, so the loop keeps only each core's time:
+    ``now = time + gap / issue_width``, the design step at ``now``, then
+    ``time = now + llc + latency * ghz / overlap``.  These are the float
+    expressions, in the order, that :meth:`IntervalCore.execute` and
+    :meth:`IntervalCore.memory_miss` evaluate, so the counters stay
+    bit-identical to stepping an :class:`IntervalCore` per reference
+    (``tests/test_engine_equivalence.py`` pins them).  The per-core
+    :class:`~repro.cpu.core.CoreStats` breakdown (compute, SRAM and stall
+    cycles) is not filled; :class:`Simulator` still fills it.
+
+    Designs whose :meth:`~repro.baselines.base.MemorySystem.fast_path`
+    returns ``None`` are driven through a step that wraps ``access``.
     """
     config = system.config
     cores_wanted = num_cores or config.cores.num_cores
@@ -171,205 +177,98 @@ def simulate(system: MemorySystem,
 
     n_cores = len(traces)
     params = config.cores
-    cores = [IntervalCore(params, i) for i in range(n_cores)]
     lengths = [len(t) for t in traces]
     total_records = sum(lengths)
     warmup_records = int(total_records * max(0.0, min(0.9, warmup_fraction)))
+    if not total_records:
+        return _collect_result(system, name, 0, 0.0, 0)
 
-    # Flatten the round-robin schedule up front.  The seed driver's order is
-    # one reference per live core per pass, cores in index order; for the
-    # common equal-length case that is a plain numpy column interleave.
-    # Columns become Python lists because native ints/bools iterate several
-    # times faster than numpy scalars in a Python loop.  The address column
-    # is kept as one int64 array as well: it is what ``system.fast_path``
-    # vectorizes its per-design precomputation over.
-    if n_cores and lengths.count(lengths[0]) == n_cores:
-        per_core = lengths[0]
-        if n_cores == 1:
-            trace = traces[0]
-            core_col = repeat(0, per_core)
-            gap_col = trace.gaps.tolist()
-            addr_arr = trace.addresses
-            write_col = trace.is_write.tolist()
-        else:
-            core_col = list(range(n_cores)) * per_core
-            gap_col = np.stack([t.gaps for t in traces],
-                               axis=1).ravel().tolist()
-            addr_arr = np.stack([t.addresses for t in traces],
-                                axis=1).ravel()
-            write_col = np.stack([t.is_write for t in traces],
-                                 axis=1).ravel().tolist()
-    else:
-        gap_cols = [t.gaps.tolist() for t in traces]
-        addr_cols = [t.addresses.tolist() for t in traces]
-        write_cols = [t.is_write.tolist() for t in traces]
-        order = [(idx, pos)
-                 for pos in range(max(lengths, default=0))
-                 for idx in range(n_cores) if pos < lengths[idx]]
-        core_col = [idx for idx, _ in order]
-        gap_col = [gap_cols[idx][pos] for idx, pos in order]
-        addr_arr = np.asarray([addr_cols[idx][pos] for idx, pos in order],
-                              dtype=np.int64)
-        write_col = [write_cols[idx][pos] for idx, pos in order]
-
-    # Designs that expose a batch operator get the whole address column at
-    # once and return a per-reference step closure; everything else (and the
-    # empty run) goes through the per-reference ``access`` loop.
-    fast_step = system.fast_path(addr_arr) if total_records else None
-    if fast_step is None:
-        stream = zip(core_col, gap_col, addr_arr.tolist(), write_col)
-    else:
-        stream = zip(count(), core_col, gap_col, write_col)
-
-    # Per-core mutable state, shared with the IntervalCore objects where it
-    # can be (the outstanding-miss windows) and written back at the end.
-    time_cycles = [0.0] * n_cores
-    instructions = [0] * n_cores
-    memory_references = [0] * n_cores
-    llc_misses = [0] * n_cores
-    compute_cycles = [0.0] * n_cores
-    sram_cycles = [0.0] * n_cores
-    stall_cycles = [0.0] * n_cores
-    state = (time_cycles, instructions, memory_references, llc_misses,
-             compute_cycles, sram_cycles, stall_cycles,
-             [core._outstanding for core in cores])
+    addr_arr, columns, instructions = _schedule(traces, params,
+                                                warmup_records)
+    stream = zip(count(), *columns)
+    step = system.fast_path(addr_arr) or _access_step(system, addr_arr)
 
     # The first ``warmup_records`` references warm the structures, then the
-    # measured region runs with counters reset — two plain drains instead of
-    # a per-reference warmup branch.
+    # measured region runs with counters reset — two drains of one stream
+    # instead of a per-reference warmup branch.
+    time_cycles = [0.0] * n_cores
     cycles_offset = 0.0
-    instruction_offset = 0
-    if fast_step is None:
-        if warmup_records:
-            _drive_columns(islice(stream, warmup_records), system, state,
-                           params, llc_latency_cycles)
-            system.reset_measurement()
-            cycles_offset = max(time_cycles)
-            instruction_offset = sum(instructions)
-        _drive_columns(stream, system, state, params, llc_latency_cycles)
+    if warmup_records:
+        _drive(islice(stream, warmup_records), step, time_cycles, params,
+               llc_latency_cycles)
+        system.reset_measurement()
+        cycles_offset = max(time_cycles)
+    _drive(stream, step, time_cycles, params, llc_latency_cycles)
+
+    return _collect_result(system, name, total_records - warmup_records,
+                           max(time_cycles) - cycles_offset, instructions)
+
+
+def _schedule(traces: Sequence[Trace], params,
+              warmup_records: int) -> Tuple[np.ndarray, list, int]:
+    """Flatten the round-robin schedule of ``traces`` with every
+    latency-independent column precomputed.
+
+    Returns the int64 address column (what ``system.fast_path``
+    vectorizes over), the ``(core, gap, overlap, is_write)`` columns of the
+    driver and the instructions retired after the first
+    ``warmup_records`` references.  The order is a column interleave when
+    every core has the same length, else a stable sort on
+    ``(position, core)``.  The driver's columns are Python lists, because
+    native ints/bools iterate several times faster than numpy scalars in a
+    Python loop; the numpy intermediates are dropped on return.
+    """
+    n_cores = len(traces)
+    lengths = [len(t) for t in traces]
+    misses = [miss_columns(t.gaps, params) for t in traces]
+    if lengths.count(lengths[0]) == n_cores:
+        core_arr = np.tile(np.arange(n_cores), lengths[0])
+
+        def flat(cols):
+            return np.stack(cols, axis=1).ravel()
     else:
-        if warmup_records:
-            _drive_columns_fast(islice(stream, warmup_records), fast_step,
-                                state, params, llc_latency_cycles)
-            system.reset_measurement()
-            cycles_offset = max(time_cycles)
-            instruction_offset = sum(instructions)
-        _drive_columns_fast(stream, fast_step, state, params,
-                            llc_latency_cycles)
-    references = total_records - warmup_records
+        core_arr = np.repeat(np.arange(n_cores), lengths)
+        order = np.lexsort((core_arr, np.concatenate(
+            [np.arange(n) for n in lengths])))
+        core_arr = core_arr[order]
 
-    for idx, core in enumerate(cores):
-        core.time_cycles = time_cycles[idx]
-        core.stats.instructions = instructions[idx]
-        core.stats.memory_references = memory_references[idx]
-        core.stats.llc_misses = llc_misses[idx]
-        core.stats.compute_cycles = compute_cycles[idx]
-        core.stats.sram_cycles = sram_cycles[idx]
-        core.stats.stall_cycles = stall_cycles[idx]
-
-    return _collect_result(system, cores, name, references, cycles_offset,
-                           instruction_offset)
+        def flat(cols):
+            return np.concatenate(cols)[order]
+    warm = np.bincount(core_arr[:warmup_records], minlength=n_cores)
+    instructions = sum(int(inst[-1]) - (int(inst[k - 1]) if k else 0)
+                       for (inst, _), k in zip(misses, warm) if len(inst))
+    columns = [repeat(0) if n_cores == 1 else core_arr.tolist(),
+               np.maximum(flat([t.gaps for t in traces]), 0).tolist(),
+               flat([div for _, div in misses]).tolist(),
+               flat([t.is_write for t in traces]).tolist()]
+    return flat([t.addresses for t in traces]), columns, instructions
 
 
-def _drive_columns(stream, system: MemorySystem, state: tuple,
-                   params, llc_cycles: float) -> None:
-    """Hot loop of :func:`simulate`: drain ``(core, gap, address, is_write)``
-    tuples through ``system`` with the interval-core timing model inlined.
+def _access_step(system: MemorySystem, addresses: np.ndarray):
+    """A ``fast_path``-shaped step over the per-reference ``access``."""
+    access = system.access
+    addresses = addresses.tolist()
 
-    All per-core state lives in the ``state`` lists (indexed by core) and
-    every constant is bound to a local before the loop.  The ``cycle_ns`` /
-    ``frequency_ghz`` multiplications are exactly the expressions
-    ``CoreParams.cycles_to_ns`` / ``ns_to_cycles`` evaluate and the update
-    order mirrors ``IntervalCore.execute`` / ``memory_miss``, so every float
-    stays bit-identical to the seed per-record driver
-    (:func:`repro.sim.legacy.simulate_reference`).
+    def step(i: int, is_write: bool, now_ns: float) -> float:
+        return access(addresses[i], is_write, now_ns).latency_ns
+    return step
+
+
+def _drive(stream, step, time_cycles: list, params,
+           llc_cycles: float) -> None:
+    """The reference loop of :func:`simulate`: drain ``(i, core, gap,
+    overlap, is_write)`` tuples through ``step``, advancing each core's
+    time by its compute interval, the LLC latency and its exposed memory
+    stall (:meth:`IntervalCore.execute` / :meth:`IntervalCore.memory_miss`
+    with everything latency-independent precomputed).
     """
-    (time_cycles, instructions, memory_references, llc_misses,
-     compute_cycles, sram_cycles, stall_cycles, outstanding) = state
     issue_width = params.issue_width
     cycle_ns = params.cycle_ns
     ghz = params.frequency_ghz
-    rob_window = params.rob_size
-    max_outstanding = params.max_outstanding_misses
-    system_access = system.access
-
-    for idx, gap, addr, is_write in stream:
-        now = time_cycles[idx]
-        if gap > 0:
-            cycles = gap / issue_width
-            now += cycles
-            instructions[idx] += gap
-            compute_cycles[idx] += cycles
-
-        outcome = system_access(addr, is_write, now * cycle_ns)
-
-        # IntervalCore.memory_miss, inlined.
-        memory_references[idx] += 1
-        instruction_now = instructions[idx] + 1
-        instructions[idx] = instruction_now
-        llc_misses[idx] += 1
-        if llc_cycles:
-            now += llc_cycles
-            sram_cycles[idx] += llc_cycles
-        latency_cycles = outcome.latency_ns * ghz
-        window = outstanding[idx]
-        while window and instruction_now - window[0] > rob_window:
-            window.popleft()
-        while len(window) >= max_outstanding:
-            window.popleft()
-        exposed = latency_cycles / (len(window) + 1)
-        window.append(instruction_now)
-        stall_cycles[idx] += exposed
-        time_cycles[idx] = now + exposed
-
-
-def _drive_columns_fast(stream, step, state: tuple, params,
-                        llc_cycles: float) -> None:
-    """Variant of :func:`_drive_columns` for systems with a compiled
-    :meth:`~repro.baselines.base.MemorySystem.fast_path` step.
-
-    The stream carries ``(i, core, gap, is_write)`` tuples — the address is
-    already baked into the step closure's precomputed columns, indexed by
-    ``i`` — and the step returns the latency directly, skipping the
-    ``AccessOutcome`` allocation of the slow path.  The timing arithmetic is
-    byte-for-byte the same as :func:`_drive_columns`.
-    """
-    (time_cycles, instructions, memory_references, llc_misses,
-     compute_cycles, sram_cycles, stall_cycles, outstanding) = state
-    issue_width = params.issue_width
-    cycle_ns = params.cycle_ns
-    ghz = params.frequency_ghz
-    rob_window = params.rob_size
-    max_outstanding = params.max_outstanding_misses
-
-    for i, idx, gap, is_write in stream:
-        now = time_cycles[idx]
-        if gap > 0:
-            cycles = gap / issue_width
-            now += cycles
-            instructions[idx] += gap
-            compute_cycles[idx] += cycles
-
+    for i, idx, gap, div, is_write in stream:
+        now = time_cycles[idx] + gap / issue_width
         latency_ns = step(i, is_write, now * cycle_ns)
-
-        # IntervalCore.memory_miss, inlined.
-        memory_references[idx] += 1
-        instruction_now = instructions[idx] + 1
-        instructions[idx] = instruction_now
-        llc_misses[idx] += 1
-        if llc_cycles:
-            now += llc_cycles
-            sram_cycles[idx] += llc_cycles
-        latency_cycles = latency_ns * ghz
-        window = outstanding[idx]
-        while window and instruction_now - window[0] > rob_window:
-            window.popleft()
-        while len(window) >= max_outstanding:
-            window.popleft()
-        exposed = latency_cycles / (len(window) + 1)
-        window.append(instruction_now)
-        stall_cycles[idx] += exposed
-        time_cycles[idx] = now + exposed
+        time_cycles[idx] = now + llc_cycles + latency_ns * ghz / div
 
 
 class Simulator:
@@ -401,8 +300,10 @@ class Simulator:
                 continue
             self._step(idx, record)
             queue.append((idx, iterator))
-        return _collect_result(self.system, self.cores, workload_name,
-                               self.references)
+        return _collect_result(
+            self.system, workload_name, self.references,
+            max((core.time_cycles for core in self.cores), default=0.0),
+            sum(core.stats.instructions for core in self.cores))
 
     def _step(self, core_id: int, record: TraceRecord) -> None:
         core = self.cores[core_id]

@@ -1,11 +1,22 @@
-"""Golden-metrics equivalence: the columnar engine vs the preserved seed
-engine.
+"""Golden-metrics equivalence of the simulation engine.
 
-The columnar-engine refactor (vectorized generation + inlined driver loop)
-promises *bit-identical* ``RunResult`` counters.  These tests pin that
-promise against :mod:`repro.sim.legacy` for every design in the sweep
-catalog, plus the generator and scheduler edge cases.
+Two references pin every :class:`~repro.sim.simulator.RunResult` counter
+of :func:`~repro.sim.simulator.simulate`, bit for bit:
+
+* the frozen golden ``tests/data/golden/engine_matrix.json`` — every
+  design in the sweep catalog on ``mcf``, ``cg.D``, ``omnetpp`` and
+  ``lbm`` at two trace seeds, recorded before the driver kept only the
+  latency-dependent update per reference, and regenerated only on
+  purpose with ``tools/make_engine_golden.py``;
+* the preserved seed engine :mod:`repro.sim.legacy` (per-record
+  generator and driver), for the generator and the scheduler edge cases.
+  It runs on the same DRAM kernels and design code as ``simulate()``, so
+  it sees only driver and generator changes; the golden sees everything.
 """
+
+import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +36,14 @@ REFS = 2500
 GOLDEN_WORKLOADS = ("mcf", "cg.D", "omnetpp")
 #: Two trace seeds so the pinning covers different address/interleave mixes.
 GOLDEN_SEEDS = (2, 11)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ENGINE_TOOL = runpy.run_path(str(ROOT / "tools" / "make_engine_golden.py"))
+ENGINE_GOLDEN = json.loads((ROOT / "tests" / "data" / "golden"
+                            / "engine_matrix.json").read_text())
+#: Golden cell name (``design/workload/seed``) -> ``(design, workload, seed)``.
+ENGINE_CELLS = {name: cell for name, *cell in ENGINE_TOOL["cells"]()}
 
 
 def assert_identical(result, reference):
@@ -59,6 +78,22 @@ def test_generate_multiprogrammed_matches_seed_generator():
     refs = legacy.generate_multiprogrammed_reference(spec, 200, num_cores=4,
                                                      seed=3)
     assert [list(t) for t in news] == [list(t) for t in refs]
+
+
+# ---------------------------------------------------------------------------
+# the frozen engine golden
+# ---------------------------------------------------------------------------
+def test_engine_golden_covers_the_design_catalog():
+    assert list(ENGINE_GOLDEN) == list(ENGINE_CELLS)
+    assert {cell[0] for cell in ENGINE_CELLS.values()} == set(DESIGN_FACTORIES)
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CELLS))
+def test_run_result_matches_engine_golden(name):
+    got = ENGINE_TOOL["run_cell"](*ENGINE_CELLS[name])
+    expected = ENGINE_GOLDEN[name]
+    assert ENGINE_TOOL["diff"](got, expected) == []
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Property-based tests (hypothesis) for the core data structures and
 invariants of the reproduction."""
 
+import dataclasses
+import runpy
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import DESIGN_FACTORIES
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement import LruPolicy
 from repro.core.nm_allocator import NMFramePool
@@ -12,9 +18,17 @@ from repro.core.policy import eviction_cost, migration_cost, net_cost
 from repro.core.remap import FreeFMStack, RemapTable
 from repro.core.xta import XTA
 from repro.common import LINE_SIZE
+from repro.cpu.core import IntervalCore, miss_columns
+from repro.cpu.trace import Trace
 from repro.memory.controller import MemoryController
-from repro.params import ddr4_params, hbm2_params
+from repro.memory.kernels import KIND_BACKGROUND, KIND_DEMAND, make_kernels
+from repro.params import CoreParams, ddr4_params, hbm2_params, make_config
+from repro.sim import simulator
+from repro.sim.simulator import simulate
 from repro.stats import Stats
+
+DRAM_GOLDEN_TOOL = runpy.run_path(str(
+    Path(__file__).resolve().parents[1] / "tools" / "make_dram_golden.py"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +248,154 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
         activations * device.energy.act_pre_pj, rel=1e-12)
     hits = sum(b.row_hits for c in device.channels for b in c.banks)
     assert hits + activations == lines
+
+
+@given(params_factory=st.sampled_from((hbm2_params, ddr4_params)),
+       interleave=st.sampled_from((64, 128, 256, 1024, 4096)),
+       row_bytes=st.sampled_from((1024, 2048, 8192)),
+       ops=st.lists(st.tuples(st.integers(0, (1 << 22) // LINE_SIZE),
+                              st.integers(1, 4096), st.booleans(),
+                              st.booleans(), st.floats(0.0, 80.0)),
+                    min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_block_kernel_equals_its_lines_issued_one_by_one(
+        params_factory, interleave, row_bytes, ops):
+    """The block kernel classifies one line per run of same-row lines and
+    adds the row-hit timing for the rest; issuing every line through the
+    line kernel must leave the same latency and the same state, float for
+    float, on any channel interleave and row size."""
+    params = dataclasses.replace(params_factory(1 << 26),
+                                 channel_interleave_bytes=interleave,
+                                 row_bytes=row_bytes)
+    by_block, by_line = MemoryController(params), MemoryController(params)
+    _, block_transfer = make_kernels(by_block)
+    line_access, _ = make_kernels(by_line)
+    now = 0.0
+    for line, nbytes, is_write, demand, gap in ops:
+        now += gap
+        address = line * LINE_SIZE
+        got = block_transfer(address, nbytes, is_write, now, demand)
+        kinds = [KIND_DEMAND if demand else KIND_BACKGROUND]
+        kinds += [KIND_BACKGROUND] * (max(1, nbytes // LINE_SIZE) - 1)
+        want = [line_access(address + i * LINE_SIZE, is_write, now, kind)
+                for i, kind in enumerate(kinds)][0]
+        assert got == want
+    state = DRAM_GOLDEN_TOOL["controller_state"]
+    assert state(by_block) == state(by_line)
+
+
+# ---------------------------------------------------------------------------
+# interval core: the closed form the driver precomputes
+# ---------------------------------------------------------------------------
+@given(gaps=st.lists(st.one_of(st.just(0), st.integers(-3, 600)),
+                     max_size=120),
+       rob_size=st.integers(1, 400),
+       max_outstanding=st.sampled_from((1, 2, 8)))
+@settings(max_examples=150)
+def test_miss_columns_equal_the_live_outstanding_window(gaps, rob_size,
+                                                        max_outstanding):
+    params = CoreParams(rob_size=rob_size,
+                        max_outstanding_misses=max_outstanding)
+    instructions, overlap = miss_columns(np.asarray(gaps, dtype=np.int64),
+                                         params)
+    core = IntervalCore(params)
+    live_instructions, live_overlap = [], []
+    for gap in gaps:
+        core.execute(gap)
+        core.memory_miss(80.0)
+        live_instructions.append(core.stats.instructions)
+        # memory_miss appends the miss, so the window now holds the
+        # overlap it divided by.
+        live_overlap.append(len(core._outstanding))
+    assert instructions.tolist() == live_instructions
+    assert overlap.tolist() == live_overlap
+
+
+def stepped_reference(system, traces, warmup_fraction, llc_cycles=14):
+    """``simulate()`` the slow way: one :class:`IntervalCore` per trace,
+    stepped per reference through ``system.access`` in pass-based
+    round-robin order, counters reset after the warm-up references."""
+    records = [list(trace) for trace in traces]
+    schedule = [(idx, recs[pos])
+                for pos in range(max(map(len, records), default=0))
+                for idx, recs in enumerate(records) if pos < len(recs)]
+    warmup = int(len(schedule) * max(0.0, min(0.9, warmup_fraction)))
+    cores = [IntervalCore(system.config.cores, i) for i in range(len(traces))]
+    cycles_offset, instruction_offset = 0.0, 0
+    for n, (idx, record) in enumerate(schedule):
+        if warmup and n == warmup:
+            system.reset_measurement()
+            cycles_offset = max(core.time_cycles for core in cores)
+            instruction_offset = sum(core.stats.instructions
+                                     for core in cores)
+        core = cores[idx]
+        core.execute(record.gap_instructions)
+        outcome = system.access(record.address, record.is_write,
+                                core.time_ns)
+        core.memory_miss(outcome.latency_ns, sram_latency_cycles=llc_cycles)
+    return (max((core.time_cycles for core in cores), default=0.0)
+            - cycles_offset,
+            sum(core.stats.instructions for core in cores)
+            - instruction_offset,
+            len(schedule) - warmup,
+            system.collect_stats().as_dict())
+
+
+SIM_CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
+
+
+def random_trace(seed, n):
+    """``n`` references with gaps of 0-399 (a fifth of them 0)."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(0, 400, size=n) * (rng.random(n) < 0.8)
+    return Trace.from_columns(gaps,
+                              rng.integers(0, 1 << 18, size=n) * LINE_SIZE,
+                              rng.random(n) < 0.3)
+
+
+def assert_simulate_matches_stepped(design, traces, warmup_fraction):
+    result = simulate(DESIGN_FACTORIES[design](SIM_CONFIG), traces,
+                      warmup_fraction=warmup_fraction)
+    cycles, instructions, references, stats = stepped_reference(
+        DESIGN_FACTORIES[design](SIM_CONFIG), traces, warmup_fraction)
+    assert result.cycles == cycles
+    assert result.instructions == instructions
+    assert result.references == references
+    assert result.stats.as_dict() == stats
+
+
+@pytest.mark.parametrize("design", ["HYBRID2", "TAGLESS", "MPOD"])
+@pytest.mark.parametrize("lengths,warmup_fraction", [
+    ((40, 17, 29), 0.25),       # unequal lengths: cores drain apart
+    ((30, 0, 30), 0.25),        # one empty core trace
+    ((21, 21, 21), 0.5),        # warm-up boundary mid-pass (31 = 10 x 3 + 1)
+    ((25, 25), 0.0),            # no warm-up
+    ((0, 0), 0.25),             # zero records
+    ((), 0.25),                 # no traces at all
+])
+def test_simulate_matches_stepped_interval_cores(design, lengths,
+                                                 warmup_fraction):
+    traces = [random_trace(seed, n) for seed, n in enumerate(lengths)]
+    assert_simulate_matches_stepped(design, traces, warmup_fraction)
+
+
+@given(lengths=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       warmup_fraction=st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.9)),
+       design=st.sampled_from(("HYBRID2", "TAGLESS", "BASELINE")),
+       seed=st.integers(0, 1000))
+@settings(max_examples=25, deadline=None)
+def test_simulate_matches_stepped_on_random_schedules(lengths,
+                                                      warmup_fraction,
+                                                      design, seed):
+    traces = [random_trace(seed + i, n) for i, n in enumerate(lengths)]
+    assert_simulate_matches_stepped(design, traces, warmup_fraction)
+
+
+def test_simulate_keeps_no_interval_core(monkeypatch):
+    """The driver keeps each core's time only: no outstanding-miss window
+    or per-core breakdown exists for a result to read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate() built an IntervalCore")
+    monkeypatch.setattr(simulator, "IntervalCore", refuse)
+    traces = [random_trace(1, 30), random_trace(2, 12)]
+    assert simulate(DESIGN_FACTORIES["TAGLESS"](SIM_CONFIG), traces).cycles > 0

@@ -1,5 +1,6 @@
 """Tests for the remap table, inverted remap table and Free-FM-Stack."""
 
+import numpy as np
 import pytest
 
 from repro.common import MemoryKind
@@ -23,6 +24,49 @@ def test_initial_mapping_is_random_but_deterministic():
     c = RemapTable(16, [10, 11, 12, 13], 12, seed=6)
     assert [a.lookup(s) for s in range(16)] == [b.lookup(s) for s in range(16)]
     assert [a.lookup(s) for s in range(16)] != [c.lookup(s) for s in range(16)]
+
+
+def loop_initial_mapping(num_sectors, nm_flat_frames, fm_frames, seed):
+    """The per-sector loop ``RemapTable.__init__`` replaced, kept here as
+    the oracle for its vectorized construction."""
+    order = np.random.default_rng(seed).permutation(num_sectors)
+    kind = [MemoryKind.FAR] * num_sectors
+    frame = [0] * num_sectors
+    inverse_nm = {}
+    inverse_fm = [-1] * fm_frames
+    nm_count = len(nm_flat_frames)
+    for i, sector in enumerate(order):
+        sector = int(sector)
+        if i < nm_count:
+            kind[sector] = MemoryKind.NEAR
+            frame[sector] = nm_flat_frames[i]
+            inverse_nm[nm_flat_frames[i]] = sector
+        else:
+            kind[sector] = MemoryKind.FAR
+            frame[sector] = i - nm_count
+            inverse_fm[i - nm_count] = sector
+    return kind, frame, inverse_nm, inverse_fm
+
+
+@pytest.mark.parametrize("nm_flat_frames,fm_frames,seed", [
+    ([10, 11, 12, 13], 12, 5),
+    ([], 9, 1),                                   # cache-only: no NM home
+    (list(range(40, 0, -1)), 0, 3),               # NM only, frames reversed
+    (list(range(7, 4000, 3)), 20_000, 17),        # DCMC-sized, strided
+])
+def test_initial_mapping_matches_the_per_sector_loop(nm_flat_frames,
+                                                     fm_frames, seed):
+    num_sectors = len(nm_flat_frames) + fm_frames
+    table = RemapTable(num_sectors, nm_flat_frames, fm_frames, seed=seed)
+    kind, frame, inverse_nm, inverse_fm = loop_initial_mapping(
+        num_sectors, nm_flat_frames, fm_frames, seed)
+    assert all(a is b for a, b in zip(table._kind, kind))
+    assert len(table._kind) == num_sectors
+    assert table._frame == frame
+    assert all(type(f) is int for f in table._frame)
+    assert list(table._inverse_nm.items()) == list(inverse_nm.items())
+    assert table._inverse_fm == inverse_fm
+    assert table.check_consistency()
 
 
 def test_size_mismatch_rejected():
