@@ -85,7 +85,7 @@ def test_generate_multiprogrammed_matches_seed_generator():
 # ---------------------------------------------------------------------------
 def test_engine_golden_covers_the_design_catalog():
     assert list(ENGINE_GOLDEN) == list(ENGINE_CELLS)
-    assert {cell[0] for cell in ENGINE_CELLS.values()} == set(DESIGN_FACTORIES)
+    assert set(DESIGN_FACTORIES) <= {cell[0] for cell in ENGINE_CELLS.values()}
 
 
 @pytest.mark.parametrize("name", list(ENGINE_CELLS))

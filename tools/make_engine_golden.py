@@ -11,6 +11,13 @@ footprint), a low-spatial-locality SPEC (the over-fetch paths of the
 page-granular caches) and a streaming footprint larger than near memory
 (fills, migrations and swaps).
 
+It also holds the configurations the report benches run beyond the
+catalog, on ``omnetpp`` and ``lbm`` at seed 2: the four Figure 14
+ablations (:data:`repro.core.variants.BREAKDOWN_VARIANTS`, which reach
+``cache_only``, ``model_metadata=False`` and both non-default migration
+modes), the IDEAL cache at 64 B and 4 KB lines (64 blocks per line) and
+DFC at 256 B lines.
+
 ``tests/test_engine_equivalence.py`` runs :func:`repro.sim.simulator.simulate`
 on the same matrix and compares every counter with ``==``; floats
 round-trip exactly through JSON.  Regenerate the file only on purpose,
@@ -33,7 +40,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
-from repro.baselines import DESIGN_FACTORIES
+from repro.baselines import (DESIGN_FACTORIES, DecoupledFusedCache,
+                             IdealCache)
+from repro.core.variants import BREAKDOWN_VARIANTS
 from repro.params import make_config
 from repro.sim.simulator import simulate
 from repro.workloads.catalog import get_workload
@@ -45,6 +54,18 @@ REFS = 2500
 WORKLOADS = ("mcf", "cg.D", "omnetpp", "lbm")
 SEEDS = (2, 11)
 
+#: Configurations outside the catalog, by the name each system reports.
+EXTRA_FACTORIES = {
+    **{name: factory for name, factory in BREAKDOWN_VARIANTS.items()
+       if name not in DESIGN_FACTORIES},
+    "IDEAL-64": lambda config: IdealCache(config, line_size=64),
+    "IDEAL-4096": lambda config: IdealCache(config, line_size=4096),
+    "DFC-256": lambda config: DecoupledFusedCache(config, line_size=256),
+}
+EXTRA_WORKLOADS = ("omnetpp", "lbm")
+EXTRA_SEEDS = (2,)
+FACTORIES = {**DESIGN_FACTORIES, **EXTRA_FACTORIES}
+
 
 def cell_name(design: str, workload: str, seed: int) -> str:
     return f"{design}/{workload}/{seed}"
@@ -52,14 +73,17 @@ def cell_name(design: str, workload: str, seed: int) -> str:
 
 def cells() -> List[tuple]:
     """``(name, design, workload, seed)`` of every cell, in file order."""
+    grid = [(sorted(DESIGN_FACTORIES), WORKLOADS, SEEDS),
+            (list(EXTRA_FACTORIES), EXTRA_WORKLOADS, EXTRA_SEEDS)]
     return [(cell_name(design, workload, seed), design, workload, seed)
-            for design in sorted(DESIGN_FACTORIES)
-            for workload in WORKLOADS
-            for seed in SEEDS]
+            for designs, workloads, seeds in grid
+            for design in designs
+            for workload in workloads
+            for seed in seeds]
 
 
 def run_cell(design: str, workload: str, seed: int) -> dict:
-    system = DESIGN_FACTORIES[design](CONFIG)
+    system = FACTORIES[design](CONFIG)
     return simulate(system, get_workload(workload), num_references=REFS,
                     seed=seed).as_dict()
 
