@@ -18,7 +18,7 @@ Quickstart::
 
 from .params import (CoreParams, DramParams, Hybrid2Params, SramCacheParams,
                      SystemConfig, ddr4_params, hbm2_params, make_config)
-from .common import AccessOutcome, MemoryRequest
+from .common import MemoryRequest
 from .stats import Stats
 from .core.hybrid2 import Hybrid2System
 from .baselines import (DESIGN_FACTORIES, EVALUATED_DESIGNS, MemorySystem,
@@ -62,7 +62,6 @@ __all__ = [
     "ddr4_params",
     "hbm2_params",
     "make_config",
-    "AccessOutcome",
     "MemoryRequest",
     "Stats",
     "Hybrid2System",

@@ -5,7 +5,10 @@ caches, the migration schemes and Hybrid2 itself — presents the same
 interface to the simulator:
 
 * :meth:`MemorySystem.access` serves one processor-critical 64 B request and
-  returns its latency and where it was served from;
+  returns its latency in ns, and :meth:`MemorySystem.fast_path` compiles
+  the same request path into a per-reference step over a whole address
+  column (both are defined here, once, on top of each design's
+  :meth:`~MemorySystem._columns` and :meth:`~MemorySystem._step`);
 * :meth:`MemorySystem.writeback` accepts LLC dirty evictions (not latency
   critical, but they consume bandwidth);
 * :attr:`MemorySystem.flat_capacity_bytes` reports how much main memory the
@@ -21,16 +24,35 @@ Figures 1-2).
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from ..common import AccessOutcome
 from ..memory.controller import MemoryController
 from ..params import DramParams, SystemConfig
 from ..stats import Stats
 
 
+#: ``step(i, is_write, now_ns) -> latency_ns``: serves reference ``i``.
+Step = Callable[[int, bool, float], float]
+
+
 class MemorySystem(abc.ABC):
-    """One memory-system organisation under evaluation."""
+    """One memory-system organisation under evaluation.
+
+    A design implements its access path exactly once, in two pieces:
+
+    * :meth:`_columns` is the pure address arithmetic (wrapping, set
+      indices, segment/offset splits, placement addresses).  It is written
+      with operators that give the same values for an int64 ndarray and
+      for one Python int;
+    * :meth:`_step` compiles everything else (state probes and updates,
+      DRAM accesses, request counters) into a closure
+      ``step(i, is_write, now_ns) -> latency_ns`` reading entry ``i`` of
+      each column.
+
+    :meth:`fast_path` hands :meth:`_step` the columns of a whole run, and
+    :meth:`access` runs the same step at index 0 on one-slot columns, so a
+    single request and a batch take the same code.
+    """
 
     #: Short identifier used in result tables ("HYBRID2", "MPOD", ...).
     name: str = "memory-system"
@@ -42,13 +64,23 @@ class MemorySystem(abc.ABC):
         self.requests = 0
         self.requests_from_nm = 0
         self.write_requests = 0
+        #: The one-slot columns and the step :meth:`access` runs on them,
+        #: compiled on the first call.
+        self._slots: Optional[list] = None
+        self._slot_step: Optional[Step] = None
 
     # ------------------------------------------------------------------
     # mandatory interface
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
-        """Serve one processor-critical 64 B request."""
+    def _columns(self, addresses) -> Sequence:
+        """The address-derived columns :meth:`_step` reads, for an int64
+        ndarray of addresses or for one Python int address."""
+
+    @abc.abstractmethod
+    def _step(self, *columns: list) -> Step:
+        """Compile the access path over ``columns`` (lists, as
+        :meth:`_columns` returns them) into a per-reference step."""
 
     @property
     @abc.abstractmethod
@@ -62,24 +94,37 @@ class MemorySystem(abc.ABC):
         """Accept an LLC dirty eviction (default: treat as a write access)."""
         self.access(address, True, now_ns)
 
-    def fast_path(self, addresses) -> Optional[Callable[[int, bool, float], float]]:
-        """Compile a batch step function for the columnar driver.
+    # ------------------------------------------------------------------
+    # the access path, defined once over _columns/_step
+    # ------------------------------------------------------------------
+    def fast_path(self, addresses) -> Step:
+        """Compile the step the driver calls once per reference.
 
         ``addresses`` is the full flattened int64 address column of the run
-        (scheduler order, warmup included).  Implementations vectorize every
-        pure address-derived quantity (wrapping, set indices, segment/offset
-        splits, placement addresses) over the whole column with numpy once,
-        and return a closure ``step(i, is_write, now_ns) -> latency_ns``
-        that serves reference ``i`` with the same state mutations — and the
-        same device-access order — as :meth:`access`, so all counters stay
-        bit-identical (``tests/test_engine_equivalence.py``).  Rare events
-        (evictions, swaps, interval migrations, XTA misses) fall back to the
-        existing slow-path methods, which share the same state objects.
-
-        The default returns ``None``: the driver then falls back to the
-        per-reference :meth:`access` loop.
+        (scheduler order, warmup included).  :meth:`_columns` vectorizes the
+        address arithmetic over it with numpy once; the columns reach the
+        step as Python lists, because native ints index and compare several
+        times faster than numpy scalars in a Python loop.  Rare events
+        (evictions, swaps, interval migrations, XTA misses) run in methods
+        the step calls, which go through the controller methods.
         """
-        return None
+        return self._step(*[column.tolist()
+                            for column in self._columns(addresses)])
+
+    def access(self, address: int, is_write: bool, now_ns: float) -> float:
+        """Serve one processor-critical 64 B request; return its latency
+        in ns.  Runs the design's :meth:`_step` at index 0 on one-slot
+        columns filled from ``address``, the same code the :meth:`fast_path`
+        step runs."""
+        values = self._columns(int(address))
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = [[value] for value in values]
+            self._slot_step = self._step(*slots)
+        else:
+            for slot, value in zip(slots, values):
+                slot[0] = value
+        return self._slot_step(0, is_write, now_ns)
 
     def reset_measurement(self) -> None:
         """Zero the measured counters after a warm-up phase.
@@ -107,20 +152,6 @@ class MemorySystem(abc.ABC):
                           far: DramParams) -> None:
         self.near = MemoryController(near) if near is not None else None
         self.far = MemoryController(far)
-
-    def _record_request(self, is_write: bool, served_from_nm: bool) -> None:
-        self.requests += 1
-        if is_write:
-            self.write_requests += 1
-        if served_from_nm:
-            self.requests_from_nm += 1
-
-    def _outcome(self, latency_ns: float, served_from_nm: bool,
-                 is_write: bool, dram_cache_hit: bool = False,
-                 path: str = "") -> AccessOutcome:
-        self._record_request(is_write, served_from_nm)
-        return AccessOutcome(latency_ns=latency_ns, served_from_nm=served_from_nm,
-                             dram_cache_hit=dram_cache_hit, path=path)
 
     # ------------------------------------------------------------------
     # reporting

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict
 
-from ..common import AccessOutcome, MemoryKind
+from ..common import MemoryKind
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from ..stats import Stats
@@ -55,53 +55,27 @@ class ChameleonGroups(MigrationSystem):
     # ------------------------------------------------------------------
     # access path: cache mode first, then the flat space
     # ------------------------------------------------------------------
-    def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
-        """Serve from the cache-mode copy if present, else the flat space."""
-        address = address % self.flat_capacity_bytes
-        self._maybe_end_interval(now_ns)
-        segment = address // self.segment_bytes
-        offset = address % self.segment_bytes
-        location = self.remap.lookup(segment)
+    def _columns(self, addresses):
+        """Segment number and offset in the segment of each address."""
+        address = addresses % self.flat_capacity_bytes
+        return address // self.segment_bytes, address % self.segment_bytes
 
-        if not location.in_near and segment in self._cache_mode:
-            # Served by the cache-mode copy kept in the reserved NM slice.
-            if is_write:
-                self._cache_mode[segment] = True
-            self._cache_mode.move_to_end(segment)
-            self.cache_mode_hits += 1
-            latency = self.near.access(
-                (segment % self._cache_capacity) * self.segment_bytes + offset,
-                is_write, now_ns, demand=True)
-            # The competing counters keep observing the segment while it is
-            # served from the cache-mode copy, so a persistently hot segment
-            # still gets promoted into the flat NM space by a group swap.
-            self._note_access(segment, False, is_write, now_ns)
-            return self._outcome(latency, served_from_nm=True,
-                                 is_write=is_write, dram_cache_hit=True,
-                                 path="cache-mode")
+    def _step(self, seg_col, off_col):
+        """Serve from the cache-mode copy if present, else the flat space.
 
-        served_from_nm = location.in_near
-        memory = self.near if served_from_nm else self.far
-        latency = memory.access(location.frame * self.segment_bytes + offset,
-                                is_write, now_ns, demand=True)
-        self._note_access(segment, served_from_nm, is_write, now_ns)
-        return self._outcome(latency, served_from_nm, is_write,
-                             path="nm" if served_from_nm else "fm")
-
-    def fast_path(self, addresses):
-        """Batch operator: cache-mode probe and competing counters inlined.
-
-        Chameleon replaces the shared migration step entirely because its
-        access path differs (cache mode first, no in-memory remap, no FM
-        interval counter).  Group swaps and cache-mode fills remain on the
-        slow-path methods, sharing the remap/cache/controller state.
+        Chameleon replaces the shared migration step: it reads no
+        in-memory remap table, serves FM segments that have a cache-mode
+        copy from the reserved NM slice, and migrates by group swaps
+        rather than at interval boundaries.  Its competing counters are
+        bumped once per segment *visit* to FM (a cache-mode hit still
+        counts, so a persistently hot segment still gets promoted into
+        the flat NM space); half the threshold fills the cache mode
+        (:meth:`_fill_cache_mode`), the full threshold swaps the segment
+        into NM.
         """
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
         seg_bytes = self.segment_bytes
-        addr = addresses % self.flat_capacity_bytes
-        seg_col = (addr // seg_bytes).tolist()
-        off_col = (addr % seg_bytes).tolist()
         kind_col = self.remap._kind
         frame_col = self.remap._frame
         near_kind = MemoryKind.NEAR
@@ -113,7 +87,6 @@ class ChameleonGroups(MigrationSystem):
         cache_capacity = self._cache_capacity
 
         def note_fm(segment: int, now_ns: float) -> None:
-            # _note_access with served_from_nm=False, inlined.
             if segment == self._last_segment:
                 return
             self._last_segment = segment
@@ -129,12 +102,18 @@ class ChameleonGroups(MigrationSystem):
                 self._fill_cache_mode(segment, now_ns)
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
-            if now_ns >= self._interval_end_ns:
-                self._maybe_end_interval(now_ns)
             seg = seg_col[i]
             off = off_col[i]
-            in_near = kind_col[seg] is near_kind
-            if not in_near and seg in cache_mode:
+            self.requests += 1
+            if is_write:
+                self.write_requests += 1
+            if kind_col[seg] is near_kind:
+                latency = near_line(frame_col[seg] * seg_bytes + off,
+                                    is_write, now_ns, 0)
+                self._last_segment = seg
+                self.requests_from_nm += 1
+                return latency
+            if seg in cache_mode:
                 if is_write:
                     cache_mode[seg] = True
                 cache_move(seg)
@@ -142,26 +121,11 @@ class ChameleonGroups(MigrationSystem):
                 latency = near_line((seg % cache_capacity) * seg_bytes + off,
                                     is_write, now_ns, 0)
                 note_fm(seg, now_ns)
-                self.requests += 1
-                if is_write:
-                    self.write_requests += 1
-                self.requests_from_nm += 1
-                return latency
-            if in_near:
-                latency = near_line(frame_col[seg] * seg_bytes + off,
-                                    is_write, now_ns, 0)
-                self._last_segment = seg
-                self.requests += 1
-                if is_write:
-                    self.write_requests += 1
                 self.requests_from_nm += 1
                 return latency
             latency = far_line(frame_col[seg] * seg_bytes + off,
                                is_write, now_ns, 0)
             note_fm(seg, now_ns)
-            self.requests += 1
-            if is_write:
-                self.write_requests += 1
             return latency
 
         return step
@@ -169,25 +133,6 @@ class ChameleonGroups(MigrationSystem):
     # ------------------------------------------------------------------
     # competing counters
     # ------------------------------------------------------------------
-    def _note_access(self, segment: int, served_from_nm: bool, is_write: bool,
-                     now_ns: float) -> None:
-        if served_from_nm:
-            self._last_segment = segment
-            return
-        if segment == self._last_segment:
-            return
-        self._last_segment = segment
-        count = self._counters.get(segment, 0) + 1
-        if count >= self.threshold:
-            self._counters.pop(segment, None)
-            if self._swap_into_nm(segment, now_ns):
-                self.group_swaps += 1
-                self._cache_mode.pop(segment, None)
-            return
-        self._counters[segment] = count
-        if count == self.threshold // 2:
-            self._fill_cache_mode(segment, now_ns)
-
     def _fill_cache_mode(self, segment: int, now_ns: float) -> None:
         """Copy a warming segment into the reserved (OS-unused) NM slice."""
         if segment in self._cache_mode:

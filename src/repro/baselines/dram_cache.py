@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Tuple
 
-from ..common import LINE_SIZE, AccessOutcome, full_mask, popcount
+from ..common import LINE_SIZE, full_mask, popcount
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from ..stats import Stats
@@ -39,11 +38,6 @@ class DramCacheLine:
     tag: int
     dirty: bool = False
     touched_mask: int = 0          # one bit per 64 B block actually referenced
-
-    def touch(self, block: int, is_write: bool) -> None:
-        """Mark one 64 B block of the line as referenced (dirty on writes)."""
-        self.touched_mask |= (1 << block)
-        self.dirty = self.dirty or is_write
 
 
 class DramCacheSystem(MemorySystem):
@@ -70,6 +64,7 @@ class DramCacheSystem(MemorySystem):
         self.writeback_whole_line = writeback_whole_line
 
         total_lines = max(1, config.near.capacity_bytes // line_size)
+        self.nm_lines = total_lines
         if fully_associative:
             self.num_sets = 1
             self.ways = total_lines
@@ -89,91 +84,43 @@ class DramCacheSystem(MemorySystem):
         self.writebacks = 0
 
     # ------------------------------------------------------------------
-    # geometry helpers
-    # ------------------------------------------------------------------
-    def _locate(self, address: int) -> Tuple[int, int, int]:
-        """Return ``(set_index, tag, touched_block_index)``."""
-        line = address // self.line_size
-        block = (address % self.line_size) // LINE_SIZE
-        return line % self.num_sets, line, block
-
-    def _nm_address(self, set_index: int, tag: int, offset: int = 0) -> int:
-        """Place a cached line somewhere deterministic in near memory."""
-        slot = (tag * self.num_sets + set_index) % max(
-            1, self.config.near.capacity_bytes // self.line_size)
-        return slot * self.line_size + offset
-
-    # ------------------------------------------------------------------
     # access path
     # ------------------------------------------------------------------
-    def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
-        """Probe the DRAM cache; a miss fetches the whole line from FM."""
-        address = address % self.flat_capacity_bytes
-        set_index, tag, block = self._locate(address)
-        cache_set = self._sets[set_index]
-        latency = 0.0
+    def _nm_address(self, set_index, tag):
+        """Place a cached line somewhere deterministic in near memory (for
+        ints or int64 ndarrays)."""
+        return ((tag * self.num_sets + set_index) % self.nm_lines) * self.line_size
 
-        line = cache_set.get(tag)
-        if line is not None:
-            cache_set.move_to_end(tag)
-            line.touch(block, is_write)
-            self.cache_hits += 1
-            latency += self._tag_overhead(now_ns, hit=True)
-            latency += self.near.access(
-                self._nm_address(set_index, tag, block * LINE_SIZE),
-                is_write, now_ns, demand=True)
-            return self._outcome(latency, served_from_nm=True, is_write=is_write,
-                                 dram_cache_hit=True, path="cache-hit")
+    def _columns(self, addresses):
+        """Set index, tag, touched 64 B block, and the NM slot of the
+        block, the NM fill base and the FM line base of each address.
 
-        # Miss: evict if needed, then fetch the whole line from far memory.
-        self.cache_misses += 1
-        latency += self._tag_overhead(now_ns, hit=False)
-        if len(cache_set) >= self.ways:
-            self._evict(cache_set, set_index, now_ns)
+        The block travels as an index, not as its bit: 4 KB lines have 64
+        blocks, and ``1 << 63`` overflows int64.
+        """
+        address = addresses % self.flat_capacity_bytes
+        line_size = self.line_size
+        tag = address // line_size
+        set_index = tag % self.num_sets
+        block = (address % line_size) // LINE_SIZE
+        nm_base = self._nm_address(set_index, tag)
+        return (set_index, tag, block, nm_base + block * LINE_SIZE, nm_base,
+                address - address % line_size)
 
-        latency += self.far.transfer_block(address - address % self.line_size,
-                                           self.line_size, False, now_ns,
-                                           demand=True)
-        # Install in near memory (background fill traffic).
-        self.near.transfer_block(self._nm_address(set_index, tag),
-                                 self.line_size, True, now_ns, demand=False)
-        new_line = DramCacheLine(tag=tag)
-        new_line.touch(block, is_write)
-        cache_set[tag] = new_line
-        self.fetched_blocks += self.blocks_per_line
-        return self._outcome(latency, served_from_nm=False, is_write=is_write,
-                             dram_cache_hit=False, path="cache-miss")
+    def _step(self, set_col, tag_col, block_col, nm_hit_col, nm_base_col,
+              fm_base_col):
+        """Probe the DRAM cache; a miss fetches the whole line from FM.
 
-    def fast_path(self, addresses):
-        """Batch operator shared by the cache baselines (IDEAL/TAGLESS/DFC).
-
-        Set index, tag, touched-block bit and every placement address
-        (NM slot, NM fill base, FM line base) are pure functions of the
-        address, so they are computed for the whole column with numpy once.
-        The step inlines the hit path (tag probe + one NM burst) and the
-        miss path (tag cost, fetch + fill); evictions stay on
-        :meth:`_evict`, which shares the same set/controller state.
+        A hit pays the tag cost and one NM burst.  A miss pays the tag
+        cost, evicts the set's LRU line if the set is full
+        (:meth:`_evict`), fetches the whole line from FM and installs it in
+        NM in the background.  The in-DRAM tag read of a hit happens on
+        every ``1 / tag_in_dram_hit_fraction``-th hit, a deterministic
+        stand-in for that fraction.
         """
         near_line, near_block = make_kernels(self.near)
-        far_line, far_block = make_kernels(self.far)
+        _, far_block = make_kernels(self.far)
         line_size = self.line_size
-        num_sets = self.num_sets
-        addr = addresses % self.flat_capacity_bytes
-        line_arr = addr // line_size
-        set_arr = line_arr % num_sets
-        block_arr = (addr % line_size) // LINE_SIZE
-        # _nm_address over the whole column.
-        nm_lines = max(1, self.config.near.capacity_bytes // line_size)
-        nm_base_arr = ((line_arr * num_sets + set_arr) % nm_lines) * line_size
-        set_col = set_arr.tolist()
-        tag_col = line_arr.tolist()
-        # Python-int shifts: 4 KB lines have 64 blocks and ``1 << 63``
-        # overflows int64.
-        bit_col = [1 << b for b in block_arr.tolist()]
-        nm_hit_col = (nm_base_arr + block_arr * LINE_SIZE).tolist()
-        nm_base_col = nm_base_arr.tolist()
-        fm_base_col = (addr - addr % line_size).tolist()
-
         sets = self._sets
         ways = self.ways
         tag_lat = self.tag_latency_ns
@@ -189,7 +136,7 @@ class DramCacheSystem(MemorySystem):
             line = cache_set.get(tag)
             if line is not None:
                 cache_set.move_to_end(tag)
-                line.touched_mask |= bit_col[i]
+                line.touched_mask |= 1 << block_col[i]
                 if is_write:
                     line.dirty = True
                 self.cache_hits += 1
@@ -216,7 +163,7 @@ class DramCacheSystem(MemorySystem):
                                  True)
             near_block(nm_base_col[i], line_size, True, now_ns, False)
             cache_set[tag] = DramCacheLine(tag=tag, dirty=is_write,
-                                           touched_mask=bit_col[i])
+                                           touched_mask=1 << block_col[i])
             self.fetched_blocks += blocks_per_line
             self.requests += 1
             if is_write:
@@ -238,20 +185,6 @@ class DramCacheSystem(MemorySystem):
                                      nbytes, False, now_ns, demand=False)
             self.far.transfer_block(victim_tag * self.line_size, nbytes, True,
                                     now_ns, demand=False)
-
-    def _tag_overhead(self, now_ns: float, hit: bool) -> float:
-        """Latency cost of locating the line (zero for the ideal cache)."""
-        latency = self.tag_latency_ns
-        needs_dram_tag = False
-        if hit and self.tag_in_dram_hit_fraction > 0.0:
-            self._hit_counter += 1
-            period = max(1, int(round(1.0 / self.tag_in_dram_hit_fraction)))
-            needs_dram_tag = (self._hit_counter % period) == 0
-        elif not hit:
-            needs_dram_tag = self.tag_in_dram_miss
-        if needs_dram_tag:
-            latency += self.near.access(0, False, now_ns, metadata=True)
-        return latency
 
     # ------------------------------------------------------------------
     # reporting

@@ -11,7 +11,6 @@ metric in Figures 2 and 12-18.
 
 from __future__ import annotations
 
-from ..common import AccessOutcome
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from .base import MemorySystem
@@ -26,17 +25,13 @@ class FarMemoryOnly(MemorySystem):
         super().__init__(config)
         self._make_controllers(None, config.far)
 
-    def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
-        """Serve the request from far memory (the only memory there is)."""
-        address = address % self.config.far.capacity_bytes
-        latency = self.far.access(address, is_write, now_ns)
-        return self._outcome(latency, served_from_nm=False,
-                             is_write=is_write, path="fm")
+    def _columns(self, addresses):
+        """Each address wrapped to the far memory."""
+        return (addresses % self.config.far.capacity_bytes,)
 
-    def fast_path(self, addresses):
-        """Batch operator: the wrap is vectorized, each step is one FM burst."""
+    def _step(self, addr_col):
+        """Serve the request from far memory (the only memory there is)."""
         far_line, _ = make_kernels(self.far)
-        addr_col = (addresses % self.config.far.capacity_bytes).tolist()
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
             latency = far_line(addr_col[i], is_write, now_ns, 0)

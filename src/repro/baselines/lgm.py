@@ -51,23 +51,14 @@ class LgmMigration(MigrationSystem):
         self.intervals = 0
         self.lines_saved = 0
 
-    def _note_access(self, segment: int, served_from_nm: bool, is_write: bool,
-                     now_ns: float) -> None:
-        if served_from_nm:
-            return
-        self._access_count[segment] = self._access_count.get(segment, 0) + 1
-
-    def _fast_note_hook(self):
-        # Merges the access-count bump of :meth:`_note_access` with the
-        # distinct-line tracking of :meth:`access`; nothing reads either
-        # between the two updates (the interval boundary only fires at the
-        # start of the next access), so the merged update is equivalent.
+    def _note_hook(self):
+        # Per far-memory segment: the access count, and the distinct 64 B
+        # lines touched, so the spatial-locality score sees line
+        # granularity rather than segment granularity.
         counts = self._access_count
         lines = self._lines_touched
 
-        def note(segment, offset, served_from_nm, is_write, now_ns):
-            if served_from_nm:
-                return
+        def note(segment, offset):
             counts[segment] = counts.get(segment, 0) + 1
             touched = lines.get(segment)
             if touched is None:
@@ -75,19 +66,6 @@ class LgmMigration(MigrationSystem):
             touched.add(offset // LINE_SIZE)
 
         return note
-
-    def access(self, address: int, is_write: bool, now_ns: float):
-        """Serve the request and record the distinct 64 B line touched.
-
-        The line is tracked before delegating, so the spatial-locality
-        score sees line granularity rather than segment granularity.
-        """
-        segment = (address % self.flat_capacity_bytes) // self.segment_bytes
-        line = (address % self.segment_bytes) // LINE_SIZE
-        outcome = super().access(address, is_write, now_ns)
-        if not outcome.served_from_nm:
-            self._lines_touched.setdefault(segment, set()).add(line)
-        return outcome
 
     def _interval_end(self, now_ns: float) -> None:
         self.intervals += 1

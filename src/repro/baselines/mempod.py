@@ -73,19 +73,13 @@ class MemPod(MigrationSystem):
         self.mea = MeaCounters(mea_counters)
         self.intervals = 0
 
-    def _note_access(self, segment: int, served_from_nm: bool, is_write: bool,
-                     now_ns: float) -> None:
+    def _note_hook(self):
         # MemPod only tracks far-memory segments: near-memory residents do
         # not need to migrate.
-        if not served_from_nm:
-            self.mea.observe(segment)
-
-    def _fast_note_hook(self):
         observe = self.mea.observe
 
-        def note(segment, offset, served_from_nm, is_write, now_ns):
-            if not served_from_nm:
-                observe(segment)
+        def note(segment, offset):
+            observe(segment)
 
         return note
 

@@ -11,8 +11,8 @@ share:
 * interval-based bookkeeping (MemPod and LGM migrate at 50 us interval
   boundaries).
 
-Subclasses implement :meth:`MigrationSystem._note_access` (how accesses feed
-the selection policy) and :meth:`MigrationSystem._interval_end` (which
+Subclasses implement :meth:`MigrationSystem._note_hook` (how far-memory
+accesses feed the selection policy) and :meth:`MigrationSystem._interval_end` (which
 segments to migrate when an interval expires).
 
 Paper anchor: the shared mechanics of the migration class the paper
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..common import LINE_SIZE, AccessOutcome, MemoryKind
+from ..common import LINE_SIZE, MemoryKind
 from ..core.remap import RemapTable
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
@@ -109,45 +109,27 @@ class MigrationSystem(MemorySystem):
         """NM + FM — migration exposes both as main memory (Figure 12)."""
         return self.num_segments * self.segment_bytes
 
-    def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
-        """Translate through the remap table, then serve from NM or FM."""
-        address = address % self.flat_capacity_bytes
-        self._maybe_end_interval(now_ns)
+    def _columns(self, addresses):
+        """Segment number, offset in the segment and remap-table address
+        of each address."""
+        address = addresses % self.flat_capacity_bytes
         segment = address // self.segment_bytes
-        offset = address % self.segment_bytes
+        return (segment, address % self.segment_bytes,
+                (segment * 8) % self.config.near.capacity_bytes)
 
-        latency = self._translation_latency(segment, now_ns)
-        location = self.remap.lookup(segment)
-        served_from_nm = location.in_near
-        memory = self.near if served_from_nm else self.far
-        latency += memory.access(location.frame * self.segment_bytes + offset,
-                                 is_write, now_ns, demand=True)
-        if not served_from_nm:
-            self._interval_fm_accesses += 1
-        self._note_access(segment, served_from_nm, is_write, now_ns)
-        return self._outcome(latency, served_from_nm, is_write,
-                             path="nm" if served_from_nm else "fm")
+    def _step(self, seg_col, off_col, meta_col):
+        """Translate through the remap table, then serve from NM or FM.
 
-    def fast_path(self, addresses):
-        """Batch operator shared by MemPod and LGM (Chameleon overrides).
-
-        Segment number, offset and the remap-metadata address are pure
-        address functions, vectorized over the whole column; the step
-        inlines the remap-cache lookup and the NM/FM burst and feeds the
-        selection policy through the per-design :meth:`_fast_note_hook`
-        closure.  Interval migrations and swaps stay on the slow-path
-        methods, which mutate the same remap/cache/controller state.
+        The step closes any expired interval first (:meth:`_interval_end`
+        migrates), looks the segment up in the remap cache (a miss reads
+        the remap table in NM), serves the request from the segment's
+        current home; far-memory accesses also feed the selection policy
+        through the :meth:`_note_hook` closure.  Shared by MemPod and LGM; Chameleon
+        replaces it.
         """
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
         seg_bytes = self.segment_bytes
-        addr = addresses % self.flat_capacity_bytes
-        segment_arr = addr // seg_bytes
-        seg_col = segment_arr.tolist()
-        off_col = (addr % seg_bytes).tolist()
-        remap_in_memory = self.remap_in_memory
-        meta_col = (((segment_arr * 8) % self.config.near.capacity_bytes)
-                    .tolist() if remap_in_memory else None)
         kind_col = self.remap._kind
         frame_col = self.remap._frame
         near_kind = MemoryKind.NEAR
@@ -155,71 +137,44 @@ class MigrationSystem(MemorySystem):
         entries = cache._entries
         move_to_end = entries.move_to_end
         cache_capacity = cache.capacity
-        note = self._fast_note_hook()
+        note = self._note_hook()
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
             if now_ns >= self._interval_end_ns:
-                self._maybe_end_interval(now_ns)
+                self._roll_interval(now_ns)
             seg = seg_col[i]
-            if remap_in_memory:
-                if seg in entries:
-                    move_to_end(seg)
-                    cache.hits += 1
-                    latency = 0.0
-                else:
-                    cache.misses += 1
-                    entries[seg] = True
-                    if len(entries) > cache_capacity:
-                        entries.popitem(last=False)
-                    latency = near_line(meta_col[i], False, now_ns, 2)
-            else:
+            if seg in entries:
+                move_to_end(seg)
+                cache.hits += 1
                 latency = 0.0
+            else:
+                cache.misses += 1
+                entries[seg] = True
+                if len(entries) > cache_capacity:
+                    entries.popitem(last=False)
+                latency = near_line(meta_col[i], False, now_ns, 2)
             off = off_col[i]
+            self.requests += 1
+            if is_write:
+                self.write_requests += 1
             if kind_col[seg] is near_kind:
                 latency += near_line(frame_col[seg] * seg_bytes + off,
                                      is_write, now_ns, 0)
-                note(seg, off, True, is_write, now_ns)
-                self.requests += 1
-                if is_write:
-                    self.write_requests += 1
                 self.requests_from_nm += 1
             else:
                 latency += far_line(frame_col[seg] * seg_bytes + off,
                                     is_write, now_ns, 0)
                 self._interval_fm_accesses += 1
-                note(seg, off, False, is_write, now_ns)
-                self.requests += 1
-                if is_write:
-                    self.write_requests += 1
+                note(seg, off)
             return latency
 
         return step
 
-    def _fast_note_hook(self):
-        """Return a ``(segment, offset, served_from_nm, is_write, now_ns)``
-        closure feeding the selection policy; subclasses inline theirs."""
-        note_access = self._note_access
-
-        def note(segment, offset, served_from_nm, is_write, now_ns):
-            note_access(segment, served_from_nm, is_write, now_ns)
-
-        return note
-
     # ------------------------------------------------------------------
     # pieces shared by the subclasses
     # ------------------------------------------------------------------
-    def _translation_latency(self, segment: int, now_ns: float) -> float:
-        """Remap-cache lookup; a miss reads the remap table in near memory."""
-        if not self.remap_in_memory:
-            return 0.0
-        if self.remap_cache.lookup(segment):
-            return 0.0
-        return self.near.access((segment * 8) % self.config.near.capacity_bytes,
-                                False, now_ns, metadata=True)
-
-    def _maybe_end_interval(self, now_ns: float) -> None:
-        if now_ns < self._interval_end_ns:
-            return
+    def _roll_interval(self, now_ns: float) -> None:
+        """Close the interval that expired before ``now_ns``."""
         self._interval_end(now_ns)
         self._interval_fm_accesses = 0
         while self._interval_end_ns <= now_ns:
@@ -298,9 +253,13 @@ class MigrationSystem(MemorySystem):
     # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
-    def _note_access(self, segment: int, served_from_nm: bool, is_write: bool,
-                     now_ns: float) -> None:
-        """Feed the selection policy with one access."""
+    def _note_hook(self):
+        """Return the ``(segment, offset)`` closure the step calls on every
+        far-memory access to feed the selection policy."""
+        def note(segment, offset):
+            pass
+
+        return note
 
     def _interval_end(self, now_ns: float) -> None:
         """Perform end-of-interval migrations (MemPod, LGM)."""

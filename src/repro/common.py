@@ -1,7 +1,6 @@
 """Common value types, constants and address arithmetic helpers.
 
-Every component of the simulator exchanges :class:`MemoryRequest` and
-:class:`AccessOutcome` objects and reasons about addresses with the helpers
+Every component of the simulator reasons about addresses with the helpers
 defined here, so the conventions live in a single place:
 
 * addresses are byte addresses in the *processor physical* address space;
@@ -57,19 +56,6 @@ class MemoryRequest:
         return align_down(self.address, LINE_SIZE)
 
 
-@dataclass
-class AccessOutcome:
-    """What happened to a processor request inside a memory system model."""
-
-    latency_ns: float
-    served_from_nm: bool
-    #: True when the request hit in a DRAM-cache-like structure (for designs
-    #: that have one); migration-only designs leave it False.
-    dram_cache_hit: bool = False
-    #: Free-form tag describing the path taken (useful in tests).
-    path: str = ""
-
-
 def align_down(address: int, granularity: int) -> int:
     """Align ``address`` down to a multiple of ``granularity``."""
     return address - (address % granularity)
@@ -107,31 +93,3 @@ def popcount(mask: int) -> int:
 def full_mask(nbits: int) -> int:
     """Bit mask with the ``nbits`` low bits set."""
     return (1 << nbits) - 1
-
-
-@dataclass
-class TrafficCounter:
-    """Byte counters for one direction of one memory device."""
-
-    read_bytes: int = 0
-    write_bytes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.read_bytes + self.write_bytes
-
-
-@dataclass
-class EnergyCounter:
-    """Accumulated dynamic energy, split by component, in picojoules."""
-
-    rw_pj: float = 0.0
-    act_pre_pj: float = 0.0
-
-    @property
-    def total_pj(self) -> float:
-        return self.rw_pj + self.act_pre_pj
-
-    @property
-    def total_mj(self) -> float:
-        return self.total_pj * 1e-9

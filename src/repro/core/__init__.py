@@ -13,7 +13,7 @@
   :mod:`repro.core.variants`.
 """
 
-from .dcmc import DCMC, DcmcAccess
+from .dcmc import DCMC
 from .hybrid2 import Hybrid2System
 from .nm_allocator import NMFramePool
 from .policy import (MigrationPolicy, MigrationVerdict, eviction_cost,
@@ -25,7 +25,6 @@ from .xta import XTA, XTAEntry
 
 __all__ = [
     "DCMC",
-    "DcmcAccess",
     "Hybrid2System",
     "NMFramePool",
     "MigrationPolicy",

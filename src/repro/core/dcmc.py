@@ -20,26 +20,17 @@ The access path follows Figure 7 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from ..common import LINE_SIZE
 from ..memory.controller import MemoryController
+from ..memory.kernels import make_kernels
 from ..params import Hybrid2Params, SystemConfig
 from ..stats import Stats
 from .nm_allocator import NMFramePool
 from .policy import MigrationPolicy, MigrationVerdict
 from .remap import FreeFMStack, RemapTable
 from .xta import XTA, XTAEntry
-
-
-@dataclass
-class DcmcAccess:
-    """Result of one processor request through the DCMC."""
-
-    latency_ns: float
-    served_from_nm: bool
-    path: str
 
 
 class DCMC:
@@ -108,12 +99,6 @@ class DCMC:
     # ------------------------------------------------------------------
     # address helpers
     # ------------------------------------------------------------------
-    def _split(self, address: int) -> Tuple[int, int, int]:
-        """Return ``(sector, dram_cache_line_index, offset_in_sector)``."""
-        sector = address // self.sector_bytes
-        offset = address % self.sector_bytes
-        return sector, offset // self.dram_line_bytes, offset
-
     def _nm_address(self, frame: int, offset: int = 0) -> int:
         return frame * self.sector_bytes + offset
 
@@ -141,47 +126,26 @@ class DCMC:
     # ------------------------------------------------------------------
     # main access path (Figure 7)
     # ------------------------------------------------------------------
-    def access(self, address: int, is_write: bool, now_ns: float) -> DcmcAccess:
-        sector, line, offset = self._split(address)
-        if sector >= self.num_flat_sectors:
-            raise ValueError(
-                f"address {address:#x} beyond the flat capacity "
-                f"({self.flat_capacity_bytes} bytes)")
-        latency = self.params.xta_latency_ns
+    def columns(self, addresses):
+        """``(sector, dram_cache_line_index, offset_in_sector)`` of each
+        address, wrapped to the flat capacity (an int64 ndarray or one
+        Python int)."""
+        address = addresses % self.flat_capacity_bytes
+        offset = address % self.sector_bytes
+        return (address // self.sector_bytes, offset // self.dram_line_bytes,
+                offset)
 
-        entry = self.xta.lookup(sector)
-        if entry is not None:
-            self.counters.inc("xta.hits")
-            self.xta.record_access(entry)
-            if entry.in_near_memory or entry.line_valid(line):
-                return self._serve_line_hit(entry, line, offset, is_write,
-                                            now_ns, latency)
-            return self._serve_line_miss(entry, line, offset, is_write,
-                                         now_ns, latency)
+    def step(self, system, sec_col, line_col, off_col):
+        """Compile the request path of Figure 7 over the :meth:`columns`
+        lists into the step of :class:`~repro.core.hybrid2.Hybrid2System`.
 
-        self.counters.inc("xta.misses")
-        return self._serve_xta_miss(sector, line, offset, is_write, now_ns,
-                                    latency)
-
-    def fast_path(self, addresses, system):
-        """Batch operator for Hybrid2 (invoked through
-        :meth:`~repro.core.hybrid2.Hybrid2System.fast_path`).
-
-        Sector/line/offset splits are vectorized over the whole column; the
-        step inlines the dominant XTA-hit/line-hit path (tag-map probe, LRU
-        touch, access counter, one NM burst) and defers line misses and XTA
-        misses to :meth:`_serve_line_miss` / :meth:`_serve_xta_miss`, which
-        share every structure.  ``system`` supplies the request counters of
-        the wrapping :class:`~repro.baselines.base.MemorySystem`.
+        The step serves the dominant XTA hit / line hit (1a) itself: the
+        tag-map probe, the LRU touch, the access counter of a non-migrated
+        sector and one NM burst.  Line misses (1b) and XTA misses (2) run in
+        :meth:`_serve_line_miss` / :meth:`_serve_xta_miss`.  ``system``
+        holds the request counters.
         """
-        from ..memory.kernels import make_kernels
         near_line, _ = make_kernels(self.near)
-        addr = addresses % self.flat_capacity_bytes
-        sector_arr = addr // self.sector_bytes
-        offset_arr = addr % self.sector_bytes
-        sec_col = sector_arr.tolist()
-        off_col = offset_arr.tolist()
-        line_col = (offset_arr // self.dram_line_bytes).tolist()
         xta = self.xta
         tag_maps = xta._tag_maps
         num_sets = xta.num_sets
@@ -196,60 +160,45 @@ class DCMC:
             sector = sec_col[i]
             xta.lookups += 1
             entry = tag_maps[sector % num_sets].get(sector)
-            if entry is not None:
-                xta.hits += 1
-                clock = xta._clock + 1
-                xta._clock = clock
-                entry.lru_stamp = clock
-                counters["xta.hits"] += 1.0
-                fm_frame = entry.fm_frame
-                # XTA.record_access: count only non-migrated sectors.
-                if fm_frame is not None and entry.access_counter < counter_max:
-                    entry.access_counter += 1
-                line = line_col[i]
-                if fm_frame is None or entry.valid_mask & (1 << line):
-                    counters["line.hits"] += 1.0
-                    latency = near_line(
-                        entry.nm_frame * sector_bytes + off_col[i],
-                        is_write, now_ns, 0)
-                    if is_write:
-                        entry.dirty_mask |= (1 << line)
-                    system.requests += 1
-                    if is_write:
-                        system.write_requests += 1
-                    system.requests_from_nm += 1
-                    return xta_lat + latency
-                result = serve_line_miss(entry, line, off_col[i], is_write,
-                                         now_ns, xta_lat)
-            else:
+            if entry is None:
                 counters["xta.misses"] += 1.0
-                result = serve_xta_miss(sector, line_col[i], off_col[i],
-                                        is_write, now_ns, xta_lat)
+                latency, in_near = serve_xta_miss(sector, line_col[i],
+                                                  off_col[i], is_write,
+                                                  now_ns, xta_lat)
+                system.requests += 1
+                if is_write:
+                    system.write_requests += 1
+                if in_near:
+                    system.requests_from_nm += 1
+                return latency
+            xta.hits += 1
+            clock = xta._clock + 1
+            xta._clock = clock
+            entry.lru_stamp = clock
+            counters["xta.hits"] += 1.0
+            fm_frame = entry.fm_frame
+            # Only non-migrated sectors count accesses (Section 3.7.1).
+            if fm_frame is not None and entry.access_counter < counter_max:
+                entry.access_counter += 1
+            line = line_col[i]
             system.requests += 1
             if is_write:
                 system.write_requests += 1
-            if result.served_from_nm:
+            if fm_frame is None or entry.valid_mask & (1 << line):
+                counters["line.hits"] += 1.0
+                latency = near_line(entry.nm_frame * sector_bytes + off_col[i],
+                                    is_write, now_ns, 0)
+                if is_write:
+                    entry.dirty_mask |= (1 << line)
                 system.requests_from_nm += 1
-            return result.latency_ns
+                return xta_lat + latency
+            return serve_line_miss(entry, line, is_write, now_ns, xta_lat)
 
         return step
 
-    # -- 1a ------------------------------------------------------------
-    def _serve_line_hit(self, entry: XTAEntry, line: int, offset: int,
-                        is_write: bool, now_ns: float,
-                        latency: float) -> DcmcAccess:
-        self.counters.inc("line.hits")
-        nm_addr = self._nm_address(entry.nm_frame, offset)
-        latency += self.near.access(nm_addr, is_write, now_ns, demand=True)
-        if is_write:
-            entry.set_dirty(line)
-        return DcmcAccess(latency, served_from_nm=True,
-                          path="xta-hit/line-hit")
-
     # -- 1b ------------------------------------------------------------
-    def _serve_line_miss(self, entry: XTAEntry, line: int, offset: int,
-                         is_write: bool, now_ns: float,
-                         latency: float) -> DcmcAccess:
+    def _serve_line_miss(self, entry: XTAEntry, line: int, is_write: bool,
+                         now_ns: float, latency: float) -> float:
         self.counters.inc("line.misses")
         self.policy.note_demand_fm_access(now_ns)
         line_offset = line * self.dram_line_bytes
@@ -263,13 +212,14 @@ class DCMC:
         entry.set_valid(line)
         if is_write:
             entry.set_dirty(line)
-        return DcmcAccess(latency, served_from_nm=False,
-                          path="xta-hit/line-miss")
+        return latency
 
     # -- 2 -------------------------------------------------------------
     def _serve_xta_miss(self, sector: int, line: int, offset: int,
                         is_write: bool, now_ns: float,
-                        latency: float) -> DcmcAccess:
+                        latency: float) -> Tuple[float, bool]:
+        """Serve an XTA miss; return the latency and whether the sector
+        already lived in NM (the request was served from NM)."""
         # The remap-table read is on the critical path: the sector's location
         # must be known before the data can be fetched.
         latency += self._metadata_access(sector, False, now_ns, critical=True)
@@ -287,8 +237,7 @@ class DCMC:
             latency += self.near.access(
                 self._nm_address(location.frame, offset), is_write, now_ns,
                 demand=True)
-            return DcmcAccess(latency, served_from_nm=True,
-                              path="xta-miss/sector-in-nm")
+            return latency, True
 
         # 2b: sector lives in FM; obtain a cache frame and fetch the line.
         self.counters.inc("fills.sector_in_fm")
@@ -311,8 +260,7 @@ class DCMC:
         entry.set_valid(line)
         if is_write:
             entry.set_dirty(line)
-        return DcmcAccess(latency, served_from_nm=False,
-                          path="xta-miss/sector-in-fm")
+        return latency, False
 
     # ------------------------------------------------------------------
     # DRAM-cache eviction (Figure 9) and migration (Figure 10)

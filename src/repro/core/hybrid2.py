@@ -2,14 +2,13 @@
 :class:`~repro.baselines.base.MemorySystem`.
 
 The class is a thin adapter: it owns the near- and far-memory controllers
-and delegates every request to the :class:`~repro.core.dcmc.DCMC`, which
-implements the access path, eviction flow and migration decision.
+and takes its columns and step from the :class:`~repro.core.dcmc.DCMC`,
+which implements the access path, eviction flow and migration decision.
 """
 
 from __future__ import annotations
 
 from ..baselines.base import MemorySystem
-from ..common import AccessOutcome
 from ..params import SystemConfig
 from ..stats import Stats
 from .dcmc import DCMC
@@ -30,16 +29,12 @@ class Hybrid2System(MemorySystem):
                          model_metadata=model_metadata,
                          cache_only=cache_only, seed=seed)
 
-    def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
-        address = address % self.flat_capacity_bytes
-        result = self.dcmc.access(address, is_write, now_ns)
-        return self._outcome(result.latency_ns, result.served_from_nm,
-                             is_write, dram_cache_hit=result.served_from_nm,
-                             path=result.path)
+    def _columns(self, addresses):
+        return self.dcmc.columns(addresses)
 
-    def fast_path(self, addresses):
-        """Batch operator: delegated to the DCMC, which owns every structure."""
-        return self.dcmc.fast_path(addresses, self)
+    def _step(self, *columns):
+        """Delegated to the DCMC, which owns every structure."""
+        return self.dcmc.step(self, *columns)
 
     @property
     def flat_capacity_bytes(self) -> int:

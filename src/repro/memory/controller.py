@@ -76,12 +76,7 @@ class MemoryController:
         self.background_bytes = 0
         self.metadata_bytes = 0
         device = self.device
-        device.reads = 0
-        device.writes = 0
-        device.traffic.read_bytes = 0
-        device.traffic.write_bytes = 0
-        device.energy.counter.rw_pj = 0.0
-        device.energy.counter.act_pre_pj = 0.0
+        device.reset_counters()
         for channel in device.channels:
             for bank in channel.banks:
                 bank.row_hits = 0
@@ -93,19 +88,19 @@ class MemoryController:
     # ------------------------------------------------------------------
     @property
     def total_bytes(self) -> int:
-        return self.device.traffic.total_bytes
+        return self.device.total_bytes
 
     @property
     def read_bytes(self) -> int:
-        return self.device.traffic.read_bytes
+        return self.device.read_bytes
 
     @property
     def write_bytes(self) -> int:
-        return self.device.traffic.write_bytes
+        return self.device.write_bytes
 
     @property
     def energy_pj(self) -> float:
-        return self.device.energy.total_pj
+        return self.device.energy_pj
 
     def summary(self) -> dict:
         out = self.device.summary()

@@ -1,7 +1,7 @@
 """Event-based DRAM device state.
 
 A :class:`DramDevice` holds the channels and banks of one memory plus its
-traffic and energy counters.  The timing kernels
+traffic and energy counters, as plain attributes.  The timing kernels
 (:mod:`repro.memory.kernels`) map each access onto a channel, bank and
 row and compute its completion time from
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ..common import TrafficCounter
 from ..params import DramParams
 from .channel import Channel
 from .energy import EnergyModel
@@ -43,13 +42,29 @@ class DramDevice:
             for _ in range(params.channels)
         ]
         self.energy = EnergyModel.from_params(params)
-        self.traffic = TrafficCounter()
+        self.reset_counters()
+
+    def reset_counters(self) -> None:
+        """Zero the line, byte and dynamic-energy (pJ) counters."""
         self.reads = 0
         self.writes = 0
+        self.read_bytes = 0
+        self.write_bytes = 0
+        self.rw_energy_pj = 0.0
+        self.act_pre_energy_pj = 0.0
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    @property
+    def total_bytes(self) -> int:
+        return self.read_bytes + self.write_bytes
+
+    @property
+    def energy_pj(self) -> float:
+        """Dynamic energy: read/write plus activate/precharge."""
+        return self.rw_energy_pj + self.act_pre_energy_pj
+
     @property
     def row_hit_rate(self) -> float:
         hits = sum(b.row_hits for c in self.channels for b in c.banks)
@@ -61,8 +76,8 @@ class DramDevice:
             "name": self.params.name,
             "reads": self.reads,
             "writes": self.writes,
-            "read_bytes": self.traffic.read_bytes,
-            "write_bytes": self.traffic.write_bytes,
+            "read_bytes": self.read_bytes,
+            "write_bytes": self.write_bytes,
             "row_hit_rate": self.row_hit_rate,
-            "energy_pj": self.energy.total_pj,
+            "energy_pj": self.energy_pj,
         }

@@ -6,17 +6,18 @@ and is the only implementation of DRAM timing and energy in the package.
 The controller builds its own pair once and its
 :meth:`~repro.memory.controller.MemoryController.access` /
 :meth:`~repro.memory.controller.MemoryController.transfer_block` methods
-are thin calls into them; the design fast paths
-(``MemorySystem.fast_path``) call :func:`make_kernels` for a pair of their
-own and skip the method call.
+are thin calls into them; each design step (``MemorySystem._step``, which
+both ``MemorySystem.fast_path`` and ``MemorySystem.access`` run) calls
+:func:`make_kernels` for a pair of its own and skips the method call.
 
 Per 64 B line a kernel maps the address to ``(channel, bank, row)``,
 classifies the row-buffer state (hit / miss / empty), waits for the bank,
 serialises the burst on the channel's data bus, and accounts traffic and
 dynamic energy.  All state lives in the device objects (banks, channels,
 counters), which are plain data, so every pair of kernels compiled for one
-controller shares it: the fast paths interleave freely with the slow-path
-methods.  ``tests/test_fastpath.py`` pins the kernels against the frozen
+controller shares it: a design step's inlined bursts interleave freely
+with the controller methods its rare events (evictions, migrations, swaps)
+call.  ``tests/test_fastpath.py`` pins the kernels against the frozen
 golden ``tests/data/golden/dram_timing.json`` float for float and
 ``tests/test_engine_equivalence.py`` pins the full engine per design.
 """
@@ -68,10 +69,8 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     empty_ns = timings.row_empty_latency_ns()
     miss_ns = timings.row_miss_latency_ns()
     burst_ns = timings.burst_ns(LINE_SIZE)
-    energy_counter = device.energy.counter
     line_rw_pj = device.energy.rw_pj_per_bit * LINE_SIZE * 8
     act_pre_pj = device.energy.act_pre_pj
-    traffic = device.traffic
     overhead_ns = controller.CONTROLLER_OVERHEAD_NS
 
     def line_access(address: int, is_write: bool, now_ns: float,
@@ -85,7 +84,7 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
         if open_row is None:
             array_latency = empty_ns
             bank.activations += 1
-            energy_counter.act_pre_pj += act_pre_pj
+            device.act_pre_energy_pj += act_pre_pj
         elif open_row == row:
             array_latency = hit_ns
             bank.row_hits += 1
@@ -93,7 +92,7 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
             array_latency = miss_ns
             bank.row_misses += 1
             bank.activations += 1
-            energy_counter.act_pre_pj += act_pre_pj
+            device.act_pre_energy_pj += act_pre_pj
         bank.open_row = row
 
         ready = bank.ready_at_ns
@@ -108,12 +107,12 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
         channel.busy_ns += burst_ns
         bank.ready_at_ns = completion
 
-        energy_counter.rw_pj += line_rw_pj
+        device.rw_energy_pj += line_rw_pj
         if is_write:
-            traffic.write_bytes += LINE_SIZE
+            device.write_bytes += LINE_SIZE
             device.writes += 1
         else:
-            traffic.read_bytes += LINE_SIZE
+            device.read_bytes += LINE_SIZE
             device.reads += 1
         if kind == 0:
             controller.demand_bytes += LINE_SIZE
@@ -135,8 +134,8 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
         # counters are bumped once per run or per block.
         lines = max(1, nbytes // LINE_SIZE)
         end = address + lines * LINE_SIZE
-        rw_pj = energy_counter.rw_pj
-        act_pj = energy_counter.act_pre_pj
+        rw_pj = device.rw_energy_pj
+        act_pj = device.act_pre_energy_pj
         first = 0.0
         line_address = address
         while line_address < end:
@@ -185,15 +184,15 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
             channel.busy_ns = busy
             bank.ready_at_ns = completion
             line_address += run * LINE_SIZE
-        energy_counter.rw_pj = rw_pj
-        energy_counter.act_pre_pj = act_pj
+        device.rw_energy_pj = rw_pj
+        device.act_pre_energy_pj = act_pj
 
         block_bytes = lines * LINE_SIZE
         if is_write:
-            traffic.write_bytes += block_bytes
+            device.write_bytes += block_bytes
             device.writes += lines
         else:
-            traffic.read_bytes += block_bytes
+            device.read_bytes += block_bytes
             device.reads += lines
         if demand:
             controller.demand_bytes += LINE_SIZE

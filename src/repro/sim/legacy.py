@@ -171,10 +171,9 @@ def simulate_reference(system: MemorySystem,
                 continue
             core = cores[idx]
             core.execute(record.gap_instructions)
-            outcome = system.access(record.address, record.is_write,
+            latency = system.access(record.address, record.is_write,
                                     core.time_ns)
-            core.memory_miss(outcome.latency_ns,
-                             sram_latency_cycles=llc_latency_cycles)
+            core.memory_miss(latency, sram_latency_cycles=llc_latency_cycles)
             processed += 1
             if measuring:
                 references += 1

@@ -40,7 +40,6 @@ import numpy as np
 
 from ..baselines import DESIGN_FACTORIES
 from ..baselines.base import MemorySystem
-from ..common import AccessOutcome
 from ..params import SystemConfig, make_config
 from ..workloads.catalog import get_workload
 from . import legacy
@@ -65,10 +64,10 @@ DEFAULT_REPORT = "BENCH_engine.json"
 class NullMemorySystem(MemorySystem):
     """Fixed-latency memory system that isolates the engine.
 
-    Every access is served from "near memory" after ``latency_ns``; the one
-    :class:`AccessOutcome` is reused because the driver only reads it.  With
-    the memory model reduced to a constant, ``simulate()`` spends its time
-    in trace generation, scheduling and the interval-core arithmetic — the
+    Every access is served from "near memory" after ``latency_ns``; there
+    are no address columns and the step only counts the request.  With the
+    memory model reduced to a constant, ``simulate()`` spends its time in
+    trace generation, scheduling and the interval-core arithmetic — the
     fast path this benchmark tracks.
     """
 
@@ -76,12 +75,22 @@ class NullMemorySystem(MemorySystem):
 
     def __init__(self, config: SystemConfig, latency_ns: float = 80.0) -> None:
         super().__init__(config)
-        self._fixed_outcome = AccessOutcome(latency_ns=latency_ns,
-                                            served_from_nm=True)
+        self.latency_ns = latency_ns
 
-    def access(self, address: int, is_write: bool, now_ns: float) -> AccessOutcome:
-        self._record_request(is_write, True)
-        return self._fixed_outcome
+    def _columns(self, addresses):
+        return ()
+
+    def _step(self):
+        latency_ns = self.latency_ns
+
+        def step(i: int, is_write: bool, now_ns: float) -> float:
+            self.requests += 1
+            if is_write:
+                self.write_requests += 1
+            self.requests_from_nm += 1
+            return latency_ns
+
+        return step
 
     @property
     def flat_capacity_bytes(self) -> int:

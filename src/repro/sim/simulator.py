@@ -149,9 +149,6 @@ def simulate(system: MemorySystem,
     (``tests/test_engine_equivalence.py`` pins them).  The per-core
     :class:`~repro.cpu.core.CoreStats` breakdown (compute, SRAM and stall
     cycles) is not filled; :class:`Simulator` still fills it.
-
-    Designs whose :meth:`~repro.baselines.base.MemorySystem.fast_path`
-    returns ``None`` are driven through a step that wraps ``access``.
     """
     config = system.config
     cores_wanted = num_cores or config.cores.num_cores
@@ -186,7 +183,7 @@ def simulate(system: MemorySystem,
     addr_arr, columns, instructions = _schedule(traces, params,
                                                 warmup_records)
     stream = zip(count(), *columns)
-    step = system.fast_path(addr_arr) or _access_step(system, addr_arr)
+    step = system.fast_path(addr_arr)
 
     # The first ``warmup_records`` references warm the structures, then the
     # measured region runs with counters reset — two drains of one stream
@@ -242,16 +239,6 @@ def _schedule(traces: Sequence[Trace], params,
                flat([div for _, div in misses]).tolist(),
                flat([t.is_write for t in traces]).tolist()]
     return flat([t.addresses for t in traces]), columns, instructions
-
-
-def _access_step(system: MemorySystem, addresses: np.ndarray):
-    """A ``fast_path``-shaped step over the per-reference ``access``."""
-    access = system.access
-    addresses = addresses.tolist()
-
-    def step(i: int, is_write: bool, now_ns: float) -> float:
-        return access(addresses[i], is_write, now_ns).latency_ns
-    return step
 
 
 def _drive(stream, step, time_cycles: list, params,
@@ -313,9 +300,8 @@ class Simulator:
         for victim in result.writebacks:
             self.system.writeback(victim, core.time_ns)
         if result.llc_miss:
-            outcome = self.system.access(record.address, record.is_write,
+            latency = self.system.access(record.address, record.is_write,
                                          core.time_ns)
-            core.memory_miss(outcome.latency_ns,
-                             sram_latency_cycles=result.latency_cycles)
+            core.memory_miss(latency, sram_latency_cycles=result.latency_cycles)
         else:
             core.sram_hit(result.latency_cycles)

@@ -43,9 +43,9 @@ def test_baseline_capacity_is_far_memory(small_config):
 def test_cache_hits_after_first_touch(small_config):
     system = IdealCache(small_config, line_size=256)
     system.access(0, False, 0.0)
-    outcome = system.access(64, False, 50.0)
-    assert outcome.served_from_nm
-    assert outcome.dram_cache_hit
+    system.access(64, False, 50.0)
+    assert system.cache_hits == 1
+    assert system.requests_from_nm == 1
 
 
 def test_cache_line_size_must_be_multiple_of_64(small_config):

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.common import (EnergyCounter, MemoryRequest, TrafficCounter,
-                          align_down, block_index, block_offset, full_mask,
-                          line_index_in_block, lines_per_block, popcount)
+from repro.common import (MemoryRequest, align_down, block_index,
+                          block_offset, full_mask, line_index_in_block,
+                          lines_per_block, popcount)
+from repro.memory.controller import MemoryController
+from repro.params import hbm2_params
 
 
 def test_align_down():
@@ -45,13 +47,26 @@ def test_memory_request_line_address():
 
 
 def test_traffic_counter():
-    counter = TrafficCounter(read_bytes=64, write_bytes=128)
-    assert counter.read_bytes == 64
-    assert counter.write_bytes == 128
-    assert counter.total_bytes == 192
+    """The device's byte counters and the controller totals over them."""
+    controller = MemoryController(hbm2_params(1 << 27))
+    controller.access(0, False, 0.0)
+    controller.access(64, True, 10.0)
+    controller.transfer_block(4096, 64, True, 20.0)
+    device = controller.device
+    assert (device.read_bytes, device.write_bytes) == (64, 128)
+    assert device.total_bytes == controller.total_bytes == 192
+    assert (controller.read_bytes, controller.write_bytes) == (64, 128)
+    controller.reset_counters()
+    assert device.total_bytes == controller.total_bytes == 0
 
 
 def test_energy_counter():
-    counter = EnergyCounter(rw_pj=100.0, act_pre_pj=50.0)
-    assert counter.total_pj == pytest.approx(150.0)
-    assert counter.total_mj == pytest.approx(150.0e-9)
+    """The device's energy counters and the controller total over them."""
+    controller = MemoryController(hbm2_params(1 << 27))
+    device = controller.device
+    device.rw_energy_pj = 100.0
+    device.act_pre_energy_pj = 50.0
+    assert device.energy_pj == pytest.approx(150.0)
+    assert controller.energy_pj == device.energy_pj
+    controller.reset_counters()
+    assert controller.energy_pj == 0.0

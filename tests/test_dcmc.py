@@ -1,77 +1,82 @@
 """Tests for the DRAM Cache Migration Controller (access path, eviction,
-migration, NM allocation)."""
+migration, NM allocation), driven through :class:`Hybrid2System`, whose
+step is the DCMC's request path."""
 
 import pytest
 
 from repro.core.dcmc import DCMC
+from repro.core.hybrid2 import Hybrid2System
 from repro.memory.controller import MemoryController
 from repro.params import Hybrid2Params, make_config
 
 
 def make_dcmc(**kwargs):
+    """``(config, system)``: a small Hybrid2 system; ``system.dcmc`` is the
+    controller under test."""
     config = make_config(nm_gb=1, fm_gb=16, scale=1024,
                          hybrid2=Hybrid2Params(dram_cache_bytes=64 * 1024))
-    near = MemoryController(config.near)
-    far = MemoryController(config.far)
-    return config, DCMC(config, near, far, **kwargs)
+    return config, Hybrid2System(config, **kwargs)
 
 
 def test_flat_capacity_excludes_cache_and_metadata():
-    config, dcmc = make_dcmc()
+    config, system = make_dcmc()
+    dcmc = system.dcmc
     nm_plus_fm = config.near.capacity_bytes + config.far.capacity_bytes
     assert dcmc.flat_capacity_bytes < nm_plus_fm
     assert dcmc.flat_capacity_bytes > config.far.capacity_bytes
 
 
 def test_cache_only_flat_capacity_is_far_memory():
-    config, dcmc = make_dcmc(cache_only=True, model_metadata=False)
-    assert dcmc.flat_capacity_bytes == config.far.capacity_bytes
+    config, system = make_dcmc(cache_only=True, model_metadata=False)
+    assert system.dcmc.flat_capacity_bytes == config.far.capacity_bytes
 
 
 def test_first_access_is_xta_miss_then_line_hit():
-    _, dcmc = make_dcmc()
-    sector_addr = 0
-    first = dcmc.access(sector_addr, False, 0.0)
-    assert first.path.startswith("xta-miss")
-    second = dcmc.access(sector_addr, False, 100.0)
-    assert second.path == "xta-hit/line-hit"
-    assert second.served_from_nm
+    _, system = make_dcmc()
+    counters = system.dcmc.counters
+    system.access(0, False, 0.0)
+    assert counters.get("xta.misses") == 1
+    assert counters.get("line.hits") == 0
+    assert system.access(0, False, 100.0) > 0.0
+    assert counters.get("xta.hits") == 1
+    assert counters.get("line.hits") == 1
+    assert system.requests_from_nm >= 1
 
 
 def test_line_miss_within_cached_sector():
-    _, dcmc = make_dcmc()
+    _, system = make_dcmc()
+    dcmc = system.dcmc
+    counters = dcmc.counters
     # Find a sector that lives in FM so the fill path is exercised.
     sector = next(s for s in range(dcmc.num_flat_sectors)
                   if not dcmc.remap.lookup(s).in_near)
     base = sector * dcmc.sector_bytes
-    dcmc.access(base, False, 0.0)
-    far_line = dcmc.access(base + dcmc.dram_line_bytes, False, 50.0)
-    assert far_line.path == "xta-hit/line-miss"
-    assert not far_line.served_from_nm
-    hit = dcmc.access(base + dcmc.dram_line_bytes, False, 100.0)
-    assert hit.path == "xta-hit/line-hit"
+    system.access(base, False, 0.0)
+    assert counters.get("fills.sector_in_fm") == 1
+    system.access(base + dcmc.dram_line_bytes, False, 50.0)
+    assert counters.get("line.misses") == 1
+    assert system.requests_from_nm == 0
+    system.access(base + dcmc.dram_line_bytes, False, 100.0)
+    assert counters.get("line.hits") == 1
+    assert system.requests_from_nm == 1
 
 
 def test_sector_in_nm_is_served_from_nm():
-    _, dcmc = make_dcmc()
+    _, system = make_dcmc()
+    dcmc = system.dcmc
     sector = next(s for s in range(dcmc.num_flat_sectors)
                   if dcmc.remap.lookup(s).in_near)
-    outcome = dcmc.access(sector * dcmc.sector_bytes, False, 0.0)
-    assert outcome.path == "xta-miss/sector-in-nm"
-    assert outcome.served_from_nm
-
-
-def test_out_of_range_address_rejected():
-    _, dcmc = make_dcmc()
-    with pytest.raises(ValueError):
-        dcmc.access(dcmc.flat_capacity_bytes + 64, False, 0.0)
+    system.access(sector * dcmc.sector_bytes, False, 0.0)
+    assert dcmc.counters.get("fills.sector_in_nm") == 1
+    assert system.requests_from_nm == system.requests == 1
 
 
 def test_writes_set_dirty_bits():
-    _, dcmc = make_dcmc()
+    _, system = make_dcmc()
+    dcmc = system.dcmc
     sector = next(s for s in range(dcmc.num_flat_sectors)
                   if not dcmc.remap.lookup(s).in_near)
-    dcmc.access(sector * dcmc.sector_bytes, True, 0.0)
+    system.access(sector * dcmc.sector_bytes, True, 0.0)
     entry = dcmc.xta.probe(sector)
     assert entry.dirty_lines() == 1
 
@@ -79,66 +84,69 @@ def test_writes_set_dirty_bits():
 def test_metadata_traffic_disabled_in_no_remap_mode():
     _, with_meta = make_dcmc(model_metadata=True)
     _, without_meta = make_dcmc(model_metadata=False)
-    for dcmc in (with_meta, without_meta):
+    for system in (with_meta, without_meta):
+        sector_bytes = system.dcmc.sector_bytes
         for i in range(200):
-            dcmc.access((i * 7919 * dcmc.sector_bytes) % dcmc.flat_capacity_bytes,
-                        False, float(i) * 40.0)
+            system.access((i * 7919 * sector_bytes)
+                          % system.flat_capacity_bytes, False, float(i) * 40.0)
     assert with_meta.near.metadata_bytes > 0
     assert without_meta.near.metadata_bytes == 0
-    assert without_meta.counters.get("metadata.accesses") == 0
+    assert without_meta.dcmc.counters.get("metadata.accesses") == 0
 
 
-def run_pressure(dcmc, accesses=3000, stride_sectors=3):
-    """Touch many distinct sectors to force evictions and migrations."""
+def run_pressure(system, accesses=3000, stride_sectors=3):
+    """Touch many distinct sectors to force evictions and migrations;
+    return the system's DCMC."""
+    dcmc = system.dcmc
     now = 0.0
     for i in range(accesses):
         sector = (i * stride_sectors) % dcmc.num_flat_sectors
         address = sector * dcmc.sector_bytes + (i % 8) * 256
-        dcmc.access(address % dcmc.flat_capacity_bytes, i % 3 == 0, now)
+        system.access(address % dcmc.flat_capacity_bytes, i % 3 == 0, now)
         now += 25.0
     return dcmc
 
 
 def test_pressure_produces_evictions_and_migrations():
-    _, dcmc = make_dcmc()
-    run_pressure(dcmc)
+    _, system = make_dcmc()
+    dcmc = run_pressure(system)
     assert dcmc.counters.get("evictions.to_fm") > 0
     assert dcmc.counters.get("migrations") > 0
 
 
 def test_pressure_keeps_remap_consistent():
-    _, dcmc = make_dcmc()
-    run_pressure(dcmc)
+    _, system = make_dcmc()
+    dcmc = run_pressure(system)
     assert dcmc.remap.check_consistency()
     assert dcmc.frames.check_invariants()
 
 
 def test_frame_conservation_invariant():
     """pool + backing + free-FM-stack == carve-out size at all times."""
-    _, dcmc = make_dcmc()
-    run_pressure(dcmc, accesses=2000)
+    _, system = make_dcmc()
+    dcmc = run_pressure(system, accesses=2000)
     total = dcmc.frames.pool_size + dcmc.frames.backing_count + len(dcmc.free_fm)
     assert total == dcmc.frames.carveout_frames
 
 
 def test_migration_mode_none_never_migrates():
-    _, dcmc = make_dcmc(migration_mode="none")
-    run_pressure(dcmc)
+    _, system = make_dcmc(migration_mode="none")
+    dcmc = run_pressure(system)
     assert dcmc.counters.get("migrations") == 0
     assert dcmc.counters.get("evictions.to_fm") > 0
 
 
 def test_migration_mode_all_migrates_on_every_fm_eviction():
-    _, dcmc = make_dcmc(migration_mode="all")
-    run_pressure(dcmc, accesses=1500)
+    _, system = make_dcmc(migration_mode="all")
+    dcmc = run_pressure(system, accesses=1500)
     assert dcmc.counters.get("migrations") > 0
     assert dcmc.counters.get("evictions.to_fm") == 0
 
 
 def test_migrated_sectors_grow_nm_population():
-    _, dcmc = make_dcmc(migration_mode="all")
-    before = dcmc.remap.count_in_near()
-    run_pressure(dcmc, accesses=1500)
+    _, system = make_dcmc(migration_mode="all")
+    before = system.dcmc.remap.count_in_near()
+    dcmc = run_pressure(system, accesses=1500)
     assert dcmc.remap.count_in_near() >= before
 
 

@@ -8,8 +8,9 @@ here pin the layers underneath it:
   (every returned latency and the final controller state, float for
   float), recorded from the method-chain timing model the kernels replaced
   and regenerated with ``tools/make_dram_golden.py``;
-* the ``MemorySystem.fast_path`` protocol (default ``None``, step closure
-  mutating the same counters as ``access``).
+* the ``MemorySystem`` access protocol: ``access`` and ``fast_path`` are
+  defined once, on the base class, over each design's ``_columns`` and
+  ``_step``.
 """
 
 import json
@@ -19,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines import DESIGN_FACTORIES
+from repro.baselines import DESIGN_FACTORIES, IdealCache, MemorySystem
 from repro.common import LINE_SIZE
+from repro.core.hybrid2 import Hybrid2System
 from repro.memory.controller import MemoryController
 from repro.memory.kernels import make_kernels
 from repro.params import hbm2_params, make_config
@@ -69,13 +71,34 @@ def test_kernel_counters_reset_in_place():
     assert controller.demand_bytes == 0
     line_access(LINE_SIZE, True, 500.0, 1)
     assert controller.background_bytes == LINE_SIZE
-    assert controller.device.traffic.write_bytes == LINE_SIZE
+    assert controller.device.write_bytes == LINE_SIZE
     assert controller.device.reads == 0  # zeroed by the reset
 
 
-def test_fast_path_default_is_none():
-    system = NullMemorySystem(CONFIG)
-    assert system.fast_path(np.zeros(4, dtype=np.int64)) is None
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+def test_access_and_fast_path_are_defined_once():
+    """Every design's access path is its ``_columns``/``_step`` pair; no
+    design keeps a second copy in an ``access`` or ``fast_path`` of its
+    own."""
+    designs = list(all_subclasses(MemorySystem))
+    assert {Hybrid2System, NullMemorySystem, IdealCache} <= set(designs)
+    for cls in designs:
+        assert "access" not in vars(cls), cls
+        assert "fast_path" not in vars(cls), cls
+
+
+def test_null_system_steps_without_columns():
+    system = NullMemorySystem(CONFIG, latency_ns=75.0)
+    step = system.fast_path(np.zeros(4, dtype=np.int64))
+    assert step(3, True, 0.0) == 75.0
+    assert system.access(64, False, 10.0) == 75.0
+    assert (system.requests, system.write_requests,
+            system.requests_from_nm) == (2, 1, 2)
 
 
 @pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES))

@@ -24,16 +24,22 @@ def drive(system, n=1500, seed=3):
 
 
 def test_access_returns_outcome(small_config):
+    """``access`` returns the latency in ns and counts the request on the
+    path it took (here an XTA miss)."""
     system = Hybrid2System(small_config)
-    outcome = system.access(0, False, 0.0)
-    assert outcome.latency_ns > 0
-    assert outcome.path
+    latency = system.access(0, False, 0.0)
+    assert isinstance(latency, float) and latency > 0
+    assert system.requests == 1
+    assert system.dcmc.counters.get("xta.misses") == 1
 
 
 def test_addresses_wrap_to_flat_capacity(small_config):
     system = Hybrid2System(small_config)
-    outcome = system.access(system.flat_capacity_bytes + 64, False, 0.0)
-    assert outcome.latency_ns > 0
+    latency = system.access(system.flat_capacity_bytes + 64, False, 0.0)
+    assert latency > 0
+    # The wrapped address is line 0 of sector 0: now an XTA hit.
+    system.access(0, False, 100.0)
+    assert system.dcmc.counters.get("xta.hits") == 1
 
 
 def test_collect_stats_contains_design_counters(small_config):

@@ -108,8 +108,9 @@ def test_device_counts_traffic_and_energy(hbm):
     controller.access(4096, True, 0.0)
     device = controller.device
     assert device.reads == 1 and device.writes == 1
-    assert device.traffic.total_bytes == 128
-    assert device.energy.total_pj > 0
+    assert device.read_bytes == 64 and device.write_bytes == 64
+    assert device.total_bytes == controller.total_bytes == 128
+    assert device.energy_pj == controller.energy_pj > 0
 
 
 def test_channel_interleave_spreads_accesses(hbm):
@@ -146,8 +147,8 @@ def test_energy_model_accounting(hbm):
     controller.access(BANK0_ROW0, False, 0.0)       # activation + transfer
     controller.access(BANK0_ROW0, False, 100.0)     # row hit: transfer only
     line_pj = hbm.rw_energy_pj_per_bit * LINE_SIZE * 8
-    assert model.counter.rw_pj == 2 * line_pj
-    assert model.counter.act_pre_pj == model.act_pre_pj
+    assert controller.device.rw_energy_pj == 2 * line_pj
+    assert controller.device.act_pre_energy_pj == model.act_pre_pj
     assert controller.energy_pj == pytest.approx(2 * line_pj + model.act_pre_pj)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import DESIGN_FACTORIES
+from repro.baselines import DESIGN_FACTORIES, IdealCache
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement import LruPolicy
 from repro.core.nm_allocator import NMFramePool
@@ -195,10 +195,10 @@ def test_dram_device_time_and_energy_are_monotone(requests):
     for address, is_write in requests:
         latency = controller.access(address - address % 64, is_write, now)
         assert latency > MemoryController.CONTROLLER_OVERHEAD_NS
-        assert device.energy.total_pj >= last_energy
-        last_energy = device.energy.total_pj
+        assert device.energy_pj >= last_energy
+        last_energy = device.energy_pj
         now = max(now, now + latency - 10.0)
-    assert device.traffic.total_bytes == 64 * len(requests)
+    assert device.total_bytes == 64 * len(requests)
 
 
 #: One operation of a random controller schedule: a line access of one
@@ -235,16 +235,15 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
             controller.transfer_block(address - address % 64, nbytes,
                                       is_write, now, demand=demand)
     lines = device.reads + device.writes
-    assert device.traffic.read_bytes + device.traffic.write_bytes == \
-        lines * LINE_SIZE
+    assert device.read_bytes + device.write_bytes == lines * LINE_SIZE
     assert (controller.demand_bytes + controller.background_bytes
             + controller.metadata_bytes) == controller.total_bytes
-    counter = device.energy.counter
     line_rw_pj = device.energy.rw_pj_per_bit * LINE_SIZE * 8
     activations = sum(b.activations for c in device.channels
                       for b in c.banks)
-    assert counter.rw_pj == pytest.approx(lines * line_rw_pj, rel=1e-12)
-    assert counter.act_pre_pj == pytest.approx(
+    assert device.rw_energy_pj == pytest.approx(lines * line_rw_pj,
+                                                rel=1e-12)
+    assert device.act_pre_energy_pj == pytest.approx(
         activations * device.energy.act_pre_pj, rel=1e-12)
     hits = sum(b.row_hits for c in device.channels for b in c.banks)
     assert hits + activations == lines
@@ -330,9 +329,9 @@ def stepped_reference(system, traces, warmup_fraction, llc_cycles=14):
                                      for core in cores)
         core = cores[idx]
         core.execute(record.gap_instructions)
-        outcome = system.access(record.address, record.is_write,
+        latency = system.access(record.address, record.is_write,
                                 core.time_ns)
-        core.memory_miss(outcome.latency_ns, sram_latency_cycles=llc_cycles)
+        core.memory_miss(latency, sram_latency_cycles=llc_cycles)
     return (max((core.time_cycles for core in cores), default=0.0)
             - cycles_offset,
             sum(core.stats.instructions for core in cores)
@@ -342,6 +341,11 @@ def stepped_reference(system, traces, warmup_fraction, llc_cycles=14):
 
 
 SIM_CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
+#: Every catalog design, plus the 4 KB-line IDEAL cache: 64 blocks per
+#: line, so its touched-block bit only fits a Python int.
+SIM_FACTORIES = {**DESIGN_FACTORIES,
+                 "IDEAL-4096": lambda config: IdealCache(config,
+                                                         line_size=4096)}
 
 
 def random_trace(seed, n):
@@ -354,17 +358,19 @@ def random_trace(seed, n):
 
 
 def assert_simulate_matches_stepped(design, traces, warmup_fraction):
-    result = simulate(DESIGN_FACTORIES[design](SIM_CONFIG), traces,
+    """``simulate()`` feeds the design's step ndarray columns; the oracle
+    calls ``access`` with Python ints, one reference at a time."""
+    result = simulate(SIM_FACTORIES[design](SIM_CONFIG), traces,
                       warmup_fraction=warmup_fraction)
     cycles, instructions, references, stats = stepped_reference(
-        DESIGN_FACTORIES[design](SIM_CONFIG), traces, warmup_fraction)
+        SIM_FACTORIES[design](SIM_CONFIG), traces, warmup_fraction)
     assert result.cycles == cycles
     assert result.instructions == instructions
     assert result.references == references
     assert result.stats.as_dict() == stats
 
 
-@pytest.mark.parametrize("design", ["HYBRID2", "TAGLESS", "MPOD"])
+@pytest.mark.parametrize("design", list(SIM_FACTORIES))
 @pytest.mark.parametrize("lengths,warmup_fraction", [
     ((40, 17, 29), 0.25),       # unequal lengths: cores drain apart
     ((30, 0, 30), 0.25),        # one empty core trace
@@ -381,7 +387,7 @@ def test_simulate_matches_stepped_interval_cores(design, lengths,
 
 @given(lengths=st.lists(st.integers(0, 40), min_size=1, max_size=4),
        warmup_fraction=st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.9)),
-       design=st.sampled_from(("HYBRID2", "TAGLESS", "BASELINE")),
+       design=st.sampled_from(list(SIM_FACTORIES)),
        seed=st.integers(0, 1000))
 @settings(max_examples=25, deadline=None)
 def test_simulate_matches_stepped_on_random_schedules(lengths,
@@ -389,6 +395,28 @@ def test_simulate_matches_stepped_on_random_schedules(lengths,
                                                       design, seed):
     traces = [random_trace(seed + i, n) for i, n in enumerate(lengths)]
     assert_simulate_matches_stepped(design, traces, warmup_fraction)
+
+
+@given(design=st.sampled_from(list(SIM_FACTORIES)),
+       refs=st.lists(st.tuples(st.integers(0, (1 << 34) // LINE_SIZE),
+                               st.booleans(), st.floats(0.0, 400.0)),
+                     max_size=80),
+       reset_at=st.integers(0, 80))
+@settings(max_examples=40, deadline=None)
+def test_request_counters_are_bounded_by_requests(design, refs, reset_at):
+    """Requests served from NM and write requests are subsets of all
+    requests, before and after a measurement reset."""
+    system = SIM_FACTORIES[design](SIM_CONFIG)
+    now = 0.0
+    for n, (line, is_write, gap) in enumerate(refs):
+        if n == reset_at:
+            system.reset_measurement()
+        now += gap
+        system.access(line * LINE_SIZE, is_write, now)
+        assert 0 <= system.requests_from_nm <= system.requests
+        assert 0 <= system.write_requests <= system.requests
+    assert system.requests == len(refs) - (reset_at if reset_at < len(refs)
+                                           else 0)
 
 
 def test_simulate_keeps_no_interval_core(monkeypatch):

@@ -49,10 +49,10 @@ def controller_state(controller: MemoryController) -> dict:
         "metadata_bytes": controller.metadata_bytes,
         "reads": device.reads,
         "writes": device.writes,
-        "read_bytes": device.traffic.read_bytes,
-        "write_bytes": device.traffic.write_bytes,
-        "rw_pj": device.energy.counter.rw_pj,
-        "act_pre_pj": device.energy.counter.act_pre_pj,
+        "read_bytes": device.read_bytes,
+        "write_bytes": device.write_bytes,
+        "rw_pj": device.rw_energy_pj,
+        "act_pre_pj": device.act_pre_energy_pj,
         "banks": [
             [bank.open_row, bank.ready_at_ns, bank.row_hits,
              bank.row_misses, bank.activations]
