@@ -1,12 +1,12 @@
-"""Engine throughput — refs/sec of the simulation fast path.
+"""Engine throughput — refs/sec of ``simulate()`` and of every design.
 
 Unlike the figure benches, this bench regenerates no paper result: it
 tracks the *simulator's own* performance trajectory.  The definition
 lives in the shared registry (:mod:`repro.report.benches`); this driver
 additionally writes the raw payload to
-``benchmarks/results/BENCH_engine.json`` and gates against the checked-in
-baseline (the CI perf-smoke lane uploads the report and compares speedup
-ratios).
+``benchmarks/results/BENCH_engine.json`` and gates its ratios against the
+checked-in baseline: engine rates over a pure-Python calibration loop,
+each design's rate over the fixed-latency NULL memory system's.
 
 Environment knobs: ``REPRO_BENCH_PERF_REFS`` (default 40000) and
 ``REPRO_BENCH_PERF_REPEAT`` (default 2) bound the measurement cost.
@@ -29,10 +29,10 @@ def test_engine_fast_path_speedup(benchmark, report_ctx):
     perfbench.write_report(result.raw,
                            str(RESULTS_DIR / "BENCH_engine.json"))
 
-    # The columnar engine's contract (>=5x fast path, much faster
-    # generator) is enforced by the spec's check; below ~20k refs the
-    # fixed setup stops amortising and the check only records the
-    # trajectory.
+    # The spec's check holds on any host (no design outruns NULL, the
+    # generator outruns the simulation); the ratios are gated against the
+    # baseline.  Below ~20k refs the fixed setup stops amortising and both
+    # only record the trajectory.
     BENCH.check(result)
     if result.raw["refs"] >= 20_000:
         baseline_path = RESULTS_DIR / "BENCH_engine_baseline.json"

@@ -10,9 +10,10 @@ Subcommands:
       python -m repro sweep --designs HYBRID2 DFC --workloads mcf lbm \
           --workers 4 --out results.json
 
-* ``bench`` — measure engine throughput (refs/sec) against the preserved
-  seed engine and write/update ``BENCH_engine.json``; optionally gate on a
-  stored baseline::
+* ``bench`` — measure engine throughput (refs/sec of ``simulate()`` on
+  the NULL memory system, of the trace generator and of every design) and
+  write/update ``BENCH_engine.json``; optionally gate the in-process
+  ratios on a stored baseline::
 
       python -m repro bench --out BENCH_engine.json \
           --baseline benchmarks/results/BENCH_engine_baseline.json
@@ -223,8 +224,9 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
                    help="references per measurement (default 60000)")
     p.add_argument("--workload", default="mcf",
                    help="catalog workload to drive (default mcf)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="repetitions, best-of (default 3)")
+    p.add_argument("--repeat", type=int, default=5,
+                   help="measurement rounds: rates are the best round, "
+                        "gated ratios the median (default 5)")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--designs", nargs="+", default=None,
                        help="design labels for the per-design trajectory "
@@ -241,10 +243,12 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the benchmark report JSON here")
     p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="compare speedup ratios against this stored report "
-                        "and fail on regression")
+                   help="compare the ratios (engine rates over a "
+                        "calibration loop, design rates over the NULL "
+                        "system) against this stored report and fail on "
+                        "regression")
     p.add_argument("--max-regression", type=float, default=0.30,
-                   help="allowed fractional speedup regression vs the "
+                   help="allowed fractional drop of each ratio vs the "
                         "baseline (default 0.30)")
     p.add_argument("--update-baseline", action="store_true",
                    help="write this run's payload to --baseline instead of "
@@ -282,8 +286,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     if args.baseline:
         baseline = perfbench.load_report(args.baseline)
-        # The gated speedup ratio is interpreter-sensitive (numpy-bound
-        # optimized path vs pure-Python seed path), so flag runtime skew
+        # The gated ratios are interpreter-sensitive (numpy-bound work
+        # over a pure-Python calibration loop), so flag runtime skew
         # between this run and the stored baseline before judging it.
         skew = {key: (value, payload["environment"].get(key))
                 for key, value in baseline.get("environment", {}).items()

@@ -611,60 +611,66 @@ def run_perf(ctx: ReportContext) -> BenchResult:
                                       repeat=ctx.perf_repeat)
     fast, gen = payload["fast_path"], payload["generator"]
     summary_rows = [
-        ["simulate() fast path", round(fast["refs_per_sec"]),
-         round(fast["seed_refs_per_sec"]), round(fast["speedup"], 2)],
+        ["calibration loop", round(payload["calibration"]["ops_per_sec"]),
+         None],
+        ["simulate() on NULL", round(fast["refs_per_sec"]),
+         round(fast["ratio"], 3)],
         ["trace generator", round(gen["records_per_sec"]),
-         round(gen["seed_records_per_sec"]), round(gen["speedup"], 2)],
+         round(gen["ratio"], 3)],
     ]
     small = payload.get("fast_path_small")
     if small:
         summary_rows.append(
-            [f"fast path ({payload['small_refs']} refs)",
-             round(small["refs_per_sec"]), round(small["seed_refs_per_sec"]),
-             round(small["speedup"], 2)])
+            [f"simulate() on NULL ({payload['small_refs']} refs)",
+             round(small["refs_per_sec"]), round(small["ratio"], 3)])
     summary_table = Table(
         title=f"Engine throughput ({payload['refs']} refs, workload "
-              f"{payload['workload']}, best of {payload['repeat']})",
-        columns=["path", "current /s", "seed engine /s", "speedup"],
+              f"{payload['workload']}, {payload['repeat']} rounds)",
+        columns=["path", "rate /s", "per calibration op"],
         rows=summary_rows,
         slug="engine")
     design_table = Table(
-        title="Per-design refs/sec: batch fast path vs seed engine "
-              "(rates machine-dependent, speedups gated)",
-        columns=["design", "refs/s", "seed refs/s", "speedup"],
-        rows=[[label, round(rate["refs_per_sec"]),
-               round(rate["seed_refs_per_sec"]), round(rate["speedup"], 2)]
+        title="Per-design refs/sec as a share of the NULL system's "
+              "(rates machine-dependent, shares gated)",
+        columns=["design", "share of NULL", "refs/s"],
+        rows=[[label, round(rate["ratio"], 3), round(rate["refs_per_sec"])]
               for label, rate in payload["designs"].items()],
-        slug="designs", chart="bar", y_label="refs/s")
+        slug="designs", chart="bar", y_label="share of NULL refs/s")
     return BenchResult(name="perf", tables=[summary_table, design_table],
                        raw=payload)
 
 
 def check_perf(result: BenchResult) -> None:
     payload = result.raw
-    # Below ~20k refs the engine's fixed setup stops amortising, so reduced
-    # smoke runs only record the trajectory without gating on it.
+    # The ratios are gated against the checked-in baseline
+    # (perfbench.compare_to_baseline); what is checked here holds on any
+    # host.  Below ~20k refs the engine's fixed setup stops amortising, so
+    # reduced smoke runs only record the trajectory.
     if payload["refs"] >= 20_000:
-        assert payload["fast_path"]["speedup"] >= 3.5
-        assert payload["generator"]["speedup"] >= 5.0
+        fast, gen = payload["fast_path"], payload["generator"]
+        assert gen["records_per_sec"] > fast["refs_per_sec"], (
+            "generating a trace is slower than simulating it")
         for label, rate in payload.get("designs", {}).items():
-            assert rate["speedup"] >= 1.5, (
-                f"{label} fast path too close to the seed engine: "
-                f"{rate['speedup']:.2f}x")
+            assert rate["ratio"] < 1.0, (
+                f"{label} outran the fixed-latency NULL system "
+                f"({rate['ratio']:.2f}x its refs/sec)")
 
 
 register(BenchSpec(
     name="perf", slug="perf_engine",
     title="Simulation-engine throughput (refs/sec trajectory)",
     paper_ref="(repo artifact — not a paper figure)",
-    description="Refs/sec of the columnar simulate() fast path and the "
-                "vectorized trace generator against the preserved seed "
-                "engine, plus end-to-end rates for every catalog design.",
+    description="Refs/sec of simulate() on the fixed-latency NULL memory "
+                "system and of the vectorized trace generator, each over "
+                "the rate of a fixed pure-Python calibration loop, plus "
+                "every catalog design's refs/sec as a share of the NULL "
+                "system's on the same trace.",
     run=run_perf, check=check_perf, uses_sweep=False,
-    landmarks="The columnar engine's contract: at least ~5x refs/sec on "
-              "the fast path and a much faster generator than the seed "
-              "per-record engine (raw rates are machine-dependent; the "
-              "speedup ratios are what CI gates on).",
+    landmarks="A design's share of the NULL system's refs/sec is the "
+              "engine floor it keeps: every design is slower than NULL, "
+              "and the share falls when its step or DRAM kernels get "
+              "slower.  The generator outruns the simulation it feeds.  "
+              "Raw rates are machine-dependent; CI gates the ratios.",
 ))
 
 

@@ -1,27 +1,34 @@
-"""Engine performance benchmark: refs/sec of the simulation fast path.
+"""Engine performance benchmark: refs/sec of ``simulate()`` and each design.
 
 The paper's design-space sweeps are throughput-bound on
 :func:`~repro.sim.simulator.simulate`; this module measures that throughput
-and tracks it over time in ``BENCH_engine.json`` so perf regressions are
-caught like correctness regressions.  Four sections are measured:
+and tracks it in ``BENCH_engine.json``, so perf regressions are caught like
+correctness regressions.  Raw rates depend on the host; every gated number
+is a ratio of two rates measured in the same process:
 
-* **fast path** — ``simulate()`` end to end (trace generation + columnar
-  driver + interval-core model) against a fixed-latency
-  :class:`NullMemorySystem`, isolating the engine from any one design's
-  model cost.  The same measurement through the preserved seed engine
-  (:mod:`repro.sim.legacy`) yields the tracked ``speedup`` ratio, which is
-  machine-independent (both engines run on the same interpreter in the same
-  process) and is what the CI regression gate compares.
+* **fast path** — ``simulate()`` end to end (trace generation, schedule
+  flattening, the driver loop) on the fixed-latency
+  :class:`NullMemorySystem`, divided by the rate of a fixed pure-Python
+  calibration loop.  It falls when the engine gets slower and the
+  interpreter does not.
+* **fast path (small)** — the same at a small reference count (default
+  2000), where a fixed per-run cost would stop amortizing.
 * **generator** — :func:`~repro.workloads.synthetic.generate_trace` alone,
-  vectorized vs the seed per-record loop.
-* **designs** — end-to-end refs/sec of each catalog design through its
-  batch fast path vs the same design through the preserved seed engine.
-  The raw refs/sec trajectory is machine-dependent (reported, not gated);
-  the per-design ``speedup`` ratio is measured in-process and gated by the
-  CI perf matrix, one design per job.
-* **fast path (small)** — the fast-path measurement again at a small
-  reference count (default 2000), pinning the short-trace regime where
-  column-materialization overhead must stay amortized.
+  divided by the calibration rate.
+* **designs** — each catalog design's refs/sec through ``simulate()``
+  divided by the null system's refs/sec on the same workload and
+  reference count: the share of the engine floor a design keeps.  Only
+  the design's own step and DRAM kernels separate the two, so the ratio
+  falls when they get slower.
+
+Each ratio is timed as a pair, denominator then numerator back to back
+with the garbage collector off, and every pair runs once per round for
+``repeat`` rounds.  The gated ratio is the median over the rounds of the
+pair's ratio; the reported rates are the best of each piece.  On a
+shared host the interpreter's speed drifts by up to 2.5x within seconds;
+two back-to-back timings share most of that drift, so the median of
+paired ratios moves far less between runs than a ratio of two best
+times taken seconds apart.
 
 Run it with ``python -m repro bench`` (see the CLI) or via
 ``benchmarks/bench_perf_engine.py``.  ``python -m repro bench
@@ -31,10 +38,12 @@ intentional perf change.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
+import statistics
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,23 +51,42 @@ from ..baselines import DESIGN_FACTORIES
 from ..baselines.base import MemorySystem
 from ..params import SystemConfig, make_config
 from ..workloads.catalog import get_workload
-from . import legacy
 from .simulator import simulate
 from ..workloads import synthetic
 
-#: Bump when the report layout changes.  Schema 2 turned each ``designs``
-#: value from a bare refs/sec float into a ``{refs_per_sec,
-#: seed_refs_per_sec, speedup}`` dict and added the ``fast_path_small``
-#: section; :func:`compare_to_baseline` still reads schema-1 baselines.
-BENCH_SCHEMA = 2
+#: Bump when the report layout changes.  Schema 3 gates a ``ratio`` in
+#: every section: engine rates over the calibration loop, design rates
+#: over the null system.  :func:`compare_to_baseline` refuses a baseline
+#: of any other schema.
+BENCH_SCHEMA = 3
 
 #: Reference count of the ``fast_path_small`` section: small enough that a
 #: fixed per-run overhead (column materialization, kernel compilation)
 #: would dominate if it ever stopped amortizing.
 SMALL_REFS = 2_000
 
+#: Iterations of :func:`_calibration_loop`, the unit of its rate.
+CALIBRATION_OPS = 100_000
+
+#: Sections whose ratio is over the calibration rate.
+ENGINE_SECTIONS = ("fast_path", "fast_path_small", "generator")
+
 #: Default location of the tracked report, relative to the working dir.
 DEFAULT_REPORT = "BENCH_engine.json"
+
+
+def _calibration_loop() -> float:
+    """Fixed interpreter work that touches nothing in the package: dict
+    updates, float arithmetic and list appends, like the driver loop."""
+    table: Dict[int, int] = {}
+    total, kept = 0.0, []
+    for i in range(CALIBRATION_OPS):
+        k = i & 1023
+        table[k] = table.get(k, 0) + 1
+        total += (i * 0.5) / (k + 1)
+        if i % 7 == 0:
+            kept.append(i)
+    return total + len(kept)
 
 
 class NullMemorySystem(MemorySystem):
@@ -98,72 +126,47 @@ class NullMemorySystem(MemorySystem):
                 + self.config.far.capacity_bytes)
 
 
-def _rate(fn: Callable[[], object], units: int, repeat: int) -> float:
-    """Best-of-``repeat`` throughput of ``fn`` in ``units`` per second."""
-    best = float("inf")
-    for _ in range(max(1, repeat)):
+#: A timed piece: the call, and the units (refs, records, ops) it does.
+Timed = Tuple[Callable[[], object], int]
+
+
+def _seconds(fn: Callable[[], object]) -> float:
+    """Wall time of one call with the collector off, as :mod:`timeit`
+    does: a collection falling inside one timing would charge that piece
+    for garbage another piece made."""
+    gc.collect()
+    gc.disable()
+    try:
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return units / best if best > 0 else float("inf")
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
-def measure_fast_path(config: SystemConfig, workload: str, refs: int,
-                      repeat: int) -> Dict[str, float]:
-    """refs/sec of ``simulate()`` on the null system: optimized vs seed."""
-    spec = get_workload(workload)
-    new_rate = _rate(lambda: simulate(NullMemorySystem(config), spec,
-                                      num_references=refs, seed=1),
-                     refs, repeat)
-    seed_rate = _rate(lambda: legacy.simulate_reference(
-        NullMemorySystem(config), spec, num_references=refs, seed=1),
-        refs, repeat)
-    return {"refs_per_sec": new_rate, "seed_refs_per_sec": seed_rate,
-            "speedup": new_rate / seed_rate}
-
-
-def measure_generator(workload: str, refs: int,
-                      repeat: int) -> Dict[str, float]:
-    """records/sec of trace generation: vectorized vs seed loop."""
-    spec = get_workload(workload)
-    new_rate = _rate(lambda: synthetic.generate_trace(spec, refs, seed=1),
-                     refs, repeat)
-    seed_rate = _rate(lambda: legacy.generate_trace_reference(
-        spec, refs, seed=1), refs, repeat)
-    return {"records_per_sec": new_rate, "seed_records_per_sec": seed_rate,
-            "speedup": new_rate / seed_rate}
-
-
-def measure_designs(config: SystemConfig, designs: Sequence[str],
-                    workload: str, refs: int,
-                    repeat: int) -> Dict[str, Dict[str, float]]:
-    """Per-design refs/sec through the batch fast path vs the seed engine.
-
-    Both rates run the *same* design model in the same process, so their
-    ratio isolates the engine (columnar driver + vectorized kernels vs the
-    per-record loop) and is stable across machines — it is what the CI
-    per-design matrix gates.
-    """
-    spec = get_workload(workload)
-    rates: Dict[str, Dict[str, float]] = {}
-    for label in designs:
-        factory = DESIGN_FACTORIES[label.upper()]
-        new_rate = _rate(
-            lambda factory=factory: simulate(factory(config), spec,
-                                             num_references=refs, seed=1),
-            refs, repeat)
-        seed_rate = _rate(
-            lambda factory=factory: legacy.simulate_reference(
-                factory(config), spec, num_references=refs, seed=1),
-            refs, repeat)
-        rates[label.upper()] = {"refs_per_sec": new_rate,
-                                "seed_refs_per_sec": seed_rate,
-                                "speedup": new_rate / seed_rate}
-    return rates
+def _measure(pieces: Dict[str, Timed], pairs: Dict[str, Tuple[str, str]],
+             repeat: int) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Time every ``(denominator, numerator)`` pair of ``pieces`` back to
+    back, once per round for ``repeat`` rounds.  Returns the best rate of
+    each piece timed and the median over rounds of each pair's
+    numerator-over-denominator rate ratio."""
+    best: Dict[str, float] = {}
+    ratios: Dict[str, List[float]] = {name: [] for name in pairs}
+    for _ in range(max(1, repeat)):
+        for name, pair in pairs.items():
+            rates = []
+            for piece in pair:
+                fn, units = pieces[piece]
+                rate = units / max(_seconds(fn), 1e-9)
+                best[piece] = max(best.get(piece, 0.0), rate)
+                rates.append(rate)
+            ratios[name].append(rates[1] / rates[0])
+    return best, {name: statistics.median(values)
+                  for name, values in ratios.items()}
 
 
 def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
-                  repeat: int = 3,
+                  repeat: int = 5,
                   designs: Optional[Sequence[str]] = None,
                   config: Optional[SystemConfig] = None,
                   engine: bool = True,
@@ -176,8 +179,31 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
     default measures everything.
     """
     config = config or make_config(nm_gb=1, fm_gb=16, scale=256)
-    if designs is None:
-        designs = list(DESIGN_FACTORIES)
+    labels = [label.upper() for label in (
+        DESIGN_FACTORIES if designs is None else designs)]
+    spec = get_workload(workload)
+
+    def run(factory, n: int) -> Timed:
+        return (lambda: simulate(factory(config), spec, num_references=n,
+                                 seed=1), n)
+
+    pieces: Dict[str, Timed] = {
+        "calibration": (_calibration_loop, CALIBRATION_OPS),
+        "null": run(NullMemorySystem, refs),
+        "null_small": run(NullMemorySystem, small_refs),
+        "generator": (lambda: synthetic.generate_trace(spec, refs, seed=1),
+                      refs),
+        **{label: run(DESIGN_FACTORIES[label], refs) for label in labels},
+    }
+    pairs: Dict[str, Tuple[str, str]] = {}
+    if engine:
+        pairs["fast_path"] = ("calibration", "null")
+        if 0 < small_refs < refs:
+            pairs["fast_path_small"] = ("calibration", "null_small")
+        pairs["generator"] = ("calibration", "generator")
+    pairs.update((label, ("null", label)) for label in labels)
+    rates, ratios = _measure(pieces, pairs, repeat)
+
     payload = {
         "schema": BENCH_SCHEMA,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -192,16 +218,20 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
         },
     }
     if engine:
-        payload["fast_path"] = measure_fast_path(config, workload, refs,
-                                                 repeat)
-        payload["generator"] = measure_generator(workload, refs, repeat)
-        if 0 < small_refs < refs:
+        payload["calibration"] = {"ops_per_sec": rates["calibration"]}
+        payload["fast_path"] = {"refs_per_sec": rates["null"],
+                                "ratio": ratios["fast_path"]}
+        payload["generator"] = {"records_per_sec": rates["generator"],
+                                "ratio": ratios["generator"]}
+        if "fast_path_small" in ratios:
             payload["small_refs"] = small_refs
-            payload["fast_path_small"] = measure_fast_path(
-                config, workload, small_refs, repeat)
-    if designs:
-        payload["designs"] = measure_designs(config, designs, workload,
-                                             refs, repeat)
+            payload["fast_path_small"] = {"refs_per_sec": rates["null_small"],
+                                          "ratio": ratios["fast_path_small"]}
+    if labels:
+        payload["null"] = {"refs_per_sec": rates["null"]}
+        payload["designs"] = {label: {"refs_per_sec": rates[label],
+                                      "ratio": ratios[label]}
+                              for label in labels}
     return payload
 
 
@@ -209,35 +239,30 @@ def render_report(payload: dict) -> str:
     """Human-readable rendering of a benchmark payload."""
     lines = [
         f"engine benchmark ({payload['refs']} refs, workload "
-        f"{payload['workload']}, best of {payload['repeat']})",
+        f"{payload['workload']}, {payload['repeat']} rounds)",
     ]
-    fast = payload.get("fast_path")
-    if fast:
-        lines.append(
-            f"  fast path  {fast['refs_per_sec']:>12,.0f} refs/s   "
-            f"(seed {fast['seed_refs_per_sec']:,.0f}, "
-            f"speedup {fast['speedup']:.2f}x)")
-    gen = payload.get("generator")
-    if gen:
-        lines.append(
-            f"  generator  {gen['records_per_sec']:>12,.0f} recs/s   "
-            f"(seed {gen['seed_records_per_sec']:,.0f}, "
-            f"speedup {gen['speedup']:.2f}x)")
-    small = payload.get("fast_path_small")
-    if small:
-        lines.append(
-            f"  fast path  {small['refs_per_sec']:>12,.0f} refs/s   "
-            f"(seed {small['seed_refs_per_sec']:,.0f}, "
-            f"speedup {small['speedup']:.2f}x)  "
-            f"[{payload.get('small_refs', SMALL_REFS)} refs]")
-    for label, rate in payload.get("designs", {}).items():
-        if isinstance(rate, dict):           # schema >= 2
-            lines.append(
-                f"  {label:<10s} {rate['refs_per_sec']:>12,.0f} refs/s   "
-                f"(seed {rate['seed_refs_per_sec']:,.0f}, "
-                f"speedup {rate['speedup']:.2f}x)")
-        else:                                # schema 1 payloads
-            lines.append(f"  {label:<10s} {rate:>12,.0f} refs/s")
+
+    def row(name: str, rate: float, unit: str, note: str = "") -> None:
+        lines.append(f"  {name:<11s} {rate:>12,.0f} {unit:<6s}  {note}"
+                     .rstrip())
+
+    if "calibration" in payload:
+        row("calibration", payload["calibration"]["ops_per_sec"], "ops/s")
+    for name, section, key, unit in (
+            ("fast path", "fast_path", "refs_per_sec", "refs/s"),
+            ("generator", "generator", "records_per_sec", "recs/s"),
+            ("fast path", "fast_path_small", "refs_per_sec", "refs/s")):
+        if section in payload:
+            entry = payload[section]
+            note = f"({entry['ratio']:.3f} per calibration op)"
+            if section == "fast_path_small":
+                note += f"  [{payload['small_refs']} refs]"
+            row(name, entry[key], unit, note)
+    if "designs" in payload:
+        row("NULL", payload["null"]["refs_per_sec"], "refs/s")
+    for label, entry in payload.get("designs", {}).items():
+        row(label, entry["refs_per_sec"], "refs/s",
+            f"({entry['ratio']:.3f} of NULL)")
     return "\n".join(lines)
 
 
@@ -245,35 +270,31 @@ def compare_to_baseline(payload: dict, baseline: dict,
                         max_regression: float = 0.30) -> List[str]:
     """Regression check against a stored baseline payload.
 
-    Raw refs/sec varies with the host machine, so the gate compares the
-    *speedup ratios* (optimized vs seed engine, measured in the same
-    process), which are stable across hardware.  Returns a list of failure
-    messages; empty means no regression beyond ``max_regression``.
+    Raw refs/sec varies with the host, so the gate compares each section's
+    ``ratio`` (see the module docstring), measured in one process.  A
+    baseline of another schema, or one missing a section the payload
+    measured, fails: a gate that skips what it cannot compare would pass
+    vacuously.  Returns a list of failure messages; empty means no ratio
+    fell by more than ``max_regression``.
     """
-    failures = []
+    if baseline.get("schema") != BENCH_SCHEMA:
+        return [f"baseline schema {baseline.get('schema')!r} is not the "
+                f"current schema {BENCH_SCHEMA}; regenerate it with "
+                f"--update-baseline"]
     floor = 1.0 - max_regression
-
-    def check(label: str, current, base) -> None:
-        if base is None or current is None:
-            return
-        if current < base * floor:
+    gated = [(section, payload[section], baseline.get(section))
+             for section in ENGINE_SECTIONS if section in payload]
+    gated += [(f"design {label}", entry,
+               baseline.get("designs", {}).get(label))
+              for label, entry in payload.get("designs", {}).items()]
+    failures = []
+    for label, entry, base in gated:
+        if base is None:
+            failures.append(f"{label} is missing from the baseline")
+        elif entry["ratio"] < base["ratio"] * floor:
             failures.append(
-                f"{label} speedup regressed: {current:.2f}x vs baseline "
-                f"{base:.2f}x (floor {base * floor:.2f}x)")
-
-    for section in ("fast_path", "fast_path_small", "generator"):
-        check(section,
-              payload.get(section, {}).get("speedup"),
-              baseline.get(section, {}).get("speedup"))
-    base_designs = baseline.get("designs", {})
-    for label, rate in payload.get("designs", {}).items():
-        base_rate = base_designs.get(label)
-        if not isinstance(rate, dict) or not isinstance(base_rate, dict):
-            # Schema-1 payloads stored bare refs/sec floats, which are
-            # machine-dependent — never gate on those.
-            continue
-        check(f"design {label}", rate.get("speedup"),
-              base_rate.get("speedup"))
+                f"{label} ratio regressed: {entry['ratio']:.3f} vs baseline "
+                f"{base['ratio']:.3f} (floor {base['ratio'] * floor:.3f})")
     return failures
 
 

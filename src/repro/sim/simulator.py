@@ -146,7 +146,8 @@ def simulate(system: MemorySystem,
     expressions, in the order, that :meth:`IntervalCore.execute` and
     :meth:`IntervalCore.memory_miss` evaluate, so the counters stay
     bit-identical to stepping an :class:`IntervalCore` per reference
-    (``tests/test_engine_equivalence.py`` pins them).  The per-core
+    (``tests/engine_oracle.py`` does; the engine tests compare the two and
+    pin the counters to frozen goldens).  The per-core
     :class:`~repro.cpu.core.CoreStats` breakdown (compute, SRAM and stall
     cycles) is not filled; :class:`Simulator` still fills it.
     """

@@ -26,10 +26,11 @@ and the MPKI controls memory intensity.
 Generation is fully vectorized: the region/visit/line expansion is numpy
 array arithmetic feeding :meth:`Trace.from_columns` directly, with no
 per-record Python loop or record allocation.  The record stream is
-bit-identical to the seed per-record generator (kept as
-:func:`repro.sim.legacy.generate_trace_reference` and pinned by the
-equivalence tests), because the RNG draw order is part of the trace
-definition.
+bit-identical to the seed per-record generator it replaced, because the
+RNG draw order is part of the trace definition: the frozen golden
+``tests/data/golden/engine_traces.json`` holds the SHA-256 of every
+column the seed generator produced for a set of cases, and
+``tests/test_engine_equivalence.py`` recomputes them.
 """
 
 from __future__ import annotations

@@ -1,17 +1,21 @@
 """Golden-metrics equivalence of the simulation engine.
 
-Two references pin every :class:`~repro.sim.simulator.RunResult` counter
-of :func:`~repro.sim.simulator.simulate`, bit for bit:
+Every :class:`~repro.sim.simulator.RunResult` counter of
+:func:`~repro.sim.simulator.simulate` is pinned bit for bit, against
+frozen goldens and a stepped oracle rather than a second live engine:
 
-* the frozen golden ``tests/data/golden/engine_matrix.json`` — every
-  design in the sweep catalog on ``mcf``, ``cg.D``, ``omnetpp`` and
-  ``lbm`` at two trace seeds, recorded before the driver kept only the
-  latency-dependent update per reference, and regenerated only on
-  purpose with ``tools/make_engine_golden.py``;
-* the preserved seed engine :mod:`repro.sim.legacy` (per-record
-  generator and driver), for the generator and the scheduler edge cases.
-  It runs on the same DRAM kernels and design code as ``simulate()``, so
-  it sees only driver and generator changes; the golden sees everything.
+* ``tests/data/golden/engine_matrix.json`` — every design in the sweep
+  catalog on ``mcf``, ``cg.D``, ``omnetpp`` and ``lbm`` at two trace
+  seeds, plus the report benches' extra configurations;
+* ``tests/data/golden/engine_traces.json`` — the SHA-256 of every trace
+  column the generator produced for a set of cases, recorded while the
+  seed per-record generator still ran beside it and agreed;
+* the stepped :class:`~repro.cpu.core.IntervalCore` oracle in
+  ``tests/engine_oracle.py``, for realistic multi-core schedules and the
+  scheduler edge cases (no warm-up, cores draining apart, one trace).
+
+Both goldens are regenerated only on purpose, with
+``tools/make_engine_golden.py``.
 """
 
 import json
@@ -21,12 +25,14 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import DESIGN_FACTORIES
+from repro.cpu.trace import Trace
 from repro.params import make_config
-from repro.sim import legacy
 from repro.sim.simulator import simulate
 from repro.workloads.catalog import WORKLOADS, get_workload
-from repro.workloads.synthetic import (WorkloadSpec, generate_multiprogrammed,
+from repro.workloads.synthetic import (generate_multiprogrammed,
                                        generate_trace, stream_pattern)
+
+from engine_oracle import stepped_reference
 
 CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
 REFS = 2500
@@ -40,8 +46,9 @@ GOLDEN_SEEDS = (2, 11)
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE_TOOL = runpy.run_path(str(ROOT / "tools" / "make_engine_golden.py"))
-ENGINE_GOLDEN = json.loads((ROOT / "tests" / "data" / "golden"
-                            / "engine_matrix.json").read_text())
+GOLDEN_DIR = ROOT / "tests" / "data" / "golden"
+ENGINE_GOLDEN = json.loads((GOLDEN_DIR / "engine_matrix.json").read_text())
+TRACE_GOLDEN = json.loads((GOLDEN_DIR / "engine_traces.json").read_text())
 #: Golden cell name (``design/workload/seed``) -> ``(design, workload, seed)``.
 ENGINE_CELLS = {name: cell for name, *cell in ENGINE_TOOL["cells"]()}
 
@@ -53,31 +60,46 @@ def assert_identical(result, reference):
             f"counter {key!r} diverged: {left[key]!r} != {right[key]!r}")
 
 
+def assert_generator_golden(case):
+    assert ENGINE_TOOL["generator_case"](case) == \
+        TRACE_GOLDEN["generator"][case]
+
+
 # ---------------------------------------------------------------------------
-# generator equivalence
+# generator equivalence: the column digests the seed generator produced
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", [w.name for w in WORKLOADS[:6]])
 def test_generate_trace_matches_seed_generator(name):
-    spec = get_workload(name)
-    new = generate_trace(spec, 700, seed=5, core_id=3, base_address=1 << 22)
-    ref = legacy.generate_trace_reference(spec, 700, seed=5, core_id=3,
-                                          base_address=1 << 22)
-    assert list(new) == list(ref)
+    assert_generator_golden(name)
 
 
 def test_generate_trace_matches_seed_generator_streaming():
-    spec = WorkloadSpec(name="stream", suite="SPEC", mpki_class="high",
-                        mpki=30.0, footprint_gb=4.0, streaming=True)
-    assert list(generate_trace(spec, 600, seed=2)) == \
-        list(legacy.generate_trace_reference(spec, 600, seed=2))
+    assert_generator_golden("stream")
 
 
 def test_generate_multiprogrammed_matches_seed_generator():
-    spec = get_workload("mcf")
-    news = generate_multiprogrammed(spec, 200, num_cores=4, seed=3)
-    refs = legacy.generate_multiprogrammed_reference(spec, 200, num_cores=4,
-                                                     seed=3)
-    assert [list(t) for t in news] == [list(t) for t in refs]
+    assert_generator_golden("multiprogrammed/mcf")
+
+
+def test_trace_golden_covers_the_generator_cases():
+    assert list(TRACE_GOLDEN["generator"]) == \
+        list(ENGINE_TOOL["GENERATOR_CASES"])
+    assert [w.name for w in WORKLOADS[:6]] == \
+        list(TRACE_GOLDEN["generator"])[:6]
+
+
+def test_trace_digest_sees_every_column():
+    trace = generate_trace(get_workload("mcf"), 50, seed=1)
+    columns = {column: getattr(trace, column).copy()
+               for column in ("gaps", "addresses", "is_write", "core_ids")}
+    digest = ENGINE_TOOL["trace_digest"](trace)
+    for column, values in columns.items():
+        moved = dict(columns)
+        moved[column] = values.copy()
+        moved[column][7] ^= 1
+        changed = ENGINE_TOOL["trace_digest"](Trace.from_columns(**moved))
+        assert [key for key in digest if changed[key] != digest[key]] == \
+            [column]
 
 
 # ---------------------------------------------------------------------------
@@ -97,48 +119,56 @@ def test_run_result_matches_engine_golden(name):
 
 
 # ---------------------------------------------------------------------------
-# full-engine equivalence, every design in the sweep catalog, over a
-# workloads x seeds matrix (the design fast paths must be bit-identical to
-# the seed per-record engine on every one of them)
+# simulate() == the stepped oracle, every design in the sweep catalog, over
+# a workloads x seeds matrix of generated multi-core traces
 # ---------------------------------------------------------------------------
+def assert_matches_stepped(factory, workload, traces, **kwargs):
+    """``simulate()`` on ``workload`` against the oracle on ``traces``,
+    the traces ``simulate()`` drives for it."""
+    result = simulate(factory(CONFIG), workload, **kwargs)
+    reference = stepped_reference(
+        factory(CONFIG), traces, name=result.workload,
+        warmup_fraction=kwargs.get("warmup_fraction", 0.25))
+    assert_identical(result, reference)
+
+
+def catalog_traces(factory, workload, refs, seed):
+    """The per-core traces ``simulate()`` generates for a catalog
+    workload."""
+    cores = CONFIG.cores.num_cores
+    return generate_multiprogrammed(
+        get_workload(workload), refs // cores, num_cores=cores,
+        scale=CONFIG.scale, seed=seed,
+        address_limit=factory(CONFIG).flat_capacity_bytes)
+
+
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
 @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
 @pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES))
 def test_run_result_counters_identical(design, workload, seed):
-    spec = get_workload(workload)
     factory = DESIGN_FACTORIES[design]
-    result = simulate(factory(CONFIG), spec, num_references=REFS, seed=seed)
-    reference = legacy.simulate_reference(factory(CONFIG), spec,
-                                          num_references=REFS, seed=seed)
-    assert_identical(result, reference)
+    assert_matches_stepped(factory, get_workload(workload),
+                           catalog_traces(factory, workload, REFS, seed),
+                           num_references=REFS, seed=seed)
 
 
 def test_equivalence_without_warmup():
-    spec = get_workload("mcf")
     factory = DESIGN_FACTORIES["HYBRID2"]
-    result = simulate(factory(CONFIG), spec, num_references=1500, seed=1,
-                      warmup_fraction=0.0)
-    reference = legacy.simulate_reference(factory(CONFIG), spec,
-                                          num_references=1500, seed=1,
-                                          warmup_fraction=0.0)
-    assert_identical(result, reference)
+    assert_matches_stepped(factory, get_workload("mcf"),
+                           catalog_traces(factory, "mcf", 1500, 1),
+                           num_references=1500, seed=1,
+                           warmup_fraction=0.0)
 
 
 def test_equivalence_with_unequal_core_traces():
-    """The flattened scheduler must reproduce the seed pass-based
-    round-robin when cores drain at different times."""
+    """The flattened scheduler must reproduce the pass-based round-robin
+    when cores drain at different times."""
     traces = [stream_pattern(101, start=0),
               stream_pattern(37, start=1 << 20),
               stream_pattern(0)]
-    factory = DESIGN_FACTORIES["TAGLESS"]
-    result = simulate(factory(CONFIG), traces, seed=1)
-    reference = legacy.simulate_reference(factory(CONFIG), traces, seed=1)
-    assert_identical(result, reference)
+    assert_matches_stepped(DESIGN_FACTORIES["TAGLESS"], traces, traces)
 
 
 def test_equivalence_single_trace():
     trace = generate_trace(get_workload("lbm"), 900, seed=4)
-    factory = DESIGN_FACTORIES["MPOD"]
-    assert_identical(
-        simulate(factory(CONFIG), trace, seed=1),
-        legacy.simulate_reference(factory(CONFIG), trace, seed=1))
+    assert_matches_stepped(DESIGN_FACTORIES["MPOD"], trace, [trace])

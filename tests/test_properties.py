@@ -27,6 +27,8 @@ from repro.sim import simulator
 from repro.sim.simulator import simulate
 from repro.stats import Stats
 
+from engine_oracle import stepped_reference
+
 DRAM_GOLDEN_TOOL = runpy.run_path(str(
     Path(__file__).resolve().parents[1] / "tools" / "make_dram_golden.py"))
 
@@ -310,36 +312,6 @@ def test_miss_columns_equal_the_live_outstanding_window(gaps, rob_size,
     assert overlap.tolist() == live_overlap
 
 
-def stepped_reference(system, traces, warmup_fraction, llc_cycles=14):
-    """``simulate()`` the slow way: one :class:`IntervalCore` per trace,
-    stepped per reference through ``system.access`` in pass-based
-    round-robin order, counters reset after the warm-up references."""
-    records = [list(trace) for trace in traces]
-    schedule = [(idx, recs[pos])
-                for pos in range(max(map(len, records), default=0))
-                for idx, recs in enumerate(records) if pos < len(recs)]
-    warmup = int(len(schedule) * max(0.0, min(0.9, warmup_fraction)))
-    cores = [IntervalCore(system.config.cores, i) for i in range(len(traces))]
-    cycles_offset, instruction_offset = 0.0, 0
-    for n, (idx, record) in enumerate(schedule):
-        if warmup and n == warmup:
-            system.reset_measurement()
-            cycles_offset = max(core.time_cycles for core in cores)
-            instruction_offset = sum(core.stats.instructions
-                                     for core in cores)
-        core = cores[idx]
-        core.execute(record.gap_instructions)
-        latency = system.access(record.address, record.is_write,
-                                core.time_ns)
-        core.memory_miss(latency, sram_latency_cycles=llc_cycles)
-    return (max((core.time_cycles for core in cores), default=0.0)
-            - cycles_offset,
-            sum(core.stats.instructions for core in cores)
-            - instruction_offset,
-            len(schedule) - warmup,
-            system.collect_stats().as_dict())
-
-
 SIM_CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
 #: Every catalog design, plus the 4 KB-line IDEAL cache: 64 blocks per
 #: line, so its touched-block bit only fits a Python int.
@@ -362,12 +334,9 @@ def assert_simulate_matches_stepped(design, traces, warmup_fraction):
     calls ``access`` with Python ints, one reference at a time."""
     result = simulate(SIM_FACTORIES[design](SIM_CONFIG), traces,
                       warmup_fraction=warmup_fraction)
-    cycles, instructions, references, stats = stepped_reference(
-        SIM_FACTORIES[design](SIM_CONFIG), traces, warmup_fraction)
-    assert result.cycles == cycles
-    assert result.instructions == instructions
-    assert result.references == references
-    assert result.stats.as_dict() == stats
+    reference = stepped_reference(SIM_FACTORIES[design](SIM_CONFIG), traces,
+                                  warmup_fraction)
+    assert result.as_dict() == reference.as_dict()
 
 
 @pytest.mark.parametrize("design", list(SIM_FACTORIES))
@@ -378,6 +347,7 @@ def assert_simulate_matches_stepped(design, traces, warmup_fraction):
     ((25, 25), 0.0),            # no warm-up
     ((0, 0), 0.25),             # zero records
     ((), 0.25),                 # no traces at all
+    ((33,), 0.25),              # one trace: the single-core schedule
 ])
 def test_simulate_matches_stepped_interval_cores(design, lengths,
                                                  warmup_fraction):

@@ -2,13 +2,17 @@
 the checked-in corpus, sweep/store integration, and spec round trips.
 
 The golden tests mirror ``test_engine_equivalence.py``: driving a
-:class:`TraceFileWorkload` through the columnar fast path must be
-bit-identical to the preserved seed engine in :mod:`repro.sim.legacy`,
-and the counters over the exact corpus bytes are pinned so a generator
-or parser change can never silently shift results.
+:class:`TraceFileWorkload` through ``simulate()`` must reproduce the
+``corpus`` cells of the frozen golden ``tests/data/golden/
+engine_traces.json``, recorded while the seed per-record engine still
+ran beside the columnar one and agreed with it.  The counters over the
+exact corpus bytes are pinned, so a parser or driver change can never
+silently shift results.
 """
 
+import json
 import pickle
+import runpy
 import shutil
 from pathlib import Path
 
@@ -16,7 +20,6 @@ import pytest
 
 from repro.baselines import DESIGN_FACTORIES
 from repro.params import make_config
-from repro.sim import legacy
 from repro.sim.runner import ExperimentRunner
 from repro.sim.simulator import simulate
 from repro.sim.store import ResultStore
@@ -28,6 +31,10 @@ from repro.workloads import (TraceFileWorkload, is_trace_token,
 CORPUS = Path(__file__).parent / "data" / "traces"
 CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
 REFS = 1200
+ENGINE_TOOL = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                                 / "tools" / "make_engine_golden.py"))
+CORPUS_GOLDEN = json.loads((Path(__file__).parent / "data" / "golden"
+                            / "engine_traces.json").read_text())["corpus"]
 
 
 @pytest.fixture
@@ -50,19 +57,24 @@ def assert_identical(result, reference):
 
 
 # ---------------------------------------------------------------------------
-# golden equivalence: fast path == seed engine over real trace files
+# golden equivalence: simulate() == the seed engine's counters over real
+# trace files
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("design", ["HYBRID2", "TAGLESS", "CHA"])
 @pytest.mark.parametrize("filename", ["stream8.tsv", "mixed4.csv"])
 def test_corpus_counters_identical_to_seed_engine(corpus_copy, design,
                                                   filename):
-    workload = TraceFileWorkload.from_path(corpus_copy / filename)
-    factory = DESIGN_FACTORIES[design]
-    result = simulate(factory(CONFIG), workload, num_references=REFS, seed=1)
-    reference = legacy.simulate_reference(factory(CONFIG), workload,
-                                          num_references=REFS, seed=1)
-    assert_identical(result, reference)
-    assert result.workload == workload.name
+    got = ENGINE_TOOL["run_corpus_cell"](design, corpus_copy / filename)
+    expected = CORPUS_GOLDEN[f"{design}/{filename}"]
+    assert ENGINE_TOOL["diff"](got, expected) == []
+    assert got == expected
+    assert got["workload"] == Path(filename).stem
+
+
+def test_corpus_golden_covers_the_cells():
+    assert list(CORPUS_GOLDEN) == [name for name, *_ in
+                                   ENGINE_TOOL["corpus_cells"]()]
+    assert ENGINE_TOOL["CORPUS_REFS"] == REFS
 
 
 def test_cached_and_parsed_loads_simulate_identically(corpus_copy):

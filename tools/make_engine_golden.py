@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Regenerate (or check) the frozen engine golden,
-tests/data/golden/engine_matrix.json.
+"""Regenerate (or check) the frozen engine goldens,
+tests/data/golden/engine_matrix.json and tests/data/golden/engine_traces.json.
 
 The golden holds :meth:`RunResult.as_dict` of every design in
 :data:`repro.baselines.DESIGN_FACTORIES` on ``mcf``, ``cg.D``, ``omnetpp``
@@ -18,37 +18,60 @@ ablations (:data:`repro.core.variants.BREAKDOWN_VARIANTS`, which reach
 modes), the IDEAL cache at 64 B and 4 KB lines (64 blocks per line) and
 DFC at 256 B lines.
 
-``tests/test_engine_equivalence.py`` runs :func:`repro.sim.simulator.simulate`
-on the same matrix and compares every counter with ``==``; floats
-round-trip exactly through JSON.  Regenerate the file only on purpose,
-when a model change is meant to move the counters.
+The sibling ``engine_traces.json`` pins the trace inputs, recorded
+while the seed per-record generator and driver still ran beside the
+columnar ones and agreed with them:
+
+* ``generator`` — the SHA-256 of the ``gaps``/``addresses``/``is_write``/
+  ``core_ids`` column bytes of every trace of each case: the first six
+  catalog workloads through ``generate_trace`` (700 references, seed 5,
+  core 3, based at 4 MB), a streaming spec (600 references, seed 2) and
+  ``generate_multiprogrammed`` on ``mcf`` (4 cores x 200, seed 3);
+* ``corpus`` — :meth:`RunResult.as_dict` of HYBRID2, TAGLESS and CHA on
+  the checked-in trace files ``stream8.tsv`` and ``mixed4.csv``
+  (1,200 references, seed 1).
+
+``tests/test_engine_equivalence.py`` and ``tests/test_trace_workload.py``
+recompute both files and compare every counter and digest with ``==``;
+floats round-trip exactly through JSON.  Regenerate the files only on
+purpose, when a model or generator change is meant to move them.
 
 Usage::
 
     PYTHONPATH=src python tools/make_engine_golden.py [--out PATH]
     PYTHONPATH=src python tools/make_engine_golden.py --check
 
-``--check`` recomputes the matrix and exits 1, naming every cell and
-counter that differs, instead of writing.
+``--check`` recomputes both files and exits 1, naming every cell,
+counter and trace case that differs, instead of writing.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
+
+import numpy as np
 
 from repro.baselines import (DESIGN_FACTORIES, DecoupledFusedCache,
                              IdealCache)
 from repro.core.variants import BREAKDOWN_VARIANTS
 from repro.params import make_config
 from repro.sim.simulator import simulate
-from repro.workloads.catalog import get_workload
+from repro.workloads.catalog import WORKLOADS as CATALOG, get_workload
+from repro.workloads.synthetic import (WorkloadSpec, generate_multiprogrammed,
+                                       generate_trace)
+from repro.workloads.tracefile import TraceFileWorkload
 
-DEFAULT_OUT = (Path(__file__).resolve().parents[1]
-               / "tests" / "data" / "golden" / "engine_matrix.json")
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_OUT = ROOT / "tests" / "data" / "golden" / "engine_matrix.json"
+TRACES_NAME = "engine_traces.json"
+CORPUS = ROOT / "tests" / "data" / "traces"
 CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
 REFS = 2500
 WORKLOADS = ("mcf", "cg.D", "omnetpp", "lbm")
@@ -93,6 +116,65 @@ def build() -> Dict[str, dict]:
             for name, design, workload, seed in cells()}
 
 
+#: Generator cases: name -> the traces they produce.
+STREAM_SPEC = WorkloadSpec(name="stream", suite="SPEC", mpki_class="high",
+                           mpki=30.0, footprint_gb=4.0, streaming=True)
+GENERATOR_CASES: Dict[str, Callable[[], list]] = {
+    **{spec.name: (lambda spec=spec: [generate_trace(
+        spec, 700, seed=5, core_id=3, base_address=1 << 22)])
+       for spec in CATALOG[:6]},
+    "stream": lambda: [generate_trace(STREAM_SPEC, 600, seed=2)],
+    "multiprogrammed/mcf": lambda: generate_multiprogrammed(
+        get_workload("mcf"), 200, num_cores=4, seed=3),
+}
+#: Trace column -> the dtype its bytes are hashed in (fixed byte order).
+TRACE_COLUMNS = {"gaps": "<i8", "addresses": "<i8", "is_write": "|b1",
+                 "core_ids": "<i8"}
+
+CORPUS_DESIGNS = ("HYBRID2", "TAGLESS", "CHA")
+CORPUS_FILES = ("stream8.tsv", "mixed4.csv")
+CORPUS_REFS = 1200
+
+
+def trace_digest(trace) -> dict:
+    """Record count and SHA-256 of each column's bytes."""
+    digest = {"records": len(trace)}
+    for column, dtype in TRACE_COLUMNS.items():
+        data = np.ascontiguousarray(getattr(trace, column), dtype=dtype)
+        digest[column] = hashlib.sha256(data.tobytes()).hexdigest()
+    return digest
+
+
+def generator_case(name: str) -> List[dict]:
+    return [trace_digest(trace) for trace in GENERATOR_CASES[name]()]
+
+
+def corpus_cells() -> List[tuple]:
+    """``(name, design, filename)`` of every corpus cell, in file order."""
+    return [(f"{design}/{filename}", design, filename)
+            for design in CORPUS_DESIGNS for filename in CORPUS_FILES]
+
+
+def run_corpus_cell(design: str, path: Path) -> dict:
+    """Counters of ``design`` on the trace file at ``path``."""
+    workload = TraceFileWorkload.from_path(path)
+    return simulate(DESIGN_FACTORIES[design](CONFIG), workload,
+                    num_references=CORPUS_REFS, seed=1).as_dict()
+
+
+def build_traces() -> Dict[str, dict]:
+    # Load the corpus from a copy, so no mmap cache lands beside the
+    # checked-in files.
+    with tempfile.TemporaryDirectory() as tmp:
+        for filename in CORPUS_FILES:
+            shutil.copy(CORPUS / filename, tmp)
+        corpus = {name: run_corpus_cell(design, Path(tmp) / filename)
+                  for name, design, filename in corpus_cells()}
+    return {"generator": {name: generator_case(name)
+                          for name in GENERATOR_CASES},
+            "corpus": corpus}
+
+
 def diff(got: dict, expected: dict) -> List[str]:
     """Names of the counters (``stats.*`` flattened) that differ."""
     out = [key for key in expected
@@ -103,33 +185,70 @@ def diff(got: dict, expected: dict) -> List[str]:
     return out
 
 
+def check_cells(golden: Dict[str, dict], expected: Dict[str, dict],
+                label: str) -> int:
+    """Print every missing or diverged cell; return how many there are."""
+    bad = sorted(set(golden) ^ set(expected))
+    for name in bad:
+        print(f"{name}: cell missing", file=sys.stderr)
+    for name in sorted(set(golden) & set(expected)):
+        changed = diff(golden[name], expected[name])
+        if changed:
+            bad.append(name)
+            print(f"{name}: {', '.join(changed)} diverged", file=sys.stderr)
+    print(f"{len(golden) - len(bad)}/{len(golden)} {label} match")
+    return len(bad)
+
+
+def check_generator(golden: Dict[str, list], expected: Dict[str, list],
+                    label: str) -> int:
+    bad = [name for name in sorted(set(golden) | set(expected))
+           if golden.get(name) != expected.get(name)]
+    for name in bad:
+        print(f"generator {name}: trace columns diverged", file=sys.stderr)
+    print(f"{len(golden) - len(bad)}/{len(golden)} {label} match")
+    return len(bad)
+
+
+def dump(rows: Dict[str, object], indent: str = " ") -> str:
+    """One entry per line: compact, yet a change names the entry it
+    touched."""
+    lines = [f"{indent}{json.dumps(name)}: {json.dumps(row)}"
+             for name, row in rows.items()]
+    return "{\n" + ",\n".join(lines) + "\n" + indent[:-1] + "}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
+                        help="engine golden; engine_traces.json goes "
+                             "beside it")
     parser.add_argument("--check", action="store_true",
-                        help="compare against --out instead of writing it")
+                        help="compare against the files instead of "
+                             "writing them")
     args = parser.parse_args(argv)
+    traces_path = args.out.with_name(TRACES_NAME)
     golden = build()
+    traces = build_traces()
     if args.check:
-        expected = json.loads(args.out.read_text())
-        bad = sorted(set(golden) ^ set(expected))
-        for name in bad:
-            print(f"{name}: cell missing", file=sys.stderr)
-        for name in sorted(set(golden) & set(expected)):
-            changed = diff(golden[name], expected[name])
-            if changed:
-                bad.append(name)
-                print(f"{name}: {', '.join(changed)} diverged",
-                      file=sys.stderr)
-        print(f"{len(golden) - len(bad)}/{len(golden)} cells match "
-              f"{args.out.name}")
+        expected = json.loads(traces_path.read_text())
+        bad = (check_cells(golden, json.loads(args.out.read_text()),
+                           f"cells of {args.out.name}")
+               + check_cells(traces["corpus"], expected.get("corpus", {}),
+                             f"corpus cells of {traces_path.name}")
+               + check_generator(traces["generator"],
+                                 expected.get("generator", {}),
+                                 f"generator cases of {traces_path.name}"))
         return 1 if bad else 0
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    # One cell per line: compact, yet a change names the cell it touched.
-    lines = [f" {json.dumps(name)}: {json.dumps(golden[name])}"
-             for name, *_ in cells()]
-    args.out.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {args.out}")
+    args.out.write_text(dump({name: golden[name] for name, *_ in cells()},
+                             indent=" ") + "\n")
+    traces_path.write_text(
+        "{\n"
+        + ",\n".join(f' {json.dumps(section)}: {dump(rows, indent="  ")}'
+                     for section, rows in traces.items())
+        + "\n}\n")
+    print(f"wrote {args.out} and {traces_path}")
     return 0
 
 
