@@ -16,20 +16,7 @@ Quickstart::
     print(result.cycles, result.nm_service_ratio)
 """
 
-from .params import (CoreParams, DramParams, Hybrid2Params, SramCacheParams,
-                     SystemConfig, ddr4_params, hbm2_params, make_config)
-from .common import MemoryRequest
-from .stats import Stats
-from .core.hybrid2 import Hybrid2System
-from .baselines import (DESIGN_FACTORIES, EVALUATED_DESIGNS, MemorySystem,
-                        make_design)
-from .workloads import (WORKLOADS, WorkloadSpec, generate_trace, get_workload,
-                        representative_workloads, workloads_by_class)
-from .sim.simulator import RunResult, Simulator, simulate
-from .sim.runner import ExperimentRunner, SweepResult
-from .sim.store import ResultStore
-from .sim.sweep import DesignRef, SweepJob, run_jobs
-from .sim import metrics
+from .common import lazy_exports
 
 __version__ = "1.2.0"
 
@@ -53,38 +40,24 @@ def package_version() -> str:
     except PackageNotFoundError:
         return __version__
 
-__all__ = [
-    "CoreParams",
-    "DramParams",
-    "Hybrid2Params",
-    "SramCacheParams",
-    "SystemConfig",
-    "ddr4_params",
-    "hbm2_params",
-    "make_config",
-    "MemoryRequest",
-    "Stats",
-    "Hybrid2System",
-    "DESIGN_FACTORIES",
-    "EVALUATED_DESIGNS",
-    "MemorySystem",
-    "make_design",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "generate_trace",
-    "get_workload",
-    "representative_workloads",
-    "workloads_by_class",
-    "RunResult",
-    "Simulator",
-    "simulate",
-    "ExperimentRunner",
-    "SweepResult",
-    "ResultStore",
-    "DesignRef",
-    "SweepJob",
-    "run_jobs",
-    "metrics",
-    "__version__",
-    "package_version",
-]
+
+# Everything else loads on first access: ``import repro`` (and so every
+# ``repro.*`` import) stays free of numpy and the design modules.
+__all__ = [*lazy_exports(__name__, globals(), {
+    ".params": ("CoreParams", "DramParams", "Hybrid2Params", "SramCacheParams",
+                "SystemConfig", "ddr4_params", "hbm2_params", "make_config"),
+    ".common": ("MemoryRequest",),
+    ".stats": ("Stats",),
+    ".core.hybrid2": ("Hybrid2System",),
+    ".baselines": ("DESIGN_FACTORIES", "EVALUATED_DESIGNS", "MemorySystem",
+                   "make_design"),
+    ".workloads": ("WORKLOADS", "WorkloadSpec", "generate_trace",
+                   "get_workload", "representative_workloads",
+                   "workloads_by_class"),
+    ".sim.result": ("RunResult",),
+    ".sim.simulator": ("Simulator", "simulate"),
+    ".sim.runner": ("ExperimentRunner", "SweepResult"),
+    ".sim.store": ("ResultStore",),
+    ".sim.sweep": ("DesignRef", "SweepJob", "run_jobs"),
+    ".sim": ("metrics",),
+}), "__version__", "package_version"]

@@ -7,45 +7,70 @@ without 3D-stacked DRAM.  :data:`DESIGN_FACTORIES` exposes them uniformly to
 the simulation harness.
 """
 
-from typing import Callable, Dict
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Callable, Dict, Iterator
 
+from ..common import import_attr, lazy_exports
 from ..params import SystemConfig
-from .base import MemorySystem
-from .chameleon import ChameleonGroups
-from .dfc import DecoupledFusedCache
-from .dram_cache import DramCacheSystem
-from .fm_only import FarMemoryOnly
-from .ideal_cache import IdealCache
-from .lgm import LgmMigration
-from .mempod import MemPod
-from .migration_base import MigrationSystem, RemapCache
-from .tagless import TaglessCache
+
+if TYPE_CHECKING:
+    from .base import MemorySystem
+
+__all__ = [*lazy_exports(__name__, globals(), {
+    ".base": ("MemorySystem",),
+    ".fm_only": ("FarMemoryOnly",),
+    ".dram_cache": ("DramCacheSystem",),
+    ".ideal_cache": ("IdealCache",),
+    ".tagless": ("TaglessCache",),
+    ".dfc": ("DecoupledFusedCache",),
+    ".mempod": ("MemPod",),
+    ".chameleon": ("ChameleonGroups",),
+    ".lgm": ("LgmMigration",),
+    ".migration_base": ("MigrationSystem", "RemapCache"),
+}), "DESIGN_FACTORIES", "EVALUATED_DESIGNS", "make_design"]
 
 
-def _hybrid2_factory(config: SystemConfig) -> MemorySystem:
-    # Imported lazily to avoid a circular import (core depends on baselines
-    # for the MemorySystem interface).
-    from ..core.hybrid2 import Hybrid2System
+class DesignRegistry(Mapping):
+    """Read-only ``label -> design class`` mapping over import paths.
 
-    return Hybrid2System(config)
+    A lookup imports the design; membership, iteration and ``len`` read
+    the labels only, so checking or listing a label imports nothing.
+    """
+
+    def __init__(self, paths: Dict[str, str]) -> None:
+        self._paths = paths
+
+    def __getitem__(self, label: str) -> Callable[[SystemConfig],
+                                                  "MemorySystem"]:
+        return import_attr(self._paths[label])
+
+    def __contains__(self, label: object) -> bool:
+        # Mapping's default would look the design up, importing it.
+        return label in self._paths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
 
 
-#: The six designs of the main evaluation figures, by their paper labels.
-DESIGN_FACTORIES: Dict[str, Callable[[SystemConfig], MemorySystem]] = {
-    "BASELINE": FarMemoryOnly,
-    "MPOD": MemPod,
-    "CHA": ChameleonGroups,
-    "LGM": LgmMigration,
-    "TAGLESS": TaglessCache,
-    "DFC": DecoupledFusedCache,
-    "HYBRID2": _hybrid2_factory,
-}
+#: The designs of the main evaluation figures, by their paper labels.
+DESIGN_FACTORIES = DesignRegistry({
+    "BASELINE": "repro.baselines.fm_only:FarMemoryOnly",
+    "MPOD": "repro.baselines.mempod:MemPod",
+    "CHA": "repro.baselines.chameleon:ChameleonGroups",
+    "LGM": "repro.baselines.lgm:LgmMigration",
+    "TAGLESS": "repro.baselines.tagless:TaglessCache",
+    "DFC": "repro.baselines.dfc:DecoupledFusedCache",
+    "HYBRID2": "repro.core.hybrid2:Hybrid2System",
+})
 
 #: Designs shown in Figures 12/13/15-18 (everything except the baseline).
 EVALUATED_DESIGNS = ("MPOD", "CHA", "LGM", "TAGLESS", "DFC", "HYBRID2")
 
 
-def make_design(name: str, config: SystemConfig) -> MemorySystem:
+def make_design(name: str, config: SystemConfig) -> "MemorySystem":
     """Instantiate a design by its paper label."""
     try:
         factory = DESIGN_FACTORIES[name.upper()]
@@ -53,21 +78,3 @@ def make_design(name: str, config: SystemConfig) -> MemorySystem:
         raise KeyError(
             f"unknown design {name!r}; known: {sorted(DESIGN_FACTORIES)}")
     return factory(config)
-
-
-__all__ = [
-    "MemorySystem",
-    "FarMemoryOnly",
-    "DramCacheSystem",
-    "IdealCache",
-    "TaglessCache",
-    "DecoupledFusedCache",
-    "MemPod",
-    "ChameleonGroups",
-    "LgmMigration",
-    "MigrationSystem",
-    "RemapCache",
-    "DESIGN_FACTORIES",
-    "EVALUATED_DESIGNS",
-    "make_design",
-]

@@ -80,7 +80,7 @@ from . import package_version
 from .baselines import DESIGN_FACTORIES, EVALUATED_DESIGNS
 from .sim.runner import ExperimentRunner
 from .sim.store import ResultStore, default_store_root
-from .sim.sweep import DesignRef, SweepExecutionError
+from .sim.sweep import DesignRef, SweepExecutionError, check_design
 from .workloads.catalog import (MPKI_CLASSES, WORKLOADS, get_workload,
                                 representative_workloads, workloads_by_class)
 from .workloads.tracefile import is_trace_token, workload_from_token
@@ -124,11 +124,11 @@ def _parse_designs(tokens: Sequence[str]) -> List[DesignRef]:
         refs.append(DesignRef.of(token, label=label))
     # Fail fast on registry typos here: under the fault-tolerant engine an
     # unknown label would otherwise be retried and degrade to a JobFailure
-    # per job instead of an immediate usage error.
+    # per job instead of an immediate usage error.  Factory paths are left
+    # to the engine: checking one here would import it.
     for ref in refs:
-        if ":" not in ref.target and ref.target.upper() not in DESIGN_FACTORIES:
-            raise KeyError(f"unknown design {ref.target!r}; known: "
-                           f"{sorted(DESIGN_FACTORIES)}")
+        if ":" not in ref.target:
+            check_design(ref.target)
     return refs
 
 
@@ -736,12 +736,26 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
+class _VersionAction(argparse.Action):
+    """``--version``, which reads the package metadata only when given
+    (importing ``importlib.metadata`` would slow every other command)."""
+
+    def __init__(self, option_strings: Sequence[str], dest: str,
+                 help: Optional[str] = None) -> None:
+        super().__init__(option_strings, dest, nargs=0,
+                         default=argparse.SUPPRESS, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"repro {package_version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Hybrid2 reproduction: parallel design-space sweeps")
-    parser.add_argument("--version", action="version",
-                        version=f"repro {package_version()}")
+    parser.add_argument("--version", action=_VersionAction,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_sweep_parser(sub)
     _add_bench_parser(sub)

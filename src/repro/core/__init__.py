@@ -12,35 +12,3 @@
   by the simulator, with the Figure 14 ablations in
   :mod:`repro.core.variants`.
 """
-
-from .dcmc import DCMC
-from .hybrid2 import Hybrid2System
-from .nm_allocator import NMFramePool
-from .policy import (MigrationPolicy, MigrationVerdict, eviction_cost,
-                     migration_cost, net_cost)
-from .remap import FreeFMStack, Location, RemapTable
-from .variants import BREAKDOWN_VARIANTS, cache_only, full, migrate_all, \
-    migrate_none, no_remap
-from .xta import XTA, XTAEntry
-
-__all__ = [
-    "DCMC",
-    "Hybrid2System",
-    "NMFramePool",
-    "MigrationPolicy",
-    "MigrationVerdict",
-    "eviction_cost",
-    "migration_cost",
-    "net_cost",
-    "FreeFMStack",
-    "Location",
-    "RemapTable",
-    "BREAKDOWN_VARIANTS",
-    "cache_only",
-    "full",
-    "migrate_all",
-    "migrate_none",
-    "no_remap",
-    "XTA",
-    "XTAEntry",
-]

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..baselines import EVALUATED_DESIGNS
 from ..sim.runner import ExperimentRunner, SweepResult
-from ..workloads.synthetic import WorkloadSpec
+from ..workloads.catalog import WorkloadSpec
 
 #: Engine-throughput measurement knobs (the perf bench is time-bound by
 #: these, not by the sweep settings).  Environment overrides

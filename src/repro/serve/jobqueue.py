@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..params import make_config
-from ..sim.sweep import (DesignRef, SweepJob, _resolve_target,
-                         job_from_spec, prepare_submission, run_jobs)
+from ..sim.sweep import (DesignRef, SweepJob, check_design, job_from_spec,
+                         prepare_submission, run_jobs)
 from ..workloads.catalog import get_workload
 
 #: Job lifecycle statuses.
@@ -153,10 +153,10 @@ class JobQueue:
                 f"refs must be in 1..{MAX_REFS} "
                 f"(got {job.num_references}); run larger sweeps through "
                 f"'python -m repro sweep'")
-        # Resolve the design factory NOW: an unknown design must fail the
-        # submission with a 400, not the worker thread minutes later.
+        # Check the design NOW: an unknown design must fail the submission
+        # with a 400, not the worker thread minutes later.
         try:
-            _resolve_target(job.design.target)
+            check_design(job.design.target)
         except Exception as exc:
             message = exc.args[0] if exc.args else exc
             raise JobSpecError(str(message))

@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..baselines import DESIGN_FACTORIES, EVALUATED_DESIGNS
-from ..workloads.catalog import WORKLOADS, workloads_by_class
-from ..workloads.synthetic import WorkloadSpec
+from ..workloads.catalog import WORKLOADS, WorkloadSpec, workloads_by_class
 
 
 def design_entry(name: str) -> Dict[str, Any]:
@@ -34,7 +33,7 @@ def design_entries() -> List[Dict[str, Any]]:
 
 def workload_entry(spec: WorkloadSpec) -> Dict[str, Any]:
     """One Table 2 workload, as data (the sweep engine's stable
-    :meth:`~repro.workloads.synthetic.WorkloadSpec.as_dict` form)."""
+    :meth:`~repro.workloads.catalog.WorkloadSpec.as_dict` form)."""
     return spec.as_dict()
 
 

@@ -1,29 +1,1 @@
 """Simulation harness: simulator, sweep engine, result store and tables."""
-
-from . import metrics, tables
-from .runner import ExperimentRunner, SweepResult
-from .simulator import RunResult, Simulator, simulate
-from .store import (JsonFileBackend, ResultStore, SqliteBackend,
-                    StoreBackend, migrate_store, open_store)
-from .sweep import DesignRef, InlineDesign, SweepJob, SweepReport, run_jobs
-
-__all__ = [
-    "metrics",
-    "tables",
-    "ExperimentRunner",
-    "SweepResult",
-    "RunResult",
-    "Simulator",
-    "simulate",
-    "ResultStore",
-    "StoreBackend",
-    "JsonFileBackend",
-    "SqliteBackend",
-    "migrate_store",
-    "open_store",
-    "DesignRef",
-    "InlineDesign",
-    "SweepJob",
-    "SweepReport",
-    "run_jobs",
-]

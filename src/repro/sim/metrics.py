@@ -4,7 +4,7 @@ Every figure of the paper reports either geometric-mean speedups over the
 no-NM baseline (Figures 2, 11, 12, 13, 14), NM service ratios (Figure 15),
 or traffic/energy normalised to the baseline (Figures 16, 17, 18), grouped
 by MPKI class.  The helpers here compute exactly those aggregations from
-:class:`~repro.sim.simulator.RunResult` objects.
+:class:`~repro.sim.result.RunResult` objects.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 from ..workloads.catalog import MPKI_CLASSES, get_workload
-from .simulator import RunResult
+from .result import RunResult
 
 
 def geometric_mean(values: Iterable[float]) -> float:

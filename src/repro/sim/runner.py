@@ -19,22 +19,24 @@ never leaks between runs and a ``workers=N`` sweep is bit-identical to the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Union)
 
 from ..baselines import DESIGN_FACTORIES
-from ..baselines.base import MemorySystem
 from ..params import SystemConfig, make_config
-from ..workloads.catalog import get_workload
-from ..workloads.synthetic import WorkloadSpec
+from ..workloads.catalog import WorkloadSpec, get_workload
 from ..workloads.tracefile import (TraceFileWorkload, is_trace_token,
                                    workload_from_token)
 from . import metrics
-from .simulator import RunResult
+from .result import RunResult
 from .store import ResultStore, open_store
 from .sweep import (AnyDesign, DesignRef, JobFailure, SweepExecutionError,
                     SweepJob, SweepReport, coerce_design, run_jobs)
 
-DesignSpec = Union[str, DesignRef, Callable[[SystemConfig], MemorySystem]]
+if TYPE_CHECKING:
+    from ..baselines.base import MemorySystem
+
+DesignSpec = Union[str, DesignRef, Callable[[SystemConfig], "MemorySystem"]]
 #: Workloads: a catalog name, a ``trace:PATH`` token, a synthetic spec, or
 #: a trace-file workload handle.
 Workload = Union[str, WorkloadSpec, TraceFileWorkload]

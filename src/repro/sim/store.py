@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
-from .simulator import RunResult
+from .result import RunResult
 
 #: Bump when the on-disk layout of a stored result changes.
 #: Format 2 added the embedded payload checksum and the re-simulation job

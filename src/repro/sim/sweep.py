@@ -32,7 +32,6 @@ trivially.  This module provides the pieces:
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import os
 import pickle
@@ -40,19 +39,21 @@ import random
 import time
 import traceback as traceback_module
 from dataclasses import asdict, dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
-import numpy as np
-
-from ..baselines.base import MemorySystem
+from ..baselines import DESIGN_FACTORIES
+from ..common import import_attr
 from ..params import (CoreParams, DramParams, Hybrid2Params, SramCacheParams,
                       SystemConfig)
-from ..workloads.synthetic import WorkloadSpec
+from ..workloads.catalog import WorkloadSpec
 from ..workloads.tracefile import TraceFileWorkload
 from . import faults
-from .simulator import RunResult, simulate
+from .result import RunResult
 from .store import CELL_OK
+
+if TYPE_CHECKING:
+    from ..baselines.base import MemorySystem
 
 #: Bump to invalidate every stored result when the engine's semantics
 #: (simulate() defaults, key layout, result schema) change incompatibly.
@@ -86,7 +87,7 @@ def default_backoff() -> float:
 # ---------------------------------------------------------------------------
 # design references
 # ---------------------------------------------------------------------------
-def _resolve_target(target: str) -> Callable[..., MemorySystem]:
+def _resolve_target(target: str) -> Callable[..., "MemorySystem"]:
     """Resolve a design target to a factory callable.
 
     ``target`` is either a label of the design registry
@@ -94,17 +95,24 @@ def _resolve_target(target: str) -> Callable[..., MemorySystem]:
     ``"module:attribute"`` path.
     """
     if ":" in target:
-        module_name, _, attr = target.partition(":")
-        module = importlib.import_module(module_name)
-        factory = getattr(module, attr)
+        factory = import_attr(target)
         if not callable(factory):
             raise TypeError(f"design target {target!r} is not callable")
         return factory
-    from ..baselines import DESIGN_FACTORIES
+    check_design(target)
+    return DESIGN_FACTORIES[target.upper()]
 
-    try:
-        return DESIGN_FACTORIES[target.upper()]
-    except KeyError:
+
+def check_design(target: str) -> None:
+    """Fail fast on a design target that names no design.
+
+    A registry label is checked by membership, which imports nothing; only
+    a ``"module:attribute"`` target is imported (and raises if it cannot
+    be).
+    """
+    if ":" in target:
+        _resolve_target(target)
+    elif target.upper() not in DESIGN_FACTORIES:
         raise KeyError(f"unknown design {target!r}; known: "
                        f"{sorted(DESIGN_FACTORIES)}")
 
@@ -129,7 +137,7 @@ class DesignRef:
         return cls(label=label or target.upper(), target=target,
                    kwargs=tuple(sorted(kwargs.items())))
 
-    def build(self, config: SystemConfig) -> MemorySystem:
+    def build(self, config: SystemConfig) -> "MemorySystem":
         """Instantiate a fresh memory system for ``config``."""
         return _resolve_target(self.target)(config, **dict(self.kwargs))
 
@@ -149,9 +157,9 @@ class InlineDesign:
     """
 
     label: str
-    factory: Callable[[SystemConfig], MemorySystem] = field(compare=False)
+    factory: Callable[[SystemConfig], "MemorySystem"] = field(compare=False)
 
-    def build(self, config: SystemConfig) -> MemorySystem:
+    def build(self, config: SystemConfig) -> "MemorySystem":
         return self.factory(config)
 
     def key_dict(self) -> None:
@@ -178,7 +186,7 @@ def coerce_design(design: Union[str, DesignRef, InlineDesign, Callable],
             return InlineDesign(label=label, factory=design.factory)
         return design
     if isinstance(design, str):
-        _resolve_target(design)          # fail fast on unknown labels
+        check_design(design)             # fail fast on unknown labels
         return DesignRef.of(design, label=label)
     if callable(design):
         module = getattr(design, "__module__", None)
@@ -200,6 +208,21 @@ def coerce_design(design: Union[str, DesignRef, InlineDesign, Callable],
 # jobs
 # ---------------------------------------------------------------------------
 AnyWorkload = Union[WorkloadSpec, TraceFileWorkload]
+
+#: ``asdict(config)`` by config object id.  A sweep's jobs share one
+#: config, and ``asdict`` deep-copies it; each entry holds its config, so
+#: the id cannot be reused while the entry lives.
+_CONFIG_DICTS: Dict[int, Tuple[SystemConfig, Dict[str, Any]]] = {}
+
+
+def _config_dict(config: SystemConfig) -> Dict[str, Any]:
+    """``asdict(config)``, built once per config object; do not mutate."""
+    entry = _CONFIG_DICTS.get(id(config))
+    if entry is None:
+        if len(_CONFIG_DICTS) >= 64:
+            _CONFIG_DICTS.clear()
+        entry = _CONFIG_DICTS[id(config)] = (config, asdict(config))
+    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -241,7 +264,7 @@ class SweepJob:
             "model": model_fingerprint(),
             "design": design,
             "workload": workload,
-            "config": asdict(self.config),
+            "config": _config_dict(self.config),
             "num_references": self.num_references,
             "seed": self.seed,
             "num_cores": self.num_cores,
@@ -264,7 +287,7 @@ class SweepJob:
                        "target": self.design.target,
                        "kwargs": dict(self.design.kwargs)},
             "workload": self.workload.as_dict(),
-            "config": asdict(self.config),
+            "config": _config_dict(self.config),
             "num_references": self.num_references,
             "seed": self.seed,
             "num_cores": self.num_cores,
@@ -275,6 +298,10 @@ class SweepJob:
 
     def run(self) -> RunResult:
         """Simulate this cell with a fresh memory system."""
+        import numpy as np
+
+        from .simulator import simulate
+
         # Belt and braces: simulate() derives all randomness from explicit
         # seeds, but re-seed the global RNGs too so no library falls back to
         # worker-dependent entropy and serial == parallel stays bit-exact.
@@ -323,6 +350,25 @@ def _run_attempt(index: int, attempt: int, job: SweepJob) -> RunResult:
     """Execute one attempt of a job, with fault injection applied first."""
     faults.inject(index, attempt)
     return job.run()
+
+
+def _preload(jobs: Sequence[SweepJob]) -> None:
+    """Import the engine, the designs and the trace frontend ``jobs`` use.
+
+    Called before the supervisor forks, so its workers inherit numpy and
+    the designs instead of each importing them again.  A target that does
+    not import is left for the job's own attempts to report.
+    """
+    from . import simulator  # noqa: F401
+
+    if any(isinstance(job.workload, TraceFileWorkload) for job in jobs):
+        from ..trace import frontend  # noqa: F401
+    for target in {job.design.target for job in jobs
+                   if isinstance(job.design, DesignRef)}:
+        try:
+            _resolve_target(target)
+        except Exception:
+            pass
 
 
 def _picklable(job: SweepJob) -> bool:
@@ -797,6 +843,7 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
         attempts += 1
 
     if parallel:
+        _preload([jobs[i] for i in parallel])
         supervisor = _Supervisor(jobs, parallel, workers,
                                  max_attempts=max_attempts, timeout=timeout,
                                  backoff=backoff)

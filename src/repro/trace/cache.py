@@ -33,7 +33,6 @@ half-written cache that probes as valid.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -44,6 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..common import content_hash
 from ..cpu.trace import Trace
 
 #: Bump when the sidecar layout changes; mismatched caches are ignored.
@@ -54,18 +54,6 @@ CACHE_SUFFIX = ".trcache"
 
 #: Column name -> Trace attribute, in on-disk order.
 COLUMNS = ("gaps", "addresses", "is_write", "is_writeback", "core_ids")
-
-_HASH_CHUNK = 1 << 20
-
-
-def content_hash(path: Union[str, Path]) -> str:
-    """Streamed SHA-256 of the file at ``path`` (hex digest)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(_HASH_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
 
 def cache_dir_for(source: Union[str, Path]) -> Path:
     """Sidecar cache directory path for ``source`` (may not exist)."""

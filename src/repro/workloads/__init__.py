@@ -1,26 +1,13 @@
 """Workload substrate: synthetic generators and the Table 2 catalog."""
 
-from .catalog import (MPKI_CLASSES, WORKLOADS, all_workload_names,
-                      get_workload, representative_workloads,
-                      workloads_by_class)
-from .synthetic import (WorkloadSpec, generate_multiprogrammed, generate_trace,
-                        random_pattern, stream_pattern)
-from .tracefile import (TraceFileWorkload, is_trace_token,
-                        workload_from_token)
+from ..common import lazy_exports
 
-__all__ = [
-    "MPKI_CLASSES",
-    "WORKLOADS",
-    "all_workload_names",
-    "get_workload",
-    "representative_workloads",
-    "workloads_by_class",
-    "TraceFileWorkload",
-    "WorkloadSpec",
-    "generate_multiprogrammed",
-    "generate_trace",
-    "is_trace_token",
-    "random_pattern",
-    "stream_pattern",
-    "workload_from_token",
-]
+__all__ = lazy_exports(__name__, globals(), {
+    ".catalog": ("MPKI_CLASSES", "WORKLOADS", "WorkloadSpec",
+                 "all_workload_names", "get_workload",
+                 "representative_workloads", "workloads_by_class"),
+    ".synthetic": ("generate_multiprogrammed", "generate_trace",
+                   "random_pattern", "stream_pattern"),
+    ".tracefile": ("TraceFileWorkload", "is_trace_token",
+                   "workload_from_token"),
+})

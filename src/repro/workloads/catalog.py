@@ -16,13 +16,80 @@ benchmarks:
 The footprints are scaled together with the memory capacities (see
 :mod:`repro.params`), so "footprint larger than NM" relations from the paper
 are preserved.
+
+:class:`WorkloadSpec` lives here rather than beside the numpy generators of
+:mod:`repro.workloads.synthetic`, so naming and keying a workload needs no
+numpy.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List
 
-from .synthetic import WorkloadSpec
+from ..common import GIB, LINE_SIZE, align_down
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """Parameters of one synthetic workload."""
+
+    name: str
+    suite: str                     # "SPEC" (multi-programmed) or "NAS" (multi-threaded)
+    mpki_class: str                # "high" | "medium" | "low"
+    mpki: float                    # paper Table 2 LLC MPKI
+    footprint_gb: float            # paper Table 2 footprint in GB
+    #: Fraction of a region's 64 B lines touched when the region is visited.
+    region_coverage: float = 0.75
+    #: Size of the spatial-locality region (an OS page by default).
+    region_bytes: int = 4096
+    #: Fraction of the footprint's regions that form the hot working set.
+    hot_fraction: float = 0.1
+    #: Fraction of region visits that go to the hot working set.
+    hot_access_fraction: float = 0.6
+    #: Upper bound on the hot set, in regions per trace.  Real workloads keep
+    #: a bounded hot working set regardless of their total footprint; without
+    #: the cap, large-footprint workloads would show almost no reuse within a
+    #: tractable trace length.
+    hot_region_cap: int = 16
+    write_fraction: float = 0.3
+    #: Streaming workloads sweep regions in order with negligible reuse.
+    streaming: bool = False
+
+    def scaled_footprint_bytes(self, scale: int) -> int:
+        """Footprint in bytes after dividing the paper size by ``scale``."""
+        raw = int(self.footprint_gb * GIB / scale)
+        raw = align_down(raw, self.region_bytes)
+        return max(4 * self.region_bytes, raw)
+
+    def gap_instructions(self) -> int:
+        """Mean instructions between LLC misses implied by the MPKI."""
+        return max(1, int(round(1000.0 / max(self.mpki, 0.01))))
+
+    def lines_per_region(self) -> int:
+        return max(1, self.region_bytes // LINE_SIZE)
+
+    def lines_per_visit(self) -> int:
+        """How many distinct lines a region visit touches."""
+        return max(1, int(round(self.region_coverage * self.lines_per_region())))
+
+    def with_footprint(self, footprint_gb: float) -> "WorkloadSpec":
+        return replace(self, footprint_gb=footprint_gb)
+
+    def as_dict(self) -> dict:
+        """JSON-serialisable rendering.
+
+        Specs are frozen (hashable and picklable), so this dictionary — used
+        by the sweep engine's job hash and the CLI — is a complete, stable
+        description of the workload.
+        """
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "WorkloadSpec":
+        """Inverse of :meth:`as_dict`."""
+        return cls(**data)
+
 
 #: MPKI class labels used throughout the evaluation.
 MPKI_CLASSES = ("high", "medium", "low")

@@ -11,9 +11,10 @@ only react to a handful of properties of the post-LLC reference stream:
 * temporal reuse (how skewed accesses are towards a hot subset), and
 * the read/write mix.
 
-:class:`WorkloadSpec` captures exactly these knobs and
-:func:`generate_trace` turns a spec into a deterministic memory-level trace
-(the "gap" of each record counts the instructions between LLC misses).
+:class:`~repro.workloads.catalog.WorkloadSpec` captures exactly these
+knobs and :func:`generate_trace` turns a spec into a deterministic
+memory-level trace (the "gap" of each record counts the instructions
+between LLC misses).
 
 The generator is region based: the stream repeatedly picks a 4 KB region
 (biased towards a hot subset of the footprint, which is what gives caches
@@ -35,74 +36,13 @@ column the seed generator produced for a set of cases, and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
 from typing import List
 
 import numpy as np
 
-from ..common import GIB, LINE_SIZE, align_down
+from ..common import LINE_SIZE, align_down
 from ..cpu.trace import Trace
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Parameters of one synthetic workload."""
-
-    name: str
-    suite: str                     # "SPEC" (multi-programmed) or "NAS" (multi-threaded)
-    mpki_class: str                # "high" | "medium" | "low"
-    mpki: float                    # paper Table 2 LLC MPKI
-    footprint_gb: float            # paper Table 2 footprint in GB
-    #: Fraction of a region's 64 B lines touched when the region is visited.
-    region_coverage: float = 0.75
-    #: Size of the spatial-locality region (an OS page by default).
-    region_bytes: int = 4096
-    #: Fraction of the footprint's regions that form the hot working set.
-    hot_fraction: float = 0.1
-    #: Fraction of region visits that go to the hot working set.
-    hot_access_fraction: float = 0.6
-    #: Upper bound on the hot set, in regions per trace.  Real workloads keep
-    #: a bounded hot working set regardless of their total footprint; without
-    #: the cap, large-footprint workloads would show almost no reuse within a
-    #: tractable trace length.
-    hot_region_cap: int = 16
-    write_fraction: float = 0.3
-    #: Streaming workloads sweep regions in order with negligible reuse.
-    streaming: bool = False
-
-    def scaled_footprint_bytes(self, scale: int) -> int:
-        """Footprint in bytes after dividing the paper size by ``scale``."""
-        raw = int(self.footprint_gb * GIB / scale)
-        raw = align_down(raw, self.region_bytes)
-        return max(4 * self.region_bytes, raw)
-
-    def gap_instructions(self) -> int:
-        """Mean instructions between LLC misses implied by the MPKI."""
-        return max(1, int(round(1000.0 / max(self.mpki, 0.01))))
-
-    def lines_per_region(self) -> int:
-        return max(1, self.region_bytes // LINE_SIZE)
-
-    def lines_per_visit(self) -> int:
-        """How many distinct lines a region visit touches."""
-        return max(1, int(round(self.region_coverage * self.lines_per_region())))
-
-    def with_footprint(self, footprint_gb: float) -> "WorkloadSpec":
-        return replace(self, footprint_gb=footprint_gb)
-
-    def as_dict(self) -> dict:
-        """JSON-serialisable rendering.
-
-        Specs are frozen (hashable and picklable), so this dictionary — used
-        by the sweep engine's job hash and the CLI — is a complete, stable
-        description of the workload.
-        """
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        """Inverse of :meth:`as_dict`."""
-        return cls(**data)
+from .catalog import WorkloadSpec
 
 
 def generate_trace(spec: WorkloadSpec, num_references: int, *, scale: int = 256,

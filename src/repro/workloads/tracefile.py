@@ -3,7 +3,7 @@
 A :class:`TraceFileWorkload` is the sweep-facing handle for a real trace
 on disk.  It is a tiny frozen dataclass (picklable, hashable), so it
 travels through :class:`~repro.sim.sweep.SweepJob` and the worker pool
-exactly like a :class:`~repro.workloads.synthetic.WorkloadSpec`; the
+exactly like a :class:`~repro.workloads.catalog.WorkloadSpec`; the
 trace itself is loaded lazily in whichever process runs the job, through
 the content-hashed mmap cache of :mod:`repro.trace`.
 
@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from ..cpu.trace import Trace
-from ..trace.cache import content_hash
-from ..trace.frontend import load_trace, split_by_core
+from ..common import content_hash
+
+if TYPE_CHECKING:
+    from ..cpu.trace import Trace
 
 #: ``as_dict()["kind"]`` marker distinguishing trace-file workloads from
 #: synthetic ``WorkloadSpec`` payloads in stored job specs.
@@ -97,6 +98,9 @@ class TraceFileWorkload:
         ``ValueError`` if its bytes no longer match ``content_hash`` —
         a cached result must never be attributed to a different trace.
         """
+        from ..cpu.trace import Trace
+        from ..trace.frontend import load_trace, split_by_core
+
         current = content_hash(self.path)
         if current != self.content_hash:
             raise ValueError(

@@ -303,7 +303,8 @@ def _load_check_links():
 def test_check_links_flags_broken_relative_links(tmp_path, capsys):
     check_links = _load_check_links()
     (tmp_path / "good.md").write_text(
-        "[ok](sub/target.md) [web](https://example.com) [anchor](#x)\n")
+        "[ok](sub/target.md) [web](https://example.com) [anchor](#x)\n"
+        "code, not a link: `table[key](arg)`\n")
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "target.md").write_text("hi\n")
     assert check_links.main([str(tmp_path)]) == 0

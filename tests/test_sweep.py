@@ -186,6 +186,48 @@ def test_job_key_covers_model_fingerprint(monkeypatch):
     assert changed == make_job().cache_key()   # still deterministic
 
 
+def test_job_key_matches_hashing_asdict_per_job(monkeypatch, tmp_path):
+    """Keys built from each config's memoised dict are byte-identical to
+    the original formula, which ran ``asdict(config)`` for every job."""
+    import hashlib
+    import json
+    from dataclasses import asdict
+
+    from repro.sim import store as store_module
+    from repro.sim.sweep import ENGINE_VERSION
+    from repro.workloads.tracefile import workload_from_token
+
+    monkeypatch.setattr(store_module, "model_fingerprint",
+                        lambda: "0123456789abcdef")
+    trace = tmp_path / "bench.tsv"
+    trace.write_text("any bytes: the key hashes the content only\n")
+    config = make_config(nm_gb=1, fm_gb=16, scale=SCALE)
+    jobs = [
+        make_job(config=config),
+        SweepJob(design=coerce_design("TAGLESS"),
+                 workload=workload_from_token(f"trace:{trace}"),
+                 config=config, num_references=REFS, seed=3),
+        make_job(design=DesignRef.of("repro.baselines.dfc:DecoupledFusedCache",
+                                     label="DFC-256", line_size=256),
+                 config=make_config(nm_gb=2, fm_gb=16, scale=SCALE)),
+    ]
+
+    def original_key(job):
+        workload = getattr(job.workload, "cache_dict", job.workload.as_dict)
+        payload = {"engine": ENGINE_VERSION, "model": "0123456789abcdef",
+                   "design": job.design.key_dict(), "workload": workload(),
+                   "config": asdict(job.config),
+                   "num_references": job.num_references, "seed": job.seed,
+                   "num_cores": job.num_cores}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    expected = [original_key(job) for job in jobs]
+    assert len(set(expected)) == 3
+    for _ in range(2):               # the second pass hits the memo
+        assert [job.cache_key() for job in jobs] == expected
+
+
 def test_model_fingerprint_is_stable_and_source_sensitive(tmp_path):
     from repro.sim.store import _digest_tree, model_fingerprint
 

@@ -5,7 +5,9 @@ Scans markdown files for inline links/images (``[text](target)`` and
 ``<img src="...">``) and verifies that every *relative* target resolves to
 a file inside the repository.  External schemes (``http(s)``, ``mailto``)
 and pure in-page anchors (``#heading``) are skipped; a relative target
-with an anchor is checked for file existence only.
+with an anchor is checked for file existence only.  Text inside an
+inline code span (between backticks) is literal, not a link, and is not
+scanned.
 
 Used by the CI docs lane so the generated gallery (``EXPERIMENTS.md``,
 ``artifacts/*.md``, ``docs/*.md``) can never ship broken references::
@@ -26,6 +28,8 @@ from typing import Iterable, List, Tuple
 MD_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: Raw HTML images occasionally used in markdown.
 HTML_SRC = re.compile(r"""<img[^>]+src=["']([^"']+)["']""")
+#: Inline code spans: a backtick run, text, the same run, on one line.
+CODE_SPAN = re.compile(r"(`+)[^`\n]+?\1")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "ftp://", "#")
 
@@ -47,6 +51,7 @@ def iter_markdown_files(roots: Iterable[Path]) -> List[Path]:
 
 
 def links_in(text: str) -> List[str]:
+    text = CODE_SPAN.sub("", text)
     return MD_LINK.findall(text) + HTML_SRC.findall(text)
 
 
