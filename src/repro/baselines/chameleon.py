@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict
 
-from ..common import MemoryKind
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from ..stats import Stats
@@ -76,9 +75,8 @@ class ChameleonGroups(MigrationSystem):
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
         seg_bytes = self.segment_bytes
-        kind_col = self.remap._kind
+        near_col = self.remap._in_near
         frame_col = self.remap._frame
-        near_kind = MemoryKind.NEAR
         cache_mode = self._cache_mode
         cache_move = cache_mode.move_to_end
         counters = self._counters
@@ -107,7 +105,7 @@ class ChameleonGroups(MigrationSystem):
             self.requests += 1
             if is_write:
                 self.write_requests += 1
-            if kind_col[seg] is near_kind:
+            if near_col[seg]:
                 latency = near_line(frame_col[seg] * seg_bytes + off,
                                     is_write, now_ns, 0)
                 self._last_segment = seg

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..common import LINE_SIZE, MemoryKind
+from ..common import LINE_SIZE
 from ..core.remap import RemapTable
 from ..memory.kernels import make_kernels
 from ..params import SystemConfig
@@ -41,26 +41,16 @@ INTERVAL_NS = 50_000.0
 
 
 class RemapCache:
-    """On-chip cache of remap-table entries (LRU over segment numbers)."""
+    """On-chip cache of remap-table entries (LRU over segment numbers).
+
+    :meth:`MigrationSystem._step` does the lookup inline and counts its
+    hits and misses here; a swap calls :meth:`refresh`."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = max(1, capacity)
         self._entries: OrderedDict[int, bool] = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, segment: int) -> bool:
-        """Return True on hit; inserts the entry on miss (the remap table
-        itself is read by the caller in that case)."""
-        if segment in self._entries:
-            self._entries.move_to_end(segment)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._entries[segment] = True
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return False
 
     def refresh(self, segment: int) -> None:
         """Make sure the entry for ``segment`` is present (after a swap)."""
@@ -130,9 +120,8 @@ class MigrationSystem(MemorySystem):
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
         seg_bytes = self.segment_bytes
-        kind_col = self.remap._kind
+        near_col = self.remap._in_near
         frame_col = self.remap._frame
-        near_kind = MemoryKind.NEAR
         cache = self.remap_cache
         entries = cache._entries
         move_to_end = entries.move_to_end
@@ -157,7 +146,7 @@ class MigrationSystem(MemorySystem):
             self.requests += 1
             if is_write:
                 self.write_requests += 1
-            if kind_col[seg] is near_kind:
+            if near_col[seg]:
                 latency += near_line(frame_col[seg] * seg_bytes + off,
                                      is_write, now_ns, 0)
                 self.requests_from_nm += 1

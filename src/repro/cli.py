@@ -239,7 +239,8 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
                         "CI matrix jobs")
     p.add_argument("--small-refs", type=int, default=None, metavar="N",
                    help="reference count of the small-trace fast-path "
-                        "measurement (default 2000; 0 disables it)")
+                        "and per-design measurements (default 2000; 0 "
+                        "disables them)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the benchmark report JSON here")
     p.add_argument("--baseline", default=None, metavar="FILE",

@@ -16,9 +16,9 @@ ablation of Figure 14 switches off.
 
 from __future__ import annotations
 
-import enum
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class RemapTable:
 
     The initial mapping follows the paper's methodology: sectors are placed
     randomly across NM and FM proportionally to their capacities.
+
+    The per-sector columns are typed arrays built in bulk from the
+    permutation (1-17 bytes per sector); the migration baselines' steps
+    index ``_in_near`` and ``_frame`` directly.
     """
 
     def __init__(self, num_sectors: int, nm_flat_frames: List[int],
@@ -57,24 +61,26 @@ class RemapTable:
         order = rng.permutation(num_sectors)
         nm_count = len(nm_flat_frames)
         near, far = order[:nm_count], order[nm_count:]
-        kind = np.full(num_sectors, MemoryKind.FAR, dtype=object)
-        kind[near] = MemoryKind.NEAR
+        in_near = np.zeros(num_sectors, dtype=np.uint8)
+        in_near[near] = 1
         frame = np.empty(num_sectors, dtype=np.int64)
         frame[near] = nm_flat_frames
         frame[far] = np.arange(fm_frames)
-        self._kind: List[MemoryKind] = kind.tolist()
-        self._frame: List[int] = frame.tolist()
+        #: 1 where the sector's home is an NM frame; its frame in NM or FM
+        self._in_near = bytearray(in_near.tobytes())
+        self._frame = array("q", frame.tobytes())
         #: inverted remap table: NM frame -> sector (-1 when not a flat home)
         self._inverse_nm: dict[int, int] = dict(zip(nm_flat_frames,
                                                     near.tolist()))
-        self._inverse_fm: List[int] = far.tolist()
+        self._inverse_fm = array("q", far.tobytes())
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
     def lookup(self, sector: int) -> Location:
         """Remap-table read: where does ``sector`` currently live?"""
-        return Location(self._kind[sector], self._frame[sector])
+        kind = MemoryKind.NEAR if self._in_near[sector] else MemoryKind.FAR
+        return Location(kind, self._frame[sector])
 
     def sector_at_nm_frame(self, frame: int) -> int:
         """Inverted-remap-table read: which sector is assigned to NM ``frame``
@@ -89,25 +95,25 @@ class RemapTable:
     # ------------------------------------------------------------------
     def assign_to_near(self, sector: int, nm_frame: int) -> None:
         """Record that ``sector`` now permanently lives in NM ``nm_frame``."""
-        old = self.lookup(sector)
-        if old.in_near and old.frame != nm_frame:
-            self._inverse_nm.pop(old.frame, None)
-        if not old.in_near:
-            if self._inverse_fm[old.frame] == sector:
-                self._inverse_fm[old.frame] = -1
-        self._kind[sector] = MemoryKind.NEAR
+        old_frame = self._frame[sector]
+        if self._in_near[sector]:
+            if old_frame != nm_frame:
+                self._inverse_nm.pop(old_frame, None)
+        elif self._inverse_fm[old_frame] == sector:
+            self._inverse_fm[old_frame] = -1
+        self._in_near[sector] = 1
         self._frame[sector] = nm_frame
         self._inverse_nm[nm_frame] = sector
 
     def assign_to_far(self, sector: int, fm_frame: int) -> None:
         """Record that ``sector`` now lives in FM ``fm_frame`` (swap-out)."""
-        old = self.lookup(sector)
-        if old.in_near:
-            if self._inverse_nm.get(old.frame) == sector:
-                self._inverse_nm.pop(old.frame, None)
-        elif self._inverse_fm[old.frame] == sector:
-            self._inverse_fm[old.frame] = -1
-        self._kind[sector] = MemoryKind.FAR
+        old_frame = self._frame[sector]
+        if self._in_near[sector]:
+            if self._inverse_nm.get(old_frame) == sector:
+                del self._inverse_nm[old_frame]
+        elif self._inverse_fm[old_frame] == sector:
+            self._inverse_fm[old_frame] = -1
+        self._in_near[sector] = 0
         self._frame[sector] = fm_frame
         self._inverse_fm[fm_frame] = sector
 
@@ -125,7 +131,7 @@ class RemapTable:
     # invariants / reporting
     # ------------------------------------------------------------------
     def count_in_near(self) -> int:
-        return sum(1 for k in self._kind if k is MemoryKind.NEAR)
+        return self._in_near.count(1)
 
     def check_consistency(self) -> bool:
         """Every sector's frame maps back to it through the inverse tables.
@@ -134,15 +140,10 @@ class RemapTable:
         migrated sectors legitimately point at sectors whose remap entry is
         still in FM.
         """
-        for sector in range(self.num_sectors):
-            loc = self.lookup(sector)
-            if loc.in_near:
-                if self._inverse_nm.get(loc.frame) != sector:
-                    return False
-            else:
-                if self._inverse_fm[loc.frame] != sector:
-                    return False
-        return True
+        nm, fm = self._inverse_nm, self._inverse_fm
+        return all((nm.get(frame) if in_near else fm[frame]) == sector
+                   for sector, (in_near, frame)
+                   in enumerate(zip(self._in_near, self._frame)))
 
 
 class FreeFMStack:

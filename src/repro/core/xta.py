@@ -123,17 +123,9 @@ class XTA:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def lookup(self, sector: int) -> Optional[XTAEntry]:
-        """Return the entry holding ``sector`` (and refresh its LRU state)."""
-        self.lookups += 1
-        entry = self._tag_maps[sector % self.num_sets].get(sector)
-        if entry is not None:
-            self.hits += 1
-            self._touch(entry)
-        return entry
-
     def probe(self, sector: int) -> Optional[XTAEntry]:
-        """Like :meth:`lookup` but without statistics or LRU update.
+        """The entry holding ``sector``, or None; no statistics or LRU
+        update (the DCMC step counts lookups and touches the entry itself).
 
         Used by the NM allocator to check whether a candidate victim frame is
         currently linked into the DRAM cache (Section 3.5).
@@ -172,14 +164,6 @@ class XTA:
             entry.dirty_mask = 0
         self._touch(entry)
         return entry
-
-    def record_access(self, entry: XTAEntry) -> None:
-        """Bump the sector's access counter (only for non-migrated sectors,
-        Section 3.7.1) with 9-bit saturation."""
-        if entry.in_near_memory:
-            return
-        if entry.access_counter < self.counter_max:
-            entry.access_counter += 1
 
     def competing_counters(self, sector: int, victim: XTAEntry) -> List[int]:
         """Counters of the other sectors in the victim's set that take part

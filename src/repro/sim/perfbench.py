@@ -20,6 +20,11 @@ is a ratio of two rates measured in the same process:
   reference count: the share of the engine floor a design keeps.  Only
   the design's own step and DRAM kernels separate the two, so the ratio
   falls when they get slower.
+* **designs (small)** — the same ratio at the small reference count.  As
+  in a sweep cell, the design's construction and ``collect_stats`` fall
+  inside the timed call, so this gate also trips when a per-run cost
+  that scales with the design's structures (the remap table of the
+  migration designs, for one) stops being small next to the run.
 
 Each ratio is timed as a pair, denominator then numerator back to back
 with the garbage collector off, and every pair runs once per round for
@@ -54,15 +59,16 @@ from ..workloads.catalog import get_workload
 from .simulator import simulate
 from ..workloads import synthetic
 
-#: Bump when the report layout changes.  Schema 3 gates a ``ratio`` in
+#: Bump when the report layout changes.  Schema 4 gates a ``ratio`` in
 #: every section: engine rates over the calibration loop, design rates
-#: over the null system.  :func:`compare_to_baseline` refuses a baseline
-#: of any other schema.
-BENCH_SCHEMA = 3
+#: over the null system at the full and the small reference count.
+#: :func:`compare_to_baseline` refuses a baseline of any other schema.
+BENCH_SCHEMA = 4
 
-#: Reference count of the ``fast_path_small`` section: small enough that a
-#: fixed per-run overhead (column materialization, kernel compilation)
-#: would dominate if it ever stopped amortizing.
+#: Reference count of the ``fast_path_small`` and ``designs_small``
+#: sections, the size of a sweep cell: small enough that a fixed per-run
+#: overhead (column materialization, kernel compilation, a design's
+#: setup and stats) would dominate if it ever stopped amortizing.
 SMALL_REFS = 2_000
 
 #: Iterations of :func:`_calibration_loop`, the unit of its rate.
@@ -173,10 +179,11 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
                   small_refs: int = SMALL_REFS) -> dict:
     """Measure everything and return the ``BENCH_engine.json`` payload.
 
-    ``designs=[]`` skips the per-design section; ``engine=False`` skips the
-    engine sections (fast path, generator, small-trace fast path).  The CI
-    matrix uses those switches to split the measurement across jobs; the
-    default measures everything.
+    ``designs=[]`` skips the per-design sections; ``engine=False`` skips
+    the engine sections (fast path, generator, small-trace fast path).  The
+    CI matrix uses those switches to split the measurement across jobs; the
+    default measures everything.  ``small_refs`` outside ``(0, refs)``
+    skips both small-trace sections.
     """
     config = config or make_config(nm_gb=1, fm_gb=16, scale=256)
     labels = [label.upper() for label in (
@@ -187,6 +194,7 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
         return (lambda: simulate(factory(config), spec, num_references=n,
                                  seed=1), n)
 
+    small = 0 < small_refs < refs
     pieces: Dict[str, Timed] = {
         "calibration": (_calibration_loop, CALIBRATION_OPS),
         "null": run(NullMemorySystem, refs),
@@ -194,14 +202,19 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
         "generator": (lambda: synthetic.generate_trace(spec, refs, seed=1),
                       refs),
         **{label: run(DESIGN_FACTORIES[label], refs) for label in labels},
+        **{f"{label} small": run(DESIGN_FACTORIES[label], small_refs)
+           for label in labels},
     }
     pairs: Dict[str, Tuple[str, str]] = {}
     if engine:
         pairs["fast_path"] = ("calibration", "null")
-        if 0 < small_refs < refs:
+        if small:
             pairs["fast_path_small"] = ("calibration", "null_small")
         pairs["generator"] = ("calibration", "generator")
     pairs.update((label, ("null", label)) for label in labels)
+    if small:
+        pairs.update((f"{label} small", ("null_small", f"{label} small"))
+                     for label in labels)
     rates, ratios = _measure(pieces, pairs, repeat)
 
     payload = {
@@ -223,8 +236,7 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
                                 "ratio": ratios["fast_path"]}
         payload["generator"] = {"records_per_sec": rates["generator"],
                                 "ratio": ratios["generator"]}
-        if "fast_path_small" in ratios:
-            payload["small_refs"] = small_refs
+        if small:
             payload["fast_path_small"] = {"refs_per_sec": rates["null_small"],
                                           "ratio": ratios["fast_path_small"]}
     if labels:
@@ -232,6 +244,14 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
         payload["designs"] = {label: {"refs_per_sec": rates[label],
                                       "ratio": ratios[label]}
                               for label in labels}
+        if small:
+            payload["null_small"] = {"refs_per_sec": rates["null_small"]}
+            payload["designs_small"] = {
+                label: {"refs_per_sec": rates[f"{label} small"],
+                        "ratio": ratios[f"{label} small"]}
+                for label in labels}
+    if small:
+        payload["small_refs"] = small_refs
     return payload
 
 
@@ -258,11 +278,16 @@ def render_report(payload: dict) -> str:
             if section == "fast_path_small":
                 note += f"  [{payload['small_refs']} refs]"
             row(name, entry[key], unit, note)
-    if "designs" in payload:
-        row("NULL", payload["null"]["refs_per_sec"], "refs/s")
-    for label, entry in payload.get("designs", {}).items():
-        row(label, entry["refs_per_sec"], "refs/s",
-            f"({entry['ratio']:.3f} of NULL)")
+    for section, null in (("designs", "null"),
+                          ("designs_small", "null_small")):
+        if section not in payload:
+            continue
+        refs = (f"[{payload['small_refs']} refs]"
+                if section == "designs_small" else "")
+        row("NULL", payload[null]["refs_per_sec"], "refs/s", refs)
+        for label, entry in payload[section].items():
+            row(label, entry["refs_per_sec"], "refs/s",
+                f"({entry['ratio']:.3f} of NULL)  {refs}")
     return "\n".join(lines)
 
 
@@ -284,9 +309,10 @@ def compare_to_baseline(payload: dict, baseline: dict,
     floor = 1.0 - max_regression
     gated = [(section, payload[section], baseline.get(section))
              for section in ENGINE_SECTIONS if section in payload]
-    gated += [(f"design {label}", entry,
-               baseline.get("designs", {}).get(label))
-              for label, entry in payload.get("designs", {}).items()]
+    gated += [(f"{name} {label}", entry, baseline.get(section, {}).get(label))
+              for section, name in (("designs", "design"),
+                                    ("designs_small", "designs_small"))
+              for label, entry in payload.get(section, {}).items()]
     failures = []
     for label, entry, base in gated:
         if base is None:

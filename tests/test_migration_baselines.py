@@ -1,12 +1,15 @@
 """Tests for the migration baselines (MemPod, LGM, Chameleon) and their
 shared machinery."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.chameleon import ChameleonGroups
 from repro.baselines.lgm import LgmMigration
 from repro.baselines.mempod import MeaCounters, MemPod
-from repro.baselines.migration_base import RemapCache
+from repro.baselines.migration_base import SEGMENT_BYTES
+from repro.params import Hybrid2Params, make_config
 from repro.workloads import generate_trace, get_workload
 
 
@@ -24,28 +27,46 @@ def drive(system, workload="mcf", n=2000, seed=4, step_ns=25.0):
 # ---------------------------------------------------------------------------
 # remap cache
 # ---------------------------------------------------------------------------
+def mempod(capacity):
+    """A MemPod whose remap cache holds ``capacity`` segments."""
+    config = make_config(nm_gb=1, fm_gb=16, scale=1024)
+    hybrid2 = Hybrid2Params(dram_cache_bytes=capacity * SEGMENT_BYTES)
+    return MemPod(dataclasses.replace(config, hybrid2=hybrid2))
+
+
+def translate(system, *segments):
+    """Read one line of each segment through the step, which probes and
+    fills the remap cache; return whether each translation hit it."""
+    cache = system.remap_cache
+    hits = []
+    for segment in segments:
+        before = cache.hits, cache.misses
+        system.access(segment * system.segment_bytes, False, 0.0)
+        hit = cache.hits > before[0]
+        assert (cache.hits, cache.misses) == (before[0] + hit,
+                                              before[1] + (not hit))
+        hits.append(hit)
+    return hits
+
+
 def test_remap_cache_hit_after_miss():
-    cache = RemapCache(4)
-    assert cache.lookup(1) is False
-    assert cache.lookup(1) is True
-    assert cache.hit_rate == pytest.approx(0.5)
+    system = mempod(4)
+    assert translate(system, 1, 1) == [False, True]
+    assert system.remap_cache.hit_rate == pytest.approx(0.5)
 
 
 def test_remap_cache_evicts_lru():
-    cache = RemapCache(2)
-    cache.lookup(1)
-    cache.lookup(2)
-    cache.lookup(3)            # evicts 1
-    assert cache.lookup(1) is False
+    system = mempod(2)
+    assert translate(system, 1, 2, 3, 1) == [False] * 4     # 3 evicts 1
+    # A hit refreshes the entry: 3 and 1 are cached, 3 is the older.
+    assert translate(system, 3, 2, 1) == [True, False, False]
 
 
 def test_remap_cache_refresh_keeps_entry_hot():
-    cache = RemapCache(2)
-    cache.lookup(1)
-    cache.lookup(2)
-    cache.refresh(1)
-    cache.lookup(3)            # evicts 2, not 1
-    assert cache.lookup(1) is True
+    system = mempod(2)
+    translate(system, 1, 2)
+    system.remap_cache.refresh(1)
+    assert translate(system, 3, 1) == [False, True]     # 3 evicts 2, not 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines import DESIGN_FACTORIES
 from repro.cli import main
+from repro.core.remap import RemapTable
 from repro.params import make_config
 from repro.sim import perfbench, simulator
 from repro.sim.simulator import simulate
@@ -26,7 +27,7 @@ def test_null_memory_system_isolates_the_engine():
 def test_run_benchmark_payload_shape():
     payload = perfbench.run_benchmark(refs=300, repeat=1, designs=["BASELINE"],
                                       small_refs=100)
-    assert payload["schema"] == perfbench.BENCH_SCHEMA == 3
+    assert payload["schema"] == perfbench.BENCH_SCHEMA == 4
     assert payload["calibration"]["ops_per_sec"] > 0
     fast = payload["fast_path"]
     assert fast["refs_per_sec"] == payload["null"]["refs_per_sec"] > 0
@@ -37,10 +38,14 @@ def test_run_benchmark_payload_shape():
     assert set(payload["designs"]) == {"BASELINE"}
     assert payload["designs"]["BASELINE"]["refs_per_sec"] > 0
     assert payload["designs"]["BASELINE"]["ratio"] > 0
+    assert set(payload["designs_small"]) == {"BASELINE"}
+    assert payload["designs_small"]["BASELINE"]["ratio"] > 0
+    assert payload["null_small"]["refs_per_sec"] > 0
     assert "python" in payload["environment"]
     rendered = perfbench.render_report(payload)
     assert "fast path" in rendered and "BASELINE" in rendered
     assert "of NULL" in rendered and "per calibration op" in rendered
+    assert "of NULL)  [100 refs]" in rendered
 
 
 def test_run_benchmark_section_switches():
@@ -48,66 +53,82 @@ def test_run_benchmark_section_switches():
     assert "designs" not in engine_only
     assert "fast_path" in engine_only
     designs_only = perfbench.run_benchmark(refs=200, repeat=1,
-                                           designs=["baseline"], engine=False)
+                                           designs=["baseline"], engine=False,
+                                           small_refs=100)
     assert "fast_path" not in designs_only
     assert "fast_path_small" not in designs_only
     assert "calibration" not in designs_only
     assert set(designs_only["designs"]) == {"BASELINE"}
     assert designs_only["null"]["refs_per_sec"] > 0
+    # The per-design CI jobs gate the small-trace section too.
+    assert set(designs_only["designs_small"]) == {"BASELINE"}
     # A small-refs count at or above refs would duplicate the main
-    # measurement, so it is skipped.
-    no_small = perfbench.run_benchmark(refs=200, repeat=1, designs=[],
-                                       small_refs=200)
+    # measurement, so both small-trace sections are skipped.
+    no_small = perfbench.run_benchmark(refs=200, repeat=1,
+                                       designs=["baseline"], small_refs=200)
     assert "fast_path_small" not in no_small
+    assert "designs_small" not in no_small and "small_refs" not in no_small
 
 
-def schema3(**sections):
+def schema(**sections):
     return {"schema": perfbench.BENCH_SCHEMA, **sections}
 
 
 def test_compare_to_baseline_gates_on_speedup_ratio():
-    current = schema3(fast_path={"ratio": 0.40}, generator={"ratio": 2.0})
-    ok_base = schema3(fast_path={"ratio": 0.50}, generator={"ratio": 2.5})
+    current = schema(fast_path={"ratio": 0.40}, generator={"ratio": 2.0})
+    ok_base = schema(fast_path={"ratio": 0.50}, generator={"ratio": 2.5})
     assert perfbench.compare_to_baseline(current, ok_base,
                                          max_regression=0.30) == []
-    bad_base = schema3(fast_path={"ratio": 0.60}, generator={"ratio": 2.5})
+    bad_base = schema(fast_path={"ratio": 0.60}, generator={"ratio": 2.5})
     failures = perfbench.compare_to_baseline(current, bad_base,
                                              max_regression=0.30)
     assert len(failures) == 1 and "fast_path" in failures[0]
     # A section the payload did not measure is not gated ...
-    assert perfbench.compare_to_baseline(schema3(), ok_base) == []
+    assert perfbench.compare_to_baseline(schema(), ok_base) == []
     # ... but one the baseline lacks fails instead of passing vacuously.
     failures = perfbench.compare_to_baseline(
-        schema3(fast_path_small={"ratio": 0.3}), ok_base)
+        schema(fast_path_small={"ratio": 0.3}), ok_base)
     assert failures == ["fast_path_small is missing from the baseline"]
 
 
 def test_compare_to_baseline_gates_per_design():
-    current = schema3(designs={"MPOD": {"refs_per_sec": 1.0, "ratio": 0.2},
+    current = schema(designs={"MPOD": {"refs_per_sec": 1.0, "ratio": 0.2},
                                "LGM": {"refs_per_sec": 1.0, "ratio": 0.3}})
-    baseline = schema3(designs={"MPOD": {"ratio": 0.3},
+    baseline = schema(designs={"MPOD": {"ratio": 0.3},
                                 "LGM": {"ratio": 0.3}})
     failures = perfbench.compare_to_baseline(current, baseline,
                                              max_regression=0.30)
     assert len(failures) == 1 and "MPOD" in failures[0]
     # fast_path_small participates in the gate like the other sections.
     failures = perfbench.compare_to_baseline(
-        schema3(fast_path_small={"ratio": 0.1}),
-        schema3(fast_path_small={"ratio": 0.5}))
+        schema(fast_path_small={"ratio": 0.1}),
+        schema(fast_path_small={"ratio": 0.5}))
     assert len(failures) == 1 and "fast_path_small" in failures[0]
     failures = perfbench.compare_to_baseline(
-        schema3(designs={"DFC": {"ratio": 0.3}}), baseline)
+        schema(designs={"DFC": {"ratio": 0.3}}), baseline)
     assert failures == ["design DFC is missing from the baseline"]
+    # The small-trace section is gated per design the same way.
+    small_base = schema(designs_small={"MPOD": {"ratio": 0.3}})
+    failures = perfbench.compare_to_baseline(
+        schema(designs_small={"MPOD": {"ratio": 0.2},
+                              "CHA": {"ratio": 0.3}}), small_base)
+    assert failures[0].startswith("designs_small MPOD ratio regressed")
+    assert failures[1] == "designs_small CHA is missing from the baseline"
+    assert perfbench.compare_to_baseline(
+        schema(designs_small={"MPOD": {"ratio": 0.25}}), small_base) == []
 
 
 def test_compare_to_baseline_rejects_schema_mismatch():
-    """A schema-2 baseline gated seed-engine speedups; against it every
-    comparison would be meaningless, so the gate fails and says why."""
-    current = schema3(designs={"MPOD": {"ratio": 0.3}})
-    old_baseline = {"schema": 2, "designs": {"MPOD": {"speedup": 3.0}}}
-    failures = perfbench.compare_to_baseline(current, old_baseline)
-    assert len(failures) == 1
-    assert "schema 2" in failures[0] and "schema 3" in failures[0]
+    """A schema-2 baseline gated seed-engine speedups, and a schema-3 one
+    has no small-trace design section; against either the gate fails and
+    says why."""
+    current = schema(designs={"MPOD": {"ratio": 0.3}})
+    for old in (2, 3):
+        old_baseline = {"schema": old, "designs": {"MPOD": {"ratio": 3.0}}}
+        failures = perfbench.compare_to_baseline(current, old_baseline)
+        assert len(failures) == 1
+        assert f"schema {old}" in failures[0]
+        assert f"schema {perfbench.BENCH_SCHEMA}" in failures[0]
     assert perfbench.compare_to_baseline(
         current, {"designs": {"MPOD": {"ratio": 0.3}}}) != []
 
@@ -165,17 +186,23 @@ def test_gate_trips_on_deliberate_slowdowns(monkeypatch):
     """Each gated ratio falls below the 30% floor when the piece it
     measures gets slower, against a baseline taken in the same process:
     per-reference work around the step in the driver loop trips
-    ``fast_path``, work inside one design's step trips that design, and a
-    slower trace generator trips ``generator``.  Each slowdown at least
+    ``fast_path``, work inside one design's step trips that design, a
+    slower trace generator trips ``generator``, and a per-sector Python
+    scan in ``RemapTable.count_in_near`` (the stat every MPOD cell
+    collects) trips MPOD's small-trace section.  Each slowdown at least
     triples the time of what it slows, well clear of host noise."""
     kwargs = dict(refs=20_000, designs=["TAGLESS"], small_refs=0)
+    small = dict(refs=4_000, designs=["MPOD"], engine=False,
+                 small_refs=perfbench.SMALL_REFS)
     before = perfbench.run_benchmark(**kwargs)
+    before_small = perfbench.run_benchmark(**small)
 
-    def tripped(section):
+    def tripped(section, kwargs=kwargs, before=before):
         failures = perfbench.compare_to_baseline(
             perfbench.run_benchmark(**kwargs), before)
         monkeypatch.undo()
-        return [f for f in failures if f.startswith(section + " ")]
+        return [f for f in failures
+                if f.startswith(section + " ratio regressed")]
 
     drive = simulator._drive
 
@@ -211,3 +238,10 @@ def test_gate_trips_on_deliberate_slowdowns(monkeypatch):
 
     monkeypatch.setattr(synthetic, "generate_trace", slow_generate)
     assert tripped("generator")
+
+    def scan_count_in_near(self):
+        return sum(1 for sector in range(self.num_sectors)
+                   if self.lookup(sector).in_near)
+
+    monkeypatch.setattr(RemapTable, "count_in_near", scan_count_in_near)
+    assert tripped("designs_small MPOD", small, before_small)

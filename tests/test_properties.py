@@ -3,20 +3,21 @@ invariants of the reproduction."""
 
 import dataclasses
 import runpy
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DESIGN_FACTORIES, IdealCache
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement import LruPolicy
+from repro.core.hybrid2 import Hybrid2System
 from repro.core.nm_allocator import NMFramePool
 from repro.core.policy import eviction_cost, migration_cost, net_cost
 from repro.core.remap import FreeFMStack, RemapTable
-from repro.core.xta import XTA
 from repro.common import LINE_SIZE
 from repro.cpu.core import IntervalCore, miss_columns
 from repro.cpu.trace import Trace
@@ -103,15 +104,22 @@ def test_cache_probe_after_access_always_hits(lines):
 # ---------------------------------------------------------------------------
 # XTA
 # ---------------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 500), min_size=1, max_size=200))
 def test_xta_lookup_after_allocate_finds_sector(sectors):
-    xta = XTA(num_sets=8, ways=4, lines_per_sector=8, counter_max=511)
-    for sector in sectors:
-        if xta.lookup(sector) is None:
-            victim = xta.victim_way(sector)
-            victim.clear()
-            xta.allocate(victim, sector, nm_frame=sector, fm_frame=sector)
+    """Every access through the Hybrid2 step counts one XTA lookup, hits
+    exactly when ``probe`` already found the sector, and leaves the sector
+    linked; the misses allocate (evicting and migrating once the 8 x 16
+    XTA of the bench config fills)."""
+    config = make_config(nm_gb=1, fm_gb=16, scale=256)
+    system = Hybrid2System(config)
+    xta = system.dcmc.xta
+    hits = 0
+    for t, sector in enumerate(sectors):
+        hits += xta.probe(sector) is not None
+        system.access(sector * config.hybrid2.sector_bytes, False, t * 20.0)
         assert xta.probe(sector) is not None
+    assert xta.lookups == len(sectors) and xta.hits == hits
     assert xta.allocated_entries() <= xta.capacity_sectors
 
 
@@ -140,6 +148,76 @@ def test_remap_consistency_under_random_swaps(seed, data):
         fm_sectors.append(nm_sector)
     assert table.check_consistency()
     assert table.count_in_near() == 8
+
+
+@given(num_nm=st.integers(0, 6), num_fm=st.integers(0, 8),
+       spare=st.integers(0, 3), seed=st.integers(0, 99), data=st.data())
+def test_remap_table_invariants_under_random_operations(num_nm, num_fm,
+                                                        spare, seed, data):
+    """Random sequences of the updates the DCMC and the migration
+    baselines make (``assign_to_near`` into a frame no sector calls home,
+    ``assign_to_far`` into a vacated FM frame, swaps, and
+    ``record_inverse_nm`` links of FM sectors) keep the flat columns and
+    both inverse tables consistent, on tables with no NM or no FM frames
+    too: a vacated frame maps back to no sector (or, in NM, only to the
+    sector last linked to it)."""
+    assume(num_nm + num_fm > 0)
+    num_sectors = num_nm + num_fm
+    table = RemapTable(num_sectors, list(range(10, 10 + num_nm)), num_fm,
+                       seed=seed)
+    free_nm = list(range(100, 100 + spare))    # frames no sector calls home
+    free_fm: list = []
+    links: dict = {}                # free NM frame -> sector linked to it
+    for _ in range(data.draw(st.integers(0, 24))):
+        near = [s for s in range(num_sectors) if table.lookup(s).in_near]
+        far = [s for s in range(num_sectors) if s not in near]
+        ops = [op for op, ok in (("to_near", free_nm),
+                                 ("to_far", free_fm),
+                                 ("swap", near and far),
+                                 ("link", free_nm and far)) if ok]
+        if not ops:
+            break
+        op = data.draw(st.sampled_from(ops))
+        if op == "swap":
+            a = data.draw(st.sampled_from(far))
+            b = data.draw(st.sampled_from(near))
+            fm_frame, nm_frame = table.lookup(a).frame, table.lookup(b).frame
+            table.assign_to_near(a, nm_frame)
+            table.assign_to_far(b, fm_frame)
+        elif op == "link":
+            frame = data.draw(st.sampled_from(free_nm))
+            links[frame] = data.draw(st.sampled_from(far))
+            table.record_inverse_nm(frame, links[frame])
+        else:
+            sector = data.draw(st.sampled_from(range(num_sectors)))
+            old = table.lookup(sector)
+            if op == "to_near":
+                frame = data.draw(st.sampled_from(free_nm))
+                table.assign_to_near(sector, frame)
+                free_nm.remove(frame)
+            else:
+                frame = data.draw(st.sampled_from(free_fm))
+                table.assign_to_far(sector, frame)
+                free_fm.remove(frame)
+            if old.in_near:
+                free_nm.append(old.frame)
+                links.pop(old.frame, None)
+            else:
+                free_fm.append(old.frame)
+    assert table.count_in_near() == sum(table.lookup(s).in_near
+                                        for s in range(num_sectors))
+    assert table.check_consistency()
+    assert sorted(f for f in range(num_fm)
+                  if table.sector_at_fm_frame(f) == -1) == sorted(free_fm)
+    assert ([table.sector_at_nm_frame(f) for f in free_nm]
+            == [links.get(f, -1) for f in free_nm])
+    assert type(table._in_near) is bytearray
+    assert len(table._in_near) == num_sectors
+    assert set(table._in_near) <= {0, 1}
+    for column, length in ((table._frame, num_sectors),
+                           (table._inverse_fm, num_fm)):
+        assert type(column) is array and column.typecode == "q"
+        assert len(column) == length
 
 
 # ---------------------------------------------------------------------------

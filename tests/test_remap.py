@@ -1,10 +1,12 @@
 """Tests for the remap table, inverted remap table and Free-FM-Stack."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.common import MemoryKind
-from repro.core.remap import FreeFMStack, RemapTable
+from repro.core.remap import FreeFMStack, Location, RemapTable
 
 
 @pytest.fixture
@@ -60,13 +62,38 @@ def test_initial_mapping_matches_the_per_sector_loop(nm_flat_frames,
     table = RemapTable(num_sectors, nm_flat_frames, fm_frames, seed=seed)
     kind, frame, inverse_nm, inverse_fm = loop_initial_mapping(
         num_sectors, nm_flat_frames, fm_frames, seed)
-    assert all(a is b for a, b in zip(table._kind, kind))
-    assert len(table._kind) == num_sectors
-    assert table._frame == frame
-    assert all(type(f) is int for f in table._frame)
-    assert list(table._inverse_nm.items()) == list(inverse_nm.items())
-    assert table._inverse_fm == inverse_fm
+    assert ([table.lookup(s) for s in range(num_sectors)]
+            == [Location(k, f) for k, f in zip(kind, frame)])
+    assert all(type(table.lookup(s).frame) is int
+               for s in range(num_sectors))
+    assert table._inverse_nm == inverse_nm
+    assert ([table.sector_at_nm_frame(f) for f in nm_flat_frames]
+            == [inverse_nm[f] for f in nm_flat_frames])
+    assert ([table.sector_at_fm_frame(f) for f in range(fm_frames)]
+            == inverse_fm)
+    assert table.count_in_near() == len(nm_flat_frames)
     assert table.check_consistency()
+
+
+def test_footprint_stays_under_24_bytes_per_sector():
+    """The per-sector columns are typed arrays, so a table of ~1.1M
+    sectors at the bench's 1:16 NM:FM split retains about 22.4 B per
+    sector: 1 (``_in_near``) + 8 (``_frame``) + 8 x 16/17
+    (``_inverse_fm``) + ~5.9 for the inverse-NM dict over the NM
+    sixteenth.  The layout of object lists it replaced retained ~90 B.
+    tracemalloc counts allocated bytes, so the figure is exact for one
+    interpreter; the bound leaves room for another version's dict."""
+    nm_flat_frames = list(range(1 << 16))
+    fm_frames = 16 << 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = RemapTable(len(nm_flat_frames) + fm_frames, nm_flat_frames,
+                           fm_frames)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / table.num_sectors < 24
 
 
 def test_size_mismatch_rejected():

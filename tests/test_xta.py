@@ -2,12 +2,35 @@
 
 import pytest
 
+from repro.core.hybrid2 import Hybrid2System
 from repro.core.xta import XTA, XTAEntry
+from repro.params import Hybrid2Params, make_config
 
 
 @pytest.fixture
 def xta():
     return XTA(num_sets=4, ways=2, lines_per_sector=8, counter_max=511)
+
+
+def hybrid2(**params):
+    """A Hybrid2 system at the bench config (8 XTA sets of 16 ways); its
+    step does the XTA lookup, the LRU touch and the counter update."""
+    return Hybrid2System(make_config(nm_gb=1, fm_gb=16, scale=256,
+                                     hybrid2=Hybrid2Params(**params)))
+
+
+def touch(system, sector, times=1):
+    """Read line 0 of ``sector`` ``times`` times through the step."""
+    for _ in range(times):
+        system.access(sector * system.dcmc.sector_bytes, False, 0.0)
+    return system.dcmc.xta.probe(sector)
+
+
+def homed(system, in_near):
+    """The first sector whose remap-table home is (not) in NM."""
+    remap = system.dcmc.remap
+    return next(s for s in range(remap.num_sectors)
+                if remap.lookup(s).in_near == in_near)
 
 
 def test_entry_defaults_are_invalid():
@@ -27,12 +50,19 @@ def test_entry_line_flags():
 
 
 def test_lookup_miss_then_hit(xta):
-    assert xta.lookup(12) is None
+    assert xta.probe(12) is None
     entry = xta.victim_way(12)
     xta.allocate(entry, 12, nm_frame=5, fm_frame=7)
-    found = xta.lookup(12)
-    assert found is entry
-    assert xta.hits == 1 and xta.lookups == 2
+    assert xta.probe(12) is entry
+    # Through the step: the first access misses and allocates, the second
+    # hits the same entry; both count as lookups.
+    system = hybrid2()
+    step_xta = system.dcmc.xta
+    entry = touch(system, 12)
+    assert entry is not None
+    assert step_xta.hits == 0 and step_xta.lookups == 1
+    assert touch(system, 12) is entry
+    assert step_xta.hits == 1 and step_xta.lookups == 2
 
 
 def test_allocate_fm_sector_starts_empty(xta):
@@ -58,27 +88,33 @@ def test_victim_prefers_invalid_way(xta):
     assert not victim.allocated
 
 
-def test_victim_is_lru_when_set_full(xta):
-    a = xta.allocate(xta.victim_way(0), 0, 1, 2)
-    b = xta.allocate(xta.victim_way(4), 4, 3, 4)
-    xta.lookup(0)                     # refresh a
-    assert xta.victim_way(8) is b
+def test_victim_is_lru_when_set_full():
+    """An XTA hit in the step refreshes the entry's LRU stamp, so the
+    victim of a full set is the least recently accessed way."""
+    system = hybrid2()
+    xta = system.dcmc.xta
+    same_set = [way * xta.num_sets for way in range(xta.ways + 1)]
+    entries = [touch(system, sector) for sector in same_set[:-1]]
+    assert xta.victim_way(same_set[-1]) is entries[0]
+    touch(system, same_set[0])                       # refresh the oldest
+    assert xta.victim_way(same_set[-1]) is entries[1]
 
 
-def test_access_counter_only_counts_fm_sectors(xta):
-    fm_entry = xta.allocate(xta.victim_way(0), 0, 1, 2)
-    nm_entry = xta.allocate(xta.victim_way(1), 1, 3, None)
-    xta.record_access(fm_entry)
-    xta.record_access(nm_entry)
-    assert fm_entry.access_counter == 1
-    assert nm_entry.access_counter == 0
+def test_access_counter_only_counts_fm_sectors():
+    """Only sectors still homed in FM count accesses (Section 3.7.1); a
+    sector homed in NM, initially or after a migration, is linked with no
+    FM pointer and its counter stays frozen."""
+    system = hybrid2()
+    fm_entry = touch(system, homed(system, in_near=False), times=3)
+    nm_entry = touch(system, homed(system, in_near=True), times=3)
+    assert fm_entry.fm_frame is not None and fm_entry.access_counter == 2
+    assert nm_entry.in_near_memory and nm_entry.access_counter == 0
 
 
 def test_access_counter_saturates():
-    xta = XTA(num_sets=1, ways=1, lines_per_sector=8, counter_max=3)
-    entry = xta.allocate(xta.victim_way(0), 0, 1, 2)
-    for _ in range(10):
-        xta.record_access(entry)
+    system = hybrid2(access_counter_bits=2)
+    assert system.dcmc.xta.counter_max == 3
+    entry = touch(system, homed(system, in_near=False), times=10)
     assert entry.access_counter == 3
 
 
