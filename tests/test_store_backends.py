@@ -355,6 +355,9 @@ def decoded_verdict(row):
 #: Text SQLite can hold (no lone surrogates).
 storable_text = st.text(st.characters(blacklist_categories=("Cs",)),
                         max_size=12)
+#: Integers SQLite can hold (a signed 64-bit INTEGER; sqlite3 raises
+#: OverflowError on anything wider, so no row can carry one).
+storable_int = st.integers(-(1 << 63), (1 << 63) - 1)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 run_results = st.builds(
     lambda cycles, refs, counters: RunResult(
@@ -408,7 +411,7 @@ def test_stored_text_verdict_matches_decoding(row_store, result, job,
     elif damage == "format":
         fmt = data.draw(st.one_of(
             st.none(), st.just(str(STORE_FORMAT)),
-            st.integers().filter(lambda f: f != STORE_FORMAT)))
+            storable_int.filter(lambda f: f != STORE_FORMAT)))
     elif damage == "reformat":
         result_text = reformat(result_text)
         if job_text is not None and data.draw(st.booleans()):
