@@ -45,9 +45,15 @@ class MemorySystem(abc.ABC):
       with operators that give the same values for an int64 ndarray and
       for one Python int;
     * :meth:`_step` compiles everything else (state probes and updates,
-      DRAM accesses, request counters) into a closure
+      DRAM accesses, the counters that depend on state) into a closure
       ``step(i, is_write, now_ns) -> latency_ns`` reading entry ``i`` of
-      each column.
+      each column.  Addresses the design knows before the run reach the
+      step as the ``(slot, row)`` columns of
+      :meth:`~repro.memory.device.DramDevice.locate`.
+
+    The step does not count requests: ``requests`` and ``write_requests``
+    depend on the schedule alone, so ``simulate()`` adds them once for the
+    measured region, and :meth:`access` counts its own.
 
     :meth:`fast_path` hands :meth:`_step` the columns of a whole run, and
     :meth:`access` runs the same step at index 0 on one-slot columns, so a
@@ -115,7 +121,7 @@ class MemorySystem(abc.ABC):
         """Serve one processor-critical 64 B request; return its latency
         in ns.  Runs the design's :meth:`_step` at index 0 on one-slot
         columns filled from ``address``, the same code the :meth:`fast_path`
-        step runs."""
+        step runs, and counts the request (the step does not)."""
         values = self._columns(int(address))
         slots = self._slots
         if slots is None:
@@ -124,14 +130,20 @@ class MemorySystem(abc.ABC):
         else:
             for slot, value in zip(slots, values):
                 slot[0] = value
+        self.requests += 1
+        if is_write:
+            self.write_requests += 1
         return self._slot_step(0, is_write, now_ns)
 
     def reset_measurement(self) -> None:
-        """Zero the measured counters after a warm-up phase.
+        """Zero the request, traffic and energy counters after a warm-up.
 
         The structural state of the design (cache contents, XTA, remap
-        tables, DRAM timing state) is kept; only the request/traffic/energy
-        accounting restarts, so results reflect warmed-up behaviour.
+        tables, DRAM timing state) is kept.  So are the design-specific
+        counters (cache hits and misses, fetched and used blocks,
+        migrations, swaps, XTA and remap-cache hits, ...): they span the
+        warm-up as well, while ``requests``, ``nm.*``/``fm.*`` traffic and
+        energy describe the measured region only.
         """
         self.requests = 0
         self.requests_from_nm = 0
@@ -140,10 +152,6 @@ class MemorySystem(abc.ABC):
             self.near.reset_counters()
         if self.far is not None:
             self.far.reset_counters()
-        self._reset_extra()
-
-    def _reset_extra(self) -> None:
-        """Subclasses reset design-specific measured counters here."""
 
     # ------------------------------------------------------------------
     # shared helpers

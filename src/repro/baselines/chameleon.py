@@ -70,10 +70,14 @@ class ChameleonGroups(MigrationSystem):
         counts, so a persistently hot segment still gets promoted into
         the flat NM space); half the threshold fills the cache mode
         (:meth:`_fill_cache_mode`), the full threshold swaps the segment
-        into NM.
+        into NM.  Frames are runtime state: the step maps them inline, with
+        :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
         """
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
+        n_il, n_ch, n_banks, n_row = self.near.device.address_map
+        f_il, f_ch, f_banks, f_row = self.far.device.address_map
+        n_stride, f_stride = n_ch * n_banks, f_ch * f_banks
         seg_bytes = self.segment_bytes
         near_col = self.remap._in_near
         frame_col = self.remap._frame
@@ -102,12 +106,12 @@ class ChameleonGroups(MigrationSystem):
         def step(i: int, is_write: bool, now_ns: float) -> float:
             seg = seg_col[i]
             off = off_col[i]
-            self.requests += 1
-            if is_write:
-                self.write_requests += 1
             if near_col[seg]:
-                latency = near_line(frame_col[seg] * seg_bytes + off,
-                                    is_write, now_ns, 0)
+                address = frame_col[seg] * seg_bytes + off
+                rows = address // n_row
+                latency = near_line(
+                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
+                    rows // n_stride, is_write, now_ns, 0)
                 self._last_segment = seg
                 self.requests_from_nm += 1
                 return latency
@@ -116,13 +120,19 @@ class ChameleonGroups(MigrationSystem):
                     cache_mode[seg] = True
                 cache_move(seg)
                 self.cache_mode_hits += 1
-                latency = near_line((seg % cache_capacity) * seg_bytes + off,
-                                    is_write, now_ns, 0)
+                address = (seg % cache_capacity) * seg_bytes + off
+                rows = address // n_row
+                latency = near_line(
+                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
+                    rows // n_stride, is_write, now_ns, 0)
                 note_fm(seg, now_ns)
                 self.requests_from_nm += 1
                 return latency
-            latency = far_line(frame_col[seg] * seg_bytes + off,
-                               is_write, now_ns, 0)
+            address = frame_col[seg] * seg_bytes + off
+            rows = address // f_row
+            latency = far_line(
+                address // f_il % f_ch * f_banks + rows // f_ch % f_banks,
+                rows // f_stride, is_write, now_ns, 0)
             note_fm(seg, now_ns)
             return latency
 

@@ -75,7 +75,6 @@ class DramCacheSystem(MemorySystem):
         self._sets: list[OrderedDict[int, DramCacheLine]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        self._hit_counter = 0  # deterministic stand-in for the hit-tag fraction
 
         self.cache_hits = 0
         self.cache_misses = 0
@@ -92,8 +91,9 @@ class DramCacheSystem(MemorySystem):
         return ((tag * self.num_sets + set_index) % self.nm_lines) * self.line_size
 
     def _columns(self, addresses):
-        """Set index, tag, touched 64 B block, and the NM slot of the
-        block, the NM fill base and the FM line base of each address.
+        """Set index, tag, touched 64 B block, the NM ``(slot, row)`` of
+        the block, and the NM fill base and the FM line base of each
+        address.
 
         The block travels as an index, not as its bit: 4 KB lines have 64
         blocks, and ``1 << 63`` overflows int64.
@@ -104,11 +104,12 @@ class DramCacheSystem(MemorySystem):
         set_index = tag % self.num_sets
         block = (address % line_size) // LINE_SIZE
         nm_base = self._nm_address(set_index, tag)
-        return (set_index, tag, block, nm_base + block * LINE_SIZE, nm_base,
-                address - address % line_size)
+        return (set_index, tag, block,
+                *self.near.device.locate(nm_base + block * LINE_SIZE),
+                nm_base, address - address % line_size)
 
-    def _step(self, set_col, tag_col, block_col, nm_hit_col, nm_base_col,
-              fm_base_col):
+    def _step(self, set_col, tag_col, block_col, nm_slot_col, nm_row_col,
+              nm_base_col, fm_base_col):
         """Probe the DRAM cache; a miss fetches the whole line from FM.
 
         A hit pays the tag cost and one NM burst.  A miss pays the tag
@@ -116,7 +117,7 @@ class DramCacheSystem(MemorySystem):
         (:meth:`_evict`), fetches the whole line from FM and installs it in
         NM in the background.  The in-DRAM tag read of a hit happens on
         every ``1 / tag_in_dram_hit_fraction``-th hit, a deterministic
-        stand-in for that fraction.
+        stand-in for that fraction; tag reads go to NM address 0, (0, 0).
         """
         near_line, near_block = make_kernels(self.near)
         _, far_block = make_kernels(self.far)
@@ -139,24 +140,20 @@ class DramCacheSystem(MemorySystem):
                 line.touched_mask |= 1 << block_col[i]
                 if is_write:
                     line.dirty = True
-                self.cache_hits += 1
+                hits = self.cache_hits + 1
+                self.cache_hits = hits
                 latency = tag_lat
-                if hit_period:
-                    hits = self._hit_counter + 1
-                    self._hit_counter = hits
-                    if hits % hit_period == 0:
-                        latency += near_line(0, False, now_ns, 2)
-                latency += near_line(nm_hit_col[i], is_write, now_ns, 0)
-                self.requests += 1
-                if is_write:
-                    self.write_requests += 1
+                if hit_period and hits % hit_period == 0:
+                    latency += near_line(0, 0, False, now_ns, 2)
+                latency += near_line(nm_slot_col[i], nm_row_col[i], is_write,
+                                     now_ns, 0)
                 self.requests_from_nm += 1
                 return latency
 
             self.cache_misses += 1
             latency = tag_lat
             if miss_needs_tag:
-                latency += near_line(0, False, now_ns, 2)
+                latency += near_line(0, 0, False, now_ns, 2)
             if len(cache_set) >= ways:
                 evict(cache_set, set_col[i], now_ns)
             latency += far_block(fm_base_col[i], line_size, False, now_ns,
@@ -165,9 +162,6 @@ class DramCacheSystem(MemorySystem):
             cache_set[tag] = DramCacheLine(tag=tag, dirty=is_write,
                                            touched_mask=1 << block_col[i])
             self.fetched_blocks += blocks_per_line
-            self.requests += 1
-            if is_write:
-                self.write_requests += 1
             return latency
 
         return step

@@ -26,19 +26,17 @@ class FarMemoryOnly(MemorySystem):
         self._make_controllers(None, config.far)
 
     def _columns(self, addresses):
-        """Each address wrapped to the far memory."""
-        return (addresses % self.config.far.capacity_bytes,)
+        """The far-memory ``(slot, row)`` of each address, wrapped to the
+        far memory."""
+        return self.far.device.locate(
+            addresses % self.config.far.capacity_bytes)
 
-    def _step(self, addr_col):
+    def _step(self, slot_col, row_col):
         """Serve the request from far memory (the only memory there is)."""
         far_line, _ = make_kernels(self.far)
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
-            latency = far_line(addr_col[i], is_write, now_ns, 0)
-            self.requests += 1
-            if is_write:
-                self.write_requests += 1
-            return latency
+            return far_line(slot_col[i], row_col[i], is_write, now_ns, 0)
 
         return step
 

@@ -100,25 +100,31 @@ class MigrationSystem(MemorySystem):
         return self.num_segments * self.segment_bytes
 
     def _columns(self, addresses):
-        """Segment number, offset in the segment and remap-table address
-        of each address."""
+        """Segment number and offset in the segment of each address, and
+        the NM ``(slot, row)`` of its remap-table entry."""
         address = addresses % self.flat_capacity_bytes
         segment = address // self.segment_bytes
         return (segment, address % self.segment_bytes,
-                (segment * 8) % self.config.near.capacity_bytes)
+                *self.near.device.locate(
+                    (segment * 8) % self.config.near.capacity_bytes))
 
-    def _step(self, seg_col, off_col, meta_col):
+    def _step(self, seg_col, off_col, meta_slot_col, meta_row_col):
         """Translate through the remap table, then serve from NM or FM.
 
         The step closes any expired interval first (:meth:`_interval_end`
         migrates), looks the segment up in the remap cache (a miss reads
         the remap table in NM), serves the request from the segment's
         current home; far-memory accesses also feed the selection policy
-        through the :meth:`_note_hook` closure.  Shared by MemPod and LGM; Chameleon
-        replaces it.
+        through the :meth:`_note_hook` closure.  The home frame is runtime
+        state: the step maps it inline, with
+        :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
+        Shared by MemPod and LGM; Chameleon replaces it.
         """
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
+        n_il, n_ch, n_banks, n_row = self.near.device.address_map
+        f_il, f_ch, f_banks, f_row = self.far.device.address_map
+        n_stride, f_stride = n_ch * n_banks, f_ch * f_banks
         seg_bytes = self.segment_bytes
         near_col = self.remap._in_near
         frame_col = self.remap._frame
@@ -141,18 +147,21 @@ class MigrationSystem(MemorySystem):
                 entries[seg] = True
                 if len(entries) > cache_capacity:
                     entries.popitem(last=False)
-                latency = near_line(meta_col[i], False, now_ns, 2)
+                latency = near_line(meta_slot_col[i], meta_row_col[i], False,
+                                    now_ns, 2)
             off = off_col[i]
-            self.requests += 1
-            if is_write:
-                self.write_requests += 1
+            address = frame_col[seg] * seg_bytes + off
             if near_col[seg]:
-                latency += near_line(frame_col[seg] * seg_bytes + off,
-                                     is_write, now_ns, 0)
+                rows = address // n_row
+                latency += near_line(
+                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
+                    rows // n_stride, is_write, now_ns, 0)
                 self.requests_from_nm += 1
             else:
-                latency += far_line(frame_col[seg] * seg_bytes + off,
-                                    is_write, now_ns, 0)
+                rows = address // f_row
+                latency += far_line(
+                    address // f_il % f_ch * f_banks + rows // f_ch % f_banks,
+                    rows // f_stride, is_write, now_ns, 0)
                 self._interval_fm_accesses += 1
                 note(seg, off)
             return latency

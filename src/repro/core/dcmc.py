@@ -143,9 +143,13 @@ class DCMC:
         tag-map probe, the LRU touch, the access counter of a non-migrated
         sector and one NM burst.  Line misses (1b) and XTA misses (2) run in
         :meth:`_serve_line_miss` / :meth:`_serve_xta_miss`.  ``system``
-        holds the request counters.
+        holds the NM-served request counter.  The XTA frame is runtime
+        state: the step maps it inline, with
+        :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
         """
         near_line, _ = make_kernels(self.near)
+        n_il, n_ch, n_banks, n_row = self.near.device.address_map
+        n_stride = n_ch * n_banks
         xta = self.xta
         tag_maps = xta._tag_maps
         num_sets = xta.num_sets
@@ -165,9 +169,6 @@ class DCMC:
                 latency, in_near = serve_xta_miss(sector, line_col[i],
                                                   off_col[i], is_write,
                                                   now_ns, xta_lat)
-                system.requests += 1
-                if is_write:
-                    system.write_requests += 1
                 if in_near:
                     system.requests_from_nm += 1
                 return latency
@@ -181,13 +182,13 @@ class DCMC:
             if fm_frame is not None and entry.access_counter < counter_max:
                 entry.access_counter += 1
             line = line_col[i]
-            system.requests += 1
-            if is_write:
-                system.write_requests += 1
             if fm_frame is None or entry.valid_mask & (1 << line):
                 counters["line.hits"] += 1.0
-                latency = near_line(entry.nm_frame * sector_bytes + off_col[i],
-                                    is_write, now_ns, 0)
+                address = entry.nm_frame * sector_bytes + off_col[i]
+                rows = address // n_row
+                latency = near_line(
+                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
+                    rows // n_stride, is_write, now_ns, 0)
                 if is_write:
                     entry.dirty_mask |= (1 << line)
                 system.requests_from_nm += 1

@@ -49,7 +49,8 @@ class MemoryController:
         background traffic.  ``metadata`` additionally tags remap-table
         style bookkeeping traffic so it can be reported separately.
         """
-        return self._line(address, is_write, now_ns,
+        slot, row = self.device.locate(address)
+        return self._line(slot, row, is_write, now_ns,
                           KIND_METADATA if metadata
                           else KIND_DEMAND if demand else KIND_BACKGROUND)
 
@@ -75,13 +76,7 @@ class MemoryController:
         self.demand_bytes = 0
         self.background_bytes = 0
         self.metadata_bytes = 0
-        device = self.device
-        device.reset_counters()
-        for channel in device.channels:
-            for bank in channel.banks:
-                bank.row_hits = 0
-                bank.row_misses = 0
-                bank.activations = 0
+        self.device.reset_counters()
 
     # ------------------------------------------------------------------
     # reporting
@@ -101,12 +96,3 @@ class MemoryController:
     @property
     def energy_pj(self) -> float:
         return self.device.energy_pj
-
-    def summary(self) -> dict:
-        out = self.device.summary()
-        out.update({
-            "demand_bytes": self.demand_bytes,
-            "background_bytes": self.background_bytes,
-            "metadata_bytes": self.metadata_bytes,
-        })
-        return out

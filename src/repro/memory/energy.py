@@ -19,7 +19,11 @@ class EnergyModel:
     The timing kernels add ``rw_pj_per_bit * 512`` per 64 B line to
     :attr:`~repro.memory.device.DramDevice.rw_energy_pj` and ``act_pre_pj``
     per row activation to
-    :attr:`~repro.memory.device.DramDevice.act_pre_energy_pj`.
+    :attr:`~repro.memory.device.DramDevice.act_pre_energy_pj`, one addend
+    at a time in access order.  Both sums are kept as float accumulators
+    beside the line and per-bank activation counts rather than derived
+    from them afterwards, so they stay bit-identical to the per-line
+    sequence whichever kernel or call site issued the line.
     """
 
     rw_pj_per_bit: float

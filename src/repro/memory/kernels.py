@@ -1,4 +1,4 @@
-"""The DRAM timing model: inlined access kernels over live controller state.
+"""The DRAM timing model: inlined access kernels over flat device state.
 
 :func:`make_kernels` compiles one
 :class:`~repro.memory.controller.MemoryController` into a pair of closures
@@ -10,16 +10,20 @@ are thin calls into them; each design step (``MemorySystem._step``, which
 both ``MemorySystem.fast_path`` and ``MemorySystem.access`` run) calls
 :func:`make_kernels` for a pair of its own and skips the method call.
 
-Per 64 B line a kernel maps the address to ``(channel, bank, row)``,
-classifies the row-buffer state (hit / miss / empty), waits for the bank,
-serialises the burst on the channel's data bus, and accounts traffic and
-dynamic energy.  All state lives in the device objects (banks, channels,
-counters), which are plain data, so every pair of kernels compiled for one
-controller shares it: a design step's inlined bursts interleave freely
-with the controller methods its rare events (evictions, migrations, swaps)
-call.  ``tests/test_fastpath.py`` pins the kernels against the frozen
-golden ``tests/data/golden/dram_timing.json`` float for float and
-``tests/test_engine_equivalence.py`` pins the full engine per design.
+The line kernel takes a line's ``(slot, row)``
+(:meth:`~repro.memory.device.DramDevice.locate`) rather than its address:
+a design maps every address it knows before the run in its ``_columns``,
+and the few whose frame is runtime state inline the same arithmetic.  Per
+64 B line it classifies the row-buffer state (hit / miss / empty), waits
+for the bank, serialises the burst on the channel's data bus, and
+accounts traffic and dynamic energy.  All state lives in the device's
+per-bank and per-channel lists and its counters, so every pair of kernels
+compiled for one controller shares it: a design step's inlined bursts
+interleave freely with the controller methods its rare events
+(evictions, migrations, swaps) call.  ``tests/test_fastpath.py`` pins the
+kernels against the frozen golden ``tests/data/golden/dram_timing.json``
+float for float and ``tests/test_engine_equivalence.py`` pins the full
+engine per design.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ KIND_DEMAND = 0
 KIND_BACKGROUND = 1
 KIND_METADATA = 2
 
-LineKernel = Callable[[int, bool, float, int], float]
+LineKernel = Callable[[int, int, bool, float, int], float]
 BlockKernel = Callable[[int, int, bool, float, bool], float]
 
 
@@ -46,22 +50,27 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
                                                           BlockKernel]:
     """Return ``(line_access, block_transfer)`` kernels for ``controller``.
 
-    ``line_access(address, is_write, now_ns, kind)`` issues one 64 B access
-    and returns its latency in ns (controller overhead included); ``kind``
-    selects the traffic class (:data:`KIND_DEMAND` / :data:`KIND_BACKGROUND`
-    / :data:`KIND_METADATA`).  ``block_transfer(address, nbytes, is_write,
-    now_ns, demand)`` streams a block as consecutive line bursts, all
-    issued at ``now_ns``, and returns the latency of the first line
-    (critical word first); only that line is demand traffic.
+    ``line_access(slot, row, is_write, now_ns, kind)`` issues one 64 B
+    access to row ``row`` of bank ``slot`` and returns its latency in ns
+    (controller overhead included); ``kind`` selects the traffic class
+    (:data:`KIND_DEMAND` / :data:`KIND_BACKGROUND` / :data:`KIND_METADATA`).
+    ``block_transfer(address, nbytes, is_write, now_ns, demand)`` streams a
+    block as consecutive line bursts, all issued at ``now_ns``, and returns
+    the latency of the first line (critical word first); only that line is
+    demand traffic.
     """
     device = controller.device
-    params = device.params
     timings = device.timings
-    channels = device.channels
-    num_channels = params.channels
-    interleave = params.channel_interleave_bytes
-    row_bytes = params.row_bytes
-    banks_per_channel = params.banks_per_channel
+    open_rows = device.open_row
+    ready_at = device.ready_at_ns
+    row_hits = device.row_hits
+    row_misses = device.row_misses
+    activations = device.activations
+    channel_of = device.channel_of
+    bus_free_at = device.bus_free_at_ns
+    busy_ns = device.busy_ns
+    interleave, num_channels, banks_per_channel, row_bytes = \
+        device.address_map
     banks_stride = num_channels * banks_per_channel
     # Lines inside one aligned span share a channel, a bank and a row.
     span = math.gcd(interleave, row_bytes)
@@ -73,46 +82,39 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     act_pre_pj = device.energy.act_pre_pj
     overhead_ns = controller.CONTROLLER_OVERHEAD_NS
 
-    def line_access(address: int, is_write: bool, now_ns: float,
+    def line_access(slot: int, row: int, is_write: bool, now_ns: float,
                     kind: int) -> float:
-        channel = channels[(address // interleave) % num_channels]
-        row_global = address // row_bytes
-        bank = channel.banks[(row_global // num_channels) % banks_per_channel]
-        row = row_global // banks_stride
-
-        open_row = bank.open_row
-        if open_row is None:
-            array_latency = empty_ns
-            bank.activations += 1
-            device.act_pre_energy_pj += act_pre_pj
-        elif open_row == row:
+        open_row = open_rows[slot]
+        if open_row == row:
             array_latency = hit_ns
-            bank.row_hits += 1
+            row_hits[slot] += 1
         else:
-            array_latency = miss_ns
-            bank.row_misses += 1
-            bank.activations += 1
+            if open_row < 0:
+                array_latency = empty_ns
+            else:
+                array_latency = miss_ns
+                row_misses[slot] += 1
+            activations[slot] += 1
             device.act_pre_energy_pj += act_pre_pj
-        bank.open_row = row
+            open_rows[slot] = row
 
-        ready = bank.ready_at_ns
+        ready = ready_at[slot]
         if now_ns > ready:
             ready = now_ns
         data_ready = ready + array_latency
-        begin = channel.bus_free_at_ns
+        channel = channel_of[slot]
+        begin = bus_free_at[channel]
         if data_ready > begin:
             begin = data_ready
         completion = begin + burst_ns
-        channel.bus_free_at_ns = completion
-        channel.busy_ns += burst_ns
-        bank.ready_at_ns = completion
+        bus_free_at[channel] = completion
+        busy_ns[channel] += burst_ns
+        ready_at[slot] = completion
 
         device.rw_energy_pj += line_rw_pj
         if is_write:
-            device.write_bytes += LINE_SIZE
             device.writes += 1
         else:
-            device.read_bytes += LINE_SIZE
             device.reads += 1
         if kind == 0:
             controller.demand_bytes += LINE_SIZE
@@ -139,66 +141,64 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
         first = 0.0
         line_address = address
         while line_address < end:
-            channel = channels[(line_address // interleave) % num_channels]
-            row_global = line_address // row_bytes
-            bank = channel.banks[(row_global // num_channels)
-                                 % banks_per_channel]
-            row = row_global // banks_stride
+            rows = line_address // row_bytes
+            slot = (line_address // interleave % num_channels
+                    * banks_per_channel + rows // num_channels
+                    % banks_per_channel)
+            row = rows // banks_stride
+            run_end = (line_address // span + 1) * span
+            if run_end > end:
+                run_end = end
+            run = -((line_address - run_end) // LINE_SIZE)
 
-            open_row = bank.open_row
-            if open_row is None:
-                array_latency = empty_ns
-                bank.activations += 1
-                act_pj += act_pre_pj
-            elif open_row == row:
+            open_row = open_rows[slot]
+            if open_row == row:
                 array_latency = hit_ns
-                bank.row_hits += 1
+                row_hits[slot] += run
             else:
-                array_latency = miss_ns
-                bank.row_misses += 1
-                bank.activations += 1
+                if open_row < 0:
+                    array_latency = empty_ns
+                else:
+                    array_latency = miss_ns
+                    row_misses[slot] += 1
+                activations[slot] += 1
                 act_pj += act_pre_pj
-            bank.open_row = row
+                open_rows[slot] = row
+                row_hits[slot] += run - 1
 
-            ready = bank.ready_at_ns
+            ready = ready_at[slot]
             if now_ns > ready:
                 ready = now_ns
             data_ready = ready + array_latency
-            begin = channel.bus_free_at_ns
+            channel = channel_of[slot]
+            begin = bus_free_at[channel]
             if data_ready > begin:
                 begin = data_ready
             completion = begin + burst_ns
-            busy = channel.busy_ns + burst_ns
+            busy = busy_ns[channel] + burst_ns
             rw_pj += line_rw_pj
             if line_address == address:
                 first = (completion - now_ns) + overhead_ns
-
-            run_end = min(end, (line_address // span + 1) * span)
-            run = -((line_address - run_end) // LINE_SIZE)
             for _ in range(run - 1):
                 completion = completion + hit_ns + burst_ns
                 busy += burst_ns
                 rw_pj += line_rw_pj
-            bank.row_hits += run - 1
-            channel.bus_free_at_ns = completion
-            channel.busy_ns = busy
-            bank.ready_at_ns = completion
+            bus_free_at[channel] = completion
+            busy_ns[channel] = busy
+            ready_at[slot] = completion
             line_address += run * LINE_SIZE
         device.rw_energy_pj = rw_pj
         device.act_pre_energy_pj = act_pj
 
-        block_bytes = lines * LINE_SIZE
         if is_write:
-            device.write_bytes += block_bytes
             device.writes += lines
         else:
-            device.read_bytes += block_bytes
             device.reads += lines
         if demand:
             controller.demand_bytes += LINE_SIZE
-            controller.background_bytes += block_bytes - LINE_SIZE
+            controller.background_bytes += (lines - 1) * LINE_SIZE
         else:
-            controller.background_bytes += block_bytes
+            controller.background_bytes += lines * LINE_SIZE
         return first
 
     return line_access, block_transfer

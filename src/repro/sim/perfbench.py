@@ -99,10 +99,10 @@ class NullMemorySystem(MemorySystem):
     """Fixed-latency memory system that isolates the engine.
 
     Every access is served from "near memory" after ``latency_ns``; there
-    are no address columns and the step only counts the request.  With the
-    memory model reduced to a constant, ``simulate()`` spends its time in
-    trace generation, scheduling and the interval-core arithmetic — the
-    fast path this benchmark tracks.
+    are no address columns and the step only counts the NM-served request.
+    With the memory model reduced to a constant, ``simulate()`` spends its
+    time in trace generation, scheduling and the interval-core arithmetic —
+    the fast path this benchmark tracks.
     """
 
     name = "NULL"
@@ -118,9 +118,6 @@ class NullMemorySystem(MemorySystem):
         latency_ns = self.latency_ns
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
-            self.requests += 1
-            if is_write:
-                self.write_requests += 1
             self.requests_from_nm += 1
             return latency_ns
 

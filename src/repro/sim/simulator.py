@@ -9,8 +9,8 @@ Two entry points are provided:
   in pure Python.
 * :class:`Simulator` — the full path: *processor-level* traces are filtered
   through the SRAM cache hierarchy first, LLC misses and dirty evictions
-  reach the memory system.  It is slower and is used by the integration
-  tests and examples that want the complete pipeline.
+  reach the memory system.  It is slower and is used by the tests that
+  want the complete pipeline.
 
 Both produce a :class:`~repro.sim.result.RunResult` with the counters every
 figure of the evaluation is computed from.
@@ -114,8 +114,8 @@ def simulate(system: MemorySystem,
     if not total_records:
         return _collect_result(system, name, 0, 0.0, 0)
 
-    addr_arr, columns, instructions = _schedule(traces, params,
-                                                warmup_records)
+    addr_arr, columns, instructions, writes = _schedule(traces, params,
+                                                        warmup_records)
     stream = zip(count(), *columns)
     step = system.fast_path(addr_arr)
 
@@ -130,21 +130,25 @@ def simulate(system: MemorySystem,
         system.reset_measurement()
         cycles_offset = max(time_cycles)
     _drive(stream, step, time_cycles, params, llc_latency_cycles)
+    # The steps count only what depends on state; the measured region's
+    # requests and writes are columns of the schedule.
+    system.requests += total_records - warmup_records
+    system.write_requests += writes
 
     return _collect_result(system, name, total_records - warmup_records,
                            max(time_cycles) - cycles_offset, instructions)
 
 
 def _schedule(traces: Sequence[Trace], params,
-              warmup_records: int) -> Tuple[np.ndarray, list, int]:
+              warmup_records: int) -> Tuple[np.ndarray, list, int, int]:
     """Flatten the round-robin schedule of ``traces`` with every
     latency-independent column precomputed.
 
     Returns the int64 address column (what ``system.fast_path``
     vectorizes over), the ``(core, gap, overlap, is_write)`` columns of the
-    driver and the instructions retired after the first
-    ``warmup_records`` references.  The order is a column interleave when
-    every core has the same length, else a stable sort on
+    driver, and the instructions retired and the writes issued after the
+    first ``warmup_records`` references.  The order is a column interleave
+    when every core has the same length, else a stable sort on
     ``(position, core)``.  The driver's columns are Python lists, because
     native ints/bools iterate several times faster than numpy scalars in a
     Python loop; the numpy intermediates are dropped on return.
@@ -168,11 +172,13 @@ def _schedule(traces: Sequence[Trace], params,
     warm = np.bincount(core_arr[:warmup_records], minlength=n_cores)
     instructions = sum(int(inst[-1]) - (int(inst[k - 1]) if k else 0)
                        for (inst, _), k in zip(misses, warm) if len(inst))
+    is_write = flat([t.is_write for t in traces])
     columns = [repeat(0) if n_cores == 1 else core_arr.tolist(),
                np.maximum(flat([t.gaps for t in traces]), 0).tolist(),
                flat([div for _, div in misses]).tolist(),
-               flat([t.is_write for t in traces]).tolist()]
-    return flat([t.addresses for t in traces]), columns, instructions
+               is_write.tolist()]
+    return (flat([t.addresses for t in traces]), columns, instructions,
+            int(np.count_nonzero(is_write[warmup_records:])))
 
 
 def _drive(stream, step, time_cycles: list, params,

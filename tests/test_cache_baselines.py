@@ -8,6 +8,7 @@ from repro.baselines.dram_cache import DramCacheSystem
 from repro.baselines.fm_only import FarMemoryOnly
 from repro.baselines.ideal_cache import IdealCache
 from repro.baselines.tagless import TaglessCache
+from repro.sim.simulator import simulate
 from repro.workloads import generate_trace, get_workload
 
 
@@ -93,6 +94,21 @@ def test_hit_rate_reporting(small_config):
     stats = system.collect_stats()
     assert 0.0 < stats["cache.hit_rate"] <= 1.0
     assert stats["cache.hits"] + stats["cache.misses"] == system.requests
+
+
+@pytest.mark.parametrize("factory", [TaglessCache, DecoupledFusedCache])
+def test_cache_events_span_the_warmup_but_requests_do_not(small_config,
+                                                          factory):
+    """``reset_measurement`` zeroes requests, traffic and energy but keeps
+    the design's own counters: cache hits and misses count every
+    reference, warm-up included, while ``requests`` counts the measured
+    region only (a fidelity question recorded in ROADMAP item 1)."""
+    system = factory(small_config)
+    result = simulate(system, get_workload("omnetpp"), num_references=4000,
+                      seed=1, warmup_fraction=0.25)
+    stats = result.stats
+    assert stats["cache.hits"] + stats["cache.misses"] == 4000
+    assert system.requests == result.references == 3000
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,18 @@ def test_kernel_counters_reset_in_place():
     """reset_counters() must be visible to already-compiled kernels."""
     controller = MemoryController(hbm2_params(1 << 27))
     line_access, _ = make_kernels(controller)
-    line_access(0, False, 0.0, 0)
+    device = controller.device
+    line_access(*device.locate(0), False, 0.0, 0)
     controller.reset_counters()
     assert controller.demand_bytes == 0
-    line_access(LINE_SIZE, True, 500.0, 1)
+    assert device.activations[0] == 0
+    line_access(*device.locate(LINE_SIZE), True, 500.0, 1)
     assert controller.background_bytes == LINE_SIZE
-    assert controller.device.write_bytes == LINE_SIZE
-    assert controller.device.reads == 0  # zeroed by the reset
+    assert device.write_bytes == LINE_SIZE
+    assert device.reads == 0  # zeroed by the reset
+    # The per-bank lists are zeroed in place, so the kernel's row hit on
+    # the still-open row lands in the list the device reports.
+    assert (device.row_hits[0], device.activations[0]) == (1, 0)
 
 
 def all_subclasses(cls):
@@ -93,12 +98,16 @@ def test_access_and_fast_path_are_defined_once():
 
 
 def test_null_system_steps_without_columns():
+    """The step counts only the NM-served request; ``access`` counts the
+    request itself (``simulate()`` counts the steps' requests)."""
     system = NullMemorySystem(CONFIG, latency_ns=75.0)
     step = system.fast_path(np.zeros(4, dtype=np.int64))
     assert step(3, True, 0.0) == 75.0
-    assert system.access(64, False, 10.0) == 75.0
     assert (system.requests, system.write_requests,
-            system.requests_from_nm) == (2, 1, 2)
+            system.requests_from_nm) == (0, 0, 1)
+    assert system.access(64, True, 10.0) == 75.0
+    assert (system.requests, system.write_requests,
+            system.requests_from_nm) == (1, 1, 2)
 
 
 @pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES))
@@ -110,4 +119,7 @@ def test_every_design_compiles_a_fast_path(design):
     assert step is not None
     latency = step(0, False, 0.0)
     assert latency > 0.0
-    assert system.requests == 1
+    # The step leaves request counting to simulate() and access().
+    assert system.requests == 0
+    assert system.access(8192, True, 100.0) > 0.0
+    assert (system.requests, system.write_requests) == (1, 1)

@@ -1,5 +1,6 @@
 """Tests for the DRAM substrate: timings, and the controller's timing kernels
-over bank, channel, device and energy state."""
+over the device's flat per-bank and per-channel state and its energy
+counters."""
 
 import pytest
 
@@ -51,30 +52,38 @@ BANK1_ROW0 = 8 * 2048
 
 
 def _bank(controller, channel, bank):
-    return controller.device.channels[channel].banks[bank]
+    """The slot of ``bank`` of ``channel``: the index of its state in the
+    device's per-bank lists."""
+    device = controller.device
+    slot = channel * device.params.banks_per_channel + bank
+    assert device.channel_of[slot] == channel
+    return slot
 
 
 def test_bank_classify_and_record(hbm):
     """Empty bank -> activation; same row -> hit; other row -> miss."""
     controller = MemoryController(hbm)
+    device = controller.device
     bank = _bank(controller, 0, 0)
     controller.access(BANK0_ROW0, False, 0.0)
-    assert (bank.open_row, bank.activations, bank.row_misses) == (0, 1, 0)
+    assert (device.open_row[bank], device.activations[bank],
+            device.row_misses[bank]) == (0, 1, 0)
     controller.access(BANK0_ROW0 + LINE_SIZE, False, 100.0)
-    assert bank.row_hits == 1 and bank.activations == 1
+    assert device.row_hits[bank] == 1 and device.activations[bank] == 1
     controller.access(BANK0_ROW1, False, 200.0)
-    assert bank.open_row == 1
-    assert bank.row_misses == 1 and bank.activations == 2
+    assert device.open_row[bank] == 1
+    assert device.row_misses[bank] == 1 and device.activations[bank] == 2
 
 
 def test_bank_precharge(hbm):
     """A precharged bank (no open row) costs an activation, not a miss."""
     controller = MemoryController(hbm)
     controller.access(BANK0_ROW0, False, 0.0)
+    device = controller.device
     bank = _bank(controller, 0, 0)
-    bank.open_row = None
+    device.open_row[bank] = -1
     controller.access(BANK0_ROW1, False, 100.0)
-    assert bank.row_misses == 0 and bank.activations == 2
+    assert device.row_misses[bank] == 0 and device.activations[bank] == 2
 
 
 def test_channel_bus_serialises_transfers(hbm):
@@ -85,9 +94,9 @@ def test_channel_bus_serialises_transfers(hbm):
     first = controller.access(BANK0_ROW0, False, 0.0)
     second = controller.access(BANK1_ROW0, False, 0.0)
     assert second == first + burst
-    channel = controller.device.channels[0]
-    assert channel.busy_ns == 2 * burst
-    assert channel.bus_free_at_ns == first - \
+    device = controller.device
+    assert device.busy_ns[0] == 2 * burst
+    assert device.bus_free_at_ns[0] == first - \
         MemoryController.CONTROLLER_OVERHEAD_NS + burst
 
 
@@ -117,7 +126,7 @@ def test_channel_interleave_spreads_accesses(hbm):
     controller = MemoryController(hbm)
     for i in range(hbm.channels):
         controller.access(i * hbm.channel_interleave_bytes, False, 0.0)
-    assert all(c.busy_ns > 0 for c in controller.device.channels)
+    assert all(busy > 0 for busy in controller.device.busy_ns)
 
 
 def test_bandwidth_contention_increases_latency(ddr):
@@ -133,7 +142,6 @@ def test_row_hit_rate_reported(hbm):
         controller.access(0, False, 0.0)
     device = controller.device
     assert 0.5 < device.row_hit_rate <= 1.0
-    assert controller.summary()["row_hit_rate"] == device.row_hit_rate
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +197,11 @@ def test_controller_transfer_block_moves_whole_block(hbm):
 def test_controller_reset_counters_keeps_timing_state(hbm):
     controller = MemoryController(hbm)
     controller.access(0, False, 0.0)
-    busy_before = controller.device.channels[0].bus_free_at_ns
+    busy_before = controller.device.bus_free_at_ns[0]
     controller.reset_counters()
     assert controller.total_bytes == 0
     assert controller.energy_pj == 0
-    assert controller.device.channels[0].bus_free_at_ns == busy_before
+    assert controller.device.bus_free_at_ns[0] == busy_before
+    # The event counters restart; the open row stays.
+    assert sum(controller.device.activations) == 0
+    assert controller.device.open_row[0] == 0

@@ -25,6 +25,7 @@ from repro.memory.controller import MemoryController
 from repro.memory.kernels import KIND_BACKGROUND, KIND_DEMAND, make_kernels
 from repro.params import CoreParams, ddr4_params, hbm2_params, make_config
 from repro.sim import simulator
+from repro.sim.perfbench import NullMemorySystem
 from repro.sim.simulator import simulate
 from repro.stats import Stats
 
@@ -319,13 +320,12 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
     assert (controller.demand_bytes + controller.background_bytes
             + controller.metadata_bytes) == controller.total_bytes
     line_rw_pj = device.energy.rw_pj_per_bit * LINE_SIZE * 8
-    activations = sum(b.activations for c in device.channels
-                      for b in c.banks)
+    activations = sum(device.activations)
     assert device.rw_energy_pj == pytest.approx(lines * line_rw_pj,
                                                 rel=1e-12)
     assert device.act_pre_energy_pj == pytest.approx(
         activations * device.energy.act_pre_pj, rel=1e-12)
-    hits = sum(b.row_hits for c in device.channels for b in c.banks)
+    hits = sum(device.row_hits)
     assert hits + activations == lines
 
 
@@ -356,11 +356,42 @@ def test_block_kernel_equals_its_lines_issued_one_by_one(
         got = block_transfer(address, nbytes, is_write, now, demand)
         kinds = [KIND_DEMAND if demand else KIND_BACKGROUND]
         kinds += [KIND_BACKGROUND] * (max(1, nbytes // LINE_SIZE) - 1)
-        want = [line_access(address + i * LINE_SIZE, is_write, now, kind)
+        want = [line_access(*by_line.device.locate(address + i * LINE_SIZE),
+                            is_write, now, kind)
                 for i, kind in enumerate(kinds)][0]
         assert got == want
     state = DRAM_GOLDEN_TOOL["controller_state"]
     assert state(by_block) == state(by_line)
+
+
+@given(params_factory=st.sampled_from((hbm2_params, ddr4_params)),
+       interleave=st.sampled_from((None, 64, 128, 1024, 4096)),
+       row_bytes=st.sampled_from((None, 1024, 8192)),
+       channels=st.sampled_from((None, 1, 3, 4)),
+       addresses=st.lists(st.integers(0, (1 << 40) - 1), min_size=1,
+                          max_size=40))
+def test_locate_agrees_on_arrays_ints_and_the_bank_formula(
+        params_factory, interleave, row_bytes, channels, addresses):
+    """``DramDevice.locate`` gives one ``(slot, row)`` for an int64 ndarray
+    and for each Python int, equal to the channel/bank/row split the line
+    kernel computed from the address before slots existed."""
+    params = params_factory(1 << 26)
+    overrides = {"channel_interleave_bytes": interleave,
+                 "row_bytes": row_bytes, "channels": channels}
+    params = dataclasses.replace(params, **{
+        key: value for key, value in overrides.items() if value is not None})
+    device = MemoryController(params).device
+    slots, rows = device.locate(np.asarray(addresses, dtype=np.int64))
+    banks = params.banks_per_channel
+    for address, slot, row in zip(addresses, slots.tolist(), rows.tolist()):
+        assert device.locate(address) == (slot, row)
+        channel = (address // params.channel_interleave_bytes) \
+            % params.channels
+        row_global = address // params.row_bytes
+        bank = (row_global // params.channels) % banks
+        assert (slot, row) == (channel * banks + bank,
+                               row_global // (params.channels * banks))
+        assert device.channel_of[slot] == channel
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +496,30 @@ def test_request_counters_are_bounded_by_requests(design, refs, reset_at):
         assert 0 <= system.write_requests <= system.requests
     assert system.requests == len(refs) - (reset_at if reset_at < len(refs)
                                            else 0)
+
+
+@given(design=st.sampled_from(["NULL", *SIM_FACTORIES]),
+       lengths=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+       warmup_fraction=st.sampled_from((0.0, 0.25, 0.9)),
+       seed=st.integers(0, 1000))
+@settings(max_examples=30, deadline=None)
+def test_simulate_counts_the_measured_slice(design, lengths,
+                                            warmup_fraction, seed):
+    """The steps count no requests: ``simulate()`` adds the measured
+    slice's length and write count once, and ``access()`` counts exactly
+    one request on top."""
+    traces = [random_trace(seed + i, n) for i, n in enumerate(lengths)]
+    system = (NullMemorySystem(SIM_CONFIG) if design == "NULL"
+              else SIM_FACTORIES[design](SIM_CONFIG))
+    simulate(system, traces, warmup_fraction=warmup_fraction)
+    schedule = [trace.is_write[pos] for pos in range(max(lengths))
+                for trace in traces if pos < len(trace)]
+    measured = schedule[int(len(schedule) * warmup_fraction):]
+    assert system.requests == len(measured)
+    assert system.write_requests == sum(measured)
+    system.access(LINE_SIZE, True, 1e9)
+    assert system.requests == len(measured) + 1
+    assert system.write_requests == sum(measured) + 1
 
 
 def test_simulate_keeps_no_interval_core(monkeypatch):

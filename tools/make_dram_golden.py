@@ -20,12 +20,17 @@ shows up as a diff.  Floats round-trip exactly through JSON.
 Usage::
 
     PYTHONPATH=src python tools/make_dram_golden.py [--out PATH]
+    PYTHONPATH=src python tools/make_dram_golden.py --check
+
+``--check`` replays every case and exits 1, naming each case whose
+latencies or state differ from the file, instead of writing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 from typing import Callable, Dict, List
 
@@ -53,12 +58,15 @@ def controller_state(controller: MemoryController) -> dict:
         "write_bytes": device.write_bytes,
         "rw_pj": device.rw_energy_pj,
         "act_pre_pj": device.act_pre_energy_pj,
+        # Banks in slot order (channel-major); -1 (precharged) is null.
         "banks": [
-            [bank.open_row, bank.ready_at_ns, bank.row_hits,
-             bank.row_misses, bank.activations]
-            for channel in device.channels for bank in channel.banks
+            [None if open_row < 0 else open_row, ready, hits, misses, acts]
+            for open_row, ready, hits, misses, acts in zip(
+                device.open_row, device.ready_at_ns, device.row_hits,
+                device.row_misses, device.activations)
         ],
-        "buses": [[c.bus_free_at_ns, c.busy_ns] for c in device.channels],
+        "buses": [list(bus) for bus in zip(device.bus_free_at_ns,
+                                            device.busy_ns)],
     }
 
 
@@ -92,7 +100,8 @@ def run_line(params, seed: int, route: str) -> dict:
     """Replay :func:`line_schedule` on a fresh controller.
 
     ``route`` is ``"controller"`` (:meth:`MemoryController.access`),
-    ``"kernels"`` (the line kernel :func:`make_kernels` returns) or
+    ``"kernels"`` (the line kernel :func:`make_kernels` returns, fed
+    :meth:`~repro.memory.device.DramDevice.locate`'s ``(slot, row)``) or
     ``"mixed"`` (the controller for every third access, else the kernel).
     """
     controller = MemoryController(params)
@@ -101,7 +110,8 @@ def run_line(params, seed: int, route: str) -> dict:
     for i, (address, is_write, kind, now_ns) in enumerate(
             line_schedule(seed)):
         if route == "kernels" or (route == "mixed" and i % 3):
-            latency = line_access(address, is_write, now_ns, kind)
+            latency = line_access(*controller.device.locate(address),
+                                  is_write, now_ns, kind)
         else:
             latency = controller.access(address, is_write, now_ns,
                                         demand=(kind == 0),
@@ -138,12 +148,24 @@ def build() -> Dict[str, dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    parser.add_argument("--check", action="store_true",
+                        help="compare against the file instead of "
+                             "writing it")
     args = parser.parse_args(argv)
     golden = build()
-    args.out.parent.mkdir(parents=True, exist_ok=True)
+    if args.check:
+        expected = json.loads(args.out.read_text())
+        bad = sorted(name for name in set(CASES) | set(expected)
+                     if expected.get(name) != golden.get(name))
+        for name in bad:
+            print(f"{name}: latencies or state diverged", file=sys.stderr)
+        print(f"{len(CASES) - len(bad)}/{len(CASES)} cases of "
+              f"{args.out.name} match")
+        return 1 if bad else 0
     # One case per line: compact, yet a change names the case it touched.
     lines = [f" {json.dumps(name)}: {json.dumps(golden[name])}"
              for name in CASES]
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {args.out}")
     return 0
