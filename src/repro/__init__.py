@@ -55,7 +55,7 @@ __all__ = [*lazy_exports(__name__, globals(), {
                    "get_workload", "representative_workloads",
                    "workloads_by_class"),
     ".sim.result": ("RunResult",),
-    ".sim.simulator": ("Simulator", "simulate"),
+    ".sim.simulator": ("simulate",),
     ".sim.runner": ("ExperimentRunner", "SweepResult"),
     ".sim.store": ("ResultStore",),
     ".sim.sweep": ("DesignRef", "SweepJob", "run_jobs"),

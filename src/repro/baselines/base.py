@@ -9,8 +9,6 @@ interface to the simulator:
   the same request path into a per-reference step over a whole address
   column (both are defined here, once, on top of each design's
   :meth:`~MemorySystem._columns` and :meth:`~MemorySystem._step`);
-* :meth:`MemorySystem.writeback` accepts LLC dirty evictions (not latency
-  critical, but they consume bandwidth);
 * :attr:`MemorySystem.flat_capacity_bytes` reports how much main memory the
   design exposes to software (the capacity argument of the paper);
 * :meth:`MemorySystem.collect_stats` returns the counters every figure of
@@ -92,13 +90,6 @@ class MemorySystem(abc.ABC):
     @abc.abstractmethod
     def flat_capacity_bytes(self) -> int:
         """Main-memory capacity visible to software."""
-
-    # ------------------------------------------------------------------
-    # optional interface with sensible defaults
-    # ------------------------------------------------------------------
-    def writeback(self, address: int, now_ns: float) -> None:
-        """Accept an LLC dirty eviction (default: treat as a write access)."""
-        self.access(address, True, now_ns)
 
     # ------------------------------------------------------------------
     # the access path, defined once over _columns/_step

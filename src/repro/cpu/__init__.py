@@ -1,6 +1,6 @@
-"""Processor substrate: trace records and the interval core timing model."""
+"""Processor substrate: columnar traces and the interval core model."""
 
-from .core import CoreStats, IntervalCore
-from .trace import Trace, TraceRecord, interleave
+from .core import miss_columns
+from .trace import Trace
 
-__all__ = ["CoreStats", "IntervalCore", "Trace", "TraceRecord", "interleave"]
+__all__ = ["Trace", "miss_columns"]

@@ -1,36 +1,22 @@
-"""Trace types: a columnar trace store with a per-record view.
+"""Memory-level traces, stored as columns.
 
-A trace describes a stream of memory references.  Each reference carries the
-number of non-memory instructions the core executed since the previous
-reference (the "gap"), which is what the interval core model needs to
-reconstruct time.
+A trace describes a stream of LLC-filtered memory references, as the
+workload generators produce them and the trace-file frontend parses them.
+Each reference carries the number of non-memory instructions the core
+executed since the previous reference (the "gap"), which is what the
+interval core model needs to reconstruct time.
 
-Two levels of trace are used in this repository:
-
-* **processor-level** traces (every load/store) that are filtered through the
-  SRAM :class:`~repro.cache.CacheHierarchy` before reaching the memory
-  system; and
-* **memory-level** traces (already LLC-filtered) produced directly by the
-  workload generators, where ``gap`` counts the instructions between LLC
-  misses.  These are what the benchmark harness uses, because they let a
-  Python model cover the paper's full design-space sweeps.
-
-Since the columnar-engine refactor a :class:`Trace` is **not** a list of
-objects: it stores parallel numpy arrays (``gaps`` / ``addresses`` /
-``is_write`` / ``is_writeback`` / ``core_ids``), which is what lets
+A :class:`Trace` stores parallel numpy arrays (``gaps`` / ``addresses`` /
+``is_write`` / ``core_ids``), which is what lets
 :func:`~repro.workloads.synthetic.generate_trace` build traces without a
 per-record Python loop and lets :func:`~repro.sim.simulator.simulate` drive
-them with locals-bound column reads.  :class:`TraceRecord` is retained as a
-view type: iteration and indexing materialise records on demand, so the full
-:class:`~repro.sim.simulator.Simulator` pipeline and existing tests are
-unchanged.
+them as flat columns.  :func:`round_robin_order` is the one multi-core
+schedule: the simulator's and ``trace interleave``'s.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -42,122 +28,42 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One memory reference plus the instruction gap preceding it."""
-
-    gap_instructions: int
-    address: int
-    is_write: bool
-    core_id: int = 0
-    #: True when the record represents a dirty writeback rather than a
-    #: demand reference (memory-level traces only).
-    is_writeback: bool = False
-
-
 class Trace:
     """A materialised trace stored as parallel columns.
 
-    ``Trace(records)`` still accepts any iterable of :class:`TraceRecord`
-    (tests and hand-built traces); bulk producers use
-    :meth:`Trace.from_columns` and never touch record objects.  The summary
-    statistics (``instructions``, ``demand_references``, ``write_fraction``,
-    ``footprint_bytes``) are computed with numpy reductions and cached, so
-    repeated property access is O(1).
+    ``core_ids`` defaults to a constant ``core_id`` column, and ``Trace()``
+    is the empty trace.  The summary statistics (``instructions``,
+    ``write_fraction``, ``footprint_bytes``) are computed with numpy
+    reductions and cached, so repeated property access is O(1).
     """
 
-    __slots__ = ("gaps", "addresses", "is_write", "is_writeback", "core_ids",
-                 "_stat_cache", "_records")
+    __slots__ = ("gaps", "addresses", "is_write", "core_ids", "_stat_cache")
 
-    def __init__(self, records: Iterable[TraceRecord] = ()) -> None:
-        rows = list(records)
-        n = len(rows)
-        gaps = np.empty(n, dtype=np.int64)
-        addresses = np.empty(n, dtype=np.int64)
-        writes = np.empty(n, dtype=bool)
-        writebacks = np.empty(n, dtype=bool)
-        core_ids = np.empty(n, dtype=np.int64)
-        for i, r in enumerate(rows):
-            gaps[i] = r.gap_instructions
-            addresses[i] = r.address
-            writes[i] = r.is_write
-            writebacks[i] = r.is_writeback
-            core_ids[i] = r.core_id
-        self._init_columns(gaps, addresses, writes, writebacks, core_ids)
-
-    def _init_columns(self, gaps: np.ndarray, addresses: np.ndarray,
-                      is_write: np.ndarray, is_writeback: np.ndarray,
-                      core_ids: np.ndarray) -> None:
-        # Read-only views: the record view and the summary statistics are
-        # cached, so in-place column mutation would go silently stale.
-        self.gaps = _readonly(gaps)
-        self.addresses = _readonly(addresses)
-        self.is_write = _readonly(is_write)
-        self.is_writeback = _readonly(is_writeback)
-        self.core_ids = _readonly(core_ids)
-        self._stat_cache: Dict[object, object] = {}
-        self._records: Optional[List[TraceRecord]] = None
-
-    @classmethod
-    def from_columns(cls, gaps: Sequence[int], addresses: Sequence[int],
-                     is_write: Sequence[bool],
-                     is_writeback: Optional[Sequence[bool]] = None,
-                     core_ids: Optional[Sequence[int]] = None,
-                     core_id: int = 0) -> "Trace":
-        """Build a trace directly from parallel columns (no record objects).
-
-        ``is_writeback`` defaults to all-demand; ``core_ids`` defaults to a
-        constant ``core_id`` column.
-        """
-        trace = cls.__new__(cls)
+    def __init__(self, gaps: Sequence[int] = (),
+                 addresses: Sequence[int] = (),
+                 is_write: Sequence[bool] = (),
+                 core_ids: Optional[Sequence[int]] = None,
+                 core_id: int = 0) -> None:
         gaps = np.ascontiguousarray(gaps, dtype=np.int64)
         addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         writes = np.ascontiguousarray(is_write, dtype=bool)
         n = len(gaps)
-        if len(addresses) != n or len(writes) != n:
-            raise ValueError("trace columns must have equal length")
-        if is_writeback is None:
-            writebacks = np.zeros(n, dtype=bool)
-        else:
-            writebacks = np.ascontiguousarray(is_writeback, dtype=bool)
-            if len(writebacks) != n:
-                raise ValueError("trace columns must have equal length")
         if core_ids is None:
             cores = np.full(n, core_id, dtype=np.int64)
         else:
             cores = np.ascontiguousarray(core_ids, dtype=np.int64)
-            if len(cores) != n:
-                raise ValueError("trace columns must have equal length")
-        trace._init_columns(gaps, addresses, writes, writebacks, cores)
-        return trace
-
-    # ------------------------------------------------------------------
-    # record view
-    # ------------------------------------------------------------------
-    @property
-    def records(self) -> List[TraceRecord]:
-        """Per-record view, materialised lazily and cached."""
-        if self._records is None:
-            self._records = [
-                TraceRecord(g, a, w, c, b)
-                for g, a, w, b, c in zip(
-                    self.gaps.tolist(), self.addresses.tolist(),
-                    self.is_write.tolist(), self.is_writeback.tolist(),
-                    self.core_ids.tolist())
-            ]
-        return self._records
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        if not len(addresses) == len(writes) == len(cores) == n:
+            raise ValueError("trace columns must have equal length")
+        # Read-only views: the summary statistics are cached, so in-place
+        # column mutation would go silently stale.
+        self.gaps = _readonly(gaps)
+        self.addresses = _readonly(addresses)
+        self.is_write = _readonly(writes)
+        self.core_ids = _readonly(cores)
+        self._stat_cache: Dict[object, object] = {}
 
     def __len__(self) -> int:
         return int(self.gaps.shape[0])
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return TraceRecord(int(self.gaps[index]), int(self.addresses[index]),
-                           bool(self.is_write[index]),
-                           int(self.core_ids[index]),
-                           bool(self.is_writeback[index]))
 
     # ------------------------------------------------------------------
     # cached summary statistics
@@ -176,18 +82,14 @@ class Trace:
 
     @property
     def demand_references(self) -> int:
-        return self._cached(
-            "demand", lambda: len(self) - int(self.is_writeback.sum()))
+        return len(self)
 
     @property
     def write_fraction(self) -> float:
-        def compute() -> float:
-            demand = self.demand_references
-            if not demand:
-                return 0.0
-            demand_writes = int((self.is_write & ~self.is_writeback).sum())
-            return demand_writes / demand
-        return self._cached("write_fraction", compute)
+        n = len(self)
+        return self._cached(
+            "write_fraction",
+            lambda: np.count_nonzero(self.is_write) / n if n else 0.0)
 
     def footprint_bytes(self, granularity: int = 64) -> int:
         """Number of distinct ``granularity`` blocks touched, in bytes."""
@@ -204,20 +106,13 @@ class Trace:
         return self.demand_references / (instr / 1000.0)
 
 
-def interleave(traces: List[Trace]) -> Iterator[TraceRecord]:
-    """Round-robin interleave several per-core traces.
+def round_robin_order(lengths: Sequence[int]) -> np.ndarray:
+    """Round-robin order of sources of ``lengths`` records each.
 
-    Used to build a multi-programmed stream from single-core traces, mirroring
-    the paper's eight-copies-of-the-same-benchmark methodology.  Exhausted
-    traces drop out of the rotation in O(1) (a deque rotation) while the
-    record order of the classic pass-based scheduler is preserved.
+    Returns indices into the sources' concatenated columns: one record per
+    live source per pass, in source order, exhausted sources dropping out
+    (a stable sort on ``(position, source)``).
     """
-    queue = deque(iter(t) for t in traces)
-    while queue:
-        iterator = queue.popleft()
-        try:
-            record = next(iterator)
-        except StopIteration:
-            continue
-        yield record
-        queue.append(iterator)
+    sources = np.repeat(np.arange(len(lengths)), lengths)
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    return np.lexsort((sources, positions))

@@ -49,7 +49,12 @@ class CoreParams:
 
 @dataclass(frozen=True)
 class SramCacheParams:
-    """One level of the SRAM cache hierarchy."""
+    """One level of the paper's SRAM cache hierarchy (Table 1).
+
+    The model drives LLC-filtered traces, so no SRAM level is simulated:
+    these parameters describe the configuration in the report and in
+    every stored cell's config.
+    """
 
     size_bytes: int
     ways: int

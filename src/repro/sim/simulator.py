@@ -1,33 +1,22 @@
 """Trace-driven simulation of one memory-system design.
 
-Two entry points are provided:
-
-* :func:`simulate` — the fast path used by the benchmark harness.  It drives
-  *memory-level* traces (already LLC-filtered, produced by the workload
-  generators) through the interval core model and the memory system under
-  test.  This is what makes the paper's large design-space sweeps tractable
-  in pure Python.
-* :class:`Simulator` — the full path: *processor-level* traces are filtered
-  through the SRAM cache hierarchy first, LLC misses and dirty evictions
-  reach the memory system.  It is slower and is used by the tests that
-  want the complete pipeline.
-
-Both produce a :class:`~repro.sim.result.RunResult` with the counters every
-figure of the evaluation is computed from.
+:func:`simulate` is the one simulation driver.  It drives *memory-level*
+traces (already LLC-filtered, produced by the workload generators or
+loaded from trace files) through the interval core model and the memory
+system under test, and returns a :class:`~repro.sim.result.RunResult`
+with the counters every figure of the evaluation is computed from.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import count, islice, repeat
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..baselines.base import MemorySystem
-from ..cache.hierarchy import CacheHierarchy
-from ..cpu.core import IntervalCore, miss_columns
-from ..cpu.trace import Trace, TraceRecord
+from ..cpu.core import miss_columns
+from ..cpu.trace import Trace, round_robin_order
 from ..workloads.catalog import WorkloadSpec
 from ..workloads.synthetic import generate_multiprogrammed
 from .result import RunResult
@@ -58,7 +47,7 @@ def simulate(system: MemorySystem,
              num_cores: Optional[int] = None,
              llc_latency_cycles: int = 14,
              warmup_fraction: float = 0.25) -> RunResult:
-    """Drive a memory-level trace through ``system`` (fast path).
+    """Drive a memory-level trace through ``system``.
 
     ``workload`` may be a :class:`WorkloadSpec` (a per-core trace is
     generated for each core following the paper's eight-copy methodology), a
@@ -76,13 +65,10 @@ def simulate(system: MemorySystem,
     before the run, so the loop keeps only each core's time:
     ``now = time + gap / issue_width``, the design step at ``now``, then
     ``time = now + llc + latency * ghz / overlap``.  These are the float
-    expressions, in the order, that :meth:`IntervalCore.execute` and
-    :meth:`IntervalCore.memory_miss` evaluate, so the counters stay
-    bit-identical to stepping an :class:`IntervalCore` per reference
-    (``tests/engine_oracle.py`` does; the engine tests compare the two and
-    pin the counters to frozen goldens).  The per-core
-    :class:`~repro.cpu.core.CoreStats` breakdown (compute, SRAM and stall
-    cycles) is not filled; :class:`Simulator` still fills it.
+    expressions, in the order, that the stepped ``IntervalCore`` of
+    ``tests/engine_oracle.py`` evaluates per reference, so the counters
+    stay bit-identical to stepping one (the engine tests compare the two
+    and pin the counters to frozen goldens).
     """
     config = system.config
     cores_wanted = num_cores or config.cores.num_cores
@@ -148,10 +134,11 @@ def _schedule(traces: Sequence[Trace], params,
     vectorizes over), the ``(core, gap, overlap, is_write)`` columns of the
     driver, and the instructions retired and the writes issued after the
     first ``warmup_records`` references.  The order is a column interleave
-    when every core has the same length, else a stable sort on
-    ``(position, core)``.  The driver's columns are Python lists, because
-    native ints/bools iterate several times faster than numpy scalars in a
-    Python loop; the numpy intermediates are dropped on return.
+    when every core has the same length, else
+    :func:`~repro.cpu.trace.round_robin_order`.  The driver's columns are
+    Python lists, because native ints/bools iterate several times faster
+    than numpy scalars in a Python loop; the numpy intermediates are
+    dropped on return.
     """
     n_cores = len(traces)
     lengths = [len(t) for t in traces]
@@ -162,10 +149,8 @@ def _schedule(traces: Sequence[Trace], params,
         def flat(cols):
             return np.stack(cols, axis=1).ravel()
     else:
-        core_arr = np.repeat(np.arange(n_cores), lengths)
-        order = np.lexsort((core_arr, np.concatenate(
-            [np.arange(n) for n in lengths])))
-        core_arr = core_arr[order]
+        order = round_robin_order(lengths)
+        core_arr = np.repeat(np.arange(n_cores), lengths)[order]
 
         def flat(cols):
             return np.concatenate(cols)[order]
@@ -186,8 +171,9 @@ def _drive(stream, step, time_cycles: list, params,
     """The reference loop of :func:`simulate`: drain ``(i, core, gap,
     overlap, is_write)`` tuples through ``step``, advancing each core's
     time by its compute interval, the LLC latency and its exposed memory
-    stall (:meth:`IntervalCore.execute` / :meth:`IntervalCore.memory_miss`
-    with everything latency-independent precomputed).
+    stall (``IntervalCore.execute`` / ``IntervalCore.memory_miss`` of
+    ``tests/engine_oracle.py``, with everything latency-independent
+    precomputed).
     """
     issue_width = params.issue_width
     cycle_ns = params.cycle_ns
@@ -197,51 +183,3 @@ def _drive(stream, step, time_cycles: list, params,
         latency_ns = step(i, is_write, now * cycle_ns)
         time_cycles[idx] = now + llc_cycles + latency_ns * ghz / div
 
-
-class Simulator:
-    """Full pipeline: processor-level traces -> SRAM hierarchy -> memory system."""
-
-    def __init__(self, system: MemorySystem,
-                 hierarchy: Optional[CacheHierarchy] = None) -> None:
-        self.system = system
-        config = system.config
-        self.hierarchy = hierarchy or CacheHierarchy(
-            config.cores, config.l1, config.l2, config.l3)
-        self.cores = [IntervalCore(config.cores, i)
-                      for i in range(config.cores.num_cores)]
-        self.references = 0
-
-    def run(self, traces: Sequence[Trace],
-            workload_name: str = "trace") -> RunResult:
-        """Interleave ``traces`` (one per core) through the full pipeline."""
-        if len(traces) > len(self.cores):
-            raise ValueError("more traces than cores")
-        # Deque rotation keeps the classic pass-based round-robin order while
-        # dropping exhausted traces in O(1) (no ``list.remove`` draining).
-        queue = deque((idx, iter(t)) for idx, t in enumerate(traces))
-        while queue:
-            idx, iterator = queue.popleft()
-            try:
-                record = next(iterator)
-            except StopIteration:
-                continue
-            self._step(idx, record)
-            queue.append((idx, iterator))
-        return _collect_result(
-            self.system, workload_name, self.references,
-            max((core.time_cycles for core in self.cores), default=0.0),
-            sum(core.stats.instructions for core in self.cores))
-
-    def _step(self, core_id: int, record: TraceRecord) -> None:
-        core = self.cores[core_id]
-        core.execute(record.gap_instructions)
-        self.references += 1
-        result = self.hierarchy.access(core_id, record.address, record.is_write)
-        for victim in result.writebacks:
-            self.system.writeback(victim, core.time_ns)
-        if result.llc_miss:
-            latency = self.system.access(record.address, record.is_write,
-                                         core.time_ns)
-            core.memory_miss(latency, sram_latency_cycles=result.latency_cycles)
-        else:
-            core.sram_hit(result.latency_cycles)

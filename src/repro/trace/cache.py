@@ -10,7 +10,6 @@ mytrace.tsv.trcache/
     gaps.npy            # one .npy per Trace column
     addresses.npy
     is_write.npy
-    is_writeback.npy
     core_ids.npy
 ```
 
@@ -47,13 +46,13 @@ from ..common import content_hash
 from ..cpu.trace import Trace
 
 #: Bump when the sidecar layout changes; mismatched caches are ignored.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Sidecar directory suffix, appended to the full source filename.
 CACHE_SUFFIX = ".trcache"
 
 #: Column name -> Trace attribute, in on-disk order.
-COLUMNS = ("gaps", "addresses", "is_write", "is_writeback", "core_ids")
+COLUMNS = ("gaps", "addresses", "is_write", "core_ids")
 
 def cache_dir_for(source: Union[str, Path]) -> Path:
     """Sidecar cache directory path for ``source`` (may not exist)."""
@@ -126,13 +125,10 @@ def load_cached(source: Union[str, Path],
     if any(col.ndim != 1 or len(col) != meta.records
            for col in columns.values()):
         return None
-    # from_columns() ascontiguousarray calls are no-copy for the mmapped
-    # arrays (already contiguous and correctly typed), so the columns
-    # stay backed by the page cache.
-    return Trace.from_columns(columns["gaps"], columns["addresses"],
-                              columns["is_write"],
-                              is_writeback=columns["is_writeback"],
-                              core_ids=columns["core_ids"])
+    # Trace()'s ascontiguousarray calls are no-copy for the mmapped arrays
+    # (already contiguous and correctly typed), so the columns stay backed
+    # by the page cache.
+    return Trace(**columns)
 
 
 def write_cache(source: Union[str, Path], trace: Trace,

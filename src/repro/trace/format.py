@@ -202,9 +202,8 @@ def parse_trace(path: Union[str, Path],
     seq_arr = np.asarray(seqs, dtype=np.int64)
     core_arr = np.asarray(cores, dtype=np.int64)
     gaps = _gaps_from_seqs(seq_arr, core_arr, path)
-    return Trace.from_columns(gaps, np.asarray(addresses, dtype=np.int64),
-                              np.asarray(writes, dtype=bool),
-                              core_ids=core_arr)
+    return Trace(gaps, np.asarray(addresses, dtype=np.int64),
+                 np.asarray(writes, dtype=bool), core_arr)
 
 
 def _gaps_from_seqs(seqs: np.ndarray, cores: np.ndarray, path) -> np.ndarray:

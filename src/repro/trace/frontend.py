@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..cpu.trace import Trace
+from ..cpu.trace import Trace, round_robin_order
 from .cache import content_hash, load_cached, write_cache
 from .format import per_core_counts, parse_trace
 
@@ -112,10 +112,8 @@ def subsample(trace: Trace, first: Optional[int] = None,
 
 
 def _slice(trace: Trace, indices: np.ndarray) -> Trace:
-    return Trace.from_columns(trace.gaps[indices], trace.addresses[indices],
-                              trace.is_write[indices],
-                              is_writeback=trace.is_writeback[indices],
-                              core_ids=trace.core_ids[indices])
+    return Trace(trace.gaps[indices], trace.addresses[indices],
+                 trace.is_write[indices], trace.core_ids[indices])
 
 
 def _decimate(trace: Trace, keep: np.ndarray) -> Trace:
@@ -136,18 +134,16 @@ def _decimate(trace: Trace, keep: np.ndarray) -> Trace:
         core_gaps[0] = core_seqs[0]
         core_gaps[1:] = np.diff(core_seqs) - 1
         new_gaps[mask] = core_gaps
-    return Trace.from_columns(new_gaps, trace.addresses[indices],
-                              trace.is_write[indices],
-                              is_writeback=trace.is_writeback[indices],
-                              core_ids=kept_cores)
+    return Trace(new_gaps, trace.addresses[indices],
+                 trace.is_write[indices], kept_cores)
 
 
 def interleave_traces(traces: Sequence[Trace]) -> Trace:
     """Round-robin merge of per-source traces into one multi-core trace.
 
     Source *i*'s records are assigned core id *i* (each source is one
-    core's stream; multi-core sources are rejected).  Record order
-    matches :func:`repro.cpu.trace.interleave` — one record per live
+    core's stream; multi-core sources are rejected).  Record order is
+    :func:`~repro.cpu.trace.round_robin_order` — one record per live
     source per round, exhausted sources dropping out — which is the
     schedule the simulator itself uses for multi-programmed workloads.
     """
@@ -158,30 +154,13 @@ def interleave_traces(traces: Sequence[Trace]) -> Trace:
             raise ValueError(f"interleave source {i} is already multi-core; "
                              "sources must be single-core streams")
     lengths = [len(t) for t in traces]
-    round_number = 0
-    remaining = sum(lengths)
-    positions = []
-    while remaining:
-        for i, n in enumerate(lengths):
-            if round_number < n:
-                positions.append((i, round_number))
-                remaining -= 1
-        round_number += 1
-    total = len(positions)
-    gaps = np.empty(total, dtype=np.int64)
-    addresses = np.empty(total, dtype=np.int64)
-    is_write = np.empty(total, dtype=bool)
-    is_writeback = np.empty(total, dtype=bool)
-    core_ids = np.empty(total, dtype=np.int64)
-    for out, (source, index) in enumerate(positions):
-        trace = traces[source]
-        gaps[out] = trace.gaps[index]
-        addresses[out] = trace.addresses[index]
-        is_write[out] = trace.is_write[index]
-        is_writeback[out] = trace.is_writeback[index]
-        core_ids[out] = source
-    return Trace.from_columns(gaps, addresses, is_write,
-                              is_writeback=is_writeback, core_ids=core_ids)
+    order = round_robin_order(lengths)
+
+    def merged(name: str) -> np.ndarray:
+        return np.concatenate([getattr(t, name) for t in traces])[order]
+
+    return Trace(merged("gaps"), merged("addresses"), merged("is_write"),
+                 np.repeat(np.arange(len(traces)), lengths)[order])
 
 
 def split_by_core(trace: Trace) -> List[Trace]:

@@ -25,7 +25,7 @@ trade-off of Figure 1 — while the hot-set parameters control temporal reuse
 and the MPKI controls memory intensity.
 
 Generation is fully vectorized: the region/visit/line expansion is numpy
-array arithmetic feeding :meth:`Trace.from_columns` directly, with no
+array arithmetic feeding the :class:`Trace` columns directly, with no
 per-record Python loop or record allocation.  The record stream is
 bit-identical to the seed per-record generator it replaced, because the
 RNG draw order is part of the trace definition: the frozen golden
@@ -58,7 +58,7 @@ def generate_trace(spec: WorkloadSpec, num_references: int, *, scale: int = 256,
     footprint (used to split a multi-programmed footprint across cores).
     """
     if num_references <= 0:
-        return Trace([])
+        return Trace()
     rng = np.random.default_rng(seed * 1_000_003 + core_id * 7919)
 
     footprint = footprint_bytes or spec.scaled_footprint_bytes(scale)
@@ -110,7 +110,7 @@ def generate_trace(spec: WorkloadSpec, num_references: int, *, scale: int = 256,
                  + np.repeat(region, lines_per_visit)[:num_references]
                  * spec.region_bytes
                  + line * LINE_SIZE)
-    return Trace.from_columns(gaps, addresses, writes, core_id=core_id)
+    return Trace(gaps, addresses, writes, core_id=core_id)
 
 
 def generate_multiprogrammed(spec: WorkloadSpec, num_references_per_core: int, *,
@@ -151,9 +151,8 @@ def stream_pattern(num_references: int, *, stride: int = LINE_SIZE,
                    start: int = 0) -> Trace:
     """Pure streaming pattern (useful in unit tests and examples)."""
     addresses = start + np.arange(num_references, dtype=np.int64) * stride
-    return Trace.from_columns(np.full(num_references, 10, dtype=np.int64),
-                              addresses,
-                              np.zeros(num_references, dtype=bool))
+    return Trace(np.full(num_references, 10, dtype=np.int64), addresses,
+                 np.zeros(num_references, dtype=bool))
 
 
 def random_pattern(num_references: int, footprint_bytes: int, *, seed: int = 0,
@@ -163,5 +162,5 @@ def random_pattern(num_references: int, footprint_bytes: int, *, seed: int = 0,
     lines = rng.integers(0, max(1, footprint_bytes // LINE_SIZE),
                          size=num_references)
     writes = rng.random(num_references) < write_fraction
-    return Trace.from_columns(np.full(num_references, 20, dtype=np.int64),
-                              lines * LINE_SIZE, writes)
+    return Trace(np.full(num_references, 20, dtype=np.int64),
+                 lines * LINE_SIZE, writes)

@@ -109,12 +109,10 @@ class TraceFileWorkload:
                 f"rebuild the workload with TraceFileWorkload.from_path")
         trace = load_trace(self.path)
         if num_references is not None and len(trace) > num_references:
-            trace = Trace.from_columns(
-                trace.gaps[:num_references],
-                trace.addresses[:num_references],
-                trace.is_write[:num_references],
-                is_writeback=trace.is_writeback[:num_references],
-                core_ids=trace.core_ids[:num_references])
+            trace = Trace(trace.gaps[:num_references],
+                          trace.addresses[:num_references],
+                          trace.is_write[:num_references],
+                          trace.core_ids[:num_references])
         return split_by_core(trace)
 
 

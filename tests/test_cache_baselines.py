@@ -1,6 +1,8 @@
 """Tests for the DRAM-cache baselines (ideal, Tagless, DFC) and the no-NM
 baseline."""
 
+from functools import partial
+
 import pytest
 
 from repro.baselines.dfc import DecoupledFusedCache
@@ -9,24 +11,18 @@ from repro.baselines.fm_only import FarMemoryOnly
 from repro.baselines.ideal_cache import IdealCache
 from repro.baselines.tagless import TaglessCache
 from repro.sim.simulator import simulate
-from repro.workloads import generate_trace, get_workload
+from repro.workloads import get_workload
 
 
-def drive(system, workload="mcf", n=1200, seed=4):
-    spec = get_workload(workload)
-    trace = generate_trace(spec, n, scale=system.config.scale, seed=seed,
-                           address_limit=system.flat_capacity_bytes)
-    now = 0.0
-    for record in trace:
-        system.access(record.address, record.is_write, now)
-        now += 20.0
-    return system
+@pytest.fixture
+def drive(drive):
+    return partial(drive, n=1200, seed=4)
 
 
 # ---------------------------------------------------------------------------
 # no-NM baseline
 # ---------------------------------------------------------------------------
-def test_baseline_never_uses_near_memory(small_config):
+def test_baseline_never_uses_near_memory(small_config, drive):
     system = drive(FarMemoryOnly(small_config))
     assert system.nm_service_ratio == 0.0
     assert system.collect_stats()["fm.bytes"] > 0
@@ -59,14 +55,14 @@ def test_cache_flat_capacity_is_far_memory_only(small_config):
     assert system.flat_capacity_bytes == small_config.far.capacity_bytes
 
 
-def test_larger_lines_fetch_more_data(small_config):
+def test_larger_lines_fetch_more_data(small_config, drive):
     small_lines = drive(IdealCache(small_config, line_size=64), "deepsjeng")
     big_lines = drive(IdealCache(small_config, line_size=4096), "deepsjeng")
     assert (big_lines.collect_stats()["fm.bytes"] >
             small_lines.collect_stats()["fm.bytes"])
 
 
-def test_wasted_data_grows_with_line_size(small_config):
+def test_wasted_data_grows_with_line_size(small_config, drive):
     """The Figure 1 trend: bigger lines leave more fetched data unused."""
     small_lines = drive(IdealCache(small_config, line_size=128), "omnetpp")
     big_lines = drive(IdealCache(small_config, line_size=2048), "omnetpp")
@@ -74,7 +70,7 @@ def test_wasted_data_grows_with_line_size(small_config):
             small_lines.wasted_data_fraction())
 
 
-def test_wasted_data_near_zero_for_64b_lines(small_config):
+def test_wasted_data_near_zero_for_64b_lines(small_config, drive):
     system = drive(IdealCache(small_config, line_size=64), "omnetpp")
     assert system.wasted_data_fraction() == pytest.approx(0.0)
 
@@ -89,7 +85,7 @@ def test_dirty_victims_are_written_back(small_config):
     assert system.far.write_bytes > 0
 
 
-def test_hit_rate_reporting(small_config):
+def test_hit_rate_reporting(small_config, drive):
     system = drive(IdealCache(small_config, line_size=256), "mcf")
     stats = system.collect_stats()
     assert 0.0 < stats["cache.hit_rate"] <= 1.0
@@ -114,7 +110,7 @@ def test_cache_events_span_the_warmup_but_requests_do_not(small_config,
 # ---------------------------------------------------------------------------
 # Tagless and DFC specifics
 # ---------------------------------------------------------------------------
-def test_tagless_uses_page_lines_and_no_tag_traffic(small_config):
+def test_tagless_uses_page_lines_and_no_tag_traffic(small_config, drive):
     system = TaglessCache(small_config)
     assert system.line_size == 4096
     drive(system, "mcf", n=600)
@@ -127,7 +123,7 @@ def test_tagless_is_fully_associative(small_config):
     assert system.ways == small_config.near.capacity_bytes // 4096
 
 
-def test_dfc_pays_in_dram_tag_accesses(small_config):
+def test_dfc_pays_in_dram_tag_accesses(small_config, drive):
     dfc = drive(DecoupledFusedCache(small_config), "mcf")
     ideal = drive(IdealCache(small_config, line_size=1024), "mcf")
     assert dfc.near.metadata_bytes > 0

@@ -10,7 +10,7 @@ frozen goldens and a stepped oracle rather than a second live engine:
 * ``tests/data/golden/engine_traces.json`` — the SHA-256 of every trace
   column the generator produced for a set of cases, recorded while the
   seed per-record generator still ran beside it and agreed;
-* the stepped :class:`~repro.cpu.core.IntervalCore` oracle in
+* the stepped ``IntervalCore`` oracle in
   ``tests/engine_oracle.py``, for realistic multi-core schedules and the
   scheduler edge cases (no warm-up, cores draining apart, one trace).
 
@@ -97,7 +97,7 @@ def test_trace_digest_sees_every_column():
         moved = dict(columns)
         moved[column] = values.copy()
         moved[column][7] ^= 1
-        changed = ENGINE_TOOL["trace_digest"](Trace.from_columns(**moved))
+        changed = ENGINE_TOOL["trace_digest"](Trace(**moved))
         assert [key for key in digest if changed[key] != digest[key]] == \
             [column]
 

@@ -5,22 +5,10 @@ import pytest
 from repro.core.hybrid2 import Hybrid2System
 from repro.core.variants import (BREAKDOWN_VARIANTS, cache_only, full,
                                  migrate_all, migrate_none, no_remap)
-from repro.workloads import generate_trace, get_workload
 
 # Drives full Hybrid2 systems through thousands of references per test.
 # CI's fast lane deselects these with ``-m "not slow"``.
 pytestmark = pytest.mark.slow
-
-
-def drive(system, n=1500, seed=3):
-    spec = get_workload("mcf")
-    trace = generate_trace(spec, n, scale=system.config.scale, seed=seed,
-                           address_limit=system.flat_capacity_bytes)
-    now = 0.0
-    for record in trace:
-        system.access(record.address, record.is_write, now)
-        now += 20.0
-    return system
 
 
 def test_access_returns_outcome(small_config):
@@ -42,7 +30,7 @@ def test_addresses_wrap_to_flat_capacity(small_config):
     assert system.dcmc.counters.get("xta.hits") == 1
 
 
-def test_collect_stats_contains_design_counters(small_config):
+def test_collect_stats_contains_design_counters(small_config, drive):
     system = drive(Hybrid2System(small_config))
     stats = system.collect_stats()
     for key in ("requests", "nm.bytes", "fm.bytes", "xta.hits", "xta.misses",
@@ -51,12 +39,12 @@ def test_collect_stats_contains_design_counters(small_config):
     assert stats["requests"] == system.requests
 
 
-def test_nm_service_ratio_between_zero_and_one(small_config):
+def test_nm_service_ratio_between_zero_and_one(small_config, drive):
     system = drive(Hybrid2System(small_config))
     assert 0.0 < system.nm_service_ratio <= 1.0
 
 
-def test_reset_measurement_clears_counters_keeps_state(small_config):
+def test_reset_measurement_clears_counters_keeps_state(small_config, drive):
     system = drive(Hybrid2System(small_config))
     allocated_before = system.dcmc.xta.allocated_entries()
     system.reset_measurement()
@@ -96,24 +84,24 @@ def test_variant_factories_have_expected_names(small_config):
                                         "NO-REMAP", "HYBRID2"]
 
 
-def test_cache_only_never_migrates(small_config):
+def test_cache_only_never_migrates(small_config, drive):
     system = drive(cache_only(small_config))
     assert system.collect_stats()["policy.migrations"] == 0
 
 
-def test_migrate_none_never_migrates(small_config):
+def test_migrate_none_never_migrates(small_config, drive):
     system = drive(migrate_none(small_config))
     assert system.collect_stats()["policy.migrations"] == 0
 
 
-def test_no_remap_has_no_metadata_traffic(small_config):
+def test_no_remap_has_no_metadata_traffic(small_config, drive):
     with_meta = drive(full(small_config))
     without_meta = drive(no_remap(small_config))
     assert with_meta.collect_stats()["nm.metadata_bytes"] > 0
     assert without_meta.collect_stats()["nm.metadata_bytes"] == 0
 
 
-def test_migrate_all_migrates_more_than_policy(small_config):
+def test_migrate_all_migrates_more_than_policy(small_config, drive):
     aggressive = drive(migrate_all(small_config))
     default = drive(full(small_config))
     assert (aggressive.collect_stats()["policy.migrations"] >=

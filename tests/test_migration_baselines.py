@@ -2,6 +2,7 @@
 shared machinery."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -10,18 +11,11 @@ from repro.baselines.lgm import LgmMigration
 from repro.baselines.mempod import MeaCounters, MemPod
 from repro.baselines.migration_base import SEGMENT_BYTES
 from repro.params import Hybrid2Params, make_config
-from repro.workloads import generate_trace, get_workload
 
 
-def drive(system, workload="mcf", n=2000, seed=4, step_ns=25.0):
-    spec = get_workload(workload)
-    trace = generate_trace(spec, n, scale=system.config.scale, seed=seed,
-                           address_limit=system.flat_capacity_bytes)
-    now = 0.0
-    for record in trace:
-        system.access(record.address, record.is_write, now)
-        now += step_ns
-    return system
+@pytest.fixture
+def drive(drive):
+    return partial(drive, n=2000, seed=4, step_ns=25.0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,7 @@ def test_flat_capacity_is_full_nm_plus_fm(small_config, cls):
 
 
 @pytest.mark.parametrize("cls", [MemPod, LgmMigration, ChameleonGroups])
-def test_migration_designs_eventually_migrate(small_config, cls):
+def test_migration_designs_eventually_migrate(small_config, drive, cls):
     system = drive(cls(small_config), "mcf", n=3000)
     assert system.migrations > 0
     assert system.collect_stats()["segments_in_nm"] >= \
@@ -115,50 +109,50 @@ def test_migration_designs_eventually_migrate(small_config, cls):
 
 
 @pytest.mark.parametrize("cls", [MemPod, LgmMigration, ChameleonGroups])
-def test_remap_stays_consistent_under_migration(small_config, cls):
+def test_remap_stays_consistent_under_migration(small_config, drive, cls):
     system = drive(cls(small_config), "mcf", n=3000)
     assert system.remap.check_consistency()
 
 
 @pytest.mark.parametrize("cls", [MemPod, LgmMigration])
-def test_interval_designs_count_intervals(small_config, cls):
+def test_interval_designs_count_intervals(small_config, drive, cls):
     system = drive(cls(small_config), "mcf", n=2500, step_ns=50.0)
     assert system.intervals > 0
 
 
-def test_migration_improves_nm_service_over_time(small_config):
+def test_migration_improves_nm_service_over_time(small_config, drive):
     system = drive(MemPod(small_config), "mcf", n=4000)
     # The initial random placement puts ~1/17th of data in NM; migration must
     # raise the service ratio above that static level.
     assert system.nm_service_ratio > 0.10
 
 
-def test_mempod_swaps_preserve_segment_count(small_config):
+def test_mempod_swaps_preserve_segment_count(small_config, drive):
     system = drive(MemPod(small_config), "mcf", n=3000)
     in_near = system.remap.count_in_near()
     assert in_near == small_config.near.capacity_bytes // system.segment_bytes
 
 
-def test_lgm_reduces_fetch_traffic_with_llc_lines(small_config):
+def test_lgm_reduces_fetch_traffic_with_llc_lines(small_config, drive):
     system = drive(LgmMigration(small_config), "lbm", n=3000)
     assert system.lines_saved >= 0
     stats = system.collect_stats()
     assert stats["lgm.intervals"] == system.intervals
 
 
-def test_chameleon_cache_mode_serves_hits(small_config):
+def test_chameleon_cache_mode_serves_hits(small_config, drive):
     system = drive(ChameleonGroups(small_config), "mcf", n=4000)
     stats = system.collect_stats()
     assert stats["chameleon.cache_mode_fills"] > 0
     assert stats["chameleon.cache_mode_hits"] >= 0
 
 
-def test_chameleon_has_no_remap_metadata_traffic(small_config):
+def test_chameleon_has_no_remap_metadata_traffic(small_config, drive):
     system = drive(ChameleonGroups(small_config), "mcf", n=1500)
     assert system.near.metadata_bytes == 0
 
 
-def test_mempod_remap_cache_misses_cost_metadata_traffic(small_config):
+def test_mempod_remap_cache_misses_cost_metadata_traffic(small_config, drive):
     system = drive(MemPod(small_config), "deepsjeng", n=1500)
     assert system.near.metadata_bytes > 0
 

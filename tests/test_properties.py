@@ -12,24 +12,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DESIGN_FACTORIES, IdealCache
-from repro.cache.cache import SetAssociativeCache
-from repro.cache.replacement import LruPolicy
 from repro.core.hybrid2 import Hybrid2System
 from repro.core.nm_allocator import NMFramePool
 from repro.core.policy import eviction_cost, migration_cost, net_cost
 from repro.core.remap import FreeFMStack, RemapTable
 from repro.common import LINE_SIZE
-from repro.cpu.core import IntervalCore, miss_columns
+from repro.cpu.core import miss_columns
 from repro.cpu.trace import Trace
 from repro.memory.controller import MemoryController
 from repro.memory.kernels import KIND_BACKGROUND, KIND_DEMAND, make_kernels
 from repro.params import CoreParams, ddr4_params, hbm2_params, make_config
-from repro.sim import simulator
 from repro.sim.perfbench import NullMemorySystem
 from repro.sim.simulator import simulate
 from repro.stats import Stats
 
-from engine_oracle import stepped_reference
+from engine_oracle import IntervalCore, stepped_reference
 
 DRAM_GOLDEN_TOOL = runpy.run_path(str(
     Path(__file__).resolve().parents[1] / "tools" / "make_dram_golden.py"))
@@ -66,40 +63,6 @@ def test_stats_merge_is_additive(left, right):
     a.merge(right)
     for key in set(left) | set(right):
         assert a[key] == left.get(key, 0.0) + right.get(key, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# LRU policy
-# ---------------------------------------------------------------------------
-@given(st.lists(st.integers(0, 7), min_size=1, max_size=60))
-def test_lru_victim_is_never_the_most_recent(touches):
-    policy = LruPolicy(8)
-    for way in range(8):
-        policy.touch(way)
-    for way in touches:
-        policy.touch(way)
-    assert policy.victim() != touches[-1]
-
-
-# ---------------------------------------------------------------------------
-# set-associative cache
-# ---------------------------------------------------------------------------
-@given(st.lists(st.tuples(st.integers(0, 255), st.booleans()),
-                min_size=1, max_size=200))
-def test_cache_occupancy_never_exceeds_capacity(accesses):
-    cache = SetAssociativeCache(1024, 2, 64)     # 16 lines total
-    for line, is_write in accesses:
-        cache.access(line * 64, is_write)
-    assert cache.resident_lines() <= 16
-    assert cache.hits + cache.misses == len(accesses)
-
-
-@given(st.lists(st.integers(0, 63), min_size=1, max_size=100))
-def test_cache_probe_after_access_always_hits(lines):
-    cache = SetAssociativeCache(4096, 4, 64)
-    for line in lines:
-        cache.access(line * 64, False)
-        assert cache.probe(line * 64)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +376,7 @@ def test_miss_columns_equal_the_live_outstanding_window(gaps, rob_size,
     for gap in gaps:
         core.execute(gap)
         core.memory_miss(80.0)
-        live_instructions.append(core.stats.instructions)
+        live_instructions.append(core.instructions)
         # memory_miss appends the miss, so the window now holds the
         # overlap it divided by.
         live_overlap.append(len(core._outstanding))
@@ -433,9 +396,8 @@ def random_trace(seed, n):
     """``n`` references with gaps of 0-399 (a fifth of them 0)."""
     rng = np.random.default_rng(seed)
     gaps = rng.integers(0, 400, size=n) * (rng.random(n) < 0.8)
-    return Trace.from_columns(gaps,
-                              rng.integers(0, 1 << 18, size=n) * LINE_SIZE,
-                              rng.random(n) < 0.3)
+    return Trace(gaps, rng.integers(0, 1 << 18, size=n) * LINE_SIZE,
+                 rng.random(n) < 0.3)
 
 
 def assert_simulate_matches_stepped(design, traces, warmup_fraction):
@@ -520,13 +482,3 @@ def test_simulate_counts_the_measured_slice(design, lengths,
     system.access(LINE_SIZE, True, 1e9)
     assert system.requests == len(measured) + 1
     assert system.write_requests == sum(measured) + 1
-
-
-def test_simulate_keeps_no_interval_core(monkeypatch):
-    """The driver keeps each core's time only: no outstanding-miss window
-    or per-core breakdown exists for a result to read."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("simulate() built an IntervalCore")
-    monkeypatch.setattr(simulator, "IntervalCore", refuse)
-    traces = [random_trace(1, 30), random_trace(2, 12)]
-    assert simulate(DESIGN_FACTORIES["TAGLESS"](SIM_CONFIG), traces).cycles > 0

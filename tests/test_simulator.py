@@ -7,7 +7,7 @@ from repro.baselines.ideal_cache import IdealCache
 from repro.core.hybrid2 import Hybrid2System
 from repro.sim import metrics
 from repro.sim.runner import ExperimentRunner
-from repro.sim.simulator import RunResult, Simulator, simulate
+from repro.sim.simulator import RunResult, simulate
 from repro.sim.tables import (class_metric_table, format_table,
                               min_max_geomean_table, per_workload_table,
                               simple_series_table)
@@ -63,28 +63,6 @@ def test_speedup_over_baseline(small_config):
     cached = simulate(IdealCache(small_config, line_size=256),
                       get_workload("mcf"), num_references=2000, seed=1)
     assert cached.speedup_over(baseline) > 1.0
-
-
-# ---------------------------------------------------------------------------
-# full pipeline Simulator
-# ---------------------------------------------------------------------------
-def test_full_pipeline_filters_through_sram_caches(small_config):
-    spec = get_workload("mcf")
-    traces = generate_multiprogrammed(spec, 400, num_cores=2,
-                                      scale=small_config.scale, seed=2)
-    system = FarMemoryOnly(small_config)
-    sim = Simulator(system)
-    result = sim.run(traces[:2], workload_name="mcf")
-    # The SRAM hierarchy must absorb part of the reference stream.
-    assert system.requests < result.references
-    assert result.cycles > 0
-
-
-def test_full_pipeline_rejects_too_many_traces(small_config):
-    sim = Simulator(FarMemoryOnly(small_config))
-    too_many = [None] * (small_config.cores.num_cores + 1)
-    with pytest.raises(ValueError):
-        sim.run(too_many)
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,15 @@
-"""Tests for the columnar Trace store: record round-trips, cached summary
-statistics and the column-construction paths."""
+"""Tests for the columnar Trace store: cached summary statistics, the
+constructor's defaults and validation, and the one round-robin order."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cpu.trace import Trace, TraceRecord, interleave
+from repro.cpu.trace import Trace
+from repro.trace.frontend import interleave_traces
 from repro.workloads.catalog import get_workload
 from repro.workloads.synthetic import generate_trace, random_pattern
-
-
-RECORDS = [
-    TraceRecord(gap_instructions=9, address=0, is_write=False),
-    TraceRecord(gap_instructions=3, address=64, is_write=True, core_id=2),
-    TraceRecord(gap_instructions=0, address=128, is_write=True,
-                is_writeback=True),
-]
-
-
-def test_records_round_trip_through_columns():
-    trace = Trace(RECORDS)
-    assert list(trace) == RECORDS
-    assert trace.records == RECORDS
-    assert [trace[i] for i in range(len(trace))] == RECORDS
-
-
-def test_columns_round_trip_through_records():
-    trace = Trace(RECORDS)
-    rebuilt = Trace.from_columns(trace.gaps, trace.addresses, trace.is_write,
-                                 trace.is_writeback, trace.core_ids)
-    assert list(rebuilt) == RECORDS
-    np.testing.assert_array_equal(rebuilt.addresses, trace.addresses)
 
 
 def test_columns_are_numpy_arrays():
@@ -41,27 +21,25 @@ def test_columns_are_numpy_arrays():
     assert len(trace.gaps) == len(trace) == 500
 
 
-def test_from_columns_defaults_and_validation():
-    trace = Trace.from_columns([1, 2], [0, 64], [False, True], core_id=5)
-    assert not trace.is_writeback.any()
+def test_constructor_defaults_and_validation():
+    trace = Trace([1, 2], [0, 64], [False, True], core_id=5)
     assert (trace.core_ids == 5).all()
     with pytest.raises(ValueError):
-        Trace.from_columns([1, 2], [0], [False, True])
+        Trace([1, 2], [0], [False, True])
     with pytest.raises(ValueError):
-        Trace.from_columns([1], [0], [False], is_writeback=[True, False])
+        Trace([1], [0], [False], core_ids=[0, 1])
 
 
-def test_summary_statistics_match_record_view():
+def test_summary_statistics_match_plain_python():
     trace = random_pattern(400, 1 << 20, seed=7)
-    records = trace.records
-    assert trace.instructions == sum(r.gap_instructions + 1 for r in records)
-    assert trace.demand_references == sum(
-        1 for r in records if not r.is_writeback)
-    demand = [r for r in records if not r.is_writeback]
-    assert trace.write_fraction == pytest.approx(
-        sum(1 for r in demand if r.is_write) / len(demand))
+    gaps = trace.gaps.tolist()
+    addresses = trace.addresses.tolist()
+    writes = trace.is_write.tolist()
+    assert trace.instructions == sum(gap + 1 for gap in gaps)
+    assert trace.demand_references == len(gaps)
+    assert trace.write_fraction == pytest.approx(sum(writes) / len(writes))
     assert trace.footprint_bytes(4096) == len(
-        {r.address // 4096 for r in records}) * 4096
+        {address // 4096 for address in addresses}) * 4096
 
 
 def test_summary_statistics_are_cached():
@@ -73,7 +51,7 @@ def test_summary_statistics_are_cached():
 
 
 def test_empty_trace():
-    trace = Trace([])
+    trace = Trace()
     assert len(trace) == 0
     assert trace.instructions == 0
     assert trace.mpki() == 0.0
@@ -81,10 +59,22 @@ def test_empty_trace():
     assert trace.footprint_bytes() == 0
 
 
-def test_interleave_drops_exhausted_traces_in_order():
-    a = Trace([TraceRecord(0, 0, False), TraceRecord(0, 1, False),
-               TraceRecord(0, 2, False)])
-    b = Trace([TraceRecord(0, 100, False)])
-    c = Trace([])
-    merged = [r.address for r in interleave([a, b, c])]
-    assert merged == [0, 100, 1, 2]
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6))
+@settings(max_examples=100)
+def test_interleave_equals_a_plain_round_robin(lengths):
+    """One record per live source per pass, in source order, exhausted
+    sources dropping out."""
+    sources = [Trace(np.arange(n) * 10 + i, (np.arange(n) * 8 + i) * 64,
+                     np.arange(n) % (i + 2) == 0) for i, n in enumerate(lengths)]
+    expected = []
+    live = [(i, list(zip(s.gaps.tolist(), s.addresses.tolist(),
+                         s.is_write.tolist()))) for i, s in enumerate(sources)]
+    live = [(i, records) for i, records in live if records]
+    while live:
+        for i, records in live:
+            expected.append((records.pop(0), i))
+        live = [(i, records) for i, records in live if records]
+    merged = interleave_traces(sources)
+    assert list(zip(zip(merged.gaps.tolist(), merged.addresses.tolist(),
+                        merged.is_write.tolist()),
+                    merged.core_ids.tolist())) == expected

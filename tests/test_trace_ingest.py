@@ -33,7 +33,6 @@ def assert_traces_equal(left, right):
     assert np.array_equal(left.gaps, right.gaps)
     assert np.array_equal(left.addresses, right.addresses)
     assert np.array_equal(left.is_write, right.is_write)
-    assert np.array_equal(left.is_writeback, right.is_writeback)
     assert np.array_equal(left.core_ids, right.core_ids)
 
 
@@ -269,6 +268,20 @@ def test_cache_ignores_version_mismatch(tmp_path):
     meta["version"] = CACHE_FORMAT_VERSION + 1
     meta_path.write_text(json.dumps(meta))
     assert probe_cache(path) is None
+
+    # A real version-1 sidecar: the same columns plus is_writeback.npy.
+    cache_dir = cache_dir_for(path)
+    meta["version"] = 1
+    meta_path.write_text(json.dumps(meta))
+    np.save(cache_dir / "is_writeback.npy",
+            np.zeros(meta["records"], dtype=bool))
+    assert probe_cache(path) is None
+    trace, info = load_trace_info(path)
+    assert not info.from_cache
+    assert json.loads(meta_path.read_text())["version"] == CACHE_FORMAT_VERSION
+    assert sorted(f.name for f in cache_dir.glob("*.npy")) == [
+        "addresses.npy", "core_ids.npy", "gaps.npy", "is_write.npy"]
+    assert_traces_equal(load_cached(path), trace)
 
 
 def test_cache_ignores_missing_column_file(tmp_path):

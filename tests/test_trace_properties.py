@@ -32,14 +32,13 @@ def build_trace(rows, core_ids=None):
     gaps = np.asarray([r[0] for r in rows], dtype=np.int64)
     addresses = np.asarray([r[1] for r in rows], dtype=np.int64)
     writes = np.asarray([r[2] for r in rows], dtype=bool)
-    return Trace.from_columns(gaps, addresses, writes, core_ids=core_ids)
+    return Trace(gaps, addresses, writes, core_ids)
 
 
 def assert_traces_equal(left, right):
     assert np.array_equal(left.gaps, right.gaps)
     assert np.array_equal(left.addresses, right.addresses)
     assert np.array_equal(left.is_write, right.is_write)
-    assert np.array_equal(left.is_writeback, right.is_writeback)
     assert np.array_equal(left.core_ids, right.core_ids)
 
 
@@ -65,11 +64,10 @@ def test_multi_core_csv_round_trip(per_core):
     parts = [build_trace(rows, core_ids=np.full(len(rows), core,
                                                 dtype=np.int64))
              for core, rows in enumerate(per_core)]
-    trace = Trace.from_columns(
-        np.concatenate([p.gaps for p in parts]),
-        np.concatenate([p.addresses for p in parts]),
-        np.concatenate([p.is_write for p in parts]),
-        core_ids=np.concatenate([p.core_ids for p in parts]))
+    trace = Trace(np.concatenate([p.gaps for p in parts]),
+                  np.concatenate([p.addresses for p in parts]),
+                  np.concatenate([p.is_write for p in parts]),
+                  np.concatenate([p.core_ids for p in parts]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write_trace(trace, path)

@@ -58,22 +58,22 @@ def test_generate_trace_is_deterministic():
     spec = get_workload("mcf")
     a = generate_trace(spec, 500, scale=256, seed=7)
     b = generate_trace(spec, 500, scale=256, seed=7)
-    assert [r.address for r in a] == [r.address for r in b]
+    assert a.addresses.tolist() == b.addresses.tolist()
 
 
 def test_generate_trace_seed_changes_stream():
     spec = get_workload("mcf")
     a = generate_trace(spec, 500, scale=256, seed=1)
     b = generate_trace(spec, 500, scale=256, seed=2)
-    assert [r.address for r in a] != [r.address for r in b]
+    assert a.addresses.tolist() != b.addresses.tolist()
 
 
 def test_trace_respects_footprint_and_alignment():
     spec = get_workload("mcf")
     limit = 1 << 20
     trace = generate_trace(spec, 1000, scale=256, address_limit=limit)
-    assert all(0 <= r.address < limit for r in trace)
-    assert all(r.address % LINE_SIZE == 0 for r in trace)
+    assert ((0 <= trace.addresses) & (trace.addresses < limit)).all()
+    assert (trace.addresses % LINE_SIZE == 0).all()
 
 
 def test_trace_gap_tracks_mpki():
@@ -96,14 +96,14 @@ def test_region_coverage_controls_spatial_locality():
 def test_streaming_workload_has_little_reuse():
     spec = get_workload("dc.B")
     trace = generate_trace(spec, 4000, scale=256, seed=1)
-    lines = [r.address // LINE_SIZE for r in trace]
+    lines = (trace.addresses // LINE_SIZE).tolist()
     assert len(set(lines)) > 0.9 * len(lines)
 
 
 def test_multiprogrammed_spec_copies_are_disjoint():
     spec = get_workload("lbm")     # SPEC: one copy per core
     traces = generate_multiprogrammed(spec, 300, num_cores=4, scale=256, seed=1)
-    ranges = [(min(r.address for r in t), max(r.address for r in t))
+    ranges = [(int(t.addresses.min()), int(t.addresses.max()))
               for t in traces]
     for i in range(len(ranges)):
         for j in range(i + 1, len(ranges)):
@@ -113,7 +113,7 @@ def test_multiprogrammed_spec_copies_are_disjoint():
 def test_multithreaded_nas_shares_address_space():
     spec = get_workload("cg.D")    # NAS: shared address space
     traces = generate_multiprogrammed(spec, 300, num_cores=4, scale=256, seed=1)
-    footprints = [set(r.address // 4096 for r in t) for t in traces]
+    footprints = [set((t.addresses // 4096).tolist()) for t in traces]
     shared = footprints[0].intersection(*footprints[1:])
     assert shared, "NAS threads must overlap in the shared footprint"
 
@@ -122,7 +122,7 @@ def test_spec_footprint_is_split_across_cores():
     spec = get_workload("lbm")
     total = spec.scaled_footprint_bytes(256)
     traces = generate_multiprogrammed(spec, 300, num_cores=8, scale=256, seed=1)
-    top = max(r.address for t in traces for r in t)
+    top = max(int(t.addresses.max()) for t in traces)
     assert top < total + spec.region_bytes
 
 
@@ -132,16 +132,16 @@ def test_hot_region_cap_bounds_hot_set():
                         hot_fraction=0.5, hot_access_fraction=1.0,
                         hot_region_cap=4)
     trace = generate_trace(spec, 3000, scale=256, seed=1)
-    regions = {r.address // spec.region_bytes for r in trace}
+    regions = set((trace.addresses // spec.region_bytes).tolist())
     assert len(regions) <= 4
 
 
 def test_helper_patterns():
     stream = stream_pattern(10)
-    assert [r.address for r in stream] == [i * LINE_SIZE for i in range(10)]
+    assert stream.addresses.tolist() == [i * LINE_SIZE for i in range(10)]
     rand = random_pattern(100, 1 << 16, seed=1)
     assert len(rand) == 100
-    assert all(r.address < (1 << 16) for r in rand)
+    assert (rand.addresses < (1 << 16)).all()
 
 
 def test_zero_references_returns_empty_trace():
