@@ -208,11 +208,14 @@ class JobQueue:
             priority = int(payload.get("priority", 0))
         except (TypeError, ValueError):
             raise JobSpecError("priority must be an integer")
+        # The store probe (and the tempfile reaping before it) runs
+        # outside the lock, so long-polls never wait on store I/O; dedup
+        # against this queue's jobs is re-checked under the lock below.
+        submission = prepare_submission([job], self._store)
+        key = submission.keys[0]
         with self._cond:
             if self._closed:
                 raise RuntimeError("job queue is shut down")
-            submission = prepare_submission([job], self._store)
-            key = submission.keys[0]
             if key is not None and key in self._by_key:
                 return self._jobs[self._by_key[key]], True
             self._seq += 1

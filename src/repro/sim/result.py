@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 from ..stats import Stats
 
 
+#: :class:`RunResult` fields that :meth:`RunResult.from_dict` requires to
+#: be numbers.
+_NUMERIC_FIELDS = ("cycles", "instructions", "references",
+                   "nm_service_ratio", "nm_traffic_bytes", "fm_traffic_bytes",
+                   "energy_pj", "flat_capacity_bytes")
+
+
 @dataclass
 class RunResult:
     """Outcome of simulating one workload on one memory-system design."""
@@ -50,9 +57,23 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
-        """Inverse of :meth:`as_dict`."""
-        stats = Stats()
-        stats.merge(data.get("stats", {}))
+        """Inverse of :meth:`as_dict`.  Raises unless ``data`` has the shape
+        :meth:`as_dict` gives: a ``KeyError`` for a missing field, a
+        ``TypeError`` for names that are not strings, stats that are not
+        an object, or a number or counter that is not a float-sized
+        number."""
+        if not (isinstance(data, dict)
+                and isinstance(data["design"], str)
+                and isinstance(data["workload"], str)
+                and isinstance(data.get("stats", {}), dict)):
+            raise TypeError("not a run result document")
+        try:
+            # Adding to a float raises TypeError for anything but a number
+            # and OverflowError for an integer no float can hold.
+            sum([data[name] for name in _NUMERIC_FIELDS], 0.0)
+            stats = Stats().merge(data.get("stats", {}))
+        except OverflowError:
+            raise TypeError("a run result number exceeds float range")
         return cls(
             design=data["design"],
             workload=data["workload"],

@@ -45,8 +45,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .result import RunResult
 
@@ -128,6 +128,10 @@ _SQLITE_CHUNK = 900
 
 #: Cells per backend round-trip when scanning a whole store.
 _SCAN_BATCH = 1024
+
+#: Verified contents a store remembers as hydrating, so its scans decode
+#: each content once.  At the cap an arbitrary entry makes room.
+_PROVEN_CAP = 1 << 15
 
 
 def default_store_root() -> str:
@@ -643,9 +647,9 @@ class SqliteBackend(StoreBackend):
 
     # -- reads -------------------------------------------------------------
     def fetch_many(self, keys: Sequence[str]) -> Dict[str, CellRecord]:
-        out = {key: CellRecord(key, REC_MISS) for key in keys}
+        out: Dict[str, CellRecord] = {}
         by_shard: Dict[int, List[str]] = {}
-        for key in out:
+        for key in dict.fromkeys(keys):
             by_shard.setdefault(self.shard_of(key), []).append(key)
         with self._lock:
             for shard, shard_keys in sorted(by_shard.items()):
@@ -668,6 +672,9 @@ class SqliteBackend(StoreBackend):
                         continue
                     for row in rows:
                         out[row[0]] = self._record_of(*row)
+        for key in keys:
+            if key not in out:
+                out[key] = CellRecord(key, REC_MISS)
         return out
 
     def all_keys(self) -> List[str]:
@@ -940,6 +947,11 @@ class ResultStore:
                  read_only: bool = False) -> None:
         self.backend = backend if backend is not None \
             else resolve_backend(root, read_only=read_only)
+        #: Verified contents seen to hydrate: ``(checksum, length of the
+        #: result text, or None for a decoded payload)``.  Asked only once
+        #: the checksum matched the stored bytes, so it never passes damage.
+        self._proven: Set[Tuple[str, Optional[int]]] = set()
+        self._proven_lock = threading.Lock()
 
     @property
     def root(self) -> Path:
@@ -959,8 +971,15 @@ class ResultStore:
         _check_key(key)
         return Path(self.backend.location(key))
 
-    def _classify(self, record: CellRecord
+    def _classify(self, record: CellRecord, hydrate: bool = True
                   ) -> Tuple[str, Optional[RunResult]]:
+        """Verify one fetched cell: ``(status, result)``.
+
+        With ``hydrate=False`` (store scans, which need the status only)
+        the result is always ``None``, and a verified cell whose content
+        already hydrated through this store is not decoded again; the
+        checksum is still recomputed from the stored bytes every time.
+        """
         columns = record.columns
         if columns is not None:
             # Stored column texts are canonical, so the checksum verifies
@@ -970,10 +989,11 @@ class ResultStore:
             if (fmt == STORE_FORMAT and isinstance(result, str)
                     and (job is None or isinstance(job, str))
                     and checksum == _text_checksum(job, result)):
-                try:
-                    return CELL_OK, RunResult.from_dict(json.loads(result))
-                except (KeyError, TypeError, ValueError):
-                    return CELL_CORRUPT, None
+                # The checksum covers the framed job+result text, so the
+                # result's length pins where the frame splits: a job text
+                # that swallowed part of the result cannot borrow a proof.
+                return self._hydrated((checksum, len(result)), result,
+                                      hydrate, text=True)
         if record.disposition == REC_MISS:
             return CELL_MISS, None
         if record.disposition == REC_UNREADABLE:
@@ -988,10 +1008,29 @@ class ResultStore:
                                      payload.get("result"))
         if checksum != expected:
             return CELL_CORRUPT, None
+        return self._hydrated((checksum, None), payload.get("result"),
+                              hydrate, text=False)
+
+    def _hydrated(self, proof: Tuple[str, Optional[int]], body: Any,
+                  hydrate: bool, text: bool
+                  ) -> Tuple[str, Optional[RunResult]]:
+        """Status of a checksum-verified result ``body`` (its JSON text
+        when ``text``), with the :class:`RunResult` when ``hydrate``.
+
+        Without ``hydrate`` a ``proof`` already seen to hydrate is not
+        decoded again.
+        """
+        if not hydrate and proof in self._proven:
+            return CELL_OK, None
         try:
-            return CELL_OK, RunResult.from_dict(payload["result"])
+            result = RunResult.from_dict(json.loads(body) if text else body)
         except (KeyError, TypeError, ValueError):
             return CELL_CORRUPT, None
+        with self._proven_lock:
+            if len(self._proven) >= _PROVEN_CAP:
+                self._proven.pop()
+            self._proven.add(proof)
+        return CELL_OK, result if hydrate else None
 
     def probe(self, key: str) -> Tuple[str, Optional[RunResult]]:
         """Load ``key`` distinguishing *miss* from *corruption*.
@@ -1104,7 +1143,7 @@ class ResultStore:
         for chunk in _chunks(all_keys, _SCAN_BATCH):
             records = self.backend.fetch_many(chunk)
             for key in chunk:
-                yield key, self._classify(records[key])[0]
+                yield key, self._classify(records[key], hydrate=False)[0]
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())

@@ -56,8 +56,9 @@ class Stats:
     def merge(self, other: "Stats" | Mapping[str, float]) -> "Stats":
         """Add every counter of ``other`` into this registry (in place)."""
         items = other.as_dict().items() if isinstance(other, Stats) else other.items()
-        for name, value in items:
-            self._counters[name] += value
+        counters = self._counters
+        counters.update({name: counters.get(name, 0.0) + value
+                         for name, value in items})
         return self
 
     def scaled(self, factor: float) -> "Stats":

@@ -17,6 +17,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import package_version
 from repro.cli import main
@@ -24,10 +26,13 @@ from repro.report.artifacts import write_artifact
 from repro.report.registry import BenchResult, Table, get_bench
 from repro.serve import JobSpecError, ResponseCache, ServeApp, make_server
 from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.jobqueue import JobQueue
 from repro.serve.respcache import CacheEntry, etag_of
 from repro.serve.router import Router
+from repro.sim.faults import corrupt_store_cell
 from repro.sim.simulator import RunResult
-from repro.sim.store import ResultStore
+from repro.sim.store import (STORE_FORMAT, JsonFileBackend, ResultStore,
+                             _payload_checksum)
 from repro.stats import Stats
 
 REFS = 300
@@ -45,6 +50,31 @@ def make_app(tmp_path, **kwargs):
 
 def body_of(response):
     return json.loads(response.body.decode())
+
+
+def sample_result(cycles=1.0):
+    return RunResult(
+        design="HYBRID2", workload="mcf", cycles=cycles, instructions=10,
+        references=5, nm_service_ratio=0.5, nm_traffic_bytes=64.0,
+        fm_traffic_bytes=128.0, energy_pj=1.0, flat_capacity_bytes=1 << 20,
+        stats=Stats())
+
+
+def write_verified(store, key, result):
+    """Store any JSON ``result`` under ``key`` with a matching checksum."""
+    store.write_payload(key, {"format": STORE_FORMAT, "key": key,
+                              "checksum": _payload_checksum(None, result),
+                              "job": None, "result": result})
+
+
+#: Checksum-valid result bodies with a JSON array where a run result has
+#: an object: the result itself, or its stats.
+ARRAY_RESULTS = ([1, 2], dict(sample_result().as_dict(), stats=[1.0]))
+
+
+def corrupt_cell_body(key):
+    return {"error": f"cell {key} is corrupt", "key": key,
+            "status": "corrupt"}
 
 
 def wait_terminal(app, job_id, timeout=60.0):
@@ -256,6 +286,95 @@ def test_cell_get_reads_the_backend_once(tmp_path):
         app.close()
 
 
+@pytest.mark.parametrize("backend", ["json", "sqlite"])
+@pytest.mark.parametrize("body", ARRAY_RESULTS, ids=["result", "stats"])
+def test_array_result_cell_is_served_as_corrupt(tmp_path, backend, body):
+    app = ServeApp(f"{backend}:{tmp_path / 'store'}",
+                   artifacts_dir=tmp_path / "artifacts")
+    try:
+        healthy, broken = f"{1:064x}", f"{2:064x}"
+        app.store.put(healthy, sample_result())
+        write_verified(app.store, broken, body)
+        listing = body_of(app.handle("GET", "/v1/cells"))
+        assert (listing["total"], listing["keys"]) == (1, [healthy])
+        store = body_of(app.handle("GET", "/v1/health"))["store"]
+        assert (store["ok"], store["corrupt"]) == (1, 1)
+        response = app.handle("GET", f"/v1/cells/{broken}")
+        assert response.status == 500
+        assert body_of(response) == corrupt_cell_body(broken)
+        assert app.handle("GET", f"/v1/charts/{broken}.svg").status == 404
+    finally:
+        app.close()
+
+
+@pytest.fixture(scope="module")
+def mixed_app(tmp_path_factory):
+    """A read-only app over healthy, stale and corrupt cells, among them
+    checksum-valid ones whose result is an array, has stats that are one,
+    holds an integer no float holds, or is missing."""
+    root = tmp_path_factory.mktemp("mixed") / "store"
+    store = ResultStore(f"sqlite:{root}")
+    keys = {"ok": f"{1:064x}", "stale": f"{2:064x}", "corrupt": f"{3:064x}",
+            "array": f"{4:064x}", "array_stats": f"{5:064x}",
+            "huge": f"{6:064x}", "no_result": f"{7:064x}"}
+    for name, key in keys.items():
+        store.put(key, sample_result(cycles=float(len(name))))
+    store.write_payload(keys["stale"], {"format": -1, "result": {}})
+    corrupt_store_cell(store, keys["corrupt"])
+    write_verified(store, keys["array"], ARRAY_RESULTS[0])
+    write_verified(store, keys["array_stats"], ARRAY_RESULTS[1])
+    write_verified(store, keys["huge"],
+                   dict(sample_result().as_dict(), fm_traffic_bytes=10 ** 400))
+    store.write_payload(keys["no_result"], {
+        "format": STORE_FORMAT, "key": keys["no_result"],
+        "checksum": _payload_checksum(None, None)})
+    store.backend.close()
+    app = ServeApp(root, read_only=True,
+                   artifacts_dir=tmp_path_factory.mktemp("artifacts"))
+    yield app, keys
+    app.close()
+
+
+query_values = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.text(max_size=8),
+    st.sampled_from(["", "\x00", "1\x00", "%00", "nan", "1e3", "0x10",
+                     " 7 ", "+3", "9" * 5000]))
+query_strings = st.lists(
+    st.tuples(st.sampled_from(["offset", "limit", "x"]), query_values),
+    max_size=4).map(lambda pairs: "&".join(f"{k}={v}" for k, v in pairs))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_get_fuzz_never_answers_an_undocumented_5xx(mixed_app, data):
+    app, keys = mixed_app
+    name = data.draw(st.one_of(st.sampled_from(sorted(keys.values())),
+                               st.just("f" * 64), st.text(max_size=70)))
+    target = data.draw(st.sampled_from([
+        "/v1/cells?" + data.draw(query_strings),
+        f"/v1/cells/{name}",
+        f"/v1/charts/{name}.svg",
+        "/v1/health",
+    ]))
+    response = app.handle("GET", target)
+    if response.status >= 500:
+        # The one documented 5xx: a verified-bad cell asked for by key.
+        corrupt = (keys["corrupt"], keys["array"], keys["array_stats"],
+                   keys["huge"], keys["no_result"])
+        assert target in {f"/v1/cells/{key}" for key in corrupt}
+        assert response.status == 500
+        assert body_of(response) == corrupt_cell_body(name)
+    elif response.content_type == "application/json":
+        body_of(response)                 # every answer is a JSON document
+    if target.startswith("/v1/cells?") and response.status == 200:
+        listing = body_of(response)
+        assert listing["total"] == 1
+        assert listing["keys"] == [keys["ok"]][listing["offset"]:][
+            :listing["limit"]]
+
+
 # ---------------------------------------------------------------------------
 # write path (app level)
 # ---------------------------------------------------------------------------
@@ -313,6 +432,65 @@ def test_job_cached_submission_after_store_hit(tmp_path):
         assert app.queue.sim_count == 0
     finally:
         app.close()
+
+
+class BlockingBackend(JsonFileBackend):
+    """A JSON backend whose reads, once armed, wait for ``release``."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.armed = False
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Event()
+
+    def fetch_many(self, keys):
+        if self.armed:
+            self.entered.release()
+            self.release.wait(60)
+        return super().fetch_many(keys)
+
+
+def test_submit_probes_the_store_outside_the_queue_lock(tmp_path):
+    backend = BlockingBackend(tmp_path / "store")
+    store = ResultStore(backend=backend)
+    queue = JobQueue(store)
+    try:
+        first, second = (dict(JOB, seed=seed) for seed in (1, 2))
+        # Both cells are stored, so every submission completes as
+        # ``cached`` and nothing is simulated.
+        for payload in (first, second):
+            store.put(queue._job_from_payload(payload).cache_key(),
+                      sample_result())
+        done, _ = queue.submit(first)
+        assert done.status == "cached"
+        backend.armed = True
+        outcomes = []
+        submits = [threading.Thread(
+            target=lambda: outcomes.append(queue.submit(second)))
+            for _ in range(2)]
+        for thread in submits:
+            thread.start()
+        # Both identical submissions are inside the store probe at once.
+        for _ in submits:
+            assert backend.entered.acquire(timeout=10)
+        answered = []
+        reader = threading.Thread(target=lambda: answered.append(
+            (queue.wait_events(done.id, timeout=0), queue.jobs())))
+        reader.start()
+        reader.join(timeout=10)
+        assert answered, "the queue lock is held across the store probe"
+        (record, events), jobs = answered[0]
+        assert record is done and [job.id for job in jobs] == [done.id]
+        backend.release.set()
+        for thread in submits:
+            thread.join(timeout=30)
+        assert len(outcomes) == 2
+        assert outcomes[0][0] is outcomes[1][0]      # one job, not twins
+        assert outcomes[0][0].status == "cached"
+        assert len(queue.jobs()) == 2 and queue.sim_count == 0
+    finally:
+        backend.release.set()
+        queue.close()
 
 
 # ---------------------------------------------------------------------------

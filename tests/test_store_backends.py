@@ -17,11 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.params import make_config
+from repro.sim import store as store_module
 from repro.sim.faults import corrupt_store_cell
 from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK, CELL_STALE,
                              CELL_UNREADABLE, DEFAULT_SQLITE_SHARDS,
                              REC_UNREADABLE, STORE_FORMAT, CellRecord,
-                             ResultStore, SqliteBackend, migrate_store)
+                             ResultStore, SqliteBackend, _canonical,
+                             _payload_checksum, _text_checksum,
+                             migrate_store)
 from repro.sim.simulator import RunResult
 from repro.sim.sweep import SweepJob, coerce_design, run_jobs
 from repro.stats import Stats
@@ -437,6 +440,10 @@ def test_stored_text_verdict_matches_decoding(row_store, result, job,
         extra = json.dumps(data.draw(st.one_of(
             st.lists(st.integers(), max_size=3), st.integers(),
             storable_text)))
+    # Scan the undamaged cell first: the damaged row must get its verdict
+    # from its own bytes, whatever the scan remembers of the intact one.
+    row_store.put(key, result, job=job)
+    assert dict(row_store.scan()) == {key: CELL_OK}
     insert_row(row_store, (key, fmt, checksum, job_text, result_text, extra))
     # The reference reads the row back: column affinity may have
     # converted a value on the way in (the text '2' becomes the integer).
@@ -444,9 +451,142 @@ def test_stored_text_verdict_matches_decoding(row_store, result, job,
     stored = backend._conn(backend.shard_of(key)).execute(
         "SELECT key, format, checksum, job, result, extra FROM cells "
         "WHERE key = ?", (key,)).fetchone()
+    expected = decoded_verdict(stored)
     status, loaded = row_store.probe(key)
     assert (status, None if loaded is None else loaded.as_dict()) \
-        == decoded_verdict(stored)
+        == expected
+    assert dict(row_store.scan()) == {key: expected[0]}
+
+
+# ---------------------------------------------------------------------------
+# scans decode each verified content once per store
+# ---------------------------------------------------------------------------
+def write_verified(store, key, result, job=None):
+    """Store any JSON ``result`` under ``key`` with a matching checksum."""
+    store.write_payload(key, {"format": STORE_FORMAT, "key": key,
+                              "checksum": _payload_checksum(job, result),
+                              "job": job, "result": result})
+
+
+def count_decodes(monkeypatch):
+    """Count the :meth:`RunResult.from_dict` calls."""
+    calls = {"from_dict": 0}
+    unpatched = RunResult.from_dict
+
+    def counting(data):
+        calls["from_dict"] += 1
+        return unpatched(data)
+
+    monkeypatch.setattr(RunResult, "from_dict", counting)
+    return calls
+
+
+def write_without_result(store, key):
+    """Store a document with no ``result`` at all; its checksum, over a
+    null job and result, still matches."""
+    store.write_payload(key, {"format": STORE_FORMAT, "key": key,
+                              "checksum": _payload_checksum(None, None)})
+
+
+def ill_typed_results():
+    """Checksum-valid result bodies that are not run results: JSON arrays
+    where a run result has objects (the result itself, or its stats), a
+    string for a number, an integer no float holds."""
+    sample = sample_result().as_dict()
+    return [[1, 2], dict(sample, stats=[["nm.bytes", 1]]),
+            dict(sample, cycles="1"), dict(sample, stats={"x": 10 ** 400})]
+
+
+def test_checksum_valid_ill_typed_results_are_corrupt(store):
+    healthy = synthetic_key(0)
+    store.put(healthy, sample_result())
+    bad = []
+    for i, body in enumerate(ill_typed_results(), start=1):
+        bad.append(synthetic_key(i))
+        write_verified(store, bad[-1], body)
+    bad.append(synthetic_key(len(bad) + 1))
+    write_without_result(store, bad[-1])
+    for key in bad:
+        assert store.probe(key) == (CELL_CORRUPT, None)
+    assert list(store.keys()) == [healthy] and len(store) == 1
+    summary = store.stats_dict()
+    assert (summary["ok"], summary["corrupt"]) == (1, len(bad))
+    report = store.fsck(quarantine=False)
+    assert sorted(issue.key for issue in report.corrupt) == bad
+
+
+def test_ill_typed_result_column_text_is_corrupt(tmp_path):
+    """The same on SQLite's column path, whose texts verify undecoded."""
+    store = ResultStore(f"sqlite:{tmp_path}")
+    key = synthetic_key(1)
+    for text in map(_canonical, ill_typed_results()):
+        insert_row(store, (key, STORE_FORMAT, _text_checksum(None, text),
+                           None, text, None))
+        assert store.probe(key) == (CELL_CORRUPT, None)
+        assert dict(store.scan()) == {key: CELL_CORRUPT}
+
+
+def test_a_warm_scan_decodes_no_cell(store, monkeypatch):
+    keys = [synthetic_key(i) for i in range(20)]
+    store.put_many([(key, sample_result(cycles=float(i)), None)
+                    for i, key in enumerate(keys)])
+    calls = count_decodes(monkeypatch)
+    assert store.stats_dict()["ok"] == 20
+    assert calls == {"from_dict": 20}
+    assert store.stats_dict()["ok"] == 20
+    assert list(store.keys()) == keys and len(store) == 20
+    assert calls == {"from_dict": 20}
+    status, result = store.probe(keys[3])        # probes still hydrate
+    assert status == CELL_OK and result.cycles == 3.0
+    assert calls == {"from_dict": 21}
+
+
+def test_a_warm_scan_still_sees_damage(store):
+    key, twin = synthetic_key(1), synthetic_key(2)
+    store.put(key, sample_result())
+    store.put(twin, sample_result())             # the same content
+    assert store.stats_dict()["ok"] == 2
+    corrupt_store_cell(store, key)               # result edited, checksum kept
+    assert dict(store.scan()) == {key: CELL_CORRUPT, twin: CELL_OK}
+    # A verified body that does not hydrate stays corrupt, scan after scan.
+    body = sample_result().as_dict()
+    del body["design"]
+    write_verified(store, key, body)
+    for _ in range(2):
+        assert dict(store.scan()) == {key: CELL_CORRUPT, twin: CELL_OK}
+
+
+def test_a_moved_frame_split_cannot_borrow_a_proof(tmp_path):
+    """SQLite verifies the text ``{"job":J,"result":R}``.  A stats counter
+    named ``result`` lets a longer J and a shorter R frame the same text
+    under the same checksum; that R does not decode, and a scan that has
+    seen the intact row must still say so."""
+    store = ResultStore(f"sqlite:{tmp_path}")
+    key = synthetic_key(1)
+    result = sample_result()
+    result.stats.inc("result", 2.0)
+    store.put(key, result, job={"seed": 1})
+    assert dict(store.scan()) == {key: CELL_OK}
+    backend = store.backend
+    _, fmt, checksum, job, text, _ = backend._conn(backend.shard_of(key)) \
+        .execute("SELECT * FROM cells").fetchone()
+    cut = text.index(',"result":')
+    job, text = (job + ',"result":' + text[:cut],
+                 text[cut + len(',"result":'):])
+    assert _text_checksum(job, text) == checksum
+    insert_row(store, (key, fmt, checksum, job, text, None))
+    assert store.probe(key) == (CELL_CORRUPT, None)
+    assert dict(store.scan()) == {key: CELL_CORRUPT}
+
+
+def test_the_scan_memo_is_capped(store, monkeypatch):
+    monkeypatch.setattr(store_module, "_PROVEN_CAP", 4)
+    keys = [synthetic_key(i) for i in range(10)]
+    store.put_many([(key, sample_result(cycles=float(i)), None)
+                    for i, key in enumerate(keys)])
+    for _ in range(3):
+        assert list(store.keys()) == keys
+        assert len(store._proven) == 4
 
 
 # ---------------------------------------------------------------------------
