@@ -54,15 +54,13 @@ Subcommands:
 * ``designs`` — list the design registry (paper labels).
 * ``workloads`` — list the Table 2 workload catalog.
 * ``store`` — inspect or clear the result store; ``store fsck`` verifies
-  every cell's checksum, quarantines corruption (``--repair`` re-simulates
-  from the embedded job specs, ``--purge-quarantine`` empties the
-  post-mortem copies) and reaps orphaned temp files; ``store migrate
-  --dest sqlite:PATH`` converts between the JSON-file and sharded-SQLite
-  backends losslessly (statuses and checksums verified cell by cell);
-  ``store stats`` summarises cell health.  ``fsck``/``migrate``/``stats``
-  take ``--json`` for machine-readable reports, as do ``designs`` and
-  ``workloads`` (the same serializers that back the serve layer's
-  ``/v1/designs`` and ``/v1/workloads`` endpoints).
+  every cell's checksum and quarantines corruption (``--repair``
+  re-simulates from the embedded job specs, ``--purge-quarantine``
+  empties the post-mortem copies); ``store stats`` summarises cell
+  health.  ``fsck``/``stats`` take ``--json`` for machine-readable
+  reports, as do ``designs`` and ``workloads`` (the same serializers
+  that back the serve layer's ``/v1/designs`` and ``/v1/workloads``
+  endpoints).
 
 ``python -m repro --version`` prints the package version, single-sourced
 from ``repro.__version__`` (the serve layer surfaces the same value in
@@ -154,7 +152,7 @@ def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (1 = serial)")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help=f"result-store directory or json:/sqlite: URI "
+                   help=f"result-store directory or sqlite:PATH URI "
                         f"(default {default_store_root()})")
     p.add_argument("--no-store", action="store_true",
                    help="disable the persistent result store")
@@ -512,7 +510,7 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
                    help="listen port; 0 picks an ephemeral port "
                         "(default 8765)")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help=f"result-store directory or json:/sqlite: URI "
+                   help=f"result-store directory or sqlite:PATH URI "
                         f"(default {default_store_root()})")
     p.add_argument("--workers", type=int, default=1,
                    help="job-queue worker threads (default 1)")
@@ -679,7 +677,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.action == "fsck":
         report = store.fsck(repair=args.repair,
                             quarantine=not args.no_quarantine,
-                            reap_tmp=not args.keep_tmp,
                             purge_quarantine=args.purge_quarantine)
         if args.json:
             print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -695,23 +692,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 detail += f" ({issue.error})"
             print(f"  {issue.key}: {detail}", file=sys.stderr)
         return 0 if report.clean else 1
-    if args.action == "migrate":
-        from .sim.store import migrate_store
-
-        if not args.dest:
-            raise ValueError(
-                "store migrate requires --dest "
-                "(e.g. --dest sqlite:/path/to/new-store)")
-        dest = ResultStore(args.dest)
-        report = migrate_store(store, dest)
-        if args.json:
-            print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-            return 0 if report.verified else 1
-        print(f"migrate {store.root} ({store.backend.kind}) -> "
-              f"{dest.root} ({dest.backend.kind}): {report.summary()}")
-        for mismatch in report.mismatches:
-            print(f"  MISMATCH {mismatch}", file=sys.stderr)
-        return 0 if report.verified else 1
     if args.action == "stats":
         stats = store.stats_dict()
         if args.json:
@@ -720,18 +700,16 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"store {stats['root']} ({stats['backend']}"
               + (", read-only" if stats["read_only"] else "") + ")")
         for field in ("cells", "ok", "stale", "corrupt", "unreadable",
-                      "tmp_files", "quarantined_cells", "quarantine_bytes"):
+                      "quarantined_cells", "quarantine_bytes"):
             print(f"  {field:18s} {stats[field]}")
         return 0
     if args.clear:
         removed = store.clear()
         print(f"removed {removed} cached results from {store.root}")
     else:
-        tmp = len(store.tmp_files())
         quarantined, _ = store.quarantine_stats()
         print(f"store {store.root} ({store.backend.kind}): "
               f"{len(store)} cached results"
-              + (f", {tmp} orphaned tmp file(s)" if tmp else "")
               + (f", {quarantined} quarantined cell(s)"
                  if quarantined else ""))
     return 0
@@ -775,37 +753,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_workloads.add_argument("--json", action="store_true",
                              help="emit the /v1/workloads JSON schema")
     p_store = sub.add_parser(
-        "store", help="inspect, clear, fsck, migrate the result store "
+        "store", help="inspect, clear or fsck the result store "
                       "or print its stats")
     p_store.add_argument("action", nargs="?", default=None,
-                         choices=("fsck", "migrate", "stats"),
-                         help="fsck: verify every cell's checksum, "
-                              "quarantine corruption, report orphans; "
-                              "migrate: copy every cell into --dest "
-                              "(any backend), verifying statuses and "
-                              "checksums; stats: cell-health summary")
+                         choices=("fsck", "stats"),
+                         help="fsck: verify every cell's checksum and "
+                              "quarantine corruption; "
+                              "stats: cell-health summary")
     p_store.add_argument("--store", default=None, metavar="DIR",
-                         help="store directory or json:/sqlite: URI "
-                              "(default REPRO_STORE or .repro-store; "
-                              "plain paths honour REPRO_STORE_BACKEND)")
+                         help="store directory or sqlite:PATH URI "
+                              "(default REPRO_STORE or .repro-store)")
     p_store.add_argument("--clear", action="store_true")
     p_store.add_argument("--repair", action="store_true",
                          help="fsck: re-simulate corrupted cells from their "
                               "embedded job specs")
     p_store.add_argument("--no-quarantine", action="store_true",
                          help="fsck: leave corrupted cells in place instead "
-                              "of moving them to quarantine/")
-    p_store.add_argument("--keep-tmp", action="store_true",
-                         help="fsck: report stale tmp files without "
-                              "deleting them")
+                              "of quarantining them")
     p_store.add_argument("--purge-quarantine", action="store_true",
                          help="fsck: delete every quarantined post-mortem "
                               "copy after the scan")
-    p_store.add_argument("--dest", default=None, metavar="DIR",
-                         help="migrate: destination store directory or "
-                              "json:/sqlite: URI")
     p_store.add_argument("--json", action="store_true",
-                         help="fsck/migrate/stats: print the full report "
+                         help="fsck/stats: print the full report "
                               "as JSON instead of a summary line")
     return parser
 

@@ -51,9 +51,7 @@ class ReportSettings:
     scale: int = 256
     seed: int = 1
     workers: int = 1
-    #: Store directory or ``sqlite:PATH`` / ``json:PATH`` backend URI
-    #: (plain paths honour ``REPRO_STORE_BACKEND``); ``None`` disables
-    #: caching.
+    #: Store directory or ``sqlite:PATH`` URI; ``None`` disables caching.
     store: Optional[str] = DEFAULT_STORE
     perf_refs: int = DEFAULT_PERF_REFS
     perf_repeat: int = DEFAULT_PERF_REPEAT
@@ -118,8 +116,8 @@ def workers_from_env() -> int:
 
 
 def store_path_from_env() -> Optional[str]:
-    """``REPRO_BENCH_STORE``: store directory or ``sqlite:``/``json:``
-    URI; ``0``/``off`` disables."""
+    """``REPRO_BENCH_STORE``: store directory or ``sqlite:PATH`` URI;
+    ``0``/``off`` disables."""
     raw = os.environ.get("REPRO_BENCH_STORE", DEFAULT_STORE)
     if raw in ("0", "off", ""):
         return None

@@ -144,7 +144,7 @@ class JobQueue:
                 raise JobSpecError("'spec' must be a JSON object")
             try:
                 job = job_from_spec(spec)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise JobSpecError(f"malformed job spec: {exc}")
         else:
             job = self._job_from_shorthand(payload)
@@ -190,7 +190,7 @@ class JobQueue:
             return job_from_spec(job.spec_dict())
         except JobSpecError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             message = exc.args[0] if exc.args else exc
             raise JobSpecError(str(message))
 
@@ -206,11 +206,11 @@ class JobQueue:
         job = self._job_from_payload(payload)
         try:
             priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise JobSpecError("priority must be an integer")
-        # The store probe (and the tempfile reaping before it) runs
-        # outside the lock, so long-polls never wait on store I/O; dedup
-        # against this queue's jobs is re-checked under the lock below.
+        # The store probe runs outside the lock, so long-polls never wait
+        # on store I/O; dedup against this queue's jobs is re-checked
+        # under the lock below.
         submission = prepare_submission([job], self._store)
         key = submission.keys[0]
         with self._cond:

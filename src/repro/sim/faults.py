@@ -31,8 +31,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional
 
 #: Environment variable carrying the JSON fault plan.
 ENV_VAR = "REPRO_FAULTS"
@@ -139,7 +138,7 @@ def inject(index: int, attempt: int) -> None:
 
     Called by the worker (and the serial path) immediately before the job
     body runs.  ``corrupt`` mode is a no-op here — it fires at store-write
-    time in the supervisor (:func:`corrupt_cell`).
+    time in the supervisor (:func:`corrupt_store_cell`).
     """
     spec = active_plan().for_job(index)
     if spec is None or not spec.fires(attempt):
@@ -171,21 +170,11 @@ def _mangle(payload: dict) -> dict:
     return payload
 
 
-def corrupt_cell(path: Union[str, Path]) -> None:
-    """Mangle a stored JSON-backend cell file in place: the result body no
-    longer matches the embedded checksum, but the payload stays parseable
-    JSON with its job description intact — exactly the damage ``fsck
-    --repair`` can undo.  Prefer :func:`corrupt_store_cell` in new code —
-    it works on any store backend."""
-    path = Path(path)
-    payload = _mangle(json.loads(path.read_text()))
-    path.write_text(json.dumps(payload, sort_keys=True))
-
-
 def corrupt_store_cell(store, key: str) -> None:
-    """Backend-agnostic :func:`corrupt_cell`: mangle the cell stored under
-    ``key`` through the store's own payload API, so the same fault works
-    on JSON files and SQLite shards alike."""
+    """Mangle the cell stored under ``key`` through the store's own payload
+    API: the result body no longer matches the embedded checksum, but the
+    payload stays a parseable document with its job description intact —
+    exactly the damage ``fsck --repair`` can undo."""
     payload = store.read_payload(key)
     if payload is None:
         raise KeyError(f"no readable payload for store key {key!r}")

@@ -7,6 +7,7 @@ and the serve layer read back, so it lives apart from the numpy engine of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..stats import Stats
@@ -60,8 +61,8 @@ class RunResult:
         """Inverse of :meth:`as_dict`.  Raises unless ``data`` has the shape
         :meth:`as_dict` gives: a ``KeyError`` for a missing field, a
         ``TypeError`` for names that are not strings, stats that are not
-        an object, or a number or counter that is not a float-sized
-        number."""
+        an object, or a number or counter that is not a finite
+        float-sized number."""
         if not (isinstance(data, dict)
                 and isinstance(data["design"], str)
                 and isinstance(data["workload"], str)
@@ -70,10 +71,15 @@ class RunResult:
         try:
             # Adding to a float raises TypeError for anything but a number
             # and OverflowError for an integer no float can hold.
-            sum([data[name] for name in _NUMERIC_FIELDS], 0.0)
+            numbers = [data[name] for name in _NUMERIC_FIELDS]
+            total = sum(numbers, 0.0)
             stats = Stats().merge(data.get("stats", {}))
         except OverflowError:
             raise TypeError("a run result number exceeds float range")
+        # An infinity or NaN makes the sum non-finite; so can large finite
+        # numbers, which only then are checked one by one.
+        if not math.isfinite(total) and not all(map(math.isfinite, numbers)):
+            raise TypeError("a run result number is not finite")
         return cls(
             design=data["design"],
             workload=data["workload"],

@@ -121,8 +121,7 @@ class ExperimentRunner:
     ``workers`` selects the execution mode: 1 keeps the classic serial
     in-process path, ``N > 1`` fans independent jobs out over a process
     pool.  ``store`` (a :class:`ResultStore`, a directory path or a
-    ``sqlite:PATH`` / ``json:PATH`` backend URI, or ``None`` to disable
-    caching) persists every simulated cell so repeated or interrupted
+    ``sqlite:PATH`` URI, or ``None`` to disable caching) persists every simulated cell so repeated or interrupted
     sweeps only simulate what is missing; the dedup pass at dispatch time
     probes the whole batch in one backend round-trip per shard.
     """

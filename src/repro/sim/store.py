@@ -1,27 +1,19 @@
-"""Persistent result store: pluggable backends behind one cell-cache API.
+"""Persistent result store: sharded SQLite behind one cell-cache API.
 
 Every sweep cell is deterministic given its :meth:`SweepJob.cache_key`
 (design, workload spec, system configuration, trace length, seed, core
 count), so results can be cached across processes and sessions.  The store
 keeps one *payload document* per key — ``{format, key, checksum, job,
-result}`` — behind a :class:`StoreBackend`:
+result}`` — in a :class:`SqliteBackend`: N shard databases
+(``shard-XX.db``) under the root, rows ``cells(key PRIMARY KEY, format,
+checksum, job, result)``, WAL journaling + busy timeouts for safe
+concurrent multi-process writers, and *batched* reads/writes:
+:meth:`ResultStore.probe_many` issues one indexed query per shard instead
+of one read per cell.
 
-* :class:`JsonFileBackend` (the default) — one small JSON file per key
-  under a root directory, atomic tempfile+rename writes.  Simple, greppable
-  and safe for concurrent writers, but every probe is a file read, so
-  paper-scale stores (millions of cells) pay a per-cell cost on every
-  sweep start-up.
-* :class:`SqliteBackend` — N shard databases (``shard-XX.db``) under the
-  root, rows ``cells(key PRIMARY KEY, format, checksum, job, result)``,
-  WAL journaling + busy timeouts for safe concurrent multi-process
-  writers, and *batched* reads/writes: :meth:`ResultStore.probe_many`
-  issues one indexed query per shard instead of one read per cell.
-
-Select a backend with a store URI (``sqlite:PATH`` / ``json:PATH``) or the
-``REPRO_STORE_BACKEND`` environment variable; an existing SQLite store is
-auto-detected by its marker file, so plain paths keep working after a
-``python -m repro store migrate`` (:func:`migrate_store` converts either
-direction losslessly — same checksums, same probe statuses per cell).
+A store is opened by a plain directory path or a ``sqlite:PATH`` URI;
+any other ``scheme:`` prefix is refused.  The ``sqlite-store.json`` marker
+written at creation records the shard count.
 
 Every payload embeds a SHA-256 checksum of its job description and result
 body, so :meth:`ResultStore.probe` distinguishes a plain *miss* from
@@ -39,8 +31,8 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sqlite3
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -63,11 +55,6 @@ CELL_CORRUPT = "corrupt"          # verified-bad bytes (checksum/body/JSON)
 CELL_UNREADABLE = "unreadable"    # transient read error (EACCES/EIO/lock);
                                   # the bytes were never seen, so the cell
                                   # is *not* treated as damaged
-
-#: Age (seconds) past which an orphaned ``*.tmp`` file is considered stale
-#: and safe to reap: no healthy writer holds a tempfile open anywhere near
-#: this long, so only interrupted/killed writers leave older ones behind.
-STALE_TMP_AGE_S = 600.0
 
 
 def _digest_tree(root: Path) -> str:
@@ -102,14 +89,6 @@ def model_fingerprint() -> str:
 #: override with the ``REPRO_STORE`` environment variable, the CLI
 #: ``--store`` flag or an explicit :class:`ResultStore`.
 DEFAULT_STORE_DIR = ".repro-store"
-
-#: ``REPRO_STORE_BACKEND``: default backend kind for plain store paths
-#: (``json`` or ``sqlite``); a ``json:``/``sqlite:`` URI prefix wins.
-BACKEND_ENV_VAR = "REPRO_STORE_BACKEND"
-
-#: Subdirectory (under a JSON store root) corrupt cells are quarantined
-#: into; the SQLite backend keeps a ``quarantine`` table per shard instead.
-QUARANTINE_DIR = "quarantine"
 
 #: Marker file identifying a directory as a SQLite store (records the
 #: shard count, so reopening by plain path picks the right layout).
@@ -167,7 +146,7 @@ def _text_checksum(job: Optional[str], result: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# backend protocol
+# backend
 # ---------------------------------------------------------------------------
 #: :class:`CellRecord` dispositions (what a backend fetch yielded).
 REC_PAYLOAD = "payload"           # a payload document was read
@@ -213,7 +192,7 @@ class CellRecord:
                 docs.append(None if text is None else json.loads(text))
             except ValueError:
                 # The undecodable text stands in for the cell, so it stays
-                # unparseable wherever it is migrated or quarantined to.
+                # unparseable when it is quarantined.
                 self._disposition, self._raw = REC_UNPARSEABLE, text
                 return
         self._payload = {"format": fmt, "key": self.key,
@@ -236,249 +215,6 @@ class CellRecord:
         return self._raw
 
 
-class StoreBackend:
-    """Raw payload-document storage under a :class:`ResultStore`.
-
-    Backends move whole payload documents (plain dicts) and never interpret
-    checksums or formats — integrity semantics live in :class:`ResultStore`,
-    so every backend inherits identical miss/stale/corrupt/ok behaviour.
-    """
-
-    kind: str = "abstract"
-    root: Path
-    #: Opened via ``read_only=True``: every mutation raises
-    #: :class:`StoreReadOnlyError` and hygiene (tmp reaping) is a no-op,
-    #: so a long-lived reader (``repro serve``) can share a store with
-    #: concurrent sweep writers without ever racing them.
-    read_only: bool = False
-
-    def _check_writable(self) -> None:
-        if self.read_only:
-            raise StoreReadOnlyError(
-                f"store {self.root} was opened read-only")
-
-    # -- required primitives ----------------------------------------------
-    def fetch_many(self, keys: Sequence[str]) -> Dict[str, CellRecord]:
-        """Batched read: one :class:`CellRecord` per requested key."""
-        raise NotImplementedError
-
-    def store(self, key: str, payload: Dict[str, Any]) -> None:
-        """Persist a payload document verbatim (atomic, last writer wins)."""
-        raise NotImplementedError
-
-    def store_raw(self, key: str, text: str) -> None:
-        """Persist raw text under ``key`` (migration of unparseable cells
-        and corruption tests; the text need not be valid JSON)."""
-        raise NotImplementedError
-
-    def delete(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def all_keys(self) -> List[str]:
-        """Every stored key — healthy or not — in sorted order."""
-        raise NotImplementedError
-
-    def quarantine(self, key: str) -> Optional[str]:
-        """Move a cell out of the served namespace, preserving its bytes
-        for post-mortems.  Repeated quarantines of one key must keep every
-        copy.  Returns a location descriptor, or ``None`` if the cell
-        vanished or could not be moved."""
-        raise NotImplementedError
-
-    def quarantine_stats(self) -> Tuple[int, int]:
-        """``(cells, bytes)`` currently held in quarantine."""
-        raise NotImplementedError
-
-    def purge_quarantine(self) -> int:
-        """Delete every quarantined copy; returns how many were removed."""
-        raise NotImplementedError
-
-    def clear(self) -> int:
-        """Delete every cell (and quarantined copies and write debris);
-        returns how many *cells* were removed."""
-        raise NotImplementedError
-
-    def location(self, key: str) -> str:
-        """Human-readable location of a cell (file path / shard database)."""
-        raise NotImplementedError
-
-    # -- optional hygiene (JSON-specific; harmless no-ops elsewhere) -------
-    def fetch(self, key: str) -> CellRecord:
-        return self.fetch_many([key])[key]
-
-    def store_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
-        for key, payload in items:
-            self.store(key, payload)
-
-    def tmp_files(self, min_age_s: float = 0.0) -> List[Path]:
-        return []
-
-    def reap_tmp(self, max_age_s: float = STALE_TMP_AGE_S) -> int:
-        return 0
-
-    def close(self) -> None:
-        pass
-
-
-class JsonFileBackend(StoreBackend):
-    """One ``<key>.json`` payload file per cell under a root directory."""
-
-    kind = "json"
-
-    def __init__(self, root: Union[str, Path],
-                 read_only: bool = False) -> None:
-        self.root = Path(root)
-        self.read_only = read_only
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{_check_key(key)}.json"
-
-    def location(self, key: str) -> str:
-        return str(self.path_for(key))
-
-    def fetch(self, key: str) -> CellRecord:
-        path = self.path_for(key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            return CellRecord(key, REC_MISS)
-        except OSError as exc:
-            # Transient I/O (EACCES/EIO/NFS hiccup): the bytes were never
-            # read, so this must never be classified as corruption.
-            return CellRecord(key, REC_UNREADABLE,
-                              error=f"{type(exc).__name__}: {exc}")
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
-        except ValueError:
-            return CellRecord(key, REC_UNPARSEABLE, raw=raw)
-        return CellRecord(key, REC_PAYLOAD, payload=payload, raw=raw)
-
-    def fetch_many(self, keys: Sequence[str]) -> Dict[str, CellRecord]:
-        return {key: self.fetch(key) for key in keys}
-
-    def _write_text(self, key: str, text: str) -> None:
-        self._check_writable()
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def store(self, key: str, payload: Dict[str, Any]) -> None:
-        self._write_text(key, json.dumps(payload, sort_keys=True))
-
-    def store_raw(self, key: str, text: str) -> None:
-        self._write_text(key, text)
-
-    def delete(self, key: str) -> bool:
-        self._check_writable()
-        try:
-            self.path_for(key).unlink()
-            return True
-        except OSError:
-            return False
-
-    def all_keys(self) -> List[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(path.stem for path in self.root.glob("*.json"))
-
-    def quarantine(self, key: str) -> Optional[str]:
-        self._check_writable()
-        src = self.path_for(key)
-        dst_dir = self.root / QUARANTINE_DIR
-        try:
-            dst_dir.mkdir(parents=True, exist_ok=True)
-            # Uniquify: a second quarantine of the same key must not
-            # overwrite the first post-mortem copy.
-            dst = dst_dir / src.name
-            counter = 0
-            while dst.exists():
-                counter += 1
-                dst = dst_dir / f"{key}.{counter}.json"
-            os.replace(src, dst)
-            return str(dst)
-        except OSError:
-            return None
-
-    def _quarantine_files(self) -> List[Path]:
-        dst_dir = self.root / QUARANTINE_DIR
-        if not dst_dir.is_dir():
-            return []
-        return sorted(p for p in dst_dir.iterdir() if p.is_file())
-
-    def quarantine_stats(self) -> Tuple[int, int]:
-        files = self._quarantine_files()
-        total = 0
-        for path in files:
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return len(files), total
-
-    def purge_quarantine(self) -> int:
-        self._check_writable()
-        removed = 0
-        for path in self._quarantine_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        self._check_writable()
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            self.reap_tmp(max_age_s=0.0)
-            self.purge_quarantine()
-        return removed
-
-    def tmp_files(self, min_age_s: float = 0.0) -> List[Path]:
-        """Orphaned ``*.tmp`` files at least ``min_age_s`` seconds old."""
-        if not self.root.is_dir():
-            return []
-        now = time.time()
-        out = []
-        for path in sorted(self.root.glob("*.tmp")):
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                continue                 # raced with a concurrent writer
-            if age >= min_age_s:
-                out.append(path)
-        return out
-
-    def reap_tmp(self, max_age_s: float = STALE_TMP_AGE_S) -> int:
-        if self.read_only:       # hygiene, not data: skip silently
-            return 0
-        reaped = 0
-        for path in self.tmp_files(min_age_s=max_age_s):
-            try:
-                path.unlink()
-                reaped += 1
-            except OSError:
-                pass
-        return reaped
-
-
 def _chunks(items: Sequence, size: int) -> Iterator[Sequence]:
     for start in range(0, len(items), size):
         yield items[start:start + size]
@@ -488,25 +224,33 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class SqliteBackend(StoreBackend):
-    """N shard SQLite databases (WAL mode) under one root directory.
+class SqliteBackend:
+    """Raw payload-document storage: N shard SQLite databases (WAL mode)
+    under one root directory.
 
-    Cells live in ``cells(key PRIMARY KEY, format, checksum, job, result,
-    extra)``: regular payload documents are stored columnar (``job`` /
-    ``result`` as canonical JSON text, re-verified against ``checksum`` on
-    every read, exactly like the JSON backend), while irregular payloads
-    and raw garbage land verbatim in ``extra`` so corruption survives
-    migration with its probe status intact.  Quarantined cells move into a
-    per-shard ``quarantine`` table whose autoincrement id naturally
-    uniquifies repeated quarantines of one key.
+    A backend moves whole payload documents (plain dicts) and never
+    interprets checksums or formats — integrity semantics live in
+    :class:`ResultStore`.  Cells live in ``cells(key PRIMARY KEY, format,
+    checksum, job, result, extra)``: regular payload documents are stored
+    columnar (``job`` / ``result`` as canonical JSON text, re-verified
+    against ``checksum`` on every read), while irregular payloads and raw
+    garbage land verbatim in ``extra``, so a damaged cell keeps its probe
+    status.  Quarantined cells move into a per-shard ``quarantine`` table
+    whose autoincrement id naturally uniquifies repeated quarantines of
+    one key.
 
     WAL journaling plus a generous busy timeout make concurrent
     multi-process writers safe: readers never block writers, and a writer
     blocked on a shard retries for :data:`SQLITE_BUSY_TIMEOUT_MS` before
     surfacing an error.  All reads are batched per shard
     (:meth:`fetch_many` issues one indexed query per shard per
-    :data:`_SQLITE_CHUNK` keys); ``select_queries`` / ``write_batches``
-    count backend round-trips so tests can pin the batching.
+    :data:`_SQLITE_CHUNK` keys); ``select_queries`` counts those
+    round-trips so tests can pin the batching.
+
+    Opened with ``read_only=True``, every mutation raises
+    :class:`StoreReadOnlyError` and the shards are opened ``mode=ro``, so
+    a long-lived reader (``repro serve``) can share a store with
+    concurrent sweep writers without ever racing them.
     """
 
     kind = "sqlite"
@@ -540,12 +284,16 @@ class SqliteBackend(StoreBackend):
         #: fine when every operation holds this lock — which is what lets
         #: a ThreadingHTTPServer (``repro serve``) share one backend.
         self._lock = threading.RLock()
-        #: Instrumentation: SELECT round-trips and write transactions —
-        #: the conformance suite pins "one batched query per shard".
+        #: Instrumentation: SELECT round-trips — the store suite pins "one
+        #: batched query per shard".
         self.select_queries = 0
-        self.write_batches = 0
 
     # -- plumbing ----------------------------------------------------------
+    def _check_writable(self) -> None:
+        if self.read_only:
+            raise StoreReadOnlyError(
+                f"store {self.root} was opened read-only")
+
     def shard_of(self, key: str) -> int:
         try:
             return int(key[:2], 16) % self.shards
@@ -556,6 +304,7 @@ class SqliteBackend(StoreBackend):
         return self.root / f"shard-{shard:02d}.db"
 
     def location(self, key: str) -> str:
+        """The shard database a cell lives in."""
         return str(self._db_path(self.shard_of(_check_key(key))))
 
     def _ensure_root(self) -> None:
@@ -646,7 +395,11 @@ class SqliteBackend(StoreBackend):
                           columns=(fmt, checksum, job, result))
 
     # -- reads -------------------------------------------------------------
+    def fetch(self, key: str) -> CellRecord:
+        return self.fetch_many([key])[key]
+
     def fetch_many(self, keys: Sequence[str]) -> Dict[str, CellRecord]:
+        """Batched read: one :class:`CellRecord` per requested key."""
         out: Dict[str, CellRecord] = {}
         by_shard: Dict[int, List[str]] = {}
         for key in dict.fromkeys(keys):
@@ -678,6 +431,7 @@ class SqliteBackend(StoreBackend):
         return out
 
     def all_keys(self) -> List[str]:
+        """Every stored key — healthy or not — in sorted order."""
         keys: List[str] = []
         with self._lock:
             for shard in range(self.shards):
@@ -693,49 +447,39 @@ class SqliteBackend(StoreBackend):
         return sorted(keys)
 
     # -- writes ------------------------------------------------------------
-    def store_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
+    def _insert(self, rows: Sequence[tuple]) -> None:
+        """Write ``cells`` rows, one transaction per shard."""
         self._check_writable()
         by_shard: Dict[int, List[tuple]] = {}
-        for key, payload in items:
-            row = self._row_of(_check_key(key), payload)
-            by_shard.setdefault(self.shard_of(key), []).append(row)
+        for row in rows:
+            by_shard.setdefault(self.shard_of(row[0]), []).append(row)
         with self._lock:
-            for shard, rows in sorted(by_shard.items()):
+            for shard, shard_rows in sorted(by_shard.items()):
                 conn = self._conn(shard, create=True)
                 with conn:
-                    self.write_batches += 1
                     conn.executemany(
                         "INSERT OR REPLACE INTO cells "
                         "(key, format, checksum, job, result, extra) "
-                        "VALUES (?, ?, ?, ?, ?, ?)", rows)
+                        "VALUES (?, ?, ?, ?, ?, ?)", shard_rows)
+
+    def store_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
+        self._insert([self._row_of(_check_key(key), payload)
+                      for key, payload in items])
 
     def store(self, key: str, payload: Dict[str, Any]) -> None:
+        """Persist a payload document verbatim (last writer wins)."""
         self.store_many([(key, payload)])
 
     def store_raw(self, key: str, text: str) -> None:
-        self._check_writable()
-        with self._lock:
-            conn = self._conn(self.shard_of(_check_key(key)), create=True)
-            with conn:
-                self.write_batches += 1
-                conn.execute(
-                    "INSERT OR REPLACE INTO cells "
-                    "(key, format, checksum, job, result, extra) "
-                    "VALUES (?, NULL, NULL, NULL, NULL, ?)", (key, text))
-
-    def delete(self, key: str) -> bool:
-        self._check_writable()
-        with self._lock:
-            conn = self._conn(self.shard_of(_check_key(key)))
-            if conn is None:
-                return False
-            with conn:
-                cursor = conn.execute("DELETE FROM cells WHERE key = ?",
-                                      (key,))
-            return cursor.rowcount > 0
+        """Persist raw text under ``key``; the text need not be valid JSON
+        (corruption tests)."""
+        self._insert([(_check_key(key), None, None, None, None, text)])
 
     # -- quarantine --------------------------------------------------------
     def quarantine(self, key: str) -> Optional[str]:
+        """Move a cell into its shard's ``quarantine`` table, keeping its
+        bytes for post-mortems; ``None`` if the cell vanished or could
+        not be moved."""
         self._check_writable()
         record = self.fetch(key)
         if record.disposition in (REC_MISS, REC_UNREADABLE):
@@ -789,6 +533,8 @@ class SqliteBackend(StoreBackend):
         return removed
 
     def clear(self) -> int:
+        """Delete every cell and quarantined copy; returns how many *cells*
+        were removed."""
         self._check_writable()
         removed = 0
         with self._lock:
@@ -803,36 +549,29 @@ class SqliteBackend(StoreBackend):
 
 
 # ---------------------------------------------------------------------------
-# backend selection
+# opening a store
 # ---------------------------------------------------------------------------
-def resolve_backend(root: Union[str, Path, None],
-                    read_only: bool = False) -> StoreBackend:
-    """Build the backend for a store path or URI.
+#: A ``scheme:`` prefix on a store string (``sqlite:``, ``json:``, ...).
+_SCHEME = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*):")
 
-    Precedence: an explicit ``sqlite:``/``json:`` URI prefix, then the
-    :data:`SQLITE_MARKER` of an existing SQLite store (so plain paths keep
-    working after a migration), then :data:`BACKEND_ENV_VAR`, then JSON.
+
+def resolve_backend(root: Union[str, Path, None],
+                    read_only: bool = False) -> SqliteBackend:
+    """Build the backend for a store path or ``sqlite:PATH`` URI.
+
+    Any other ``scheme:`` prefix raises :class:`ValueError` rather than
+    naming a directory after the scheme.
     """
     raw = default_store_root() if root is None else root
-    kind: Optional[str] = None
     if isinstance(raw, str):
-        if raw.startswith("sqlite:"):
-            kind, raw = "sqlite", raw[len("sqlite:"):]
-        elif raw.startswith("json:"):
-            kind, raw = "json", raw[len("json:"):]
-    path = Path(raw)
-    if kind is None:
-        if (path / SQLITE_MARKER).is_file():
-            kind = "sqlite"
-        else:
-            kind = (os.environ.get(BACKEND_ENV_VAR) or "json").lower()
-    if kind == "sqlite":
-        return SqliteBackend(path, read_only=read_only)
-    if kind == "json":
-        return JsonFileBackend(path, read_only=read_only)
-    raise ValueError(f"unknown store backend {kind!r} "
-                     f"(expected 'json' or 'sqlite'; "
-                     f"check {BACKEND_ENV_VAR} or the store URI)")
+        scheme = _SCHEME.match(raw)
+        if scheme is not None:
+            if scheme.group(1) != "sqlite":
+                raise ValueError(
+                    f"unsupported store URI {raw!r}: a store is a "
+                    f"directory path or a sqlite:PATH URI")
+            raw = raw[scheme.end():]
+    return SqliteBackend(raw, read_only=read_only)
 
 
 # ---------------------------------------------------------------------------
@@ -860,12 +599,10 @@ class FsckReport:
     """Outcome of a store scan: what was healthy, broken, fixed."""
 
     root: str
-    backend: str = "json"
+    backend: str = "sqlite"
     scanned: int = 0
     ok: int = 0
     issues: List[CellIssue] = field(default_factory=list)
-    stale_tmp: List[str] = field(default_factory=list)
-    reaped_tmp: int = 0
     quarantined_cells: int = 0
     quarantine_bytes: int = 0
     purged_quarantine: int = 0
@@ -892,8 +629,8 @@ class FsckReport:
 
     @property
     def clean(self) -> bool:
-        """No corruption left unrepaired.  Stale formats, reported tmp
-        files and unreadable cells do not make a store unhealthy — stale
+        """No corruption left unrepaired.  Stale formats and unreadable
+        cells do not make a store unhealthy — stale
         cells are never served, and an unreadable cell is a transient I/O
         condition, not evidence of damage."""
         return not self.unrepaired_corrupt
@@ -902,8 +639,6 @@ class FsckReport:
         return {"root": self.root, "backend": self.backend,
                 "scanned": self.scanned, "ok": self.ok,
                 "issues": [issue.as_dict() for issue in self.issues],
-                "stale_tmp": list(self.stale_tmp),
-                "reaped_tmp": self.reaped_tmp,
                 "quarantined_cells": self.quarantined_cells,
                 "quarantine_bytes": self.quarantine_bytes,
                 "purged_quarantine": self.purged_quarantine,
@@ -919,10 +654,6 @@ class FsckReport:
         if self.unreadable:
             parts.append(f"{len(self.unreadable)} unreadable "
                          f"(transient; not quarantined)")
-        if self.stale_tmp:
-            parts.append(f"{len(self.stale_tmp)} stale tmp file(s)")
-        if self.reaped_tmp:
-            parts.append(f"{self.reaped_tmp} tmp file(s) reaped")
         if self.purged_quarantine:
             parts.append(f"{self.purged_quarantine} quarantined "
                          f"cell(s) purged")
@@ -933,17 +664,15 @@ class FsckReport:
 
 
 class ResultStore:
-    """Cache of :class:`RunResult` cells behind a :class:`StoreBackend`.
+    """Cache of :class:`RunResult` cells behind a :class:`SqliteBackend`.
 
-    ``root`` may be a directory path, a ``sqlite:PATH`` / ``json:PATH``
-    URI, or ``None`` for the ``REPRO_STORE`` default; plain paths pick the
-    backend via :data:`BACKEND_ENV_VAR` (an existing SQLite store is
-    auto-detected by its marker file).  Pass ``backend=`` to adopt a
-    pre-built backend directly.
+    ``root`` may be a directory path, a ``sqlite:PATH`` URI, or ``None``
+    for the ``REPRO_STORE`` default (see :func:`resolve_backend`).  Pass
+    ``backend=`` to adopt a pre-built backend directly.
     """
 
     def __init__(self, root: Union[str, Path, None] = None, *,
-                 backend: Optional[StoreBackend] = None,
+                 backend: Optional[SqliteBackend] = None,
                  read_only: bool = False) -> None:
         self.backend = backend if backend is not None \
             else resolve_backend(root, read_only=read_only)
@@ -965,12 +694,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     # mapping-ish interface
     # ------------------------------------------------------------------
-    def path_for(self, key: str) -> Path:
-        """Where a cell lives: its payload file (JSON backend) or its
-        shard database (SQLite).  Raises on malformed keys."""
-        _check_key(key)
-        return Path(self.backend.location(key))
-
     def _classify(self, record: CellRecord, hydrate: bool = True
                   ) -> Tuple[str, Optional[RunResult]]:
         """Verify one fetched cell: ``(status, result)``.
@@ -1059,7 +782,7 @@ class ResultStore:
         """Batched :meth:`probe`: one backend round-trip per shard instead
         of one read per cell — the sweep dedup pass at ``run_jobs``
         start-up uses this, so a warm 10k-cell sweep issues a handful of
-        indexed queries on the SQLite backend."""
+        indexed queries."""
         unique = list(dict.fromkeys(_check_key(key) for key in keys))
         records = self.backend.fetch_many(unique)
         return {key: self._classify(records[key]) for key in unique}
@@ -1095,7 +818,7 @@ class ResultStore:
             [(key, self._payload_of(_check_key(key), result, job))
              for key, result, job in items])
 
-    # -- raw payload access (fault injection, migration) -------------------
+    # -- raw payload access (fault injection, repair) ----------------------
     def read_payload(self, key: str) -> Optional[Dict[str, Any]]:
         """Best-effort payload document, even when its checksum no longer
         matches; ``None`` when the cell is missing or unparseable."""
@@ -1104,7 +827,7 @@ class ResultStore:
     def write_payload(self, key: str, payload: Dict[str, Any]) -> None:
         """Persist a payload document verbatim — no checksum recompute, so
         deliberately inconsistent payloads (fault injection) stay
-        inconsistent on any backend."""
+        inconsistent."""
         self.backend.store(_check_key(key), payload)
 
     def job_spec(self, key: str) -> Optional[Dict[str, Any]]:
@@ -1149,34 +872,16 @@ class ResultStore:
         return sum(1 for _ in self.keys())
 
     def clear(self) -> int:
-        """Delete every cached result — including quarantined copies and
-        any leftover ``*.tmp`` files, whatever their age; returns how many
-        results were removed."""
+        """Delete every cached result, including quarantined copies;
+        returns how many results were removed."""
         return self.backend.clear()
 
     # ------------------------------------------------------------------
-    # hygiene: orphaned tempfiles, quarantine, integrity checking
+    # hygiene: quarantine, integrity checking
     # ------------------------------------------------------------------
-    def tmp_files(self, min_age_s: float = 0.0) -> List[Path]:
-        """Orphaned ``*.tmp`` files at least ``min_age_s`` seconds old
-        (always empty on backends without per-cell files)."""
-        return self.backend.tmp_files(min_age_s=min_age_s)
-
-    def reap_tmp(self, max_age_s: float = STALE_TMP_AGE_S) -> int:
-        """Delete orphaned ``*.tmp`` files older than ``max_age_s``.
-
-        An interrupted JSON-backend ``put`` (process killed between
-        ``mkstemp`` and ``os.replace``) leaks its tempfile; nothing ever
-        referenced it again.  The age threshold keeps concurrent *live*
-        writers safe — their tempfiles are seconds old.  Called on every
-        sweep start-up; a no-op on the SQLite backend (WAL recovery
-        handles interrupted writers).
-        """
-        return self.backend.reap_tmp(max_age_s=max_age_s)
-
     def quarantine(self, key: str) -> Optional[str]:
         """Move a cell out of the served namespace but preserve it for
-        post-mortems (a ``quarantine/`` file or a quarantine-table row).
+        post-mortems (a row of its shard's quarantine table).
         Repeated quarantines of one key keep every copy.  Returns the new
         location, or ``None`` if the cell vanished."""
         return self.backend.quarantine(_check_key(key))
@@ -1190,7 +895,6 @@ class ResultStore:
         return self.backend.purge_quarantine()
 
     def fsck(self, repair: bool = False, quarantine: bool = True,
-             reap_tmp: bool = False,
              purge_quarantine: bool = False) -> FsckReport:
         """Scan every cell; report, quarantine and optionally repair.
 
@@ -1206,12 +910,11 @@ class ResultStore:
           destroy a healthy cell.
         * Stale-format cells are reported (they are never served; a sweep
           re-simulates them on demand).
-        * Stale ``*.tmp`` orphans are reported, and reaped when
-          ``reap_tmp=True``; quarantine occupancy is always reported, and
-          emptied when ``purge_quarantine=True``.
+        * Quarantine occupancy is always reported, and emptied when
+          ``purge_quarantine=True``.
 
-        The scan reads in batches — one indexed query per shard on the
-        SQLite backend — so paper-scale stores fsck in seconds.
+        The scan reads in batches — one indexed query per shard — so
+        paper-scale stores fsck in seconds.
         """
         report = FsckReport(root=str(self.root), backend=self.backend.kind)
         for key, status in list(self.scan()):
@@ -1246,11 +949,6 @@ class ResultStore:
                             issue.error = (f"re-simulation failed: "
                                            f"{type(exc).__name__}: {exc}")
             report.issues.append(issue)
-        report.stale_tmp = [str(p)
-                            for p in self.tmp_files(min_age_s=STALE_TMP_AGE_S)]
-        if reap_tmp:
-            report.reaped_tmp = self.reap_tmp(max_age_s=0.0)
-            report.stale_tmp = []
         if purge_quarantine:
             report.purged_quarantine = self.purge_quarantine()
         report.quarantined_cells, report.quarantine_bytes = \
@@ -1279,7 +977,6 @@ class ResultStore:
             "stale": by_status[CELL_STALE],
             "corrupt": by_status[CELL_CORRUPT],
             "unreadable": by_status[CELL_UNREADABLE],
-            "tmp_files": len(self.tmp_files()),
             "quarantined_cells": quarantined,
             "quarantine_bytes": quarantine_bytes,
         }
@@ -1292,102 +989,7 @@ class ResultStore:
 def open_store(store: Union["ResultStore", str, Path, None]
                ) -> Optional[ResultStore]:
     """Coerce a store argument: ``None`` stays ``None`` (caching off),
-    paths and ``sqlite:``/``json:`` URIs become stores, stores pass
-    through."""
+    paths and ``sqlite:`` URIs become stores, stores pass through."""
     if store is None or isinstance(store, ResultStore):
         return store
     return ResultStore(store)
-
-
-# ---------------------------------------------------------------------------
-# migration
-# ---------------------------------------------------------------------------
-@dataclass
-class MigrateReport:
-    """Outcome of :func:`migrate_store`, with per-status accounting."""
-
-    source: str
-    dest: str
-    migrated: int = 0
-    ok: int = 0
-    stale: int = 0
-    corrupt: int = 0
-    mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def verified(self) -> bool:
-        """Every migrated cell kept its probe status and checksum."""
-        return not self.mismatches
-
-    def as_dict(self) -> dict:
-        return {"source": self.source, "dest": self.dest,
-                "migrated": self.migrated, "ok": self.ok,
-                "stale": self.stale, "corrupt": self.corrupt,
-                "mismatches": list(self.mismatches),
-                "verified": self.verified}
-
-    def summary(self) -> str:
-        line = (f"migrated {self.migrated} cell(s): {self.ok} ok, "
-                f"{self.stale} stale, {self.corrupt} corrupt")
-        if self.verified:
-            return line + "; statuses and checksums verified"
-        return (line + f"; {len(self.mismatches)} MISMATCH(ES): "
-                + "; ".join(self.mismatches[:5]))
-
-
-def migrate_store(src: ResultStore, dst: ResultStore) -> MigrateReport:
-    """Copy every cell of ``src`` into ``dst``, losslessly.
-
-    Payload documents move verbatim (checksums are copied, never
-    recomputed) and unparseable cells move as raw bytes, so every cell
-    keeps its exact probe status — ok, stale *and* corrupt cells survive
-    the trip, which is what makes migration safe to run on a damaged
-    store before deciding whether to repair it.  After each batch the
-    destination is re-probed and compared against the source; any
-    divergence lands in ``MigrateReport.mismatches``.
-    """
-    report = MigrateReport(source=str(src.root), dest=str(dst.root))
-    for chunk in _chunks(src.backend.all_keys(), _SCAN_BATCH):
-        records = src.backend.fetch_many(chunk)
-        moved: List[str] = []
-        for key in chunk:
-            record = records[key]
-            if record.disposition == REC_MISS:
-                continue               # raced deletion; nothing to move
-            if record.disposition == REC_UNREADABLE:
-                report.mismatches.append(
-                    f"{key}: source unreadable ({record.error}); "
-                    f"not migrated")
-                continue
-            if record.payload is not None:
-                dst.backend.store(key, record.payload)
-            else:
-                dst.backend.store_raw(key, record.raw or "")
-            report.migrated += 1
-            moved.append(key)
-        if not moved:
-            continue
-        src_status = {key: src._classify(records[key]) for key in moved}
-        dst_status = dst.probe_many(moved)
-        for key in moved:
-            s_status, s_result = src_status[key]
-            d_status, d_result = dst_status[key]
-            if s_status == CELL_OK:
-                report.ok += 1
-            elif s_status == CELL_STALE:
-                report.stale += 1
-            else:
-                report.corrupt += 1
-            if s_status != d_status:
-                report.mismatches.append(
-                    f"{key}: probe status changed {s_status} -> {d_status}")
-                continue
-            if s_status == CELL_OK:
-                s_sum = (records[key].payload or {}).get("checksum")
-                d_sum = (dst.read_payload(key) or {}).get("checksum")
-                if s_sum != d_sum:
-                    report.mismatches.append(
-                        f"{key}: checksum changed {s_sum} -> {d_sum}")
-                elif s_result.as_dict() != d_result.as_dict():
-                    report.mismatches.append(f"{key}: result body changed")
-    return report

@@ -327,7 +327,22 @@ def _config_from_dict(data: Dict[str, Any]) -> SystemConfig:
 
 
 def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
-    """Rebuild a :class:`SweepJob` from :meth:`SweepJob.spec_dict`."""
+    """Rebuild a :class:`SweepJob` from :meth:`SweepJob.spec_dict`.
+
+    Raises ``KeyError`` for a missing field and ``TypeError`` when
+    ``design``, its ``kwargs``, ``workload`` or ``config`` is not an
+    object or ``num_references`` or ``seed`` is not an integer, so a
+    stored or submitted spec of the wrong shape is refused before it
+    reaches the engine.
+    """
+    for name in ("design", "workload", "config"):
+        if not isinstance(spec[name], dict):
+            raise TypeError(f"job spec field {name!r} must be an object")
+    if not isinstance(spec["design"].get("kwargs", {}), dict):
+        raise TypeError("job spec field 'design.kwargs' must be an object")
+    for name in ("num_references", "seed"):
+        if not isinstance(spec[name], int) or isinstance(spec[name], bool):
+            raise TypeError(f"job spec field {name!r} must be an integer")
     design = spec["design"]
     ref = DesignRef(label=design["label"], target=design["target"],
                     kwargs=tuple(sorted(design.get("kwargs", {}).items())))
@@ -724,22 +739,15 @@ class Submission:
 
 def prepare_submission(jobs: Sequence[SweepJob],
                        store: Optional[object] = None) -> Submission:
-    """Probe ``store`` for every job and split hits from pending work.
-
-    When ``store`` is writable its orphaned tempfiles are reaped first
-    (interrupted-writer hygiene); a read-only store is probed as-is.
-    """
+    """Probe ``store`` for every job and split hits from pending work."""
     jobs = list(jobs)
     submission = Submission(jobs=jobs, keys=[None] * len(jobs))
     if store is not None and jobs:
-        # Reap tempfiles orphaned by a previously killed writer (no-op on
-        # read-only stores and backends without per-cell files).
-        store.reap_tmp()
         for i, job in enumerate(jobs):
             submission.keys[i] = job.cache_key()
-        # One batched dedup probe instead of a read per job: on the SQLite
-        # backend this is one indexed query per shard, so a warm
-        # paper-scale sweep starts in milliseconds.
+        # One batched dedup probe instead of a read per job: one indexed
+        # query per shard, so a warm paper-scale sweep starts in
+        # milliseconds.
         probes = store.probe_many(
             [k for k in submission.keys if k is not None])
         for i, key in enumerate(submission.keys):

@@ -161,7 +161,7 @@ def test_sweep_strict_fails_fast_on_fault(tmp_path, capsys, monkeypatch):
 
 
 def test_store_fsck_detects_quarantines_and_repairs(tmp_path, capsys):
-    from repro.sim.faults import corrupt_cell
+    from repro.sim.faults import corrupt_store_cell
     from repro.sim.store import ResultStore
 
     store = str(tmp_path / "store")
@@ -170,45 +170,24 @@ def test_store_fsck_detects_quarantines_and_repairs(tmp_path, capsys):
     assert main(["store", "fsck", "--store", store]) == 0
     assert "1 cells scanned, 1 ok" in capsys.readouterr().out
     key = next(iter(ResultStore(store).keys()))
-    path = ResultStore(store).path_for(key)
-    pristine = path.read_bytes()
-    corrupt_cell(path)
+
+    def stored_text():
+        return ResultStore(store).backend.fetch(key).columns
+
+    pristine = stored_text()
+    corrupt_store_cell(ResultStore(store), key)
     assert main(["store", "fsck", "--store", store, "--no-quarantine"]) == 1
     captured = capsys.readouterr()
     assert "1 corrupt" in captured.out and key in captured.err
     assert main(["store", "fsck", "--store", store, "--repair"]) == 0
     assert "1 repaired" in capsys.readouterr().out
-    assert path.read_bytes() == pristine
+    assert stored_text() == pristine
 
 
-def test_store_migrate_round_trip_via_cli(tmp_path, capsys):
-    from repro.sim.store import ResultStore
-
-    store = str(tmp_path / "store")
-    main(SWEEP_ARGS + ["--store", store, "--no-baselines"])
-    capsys.readouterr()
-    sqlite_uri = f"sqlite:{tmp_path / 'sqlite-store'}"
-    assert main(["store", "migrate", "--store", store,
-                 "--dest", sqlite_uri]) == 0
-    out = capsys.readouterr().out
-    assert "statuses and checksums verified" in out
-    # The migrated store serves the same cells; a sweep against it is
-    # fully cached.
-    assert main(SWEEP_ARGS + ["--store", sqlite_uri,
-                              "--no-baselines"]) == 0
-    assert "0 simulated" in capsys.readouterr().out
-    # And back again, to a fresh JSON directory.
-    back = f"json:{tmp_path / 'back'}"
-    assert main(["store", "migrate", "--store", sqlite_uri,
-                 "--dest", back]) == 0
-    assert "statuses and checksums verified" in capsys.readouterr().out
-    assert len(ResultStore(back)) == len(ResultStore(store))
-
-
-def test_store_migrate_requires_dest(tmp_path, capsys):
-    assert main(["store", "migrate", "--store",
-                 str(tmp_path / "store")]) == 2
-    assert "--dest" in capsys.readouterr().err
+def test_store_refuses_a_json_uri(tmp_path, capsys):
+    assert main(["store", "--store", f"json:{tmp_path / 'old'}"]) == 2
+    assert "unsupported store URI" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_store_fsck_purge_quarantine(tmp_path, capsys):

@@ -250,9 +250,9 @@ def test_corrupt_write_is_detected_and_resimulated(monkeypatch, tmp_path):
 
 
 def test_corrupt_write_self_heals_on_sqlite_backend(monkeypatch, tmp_path):
-    """The corrupt-mode fault and the self-heal loop work identically
-    against the sharded SQLite backend (no cell files to mangle — the
-    fault goes through the store's payload API)."""
+    """The corrupt-mode fault and the self-heal loop work on a store
+    opened by ``sqlite:`` URI (the fault goes through the store's payload
+    API)."""
     store = ResultStore(f"sqlite:{tmp_path}")
     assert store.backend.kind == "sqlite"
     jobs = make_jobs(2)
@@ -343,8 +343,7 @@ def test_killed_sweep_resumes_from_persisted_cells(monkeypatch, tmp_path):
     try:
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            # Count through the store API, not a *.json glob, so the poll
-            # works whatever backend REPRO_STORE_BACKEND selects.
+            # Count through the store API, so only verified cells count.
             if store_dir.is_dir() and len(ResultStore(store_dir)) >= 3:
                 break
             if victim.poll() is not None:

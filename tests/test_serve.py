@@ -9,6 +9,7 @@ conditional-request ``304`` behaviour.
 """
 
 import contextlib
+import copy
 import http.client
 import json
 import threading
@@ -31,7 +32,7 @@ from repro.serve.respcache import CacheEntry, etag_of
 from repro.serve.router import Router
 from repro.sim.faults import corrupt_store_cell
 from repro.sim.simulator import RunResult
-from repro.sim.store import (STORE_FORMAT, JsonFileBackend, ResultStore,
+from repro.sim.store import (STORE_FORMAT, ResultStore, SqliteBackend,
                              _payload_checksum)
 from repro.stats import Stats
 
@@ -70,6 +71,10 @@ def write_verified(store, key, result):
 #: Checksum-valid result bodies with a JSON array where a run result has
 #: an object: the result itself, or its stats.
 ARRAY_RESULTS = ([1, 2], dict(sample_result().as_dict(), stats=[1.0]))
+
+#: A checksum-valid result body holding a number no chart can draw.
+INFINITE_RESULT = dict(sample_result().as_dict(),
+                       fm_traffic_bytes=float("inf"))
 
 
 def corrupt_cell_body(key):
@@ -286,8 +291,9 @@ def test_cell_get_reads_the_backend_once(tmp_path):
         app.close()
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-@pytest.mark.parametrize("body", ARRAY_RESULTS, ids=["result", "stats"])
+@pytest.mark.parametrize("backend", ["sqlite"])
+@pytest.mark.parametrize("body", ARRAY_RESULTS + (INFINITE_RESULT,),
+                         ids=["result", "stats", "infinite"])
 def test_array_result_cell_is_served_as_corrupt(tmp_path, backend, body):
     app = ServeApp(f"{backend}:{tmp_path / 'store'}",
                    artifacts_dir=tmp_path / "artifacts")
@@ -311,12 +317,13 @@ def test_array_result_cell_is_served_as_corrupt(tmp_path, backend, body):
 def mixed_app(tmp_path_factory):
     """A read-only app over healthy, stale and corrupt cells, among them
     checksum-valid ones whose result is an array, has stats that are one,
-    holds an integer no float holds, or is missing."""
+    holds an integer no float holds or an infinity, or is missing."""
     root = tmp_path_factory.mktemp("mixed") / "store"
     store = ResultStore(f"sqlite:{root}")
     keys = {"ok": f"{1:064x}", "stale": f"{2:064x}", "corrupt": f"{3:064x}",
             "array": f"{4:064x}", "array_stats": f"{5:064x}",
-            "huge": f"{6:064x}", "no_result": f"{7:064x}"}
+            "huge": f"{6:064x}", "no_result": f"{7:064x}",
+            "infinite": f"{8:064x}"}
     for name, key in keys.items():
         store.put(key, sample_result(cycles=float(len(name))))
     store.write_payload(keys["stale"], {"format": -1, "result": {}})
@@ -325,6 +332,7 @@ def mixed_app(tmp_path_factory):
     write_verified(store, keys["array_stats"], ARRAY_RESULTS[1])
     write_verified(store, keys["huge"],
                    dict(sample_result().as_dict(), fm_traffic_bytes=10 ** 400))
+    write_verified(store, keys["infinite"], INFINITE_RESULT)
     store.write_payload(keys["no_result"], {
         "format": STORE_FORMAT, "key": keys["no_result"],
         "checksum": _payload_checksum(None, None)})
@@ -362,7 +370,7 @@ def test_get_fuzz_never_answers_an_undocumented_5xx(mixed_app, data):
     if response.status >= 500:
         # The one documented 5xx: a verified-bad cell asked for by key.
         corrupt = (keys["corrupt"], keys["array"], keys["array_stats"],
-                   keys["huge"], keys["no_result"])
+                   keys["huge"], keys["no_result"], keys["infinite"])
         assert target in {f"/v1/cells/{key}" for key in corrupt}
         assert response.status == 500
         assert body_of(response) == corrupt_cell_body(name)
@@ -373,6 +381,101 @@ def test_get_fuzz_never_answers_an_undocumented_5xx(mixed_app, data):
         assert listing["total"] == 1
         assert listing["keys"] == [keys["ok"]][listing["offset"]:][
             :listing["limit"]]
+
+
+@pytest.fixture(scope="module")
+def jobs_app(tmp_path_factory):
+    """A writable app whose job queue never runs a job (its worker threads
+    exit at once), holding one finished job: a submission cached in the
+    store."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JobQueue, "_worker", lambda self: None)
+        app = ServeApp(tmp_path_factory.mktemp("jobs") / "store",
+                       artifacts_dir=tmp_path_factory.mktemp("artifacts"))
+    app.store.put(app.queue._job_from_payload(JOB).cache_key(),
+                  sample_result())
+    record, deduped = app.queue.submit(JOB)
+    assert deduped and record.status == "cached"
+    yield app, record.id
+    app.close()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner,
+                                     max_size=3)),
+    max_leaves=6)
+#: JSON text for a drawn value, or a number token Python's parser reads
+#: as an infinity or NaN.
+json_tokens = st.one_of(
+    st.sampled_from(["1e999", "-1e999", "NaN", "Infinity"]),
+    json_values.map(json.dumps))
+SHORTHAND = dict(JOB, nm_gb=1, fm_gb=16, seed=1, num_cores=None,
+                 priority=0)
+
+
+def _field_paths(spec):
+    """Every top-level field of a spec and every field one level in."""
+    paths = []
+    for name, value in sorted(spec.items()):
+        paths.append((name,))
+        if isinstance(value, dict):
+            paths.extend((name, inner) for inner in sorted(value))
+    return paths
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_post_fuzz_never_answers_a_5xx(jobs_app, data):
+    app, finished = jobs_app
+    spec = app.queue._job_from_payload(JOB).spec_dict()
+    body, path = data.draw(st.one_of(
+        st.sampled_from(sorted(SHORTHAND)).map(
+            lambda name: (copy.deepcopy(SHORTHAND), (name,))),
+        st.sampled_from(_field_paths(spec)).map(
+            lambda path: ({"spec": copy.deepcopy(spec)}, ("spec",) + path))))
+    holder = body
+    for name in path[:-1]:
+        holder = holder[name]
+    holder[path[-1]] = "\x00drawn"
+    text = json.dumps(body).replace(json.dumps("\x00drawn"),
+                                    data.draw(json_tokens))
+    job_id = data.draw(st.one_of(
+        st.just(finished),
+        st.integers(10 ** 4, 10 ** 30).map(lambda n: f"job-{n}"),
+        st.text(max_size=12)))
+    after, wait = (data.draw(st.one_of(
+        query_values, st.sampled_from(["1e999", "inf", "-1", "nan"])))
+        for _ in range(2))
+    for method, target, payload in (
+            ("POST", "/v1/jobs", text.encode()),
+            ("GET", f"/v1/jobs/{job_id}", b""),
+            ("GET", f"/v1/jobs/{job_id}/events?after={after}&wait={wait}",
+             b"")):
+        response = app.handle(method, target, body=payload)
+        assert response.status < 500, (target, text, body_of(response))
+        assert response.content_type == "application/json"
+        body_of(response)                 # every answer is a JSON document
+
+
+def test_post_reproducers_answer_400(jobs_app):
+    app, _ = jobs_app
+    spec = app.queue._job_from_payload(JOB).spec_dict()
+    bodies = [json.dumps(SHORTHAND).replace(f'"{name}": {value}',
+                                            f'"{name}": 1e999')
+              for name, value in (("refs", REFS), ("seed", 1),
+                                  ("priority", 0), ("nm_gb", 1),
+                                  ("fm_gb", 16), ("scale", 1024))]
+    assert all(text.count("1e999") == 1 for text in bodies)
+    for field, value in (("num_references", "x"), ("num_references", []),
+                         ("workload", "mcf")):
+        bodies.append(json.dumps({"spec": dict(spec, **{field: value})}))
+    for text in bodies:
+        response = app.handle("POST", "/v1/jobs", body=text.encode())
+        assert response.status == 400, (text, body_of(response))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +537,8 @@ def test_job_cached_submission_after_store_hit(tmp_path):
         app.close()
 
 
-class BlockingBackend(JsonFileBackend):
-    """A JSON backend whose reads, once armed, wait for ``release``."""
+class BlockingBackend(SqliteBackend):
+    """A backend whose reads, once armed, wait for ``release``."""
 
     def __init__(self, root):
         super().__init__(root)
@@ -650,15 +753,11 @@ def test_store_stats_json(tmp_path, capsys):
     assert main(["store", "stats", "--json",
                  "--store", str(store.root)]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["cells"] == 0 and stats["backend"] == "json"
+    assert stats["cells"] == 0 and stats["backend"] == "sqlite"
     assert main(["store", "fsck", "--json",
                  "--store", str(store.root)]) == 0
     fsck = json.loads(capsys.readouterr().out)
     assert fsck["clean"] and fsck["scanned"] == 0
-    assert main(["store", "migrate", "--json", "--store", str(store.root),
-                 "--dest", f"sqlite:{tmp_path / 'dest'}"]) == 0
-    migrate = json.loads(capsys.readouterr().out)
-    assert migrate["verified"] and migrate["migrated"] == 0
 
 
 @pytest.mark.slow

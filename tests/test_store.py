@@ -1,15 +1,10 @@
 """Tests for the persistent result store: round-trip fidelity, cache-hit
 behaviour, resume semantics and corruption tolerance."""
 
-import json
-import os
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.params import make_config
-from repro.sim.faults import corrupt_cell
+from repro.sim.faults import corrupt_store_cell
 from repro.sim.runner import ExperimentRunner
 from repro.sim.simulator import RunResult
 from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK, CELL_STALE,
@@ -62,10 +57,10 @@ def test_corrupt_and_stale_files_are_misses(tmp_path):
     store = ResultStore(tmp_path)
     key = "c" * 64
     store.put(key, sample_result())
-    store.path_for(key).write_text("{not json")
+    store.backend.store_raw(key, "{not json")
     assert store.get(key) is None
     stale = {"format": -1, "result": sample_result().as_dict()}
-    store.path_for(key).write_text(json.dumps(stale))
+    store.write_payload(key, stale)
     assert store.get(key) is None
 
 
@@ -73,7 +68,9 @@ def test_malformed_keys_are_rejected(tmp_path):
     store = ResultStore(tmp_path)
     for bad in ("", "../escape", "a/b", "a.b"):
         with pytest.raises(ValueError):
-            store.path_for(bad)
+            store.probe(bad)
+        with pytest.raises(ValueError):
+            store.put(bad, sample_result())
 
 
 def test_keys_len_and_clear(tmp_path):
@@ -194,13 +191,13 @@ def test_probe_distinguishes_miss_stale_corrupt_ok(tmp_path):
     store.put(key, sample_result())
     status, result = store.probe(key)
     assert status == CELL_OK and result is not None
-    payload = json.loads(store.path_for(key).read_text())
+    payload = store.read_payload(key)
     payload["result"]["cycles"] += 1.0       # silent bit rot
-    store.path_for(key).write_text(json.dumps(payload))
+    store.write_payload(key, payload)
     assert store.probe(key) == (CELL_CORRUPT, None)
-    store.path_for(key).write_text(json.dumps({"format": -1}))
+    store.write_payload(key, {"format": -1})
     assert store.probe(key) == (CELL_STALE, None)
-    store.path_for(key).write_text("{not json")
+    store.backend.store_raw(key, "{not json")
     assert store.probe(key) == (CELL_CORRUPT, None)
 
 
@@ -210,44 +207,25 @@ def test_keys_and_len_exclude_unreadable_cells(tmp_path):
     good, bad = "a" * 64, "b" * 64
     store.put(good, sample_result())
     store.put(bad, sample_result())
-    corrupt_cell(store.path_for(bad))
+    corrupt_store_cell(store, bad)
     assert list(store.keys()) == [good]
     assert len(store) == 1
     assert bad not in store
     assert dict(store.scan()) == {good: CELL_OK, bad: CELL_CORRUPT}
 
 
-def test_tmp_files_are_reaped_by_clear_and_run_jobs(tmp_path):
-    # Satellite: temp files orphaned by a killed writer get cleaned up.
-    store = ResultStore(tmp_path)
-    orphan = store.root / ".tmp-orphan.tmp"
-    orphan.write_text("partial write")
-    old = time.time() - 3600
-    os.utime(orphan, (old, old))
-    assert [p.name for p in store.tmp_files()] == [orphan.name]
-    report = run_jobs([make_job()], workers=1, store=store)
-    assert report.simulated == 1
-    assert not orphan.exists()               # reaped at sweep startup
-    fresh = store.root / ".tmp-fresh.tmp"    # young → in-flight, kept
-    fresh.write_text("in flight")
-    assert store.reap_tmp() == 0
-    assert fresh.exists()
-    store.clear()
-    assert not fresh.exists()                # clear() reaps regardless of age
-
-
 def test_fsck_detects_and_quarantines_corruption(tmp_path):
     store = ResultStore(tmp_path)
     run_jobs([make_job(seed=3), make_job(seed=4)], workers=1, store=store)
     key = make_job(seed=4).cache_key()
-    corrupt_cell(store.path_for(key))
+    corrupt_store_cell(store, key)
     report = store.fsck()
     assert report.scanned == 2 and report.ok == 1
     assert [issue.key for issue in report.corrupt] == [key]
     assert not report.clean
-    quarantined = report.corrupt[0].quarantined_to
-    assert quarantined is not None and Path(quarantined).exists()
-    assert not store.path_for(key).exists()
+    assert report.corrupt[0].quarantined_to is not None
+    assert store.quarantine_stats()[0] == 1
+    assert store.probe(key) == (CELL_MISS, None)
     assert store.fsck().clean                # second pass: nothing left
 
 
@@ -255,38 +233,28 @@ def test_fsck_repair_restores_bit_identical_cells(tmp_path):
     store = ResultStore(tmp_path)
     job = make_job()
     run_jobs([job], workers=1, store=store)
-    path = store.path_for(job.cache_key())
-    pristine = path.read_bytes()
-    corrupt_cell(path)
-    assert path.read_bytes() != pristine
+    key = job.cache_key()
+
+    def stored_text():
+        return store.backend.fetch(key).columns
+
+    pristine = stored_text()
+    corrupt_store_cell(store, key)
+    assert stored_text() != pristine
     report = store.fsck(repair=True)
     assert report.clean
-    assert [issue.key for issue in report.repaired] == [job.cache_key()]
-    assert path.read_bytes() == pristine     # re-simulated, byte-for-byte
+    assert [issue.key for issue in report.repaired] == [key]
+    assert stored_text() == pristine         # re-simulated, byte-for-byte
 
 
 def test_fsck_reports_unrepairable_garbage(tmp_path):
     store = ResultStore(tmp_path)
     key = "e" * 64
-    store.path_for(key).write_text("{not json")
+    store.backend.store_raw(key, "{not json")
     report = store.fsck(repair=True)
     assert not report.clean
     assert [issue.key for issue in report.unrepaired_corrupt] == [key]
     assert report.corrupt[0].quarantined_to is not None
-
-
-def test_fsck_counts_stale_tmp_files(tmp_path):
-    store = ResultStore(tmp_path)
-    orphan = store.root / ".orphan.tmp"
-    orphan.write_text("x")
-    old = time.time() - 3600
-    os.utime(orphan, (old, old))
-    report = store.fsck(reap_tmp=False)
-    assert len(report.stale_tmp) == 1 and report.reaped_tmp == 0
-    assert orphan.exists()
-    report = store.fsck(reap_tmp=True)
-    assert report.reaped_tmp == 1
-    assert not orphan.exists()
 
 
 def test_put_embeds_recoverable_job_spec(tmp_path):
@@ -295,7 +263,7 @@ def test_put_embeds_recoverable_job_spec(tmp_path):
     run_jobs([job], workers=1, store=store)
     spec = store.job_spec(job.cache_key())
     assert spec == job.spec_dict()
-    corrupt_cell(store.path_for(job.cache_key()))
+    corrupt_store_cell(store, job.cache_key())
     # The job description survives result corruption — that is what makes
     # ``fsck --repair`` possible.
     assert store.job_spec(job.cache_key()) == job.spec_dict()

@@ -1,11 +1,9 @@
-"""Backend conformance suite for the result store.
+"""Semantics suite for the sharded SQLite (WAL) result store.
 
-Every semantic scenario — round-trip fidelity, the probe status matrix,
-quarantine/clear hygiene, fsck repair, sweep resume — runs identically
-against the JSON-file backend and the sharded SQLite (WAL) backend, plus
-SQLite-specific checks: batched dedup reads (one indexed query per shard,
-no per-cell I/O), multi-process concurrent writers, and lossless
-migration in both directions.
+Round-trip fidelity, the probe status matrix, quarantine/clear hygiene,
+fsck repair, sweep resume, verification on the stored column text, plus
+how a store is opened, batched dedup reads (one indexed query per shard,
+no per-cell I/O) and multi-process concurrent writers.
 """
 
 import hashlib
@@ -22,9 +20,8 @@ from repro.sim.faults import corrupt_store_cell
 from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK, CELL_STALE,
                              CELL_UNREADABLE, DEFAULT_SQLITE_SHARDS,
                              REC_UNREADABLE, STORE_FORMAT, CellRecord,
-                             ResultStore, SqliteBackend, _canonical,
-                             _payload_checksum, _text_checksum,
-                             migrate_store)
+                             SQLITE_MARKER, ResultStore, SqliteBackend,
+                             _canonical, _payload_checksum, _text_checksum)
 from repro.sim.simulator import RunResult
 from repro.sim.sweep import SweepJob, coerce_design, run_jobs
 from repro.stats import Stats
@@ -33,13 +30,9 @@ from repro.workloads import get_workload
 SCALE = 1024
 REFS = 300
 
-BACKENDS = ("json", "sqlite")
-
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["sqlite"])
 def store(request, tmp_path):
-    """A fresh store on the parametrized backend (explicit URI, so the
-    suite is immune to the REPRO_STORE_BACKEND environment)."""
+    """A fresh store opened by ``sqlite:`` URI."""
     return ResultStore(f"{request.param}:{tmp_path / 'store'}")
 
 
@@ -65,24 +58,20 @@ def synthetic_key(i: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# conformance: identical semantics on every backend
+# opening a store, and the cell semantics
 # ---------------------------------------------------------------------------
-def test_backend_selection_uri_env_and_marker(tmp_path, monkeypatch):
-    assert ResultStore(f"json:{tmp_path}").backend.kind == "json"
-    assert ResultStore(f"sqlite:{tmp_path}").backend.kind == "sqlite"
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-    assert ResultStore(tmp_path / "fresh").backend.kind == "sqlite"
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "nosuch")
-    with pytest.raises(ValueError, match="unknown store backend"):
-        ResultStore(tmp_path / "fresh2")
-    monkeypatch.delenv("REPRO_STORE_BACKEND")
-    # An existing SQLite store is recognised by its marker even from a
-    # plain path — migrated stores keep working without URIs.
-    sqlite_store = ResultStore(f"sqlite:{tmp_path / 'marked'}")
-    sqlite_store.put("a" * 64, sample_result())
-    reopened = ResultStore(tmp_path / "marked")
-    assert reopened.backend.kind == "sqlite"
-    assert reopened.get("a" * 64) is not None
+def test_plain_paths_create_sqlite_stores_and_other_schemes_raise(tmp_path):
+    plain = ResultStore(str(tmp_path / "plain"))
+    plain.put("a" * 64, sample_result())
+    assert (plain.root / SQLITE_MARKER).is_file()
+    assert sorted(p.name for p in plain.root.glob("shard-*.db")) == [
+        f"shard-{plain.backend.shard_of('a' * 64):02d}.db"]
+    # The same directory opened by URI is the same store.
+    assert ResultStore(f"sqlite:{plain.root}").get("a" * 64) is not None
+    for uri in (f"json:{tmp_path / 'old'}", f"nosuch:{tmp_path / 'old'}"):
+        with pytest.raises(ValueError, match="unsupported store URI"):
+            ResultStore(uri)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
 
 
 def test_round_trip_and_miss(store):
@@ -95,7 +84,7 @@ def test_round_trip_and_miss(store):
     assert ("b" * 64) not in store
     for bad in ("", "../escape", "a/b", "a.b"):
         with pytest.raises(ValueError):
-            store.path_for(bad)
+            store.probe(bad)
 
 
 def test_probe_status_matrix(store):
@@ -236,57 +225,6 @@ def test_run_jobs_resumes_from_store(store):
         assert a.as_dict() == b.as_dict()
 
 
-# ---------------------------------------------------------------------------
-# migration: lossless in both directions
-# ---------------------------------------------------------------------------
-def seed_mixed_store(store):
-    """Two healthy cells, one stale, one corrupt, one raw garbage."""
-    ok = [synthetic_key(i) for i in range(2)]
-    stale, corrupt, garbage = "ab" * 32, "cd" * 32, "ef" * 32
-    for i, key in enumerate(ok):
-        store.put(key, sample_result(cycles=50.0 + i))
-    store.write_payload(stale, {"format": -1, "result": {}})
-    store.put(corrupt, sample_result())
-    corrupt_store_cell(store, corrupt)
-    store.backend.store_raw(garbage, "{not json")
-    return ok + [stale, corrupt, garbage]
-
-
-@pytest.mark.parametrize("direction", ["json-to-sqlite", "sqlite-to-json"])
-def test_migrate_preserves_statuses_and_checksums(tmp_path, direction):
-    src_kind, dst_kind = direction.split("-to-")
-    src = ResultStore(f"{src_kind}:{tmp_path / 'src'}")
-    dst = ResultStore(f"{dst_kind}:{tmp_path / 'dst'}")
-    keys = seed_mixed_store(src)
-    report = migrate_store(src, dst)
-    assert report.verified, report.mismatches
-    assert report.migrated == len(keys)
-    assert report.ok == 2 and report.stale == 1 and report.corrupt == 2
-    assert "statuses and checksums verified" in report.summary()
-    for key in keys:
-        s_status, s_result = src.probe(key)
-        d_status, d_result = dst.probe(key)
-        assert s_status == d_status
-        assert ((src.read_payload(key) or {}).get("checksum")
-                == (dst.read_payload(key) or {}).get("checksum"))
-        if s_status == CELL_OK:
-            assert s_result.as_dict() == d_result.as_dict()
-
-
-def test_migrate_round_trip_is_lossless(tmp_path):
-    """json -> sqlite -> json keeps every cell's status and checksum."""
-    origin = ResultStore(f"json:{tmp_path / 'a'}")
-    keys = seed_mixed_store(origin)
-    middle = ResultStore(f"sqlite:{tmp_path / 'b'}")
-    back = ResultStore(f"json:{tmp_path / 'c'}")
-    assert migrate_store(origin, middle).verified
-    assert migrate_store(middle, back).verified
-    for key in keys:
-        assert origin.probe(key)[0] == back.probe(key)[0]
-        assert ((origin.read_payload(key) or {}).get("checksum")
-                == (back.read_payload(key) or {}).get("checksum"))
-
-
 def insert_row(store, row):
     """Write one ``cells`` row verbatim, bypassing the payload mapping
     (column damage a payload document cannot express)."""
@@ -295,31 +233,6 @@ def insert_row(store, row):
     with conn:
         conn.execute("INSERT OR REPLACE INTO cells (key, format, checksum, "
                      "job, result, extra) VALUES (?, ?, ?, ?, ?, ?)", row)
-
-
-def test_migrate_sqlite_round_trip_is_lossless(tmp_path):
-    """sqlite -> json -> sqlite keeps every cell's status and checksum,
-    including rows whose column text is reformatted or undecodable."""
-    origin = ResultStore(f"sqlite:{tmp_path / 'a'}")
-    keys = seed_mixed_store(origin)
-    job = {"design": "HYBRID2", "seed": 1}
-    for key, mangle in (("0a" * 32, lambda text: text[:-1]),
-                        ("0b" * 32, lambda text: text),
-                        ("0c" * 32, lambda text: text.replace(",", ", "))):
-        row = origin.backend._row_of(
-            key, origin._payload_of(key, sample_result(), job))
-        insert_row(origin, row[:3] + (mangle(row[3]),) + row[4:])
-        keys.append(key)
-    middle = ResultStore(f"json:{tmp_path / 'b'}")
-    back = ResultStore(f"sqlite:{tmp_path / 'c'}")
-    first, second = migrate_store(origin, middle), migrate_store(middle, back)
-    assert first.verified, first.mismatches
-    assert second.verified, second.mismatches
-    assert (first.ok, first.stale, first.corrupt) == (4, 1, 3)
-    for key in keys:
-        assert origin.probe(key)[0] == back.probe(key)[0]
-        assert ((origin.read_payload(key) or {}).get("checksum")
-                == (back.read_payload(key) or {}).get("checksum"))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +404,11 @@ def write_without_result(store, key):
 def ill_typed_results():
     """Checksum-valid result bodies that are not run results: JSON arrays
     where a run result has objects (the result itself, or its stats), a
-    string for a number, an integer no float holds."""
+    string for a number, an integer no float holds, an ``Infinity``."""
     sample = sample_result().as_dict()
     return [[1, 2], dict(sample, stats=[["nm.bytes", 1]]),
-            dict(sample, cycles="1"), dict(sample, stats={"x": 10 ** 400})]
+            dict(sample, cycles="1"), dict(sample, stats={"x": 10 ** 400}),
+            dict(sample, fm_traffic_bytes=float("inf"))]
 
 
 def test_checksum_valid_ill_typed_results_are_corrupt(store):

@@ -2,10 +2,9 @@
 
 The serve layer reads the same store a sweep writes, from multiple
 threads, while writer *processes* fill cells — so a reader must never
-observe a torn cell.  Atomic same-directory renames (JSON backend) and
-WAL transactions (SQLite backend) are the mechanisms; these tests pin
-the observable contract: a concurrently-read cell is either absent,
-fully valid, or (transiently) unreadable — never ``corrupt``.
+observe a torn cell.  SQLite's WAL transactions are the mechanism; these
+tests pin the observable contract: a concurrently-read cell is either
+absent, fully valid, or (transiently) unreadable — never ``corrupt``.
 """
 
 import hashlib
@@ -20,7 +19,7 @@ from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK,
                              StoreReadOnlyError)
 from repro.sim.simulator import RunResult
 
-BACKENDS = ("json", "sqlite")
+BACKENDS = ("sqlite",)
 WRITERS = 4
 CELLS_PER_WRITER = 25
 #: Wall-clock budget for all writers together; a hang fails fast.
@@ -28,8 +27,7 @@ WRITER_TIMEOUT_S = 60
 
 
 def _root(tmp_path, backend):
-    root = tmp_path / f"store-{backend}"
-    return f"sqlite:{root}" if backend == "sqlite" else str(root)
+    return f"{backend}:{tmp_path / 'store'}"
 
 
 def _key(writer: int, index: int) -> str:
