@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -250,9 +251,10 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
                    help="allowed fractional drop of each ratio vs the "
                         "baseline (default 0.30)")
     p.add_argument("--update-baseline", action="store_true",
-                   help="write this run's payload to --baseline instead of "
-                        "gating against it (after an intentional perf "
-                        "change; commit the refreshed file)")
+                   help="merge this run's sections and designs into "
+                        "--baseline instead of gating against it, keeping "
+                        "the ones it did not measure (after an intentional "
+                        "perf change; commit the refreshed file)")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -269,6 +271,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     get_workload(args.workload)        # same: fail fast on a typo
     if args.update_baseline and not args.baseline:
         raise SystemExit("--update-baseline requires --baseline FILE")
+    stored = None
+    if args.update_baseline and os.path.exists(args.baseline):
+        stored = perfbench.load_report(args.baseline)
     kwargs = {}
     if args.small_refs is not None:
         kwargs["small_refs"] = args.small_refs
@@ -280,7 +285,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         perfbench.write_report(payload, args.out)
         print(f"wrote {args.out}")
     if args.update_baseline:
-        perfbench.write_report(payload, args.baseline)
+        perfbench.write_report(
+            perfbench.merge_into_baseline(payload, stored), args.baseline)
         print(f"updated baseline {args.baseline}")
         return 0
     if args.baseline:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..common import LINE_SIZE
+from ..common import LINE_SIZE, popcount
 from ..memory.controller import MemoryController
 from ..memory.kernels import make_kernels
 from ..params import Hybrid2Params, SystemConfig
@@ -30,7 +30,7 @@ from ..stats import Stats
 from .nm_allocator import NMFramePool
 from .policy import MigrationPolicy, MigrationVerdict
 from .remap import FreeFMStack, RemapTable
-from .xta import XTA, XTAEntry
+from .xta import XTA
 
 
 class DCMC:
@@ -83,7 +83,6 @@ class DCMC:
             mode="none" if cache_only else migration_mode)
         self.free_fm = FreeFMStack(self.params.on_chip_stack_entries)
 
-        self._metadata_base = 0
         self._metadata_span = max(sector, metadata_frames * sector)
 
         self.counters = Stats()
@@ -95,15 +94,6 @@ class DCMC:
     def flat_capacity_bytes(self) -> int:
         """Main-memory capacity Hybrid2 exposes to software."""
         return self.num_flat_sectors * self.sector_bytes
-
-    # ------------------------------------------------------------------
-    # address helpers
-    # ------------------------------------------------------------------
-    def _nm_address(self, frame: int, offset: int = 0) -> int:
-        return frame * self.sector_bytes + offset
-
-    def _fm_address(self, frame: int, offset: int = 0) -> int:
-        return frame * self.sector_bytes + offset
 
     # ------------------------------------------------------------------
     # metadata accesses (remap tables, stack) stored in NM
@@ -119,7 +109,7 @@ class DCMC:
         if not self.model_metadata:
             return 0.0
         self.counters.inc("metadata.accesses")
-        address = self._metadata_base + (key * LINE_SIZE) % self._metadata_span
+        address = (key * LINE_SIZE) % self._metadata_span
         latency = self.near.access(address, is_write, now_ns, metadata=True)
         return latency if critical else 0.0
 
@@ -139,32 +129,42 @@ class DCMC:
         """Compile the request path of Figure 7 over the :meth:`columns`
         lists into the step of :class:`~repro.core.hybrid2.Hybrid2System`.
 
-        The step serves the dominant XTA hit / line hit (1a) itself: the
-        tag-map probe, the LRU touch, the access counter of a non-migrated
-        sector and one NM burst.  Line misses (1b) and XTA misses (2) run in
-        :meth:`_serve_line_miss` / :meth:`_serve_xta_miss`.  ``system``
-        holds the NM-served request counter.  The XTA frame is runtime
-        state: the step maps it inline, with
-        :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
+        The step serves every XTA hit itself on the XTA's columns: the
+        ``slot_of`` probe, the LRU touch, the access counter of a
+        non-migrated sector, and then either one NM burst (1a, line hit)
+        or the line fill (1b, line miss): the demand read of the DRAM-cache
+        line from FM and its background install in NM.  It runs them on
+        the NM line kernel and the two block kernels, bound once through
+        :func:`~repro.memory.kernels.make_kernels`.  XTA misses (2) run in
+        :meth:`_serve_xta_miss`.  ``system`` holds the NM-served request
+        counter.  The XTA frame is runtime state: the step maps it inline,
+        with :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
         """
-        near_line, _ = make_kernels(self.near)
+        near_line, near_block = make_kernels(self.near)
+        _, far_block = make_kernels(self.far)
         n_il, n_ch, n_banks, n_row = self.near.device.address_map
         n_stride = n_ch * n_banks
         xta = self.xta
-        tag_maps = xta._tag_maps
-        num_sets = xta.num_sets
+        slot_of = xta.slot_of
+        valid = xta.valid
+        dirty = xta.dirty
+        access_counters = xta.counters
+        nm_frames = xta.nm_frames
+        fm_frames = xta.fm_frames
+        lru = xta.lru
+        ticks = xta.ticks
         counter_max = xta.counter_max
         counters = self.counters._counters
+        note_demand_fm_access = self.policy.note_demand_fm_access
         xta_lat = self.params.xta_latency_ns
         sector_bytes = self.sector_bytes
-        serve_line_miss = self._serve_line_miss
+        line_bytes = self.dram_line_bytes
         serve_xta_miss = self._serve_xta_miss
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
             sector = sec_col[i]
-            xta.lookups += 1
-            entry = tag_maps[sector % num_sets].get(sector)
-            if entry is None:
+            slot = slot_of.get(sector)
+            if slot is None:
                 counters["xta.misses"] += 1.0
                 latency, in_near = serve_xta_miss(sector, line_col[i],
                                                   off_col[i], is_write,
@@ -172,48 +172,39 @@ class DCMC:
                 if in_near:
                     system.requests_from_nm += 1
                 return latency
-            xta.hits += 1
-            clock = xta._clock + 1
-            xta._clock = clock
-            entry.lru_stamp = clock
-            counters["xta.hits"] += 1.0
-            fm_frame = entry.fm_frame
-            # Only non-migrated sectors count accesses (Section 3.7.1).
-            if fm_frame is not None and entry.access_counter < counter_max:
-                entry.access_counter += 1
-            line = line_col[i]
-            if fm_frame is None or entry.valid_mask & (1 << line):
-                counters["line.hits"] += 1.0
-                address = entry.nm_frame * sector_bytes + off_col[i]
-                rows = address // n_row
-                latency = near_line(
-                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
-                    rows // n_stride, is_write, now_ns, 0)
-                if is_write:
-                    entry.dirty_mask |= (1 << line)
-                system.requests_from_nm += 1
-                return xta_lat + latency
-            return serve_line_miss(entry, line, is_write, now_ns, xta_lat)
+            lru[slot] = next(ticks)
+            fm_frame = fm_frames[slot]
+            bit = 1 << line_col[i]
+            if fm_frame >= 0:
+                # Only non-migrated sectors count accesses (Section 3.7.1).
+                if access_counters[slot] < counter_max:
+                    access_counters[slot] += 1
+                if not valid[slot] & bit:
+                    # 1b: fetch the line from FM, install it in NM.
+                    counters["line.misses"] += 1.0
+                    note_demand_fm_access(now_ns)
+                    line_offset = line_col[i] * line_bytes
+                    latency = xta_lat + far_block(
+                        fm_frame * sector_bytes + line_offset, line_bytes,
+                        False, now_ns, True)
+                    near_block(nm_frames[slot] * sector_bytes + line_offset,
+                               line_bytes, True, now_ns, False)
+                    valid[slot] |= bit
+                    if is_write:
+                        dirty[slot] |= bit
+                    return latency
+            if is_write:
+                dirty[slot] |= bit
+            counters["line.hits"] += 1.0
+            address = nm_frames[slot] * sector_bytes + off_col[i]
+            rows = address // n_row
+            latency = near_line(
+                address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
+                rows // n_stride, is_write, now_ns, 0)
+            system.requests_from_nm += 1
+            return xta_lat + latency
 
         return step
-
-    # -- 1b ------------------------------------------------------------
-    def _serve_line_miss(self, entry: XTAEntry, line: int, is_write: bool,
-                         now_ns: float, latency: float) -> float:
-        self.counters.inc("line.misses")
-        self.policy.note_demand_fm_access(now_ns)
-        line_offset = line * self.dram_line_bytes
-        fm_addr = self._fm_address(entry.fm_frame, line_offset)
-        latency += self.far.transfer_block(fm_addr, self.dram_line_bytes,
-                                           False, now_ns, demand=True)
-        # Install the line in the NM frame backing this sector (background).
-        self.near.transfer_block(self._nm_address(entry.nm_frame, line_offset),
-                                 self.dram_line_bytes, True, now_ns,
-                                 demand=False)
-        entry.set_valid(line)
-        if is_write:
-            entry.set_dirty(line)
-        return latency
 
     # -- 2 -------------------------------------------------------------
     def _serve_xta_miss(self, sector: int, line: int, offset: int,
@@ -226,17 +217,17 @@ class DCMC:
         latency += self._metadata_access(sector, False, now_ns, critical=True)
         location = self.remap.lookup(sector)
 
-        victim = self.xta.victim_way(sector)
-        if victim.allocated:
-            self._evict_entry(victim, now_ns)
+        xta = self.xta
+        slot = xta.victim_way(sector)
+        if xta.tags[slot] >= 0:
+            self._evict(slot, now_ns)
 
         if location.in_near:
             # 2a: sector already lives in NM; link it to the XTA.
             self.counters.inc("fills.sector_in_nm")
-            self.xta.allocate(victim, sector, nm_frame=location.frame,
-                              fm_frame=None)
+            xta.allocate(slot, sector, location.frame, -1)
             latency += self.near.access(
-                self._nm_address(location.frame, offset), is_write, now_ns,
+                location.frame * self.sector_bytes + offset, is_write, now_ns,
                 demand=True)
             return latency, True
 
@@ -244,8 +235,7 @@ class DCMC:
         self.counters.inc("fills.sector_in_fm")
         self.policy.note_demand_fm_access(now_ns)
         frame = self._obtain_cache_frame(now_ns)
-        entry = self.xta.allocate(victim, sector, nm_frame=frame,
-                                  fm_frame=location.frame)
+        xta.allocate(slot, sector, frame, location.frame)
         # Inverted remap table learns the sector's processor address now
         # (Section 3.4), so the NM allocator can always resolve this frame.
         self.remap.record_inverse_nm(frame, sector)
@@ -253,77 +243,97 @@ class DCMC:
 
         line_offset = line * self.dram_line_bytes
         latency += self.far.transfer_block(
-            self._fm_address(location.frame, line_offset),
+            location.frame * self.sector_bytes + line_offset,
             self.dram_line_bytes, False, now_ns, demand=True)
-        self.near.transfer_block(self._nm_address(frame, line_offset),
+        self.near.transfer_block(frame * self.sector_bytes + line_offset,
                                  self.dram_line_bytes, True, now_ns,
                                  demand=False)
-        entry.set_valid(line)
+        bit = 1 << line
+        xta.valid[slot] = bit
         if is_write:
-            entry.set_dirty(line)
+            xta.dirty[slot] = bit
         return latency, False
 
     # ------------------------------------------------------------------
     # DRAM-cache eviction (Figure 9) and migration (Figure 10)
     # ------------------------------------------------------------------
-    def _evict_entry(self, entry: XTAEntry, now_ns: float) -> None:
-        if entry.in_near_memory:
+    def _evict(self, slot: int, now_ns: float) -> None:
+        """Evict the sector linked in ``slot`` and free the way."""
+        xta = self.xta
+        if xta.fm_frames[slot] < 0:
             # Case 1: the sector already lives in NM; nothing moves.
             self.counters.inc("evictions.nm_resident")
-            entry.clear()
-            return
-
-        verdict = self.policy.decide(
-            access_counter=entry.access_counter,
-            competing_counters=self.xta.competing_counters(entry.tag, entry),
-            valid_lines=entry.valid_lines(),
-            dirty_lines=entry.dirty_lines(),
-            now_ns=now_ns)
-
-        if verdict.migrate:
-            self._migrate_sector(entry, now_ns)
         else:
-            self._evict_sector_to_fm(entry, now_ns, verdict)
-        entry.clear()
+            verdict = self.policy.decide(
+                access_counter=xta.counters[slot],
+                competing_counters=xta.competing_counters(slot),
+                valid_lines=popcount(xta.valid[slot]),
+                dirty_lines=popcount(xta.dirty[slot]),
+                now_ns=now_ns)
+            if verdict.migrate:
+                self._migrate_sector(slot, now_ns)
+            else:
+                self._evict_sector_to_fm(slot, now_ns, verdict)
+        xta.clear(slot)
 
-    def _migrate_sector(self, entry: XTAEntry, now_ns: float) -> None:
+    def _copy_lines(self, mask: int, source: MemoryController,
+                    source_frame: int, dest: MemoryController,
+                    dest_frame: int, now_ns: float) -> None:
+        """Copy the DRAM-cache lines set in ``mask`` between two frames as
+        background traffic: one block read and one block write per run of
+        contiguous lines, runs in line order.
+
+        The two devices keep separate state and a block streams its lines
+        in order, so every counter and float equals copying the lines one
+        by one.
+        """
+        line_bytes = self.dram_line_bytes
+        source_base = source_frame * self.sector_bytes
+        dest_base = dest_frame * self.sector_bytes
+        line = 0
+        while mask:
+            # Skip the clear lines below the next run, then measure the run.
+            skip = (mask & -mask).bit_length() - 1
+            mask >>= skip
+            line += skip
+            run = (~mask & (mask + 1)).bit_length() - 1
+            offset = line * line_bytes
+            source.transfer_block(source_base + offset, run * line_bytes,
+                                  False, now_ns, demand=False)
+            dest.transfer_block(dest_base + offset, run * line_bytes,
+                                True, now_ns, demand=False)
+            mask >>= run
+            line += run
+
+    def _migrate_sector(self, slot: int, now_ns: float) -> None:
         """Complete the sector in NM and make its frame the permanent home."""
         self.counters.inc("migrations")
-        missing = [l for l in range(self.lines_per_sector)
-                   if not entry.line_valid(l)]
-        for line in missing:
-            line_offset = line * self.dram_line_bytes
-            self.far.transfer_block(self._fm_address(entry.fm_frame, line_offset),
-                                    self.dram_line_bytes, False, now_ns,
-                                    demand=False)
-            self.near.transfer_block(self._nm_address(entry.nm_frame, line_offset),
-                                     self.dram_line_bytes, True, now_ns,
-                                     demand=False)
-        self.counters.inc("migrations.lines_fetched", len(missing))
+        xta = self.xta
+        sector = xta.tags[slot]
+        nm_frame = xta.nm_frames[slot]
+        old_fm_frame = xta.fm_frames[slot]
+        missing = xta.full_valid_mask & ~xta.valid[slot]
+        self._copy_lines(missing, self.far, old_fm_frame, self.near,
+                         nm_frame, now_ns)
+        self.counters.inc("migrations.lines_fetched", popcount(missing))
 
-        old_fm_frame = entry.fm_frame
-        self.remap.assign_to_near(entry.tag, entry.nm_frame)
-        self._metadata_access(entry.tag, True, now_ns, critical=False)
+        self.remap.assign_to_near(sector, nm_frame)
+        self._metadata_access(sector, True, now_ns, critical=False)
         if self.free_fm.push(old_fm_frame):
             self._metadata_access(old_fm_frame, True, now_ns, critical=False)
-        self.frames.claim_for_flat(entry.nm_frame)
+        self.frames.claim_for_flat(nm_frame)
 
-    def _evict_sector_to_fm(self, entry: XTAEntry, now_ns: float,
+    def _evict_sector_to_fm(self, slot: int, now_ns: float,
                             verdict: MigrationVerdict) -> None:
         """Write dirty lines back to the sector's FM home and free the frame."""
         self.counters.inc("evictions.to_fm")
         self.counters.inc(f"evictions.{verdict.value}")
-        dirty = [l for l in range(self.lines_per_sector) if entry.line_dirty(l)]
-        for line in dirty:
-            line_offset = line * self.dram_line_bytes
-            self.near.transfer_block(self._nm_address(entry.nm_frame, line_offset),
-                                     self.dram_line_bytes, False, now_ns,
-                                     demand=False)
-            self.far.transfer_block(self._fm_address(entry.fm_frame, line_offset),
-                                    self.dram_line_bytes, True, now_ns,
-                                    demand=False)
-        self.counters.inc("evictions.lines_written_back", len(dirty))
-        self.frames.release_to_pool(entry.nm_frame)
+        xta = self.xta
+        dirty = xta.dirty[slot]
+        self._copy_lines(dirty, self.near, xta.nm_frames[slot], self.far,
+                         xta.fm_frames[slot], now_ns)
+        self.counters.inc("evictions.lines_written_back", popcount(dirty))
+        self.frames.release_to_pool(xta.nm_frames[slot])
 
     # ------------------------------------------------------------------
     # NM allocation (Figure 8)
@@ -351,10 +361,10 @@ class DCMC:
                 self._metadata_access(fm_frame, False, now_ns, critical=False)
             if victim_sector >= 0:
                 # Copy the whole victim sector from NM to the free FM frame.
-                self.near.transfer_block(self._nm_address(candidate),
+                self.near.transfer_block(candidate * self.sector_bytes,
                                          self.sector_bytes, False, now_ns,
                                          demand=False)
-                self.far.transfer_block(self._fm_address(fm_frame),
+                self.far.transfer_block(fm_frame * self.sector_bytes,
                                         self.sector_bytes, True, now_ns,
                                         demand=False)
                 self.remap.assign_to_far(victim_sector, fm_frame)
@@ -373,7 +383,13 @@ class DCMC:
     # ------------------------------------------------------------------
     def extra_stats(self, stats: Stats) -> None:
         stats.merge(self.counters)
-        stats.set("xta.hit_rate", self.xta.hit_rate)
+        # Every XTA hit is a line hit or a line miss, and only those are
+        # counted per reference.
+        hits = self.counters["line.hits"] + self.counters["line.misses"]
+        if hits:
+            stats.set("xta.hits", hits)
+        lookups = hits + self.counters["xta.misses"]
+        stats.set("xta.hit_rate", hits / lookups if lookups else 0.0)
         stats.set("xta.allocated", self.xta.allocated_entries())
         stats.set("policy.migrations", self.policy.stats.migrations)
         stats.set("policy.denied_counter", self.policy.stats.denied_by_counter)

@@ -9,6 +9,8 @@ The controller builds its own pair once and its
 are thin calls into them; each design step (``MemorySystem._step``, which
 both ``MemorySystem.fast_path`` and ``MemorySystem.access`` run) calls
 :func:`make_kernels` for a pair of its own and skips the method call.
+Hybrid2's step binds both memories' pairs and runs its common line-miss
+fill on the block kernels; its rare events keep the controller methods.
 
 The line kernel takes a line's ``(slot, row)``
 (:meth:`~repro.memory.device.DramDevice.locate`) rather than its address:

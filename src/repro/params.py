@@ -238,8 +238,7 @@ def default_l3(scale: int = 1) -> SramCacheParams:
 
 
 def make_config(nm_gb: int = 1, fm_gb: int = 16, scale: int = DEFAULT_SCALE,
-                hybrid2: Hybrid2Params | None = None,
-                scale_llc: bool = True) -> SystemConfig:
+                hybrid2: Hybrid2Params | None = None) -> SystemConfig:
     """Build a paper configuration with the given NM size and scaling.
 
     ``nm_gb`` is the *paper* near-memory capacity (1, 2 or 4); the returned
@@ -255,7 +254,7 @@ def make_config(nm_gb: int = 1, fm_gb: int = 16, scale: int = DEFAULT_SCALE,
         cores=CoreParams(),
         l1=default_l1(),
         l2=default_l2(),
-        l3=default_l3(scale if scale_llc else 1),
+        l3=default_l3(scale),
         near=near,
         far=far,
         hybrid2=h2,

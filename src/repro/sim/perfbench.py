@@ -37,8 +37,9 @@ times taken seconds apart.
 
 Run it with ``python -m repro bench`` (see the CLI) or via
 ``benchmarks/bench_perf_engine.py``.  ``python -m repro bench
---update-baseline`` regenerates the checked-in baseline after an
-intentional perf change.
+--update-baseline`` refreshes the checked-in baseline after an
+intentional perf change: the sections and designs the run measured are
+merged into the file, the rest are kept (:func:`merge_into_baseline`).
 """
 
 from __future__ import annotations
@@ -319,6 +320,37 @@ def compare_to_baseline(payload: dict, baseline: dict,
                 f"{label} ratio regressed: {entry['ratio']:.3f} vs baseline "
                 f"{base['ratio']:.3f} (floor {base['ratio'] * floor:.3f})")
     return failures
+
+
+#: Run settings every ratio of a baseline shares; a run merges into a
+#: baseline only when they agree.
+RUN_SETTINGS = ("refs", "workload", "repeat", "small_refs", "environment")
+
+
+def merge_into_baseline(payload: dict, baseline: Optional[dict]) -> dict:
+    """``baseline`` with the sections and designs ``payload`` measured
+    written over it; everything the run skipped keeps its stored value.
+
+    A missing baseline, or one of another schema, is replaced by the run.
+    Raises ``ValueError`` when a :data:`RUN_SETTINGS` entry differs, since
+    the merged file would then gate some ratios at settings they were not
+    measured at.
+    """
+    if not baseline or baseline.get("schema") != BENCH_SCHEMA:
+        return payload
+    differ = [f"{key} {payload.get(key)!r} vs baseline {baseline.get(key)!r}"
+              for key in RUN_SETTINGS if payload.get(key) != baseline.get(key)]
+    if differ:
+        raise ValueError("cannot merge this run into the baseline: "
+                         + "; ".join(differ)
+                         + " (rerun at the baseline's settings, or write a "
+                           "full run to a new file)")
+    merged = dict(baseline, **payload)
+    for section in ("designs", "designs_small"):
+        if section in payload:
+            merged[section] = {**baseline.get(section, {}),
+                               **payload[section]}
+    return merged
 
 
 def write_report(payload: dict, path: str = DEFAULT_REPORT) -> None:

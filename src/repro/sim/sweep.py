@@ -329,11 +329,12 @@ def _config_from_dict(data: Dict[str, Any]) -> SystemConfig:
 def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
     """Rebuild a :class:`SweepJob` from :meth:`SweepJob.spec_dict`.
 
-    Raises ``KeyError`` for a missing field and ``TypeError`` when
+    Raises ``KeyError`` for a missing field, ``TypeError`` when
     ``design``, its ``kwargs``, ``workload`` or ``config`` is not an
-    object or ``num_references`` or ``seed`` is not an integer, so a
-    stored or submitted spec of the wrong shape is refused before it
-    reaches the engine.
+    object or ``num_references``, ``seed`` or a non-null ``num_cores`` is
+    not an integer, and ``ValueError`` when ``num_cores`` is outside
+    ``1..num_references``, so a stored or submitted spec of the wrong
+    shape is refused before it reaches the engine.
     """
     for name in ("design", "workload", "config"):
         if not isinstance(spec[name], dict):
@@ -343,6 +344,14 @@ def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
     for name in ("num_references", "seed"):
         if not isinstance(spec[name], int) or isinstance(spec[name], bool):
             raise TypeError(f"job spec field {name!r} must be an integer")
+    cores = spec.get("num_cores")
+    if cores is not None:
+        if not isinstance(cores, int) or isinstance(cores, bool):
+            raise TypeError("job spec field 'num_cores' must be an integer "
+                            "or null")
+        if not 1 <= cores <= spec["num_references"]:
+            raise ValueError(f"num_cores must be in 1..num_references "
+                             f"({spec['num_references']}), got {cores}")
     design = spec["design"]
     ref = DesignRef(label=design["label"], target=design["target"],
                     kwargs=tuple(sorted(design.get("kwargs", {}).items())))
@@ -358,7 +367,7 @@ def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
                     config=_config_from_dict(spec["config"]),
                     num_references=spec["num_references"],
                     seed=spec["seed"],
-                    num_cores=spec.get("num_cores"))
+                    num_cores=cores)
 
 
 def _run_attempt(index: int, attempt: int, job: SweepJob) -> RunResult:

@@ -2,12 +2,21 @@
 migration, NM allocation), driven through :class:`Hybrid2System`, whose
 step is the DCMC's request path."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.core.dcmc import DCMC
 from repro.core.hybrid2 import Hybrid2System
+from repro.core.policy import MigrationVerdict
 from repro.memory.controller import MemoryController
 from repro.params import Hybrid2Params, make_config
+
+#: Every counter and timestamp of a controller, as the DRAM golden pins it.
+controller_state = runpy.run_path(str(
+    Path(__file__).resolve().parents[1] / "tools" /
+    "make_dram_golden.py"))["controller_state"]
 
 
 def make_dcmc(**kwargs):
@@ -38,8 +47,9 @@ def test_first_access_is_xta_miss_then_line_hit():
     assert counters.get("xta.misses") == 1
     assert counters.get("line.hits") == 0
     assert system.access(0, False, 100.0) > 0.0
-    assert counters.get("xta.hits") == 1
     assert counters.get("line.hits") == 1
+    stats = system.collect_stats()
+    assert stats["xta.hits"] == 1 and stats["xta.hit_rate"] == 0.5
     assert system.requests_from_nm >= 1
 
 
@@ -77,8 +87,7 @@ def test_writes_set_dirty_bits():
     sector = next(s for s in range(dcmc.num_flat_sectors)
                   if not dcmc.remap.lookup(s).in_near)
     system.access(sector * dcmc.sector_bytes, True, 0.0)
-    entry = dcmc.xta.probe(sector)
-    assert entry.dirty_lines() == 1
+    assert dcmc.xta.dirty[dcmc.xta.probe(sector)] == 0b1
 
 
 def test_metadata_traffic_disabled_in_no_remap_mode():
@@ -156,3 +165,96 @@ def test_near_memory_too_small_rejected():
     far = MemoryController(config.far)
     with pytest.raises(ValueError):
         DCMC(config, near, far)
+
+
+def line_runs(mask, lines=8):
+    """``(first line, line count)`` of each run of set bits, low first."""
+    runs, line = [], 0
+    while line < lines:
+        if mask >> line & 1:
+            first = line
+            while line < lines and mask >> line & 1:
+                line += 1
+            runs.append((first, line - first))
+        else:
+            line += 1
+    return runs
+
+
+def copy_line_by_line(dcmc):
+    """A ``DCMC._copy_lines`` that moves one DRAM-cache line per block
+    transfer: the reference the batched copy must reproduce."""
+    def copy(mask, source, source_frame, dest, dest_frame, now_ns):
+        for line in range(dcmc.lines_per_sector):
+            if mask >> line & 1:
+                offset = line * dcmc.dram_line_bytes
+                source.transfer_block(source_frame * dcmc.sector_bytes
+                                      + offset, dcmc.dram_line_bytes, False,
+                                      now_ns, demand=False)
+                dest.transfer_block(dest_frame * dcmc.sector_bytes + offset,
+                                    dcmc.dram_line_bytes, True, now_ns,
+                                    demand=False)
+    return copy
+
+
+def record_blocks(controller):
+    """Record ``(address, nbytes, is_write)`` of each ``transfer_block``
+    call on ``controller`` (an instance attribute over the method)."""
+    calls = []
+    method = controller.transfer_block
+
+    def recorded(address, nbytes, is_write, now_ns, demand=False):
+        calls.append((address, nbytes, is_write))
+        return method(address, nbytes, is_write, now_ns, demand)
+    controller.transfer_block = recorded
+    return calls
+
+
+@pytest.mark.parametrize("mask", [0b10110110, 0xFF, 0x01, 0x80])
+@pytest.mark.parametrize("move", ["evict", "migrate"])
+def test_batched_line_moves_match_a_per_line_reference(move, mask):
+    """An eviction writes back each run of contiguous dirty lines, and a
+    migration fetches each run of missing lines, as one block read and
+    one block write.  Against a twin system that moves one line per
+    transfer, both controllers end in the same state, float for float,
+    and the DCMC counters agree."""
+    twins = [make_dcmc()[1], make_dcmc()[1]]
+    for system in twins:
+        run_pressure(system, accesses=300)
+    batched, reference = (system.dcmc for system in twins)
+    reference._copy_lines = copy_line_by_line(reference)
+    xta = batched.xta
+    slot = next(slot for slot, tag in enumerate(xta.tags)
+                if tag >= 0 and xta.fm_frames[slot] >= 0)
+    full = xta.full_valid_mask
+    for dcmc in (batched, reference):
+        assert dcmc.xta.tags[slot] == xta.tags[slot]
+        if move == "evict":
+            dcmc.xta.valid[slot], dcmc.xta.dirty[slot] = full, mask
+        else:
+            dcmc.xta.valid[slot] = dcmc.xta.dirty[slot] = full & ~mask
+    assert controller_state(batched.near) == controller_state(reference.near)
+    assert controller_state(batched.far) == controller_state(reference.far)
+    nm_frame, fm_frame = xta.nm_frames[slot], xta.fm_frames[slot]
+    near_calls, far_calls = record_blocks(batched.near), \
+        record_blocks(batched.far)
+
+    now = 300 * 25.0 + 100.0
+    for dcmc in (batched, reference):
+        if move == "evict":
+            dcmc._evict_sector_to_fm(slot, now,
+                                     MigrationVerdict.EVICT_COUNTER)
+        else:
+            dcmc._migrate_sector(slot, now)
+
+    assert controller_state(batched.near) == controller_state(reference.near)
+    assert controller_state(batched.far) == controller_state(reference.far)
+    assert batched.counters.as_dict() == reference.counters.as_dict()
+    line_bytes = batched.dram_line_bytes
+    source, dest = ((nm_frame, near_calls), (fm_frame, far_calls)) \
+        if move == "evict" else ((fm_frame, far_calls), (nm_frame, near_calls))
+    for (frame, calls), is_write in ((source, False), (dest, True)):
+        assert calls == [
+            (frame * batched.sector_bytes + first * line_bytes,
+             count * line_bytes, is_write)
+            for first, count in line_runs(mask)]

@@ -27,7 +27,7 @@ def test_addresses_wrap_to_flat_capacity(small_config):
     assert latency > 0
     # The wrapped address is line 0 of sector 0: now an XTA hit.
     system.access(0, False, 100.0)
-    assert system.dcmc.counters.get("xta.hits") == 1
+    assert system.collect_stats()["xta.hits"] == 1
 
 
 def test_collect_stats_contains_design_counters(small_config, drive):

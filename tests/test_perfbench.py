@@ -173,6 +173,38 @@ def test_bench_cli_update_baseline(tmp_path):
               "--update-baseline"])
 
 
+def test_update_baseline_merges_only_the_measured_sections(tmp_path,
+                                                            capsys):
+    """A partial run refreshes its own sections and designs and keeps
+    every other one, so the other gates still find their entries; a run
+    at other settings is refused and leaves the file as it was."""
+    baseline = tmp_path / "baseline.json"
+    args = ["--refs", "200", "--repeat", "1", "--baseline", str(baseline),
+            "--update-baseline"]
+    assert main(["bench", "--designs", "BASELINE", "TAGLESS"] + args) == 0
+    full = json.loads(baseline.read_text())
+    assert main(["bench", "--no-engine", "--designs", "TAGLESS"] + args) == 0
+    merged = json.loads(baseline.read_text())
+    assert set(merged) == set(full)
+    for section in ("calibration", "fast_path", "generator"):
+        assert merged[section] == full[section]
+    assert set(merged["designs"]) == {"BASELINE", "TAGLESS"}
+    assert merged["designs"]["BASELINE"] == full["designs"]["BASELINE"]
+    assert merged["timestamp"] >= full["timestamp"]
+    # Every gate of the full run still finds its baseline entry.
+    failures = perfbench.compare_to_baseline(full, merged,
+                                             max_regression=1.0)
+    assert failures == []
+
+    before = baseline.read_text()
+    assert main(["bench", "--no-engine", "--designs", "TAGLESS",
+                 "--refs", "300"] + args[2:]) == 2
+    assert "refs 300 vs baseline 200" in capsys.readouterr().err
+    assert baseline.read_text() == before
+    # A baseline of another schema is replaced whole.
+    assert perfbench.merge_into_baseline(full, {"schema": 1}) is full
+
+
 def spin(n: int = 200) -> int:
     """A few microseconds of pure-Python work."""
     total = 0

@@ -83,8 +83,44 @@ def test_xta_lookup_after_allocate_finds_sector(sectors):
         hits += xta.probe(sector) is not None
         system.access(sector * config.hybrid2.sector_bytes, False, t * 20.0)
         assert xta.probe(sector) is not None
-    assert xta.lookups == len(sectors) and xta.hits == hits
+    stats = system.collect_stats()
+    assert stats["xta.hits"] + stats["xta.misses"] == len(sectors)
+    assert stats["xta.hits"] == hits
     assert xta.allocated_entries() <= xta.capacity_sectors
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 400), st.integers(0, 7),
+                          st.booleans()), min_size=1, max_size=250),
+       st.sampled_from(["policy", "all", "none"]))
+def test_flat_xta_invariants_hold_after_every_reference(refs, mode):
+    """Random ``(sector, DRAM-cache line, is_write)`` references through
+    the Hybrid2 step keep the flat XTA's columns consistent after each
+    one: the ``sector -> slot`` map and the tag column agree, each linked
+    sector sits in one slot of its own set, the map never outgrows the
+    array, a migrated (NM-resident) sector shows every line valid and
+    dirty, and XTA hits plus misses count every reference."""
+    config = make_config(nm_gb=1, fm_gb=16, scale=256)
+    system = Hybrid2System(config, migration_mode=mode)
+    dcmc = system.dcmc
+    xta = dcmc.xta
+    full = xta.full_valid_mask
+    for t, (sector, line, is_write) in enumerate(refs):
+        address = sector * dcmc.sector_bytes + line * dcmc.dram_line_bytes
+        system.access(address, is_write, t * 20.0)
+        linked = [(slot, tag) for slot, tag in enumerate(xta.tags) if tag >= 0]
+        assert dict((tag, slot) for slot, tag in linked) == xta.slot_of
+        assert len({tag for _, tag in linked}) == len(linked)
+        assert xta.allocated_entries() == len(xta.slot_of) \
+            <= xta.capacity_sectors
+        for slot, tag in linked:
+            assert slot // xta.ways == tag % xta.num_sets
+            if xta.fm_frames[slot] < 0:
+                assert xta.valid[slot] == xta.dirty[slot] == full
+            assert xta.dirty[slot] & ~xta.valid[slot] == 0
+        stats = system.collect_stats()
+        assert stats["xta.hits"] + stats["xta.misses"] == t + 1
+    assert dcmc.remap.check_consistency() and dcmc.frames.check_invariants()
 
 
 # ---------------------------------------------------------------------------

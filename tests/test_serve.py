@@ -458,7 +458,15 @@ def test_post_fuzz_never_answers_a_5xx(jobs_app, data):
         response = app.handle(method, target, body=payload)
         assert response.status < 500, (target, text, body_of(response))
         assert response.content_type == "application/json"
-        body_of(response)                 # every answer is a JSON document
+        answer = body_of(response)        # every answer is a JSON document
+        if method == "POST" and response.status < 300:
+            # An accepted job is one the engine can run: num_cores is
+            # null or a core count the references can be split over.
+            accepted = answer["job"]["spec"]
+            cores = accepted["num_cores"]
+            assert cores is None or (
+                type(cores) is int
+                and 1 <= cores <= accepted["num_references"]), text
 
 
 def test_post_reproducers_answer_400(jobs_app):
@@ -473,6 +481,11 @@ def test_post_reproducers_answer_400(jobs_app):
     for field, value in (("num_references", "x"), ("num_references", []),
                          ("workload", "mcf")):
         bodies.append(json.dumps({"spec": dict(spec, **{field: value})}))
+    # num_cores: not an integer, not positive, more cores than references
+    # (300 refs), and a count the worker would loop over core by core.
+    for cores in ("x", -3, 2000, 10 ** 12):
+        bodies.append(json.dumps(dict(SHORTHAND, num_cores=cores)))
+        bodies.append(json.dumps({"spec": dict(spec, num_cores=cores)}))
     for text in bodies:
         response = app.handle("POST", "/v1/jobs", body=text.encode())
         assert response.status == 400, (text, body_of(response))
