@@ -44,8 +44,8 @@ def package_version() -> str:
 # Everything else loads on first access: ``import repro`` (and so every
 # ``repro.*`` import) stays free of numpy and the design modules.
 __all__ = [*lazy_exports(__name__, globals(), {
-    ".params": ("CoreParams", "DramParams", "Hybrid2Params", "SramCacheParams",
-                "SystemConfig", "ddr4_params", "hbm2_params", "make_config"),
+    ".params": ("CoreParams", "DramParams", "Hybrid2Params", "SystemConfig",
+                "ddr4_params", "hbm2_params", "make_config"),
     ".common": ("MemoryRequest",),
     ".stats": ("Stats",),
     ".core.hybrid2": ("Hybrid2System",),

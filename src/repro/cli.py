@@ -109,6 +109,16 @@ def _parse_workloads(tokens: Sequence[str], per_class: Optional[int]) -> List:
     return unique
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: trace seeds seed numpy's
+    ``default_rng``, which refuses a negative one."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be non-negative, got {value}")
+    return value
+
+
 def _parse_designs(tokens: Sequence[str]) -> List[DesignRef]:
     """Expand design tokens: registry labels, ``evaluated`` and
     ``module:attr`` factory paths (optionally ``label=module:attr``)."""
@@ -149,7 +159,7 @@ def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
                    help="references per run (default 40000)")
     p.add_argument("--scale", type=int, default=256,
                    help="capacity scale denominator (default 256)")
-    p.add_argument("--seed", type=int, default=1, help="trace seed")
+    p.add_argument("--seed", type=_seed, default=1, help="trace seed")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (1 = serial)")
     p.add_argument("--store", default=None, metavar="DIR",
@@ -332,7 +342,7 @@ def _add_report_parser(sub: argparse._SubParsersAction) -> None:
                         "REPRO_BENCH_WORKLOADS_PER_CLASS or 2)")
     p.add_argument("--scale", type=int, default=None,
                    help="capacity scale denominator (default 256)")
-    p.add_argument("--seed", type=int, default=None, help="trace seed")
+    p.add_argument("--seed", type=_seed, default=None, help="trace seed")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default REPRO_BENCH_WORKERS or "
                         "one per CPU, max 8)")

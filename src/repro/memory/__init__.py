@@ -12,19 +12,15 @@ advance: flat per-bank lists indexed by one integer slot
 (``channel * banks_per_channel + bank``), per-channel bus lists, and the
 traffic and energy counters.  Its :meth:`~DramDevice.locate` is the one
 definition of the address map, ``address -> (slot, row)``, which the line
-kernel takes instead of an address.  :class:`EnergyModel` holds the two
-energy parameters and :class:`DramTimings` derives the nanosecond
-latencies the kernels use.
+kernel takes instead of an address.  The kernels read their latencies
+and energies straight from the device's
+:class:`~repro.params.DramParams`.
 """
 
 from .controller import MemoryController
 from .device import DramDevice
-from .energy import EnergyModel
-from .timing import DramTimings
 
 __all__ = [
     "MemoryController",
     "DramDevice",
-    "EnergyModel",
-    "DramTimings",
 ]

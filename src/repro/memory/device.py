@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from ..common import LINE_SIZE
 from ..params import DramParams
-from .energy import EnergyModel
-from .timing import DramTimings
 
 
 class DramDevice:
@@ -45,8 +43,6 @@ class DramDevice:
 
     def __init__(self, params: DramParams) -> None:
         self.params = params
-        self.timings = DramTimings.from_params(params)
-        self.energy = EnergyModel.from_params(params)
         banks = params.banks_per_channel
         slots = params.channels * banks
         self.open_row = [-1] * slots

@@ -2,8 +2,11 @@
 
 :func:`make_kernels` compiles one
 :class:`~repro.memory.controller.MemoryController` into a pair of closures
-and is the only implementation of DRAM timing and energy in the package.
-The controller builds its own pair once and its
+and is the only implementation of DRAM timing and energy in the package:
+it derives the row hit / empty / miss latencies, the burst time and the
+per-line and per-activation energies from the device's
+:class:`~repro.params.DramParams` itself.  The controller builds its own
+pair once and its
 :meth:`~repro.memory.controller.MemoryController.access` /
 :meth:`~repro.memory.controller.MemoryController.transfer_block` methods
 are thin calls into them; each design step (``MemorySystem._step``, which
@@ -18,14 +21,23 @@ a design maps every address it knows before the run in its ``_columns``,
 and the few whose frame is runtime state inline the same arithmetic.  Per
 64 B line it classifies the row-buffer state (hit / miss / empty), waits
 for the bank, serialises the burst on the channel's data bus, and
-accounts traffic and dynamic energy.  All state lives in the device's
-per-bank and per-channel lists and its counters, so every pair of kernels
-compiled for one controller shares it: a design step's inlined bursts
-interleave freely with the controller methods its rare events
-(evictions, migrations, swaps) call.  ``tests/test_fastpath.py`` pins the
-kernels against the frozen golden ``tests/data/golden/dram_timing.json``
-float for float and ``tests/test_engine_equivalence.py`` pins the full
-engine per design.
+accounts traffic and dynamic energy.
+
+Energy is dynamic only, as in the paper's Figure 18 (refresh and static
+energy are excluded): ``rw_energy_pj_per_bit * 512`` per 64 B line and
+``act_pre_energy_nj * 1000`` pJ per row activation.  Both sums are float
+accumulators on the device, added one line at a time in access order,
+rather than products of the line and activation counts derived
+afterwards, so they stay bit-identical to the per-line sequence whichever
+kernel or call site issued the line.
+
+All state lives in the device's per-bank and per-channel lists and its
+counters, so every pair of kernels compiled for one controller shares it:
+a design step's inlined bursts interleave freely with the controller
+methods its rare events (evictions, migrations, swaps) call.
+``tests/test_fastpath.py`` pins the kernels against the frozen golden
+``tests/data/golden/dram_timing.json`` float for float and
+``tests/test_engine_equivalence.py`` pins the full engine per design.
 """
 
 from __future__ import annotations
@@ -62,7 +74,7 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     demand traffic.
     """
     device = controller.device
-    timings = device.timings
+    params = device.params
     open_rows = device.open_row
     ready_at = device.ready_at_ns
     row_hits = device.row_hits
@@ -76,12 +88,17 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     banks_stride = num_channels * banks_per_channel
     # Lines inside one aligned span share a channel, a bank and a row.
     span = math.gcd(interleave, row_bytes)
-    hit_ns = timings.row_hit_latency_ns()
-    empty_ns = timings.row_empty_latency_ns()
-    miss_ns = timings.row_miss_latency_ns()
-    burst_ns = timings.burst_ns(LINE_SIZE)
-    line_rw_pj = device.energy.rw_pj_per_bit * LINE_SIZE * 8
-    act_pre_pj = device.energy.act_pre_pj
+    # Row hit: column access only.  Row empty: activate, then column
+    # access.  Row miss: precharge, activate, column access.  A burst is
+    # one line on one channel's data bus (DDR: two transfers per cycle).
+    clock_ns = params.clock_ns
+    hit_ns = params.tcas_cycles * clock_ns
+    trcd_ns = params.trcd_cycles * clock_ns
+    empty_ns = trcd_ns + hit_ns
+    miss_ns = params.trp_cycles * clock_ns + trcd_ns + hit_ns
+    burst_ns = LINE_SIZE * (clock_ns / (params.bus_bits / 8 * 2))
+    line_rw_pj = params.rw_energy_pj_per_bit * LINE_SIZE * 8
+    act_pre_pj = params.act_pre_energy_nj * 1000.0
     overhead_ns = controller.CONTROLLER_OVERHEAD_NS
 
     def line_access(slot: int, row: int, is_write: bool, now_ns: float,

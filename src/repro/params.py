@@ -2,7 +2,11 @@
 
 The paper simulates an 8-core processor with a three-level SRAM cache
 hierarchy, an HBM2 near memory (1/2/4 GB) and a DDR4-3200 far memory
-(16 GB).  Running those capacities through a pure-Python model is not
+(16 GB).  The model drives LLC-filtered traces, so no SRAM level is
+simulated: the one cache number it reads is the LLC latency,
+:attr:`CoreParams.llc_latency_cycles`, charged once per reference.
+
+Running the paper's capacities through a pure-Python model is not
 practical, so every configuration carries a ``scale`` denominator: all
 *capacities* (near memory, far memory, DRAM cache, workload footprints) are
 divided by ``scale`` while all *granularities* (cache lines, sectors, pages),
@@ -34,37 +38,14 @@ class CoreParams:
     #: Reorder-buffer depth in instructions: misses closer together than this
     #: can overlap (memory-level parallelism window of the interval model).
     rob_size: int = 256
+    #: Cycles every reference spends in the shared LLC (Table 1's L3)
+    #: before it reaches the memory system.
+    llc_latency_cycles: int = 14
 
     @property
     def cycle_ns(self) -> float:
         """Duration of one core cycle in nanoseconds."""
         return 1.0 / self.frequency_ghz
-
-    def cycles_to_ns(self, cycles: float) -> float:
-        return cycles * self.cycle_ns
-
-    def ns_to_cycles(self, ns: float) -> float:
-        return ns * self.frequency_ghz
-
-
-@dataclass(frozen=True)
-class SramCacheParams:
-    """One level of the paper's SRAM cache hierarchy (Table 1).
-
-    The model drives LLC-filtered traces, so no SRAM level is simulated:
-    these parameters describe the configuration in the report and in
-    every stored cell's config.
-    """
-
-    size_bytes: int
-    ways: int
-    latency_cycles: int
-    line_size: int = 64
-    shared: bool = False
-
-    @property
-    def sets(self) -> int:
-        return self.size_bytes // (self.ways * self.line_size)
 
 
 @dataclass(frozen=True)
@@ -187,9 +168,6 @@ class SystemConfig:
     """Full system configuration: Table 1 plus the scaling denominator."""
 
     cores: CoreParams
-    l1: SramCacheParams
-    l2: SramCacheParams
-    l3: SramCacheParams
     near: DramParams
     far: DramParams
     hybrid2: Hybrid2Params
@@ -200,16 +178,19 @@ class SystemConfig:
         return self.near.capacity_bytes / self.far.capacity_bytes
 
     def describe(self) -> dict:
-        """Dictionary rendering used by the Table 1 bench and the docs."""
+        """Dictionary rendering used by the Table 1 bench and the docs.
+
+        The ``l1``/``l2``/``l3`` rows are the paper's values: no SRAM
+        level is simulated, and only the L3 latency is read (from
+        :attr:`CoreParams.llc_latency_cycles`).
+        """
         return {
             "cores": (f"{self.cores.num_cores} cores, {self.cores.issue_width}-way, "
                       f"{self.cores.frequency_ghz} GHz"),
-            "l1": f"{self.l1.size_bytes // KIB} KB, {self.l1.ways}-way, "
-                  f"{self.l1.latency_cycles} cycle",
-            "l2": f"{self.l2.size_bytes // KIB} KB, {self.l2.ways}-way, "
-                  f"{self.l2.latency_cycles} cycles",
-            "l3": f"{self.l3.size_bytes // MIB} MB shared, {self.l3.ways}-way, "
-                  f"{self.l3.latency_cycles} cycles",
+            "l1": "64 KB, 4-way, 1 cycle",
+            "l2": "256 KB, 8-way, 9 cycles",
+            "l3": (f"8 MB shared, 16-way, "
+                   f"{self.cores.llc_latency_cycles} cycles"),
             "near_memory": (f"{self.near.name}, {self.near.capacity_bytes // MIB} MB "
                             f"(scaled 1/{self.scale}), {self.near.channels}x"
                             f"{self.near.bus_bits}-bit channels"),
@@ -221,20 +202,6 @@ class SystemConfig:
                            f"{self.hybrid2.sector_bytes} B sectors, "
                            f"{self.hybrid2.cache_line_bytes} B lines"),
         }
-
-
-def default_l1() -> SramCacheParams:
-    return SramCacheParams(size_bytes=64 * KIB, ways=4, latency_cycles=1)
-
-
-def default_l2() -> SramCacheParams:
-    return SramCacheParams(size_bytes=256 * KIB, ways=8, latency_cycles=9)
-
-
-def default_l3(scale: int = 1) -> SramCacheParams:
-    """Shared LLC; its capacity scales with the rest of the system."""
-    return SramCacheParams(size_bytes=max(64 * KIB, 8 * MIB // scale), ways=16,
-                           latency_cycles=14, shared=True)
 
 
 def make_config(nm_gb: int = 1, fm_gb: int = 16, scale: int = DEFAULT_SCALE,
@@ -252,9 +219,6 @@ def make_config(nm_gb: int = 1, fm_gb: int = 16, scale: int = DEFAULT_SCALE,
     h2 = (hybrid2 or Hybrid2Params()).scaled(scale)
     return SystemConfig(
         cores=CoreParams(),
-        l1=default_l1(),
-        l2=default_l2(),
-        l3=default_l3(scale),
         near=near,
         far=far,
         hybrid2=h2,

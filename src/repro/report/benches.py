@@ -530,6 +530,8 @@ def run_table1(ctx: ReportContext) -> BenchResult:
                      desc["dram_cache"]])
     header = describes["1"]
     notes = (f"cores: {header['cores']}\n"
+             f"SRAM caches (paper values, not simulated: the traces are "
+             f"LLC-filtered and each reference is charged the L3 latency)\n"
              f"l1: {header['l1']}\nl2: {header['l2']}\nl3: {header['l3']}")
     table = Table(
         title="Table 1: system configuration (scaled model)",

@@ -64,7 +64,7 @@ class JobRecord:
 
     id: str
     spec: Dict[str, Any]            # SweepJob.spec_dict() form
-    key: Optional[str]
+    key: str
     priority: int
     status: str = JOB_QUEUED
     events: List[Dict[str, Any]] = field(default_factory=list)
@@ -216,15 +216,14 @@ class JobQueue:
         with self._cond:
             if self._closed:
                 raise RuntimeError("job queue is shut down")
-            if key is not None and key in self._by_key:
+            if key in self._by_key:
                 return self._jobs[self._by_key[key]], True
             self._seq += 1
             record = JobRecord(id=f"job-{self._seq:04d}",
                                spec=job.spec_dict(), key=key,
                                priority=priority)
             self._jobs[record.id] = record
-            if key is not None:
-                self._by_key[key] = record.id
+            self._by_key[key] = record.id
             if 0 in submission.cached:
                 record.status = JOB_CACHED
                 record.result = submission.cached[0].as_dict()
@@ -310,8 +309,7 @@ class JobQueue:
                                         "message": str(exc)}]
                     self._event(record, "failed",
                                 error=f"{type(exc).__name__}: {exc}")
-                    if record.key is not None:
-                        self._by_key.pop(record.key, None)
+                    self._by_key.pop(record.key, None)
                     self._cond.notify_all()
                 continue
             with self._cond:
@@ -326,8 +324,7 @@ class JobQueue:
                                 attempts=report.attempts,
                                 failures=record.failures)
                     # Allow a clean resubmission of a failed key.
-                    if record.key is not None:
-                        self._by_key.pop(record.key, None)
+                    self._by_key.pop(record.key, None)
                 else:
                     record.status = JOB_DONE
                     record.result = report.results[0].as_dict()

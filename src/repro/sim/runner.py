@@ -30,8 +30,8 @@ from ..workloads.tracefile import (TraceFileWorkload, is_trace_token,
 from . import metrics
 from .result import RunResult
 from .store import ResultStore, open_store
-from .sweep import (AnyDesign, DesignRef, JobFailure, SweepExecutionError,
-                    SweepJob, SweepReport, coerce_design, run_jobs)
+from .sweep import (DesignRef, JobFailure, SweepExecutionError, SweepJob,
+                    SweepReport, coerce_design, run_jobs)
 
 if TYPE_CHECKING:
     from ..baselines.base import MemorySystem
@@ -121,9 +121,10 @@ class ExperimentRunner:
     ``workers`` selects the execution mode: 1 keeps the classic serial
     in-process path, ``N > 1`` fans independent jobs out over a process
     pool.  ``store`` (a :class:`ResultStore`, a directory path or a
-    ``sqlite:PATH`` URI, or ``None`` to disable caching) persists every simulated cell so repeated or interrupted
-    sweeps only simulate what is missing; the dedup pass at dispatch time
-    probes the whole batch in one backend round-trip per shard.
+    ``sqlite:PATH`` URI, or ``None`` to disable caching) persists every
+    simulated cell so repeated or interrupted sweeps only simulate what is
+    missing; the dedup pass at dispatch time probes the whole batch in one
+    backend round-trip per shard.
     """
 
     def __init__(self, *, num_references: int = 40_000, scale: int = 256,
@@ -176,7 +177,7 @@ class ExperimentRunner:
             return workload_from_token(workload)
         return get_workload(workload)
 
-    def _job(self, design: AnyDesign,
+    def _job(self, design: DesignRef,
              spec: Union[WorkloadSpec, TraceFileWorkload],
              config: SystemConfig) -> SweepJob:
         return SweepJob(design=design, workload=spec, config=config,

@@ -45,7 +45,6 @@ def simulate(system: MemorySystem,
              workload: Union[WorkloadSpec, Trace, Sequence[Trace]],
              num_references: int = 50_000, *, seed: int = 1,
              num_cores: Optional[int] = None,
-             llc_latency_cycles: int = 14,
              warmup_fraction: float = 0.25) -> RunResult:
     """Drive a memory-level trace through ``system``.
 
@@ -64,7 +63,8 @@ def simulate(system: MemorySystem,
     :func:`~repro.cpu.core.miss_columns`) is computed per core in numpy
     before the run, so the loop keeps only each core's time:
     ``now = time + gap / issue_width``, the design step at ``now``, then
-    ``time = now + llc + latency * ghz / overlap``.  These are the float
+    ``time = now + llc + latency * ghz / overlap``, where ``llc`` is
+    ``config.cores.llc_latency_cycles``.  These are the float
     expressions, in the order, that the stepped ``IntervalCore`` of
     ``tests/engine_oracle.py`` evaluates per reference, so the counters
     stay bit-identical to stepping one (the engine tests compare the two
@@ -111,11 +111,10 @@ def simulate(system: MemorySystem,
     time_cycles = [0.0] * n_cores
     cycles_offset = 0.0
     if warmup_records:
-        _drive(islice(stream, warmup_records), step, time_cycles, params,
-               llc_latency_cycles)
+        _drive(islice(stream, warmup_records), step, time_cycles, params)
         system.reset_measurement()
         cycles_offset = max(time_cycles)
-    _drive(stream, step, time_cycles, params, llc_latency_cycles)
+    _drive(stream, step, time_cycles, params)
     # The steps count only what depends on state; the measured region's
     # requests and writes are columns of the schedule.
     system.requests += total_records - warmup_records
@@ -166,8 +165,7 @@ def _schedule(traces: Sequence[Trace], params,
             int(np.count_nonzero(is_write[warmup_records:])))
 
 
-def _drive(stream, step, time_cycles: list, params,
-           llc_cycles: float) -> None:
+def _drive(stream, step, time_cycles: list, params) -> None:
     """The reference loop of :func:`simulate`: drain ``(i, core, gap,
     overlap, is_write)`` tuples through ``step``, advancing each core's
     time by its compute interval, the LLC latency and its exposed memory
@@ -176,6 +174,7 @@ def _drive(stream, step, time_cycles: list, params,
     precomputed).
     """
     issue_width = params.issue_width
+    llc_cycles = params.llc_latency_cycles
     cycle_ns = params.cycle_ns
     ghz = params.frequency_ghz
     for i, idx, gap, div, is_write in stream:

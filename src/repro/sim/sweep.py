@@ -9,13 +9,15 @@ trivially.  This module provides the pieces:
 * :class:`DesignRef` — a picklable, hashable reference to a memory-system
   design: either a registry label (``"HYBRID2"``) or an importable factory
   (``"repro.baselines.dfc:DecoupledFusedCache"``) plus keyword arguments.
-  Lambdas and other non-importable callables are wrapped in
-  :class:`InlineDesign`, which still runs (serially, uncached) so old
-  call sites keep working.
+  It is the only form a job's design takes: :func:`coerce_design` promotes
+  a module-level callable to one and refuses a lambda or closure, which a
+  worker process could not import by name nor the store key stably.
 * :class:`SweepJob` — one simulation cell.  ``cache_key()`` returns a
   stable hash of everything that determines the result (design, workload
   spec, system configuration, trace length, seed, core count), used by the
-  persistent :class:`~repro.sim.store.ResultStore`.
+  persistent :class:`~repro.sim.store.ResultStore`; ``spec_dict()`` is the
+  JSON description :func:`job_from_spec` rebuilds the job from, which
+  refuses a config with a missing or unknown field.
 * :func:`run_jobs` — execute a list of jobs under a fault-tolerant
   supervisor.  When ``workers > 1`` jobs fan out over supervised worker
   processes: a worker exception is captured as a structured
@@ -34,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import random
 import time
 import traceback as traceback_module
@@ -44,8 +45,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 from ..baselines import DESIGN_FACTORIES
 from ..common import import_attr
-from ..params import (CoreParams, DramParams, Hybrid2Params, SramCacheParams,
-                      SystemConfig)
+from ..params import CoreParams, DramParams, Hybrid2Params, SystemConfig
 from ..workloads.catalog import WorkloadSpec
 from ..workloads.tracefile import TraceFileWorkload
 from . import faults
@@ -147,43 +147,19 @@ class DesignRef:
         return {"target": self.target, "kwargs": dict(self.kwargs)}
 
 
-@dataclass(frozen=True)
-class InlineDesign:
-    """Fallback wrapper for designs given as arbitrary callables.
-
-    Lambdas/closures cannot be imported by name in a worker process nor
-    hashed stably, so inline designs run in-process and bypass the result
-    store.  Prefer :class:`DesignRef` for anything swept at scale.
-    """
-
-    label: str
-    factory: Callable[[SystemConfig], "MemorySystem"] = field(compare=False)
-
-    def build(self, config: SystemConfig) -> "MemorySystem":
-        return self.factory(config)
-
-    def key_dict(self) -> None:
-        return None
-
-
-AnyDesign = Union[DesignRef, InlineDesign]
-
-
-def coerce_design(design: Union[str, DesignRef, InlineDesign, Callable],
-                  label: Optional[str] = None) -> AnyDesign:
+def coerce_design(design: Union[str, DesignRef, Callable],
+                  label: Optional[str] = None) -> DesignRef:
     """Normalise a design given as a label, reference or callable.
 
     Module-level callables (classes, factory functions) are promoted to a
     :class:`DesignRef` by their import path, which makes them picklable for
-    the worker pool and cacheable in the result store; everything else
-    falls back to :class:`InlineDesign`.
+    the worker pool and cacheable in the result store.  Any other callable
+    (a lambda, a closure, a nested function) raises ``TypeError``.
     """
-    if isinstance(design, (DesignRef, InlineDesign)):
+    if isinstance(design, DesignRef):
         if label and label != design.label:
-            if isinstance(design, DesignRef):
-                return DesignRef(label=label, target=design.target,
-                                 kwargs=design.kwargs)
-            return InlineDesign(label=label, factory=design.factory)
+            return DesignRef(label=label, target=design.target,
+                             kwargs=design.kwargs)
         return design
     if isinstance(design, str):
         check_design(design)             # fail fast on unknown labels
@@ -199,8 +175,11 @@ def coerce_design(design: Union[str, DesignRef, InlineDesign, Callable],
                         target, label=label or qualname.upper())
             except Exception:
                 pass
-        return InlineDesign(label=label or getattr(design, "__name__",
-                                                   "design"), factory=design)
+        raise TypeError(
+            f"design {design!r} cannot be imported by name, so no worker "
+            f"process could build it nor the result store key it: define "
+            f"it as a module-level factory, or pass "
+            f"DesignRef.of('module:factory', **kwargs)")
     raise TypeError(f"cannot interpret design spec {design!r}")
 
 
@@ -229,7 +208,7 @@ def _config_dict(config: SystemConfig) -> Dict[str, Any]:
 class SweepJob:
     """One independent simulation cell of a sweep."""
 
-    design: AnyDesign
+    design: DesignRef
     workload: AnyWorkload
     config: SystemConfig
     num_references: int
@@ -240,20 +219,15 @@ class SweepJob:
     def label(self) -> str:
         return self.design.label
 
-    def cache_key(self) -> Optional[str]:
+    def cache_key(self) -> str:
         """Stable hash of everything that determines this job's result.
 
         Covers the simulator source itself via
         :func:`~repro.sim.store.model_fingerprint`, so results cached before
-        a model change are never served after it.  ``None`` for inline
-        (non-importable) designs, which cannot be described stably and
-        therefore bypass the store.
+        a model change are never served after it.
         """
         from .store import model_fingerprint
 
-        design = self.design.key_dict()
-        if design is None:
-            return None
         # Trace-backed workloads key by content hash, not by path (see
         # TraceFileWorkload.cache_dict): moving a trace file keeps its
         # cells valid, editing its bytes invalidates them.
@@ -262,7 +236,7 @@ class SweepJob:
         payload = {
             "engine": ENGINE_VERSION,
             "model": model_fingerprint(),
-            "design": design,
+            "design": self.design.key_dict(),
             "workload": workload,
             "config": _config_dict(self.config),
             "num_references": self.num_references,
@@ -272,16 +246,13 @@ class SweepJob:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def spec_dict(self) -> Optional[Dict[str, Any]]:
+    def spec_dict(self) -> Dict[str, Any]:
         """JSON-pure, self-contained re-simulation description.
 
         Stored alongside the result in every cache cell, so ``python -m
         repro store fsck --repair`` can rebuild the job (via
         :func:`job_from_spec`) and re-run it after on-disk corruption.
-        ``None`` for inline designs — they are never cached.
         """
-        if not isinstance(self.design, DesignRef):
-            return None
         spec = {
             "design": {"label": self.design.label,
                        "target": self.design.target,
@@ -313,17 +284,24 @@ class SweepJob:
                         num_cores=self.num_cores)
 
 
+#: The parameter class of each nested field of :class:`SystemConfig`.
+_CONFIG_FIELDS = {"cores": CoreParams, "near": DramParams,
+                  "far": DramParams, "hybrid2": Hybrid2Params}
+
+
 def _config_from_dict(data: Dict[str, Any]) -> SystemConfig:
-    return SystemConfig(
-        cores=CoreParams(**data["cores"]),
-        l1=SramCacheParams(**data["l1"]),
-        l2=SramCacheParams(**data["l2"]),
-        l3=SramCacheParams(**data["l3"]),
-        near=DramParams(**data["near"]),
-        far=DramParams(**data["far"]),
-        hybrid2=Hybrid2Params(**data["hybrid2"]),
-        scale=data["scale"],
-    )
+    """Rebuild :func:`_config_dict`'s form; ``TypeError`` names a missing
+    or unknown top-level field, so a spec written for another layout of
+    :class:`SystemConfig` is refused rather than half-read."""
+    expected = set(_CONFIG_FIELDS) | {"scale"}
+    unknown = sorted(set(data) - expected)
+    if unknown:
+        raise TypeError(f"unknown config field(s) {unknown}")
+    missing = sorted(expected - set(data))
+    if missing:
+        raise TypeError(f"missing config field(s) {missing}")
+    return SystemConfig(scale=data["scale"], **{
+        name: cls(**data[name]) for name, cls in _CONFIG_FIELDS.items()})
 
 
 def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
@@ -331,8 +309,9 @@ def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
 
     Raises ``KeyError`` for a missing field, ``TypeError`` when
     ``design``, its ``kwargs``, ``workload`` or ``config`` is not an
-    object or ``num_references``, ``seed`` or a non-null ``num_cores`` is
-    not an integer, and ``ValueError`` when ``num_cores`` is outside
+    object, ``config`` misses or adds a field, or ``num_references``,
+    ``seed`` or a non-null ``num_cores`` is not an integer, and
+    ``ValueError`` when ``seed`` is negative or ``num_cores`` is outside
     ``1..num_references``, so a stored or submitted spec of the wrong
     shape is refused before it reaches the engine.
     """
@@ -344,6 +323,8 @@ def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
     for name in ("num_references", "seed"):
         if not isinstance(spec[name], int) or isinstance(spec[name], bool):
             raise TypeError(f"job spec field {name!r} must be an integer")
+    if spec["seed"] < 0:
+        raise ValueError(f"seed must be non-negative, got {spec['seed']}")
     cores = spec.get("num_cores")
     if cores is not None:
         if not isinstance(cores, int) or isinstance(cores, bool):
@@ -387,20 +368,11 @@ def _preload(jobs: Sequence[SweepJob]) -> None:
 
     if any(isinstance(job.workload, TraceFileWorkload) for job in jobs):
         from ..trace import frontend  # noqa: F401
-    for target in {job.design.target for job in jobs
-                   if isinstance(job.design, DesignRef)}:
+    for target in {job.design.target for job in jobs}:
         try:
             _resolve_target(target)
         except Exception:
             pass
-
-
-def _picklable(job: SweepJob) -> bool:
-    try:
-        pickle.dumps(job)
-        return True
-    except Exception:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +705,12 @@ class Submission:
     extracted so other submitters — the serve layer's job queue, ad-hoc
     tools — share the exact same semantics: one batched
     :meth:`~repro.sim.store.ResultStore.probe_many` round-trip, corrupt
-    and stale cells treated as misses (the store self-heals), inline
-    designs bypassing the store entirely.
+    and stale cells treated as misses (the store self-heals).
     """
 
     jobs: List[SweepJob]
-    #: ``cache_key()`` per job (``None`` for inline designs).
-    keys: List[Optional[str]]
+    #: ``cache_key()`` per job.
+    keys: List[str]
     #: Store hits, by job index.
     cached: Dict[int, RunResult] = field(default_factory=dict)
     #: Indices that still need simulating, in submission order.
@@ -750,22 +721,19 @@ def prepare_submission(jobs: Sequence[SweepJob],
                        store: Optional[object] = None) -> Submission:
     """Probe ``store`` for every job and split hits from pending work."""
     jobs = list(jobs)
-    submission = Submission(jobs=jobs, keys=[None] * len(jobs))
+    submission = Submission(jobs=jobs,
+                            keys=[job.cache_key() for job in jobs])
     if store is not None and jobs:
-        for i, job in enumerate(jobs):
-            submission.keys[i] = job.cache_key()
         # One batched dedup probe instead of a read per job: one indexed
         # query per shard, so a warm paper-scale sweep starts in
         # milliseconds.
-        probes = store.probe_many(
-            [k for k in submission.keys if k is not None])
+        probes = store.probe_many(submission.keys)
         for i, key in enumerate(submission.keys):
-            if key is not None:
-                status, hit = probes[key]
-                if status == CELL_OK:
-                    submission.cached[i] = hit
-                    continue
-            submission.pending.append(i)
+            status, hit = probes[key]
+            if status == CELL_OK:
+                submission.cached[i] = hit
+            else:
+                submission.pending.append(i)
     else:
         submission.pending = list(range(len(jobs)))
     return submission
@@ -832,8 +800,7 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
     # supervisor: only a process boundary can kill a hung attempt.
     if workers > 1 and (len(pending) > 1
                         or (pending and timeout is not None)):
-        for i in pending:
-            (parallel if _picklable(jobs[i]) else serial).append(i)
+        parallel = pending
     else:
         serial = pending
 
@@ -844,7 +811,7 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
     # from the missing ones.
     def finish(i: int, attempt: int, result: RunResult) -> None:
         results[i] = result
-        if store is not None and keys[i] is not None:
+        if store is not None:
             store.put(keys[i], result, job=jobs[i].spec_dict())
             if fault_plan and faults.should_corrupt(i, attempt):
                 faults.corrupt_store_cell(store, keys[i])

@@ -34,7 +34,7 @@ class IntervalCore:
 
     @property
     def time_ns(self) -> float:
-        return self.params.cycles_to_ns(self.time_cycles)
+        return self.time_cycles * self.params.cycle_ns
 
     def execute(self, instructions: int) -> None:
         """Retire ``instructions`` non-memory instructions."""
@@ -55,7 +55,7 @@ class IntervalCore:
         self.instructions += 1
         if sram_latency_cycles:
             self.time_cycles += sram_latency_cycles
-        latency_cycles = self.params.ns_to_cycles(latency_ns)
+        latency_cycles = latency_ns * self.params.frequency_ghz
         instruction_now = self.instructions
 
         # Drop misses that have fallen out of the ROB window.
@@ -72,7 +72,7 @@ class IntervalCore:
         return exposed
 
 
-def stepped_reference(system, traces, warmup_fraction=0.25, llc_cycles=14,
+def stepped_reference(system, traces, warmup_fraction=0.25,
                       name="trace") -> RunResult:
     records = [list(zip(trace.gaps.tolist(), trace.addresses.tolist(),
                         trace.is_write.tolist())) for trace in traces]
@@ -81,6 +81,7 @@ def stepped_reference(system, traces, warmup_fraction=0.25, llc_cycles=14,
                 for idx, recs in enumerate(records) if pos < len(recs)]
     warmup = int(len(schedule) * max(0.0, min(0.9, warmup_fraction)))
     cores = [IntervalCore(system.config.cores) for _ in traces]
+    llc_cycles = system.config.cores.llc_latency_cycles
     cycles_offset, instruction_offset = 0.0, 0
     for n, (idx, (gap, address, is_write)) in enumerate(schedule):
         if warmup and n == warmup:

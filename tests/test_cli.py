@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.workloads import WORKLOADS
 
@@ -75,6 +77,17 @@ def test_sweep_unknown_workload_fails(capsys):
                  "--no-store"])
     assert code == 2
     assert "unknown workload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "report"])
+def test_negative_seed_is_refused_at_parse_time(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--seed", "-1", "--no-store",
+              "--out-dir" if command == "report" else "--out",
+              str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_designs_listing(capsys):

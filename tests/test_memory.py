@@ -6,7 +6,6 @@ import pytest
 
 from repro.common import LINE_SIZE
 from repro.memory.controller import MemoryController
-from repro.memory.timing import DramTimings
 from repro.params import ddr4_params, hbm2_params
 
 
@@ -23,21 +22,35 @@ def ddr():
 # ---------------------------------------------------------------------------
 # timings
 # ---------------------------------------------------------------------------
+def row_latencies_ns(params):
+    """``(hit, empty, miss)`` array latencies in ns, as the kernels derive
+    them: column access; activate then column access; precharge, activate
+    then column access."""
+    clock_ns = params.clock_ns
+    tcas_ns = params.tcas_cycles * clock_ns
+    trcd_ns = params.trcd_cycles * clock_ns
+    trp_ns = params.trp_cycles * clock_ns
+    return tcas_ns, trcd_ns + tcas_ns, trp_ns + trcd_ns + tcas_ns
+
+
+def burst_ns(params, nbytes):
+    """Data-bus time of ``nbytes`` on one channel (two transfers/cycle)."""
+    return nbytes * (params.clock_ns / (params.bus_bits / 8 * 2))
+
+
 def test_timing_latency_ordering(hbm):
-    t = DramTimings.from_params(hbm)
-    assert t.row_hit_latency_ns() < t.row_empty_latency_ns()
-    assert t.row_empty_latency_ns() < t.row_miss_latency_ns()
+    hit, empty, miss = row_latencies_ns(hbm)
+    assert hit < empty
+    assert empty < miss
 
 
 def test_hbm_faster_and_wider_than_ddr(hbm, ddr):
-    th, td = DramTimings.from_params(hbm), DramTimings.from_params(ddr)
-    assert th.row_miss_latency_ns() < td.row_miss_latency_ns()
-    assert th.burst_ns(64) < td.burst_ns(64)
+    assert row_latencies_ns(hbm)[2] < row_latencies_ns(ddr)[2]
+    assert burst_ns(hbm, 64) < burst_ns(ddr, 64)
 
 
 def test_burst_time_scales_with_size(hbm):
-    t = DramTimings.from_params(hbm)
-    assert t.burst_ns(128) == pytest.approx(2 * t.burst_ns(64))
+    assert burst_ns(hbm, 128) == pytest.approx(2 * burst_ns(hbm, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +103,7 @@ def test_channel_bus_serialises_transfers(hbm):
     """Two banks of one channel share its data bus: the second burst
     waits for the first."""
     controller = MemoryController(hbm)
-    burst = controller.device.timings.burst_ns(LINE_SIZE)
+    burst = burst_ns(hbm, LINE_SIZE)
     first = controller.access(BANK0_ROW0, False, 0.0)
     second = controller.access(BANK1_ROW0, False, 0.0)
     assert second == first + burst
@@ -149,15 +162,13 @@ def test_row_hit_rate_reported(hbm):
 # ---------------------------------------------------------------------------
 def test_energy_model_accounting(hbm):
     controller = MemoryController(hbm)
-    model = controller.device.energy
-    assert model.rw_pj_per_bit == hbm.rw_energy_pj_per_bit
-    assert model.act_pre_pj == hbm.act_pre_energy_nj * 1000.0
+    act_pre_pj = hbm.act_pre_energy_nj * 1000.0
     controller.access(BANK0_ROW0, False, 0.0)       # activation + transfer
     controller.access(BANK0_ROW0, False, 100.0)     # row hit: transfer only
     line_pj = hbm.rw_energy_pj_per_bit * LINE_SIZE * 8
     assert controller.device.rw_energy_pj == 2 * line_pj
-    assert controller.device.act_pre_energy_pj == model.act_pre_pj
-    assert controller.energy_pj == pytest.approx(2 * line_pj + model.act_pre_pj)
+    assert controller.device.act_pre_energy_pj == act_pre_pj
+    assert controller.energy_pj == pytest.approx(2 * line_pj + act_pre_pj)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +188,8 @@ def test_controller_classifies_traffic(hbm):
 def test_controller_adds_overhead(hbm):
     """An idle device: activate, column access, one burst, plus overhead."""
     controller = MemoryController(hbm)
-    timings = controller.device.timings
     latency = controller.access(0, False, 0.0)
-    assert latency == (timings.row_empty_latency_ns() + timings.burst_ns(64)
+    assert latency == (row_latencies_ns(hbm)[1] + burst_ns(hbm, 64)
                        + MemoryController.CONTROLLER_OVERHEAD_NS)
 
 

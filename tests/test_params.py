@@ -1,5 +1,7 @@
 """Tests for the system configuration (Table 1) and scaling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common import GIB, MIB
@@ -42,8 +44,7 @@ def test_table1_timing_parameters():
 
 def test_core_params_time_conversion():
     cores = CoreParams(frequency_ghz=3.2)
-    assert cores.cycles_to_ns(3.2) == pytest.approx(1.0)
-    assert cores.ns_to_cycles(1.0) == pytest.approx(3.2)
+    assert 3.2 * cores.cycle_ns == pytest.approx(1.0)
 
 
 def test_hybrid2_params_derived_quantities():
@@ -69,7 +70,14 @@ def test_describe_mentions_all_components():
         assert key in description
 
 
-def test_llc_scales_with_system():
-    big = make_config(scale=1)
-    small = make_config(scale=256)
-    assert big.l3.size_bytes > small.l3.size_bytes
+def test_table1_sram_rows_are_the_papers():
+    for scale in (1, 256, 1024):
+        description = make_config(scale=scale).describe()
+        assert description["l1"] == "64 KB, 4-way, 1 cycle"
+        assert description["l2"] == "256 KB, 8-way, 9 cycles"
+        assert description["l3"] == "8 MB shared, 16-way, 14 cycles"
+    # The L3 latency is the one the driver charges.
+    config = make_config()
+    slower = replace(config, cores=replace(config.cores,
+                                           llc_latency_cycles=20))
+    assert slower.describe()["l3"] == "8 MB shared, 16-way, 20 cycles"

@@ -318,12 +318,12 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
     assert device.read_bytes + device.write_bytes == lines * LINE_SIZE
     assert (controller.demand_bytes + controller.background_bytes
             + controller.metadata_bytes) == controller.total_bytes
-    line_rw_pj = device.energy.rw_pj_per_bit * LINE_SIZE * 8
+    line_rw_pj = device.params.rw_energy_pj_per_bit * LINE_SIZE * 8
     activations = sum(device.activations)
     assert device.rw_energy_pj == pytest.approx(lines * line_rw_pj,
                                                 rel=1e-12)
     assert device.act_pre_energy_pj == pytest.approx(
-        activations * device.energy.act_pre_pj, rel=1e-12)
+        activations * device.params.act_pre_energy_nj * 1000.0, rel=1e-12)
     hits = sum(device.row_hits)
     assert hits + activations == lines
 

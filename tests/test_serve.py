@@ -461,12 +461,15 @@ def test_post_fuzz_never_answers_a_5xx(jobs_app, data):
         answer = body_of(response)        # every answer is a JSON document
         if method == "POST" and response.status < 300:
             # An accepted job is one the engine can run: num_cores is
-            # null or a core count the references can be split over.
+            # null or a core count the references can be split over, and
+            # the seed is one numpy's default_rng accepts.
             accepted = answer["job"]["spec"]
             cores = accepted["num_cores"]
             assert cores is None or (
                 type(cores) is int
                 and 1 <= cores <= accepted["num_references"]), text
+            assert type(accepted["seed"]) is int, text
+            assert accepted["seed"] >= 0, text
 
 
 def test_post_reproducers_answer_400(jobs_app):
@@ -486,6 +489,14 @@ def test_post_reproducers_answer_400(jobs_app):
     for cores in ("x", -3, 2000, 10 ** 12):
         bodies.append(json.dumps(dict(SHORTHAND, num_cores=cores)))
         bodies.append(json.dumps({"spec": dict(spec, num_cores=cores)}))
+    # A negative seed, which numpy's default_rng refuses.
+    bodies.append(json.dumps(dict(SHORTHAND, seed=-1)))
+    bodies.append(json.dumps({"spec": dict(spec, seed=-1)}))
+    # A config with a field the model does not have (the SRAM ``l1`` of an
+    # older layout) or without one it needs.
+    for config in (dict(spec["config"], l1={"size_bytes": 65536}),
+                   {k: v for k, v in spec["config"].items() if k != "far"}):
+        bodies.append(json.dumps({"spec": dict(spec, config=config)}))
     for text in bodies:
         response = app.handle("POST", "/v1/jobs", body=text.encode())
         assert response.status == 400, (text, body_of(response))

@@ -1,5 +1,7 @@
 """Tests for the simulation harness, metrics and experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.fm_only import FarMemoryOnly
@@ -7,12 +9,14 @@ from repro.baselines.ideal_cache import IdealCache
 from repro.core.hybrid2 import Hybrid2System
 from repro.sim import metrics
 from repro.sim.runner import ExperimentRunner
+from repro.sim.perfbench import NullMemorySystem
 from repro.sim.simulator import RunResult, simulate
 from repro.sim.tables import (class_metric_table, format_table,
                               min_max_geomean_table, per_workload_table,
                               simple_series_table)
 from repro.stats import Stats
-from repro.workloads import generate_multiprogrammed, get_workload
+from repro.workloads import (generate_multiprogrammed, generate_trace,
+                             get_workload)
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +31,21 @@ def test_simulate_produces_consistent_result(small_config):
     assert result.references > 0
     assert result.ipc > 0
     assert result.nm_service_ratio == 0.0
+
+
+def test_llc_latency_is_charged_once_per_measured_reference(small_config):
+    trace = generate_trace(get_workload("mcf"), 1200, seed=2)
+
+    def run(llc_latency_cycles):
+        cores = replace(small_config.cores,
+                        llc_latency_cycles=llc_latency_cycles)
+        config = replace(small_config, cores=cores)
+        return simulate(NullMemorySystem(config), trace)
+
+    base, slower = run(14), run(114)
+    assert slower.references == base.references == 900
+    assert slower.cycles - base.cycles == pytest.approx(
+        base.references * 100)
 
 
 def test_simulate_is_deterministic(small_config):
@@ -130,11 +149,15 @@ def test_runner_rejects_unknown_design():
         runner.sweep_designs_by_name(["NOPE"], ["mcf"])
 
 
+def hybrid2_factory(config):
+    """A module-level design factory, importable by name."""
+    return Hybrid2System(config)
+
+
 def test_runner_accepts_callable_designs(small_config):
     runner = ExperimentRunner(num_references=800, scale=1024, seed=3)
-    sweep = runner.sweep([lambda cfg: Hybrid2System(cfg)], ["mcf"],
-                         design_names=["H2"])
-    assert ("HYBRID2", "mcf") in sweep.runs or ("H2", "mcf") in sweep.runs
+    sweep = runner.sweep([hybrid2_factory], ["mcf"], design_names=["H2"])
+    assert sweep.runs[("H2", "mcf")].design == "HYBRID2"
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,28 @@ def test_fsck_reports_unrepairable_garbage(tmp_path):
     assert report.corrupt[0].quarantined_to is not None
 
 
+def test_fsck_repair_reports_a_pre_change_spec_and_keeps_scanning(tmp_path):
+    """A cell whose stored spec carries a config field the model no longer
+    has (the SRAM ``l1`` of older layouts) cannot be re-simulated; fsck
+    says so for that cell and still repairs the others."""
+    store = ResultStore(tmp_path)
+    legacy, current = make_job(), make_job(seed=4)
+    run_jobs([legacy, current], workers=1, store=store)
+    spec = legacy.spec_dict()
+    spec["config"]["l1"] = {"size_bytes": 65536, "ways": 4,
+                            "latency_cycles": 1}
+    store.put(legacy.cache_key(), store.get(legacy.cache_key()), job=spec)
+    for job in (legacy, current):
+        corrupt_store_cell(store, job.cache_key())
+    report = store.fsck(repair=True)
+    assert report.scanned == 2
+    assert [issue.key for issue in report.repaired] == [current.cache_key()]
+    [failed] = report.unrepaired_corrupt
+    assert failed.key == legacy.cache_key()
+    assert failed.error.startswith("re-simulation failed: TypeError")
+    assert "'l1'" in failed.error
+
+
 def test_put_embeds_recoverable_job_spec(tmp_path):
     store = ResultStore(tmp_path)
     job = make_job()

@@ -1,6 +1,7 @@
 """Tests for the parallel sweep engine: job hashing, design coercion and
 serial-vs-parallel equivalence."""
 
+import copy
 import pickle
 
 import pytest
@@ -9,8 +10,8 @@ from repro.baselines.dfc import DecoupledFusedCache
 from repro.core.variants import cache_only
 from repro.params import Hybrid2Params, make_config
 from repro.sim.runner import ExperimentRunner
-from repro.sim.sweep import (DesignRef, InlineDesign, SweepJob, coerce_design,
-                             run_jobs)
+from repro.sim.sweep import (DesignRef, SweepJob, coerce_design,
+                             job_from_spec, run_jobs)
 from repro.workloads import get_workload
 
 SCALE = 1024
@@ -66,10 +67,18 @@ def test_design_kwargs_distinguish_jobs():
         make_job(design=large).cache_key()
 
 
-def test_inline_design_has_no_key():
-    inline = coerce_design(lambda cfg: DecoupledFusedCache(cfg), "LAMBDA")
-    assert isinstance(inline, InlineDesign)
-    assert make_job(design=inline).cache_key() is None
+def test_job_spec_config_must_have_exactly_the_config_fields():
+    spec = make_job().spec_dict()
+    assert job_from_spec(spec).cache_key() == make_job().cache_key()
+    extra = copy.deepcopy(spec)
+    extra["config"]["l1"] = {"size_bytes": 65536, "ways": 4,
+                             "latency_cycles": 1}
+    with pytest.raises(TypeError, match="unknown config field.*'l1'"):
+        job_from_spec(extra)
+    missing = copy.deepcopy(spec)
+    del missing["config"]["near"]
+    with pytest.raises(TypeError, match="missing config field.*'near'"):
+        job_from_spec(missing)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +103,20 @@ def test_coerce_module_level_class_and_function():
     assert isinstance(ref, DesignRef)
     assert ref.target == "repro.core.variants:cache_only"
     assert pickle.loads(pickle.dumps(ref)) == ref
+
+
+def test_coerce_design_refuses_a_lambda():
+    line_size = 256
+
+    def closure(cfg):
+        return DecoupledFusedCache(cfg, line_size=line_size)
+
+    for design in (lambda cfg: DecoupledFusedCache(cfg), closure):
+        with pytest.raises(TypeError) as excinfo:
+            coerce_design(design, "INLINE")
+        message = str(excinfo.value)
+        assert "DesignRef.of" in message
+        assert "module-level factory" in message
 
 
 def test_design_ref_builds_with_kwargs(small_config):
@@ -128,19 +151,6 @@ def test_parallel_sweep_is_bit_identical_to_serial():
         assert a.stats.as_dict() == b.stats.as_dict()
     for name in serial.baselines:
         assert serial.baselines[name].cycles == parallel.baselines[name].cycles
-
-
-def test_run_jobs_mixes_inline_and_referenced_designs():
-    config = make_config(nm_gb=1, fm_gb=16, scale=SCALE)
-    jobs = [
-        make_job(design=coerce_design(lambda cfg: DecoupledFusedCache(cfg),
-                                      "LAMBDA"), config=config),
-        make_job(config=config),
-    ]
-    report = run_jobs(jobs, workers=2)
-    assert report.total == 2
-    assert report.simulated == 2
-    assert report.results[0].workload == "mcf"
 
 
 def test_design_labelled_baseline_is_not_misrouted():
