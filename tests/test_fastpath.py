@@ -53,8 +53,11 @@ def test_line_kernel_matches_controller_access(params_name):
 
 
 def test_block_kernel_matches_transfer_block():
-    for route in ("controller", "kernels"):
-        assert_matches_golden("block", route)
+    """HBM2 and DDR4 blocks, plus unaligned and partial-span blocks on a
+    3-channel map whose interleave exceeds its row."""
+    for case in ("block", "block_ddr4", "block_unaligned"):
+        for route in ("controller", "kernels"):
+            assert_matches_golden(case, route)
 
 
 def test_kernel_interleaves_with_slow_path():

@@ -1,14 +1,18 @@
 #!/usr/bin/env python
 """Regenerate the frozen DRAM-timing golden, tests/data/golden/dram_timing.json.
 
-The golden records, for four seeded schedules, every latency the memory
+The golden records, for six seeded schedules, every latency the memory
 controller returned and the controller's full state afterwards (traffic
 and energy counters, every bank's open row, readiness and event counts,
 every channel's bus occupancy):
 
 * ``line_hbm2`` / ``line_ddr4`` — 400 random line accesses of all three
   traffic classes (demand, background, metadata);
-* ``block`` — 60 random block transfers of 64 B to 4 KB on HBM2;
+* ``block`` / ``block_ddr4`` — 60 random block transfers of 64 B to
+  4 KB on HBM2 and on DDR4;
+* ``block_unaligned`` — 120 block transfers of 1 B to 4 KB starting at
+  any line, so most begin or end inside an aligned span, on a 3-channel
+  HBM2 map whose channel interleave (4 KB) exceeds its row (1 KB);
 * ``interleaved`` — 400 DDR4 line accesses, every third through
   :meth:`MemoryController.access` and the rest through a line kernel
   from :func:`repro.memory.kernels.make_kernels`, sharing one state.
@@ -29,6 +33,7 @@ latencies or state differ from the file, instead of writing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -96,6 +101,27 @@ def block_schedule(seed: int, n: int = 60) -> List[tuple]:
     return out
 
 
+def unaligned_schedule(seed: int, n: int = 120) -> List[tuple]:
+    """Like :func:`block_schedule`, with any start line and any size."""
+    rng = np.random.default_rng(seed)
+    now = 0.0
+    out = []
+    for _ in range(n):
+        address = int(rng.integers(0, 1 << 20)) * LINE_SIZE
+        nbytes = int(rng.integers(1, 4097))
+        is_write = bool(rng.random() < 0.5)
+        demand = bool(rng.random() < 0.5)
+        now += float(rng.random() * 200.0)
+        out.append((address, nbytes, is_write, now, demand))
+    return out
+
+
+#: A map no Table 1 device has: three channels (a period that is not a
+#: power of two) and a channel interleave wider than the row.
+ODD_MAP = dataclasses.replace(hbm2_params(1 << 27), channels=3,
+                              channel_interleave_bytes=4096, row_bytes=1024)
+
+
 def run_line(params, seed: int, route: str) -> dict:
     """Replay :func:`line_schedule` on a fresh controller.
 
@@ -120,14 +146,16 @@ def run_line(params, seed: int, route: str) -> dict:
     return {"latencies": latencies, "state": controller_state(controller)}
 
 
-def run_block(params, seed: int, route: str) -> dict:
+def run_block(params, seed: int, route: str,
+              schedule: Callable[[int], List[tuple]] = block_schedule
+              ) -> dict:
     controller = MemoryController(params)
     _, block_transfer = make_kernels(controller)
     transfer = (controller.transfer_block if route == "controller"
                 else block_transfer)
     latencies = [transfer(address, nbytes, is_write, now, demand)
                  for address, nbytes, is_write, now, demand
-                 in block_schedule(seed)]
+                 in schedule(seed)]
     return {"latencies": latencies, "state": controller_state(controller)}
 
 
@@ -138,6 +166,9 @@ CASES: Dict[str, Callable[[str], dict]] = {
     "line_ddr4": lambda route: run_line(ddr4_params(1 << 27), 7, route),
     "block": lambda route: run_block(hbm2_params(1 << 27), 3, route),
     "interleaved": lambda route: run_line(ddr4_params(1 << 28), 11, "mixed"),
+    "block_ddr4": lambda route: run_block(ddr4_params(1 << 27), 5, route),
+    "block_unaligned": lambda route: run_block(ODD_MAP, 13, route,
+                                               unaligned_schedule),
 }
 
 
