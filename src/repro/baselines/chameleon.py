@@ -71,13 +71,12 @@ class ChameleonGroups(MigrationSystem):
         the flat NM space); half the threshold fills the cache mode
         (:meth:`_fill_cache_mode`), the full threshold swaps the segment
         into NM.  Frames are runtime state: the step maps them inline, with
-        :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
+        :meth:`~repro.memory.device.DramDevice.locate`'s slot table.
         """
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
-        n_il, n_ch, n_banks, n_row = self.near.device.address_map
-        f_il, f_ch, f_banks, f_row = self.far.device.address_map
-        n_stride, f_stride = n_ch * n_banks, f_ch * f_banks
+        n_slots, n_period, n_span, n_stride = self.near.device.address_map
+        f_slots, f_period, f_span, f_stride = self.far.device.address_map
         seg_bytes = self.segment_bytes
         near_col = self.remap._in_near
         frame_col = self.remap._frame
@@ -108,10 +107,8 @@ class ChameleonGroups(MigrationSystem):
             off = off_col[i]
             if near_col[seg]:
                 address = frame_col[seg] * seg_bytes + off
-                rows = address // n_row
-                latency = near_line(
-                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
-                    rows // n_stride, is_write, now_ns, 0)
+                latency = near_line(n_slots[address % n_period // n_span],
+                                    address // n_stride, is_write, now_ns, 0)
                 self._last_segment = seg
                 self.requests_from_nm += 1
                 return latency
@@ -121,18 +118,14 @@ class ChameleonGroups(MigrationSystem):
                 cache_move(seg)
                 self.cache_mode_hits += 1
                 address = (seg % cache_capacity) * seg_bytes + off
-                rows = address // n_row
-                latency = near_line(
-                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
-                    rows // n_stride, is_write, now_ns, 0)
+                latency = near_line(n_slots[address % n_period // n_span],
+                                    address // n_stride, is_write, now_ns, 0)
                 note_fm(seg, now_ns)
                 self.requests_from_nm += 1
                 return latency
             address = frame_col[seg] * seg_bytes + off
-            rows = address // f_row
-            latency = far_line(
-                address // f_il % f_ch * f_banks + rows // f_ch % f_banks,
-                rows // f_stride, is_write, now_ns, 0)
+            latency = far_line(f_slots[address % f_period // f_span],
+                               address // f_stride, is_write, now_ns, 0)
             note_fm(seg, now_ns)
             return latency
 
@@ -146,8 +139,8 @@ class ChameleonGroups(MigrationSystem):
         if segment in self._cache_mode:
             return
         self.cache_mode_fills += 1
-        location = self.remap.lookup(segment)
-        self.far.transfer_block(location.frame * self.segment_bytes,
+        _, frame = self.remap.lookup(segment)
+        self.far.transfer_block(frame * self.segment_bytes,
                                 self.segment_bytes, False, now_ns, demand=False)
         self.near.transfer_block(
             (segment % self._cache_capacity) * self.segment_bytes,
@@ -157,11 +150,11 @@ class ChameleonGroups(MigrationSystem):
             victim, dirty = self._cache_mode.popitem(last=False)
             if dirty:
                 # Write the modified copy back to its far-memory home.
-                victim_home = self.remap.lookup(victim)
+                _, victim_frame = self.remap.lookup(victim)
                 self.near.transfer_block(
                     (victim % self._cache_capacity) * self.segment_bytes,
                     self.segment_bytes, False, now_ns, demand=False)
-                self.far.transfer_block(victim_home.frame * self.segment_bytes,
+                self.far.transfer_block(victim_frame * self.segment_bytes,
                                         self.segment_bytes, True, now_ns,
                                         demand=False)
 

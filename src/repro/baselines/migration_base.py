@@ -117,14 +117,13 @@ class MigrationSystem(MemorySystem):
         current home; far-memory accesses also feed the selection policy
         through the :meth:`_note_hook` closure.  The home frame is runtime
         state: the step maps it inline, with
-        :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
+        :meth:`~repro.memory.device.DramDevice.locate`'s slot table.
         Shared by MemPod and LGM; Chameleon replaces it.
         """
         near_line, _ = make_kernels(self.near)
         far_line, _ = make_kernels(self.far)
-        n_il, n_ch, n_banks, n_row = self.near.device.address_map
-        f_il, f_ch, f_banks, f_row = self.far.device.address_map
-        n_stride, f_stride = n_ch * n_banks, f_ch * f_banks
+        n_slots, n_period, n_span, n_stride = self.near.device.address_map
+        f_slots, f_period, f_span, f_stride = self.far.device.address_map
         seg_bytes = self.segment_bytes
         near_col = self.remap._in_near
         frame_col = self.remap._frame
@@ -152,16 +151,12 @@ class MigrationSystem(MemorySystem):
             off = off_col[i]
             address = frame_col[seg] * seg_bytes + off
             if near_col[seg]:
-                rows = address // n_row
-                latency += near_line(
-                    address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
-                    rows // n_stride, is_write, now_ns, 0)
+                latency += near_line(n_slots[address % n_period // n_span],
+                                     address // n_stride, is_write, now_ns, 0)
                 self.requests_from_nm += 1
             else:
-                rows = address // f_row
-                latency += far_line(
-                    address // f_il % f_ch * f_banks + rows // f_ch % f_banks,
-                    rows // f_stride, is_write, now_ns, 0)
+                latency += far_line(f_slots[address % f_period // f_span],
+                                    address // f_stride, is_write, now_ns, 0)
                 self._interval_fm_accesses += 1
                 note(seg, off)
             return latency
@@ -212,14 +207,13 @@ class MigrationSystem(MemorySystem):
         memory (LGM skips lines that are present in the LLC).  Returns False
         when no victim was available or the segment is already in NM.
         """
-        location = self.remap.lookup(segment)
-        if location.in_near:
+        in_near, fm_frame = self.remap.lookup(segment)
+        if in_near:
             return False
         victim_frame = self._select_nm_victim(protected)
         if victim_frame is None:
             return False
         victim_segment = self.remap.sector_at_nm_frame(victim_frame)
-        fm_frame = location.frame
 
         read_bytes = fm_read_bytes if fm_read_bytes is not None else self.segment_bytes
         read_bytes = max(LINE_SIZE, min(self.segment_bytes, read_bytes))

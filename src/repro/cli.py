@@ -23,7 +23,7 @@ Subcommands:
   JSON/markdown/SVG artifacts, with measured-vs-published deviation
   flags::
 
-      python -m repro report                         # all 13 benches
+      python -m repro report                         # all 14 benches
       python -m repro report --bench fig12 fig15 --workers 4
       python -m repro report --list                  # show the registry
 
@@ -329,7 +329,7 @@ def _add_report_parser(sub: argparse._SubParsersAction) -> None:
                        help="regenerate the paper-artifact gallery "
                             "(EXPERIMENTS.md + per-bench artifacts)")
     p.add_argument("--bench", nargs="+", default=None, metavar="NAME",
-                   help="bench names to (re)run (default: all 13); the "
+                   help="bench names to (re)run (default: all 14); the "
                         "gallery keeps benches whose artifacts already "
                         "exist")
     p.add_argument("--list", action="store_true",

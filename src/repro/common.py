@@ -13,7 +13,6 @@ defined here, so the conventions live in a single place:
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import importlib
 from dataclasses import dataclass
@@ -32,13 +31,6 @@ PAGE_SIZE = 4096
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-
-
-class MemoryKind(enum.Enum):
-    """Which physical memory a piece of data currently lives in."""
-
-    NEAR = "near"
-    FAR = "far"
 
 
 @dataclass(frozen=True)

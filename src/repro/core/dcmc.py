@@ -86,6 +86,9 @@ class DCMC:
         self._metadata_span = max(sector, metadata_frames * sector)
 
         self.counters = Stats()
+        #: The counters' dict: the step and the rare paths add to it
+        #: directly.
+        self._counts = self.counters._counters
 
     # ------------------------------------------------------------------
     # public properties
@@ -108,7 +111,7 @@ class DCMC:
         """
         if not self.model_metadata:
             return 0.0
-        self.counters.inc("metadata.accesses")
+        self._counts["metadata.accesses"] += 1.0
         address = (key * LINE_SIZE) % self._metadata_span
         latency = self.near.access(address, is_write, now_ns, metadata=True)
         return latency if critical else 0.0
@@ -138,12 +141,11 @@ class DCMC:
         :func:`~repro.memory.kernels.make_kernels`.  XTA misses (2) run in
         :meth:`_serve_xta_miss`.  ``system`` holds the NM-served request
         counter.  The XTA frame is runtime state: the step maps it inline,
-        with :meth:`~repro.memory.device.DramDevice.locate`'s arithmetic.
+        with :meth:`~repro.memory.device.DramDevice.locate`'s slot table.
         """
         near_line, near_block = make_kernels(self.near)
         _, far_block = make_kernels(self.far)
-        n_il, n_ch, n_banks, n_row = self.near.device.address_map
-        n_stride = n_ch * n_banks
+        n_slots, n_period, n_span, n_stride = self.near.device.address_map
         xta = self.xta
         slot_of = xta.slot_of
         valid = xta.valid
@@ -154,7 +156,7 @@ class DCMC:
         lru = xta.lru
         ticks = xta.ticks
         counter_max = xta.counter_max
-        counters = self.counters._counters
+        counters = self._counts
         note_demand_fm_access = self.policy.note_demand_fm_access
         xta_lat = self.params.xta_latency_ns
         sector_bytes = self.sector_bytes
@@ -197,10 +199,8 @@ class DCMC:
                 dirty[slot] |= bit
             counters["line.hits"] += 1.0
             address = nm_frames[slot] * sector_bytes + off_col[i]
-            rows = address // n_row
-            latency = near_line(
-                address // n_il % n_ch * n_banks + rows // n_ch % n_banks,
-                rows // n_stride, is_write, now_ns, 0)
+            latency = near_line(n_slots[address % n_period // n_span],
+                                address // n_stride, is_write, now_ns, 0)
             system.requests_from_nm += 1
             return xta_lat + latency
 
@@ -215,27 +215,26 @@ class DCMC:
         # The remap-table read is on the critical path: the sector's location
         # must be known before the data can be fetched.
         latency += self._metadata_access(sector, False, now_ns, critical=True)
-        location = self.remap.lookup(sector)
+        in_near, home = self.remap.lookup(sector)
 
         xta = self.xta
         slot = xta.victim_way(sector)
         if xta.tags[slot] >= 0:
             self._evict(slot, now_ns)
 
-        if location.in_near:
+        if in_near:
             # 2a: sector already lives in NM; link it to the XTA.
-            self.counters.inc("fills.sector_in_nm")
-            xta.allocate(slot, sector, location.frame, -1)
-            latency += self.near.access(
-                location.frame * self.sector_bytes + offset, is_write, now_ns,
-                demand=True)
+            self._counts["fills.sector_in_nm"] += 1.0
+            xta.allocate(slot, sector, home, -1)
+            latency += self.near.access(home * self.sector_bytes + offset,
+                                        is_write, now_ns, demand=True)
             return latency, True
 
         # 2b: sector lives in FM; obtain a cache frame and fetch the line.
-        self.counters.inc("fills.sector_in_fm")
+        self._counts["fills.sector_in_fm"] += 1.0
         self.policy.note_demand_fm_access(now_ns)
         frame = self._obtain_cache_frame(now_ns)
-        xta.allocate(slot, sector, frame, location.frame)
+        xta.allocate(slot, sector, frame, home)
         # Inverted remap table learns the sector's processor address now
         # (Section 3.4), so the NM allocator can always resolve this frame.
         self.remap.record_inverse_nm(frame, sector)
@@ -243,7 +242,7 @@ class DCMC:
 
         line_offset = line * self.dram_line_bytes
         latency += self.far.transfer_block(
-            location.frame * self.sector_bytes + line_offset,
+            home * self.sector_bytes + line_offset,
             self.dram_line_bytes, False, now_ns, demand=True)
         self.near.transfer_block(frame * self.sector_bytes + line_offset,
                                  self.dram_line_bytes, True, now_ns,
@@ -262,14 +261,11 @@ class DCMC:
         xta = self.xta
         if xta.fm_frames[slot] < 0:
             # Case 1: the sector already lives in NM; nothing moves.
-            self.counters.inc("evictions.nm_resident")
+            self._counts["evictions.nm_resident"] += 1.0
         else:
             verdict = self.policy.decide(
-                access_counter=xta.counters[slot],
-                competing_counters=xta.competing_counters(slot),
-                valid_lines=popcount(xta.valid[slot]),
-                dirty_lines=popcount(xta.dirty[slot]),
-                now_ns=now_ns)
+                xta.counters[slot], xta.competing_counters(slot),
+                popcount(xta.valid[slot]), popcount(xta.dirty[slot]), now_ns)
             if verdict.migrate:
                 self._migrate_sector(slot, now_ns)
             else:
@@ -307,7 +303,8 @@ class DCMC:
 
     def _migrate_sector(self, slot: int, now_ns: float) -> None:
         """Complete the sector in NM and make its frame the permanent home."""
-        self.counters.inc("migrations")
+        counts = self._counts
+        counts["migrations"] += 1.0
         xta = self.xta
         sector = xta.tags[slot]
         nm_frame = xta.nm_frames[slot]
@@ -315,7 +312,7 @@ class DCMC:
         missing = xta.full_valid_mask & ~xta.valid[slot]
         self._copy_lines(missing, self.far, old_fm_frame, self.near,
                          nm_frame, now_ns)
-        self.counters.inc("migrations.lines_fetched", popcount(missing))
+        counts["migrations.lines_fetched"] += popcount(missing)
 
         self.remap.assign_to_near(sector, nm_frame)
         self._metadata_access(sector, True, now_ns, critical=False)
@@ -326,13 +323,14 @@ class DCMC:
     def _evict_sector_to_fm(self, slot: int, now_ns: float,
                             verdict: MigrationVerdict) -> None:
         """Write dirty lines back to the sector's FM home and free the frame."""
-        self.counters.inc("evictions.to_fm")
-        self.counters.inc(f"evictions.{verdict.value}")
+        counts = self._counts
+        counts["evictions.to_fm"] += 1.0
+        counts[f"evictions.{verdict.value}"] += 1.0
         xta = self.xta
         dirty = xta.dirty[slot]
         self._copy_lines(dirty, self.near, xta.nm_frames[slot], self.far,
                          xta.fm_frames[slot], now_ns)
-        self.counters.inc("evictions.lines_written_back", popcount(dirty))
+        counts["evictions.lines_written_back"] += popcount(dirty)
         self.frames.release_to_pool(xta.nm_frames[slot])
 
     # ------------------------------------------------------------------
@@ -352,10 +350,10 @@ class DCMC:
             victim_sector = self.remap.sector_at_nm_frame(candidate)
             if victim_sector >= 0 and self.xta.probe(victim_sector) is not None:
                 # Sectors present in the DRAM cache must not be swapped out.
-                self.counters.inc("allocation.skipped_in_cache")
+                self._counts["allocation.skipped_in_cache"] += 1.0
                 continue
 
-            self.counters.inc("allocation.swaps")
+            self._counts["allocation.swaps"] += 1.0
             fm_frame, spilled = self.free_fm.pop()
             if spilled:
                 self._metadata_access(fm_frame, False, now_ns, critical=False)

@@ -95,7 +95,7 @@ class MigrationPolicy:
     # ------------------------------------------------------------------
     # decision (Figure 10)
     # ------------------------------------------------------------------
-    def decide(self, *, access_counter: int, competing_counters: Iterable[int],
+    def decide(self, access_counter: int, competing_counters: Iterable[int],
                valid_lines: int, dirty_lines: int, now_ns: float) -> MigrationVerdict:
         """Decide what to do with an FM sector being evicted from the cache."""
         self._maybe_reset(now_ns)

@@ -17,24 +17,9 @@ ablation of Figure 14 switches off.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-
-from ..common import MemoryKind
-
-
-@dataclass(frozen=True)
-class Location:
-    """Where a processor-physical sector currently lives."""
-
-    kind: MemoryKind
-    frame: int
-
-    @property
-    def in_near(self) -> bool:
-        return self.kind is MemoryKind.NEAR
 
 
 class RemapTable:
@@ -77,10 +62,11 @@ class RemapTable:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def lookup(self, sector: int) -> Location:
-        """Remap-table read: where does ``sector`` currently live?"""
-        kind = MemoryKind.NEAR if self._in_near[sector] else MemoryKind.FAR
-        return Location(kind, self._frame[sector])
+    def lookup(self, sector: int) -> Tuple[int, int]:
+        """Remap-table read: where does ``sector`` currently live?  Its
+        ``(in_near, frame)``: ``in_near`` is 1 for an NM frame, 0 for an FM
+        frame."""
+        return self._in_near[sector], self._frame[sector]
 
     def sector_at_nm_frame(self, frame: int) -> int:
         """Inverted-remap-table read: which sector is assigned to NM ``frame``

@@ -10,9 +10,11 @@ compiles its kernels once and its ``access`` / ``transfer_block``
 methods call them.  :class:`DramDevice` is the state the kernels
 advance: flat per-bank lists indexed by one integer slot
 (``channel * banks_per_channel + bank``), per-channel bus lists, and the
-traffic and energy counters.  Its :meth:`~DramDevice.locate` is the one
-definition of the address map, ``address -> (slot, row)``, which the line
-kernel takes instead of an address.  The kernels read their latencies
+traffic and energy counters.  Its slot table, built once per device, is
+the one definition of the address map, ``address -> (slot, row)``:
+:meth:`~DramDevice.locate` reads it, the line kernel takes the pair it
+gives instead of an address, and the block kernel reads it once per
+aligned span.  The kernels read their latencies
 and energies straight from the device's
 :class:`~repro.params.DramParams`.
 """

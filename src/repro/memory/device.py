@@ -4,10 +4,21 @@ A :class:`DramDevice` holds the timing state of one memory plus its
 traffic and energy counters.  Every bank has one integer *slot*,
 ``channel * banks_per_channel + bank``, and the per-bank state is a set of
 lists indexed by it; the per-channel state is a pair of lists indexed by
-the channel, which ``channel_of[slot]`` gives.  :meth:`DramDevice.locate`
-maps a device address to its ``(slot, row)``; the timing kernels
-(:mod:`repro.memory.kernels`) take that pair and compute each access's
-completion time from
+the channel, which ``channel_of[slot]`` gives.
+
+The address map is one table, built at construction: ``slot_table`` holds
+the bank slot of every ``span``-aligned span (``span`` is the gcd of the
+channel interleave and the row size, so a span's lines share a channel, a
+bank and a row) within one ``period`` of the map, the lcm of the channel
+rotation (``interleave * channels``) and the bank rotation
+(``row_bytes * channels * banks``).  An address ``a`` lives in bank slot
+``slot_table[a % period // span]`` and row ``a // row_stride``, with
+``row_stride = row_bytes * channels * banks``.  :meth:`DramDevice.locate`
+reads it for one address or a whole column, and the block kernel and the
+design steps that map a runtime frame read it inline from
+:attr:`DramDevice.address_map`.  The timing kernels
+(:mod:`repro.memory.kernels`) take a line's ``(slot, row)`` and compute
+each access's completion time from
 
 * the bank's readiness (previous command to the same bank),
 * the row-buffer state (hit / miss / empty),
@@ -21,6 +32,10 @@ fast enough for Python.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from ..common import LINE_SIZE
 from ..params import DramParams
@@ -53,22 +68,32 @@ class DramDevice:
         self.channel_of = [slot // banks for slot in range(slots)]
         self.bus_free_at_ns = [0.0] * params.channels
         self.busy_ns = [0.0] * params.channels
-        #: ``(channel_interleave_bytes, channels, banks_per_channel,
-        #: row_bytes)``: the constants of :meth:`locate`, also read by the
-        #: design steps that map a runtime address inline.
-        self.address_map = (params.channel_interleave_bytes, params.channels,
-                            banks, params.row_bytes)
+        # The channel rotates every ``interleave`` bytes, the bank every
+        # row within the channel; both repeat within ``period``.
+        interleave = params.channel_interleave_bytes
+        channels = params.channels
+        row_bytes = params.row_bytes
+        span = math.gcd(interleave, row_bytes)
+        row_stride = row_bytes * slots
+        period = math.lcm(interleave * channels, row_stride)
+        spans = np.arange(0, period, span, dtype=np.int64)
+        self._slot_array = (spans // interleave % channels * banks
+                            + spans // row_bytes // channels % banks)
+        #: ``(slot_table, period, span, row_stride)``: ``address`` lives in
+        #: slot ``slot_table[address % period // span]``, row
+        #: ``address // row_stride``.
+        self.address_map = (self._slot_array.tolist(), period, span,
+                            row_stride)
         self.reset_counters()
 
     def locate(self, address):
-        """``(slot, row)`` of ``address`` (one Python int, or an int64
-        ndarray for a whole column): the channel rotates every
-        ``channel_interleave_bytes``, the bank every row within the
-        channel."""
-        interleave, channels, banks, row_bytes = self.address_map
-        rows = address // row_bytes
-        return (address // interleave % channels * banks
-                + rows // channels % banks, rows // (channels * banks))
+        """``(slot, row)`` of ``address``, one Python int or an int64
+        ndarray for a whole column, read from the slot table."""
+        slot_table, period, span, row_stride = self.address_map
+        index = address % period // span
+        if isinstance(index, int):
+            return slot_table[index], address // row_stride
+        return self._slot_array[index], address // row_stride
 
     def reset_counters(self) -> None:
         """Zero the line, dynamic-energy (pJ) and per-bank event counters;

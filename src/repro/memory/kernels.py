@@ -18,10 +18,17 @@ fill on the block kernels; its rare events keep the controller methods.
 The line kernel takes a line's ``(slot, row)``
 (:meth:`~repro.memory.device.DramDevice.locate`) rather than its address:
 a design maps every address it knows before the run in its ``_columns``,
-and the few whose frame is runtime state inline the same arithmetic.  Per
-64 B line it classifies the row-buffer state (hit / miss / empty), waits
-for the bank, serialises the burst on the channel's data bus, and
-accounts traffic and dynamic energy.
+and the few whose frame is runtime state read the device's slot table
+inline.  Per 64 B line it classifies the row-buffer state (hit / miss /
+empty), waits for the bank, serialises the burst on the channel's data
+bus, and accounts traffic and dynamic energy.
+
+The block kernel takes an address and reads the slot table once per
+aligned span, whose lines share a bank and a row: it classifies the
+span's first line as the line kernel would and derives the rest, all
+row hits, in one straight-line sum per float chain.  The sums are as
+long as the device's span has lines, so the kernel is compiled from
+source (:data:`_BLOCK_SOURCE`) once per process and lines-per-span count.
 
 Energy is dynamic only, as in the paper's Figure 18 (refresh and static
 energy are excluded): ``rw_energy_pj_per_bit * 512`` per 64 B line and
@@ -42,8 +49,8 @@ methods its rare events (evictions, migrations, swaps) call.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Callable, Tuple
+import functools
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
 from ..common import LINE_SIZE
 
@@ -71,7 +78,8 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     ``block_transfer(address, nbytes, is_write, now_ns, demand)`` streams a
     block as consecutive line bursts, all issued at ``now_ns``, and returns
     the latency of the first line (critical word first); only that line is
-    demand traffic.
+    demand traffic.  It leaves every float and counter exactly as issuing
+    the block's lines one by one through ``line_access`` would.
     """
     device = controller.device
     params = device.params
@@ -83,11 +91,7 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     channel_of = device.channel_of
     bus_free_at = device.bus_free_at_ns
     busy_ns = device.busy_ns
-    interleave, num_channels, banks_per_channel, row_bytes = \
-        device.address_map
-    banks_stride = num_channels * banks_per_channel
-    # Lines inside one aligned span share a channel, a bank and a row.
-    span = math.gcd(interleave, row_bytes)
+    slot_table, period, span, row_stride = device.address_map
     # Row hit: column access only.  Row empty: activate, then column
     # access.  Row miss: precharge, activate, column access.  A burst is
     # one line on one channel's data bus (DDR: two transfers per cycle).
@@ -143,72 +147,54 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
             controller.metadata_bytes += LINE_SIZE
         return (completion - now_ns) + overhead_ns
 
-    def block_transfer(address: int, nbytes: int, is_write: bool,
-                       now_ns: float, demand: bool) -> float:
-        # The line body of ``line_access``, inlined, once per run of lines
-        # inside one ``span``-aligned span: those share a channel, bank and
-        # row, so after the run's first line every line is a row hit that
-        # starts when the previous one completes (the bank and the bus are
-        # both free then).  Floats are still added one line at a time in
-        # line order (the energy sums through locals), so every sum is
-        # bit-identical to issuing the lines one by one; the integer
-        # counters are bumped once per run or per block.
-        lines = max(1, nbytes // LINE_SIZE)
-        end = address + lines * LINE_SIZE
+    block_transfer = _block_binder(span // LINE_SIZE)(
+        device=device, controller=controller, slot_table=slot_table,
+        period=period, span=span, row_stride=row_stride,
+        open_rows=open_rows, ready_at=ready_at, row_hits=row_hits,
+        row_misses=row_misses, activations=activations,
+        channel_of=channel_of, bus_free_at=bus_free_at, busy_ns=busy_ns,
+        hit_ns=hit_ns, empty_ns=empty_ns, miss_ns=miss_ns,
+        burst_ns=burst_ns, line_rw_pj=line_rw_pj, act_pre_pj=act_pre_pj,
+        overhead_ns=overhead_ns)
+    return line_access, block_transfer
+
+
+#: The block kernel, as source: ``bind(**state)`` returns a
+#: ``block_transfer`` closed over one controller's state and constants.
+#: Every line of a ``span``-aligned span shares a channel, a bank and a
+#: row, so after a span's first line every line is a row hit that starts
+#: when the previous one completes (the bank and the bus are both free
+#: then).  The kernel classifies each span's first line and derives the
+#: rest: the head span (from ``address`` to the next span boundary, which
+#: also gives the critical-word latency), a loop over the whole spans, and
+#: a partial tail span.  :func:`_block_binder` fills in the three span
+#: bodies for a device whose spans hold ``{lines}`` lines.
+_BLOCK_SOURCE = """\
+def bind(device, controller, slot_table, period, span, row_stride,
+         open_rows, ready_at, row_hits, row_misses, activations,
+         channel_of, bus_free_at, busy_ns, hit_ns, empty_ns, miss_ns,
+         burst_ns, line_rw_pj, act_pre_pj, overhead_ns):
+    def block_transfer(address, nbytes, is_write, now_ns, demand):
+        lines = nbytes // LINE_SIZE or 1
         rw_pj = device.rw_energy_pj
         act_pj = device.act_pre_energy_pj
-        first = 0.0
         line_address = address
-        while line_address < end:
-            rows = line_address // row_bytes
-            slot = (line_address // interleave % num_channels
-                    * banks_per_channel + rows // num_channels
-                    % banks_per_channel)
-            row = rows // banks_stride
-            run_end = (line_address // span + 1) * span
-            if run_end > end:
-                run_end = end
-            run = -((line_address - run_end) // LINE_SIZE)
-
-            open_row = open_rows[slot]
-            if open_row == row:
-                array_latency = hit_ns
-                row_hits[slot] += run
-            else:
-                if open_row < 0:
-                    array_latency = empty_ns
-                else:
-                    array_latency = miss_ns
-                    row_misses[slot] += 1
-                activations[slot] += 1
-                act_pj += act_pre_pj
-                open_rows[slot] = row
-                row_hits[slot] += run - 1
-
-            ready = ready_at[slot]
-            if now_ns > ready:
-                ready = now_ns
-            data_ready = ready + array_latency
-            channel = channel_of[slot]
-            begin = bus_free_at[channel]
-            if data_ready > begin:
-                begin = data_ready
-            completion = begin + burst_ns
-            busy = busy_ns[channel] + burst_ns
-            rw_pj += line_rw_pj
-            if line_address == address:
-                first = (completion - now_ns) + overhead_ns
-            for _ in range(run - 1):
-                completion = completion + hit_ns + burst_ns
-                busy += burst_ns
-                rw_pj += line_rw_pj
-            bus_free_at[channel] = completion
-            busy_ns[channel] = busy
-            ready_at[slot] = completion
-            line_address += run * LINE_SIZE
+        run = -((address % span - span) // LINE_SIZE)
+        if run > lines:
+            run = lines
+{head}
+        left = lines - run
+        if left:
+            tail = line_address + run * LINE_SIZE
+            spans = left // {lines}
+            run = left - spans * {lines}
+            for line_address in range(tail, tail + spans * span, span):
+{whole}
+            if run:
+                line_address = tail + spans * span
+{partial}
         device.rw_energy_pj = rw_pj
         device.act_pre_energy_pj = act_pj
-
         if is_write:
             device.writes += lines
         else:
@@ -219,5 +205,87 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
         else:
             controller.background_bytes += lines * LINE_SIZE
         return first
+    return block_transfer
+"""
 
-    return line_access, block_transfer
+#: One span of ``{run}`` lines from ``line_address``: the first line's
+#: timing as in the line kernel, then ``{chain}`` for the rest.
+_SPAN_SOURCE = """\
+slot = slot_table[line_address % period // span]
+row = line_address // row_stride
+open_row = open_rows[slot]
+if open_row == row:
+    array_latency = hit_ns
+    row_hits[slot] += {run}
+else:
+    if open_row < 0:
+        array_latency = empty_ns
+    else:
+        array_latency = miss_ns
+        row_misses[slot] += 1
+    activations[slot] += 1
+    act_pj += act_pre_pj
+    open_rows[slot] = row
+    row_hits[slot] += {run} - 1
+ready = ready_at[slot]
+if now_ns > ready:
+    ready = now_ns
+data_ready = ready + array_latency
+channel = channel_of[slot]
+begin = bus_free_at[channel]
+if data_ready > begin:
+    begin = data_ready
+completion = begin + burst_ns{first}
+{chain}
+bus_free_at[channel] = completion
+ready_at[slot] = completion
+"""
+
+#: The rest of a partial span: its lines one loop step each.
+_LOOP_CHAIN = """\
+busy = busy_ns[channel] + burst_ns
+rw_pj += line_rw_pj
+for _ in range(run - 1):
+    completion = completion + hit_ns + burst_ns
+    busy += burst_ns
+    rw_pj += line_rw_pj
+busy_ns[channel] = busy"""
+
+
+def _indent(code: str, depth: int) -> str:
+    return "\n".join(" " * depth + line for line in code.splitlines())
+
+
+@functools.lru_cache(maxsize=None)
+def _block_binder(lines: int) -> Callable[..., BlockKernel]:
+    """``bind`` of :data:`_BLOCK_SOURCE` for spans of ``lines`` lines,
+    compiled once per process and line count.
+
+    A whole span advances its completion, bus-busy and read/write-energy
+    chains in one straight-line sum each, written out ``lines`` terms
+    long; Python adds left to right, so every float still takes one line
+    at a time, in line order, and equals issuing the lines one by one
+    through the line kernel.  The integer counters are bumped once per
+    span or per block.
+    """
+    whole_chain = (
+        "completion = completion" + " + hit_ns + burst_ns" * (lines - 1)
+        + "\nbusy_ns[channel] = busy_ns[channel]" + " + burst_ns" * lines
+        + "\nrw_pj = rw_pj" + " + line_rw_pj" * lines)
+    head_chain = (f"if run == {lines}:\n{_indent(whole_chain, 4)}\n"
+                  f"else:\n{_indent(_LOOP_CHAIN, 4)}")
+
+    def span_code(run: str, chain: str, depth: int, first: str = "") -> str:
+        return _indent(_SPAN_SOURCE.format(run=run, chain=chain,
+                                           first=first), depth)
+
+    source = _BLOCK_SOURCE.format(
+        lines=lines,
+        head=span_code("run", head_chain, 8,
+                       "\nfirst = (completion - now_ns) + overhead_ns"),
+        whole=span_code(str(lines), whole_chain, 16),
+        partial=span_code("run", _LOOP_CHAIN, 16))
+    scope: Dict[str, Any] = {"LINE_SIZE": LINE_SIZE}
+    exec(compile(source, f"<block kernel, {lines} lines per span>", "exec"),
+         scope)
+    return scope["bind"]

@@ -78,12 +78,6 @@ class DramParams:
         """Duration of one memory clock cycle in nanoseconds."""
         return 1000.0 / self.clock_mhz
 
-    @property
-    def peak_bandwidth_gbps(self) -> float:
-        """Aggregate peak bandwidth in GB/s (DDR: two transfers per cycle)."""
-        bytes_per_cycle = self.channels * (self.bus_bits / 8) * 2
-        return bytes_per_cycle * self.clock_mhz * 1e6 / 1e9
-
 
 def hbm2_params(capacity_bytes: int) -> DramParams:
     """HBM2 near memory as configured in Table 1."""

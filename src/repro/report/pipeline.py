@@ -83,13 +83,13 @@ class ReportSettings:
         return settings
 
     def describe(self) -> Dict[str, Any]:
-        """The settings block recorded in every artifact."""
+        """The settings block recorded in every artifact: what decides the
+        results, so not ``workers``, which never changes one."""
         return {
             "refs": self.refs,
             "workloads_per_class": self.per_class,
             "scale": self.scale,
             "seed": self.seed,
-            "workers": self.workers,
             "store": self.store or "(disabled)",
         }
 

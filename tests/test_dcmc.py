@@ -59,7 +59,7 @@ def test_line_miss_within_cached_sector():
     counters = dcmc.counters
     # Find a sector that lives in FM so the fill path is exercised.
     sector = next(s for s in range(dcmc.num_flat_sectors)
-                  if not dcmc.remap.lookup(s).in_near)
+                  if not dcmc.remap.lookup(s)[0])
     base = sector * dcmc.sector_bytes
     system.access(base, False, 0.0)
     assert counters.get("fills.sector_in_fm") == 1
@@ -75,7 +75,7 @@ def test_sector_in_nm_is_served_from_nm():
     _, system = make_dcmc()
     dcmc = system.dcmc
     sector = next(s for s in range(dcmc.num_flat_sectors)
-                  if dcmc.remap.lookup(s).in_near)
+                  if dcmc.remap.lookup(s)[0])
     system.access(sector * dcmc.sector_bytes, False, 0.0)
     assert dcmc.counters.get("fills.sector_in_nm") == 1
     assert system.requests_from_nm == system.requests == 1
@@ -85,7 +85,7 @@ def test_writes_set_dirty_bits():
     _, system = make_dcmc()
     dcmc = system.dcmc
     sector = next(s for s in range(dcmc.num_flat_sectors)
-                  if not dcmc.remap.lookup(s).in_near)
+                  if not dcmc.remap.lookup(s)[0])
     system.access(sector * dcmc.sector_bytes, True, 0.0)
     assert dcmc.xta.dirty[dcmc.xta.probe(sector)] == 0b1
 

@@ -27,10 +27,19 @@ def test_scale_must_be_positive():
         make_config(scale=0)
 
 
+def peak_bandwidth_gbps(params):
+    """Aggregate peak bandwidth in GB/s (DDR: two transfers per cycle)."""
+    bytes_per_cycle = params.channels * (params.bus_bits / 8) * 2
+    return bytes_per_cycle * params.clock_mhz * 1e6 / 1e9
+
+
 def test_hbm_has_higher_bandwidth_than_ddr4():
     hbm = hbm2_params(GIB)
     ddr = ddr4_params(16 * GIB)
-    assert hbm.peak_bandwidth_gbps > 4 * ddr.peak_bandwidth_gbps
+    # Table 1: 8 x 128-bit at 2 GHz against 2 x 64-bit at 1.6 GHz.
+    assert peak_bandwidth_gbps(hbm) == 512.0
+    assert peak_bandwidth_gbps(ddr) == 51.2
+    assert peak_bandwidth_gbps(hbm) > 4 * peak_bandwidth_gbps(ddr)
 
 
 def test_table1_timing_parameters():

@@ -273,7 +273,7 @@ def test_gate_trips_on_deliberate_slowdowns(monkeypatch):
 
     def scan_count_in_near(self):
         return sum(1 for sector in range(self.num_sectors)
-                   if self.lookup(sector).in_near)
+                   if self.lookup(sector)[0])
 
     monkeypatch.setattr(RemapTable, "count_in_near", scan_count_in_near)
     assert tripped("designs_small MPOD", small, before_small)

@@ -130,16 +130,16 @@ def test_flat_xta_invariants_hold_after_every_reference(refs, mode):
 def test_remap_consistency_under_random_swaps(seed, data):
     table = RemapTable(24, nm_flat_frames=list(range(100, 108)), fm_frames=16,
                        seed=seed % 97)
-    nm_sectors = [s for s in range(24) if table.lookup(s).in_near]
-    fm_sectors = [s for s in range(24) if not table.lookup(s).in_near]
+    nm_sectors = [s for s in range(24) if table.lookup(s)[0]]
+    fm_sectors = [s for s in range(24) if not table.lookup(s)[0]]
     swaps = data.draw(st.integers(0, 8))
     for _ in range(swaps):
         if not nm_sectors or not fm_sectors:
             break
         nm_sector = data.draw(st.sampled_from(nm_sectors))
         fm_sector = data.draw(st.sampled_from(fm_sectors))
-        nm_frame = table.lookup(nm_sector).frame
-        fm_frame = table.lookup(fm_sector).frame
+        _, nm_frame = table.lookup(nm_sector)
+        _, fm_frame = table.lookup(fm_sector)
         table.assign_to_near(fm_sector, nm_frame)
         table.assign_to_far(nm_sector, fm_frame)
         nm_sectors.remove(nm_sector)
@@ -169,7 +169,7 @@ def test_remap_table_invariants_under_random_operations(num_nm, num_fm,
     free_fm: list = []
     links: dict = {}                # free NM frame -> sector linked to it
     for _ in range(data.draw(st.integers(0, 24))):
-        near = [s for s in range(num_sectors) if table.lookup(s).in_near]
+        near = [s for s in range(num_sectors) if table.lookup(s)[0]]
         far = [s for s in range(num_sectors) if s not in near]
         ops = [op for op, ok in (("to_near", free_nm),
                                  ("to_far", free_fm),
@@ -181,7 +181,7 @@ def test_remap_table_invariants_under_random_operations(num_nm, num_fm,
         if op == "swap":
             a = data.draw(st.sampled_from(far))
             b = data.draw(st.sampled_from(near))
-            fm_frame, nm_frame = table.lookup(a).frame, table.lookup(b).frame
+            fm_frame, nm_frame = table.lookup(a)[1], table.lookup(b)[1]
             table.assign_to_near(a, nm_frame)
             table.assign_to_far(b, fm_frame)
         elif op == "link":
@@ -190,7 +190,7 @@ def test_remap_table_invariants_under_random_operations(num_nm, num_fm,
             table.record_inverse_nm(frame, links[frame])
         else:
             sector = data.draw(st.sampled_from(range(num_sectors)))
-            old = table.lookup(sector)
+            old_in_near, old_frame = table.lookup(sector)
             if op == "to_near":
                 frame = data.draw(st.sampled_from(free_nm))
                 table.assign_to_near(sector, frame)
@@ -199,12 +199,12 @@ def test_remap_table_invariants_under_random_operations(num_nm, num_fm,
                 frame = data.draw(st.sampled_from(free_fm))
                 table.assign_to_far(sector, frame)
                 free_fm.remove(frame)
-            if old.in_near:
-                free_nm.append(old.frame)
-                links.pop(old.frame, None)
+            if old_in_near:
+                free_nm.append(old_frame)
+                links.pop(old_frame, None)
             else:
-                free_fm.append(old.frame)
-    assert table.count_in_near() == sum(table.lookup(s).in_near
+                free_fm.append(old_frame)
+    assert table.count_in_near() == sum(table.lookup(s)[0]
                                         for s in range(num_sectors))
     assert table.check_consistency()
     assert sorted(f for f in range(num_fm)
@@ -331,20 +331,22 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
 @given(params_factory=st.sampled_from((hbm2_params, ddr4_params)),
        interleave=st.sampled_from((64, 128, 256, 1024, 4096)),
        row_bytes=st.sampled_from((1024, 2048, 8192)),
+       channels=st.sampled_from((1, 3, 4)),
        ops=st.lists(st.tuples(st.integers(0, (1 << 22) // LINE_SIZE),
                               st.integers(1, 4096), st.booleans(),
                               st.booleans(), st.floats(0.0, 80.0)),
                     min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_block_kernel_equals_its_lines_issued_one_by_one(
-        params_factory, interleave, row_bytes, ops):
-    """The block kernel classifies one line per run of same-row lines and
+        params_factory, interleave, row_bytes, channels, ops):
+    """The block kernel classifies one line per span of same-row lines and
     adds the row-hit timing for the rest; issuing every line through the
     line kernel must leave the same latency and the same state, float for
-    float, on any channel interleave and row size."""
+    float, on any channel interleave, row size and channel count (3 gives
+    an address-map period that is not a power of two)."""
     params = dataclasses.replace(params_factory(1 << 26),
                                  channel_interleave_bytes=interleave,
-                                 row_bytes=row_bytes)
+                                 row_bytes=row_bytes, channels=channels)
     by_block, by_line = MemoryController(params), MemoryController(params)
     _, block_transfer = make_kernels(by_block)
     line_access, _ = make_kernels(by_line)
@@ -371,9 +373,11 @@ def test_block_kernel_equals_its_lines_issued_one_by_one(
                           max_size=40))
 def test_locate_agrees_on_arrays_ints_and_the_bank_formula(
         params_factory, interleave, row_bytes, channels, addresses):
-    """``DramDevice.locate`` gives one ``(slot, row)`` for an int64 ndarray
-    and for each Python int, equal to the channel/bank/row split the line
-    kernel computed from the address before slots existed."""
+    """``DramDevice.locate`` reads one slot table for an int64 ndarray and
+    for each Python int, and gives the channel/bank/row split computed
+    from the address by plain arithmetic, as the kernels did before the
+    table; the table itself holds that split for every span of its
+    period."""
     params = params_factory(1 << 26)
     overrides = {"channel_interleave_bytes": interleave,
                  "row_bytes": row_bytes, "channels": channels}
@@ -391,6 +395,14 @@ def test_locate_agrees_on_arrays_ints_and_the_bank_formula(
         assert (slot, row) == (channel * banks + bank,
                                row_global // (params.channels * banks))
         assert device.channel_of[slot] == channel
+    slot_table, period, span, row_stride = device.address_map
+    assert row_stride == params.row_bytes * params.channels * banks
+    assert period % (params.channel_interleave_bytes * params.channels) == 0
+    assert period % row_stride == 0
+    assert slot_table == [
+        address // params.channel_interleave_bytes % params.channels * banks
+        + address // params.row_bytes // params.channels % banks
+        for address in range(0, period, span)]
 
 
 # ---------------------------------------------------------------------------

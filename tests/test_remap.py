@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.common import MemoryKind
-from repro.core.remap import FreeFMStack, Location, RemapTable
+from repro.core.remap import FreeFMStack, RemapTable
 
 
 @pytest.fixture
@@ -32,7 +31,7 @@ def loop_initial_mapping(num_sectors, nm_flat_frames, fm_frames, seed):
     """The per-sector loop ``RemapTable.__init__`` replaced, kept here as
     the oracle for its vectorized construction."""
     order = np.random.default_rng(seed).permutation(num_sectors)
-    kind = [MemoryKind.FAR] * num_sectors
+    in_near = [0] * num_sectors
     frame = [0] * num_sectors
     inverse_nm = {}
     inverse_fm = [-1] * fm_frames
@@ -40,14 +39,14 @@ def loop_initial_mapping(num_sectors, nm_flat_frames, fm_frames, seed):
     for i, sector in enumerate(order):
         sector = int(sector)
         if i < nm_count:
-            kind[sector] = MemoryKind.NEAR
+            in_near[sector] = 1
             frame[sector] = nm_flat_frames[i]
             inverse_nm[nm_flat_frames[i]] = sector
         else:
-            kind[sector] = MemoryKind.FAR
+            in_near[sector] = 0
             frame[sector] = i - nm_count
             inverse_fm[i - nm_count] = sector
-    return kind, frame, inverse_nm, inverse_fm
+    return in_near, frame, inverse_nm, inverse_fm
 
 
 @pytest.mark.parametrize("nm_flat_frames,fm_frames,seed", [
@@ -60,12 +59,12 @@ def test_initial_mapping_matches_the_per_sector_loop(nm_flat_frames,
                                                      fm_frames, seed):
     num_sectors = len(nm_flat_frames) + fm_frames
     table = RemapTable(num_sectors, nm_flat_frames, fm_frames, seed=seed)
-    kind, frame, inverse_nm, inverse_fm = loop_initial_mapping(
+    in_near, frame, inverse_nm, inverse_fm = loop_initial_mapping(
         num_sectors, nm_flat_frames, fm_frames, seed)
     assert ([table.lookup(s) for s in range(num_sectors)]
-            == [Location(k, f) for k, f in zip(kind, frame)])
-    assert all(type(table.lookup(s).frame) is int
-               for s in range(num_sectors))
+            == list(zip(in_near, frame)))
+    assert all(type(value) is int for s in range(num_sectors)
+               for value in table.lookup(s))
     assert table._inverse_nm == inverse_nm
     assert ([table.sector_at_nm_frame(f) for f in nm_flat_frames]
             == [inverse_nm[f] for f in nm_flat_frames])
@@ -102,41 +101,41 @@ def test_size_mismatch_rejected():
 
 
 def test_assign_to_near_updates_inverse(table):
-    sector = next(s for s in range(16) if not table.lookup(s).in_near)
+    sector = next(s for s in range(16) if not table.lookup(s)[0])
     table.assign_to_near(sector, 20)
-    assert table.lookup(sector).kind is MemoryKind.NEAR
+    assert table.lookup(sector) == (1, 20)
     assert table.sector_at_nm_frame(20) == sector
     assert table.check_consistency()
 
 
 def test_assign_to_far_updates_inverse(table):
-    sector = next(s for s in range(16) if table.lookup(s).in_near)
-    old_frame = table.lookup(sector).frame
+    sector = next(s for s in range(16) if table.lookup(s)[0])
+    _, old_frame = table.lookup(sector)
     free_fm = next(f for f in range(12) if table.sector_at_fm_frame(f) == -1) \
         if any(table.sector_at_fm_frame(f) == -1 for f in range(12)) else None
     # Swap with an arbitrary FM frame by first moving its occupant to NM.
     occupant = table.sector_at_fm_frame(0)
     table.assign_to_near(occupant, old_frame)
     table.assign_to_far(sector, 0)
-    assert not table.lookup(sector).in_near
+    assert table.lookup(sector) == (0, 0)
     assert table.sector_at_fm_frame(0) == sector
     assert table.check_consistency()
 
 
 def test_swap_roundtrip_preserves_consistency(table):
-    nm_sector = next(s for s in range(16) if table.lookup(s).in_near)
-    fm_sector = next(s for s in range(16) if not table.lookup(s).in_near)
-    nm_frame = table.lookup(nm_sector).frame
-    fm_frame = table.lookup(fm_sector).frame
+    nm_sector = next(s for s in range(16) if table.lookup(s)[0])
+    fm_sector = next(s for s in range(16) if not table.lookup(s)[0])
+    _, nm_frame = table.lookup(nm_sector)
+    _, fm_frame = table.lookup(fm_sector)
     table.assign_to_near(fm_sector, nm_frame)
     table.assign_to_far(nm_sector, fm_frame)
-    assert table.lookup(fm_sector) .frame == nm_frame
-    assert table.lookup(nm_sector).frame == fm_frame
+    assert table.lookup(fm_sector) == (1, nm_frame)
+    assert table.lookup(nm_sector) == (0, fm_frame)
     assert table.check_consistency()
 
 
 def test_record_inverse_nm_only_touches_inverse(table):
-    sector = next(s for s in range(16) if not table.lookup(s).in_near)
+    sector = next(s for s in range(16) if not table.lookup(s)[0])
     location_before = table.lookup(sector)
     table.record_inverse_nm(11, sector)
     assert table.sector_at_nm_frame(11) == sector

@@ -32,7 +32,7 @@ def homed(system, in_near):
     """The first sector whose remap-table home is (not) in NM."""
     remap = system.dcmc.remap
     return next(s for s in range(remap.num_sectors)
-                if remap.lookup(s).in_near == in_near)
+                if bool(remap.lookup(s)[0]) == in_near)
 
 
 def test_entry_defaults_are_invalid(xta):
