@@ -262,11 +262,9 @@ def _block_binder(lines: int) -> Callable[..., BlockKernel]:
     compiled once per process and line count.
 
     A whole span advances its completion, bus-busy and read/write-energy
-    chains in one straight-line sum each, written out ``lines`` terms
-    long; Python adds left to right, so every float still takes one line
-    at a time, in line order, and equals issuing the lines one by one
-    through the line kernel.  The integer counters are bumped once per
-    span or per block.
+    chains in one sum each, written out ``lines`` terms long: Python adds
+    left to right, so every float still takes one line at a time, in line
+    order.  The integer counters are bumped once per span or per block.
     """
     whole_chain = (
         "completion = completion" + " + hit_ns + burst_ns" * (lines - 1)
