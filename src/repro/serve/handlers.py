@@ -34,7 +34,8 @@ from typing import Any, Dict, Tuple
 from ..report.artifacts import load_artifact, result_from_artifact
 from ..report.registry import Table, get_bench
 from ..report.render import chart_for_table
-from ..sim.store import (CELL_CORRUPT, CELL_OK, CELL_STALE, CELL_UNREADABLE)
+from ..sim.store import (CELL_CORRUPT, CELL_OK, CELL_STALE, CELL_UNREADABLE,
+                         row_job)
 from ..workloads.catalog import MPKI_CLASSES
 from . import schemas
 from .jobqueue import JOB_QUEUED, JobSpecError
@@ -144,14 +145,13 @@ def cells(app, params, query, body) -> Response:
 
 def cell(app, params, query, body) -> Response:
     key = params["key"]
-    status, result, record = app.store.read_cell(key)
+    status, result, row = app.store.read_cell(key)
     if status == CELL_OK:
-        payload = record.payload or {}
         return json_response({
             "key": key,
             "status": status,
-            "checksum": payload.get("checksum"),
-            "job": payload.get("job"),
+            "checksum": row[1],
+            "job": row_job(row),
             "result": result.as_dict(),
             # Cells are immutable by key (the key hashes everything that
             # determines the result), so this response is cacheable with
@@ -226,7 +226,7 @@ def jobs_submit(app, params, query, body) -> Response:
                                    "is disabled")
     try:
         payload = json.loads(body.decode("utf-8")) if body else {}
-    except (UnicodeDecodeError, ValueError):
+    except (UnicodeDecodeError, ValueError, RecursionError):
         return error_response(400, "request body is not valid JSON")
     try:
         record, deduped = app.queue.submit(payload)

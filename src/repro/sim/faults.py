@@ -16,9 +16,10 @@ Modes:
   segfault/OOM-killed worker (``BrokenProcessPool`` territory).
 * ``hang`` — the attempt sleeps for ``seconds``, modelling a wedged
   worker; only a supervisor wall-clock timeout gets rid of it.
-* ``corrupt`` — the attempt completes, but the bytes persisted to the
-  result store are mangled (checksum no longer matches), modelling a torn
-  write or on-disk bit rot.  The cell's job description is left intact so
+* ``corrupt`` — the attempt completes, but the row persisted to the
+  result store is mangled (:func:`corrupt_store_cell` rewrites its result
+  text, so the checksum no longer matches), modelling a torn write or
+  on-disk bit rot.  The row's job text is left intact so
   ``python -m repro store fsck --repair`` can re-simulate it.
 
 Everything is inert (a handful of dict lookups per job) when
@@ -159,23 +160,23 @@ def should_corrupt(index: int, attempt: int) -> bool:
             and spec.fires(attempt))
 
 
-def _mangle(payload: dict) -> dict:
-    """Damage a payload document so its checksum no longer matches, while
-    keeping it parseable JSON with the job description intact."""
-    result = payload.get("result")
-    if isinstance(result, dict) and "cycles" in result:
-        result["cycles"] = float(result["cycles"]) + 1.0e9
-    else:
-        payload["checksum"] = "0" * 64
-    return payload
-
-
 def corrupt_store_cell(store, key: str) -> None:
-    """Mangle the cell stored under ``key`` through the store's own payload
-    API: the result body no longer matches the embedded checksum, but the
-    payload stays a parseable document with its job description intact —
-    exactly the damage ``fsck --repair`` can undo."""
-    payload = store.read_payload(key)
-    if payload is None:
-        raise KeyError(f"no readable payload for store key {key!r}")
-    store.write_payload(key, _mangle(payload))
+    """Damage the row stored under ``key`` so its checksum no longer
+    matches: a result text that decodes to an object with ``cycles`` is
+    rewritten with ``cycles`` off by 1e9, any other gets its checksum
+    zeroed.  The job text stays intact — exactly the damage
+    ``fsck --repair`` can undo."""
+    row = store.backend.fetch_many([key]).get(key)
+    if not isinstance(row, tuple):
+        raise KeyError(f"no readable row for store key {key!r}")
+    fmt, checksum, job, result = row
+    try:
+        body = json.loads(result)
+    except (TypeError, ValueError, RecursionError):
+        body = None
+    if isinstance(body, dict) and "cycles" in body:
+        body["cycles"] = float(body["cycles"]) + 1.0e9
+        result = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    else:
+        checksum = "0" * 64
+    store.backend.insert([(key, fmt, checksum, job, result)])

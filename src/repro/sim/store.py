@@ -2,21 +2,19 @@
 
 Every sweep cell is deterministic given its :meth:`SweepJob.cache_key`
 (design, workload spec, system configuration, trace length, seed, core
-count), so results can be cached across processes and sessions.  The store
-keeps one *payload document* per key — ``{format, key, checksum, job,
-result}`` — in a :class:`SqliteBackend`: N shard databases
-(``shard-XX.db``) under the root, rows ``cells(key PRIMARY KEY, format,
-checksum, job, result)``, WAL journaling + busy timeouts for safe
-concurrent multi-process writers, and *batched* reads/writes:
-:meth:`ResultStore.probe_many` issues one indexed query per shard instead
-of one read per cell.
+count), so results can be cached across processes and sessions.  A cell
+is one row ``cells(key PRIMARY KEY, format, checksum, job, result)`` of a
+:class:`SqliteBackend`: N shard databases (``shard-XX.db``) under the
+root, WAL journaling + busy timeouts for safe concurrent multi-process
+writers, and *batched* reads/writes: :meth:`ResultStore.probe_many`
+issues one indexed query per shard instead of one read per cell.
 
 A store is opened by a plain directory path or a ``sqlite:PATH`` URI;
 any other ``scheme:`` prefix is refused.  The ``sqlite-store.json`` marker
 written at creation records the shard count.
 
-Every payload embeds a SHA-256 checksum of its job description and result
-body, so :meth:`ResultStore.probe` distinguishes a plain *miss* from
+Every row carries a SHA-256 checksum of its job description and result
+text, so :meth:`ResultStore.probe` distinguishes a plain *miss* from
 on-disk *corruption* (torn write, bit rot, truncation) and from a cell
 that is merely *unreadable* right now (transient I/O error — never
 quarantined); corrupt cells are never served, are excluded from
@@ -43,7 +41,7 @@ from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
 from .result import RunResult
 
 #: Bump when the on-disk layout of a stored result changes.
-#: Format 2 added the embedded payload checksum and the re-simulation job
+#: Format 2 added the checksum and the re-simulation job
 #: description (format-1 cells read as ``stale`` and are re-simulated).
 STORE_FORMAT = 2
 
@@ -128,116 +126,63 @@ def _check_key(key: str) -> str:
     return key
 
 
-def _payload_checksum(job: Optional[Dict[str, Any]],
-                      result: Dict[str, Any]) -> str:
-    """Checksum covering everything that matters in a stored cell."""
-    canonical = json.dumps({"job": job, "result": result}, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _canonical(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _text_checksum(job: Optional[str], result: str) -> str:
-    """:func:`_payload_checksum` of a cell whose ``job``/``result`` are
-    already canonical JSON text: ``"job"`` sorts before ``"result"``, so
-    the canonical document is the two texts in a fixed frame."""
+    """Checksum covering everything that matters in a stored cell: the
+    canonical document ``{"job": ..., "result": ...}`` of its canonical
+    ``job``/``result`` texts, which is those texts in a fixed frame
+    (``"job"`` sorts before ``"result"``)."""
     canonical = ('{"job":' + ("null" if job is None else job)
                  + ',"result":' + result + "}")
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: A stored cell as :meth:`SqliteBackend.fetch_many` returns it: the
+#: ``cells`` columns after the key, ``(format, checksum, job text, result
+#: text)``.
+Row = Tuple[Any, Any, Any, Any]
+
+#: What a JSON decode of stored text can raise: bad text, a value that
+#: is not text at all, or nesting deeper than the decoder recurses.
+_DECODE_ERRORS = (TypeError, ValueError, RecursionError)
+
+
+def row_job(row: Union[Row, sqlite3.Error, None]) -> Optional[Dict[str, Any]]:
+    """The job description a fetched row holds, decoded; ``None`` when
+    there is no row or its job text is absent, does not decode or is not
+    an object."""
+    if not isinstance(row, tuple) or row[2] is None:
+        return None
+    try:
+        job = json.loads(row[2])
+    except _DECODE_ERRORS:
+        return None
+    return job if isinstance(job, dict) else None
+
+
 # ---------------------------------------------------------------------------
 # backend
 # ---------------------------------------------------------------------------
-#: :class:`CellRecord` dispositions (what a backend fetch yielded).
-REC_PAYLOAD = "payload"           # a payload document was read
-REC_MISS = "miss"                 # nothing stored under the key
-REC_UNREADABLE = "unreadable"     # storage-level read error; bytes unseen
-REC_UNPARSEABLE = "unparseable"   # bytes read but not a JSON object
-
-
-class CellRecord:
-    """One backend fetch: a payload document, or why there is none.
-
-    A SQLite row arrives as its stored ``columns`` — ``(format, checksum,
-    job text, result text)`` — and the payload document is decoded from
-    them only when ``payload``, ``disposition`` or ``raw`` is first read,
-    so a scan that verifies the texts directly never builds it.  Column
-    text that does not decode turns the record :data:`REC_UNPARSEABLE`
-    with that text as ``raw``.
-    """
-
-    __slots__ = ("key", "error", "columns", "_disposition", "_payload",
-                 "_raw")
-
-    def __init__(self, key: str, disposition: str,
-                 payload: Optional[Dict[str, Any]] = None,
-                 raw: Optional[str] = None, error: str = "",
-                 columns: Optional[Tuple[Any, Any, Any, Any]] = None
-                 ) -> None:
-        self.key = key
-        self.error = error
-        self.columns = columns
-        self._disposition = disposition    # one of the ``REC_*`` constants
-        self._payload = payload
-        self._raw = raw                    # original text of unparseable cells
-
-    def _decode(self) -> None:
-        if self.columns is None:
-            return
-        fmt, checksum, job, result = self.columns
-        self.columns = None
-        docs = []
-        for text in (job, result):
-            try:
-                docs.append(None if text is None else json.loads(text))
-            except ValueError:
-                # The undecodable text stands in for the cell, so it stays
-                # unparseable when it is quarantined.
-                self._disposition, self._raw = REC_UNPARSEABLE, text
-                return
-        self._payload = {"format": fmt, "key": self.key,
-                         "checksum": checksum, "job": docs[0],
-                         "result": docs[1]}
-
-    @property
-    def disposition(self) -> str:
-        self._decode()
-        return self._disposition
-
-    @property
-    def payload(self) -> Optional[Dict[str, Any]]:
-        self._decode()
-        return self._payload
-
-    @property
-    def raw(self) -> Optional[str]:
-        self._decode()
-        return self._raw
-
-
 def _chunks(items: Sequence, size: int) -> Iterator[Sequence]:
     for start in range(0, len(items), size):
         yield items[start:start + size]
 
 
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 class SqliteBackend:
-    """Raw payload-document storage: N shard SQLite databases (WAL mode)
-    under one root directory.
+    """Row storage: N shard SQLite databases (WAL mode) under one root
+    directory.
 
-    A backend moves whole payload documents (plain dicts) and never
-    interprets checksums or formats — integrity semantics live in
+    A backend moves ``cells`` rows verbatim and never interprets
+    checksums or formats — integrity semantics live in
     :class:`ResultStore`.  Cells live in ``cells(key PRIMARY KEY, format,
-    checksum, job, result, extra)``: regular payload documents are stored
-    columnar (``job`` / ``result`` as canonical JSON text, re-verified
-    against ``checksum`` on every read), while irregular payloads and raw
-    garbage land verbatim in ``extra``, so a damaged cell keeps its probe
-    status.  Quarantined cells move into a per-shard ``quarantine`` table
-    whose autoincrement id naturally uniquifies repeated quarantines of
-    one key.
+    checksum, job, result)``, ``job`` and ``result`` holding JSON text;
+    shards created by older versions hold one more column, which is
+    neither read nor written.  Quarantined cells move into a per-shard
+    ``quarantine`` table whose autoincrement id naturally uniquifies
+    repeated quarantines of one key.
 
     WAL journaling plus a generous busy timeout make concurrent
     multi-process writers safe: readers never block writers, and a writer
@@ -258,7 +203,7 @@ class SqliteBackend:
     _SCHEMA = (
         "CREATE TABLE IF NOT EXISTS cells ("
         " key TEXT PRIMARY KEY, format INTEGER, checksum TEXT,"
-        " job TEXT, result TEXT, extra TEXT)",
+        " job TEXT, result TEXT)",
         "CREATE TABLE IF NOT EXISTS quarantine ("
         " qid INTEGER PRIMARY KEY AUTOINCREMENT, key TEXT NOT NULL,"
         " payload TEXT, quarantined_at REAL)",
@@ -358,49 +303,13 @@ class SqliteBackend:
                     pass
             self._conns.clear()
 
-    # -- payload <-> row ---------------------------------------------------
-    @staticmethod
-    def _regular(key: str, payload: Dict[str, Any]) -> bool:
-        """Whether a payload maps onto the columns without loss."""
-        if set(payload) != {"format", "key", "checksum", "job", "result"}:
-            return False
-        fmt, checksum = payload["format"], payload["checksum"]
-        job, result = payload["job"], payload["result"]
-        return (payload["key"] == key
-                and isinstance(fmt, int) and not isinstance(fmt, bool)
-                and (checksum is None or isinstance(checksum, str))
-                and (job is None or isinstance(job, dict))
-                and isinstance(result, dict))
-
-    def _row_of(self, key: str, payload: Dict[str, Any]) -> tuple:
-        if self._regular(key, payload):
-            job = payload["job"]
-            return (key, payload["format"], payload["checksum"],
-                    None if job is None else _canonical(job),
-                    _canonical(payload["result"]), None)
-        return (key, None, None, None, None, _canonical(payload))
-
-    @staticmethod
-    def _record_of(key: str, fmt: Any, checksum: Any, job: Any,
-                   result: Any, extra: Any) -> CellRecord:
-        if extra is not None:
-            try:
-                payload = json.loads(extra)
-                if not isinstance(payload, dict):
-                    raise ValueError("payload is not an object")
-            except ValueError:
-                return CellRecord(key, REC_UNPARSEABLE, raw=extra)
-            return CellRecord(key, REC_PAYLOAD, payload=payload, raw=extra)
-        return CellRecord(key, REC_PAYLOAD,
-                          columns=(fmt, checksum, job, result))
-
     # -- reads -------------------------------------------------------------
-    def fetch(self, key: str) -> CellRecord:
-        return self.fetch_many([key])[key]
-
-    def fetch_many(self, keys: Sequence[str]) -> Dict[str, CellRecord]:
-        """Batched read: one :class:`CellRecord` per requested key."""
-        out: Dict[str, CellRecord] = {}
+    def fetch_many(self, keys: Sequence[str]
+                   ) -> Dict[str, Union[Row, sqlite3.Error]]:
+        """Batched read: the :data:`Row` of each stored key, or the
+        :class:`sqlite3.Error` that kept its chunk from being read.  A
+        missing key is absent from the result."""
+        out: Dict[str, Union[Row, sqlite3.Error]] = {}
         by_shard: Dict[int, List[str]] = {}
         for key in dict.fromkeys(keys):
             by_shard.setdefault(self.shard_of(key), []).append(key)
@@ -414,20 +323,14 @@ class SqliteBackend:
                     try:
                         self.select_queries += 1
                         rows = conn.execute(
-                            f"SELECT key, format, checksum, job, result, "
-                            f"extra FROM cells WHERE key IN ({marks})",
+                            f"SELECT key, format, checksum, job, result "
+                            f"FROM cells WHERE key IN ({marks})",
                             tuple(chunk)).fetchall()
                     except sqlite3.Error as exc:
-                        for key in chunk:
-                            out[key] = CellRecord(
-                                key, REC_UNREADABLE,
-                                error=f"{type(exc).__name__}: {exc}")
+                        out.update(dict.fromkeys(chunk, exc))
                         continue
                     for row in rows:
-                        out[row[0]] = self._record_of(*row)
-        for key in keys:
-            if key not in out:
-                out[key] = CellRecord(key, REC_MISS)
+                        out[row[0]] = row[1:]
         return out
 
     def all_keys(self) -> List[str]:
@@ -447,47 +350,35 @@ class SqliteBackend:
         return sorted(keys)
 
     # -- writes ------------------------------------------------------------
-    def _insert(self, rows: Sequence[tuple]) -> None:
-        """Write ``cells`` rows, one transaction per shard."""
+    def insert(self, rows: Sequence[tuple]) -> None:
+        """Write ``(key, format, checksum, job, result)`` rows verbatim
+        (last writer wins), one transaction per shard."""
         self._check_writable()
         by_shard: Dict[int, List[tuple]] = {}
         for row in rows:
-            by_shard.setdefault(self.shard_of(row[0]), []).append(row)
+            by_shard.setdefault(self.shard_of(_check_key(row[0])),
+                                []).append(row)
         with self._lock:
             for shard, shard_rows in sorted(by_shard.items()):
                 conn = self._conn(shard, create=True)
                 with conn:
                     conn.executemany(
                         "INSERT OR REPLACE INTO cells "
-                        "(key, format, checksum, job, result, extra) "
-                        "VALUES (?, ?, ?, ?, ?, ?)", shard_rows)
-
-    def store_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
-        self._insert([self._row_of(_check_key(key), payload)
-                      for key, payload in items])
-
-    def store(self, key: str, payload: Dict[str, Any]) -> None:
-        """Persist a payload document verbatim (last writer wins)."""
-        self.store_many([(key, payload)])
-
-    def store_raw(self, key: str, text: str) -> None:
-        """Persist raw text under ``key``; the text need not be valid JSON
-        (corruption tests)."""
-        self._insert([(_check_key(key), None, None, None, None, text)])
+                        "(key, format, checksum, job, result) "
+                        "VALUES (?, ?, ?, ?, ?)", shard_rows)
 
     # -- quarantine --------------------------------------------------------
     def quarantine(self, key: str) -> Optional[str]:
         """Move a cell into its shard's ``quarantine`` table, keeping its
-        bytes for post-mortems; ``None`` if the cell vanished or could
-        not be moved."""
+        columns verbatim (a JSON object of the four, texts as strings) for
+        post-mortems; ``None`` if the cell vanished or could not be
+        moved."""
         self._check_writable()
-        record = self.fetch(key)
-        if record.disposition in (REC_MISS, REC_UNREADABLE):
+        row = self.fetch_many([key]).get(key)
+        if not isinstance(row, tuple):
             return None
-        if record.raw is not None:
-            text = record.raw
-        else:
-            text = json.dumps(record.payload, sort_keys=True)
+        text = json.dumps(dict(zip(("format", "checksum", "job", "result"),
+                                   row)), sort_keys=True, default=repr)
         with self._lock:
             conn = self._conn(self.shard_of(key), create=True)
             try:
@@ -677,8 +568,9 @@ class ResultStore:
         self.backend = backend if backend is not None \
             else resolve_backend(root, read_only=read_only)
         #: Verified contents seen to hydrate: ``(checksum, length of the
-        #: result text, or None for a decoded payload)``.  Asked only once
-        #: the checksum matched the stored bytes, so it never passes damage.
+        #: result text, or None for a row that verified re-encoded)``.
+        #: Asked only once the checksum matched the stored bytes, so it
+        #: never passes damage.
         self._proven: Set[Tuple[str, Optional[int]]] = set()
         self._proven_lock = threading.Lock()
 
@@ -694,45 +586,44 @@ class ResultStore:
     # ------------------------------------------------------------------
     # mapping-ish interface
     # ------------------------------------------------------------------
-    def _classify(self, record: CellRecord, hydrate: bool = True
-                  ) -> Tuple[str, Optional[RunResult]]:
-        """Verify one fetched cell: ``(status, result)``.
+    def _classify(self, row: Union[Row, sqlite3.Error, None],
+                  hydrate: bool = True) -> Tuple[str, Optional[RunResult]]:
+        """Verify one fetched row (``None`` for a miss): ``(status,
+        result)``.
 
         With ``hydrate=False`` (store scans, which need the status only)
         the result is always ``None``, and a verified cell whose content
         already hydrated through this store is not decoded again; the
         checksum is still recomputed from the stored bytes every time.
         """
-        columns = record.columns
-        if columns is not None:
-            # Stored column texts are canonical, so the checksum verifies
-            # on them directly; only a mismatch (damage, or equal JSON in
-            # another spelling) pays for decoding and re-encoding below.
-            fmt, checksum, job, result = columns
-            if (fmt == STORE_FORMAT and isinstance(result, str)
-                    and (job is None or isinstance(job, str))
-                    and checksum == _text_checksum(job, result)):
-                # The checksum covers the framed job+result text, so the
-                # result's length pins where the frame splits: a job text
-                # that swallowed part of the result cannot borrow a proof.
-                return self._hydrated((checksum, len(result)), result,
-                                      hydrate, text=True)
-        if record.disposition == REC_MISS:
+        if row is None:
             return CELL_MISS, None
-        if record.disposition == REC_UNREADABLE:
+        if isinstance(row, sqlite3.Error):
             return CELL_UNREADABLE, None
-        if record.disposition == REC_UNPARSEABLE:
+        fmt, checksum, job, result = row
+        # Stored texts are canonical, so the checksum verifies on them
+        # directly; only a mismatch (damage, an older format, or equal
+        # JSON in another spelling) pays for decoding and re-encoding.
+        if (fmt == STORE_FORMAT and isinstance(result, str)
+                and (job is None or isinstance(job, str))
+                and checksum == _text_checksum(job, result)):
+            # The checksum covers the framed job+result text, so the
+            # result's length pins where the frame splits: a job text
+            # that swallowed part of the result cannot borrow a proof.
+            return self._hydrated((checksum, len(result)), result,
+                                  hydrate, text=True)
+        try:
+            docs = [None if text is None else json.loads(text)
+                    for text in (job, result)]
+            canonical = [_canonical(doc) for doc in docs]
+        except _DECODE_ERRORS:
             return CELL_CORRUPT, None
-        payload = record.payload
-        if payload.get("format") != STORE_FORMAT:
+        if fmt != STORE_FORMAT:
             return CELL_STALE, None
-        checksum = payload.get("checksum")
-        expected = _payload_checksum(payload.get("job"),
-                                     payload.get("result"))
-        if checksum != expected:
+        if checksum != _text_checksum(*canonical):
             return CELL_CORRUPT, None
-        return self._hydrated((checksum, None), payload.get("result"),
-                              hydrate, text=False)
+        return self._hydrated((checksum, None), docs[1], hydrate,
+                              text=False)
 
     def _hydrated(self, proof: Tuple[str, Optional[int]], body: Any,
                   hydrate: bool, text: bool
@@ -747,7 +638,7 @@ class ResultStore:
             return CELL_OK, None
         try:
             result = RunResult.from_dict(json.loads(body) if text else body)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError,) + _DECODE_ERRORS:
             return CELL_CORRUPT, None
         with self._proven_lock:
             if len(self._proven) >= _PROVEN_CAP:
@@ -763,19 +654,18 @@ class ResultStore:
         :data:`CELL_STALE` (older store format — unusable but not
         damaged), :data:`CELL_UNREADABLE` (storage-level read error — the
         bytes were never seen, so the cell is *not* treated as damaged) or
-        :data:`CELL_CORRUPT` (unreadable JSON, checksum mismatch, or a
+        :data:`CELL_CORRUPT` (undecodable JSON, checksum mismatch, or a
         body :class:`RunResult` cannot hydrate).
         """
         return self.read_cell(key)[:2]
 
-    def read_cell(self, key: str
-                  ) -> Tuple[str, Optional[RunResult], CellRecord]:
-        """:meth:`probe` plus the fetched :class:`CellRecord`, so a caller
-        that also serves a healthy cell's checksum and job description
+    def read_cell(self, key: str) -> Tuple[str, Optional[RunResult],
+                                            Union[Row, sqlite3.Error, None]]:
+        """:meth:`probe` plus the fetched row, so a caller that also
+        serves a healthy cell's checksum and job description
         (``GET /v1/cells/<key>``) reads the backend once."""
-        _check_key(key)
-        record = self.backend.fetch_many([key])[key]
-        return (*self._classify(record), record)
+        row = self.backend.fetch_many([_check_key(key)]).get(key)
+        return (*self._classify(row), row)
 
     def probe_many(self, keys: Sequence[str]
                    ) -> Dict[str, Tuple[str, Optional[RunResult]]]:
@@ -784,20 +674,21 @@ class ResultStore:
         start-up uses this, so a warm 10k-cell sweep issues a handful of
         indexed queries."""
         unique = list(dict.fromkeys(_check_key(key) for key in keys))
-        records = self.backend.fetch_many(unique)
-        return {key: self._classify(records[key]) for key in unique}
+        rows = self.backend.fetch_many(unique)
+        return {key: self._classify(rows.get(key)) for key in unique}
 
     def get(self, key: str) -> Optional[RunResult]:
         """Cached result for ``key``, or ``None`` (use :meth:`probe` to
         tell a miss from corruption)."""
         return self.probe(key)[1]
 
-    def _payload_of(self, key: str, result: RunResult,
-                    job: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        result_dict = result.as_dict()
-        return {"format": STORE_FORMAT, "key": key,
-                "checksum": _payload_checksum(job, result_dict),
-                "job": job, "result": result_dict}
+    @staticmethod
+    def _cell_row(key: str, result: RunResult,
+                  job: Optional[Dict[str, Any]]) -> tuple:
+        job_text = None if job is None else _canonical(job)
+        result_text = _canonical(result.as_dict())
+        return (key, STORE_FORMAT, _text_checksum(job_text, result_text),
+                job_text, result_text)
 
     def put(self, key: str, result: RunResult,
             job: Optional[Dict[str, Any]] = None) -> None:
@@ -806,42 +697,25 @@ class ResultStore:
         ``job`` is the optional re-simulation description
         (:meth:`~repro.sim.sweep.SweepJob.spec_dict`); when present,
         ``fsck --repair`` can rebuild and re-run the cell's job after
-        corruption.  The embedded checksum covers both blocks.
+        corruption.  The stored checksum covers both texts.
         """
-        self.backend.store(_check_key(key), self._payload_of(key, result, job))
+        self.backend.insert([self._cell_row(key, result, job)])
 
     def put_many(self, items: Sequence[Tuple[str, RunResult,
                                              Optional[Dict[str, Any]]]]
                  ) -> None:
-        """Batched :meth:`put`: one transaction per shard on SQLite."""
-        self.backend.store_many(
-            [(key, self._payload_of(_check_key(key), result, job))
-             for key, result, job in items])
-
-    # -- raw payload access (fault injection, repair) ----------------------
-    def read_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """Best-effort payload document, even when its checksum no longer
-        matches; ``None`` when the cell is missing or unparseable."""
-        return self.backend.fetch(_check_key(key)).payload
-
-    def write_payload(self, key: str, payload: Dict[str, Any]) -> None:
-        """Persist a payload document verbatim — no checksum recompute, so
-        deliberately inconsistent payloads (fault injection) stay
-        inconsistent."""
-        self.backend.store(_check_key(key), payload)
+        """Batched :meth:`put`: one transaction per shard."""
+        self.backend.insert([self._cell_row(key, result, job)
+                             for key, result, job in items])
 
     def job_spec(self, key: str) -> Optional[Dict[str, Any]]:
         """Best-effort read of a cell's re-simulation description.
 
         Works even when the checksum no longer matches (the whole point:
-        repairing a corrupt cell), but not when the payload itself is
-        unreadable.
+        repairing a corrupt cell), but not when the job text itself does
+        not decode (see :func:`row_job`).
         """
-        payload = self.read_payload(key)
-        if payload is None:
-            return None
-        spec = payload.get("job")
-        return spec if isinstance(spec, dict) else None
+        return row_job(self.backend.fetch_many([_check_key(key)]).get(key))
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
@@ -898,7 +772,7 @@ class ResultStore:
              purge_quarantine: bool = False) -> FsckReport:
         """Scan every cell; report, quarantine and optionally repair.
 
-        * Corrupt cells (verified-bad bytes: unparseable payload, checksum
+        * Corrupt cells (verified-bad bytes: undecodable text, checksum
           mismatch, bad body) are quarantined (unless ``quarantine=False``)
           and — with ``repair=True`` and an intact job description —
           re-simulated through the sweep engine and rewritten in place.

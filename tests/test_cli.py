@@ -185,7 +185,7 @@ def test_store_fsck_detects_quarantines_and_repairs(tmp_path, capsys):
     key = next(iter(ResultStore(store).keys()))
 
     def stored_text():
-        return ResultStore(store).backend.fetch(key).columns
+        return ResultStore(store).backend.fetch_many([key])[key]
 
     pristine = stored_text()
     corrupt_store_cell(ResultStore(store), key)

@@ -28,7 +28,7 @@ from repro.baselines import DESIGN_FACTORIES
 from repro.cpu.trace import Trace
 from repro.params import make_config
 from repro.sim.simulator import simulate
-from repro.workloads.catalog import WORKLOADS, get_workload
+from repro.workloads.catalog import get_workload
 from repro.workloads.synthetic import (generate_multiprogrammed,
                                        generate_trace, stream_pattern)
 
@@ -68,7 +68,7 @@ def assert_generator_golden(case):
 # ---------------------------------------------------------------------------
 # generator equivalence: the column digests the seed generator produced
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("name", [w.name for w in WORKLOADS[:6]])
+@pytest.mark.parametrize("name", ENGINE_TOOL["CATALOG_HEAD"])
 def test_generate_trace_matches_seed_generator(name):
     assert_generator_golden(name)
 
@@ -84,7 +84,7 @@ def test_generate_multiprogrammed_matches_seed_generator():
 def test_trace_golden_covers_the_generator_cases():
     assert list(TRACE_GOLDEN["generator"]) == \
         list(ENGINE_TOOL["GENERATOR_CASES"])
-    assert [w.name for w in WORKLOADS[:6]] == \
+    assert list(ENGINE_TOOL["CATALOG_HEAD"]) == \
         list(TRACE_GOLDEN["generator"])[:6]
 
 

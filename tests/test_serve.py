@@ -33,7 +33,7 @@ from repro.serve.router import Router
 from repro.sim.faults import corrupt_store_cell
 from repro.sim.simulator import RunResult
 from repro.sim.store import (STORE_FORMAT, ResultStore, SqliteBackend,
-                             _payload_checksum)
+                             _canonical, _text_checksum)
 from repro.stats import Stats
 
 REFS = 300
@@ -63,9 +63,13 @@ def sample_result(cycles=1.0):
 
 def write_verified(store, key, result):
     """Store any JSON ``result`` under ``key`` with a matching checksum."""
-    store.write_payload(key, {"format": STORE_FORMAT, "key": key,
-                              "checksum": _payload_checksum(None, result),
-                              "job": None, "result": result})
+    write_verified_text(store, key, _canonical(result))
+
+
+def write_verified_text(store, key, text):
+    """Store result ``text`` under ``key`` with a matching checksum."""
+    store.backend.insert([(key, STORE_FORMAT, _text_checksum(None, text),
+                           None, text)])
 
 
 #: Checksum-valid result bodies with a JSON array where a run result has
@@ -282,7 +286,8 @@ def test_cell_get_reads_the_backend_once(tmp_path):
             assert backend.select_queries - before == 1
             cell = body_of(response)
             assert response.status == 200 and cell["status"] == "ok"
-            assert cell["checksum"] == app.store.read_payload(key)["checksum"]
+            assert cell["checksum"] == \
+                app.store.backend.fetch_many([key])[key][1]
             assert cell["job"] == {"design": "HYBRID2"}
             before = backend.select_queries
             assert app.handle("GET", f"/v1/cells/{key}").status == 200
@@ -317,25 +322,26 @@ def test_array_result_cell_is_served_as_corrupt(tmp_path, backend, body):
 def mixed_app(tmp_path_factory):
     """A read-only app over healthy, stale and corrupt cells, among them
     checksum-valid ones whose result is an array, has stats that are one,
-    holds an integer no float holds or an infinity, or is missing."""
+    holds an integer no float holds or an infinity, is missing, or nests
+    deeper than the JSON decoder recurses."""
     root = tmp_path_factory.mktemp("mixed") / "store"
     store = ResultStore(f"sqlite:{root}")
     keys = {"ok": f"{1:064x}", "stale": f"{2:064x}", "corrupt": f"{3:064x}",
             "array": f"{4:064x}", "array_stats": f"{5:064x}",
             "huge": f"{6:064x}", "no_result": f"{7:064x}",
-            "infinite": f"{8:064x}"}
+            "infinite": f"{8:064x}", "deep": f"{9:064x}"}
     for name, key in keys.items():
         store.put(key, sample_result(cycles=float(len(name))))
-    store.write_payload(keys["stale"], {"format": -1, "result": {}})
+    store.backend.insert([(keys["stale"], -1, None, None, "{}")])
     corrupt_store_cell(store, keys["corrupt"])
     write_verified(store, keys["array"], ARRAY_RESULTS[0])
     write_verified(store, keys["array_stats"], ARRAY_RESULTS[1])
     write_verified(store, keys["huge"],
                    dict(sample_result().as_dict(), fm_traffic_bytes=10 ** 400))
     write_verified(store, keys["infinite"], INFINITE_RESULT)
-    store.write_payload(keys["no_result"], {
-        "format": STORE_FORMAT, "key": keys["no_result"],
-        "checksum": _payload_checksum(None, None)})
+    store.backend.insert([(keys["no_result"], STORE_FORMAT,
+                           _text_checksum(None, "null"), None, None)])
+    write_verified_text(store, keys["deep"], "[" * 100_000)
     store.backend.close()
     app = ServeApp(root, read_only=True,
                    artifacts_dir=tmp_path_factory.mktemp("artifacts"))
@@ -370,7 +376,8 @@ def test_get_fuzz_never_answers_an_undocumented_5xx(mixed_app, data):
     if response.status >= 500:
         # The one documented 5xx: a verified-bad cell asked for by key.
         corrupt = (keys["corrupt"], keys["array"], keys["array_stats"],
-                   keys["huge"], keys["no_result"], keys["infinite"])
+                   keys["huge"], keys["no_result"], keys["infinite"],
+                   keys["deep"])
         assert target in {f"/v1/cells/{key}" for key in corrupt}
         assert response.status == 500
         assert body_of(response) == corrupt_cell_body(name)
@@ -497,6 +504,8 @@ def test_post_reproducers_answer_400(jobs_app):
     for config in (dict(spec["config"], l1={"size_bytes": 65536}),
                    {k: v for k, v in spec["config"].items() if k != "far"}):
         bodies.append(json.dumps({"spec": dict(spec, config=config)}))
+    # JSON nested deeper than the decoder recurses, under the body limit.
+    bodies.append("[" * 100_000)
     for text in bodies:
         response = app.handle("POST", "/v1/jobs", body=text.encode())
         assert response.status == 400, (text, body_of(response))

@@ -1,6 +1,8 @@
 """Tests for the persistent result store: round-trip fidelity, cache-hit
 behaviour, resume semantics and corruption tolerance."""
 
+import json
+
 import pytest
 
 from repro.params import make_config
@@ -8,7 +10,7 @@ from repro.sim.faults import corrupt_store_cell
 from repro.sim.runner import ExperimentRunner
 from repro.sim.simulator import RunResult
 from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK, CELL_STALE,
-                             ResultStore, open_store)
+                             STORE_FORMAT, ResultStore, open_store)
 from repro.sim.sweep import SweepJob, coerce_design, run_jobs
 from repro.stats import Stats
 from repro.workloads import get_workload
@@ -57,10 +59,10 @@ def test_corrupt_and_stale_files_are_misses(tmp_path):
     store = ResultStore(tmp_path)
     key = "c" * 64
     store.put(key, sample_result())
-    store.backend.store_raw(key, "{not json")
+    store.backend.insert([(key, STORE_FORMAT, None, None, "{not json")])
     assert store.get(key) is None
-    stale = {"format": -1, "result": sample_result().as_dict()}
-    store.write_payload(key, stale)
+    stale = json.dumps(sample_result().as_dict())
+    store.backend.insert([(key, -1, None, None, stale)])
     assert store.get(key) is None
 
 
@@ -191,13 +193,15 @@ def test_probe_distinguishes_miss_stale_corrupt_ok(tmp_path):
     store.put(key, sample_result())
     status, result = store.probe(key)
     assert status == CELL_OK and result is not None
-    payload = store.read_payload(key)
-    payload["result"]["cycles"] += 1.0       # silent bit rot
-    store.write_payload(key, payload)
+    fmt, checksum, job, text = store.backend.fetch_many([key])[key]
+    body = json.loads(text)
+    body["cycles"] += 1.0                    # silent bit rot
+    store.backend.insert([(key, fmt, checksum, job,
+                           json.dumps(body, sort_keys=True))])
     assert store.probe(key) == (CELL_CORRUPT, None)
-    store.write_payload(key, {"format": -1})
+    store.backend.insert([(key, -1, None, None, None)])
     assert store.probe(key) == (CELL_STALE, None)
-    store.backend.store_raw(key, "{not json")
+    store.backend.insert([(key, STORE_FORMAT, None, None, "{not json")])
     assert store.probe(key) == (CELL_CORRUPT, None)
 
 
@@ -236,7 +240,7 @@ def test_fsck_repair_restores_bit_identical_cells(tmp_path):
     key = job.cache_key()
 
     def stored_text():
-        return store.backend.fetch(key).columns
+        return store.backend.fetch_many([key])[key]
 
     pristine = stored_text()
     corrupt_store_cell(store, key)
@@ -250,7 +254,7 @@ def test_fsck_repair_restores_bit_identical_cells(tmp_path):
 def test_fsck_reports_unrepairable_garbage(tmp_path):
     store = ResultStore(tmp_path)
     key = "e" * 64
-    store.backend.store_raw(key, "{not json")
+    store.backend.insert([(key, STORE_FORMAT, None, None, "{not json")])
     report = store.fsck(repair=True)
     assert not report.clean
     assert [issue.key for issue in report.unrepaired_corrupt] == [key]

@@ -9,6 +9,7 @@ no per-cell I/O) and multi-process concurrent writers.
 import hashlib
 import json
 import multiprocessing
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,8 @@ from repro.sim import store as store_module
 from repro.sim.faults import corrupt_store_cell
 from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK, CELL_STALE,
                              CELL_UNREADABLE, DEFAULT_SQLITE_SHARDS,
-                             REC_UNREADABLE, STORE_FORMAT, CellRecord,
-                             SQLITE_MARKER, ResultStore, SqliteBackend,
-                             _canonical, _payload_checksum, _text_checksum)
+                             STORE_FORMAT, SQLITE_MARKER, ResultStore,
+                             SqliteBackend, _canonical, _text_checksum)
 from repro.sim.simulator import RunResult
 from repro.sim.sweep import SweepJob, coerce_design, run_jobs
 from repro.stats import Stats
@@ -95,9 +95,9 @@ def test_probe_status_matrix(store):
     assert status == CELL_OK and result is not None
     corrupt_store_cell(store, key)           # silent bit rot
     assert store.probe(key) == (CELL_CORRUPT, None)
-    store.write_payload(key, {"format": -1})
+    store.backend.insert([(key, -1, None, None, None)])
     assert store.probe(key) == (CELL_STALE, None)
-    store.backend.store_raw(key, "{not json")
+    store.backend.insert([(key, STORE_FORMAT, None, None, "{not json")])
     assert store.probe(key) == (CELL_CORRUPT, None)
 
 
@@ -184,8 +184,7 @@ def test_unreadable_cells_are_never_quarantined(store):
     store.put(key, sample_result())
 
     def flaky(keys):
-        return {k: CellRecord(k, REC_UNREADABLE, error="EIO: fault")
-                for k in keys}
+        return dict.fromkeys(keys, sqlite3.OperationalError("EIO: fault"))
 
     unpatched = store.backend.fetch_many
     store.backend.fetch_many = flaky
@@ -206,13 +205,13 @@ def test_fsck_repair_restores_identical_payloads(store):
     job = make_job()
     run_jobs([job], workers=1, store=store)
     key = job.cache_key()
-    pristine = store.read_payload(key)
+    pristine = stored_row(store, key)
     corrupt_store_cell(store, key)
-    assert store.read_payload(key) != pristine
+    assert stored_row(store, key) != pristine
     report = store.fsck(repair=True)
     assert report.clean
     assert [issue.key for issue in report.repaired] == [key]
-    assert store.read_payload(key) == pristine   # deterministic re-sim
+    assert stored_row(store, key) == pristine    # deterministic re-sim
 
 
 def test_run_jobs_resumes_from_store(store):
@@ -225,33 +224,27 @@ def test_run_jobs_resumes_from_store(store):
         assert a.as_dict() == b.as_dict()
 
 
+def stored_row(store, key):
+    """The ``cells`` row stored under ``key``, as the backend reads it."""
+    return store.backend.fetch_many([key])[key]
+
+
 def insert_row(store, row):
-    """Write one ``cells`` row verbatim, bypassing the payload mapping
-    (column damage a payload document cannot express)."""
-    backend = store.backend
-    conn = backend._conn(backend.shard_of(row[0]), create=True)
-    with conn:
-        conn.execute("INSERT OR REPLACE INTO cells (key, format, checksum, "
-                     "job, result, extra) VALUES (?, ?, ?, ?, ?, ?)", row)
+    """Write one ``(key, format, checksum, job, result)`` row verbatim."""
+    store.backend.insert([row])
 
 
 # ---------------------------------------------------------------------------
 # verification on the stored text: the same verdict as decoding every cell
 # ---------------------------------------------------------------------------
 def decoded_verdict(row):
-    """Reference classification of a ``cells`` row: decode the payload
-    document, re-encode it canonically, recompute the checksum."""
-    key, fmt, checksum, job, result, extra = row
+    """Reference classification of a ``cells`` row: decode its job and
+    result texts, re-encode them canonically, recompute the checksum."""
+    key, fmt, checksum, job, result = row
     try:
-        if extra is not None:
-            payload = json.loads(extra)
-            if not isinstance(payload, dict):
-                return CELL_CORRUPT, None
-        else:
-            payload = {"format": fmt, "checksum": checksum,
-                       "job": None if job is None else json.loads(job),
-                       "result": None if result is None
-                       else json.loads(result)}
+        payload = {"format": fmt, "checksum": checksum,
+                   "job": None if job is None else json.loads(job),
+                   "result": None if result is None else json.loads(result)}
     except ValueError:
         return CELL_CORRUPT, None
     if payload.get("format") != STORE_FORMAT:
@@ -291,7 +284,7 @@ job_specs = st.one_of(
                               st.none()), max_size=4))
 DAMAGE = ("none", "flip_checksum", "format", "reformat", "truncate_job",
           "truncate_result", "garbage_job", "garbage_result", "job_null",
-          "result_null", "extra_payload", "extra_non_object")
+          "result_null")
 
 
 def reformat(text):
@@ -316,9 +309,8 @@ def row_store(tmp_path_factory):
 def test_stored_text_verdict_matches_decoding(row_store, result, job,
                                               damage, data):
     key = "5a" * 32
-    payload = row_store._payload_of(key, result, job)
-    key, fmt, checksum, job_text, result_text, extra = \
-        row_store.backend._row_of(key, payload)
+    key, fmt, checksum, job_text, result_text = \
+        row_store._cell_row(key, result, job)
     if damage == "flip_checksum":
         at = data.draw(st.integers(0, len(checksum) - 1))
         swap = data.draw(st.sampled_from(
@@ -345,24 +337,16 @@ def test_stored_text_verdict_matches_decoding(row_store, result, job,
         job_text = None
     elif damage == "result_null":
         result_text = None
-    elif damage == "extra_payload":
-        fmt = checksum = job_text = result_text = None
-        extra = json.dumps(payload, sort_keys=True)
-    elif damage == "extra_non_object":
-        fmt = checksum = job_text = result_text = None
-        extra = json.dumps(data.draw(st.one_of(
-            st.lists(st.integers(), max_size=3), st.integers(),
-            storable_text)))
     # Scan the undamaged cell first: the damaged row must get its verdict
     # from its own bytes, whatever the scan remembers of the intact one.
     row_store.put(key, result, job=job)
     assert dict(row_store.scan()) == {key: CELL_OK}
-    insert_row(row_store, (key, fmt, checksum, job_text, result_text, extra))
+    insert_row(row_store, (key, fmt, checksum, job_text, result_text))
     # The reference reads the row back: column affinity may have
     # converted a value on the way in (the text '2' becomes the integer).
     backend = row_store.backend
     stored = backend._conn(backend.shard_of(key)).execute(
-        "SELECT key, format, checksum, job, result, extra FROM cells "
+        "SELECT key, format, checksum, job, result FROM cells "
         "WHERE key = ?", (key,)).fetchone()
     expected = decoded_verdict(stored)
     status, loaded = row_store.probe(key)
@@ -376,9 +360,10 @@ def test_stored_text_verdict_matches_decoding(row_store, result, job,
 # ---------------------------------------------------------------------------
 def write_verified(store, key, result, job=None):
     """Store any JSON ``result`` under ``key`` with a matching checksum."""
-    store.write_payload(key, {"format": STORE_FORMAT, "key": key,
-                              "checksum": _payload_checksum(job, result),
-                              "job": job, "result": result})
+    job_text = None if job is None else _canonical(job)
+    text = _canonical(result)
+    insert_row(store, (key, STORE_FORMAT, _text_checksum(job_text, text),
+                       job_text, text))
 
 
 def count_decodes(monkeypatch):
@@ -395,10 +380,10 @@ def count_decodes(monkeypatch):
 
 
 def write_without_result(store, key):
-    """Store a document with no ``result`` at all; its checksum, over a
-    null job and result, still matches."""
-    store.write_payload(key, {"format": STORE_FORMAT, "key": key,
-                              "checksum": _payload_checksum(None, None)})
+    """Store a row with no result text at all; its checksum, over a null
+    job and result, still matches."""
+    insert_row(store, (key, STORE_FORMAT, _text_checksum(None, "null"),
+                       None, None))
 
 
 def ill_typed_results():
@@ -435,7 +420,7 @@ def test_ill_typed_result_column_text_is_corrupt(tmp_path):
     key = synthetic_key(1)
     for text in map(_canonical, ill_typed_results()):
         insert_row(store, (key, STORE_FORMAT, _text_checksum(None, text),
-                           None, text, None))
+                           None, text))
         assert store.probe(key) == (CELL_CORRUPT, None)
         assert dict(store.scan()) == {key: CELL_CORRUPT}
 
@@ -481,16 +466,90 @@ def test_a_moved_frame_split_cannot_borrow_a_proof(tmp_path):
     result.stats.inc("result", 2.0)
     store.put(key, result, job={"seed": 1})
     assert dict(store.scan()) == {key: CELL_OK}
-    backend = store.backend
-    _, fmt, checksum, job, text, _ = backend._conn(backend.shard_of(key)) \
-        .execute("SELECT * FROM cells").fetchone()
+    fmt, checksum, job, text = stored_row(store, key)
     cut = text.index(',"result":')
     job, text = (job + ',"result":' + text[:cut],
                  text[cut + len(',"result":'):])
     assert _text_checksum(job, text) == checksum
-    insert_row(store, (key, fmt, checksum, job, text, None))
+    insert_row(store, (key, fmt, checksum, job, text))
     assert store.probe(key) == (CELL_CORRUPT, None)
     assert dict(store.scan()) == {key: CELL_CORRUPT}
+
+
+#: JSON text nested deeper than the decoder recurses.
+DEEP = "[" * 100_000
+
+
+def test_deeply_nested_rows_are_corrupt_and_unrepairable(store):
+    """A result text nested past the decoder's recursion limit reads
+    corrupt whether its checksum matches or not; with a job text nested
+    as deep (or none) the cell cannot be re-simulated."""
+    healthy = synthetic_key(0)
+    store.put(healthy, sample_result(), job={"seed": 1})
+    deep = [synthetic_key(1), synthetic_key(2), synthetic_key(3)]
+    insert_row(store, (deep[0], STORE_FORMAT, _text_checksum(None, DEEP),
+                       None, DEEP))
+    insert_row(store, (deep[1], STORE_FORMAT, "0" * 64, DEEP, DEEP))
+    insert_row(store, (deep[2], STORE_FORMAT, _text_checksum(DEEP, "{}"),
+                       DEEP, "{}"))
+    for key in deep:
+        assert store.probe(key) == (CELL_CORRUPT, None)
+        assert store.job_spec(key) is None
+    assert {key: status for key, (status, _)
+            in store.probe_many([healthy] + deep).items()} == \
+        {healthy: CELL_OK, **dict.fromkeys(deep, CELL_CORRUPT)}
+    summary = store.stats_dict()
+    assert (summary["ok"], summary["corrupt"]) == (1, 3)
+    report = store.fsck(repair=True)
+    assert not report.clean and report.ok == 1
+    assert sorted(issue.key for issue in report.unrepaired_corrupt) == deep
+    assert all(issue.quarantined_to is not None
+               and "no readable job description" in issue.error
+               for issue in report.corrupt)
+    assert store.quarantine_stats()[0] == 3
+    assert list(store.keys()) == [healthy]
+
+
+#: The ``cells`` table of stores written before the row was the only cell
+#: format: it has one more column, ``extra``.
+PARENT_CELLS_DDL = ("CREATE TABLE cells (key TEXT PRIMARY KEY, format "
+                    "INTEGER, checksum TEXT, job TEXT, result TEXT, "
+                    "extra TEXT)")
+
+
+def test_a_shard_with_the_older_layout_still_works(tmp_path):
+    root = tmp_path / "store"
+    root.mkdir()
+    (root / SQLITE_MARKER).write_text(json.dumps(
+        {"backend": "sqlite", "version": 1,
+         "shards": DEFAULT_SQLITE_SHARDS}, sort_keys=True) + "\n")
+    healthy, added, leftover = (synthetic_key(i) for i in (1, 2, 3))
+    row = ResultStore._cell_row(healthy, sample_result(), {"seed": 1})
+    backend = SqliteBackend(root)
+    conn = sqlite3.connect(backend.location(healthy))
+    with conn:
+        conn.execute(PARENT_CELLS_DDL)
+        conn.execute("INSERT INTO cells VALUES (?, ?, ?, ?, ?, NULL)", row)
+    conn.close()
+    store = ResultStore(root)
+    assert store.get(healthy).as_dict() == sample_result().as_dict()
+    assert store.job_spec(healthy) == {"seed": 1}
+    store.put(added, sample_result(cycles=7.0))
+    assert store.get(added).cycles == 7.0
+    report = store.fsck()
+    assert report.clean and (report.scanned, report.ok) == (2, 2)
+    # A row that holds its cell only in ``extra`` reads stale, is never
+    # served and is not quarantined.
+    conn = store.backend._conn(store.backend.shard_of(leftover))
+    with conn:
+        conn.execute("INSERT INTO cells (key, extra) VALUES (?, ?)",
+                     (leftover, json.dumps({"format": STORE_FORMAT})))
+    assert store.probe(leftover) == (CELL_STALE, None)
+    assert list(store.keys()) == [healthy, added]
+    report = store.fsck()
+    assert report.clean and [issue.key for issue in report.stale] == \
+        [leftover]
+    assert store.quarantine_stats() == (0, 0)
 
 
 def test_the_scan_memo_is_capped(store, monkeypatch):

@@ -31,6 +31,10 @@ columnar ones and agreed with them:
   the checked-in trace files ``stream8.tsv`` and ``mixed4.csv``
   (1,200 references, seed 1).
 
+Every workload is a literal :class:`WorkloadSpec` in this file
+(:data:`SPECS`), the catalog entry as it stood when the goldens were
+recorded, so editing the catalog moves no golden cell.
+
 ``tests/test_engine_equivalence.py`` and ``tests/test_trace_workload.py``
 recompute both files and compare every counter and digest with ``==``;
 floats round-trip exactly through JSON.  Regenerate the files only on
@@ -63,7 +67,6 @@ from repro.baselines import (DESIGN_FACTORIES, DecoupledFusedCache,
 from repro.core.variants import BREAKDOWN_VARIANTS
 from repro.params import make_config
 from repro.sim.simulator import simulate
-from repro.workloads.catalog import WORKLOADS as CATALOG, get_workload
 from repro.workloads.synthetic import (WorkloadSpec, generate_multiprogrammed,
                                        generate_trace)
 from repro.workloads.tracefile import TraceFileWorkload
@@ -74,8 +77,37 @@ TRACES_NAME = "engine_traces.json"
 CORPUS = ROOT / "tests" / "data" / "traces"
 CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
 REFS = 2500
+
+
+def frozen_spec(name: str, suite: str, mpki_class: str, mpki: float,
+                footprint_gb: float, region_coverage: float,
+                hot_fraction: float, hot_access_fraction: float,
+                write_fraction: float) -> WorkloadSpec:
+    """A catalog spec with every field spelled out, defaults included."""
+    return WorkloadSpec(
+        name=name, suite=suite, mpki_class=mpki_class, mpki=mpki,
+        footprint_gb=footprint_gb, region_coverage=region_coverage,
+        region_bytes=4096, hot_fraction=hot_fraction,
+        hot_access_fraction=hot_access_fraction, hot_region_cap=16,
+        write_fraction=write_fraction, streaming=False)
+
+
+#: Every catalog workload the goldens run, frozen as recorded.
+SPECS = {spec.name: spec for spec in (
+    frozen_spec("cg.D", "NAS", "high", 90.6, 7.8, 0.45, 0.08, 0.85, 0.25),
+    frozen_spec("sp.D", "NAS", "high", 30.1, 11.2, 0.9, 0.12, 0.8, 0.35),
+    frozen_spec("bt.D", "NAS", "high", 30.1, 10.7, 0.9, 0.12, 0.8, 0.35),
+    frozen_spec("fotonik3d", "SPEC", "high", 28.1, 6.4, 0.95, 0.1, 0.8, 0.3),
+    frozen_spec("lbm", "SPEC", "high", 27.4, 3.1, 0.95, 0.15, 0.8, 0.45),
+    frozen_spec("bwaves", "SPEC", "high", 26.8, 3.3, 0.92, 0.15, 0.8, 0.3),
+    frozen_spec("mcf", "SPEC", "high", 25.8, 0.1, 0.15, 0.1, 0.8, 0.25),
+    frozen_spec("omnetpp", "SPEC", "medium", 9.8, 1.5, 0.1, 0.08, 0.85,
+                0.3),
+)}
 WORKLOADS = ("mcf", "cg.D", "omnetpp", "lbm")
 SEEDS = (2, 11)
+#: The first six catalog entries, the generator cases' workloads.
+CATALOG_HEAD = ("cg.D", "sp.D", "bt.D", "fotonik3d", "lbm", "bwaves")
 
 #: Configurations outside the catalog, by the name each system reports.
 EXTRA_FACTORIES = {
@@ -107,7 +139,7 @@ def cells() -> List[tuple]:
 
 def run_cell(design: str, workload: str, seed: int) -> dict:
     system = FACTORIES[design](CONFIG)
-    return simulate(system, get_workload(workload), num_references=REFS,
+    return simulate(system, SPECS[workload], num_references=REFS,
                     seed=seed).as_dict()
 
 
@@ -120,12 +152,12 @@ def build() -> Dict[str, dict]:
 STREAM_SPEC = WorkloadSpec(name="stream", suite="SPEC", mpki_class="high",
                            mpki=30.0, footprint_gb=4.0, streaming=True)
 GENERATOR_CASES: Dict[str, Callable[[], list]] = {
-    **{spec.name: (lambda spec=spec: [generate_trace(
+    **{name: (lambda spec=SPECS[name]: [generate_trace(
         spec, 700, seed=5, core_id=3, base_address=1 << 22)])
-       for spec in CATALOG[:6]},
+       for name in CATALOG_HEAD},
     "stream": lambda: [generate_trace(STREAM_SPEC, 600, seed=2)],
     "multiprogrammed/mcf": lambda: generate_multiprogrammed(
-        get_workload("mcf"), 200, num_cores=4, seed=3),
+        SPECS["mcf"], 200, num_cores=4, seed=3),
 }
 #: Trace column -> the dtype its bytes are hashed in (fixed byte order).
 TRACE_COLUMNS = {"gaps": "<i8", "addresses": "<i8", "is_write": "|b1",
