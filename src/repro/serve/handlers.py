@@ -34,8 +34,7 @@ from typing import Any, Dict, Tuple
 from ..report.artifacts import load_artifact, result_from_artifact
 from ..report.registry import Table, get_bench
 from ..report.render import chart_for_table
-from ..sim.store import (CELL_CORRUPT, CELL_OK, CELL_STALE, CELL_UNREADABLE,
-                         row_job)
+from ..sim.store import CELL_CORRUPT, CELL_OK, CELL_STALE, CELL_UNREADABLE
 from ..workloads.catalog import MPKI_CLASSES
 from . import schemas
 from .jobqueue import JOB_QUEUED, JobSpecError
@@ -145,13 +144,13 @@ def cells(app, params, query, body) -> Response:
 
 def cell(app, params, query, body) -> Response:
     key = params["key"]
-    status, result, row = app.store.read_cell(key)
+    status, result, checksum, job = app.store.read_cell(key)
     if status == CELL_OK:
         return json_response({
             "key": key,
             "status": status,
-            "checksum": row[1],
-            "job": row_job(row),
+            "checksum": checksum,
+            "job": job,
             "result": result.as_dict(),
             # Cells are immutable by key (the key hashes everything that
             # determines the result), so this response is cacheable with

@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+from .store import _DECODE_ERRORS, _canonical
+
 #: Environment variable carrying the JSON fault plan.
 ENV_VAR = "REPRO_FAULTS"
 
@@ -172,11 +174,11 @@ def corrupt_store_cell(store, key: str) -> None:
     fmt, checksum, job, result = row
     try:
         body = json.loads(result)
-    except (TypeError, ValueError, RecursionError):
+    except _DECODE_ERRORS:
         body = None
     if isinstance(body, dict) and "cycles" in body:
         body["cycles"] = float(body["cycles"]) + 1.0e9
-        result = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        result = _canonical(body)
     else:
         checksum = "0" * 64
     store.backend.insert([(key, fmt, checksum, job, result)])

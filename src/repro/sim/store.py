@@ -150,19 +150,6 @@ Row = Tuple[Any, Any, Any, Any]
 _DECODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 
-def row_job(row: Union[Row, sqlite3.Error, None]) -> Optional[Dict[str, Any]]:
-    """The job description a fetched row holds, decoded; ``None`` when
-    there is no row or its job text is absent, does not decode or is not
-    an object."""
-    if not isinstance(row, tuple) or row[2] is None:
-        return None
-    try:
-        job = json.loads(row[2])
-    except _DECODE_ERRORS:
-        return None
-    return job if isinstance(job, dict) else None
-
-
 # ---------------------------------------------------------------------------
 # backend
 # ---------------------------------------------------------------------------
@@ -587,64 +574,58 @@ class ResultStore:
     # mapping-ish interface
     # ------------------------------------------------------------------
     def _classify(self, row: Union[Row, sqlite3.Error, None],
-                  hydrate: bool = True) -> Tuple[str, Optional[RunResult]]:
+                  hydrate: bool = True
+                  ) -> Tuple[str, Optional[RunResult], Any]:
         """Verify one fetched row (``None`` for a miss): ``(status,
-        result)``.
+        result, job)``, ``job`` being the decoded job text of a hydrated
+        healthy cell.
 
         With ``hydrate=False`` (store scans, which need the status only)
-        the result is always ``None``, and a verified cell whose content
-        already hydrated through this store is not decoded again; the
-        checksum is still recomputed from the stored bytes every time.
+        the result and job are always ``None``, and a verified cell whose
+        content already hydrated through this store is not decoded again;
+        the checksum is still recomputed from the stored bytes every time.
         """
         if row is None:
-            return CELL_MISS, None
+            return CELL_MISS, None, None
         if isinstance(row, sqlite3.Error):
-            return CELL_UNREADABLE, None
+            return CELL_UNREADABLE, None, None
         fmt, checksum, job, result = row
         # Stored texts are canonical, so the checksum verifies on them
         # directly; only a mismatch (damage, an older format, or equal
-        # JSON in another spelling) pays for decoding and re-encoding.
-        if (fmt == STORE_FORMAT and isinstance(result, str)
-                and (job is None or isinstance(job, str))
-                and checksum == _text_checksum(job, result)):
-            # The checksum covers the framed job+result text, so the
-            # result's length pins where the frame splits: a job text
-            # that swallowed part of the result cannot borrow a proof.
-            return self._hydrated((checksum, len(result)), result,
-                                  hydrate, text=True)
+        # JSON in another spelling) pays for re-encoding.
+        verified = (fmt == STORE_FORMAT and isinstance(result, str)
+                    and (job is None or isinstance(job, str))
+                    and checksum == _text_checksum(job, result))
+        # The checksum covers the framed job+result text, so the result's
+        # length pins where the frame splits: a job text that swallowed
+        # part of the result cannot borrow a proof.
+        proof = (checksum, len(result) if verified else None)
+        if verified and not hydrate and proof in self._proven:
+            return CELL_OK, None, None
         try:
             docs = [None if text is None else json.loads(text)
                     for text in (job, result)]
-            canonical = [_canonical(doc) for doc in docs]
+            canonical = None if verified else [_canonical(d) for d in docs]
         except _DECODE_ERRORS:
-            return CELL_CORRUPT, None
-        if fmt != STORE_FORMAT:
-            return CELL_STALE, None
-        if checksum != _text_checksum(*canonical):
-            return CELL_CORRUPT, None
-        return self._hydrated((checksum, None), docs[1], hydrate,
-                              text=False)
-
-    def _hydrated(self, proof: Tuple[str, Optional[int]], body: Any,
-                  hydrate: bool, text: bool
-                  ) -> Tuple[str, Optional[RunResult]]:
-        """Status of a checksum-verified result ``body`` (its JSON text
-        when ``text``), with the :class:`RunResult` when ``hydrate``.
-
-        Without ``hydrate`` a ``proof`` already seen to hydrate is not
-        decoded again.
-        """
-        if not hydrate and proof in self._proven:
-            return CELL_OK, None
+            return CELL_CORRUPT, None, None
+        if not verified:
+            if fmt != STORE_FORMAT:
+                return CELL_STALE, None, None
+            if checksum != _text_checksum(*canonical):
+                return CELL_CORRUPT, None, None
+            if not hydrate and proof in self._proven:
+                return CELL_OK, None, None
         try:
-            result = RunResult.from_dict(json.loads(body) if text else body)
+            loaded = RunResult.from_dict(docs[1])
         except (KeyError,) + _DECODE_ERRORS:
-            return CELL_CORRUPT, None
+            return CELL_CORRUPT, None, None
         with self._proven_lock:
             if len(self._proven) >= _PROVEN_CAP:
                 self._proven.pop()
             self._proven.add(proof)
-        return CELL_OK, result if hydrate else None
+        if not hydrate:
+            return CELL_OK, None, None
+        return CELL_OK, loaded, docs[0]
 
     def probe(self, key: str) -> Tuple[str, Optional[RunResult]]:
         """Load ``key`` distinguishing *miss* from *corruption*.
@@ -660,12 +641,18 @@ class ResultStore:
         return self.read_cell(key)[:2]
 
     def read_cell(self, key: str) -> Tuple[str, Optional[RunResult],
-                                            Union[Row, sqlite3.Error, None]]:
-        """:meth:`probe` plus the fetched row, so a caller that also
-        serves a healthy cell's checksum and job description
-        (``GET /v1/cells/<key>``) reads the backend once."""
+                                            Optional[str],
+                                            Optional[Dict[str, Any]]]:
+        """:meth:`probe` plus a healthy cell's checksum and job
+        description (``None`` unless the job is an object), so a caller
+        that serves all three (``GET /v1/cells/<key>``) reads the backend
+        once."""
         row = self.backend.fetch_many([_check_key(key)]).get(key)
-        return (*self._classify(row), row)
+        status, result, job = self._classify(row)
+        if status != CELL_OK:
+            return status, None, None, None
+        return (status, result, row[1],
+                job if isinstance(job, dict) else None)
 
     def probe_many(self, keys: Sequence[str]
                    ) -> Dict[str, Tuple[str, Optional[RunResult]]]:
@@ -675,7 +662,7 @@ class ResultStore:
         indexed queries."""
         unique = list(dict.fromkeys(_check_key(key) for key in keys))
         rows = self.backend.fetch_many(unique)
-        return {key: self._classify(rows.get(key)) for key in unique}
+        return {key: self._classify(rows.get(key))[:2] for key in unique}
 
     def get(self, key: str) -> Optional[RunResult]:
         """Cached result for ``key``, or ``None`` (use :meth:`probe` to
@@ -712,10 +699,17 @@ class ResultStore:
         """Best-effort read of a cell's re-simulation description.
 
         Works even when the checksum no longer matches (the whole point:
-        repairing a corrupt cell), but not when the job text itself does
-        not decode (see :func:`row_job`).
+        repairing a corrupt cell); ``None`` when there is no row or its
+        job text is absent, does not decode or is not an object.
         """
-        return row_job(self.backend.fetch_many([_check_key(key)]).get(key))
+        row = self.backend.fetch_many([_check_key(key)]).get(key)
+        if not isinstance(row, tuple) or row[2] is None:
+            return None
+        try:
+            job = json.loads(row[2])
+        except _DECODE_ERRORS:
+            return None
+        return job if isinstance(job, dict) else None
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
@@ -740,7 +734,8 @@ class ResultStore:
         for chunk in _chunks(all_keys, _SCAN_BATCH):
             records = self.backend.fetch_many(chunk)
             for key in chunk:
-                yield key, self._classify(records[key], hydrate=False)[0]
+                yield key, self._classify(records.get(key),
+                                          hydrate=False)[0]
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -796,7 +791,7 @@ class ResultStore:
             if status == CELL_OK:
                 report.ok += 1
                 continue
-            if status == CELL_MISS:      # pragma: no cover - raced unlink
+            if status == CELL_MISS:      # deleted since the key listing
                 continue
             issue = CellIssue(key=key, status=status,
                               path=self.backend.location(key))

@@ -323,13 +323,15 @@ def mixed_app(tmp_path_factory):
     """A read-only app over healthy, stale and corrupt cells, among them
     checksum-valid ones whose result is an array, has stats that are one,
     holds an integer no float holds or an infinity, is missing, or nests
-    deeper than the JSON decoder recurses."""
+    deeper than the JSON decoder recurses, and one whose job text does not
+    decode."""
     root = tmp_path_factory.mktemp("mixed") / "store"
     store = ResultStore(f"sqlite:{root}")
     keys = {"ok": f"{1:064x}", "stale": f"{2:064x}", "corrupt": f"{3:064x}",
             "array": f"{4:064x}", "array_stats": f"{5:064x}",
             "huge": f"{6:064x}", "no_result": f"{7:064x}",
-            "infinite": f"{8:064x}", "deep": f"{9:064x}"}
+            "infinite": f"{8:064x}", "deep": f"{9:064x}",
+            "bad_job": f"{10:064x}"}
     for name, key in keys.items():
         store.put(key, sample_result(cycles=float(len(name))))
     store.backend.insert([(keys["stale"], -1, None, None, "{}")])
@@ -342,6 +344,10 @@ def mixed_app(tmp_path_factory):
     store.backend.insert([(keys["no_result"], STORE_FORMAT,
                            _text_checksum(None, "null"), None, None)])
     write_verified_text(store, keys["deep"], "[" * 100_000)
+    text = _canonical(sample_result().as_dict())
+    store.backend.insert([(keys["bad_job"], STORE_FORMAT,
+                           _text_checksum("{not json", text), "{not json",
+                           text)])
     store.backend.close()
     app = ServeApp(root, read_only=True,
                    artifacts_dir=tmp_path_factory.mktemp("artifacts"))
@@ -377,7 +383,7 @@ def test_get_fuzz_never_answers_an_undocumented_5xx(mixed_app, data):
         # The one documented 5xx: a verified-bad cell asked for by key.
         corrupt = (keys["corrupt"], keys["array"], keys["array_stats"],
                    keys["huge"], keys["no_result"], keys["infinite"],
-                   keys["deep"])
+                   keys["deep"], keys["bad_job"])
         assert target in {f"/v1/cells/{key}" for key in corrupt}
         assert response.status == 500
         assert body_of(response) == corrupt_cell_body(name)

@@ -201,6 +201,32 @@ def test_unreadable_cells_are_never_quarantined(store):
     assert store.quarantine_stats() == (0, 0)
 
 
+def test_a_cell_deleted_mid_scan_reads_as_a_miss(store):
+    """``all_keys`` and ``fetch_many`` are separate statements, so a cell
+    quarantined or cleared by another process in between is listed but
+    not fetched: the scan yields a miss for it, and the scans built on it
+    (``keys``, ``len``, ``stats_dict``, ``fsck``) neither count it nor
+    raise."""
+    kept, gone = synthetic_key(1), synthetic_key(2)
+    store.put(kept, sample_result())
+    store.put(gone, sample_result(cycles=7.0))
+    unpatched = store.backend.fetch_many
+
+    def racing(keys):
+        rows = unpatched(keys)
+        rows.pop(gone, None)
+        return rows
+
+    store.backend.fetch_many = racing
+    assert dict(store.scan()) == {kept: CELL_OK, gone: CELL_MISS}
+    assert list(store.keys()) == [kept] and len(store) == 1
+    summary = store.stats_dict()
+    assert (summary["cells"], summary["ok"], summary["corrupt"]) == (1, 1, 0)
+    report = store.fsck(repair=True)
+    assert report.clean and report.ok == 1 and report.issues == []
+    store.backend.fetch_many = unpatched
+
+
 def test_fsck_repair_restores_identical_payloads(store):
     job = make_job()
     run_jobs([job], workers=1, store=store)
@@ -284,7 +310,7 @@ job_specs = st.one_of(
                               st.none()), max_size=4))
 DAMAGE = ("none", "flip_checksum", "format", "reformat", "truncate_job",
           "truncate_result", "garbage_job", "garbage_result", "job_null",
-          "result_null")
+          "result_null", "garbage_job_rechecksummed")
 
 
 def reformat(text):
@@ -331,6 +357,11 @@ def test_stored_text_verdict_matches_decoding(row_store, result, job,
             st.integers(0, len(result_text) - 1))]
     elif damage == "garbage_job":
         job_text = data.draw(storable_text)
+    elif damage == "garbage_job_rechecksummed":
+        # A checksum that matches the stored texts does not make an
+        # undecodable job text readable.
+        job_text = data.draw(st.one_of(storable_text, st.just("{not json")))
+        checksum = _text_checksum(job_text, result_text)
     elif damage == "garbage_result":
         result_text = data.draw(storable_text)
     elif damage == "job_null":
@@ -481,32 +512,37 @@ DEEP = "[" * 100_000
 
 
 def test_deeply_nested_rows_are_corrupt_and_unrepairable(store):
-    """A result text nested past the decoder's recursion limit reads
-    corrupt whether its checksum matches or not; with a job text nested
-    as deep (or none) the cell cannot be re-simulated."""
+    """A result or job text nested past the decoder's recursion limit, or
+    a job text that does not decode at all, reads corrupt whether its
+    checksum matches or not, and the cell cannot be re-simulated."""
     healthy = synthetic_key(0)
     store.put(healthy, sample_result(), job={"seed": 1})
-    deep = [synthetic_key(1), synthetic_key(2), synthetic_key(3)]
+    result = _canonical(sample_result().as_dict())
+    deep = [synthetic_key(i) for i in range(1, 5)]
     insert_row(store, (deep[0], STORE_FORMAT, _text_checksum(None, DEEP),
                        None, DEEP))
     insert_row(store, (deep[1], STORE_FORMAT, "0" * 64, DEEP, DEEP))
-    insert_row(store, (deep[2], STORE_FORMAT, _text_checksum(DEEP, "{}"),
-                       DEEP, "{}"))
+    insert_row(store, (deep[2], STORE_FORMAT, _text_checksum(DEEP, result),
+                       DEEP, result))
+    insert_row(store, (deep[3], STORE_FORMAT,
+                       _text_checksum("{not json", result), "{not json",
+                       result))
     for key in deep:
         assert store.probe(key) == (CELL_CORRUPT, None)
+        assert store.read_cell(key) == (CELL_CORRUPT, None, None, None)
         assert store.job_spec(key) is None
     assert {key: status for key, (status, _)
             in store.probe_many([healthy] + deep).items()} == \
         {healthy: CELL_OK, **dict.fromkeys(deep, CELL_CORRUPT)}
     summary = store.stats_dict()
-    assert (summary["ok"], summary["corrupt"]) == (1, 3)
+    assert (summary["ok"], summary["corrupt"]) == (1, 4)
     report = store.fsck(repair=True)
     assert not report.clean and report.ok == 1
     assert sorted(issue.key for issue in report.unrepaired_corrupt) == deep
     assert all(issue.quarantined_to is not None
                and "no readable job description" in issue.error
                for issue in report.corrupt)
-    assert store.quarantine_stats()[0] == 3
+    assert store.quarantine_stats()[0] == 4
     assert list(store.keys()) == [healthy]
 
 
