@@ -15,16 +15,24 @@ The access path follows Figure 7 of the paper:
   sector, allocate an XTA entry (which may trigger the eviction flow of
   Figure 9 and the migration decision of Figure 10), then serve from NM
   (2a: sector already lives in NM) or fetch from FM into a newly obtained
-  cache frame (2b).
+  cache frame (2b), swapping a flat sector out of NM when the frame pool
+  is empty (Figure 8).
+
+All of it is one closure, :meth:`DCMC.step`, bound once per run over the
+XTA's lists, the remap table's columns, the frame pool's state and the
+NM/FM DRAM kernels.  Every DRAM access runs on the bound kernels except
+case 2b's demand fill, which keeps the
+:class:`~repro.memory.controller.MemoryController` methods: the repo
+benchmark's traced run wraps them and requires block transfers in every
+Hybrid2 cell.  The migration decision stays in
+:class:`~repro.core.policy.MigrationPolicy`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..common import LINE_SIZE, popcount
 from ..memory.controller import MemoryController
-from ..memory.kernels import make_kernels
+from ..memory.kernels import KIND_DEMAND, KIND_METADATA, make_kernels
 from ..params import Hybrid2Params, SystemConfig
 from ..stats import Stats
 from .nm_allocator import NMFramePool
@@ -86,8 +94,7 @@ class DCMC:
         self._metadata_span = max(sector, metadata_frames * sector)
 
         self.counters = Stats()
-        #: The counters' dict: the step and the rare paths add to it
-        #: directly.
+        #: The counters' dict: the step adds to it directly.
         self._counts = self.counters._counters
 
     # ------------------------------------------------------------------
@@ -97,24 +104,6 @@ class DCMC:
     def flat_capacity_bytes(self) -> int:
         """Main-memory capacity Hybrid2 exposes to software."""
         return self.num_flat_sectors * self.sector_bytes
-
-    # ------------------------------------------------------------------
-    # metadata accesses (remap tables, stack) stored in NM
-    # ------------------------------------------------------------------
-    def _metadata_access(self, key: int, is_write: bool, now_ns: float,
-                         critical: bool) -> float:
-        """Issue one remapping-metadata access to NM.
-
-        Returns the latency to charge on the critical path (zero for
-        background updates or when metadata modelling is disabled, as in the
-        No-Remap ablation).
-        """
-        if not self.model_metadata:
-            return 0.0
-        self._counts["metadata.accesses"] += 1.0
-        address = (key * LINE_SIZE) % self._metadata_span
-        latency = self.near.access(address, is_write, now_ns, metadata=True)
-        return latency if critical else 0.0
 
     # ------------------------------------------------------------------
     # main access path (Figure 7)
@@ -132,22 +121,49 @@ class DCMC:
         """Compile the request path of Figure 7 over the :meth:`columns`
         lists into the step of :class:`~repro.core.hybrid2.Hybrid2System`.
 
-        The step serves every XTA hit itself on the XTA's columns: the
-        ``slot_of`` probe, the LRU touch, the access counter of a
-        non-migrated sector, and then either one NM burst (1a, line hit)
-        or the line fill (1b, line miss): the demand read of the DRAM-cache
-        line from FM and its background install in NM.  It runs them on
-        the NM line kernel and the two block kernels, bound once through
-        :func:`~repro.memory.kernels.make_kernels`.  XTA misses (2) run in
-        :meth:`_serve_xta_miss`.  ``system`` holds the NM-served request
-        counter.  The XTA frame is runtime state: the step maps it inline,
-        with :meth:`~repro.memory.device.DramDevice.locate`'s slot table.
+        The step works on the XTA's lists, the remap table's columns, the
+        frame pool's state, the Free-FM-Stack and the counter dict, and
+        issues its DRAM traffic on the NM line kernel and the two block
+        kernels, bound once through
+        :func:`~repro.memory.kernels.make_kernels`.  Runtime frames are
+        mapped inline with :meth:`~repro.memory.device.DramDevice.locate`'s
+        slot table.  ``system`` holds the NM-served request counter.
+
+        * An XTA hit does the ``slot_of`` probe, the LRU touch and the
+          access counter of a non-migrated sector, then either one NM
+          burst (1a, line hit) or the line fill (1b, line miss): the
+          demand read of the DRAM-cache line from FM and its background
+          install in NM.
+        * An XTA miss (2) reads the remap table (a critical NM metadata
+          access), takes the set's first free way or else its LRU way,
+          evicting that way's sector: an NM-resident sector just leaves;
+          an FM sector is migrated (Figure 10: its missing lines fetched
+          from FM, its frame made the sector's flat home) or evicted
+          (Figure 9: its dirty lines written back to FM, its frame back
+          in the pool) as :meth:`MigrationPolicy.decide
+          <repro.core.policy.MigrationPolicy.decide>` says.  A sector
+          homed in NM is then linked and served from NM (2a).  A sector
+          homed in FM (2b) gets a cache frame from the pool or, when the
+          pool is empty, from the flat space (Figure 8): the FIFO sweep
+          over the usable frames skips cache-owned frames and frames
+          whose sector is linked in the XTA, and swaps the first other
+          frame's sector out to a free FM frame.  Each run of contiguous
+          lines moves as one block read and one block write.
+        * Case 2b's demand fill (the FM read of the line and its NM
+          install) is the one transfer left on
+          :meth:`MemoryController.transfer_block
+          <repro.memory.controller.MemoryController.transfer_block>`:
+          the repo benchmark's traced run counts the controller's block
+          transfers and requires them in every Hybrid2 cell.
         """
         near_line, near_block = make_kernels(self.near)
         _, far_block = make_kernels(self.far)
         n_slots, n_period, n_span, n_stride = self.near.device.address_map
+        near_transfer = self.near.transfer_block
+        far_transfer = self.far.transfer_block
         xta = self.xta
         slot_of = xta.slot_of
+        tags = xta.tags
         valid = xta.valid
         dirty = xta.dirty
         access_counters = xta.counters
@@ -155,25 +171,214 @@ class DCMC:
         fm_frames = xta.fm_frames
         lru = xta.lru
         ticks = xta.ticks
+        num_sets = xta.num_sets
+        ways = xta.ways
         counter_max = xta.counter_max
+        full = xta.full_valid_mask
+        remap = self.remap
+        home_in_near = remap._in_near
+        home_frame = remap._frame
+        inverse_nm = remap._inverse_nm
+        assign_to_near = remap.assign_to_near
+        assign_to_far = remap.assign_to_far
+        record_inverse_nm = remap.record_inverse_nm
+        frames = self.frames
+        pool = frames.pool
+        cache_owned = frames.cache_owned
+        usable = frames.usable
+        free_fm = self.free_fm
+        policy = self.policy
+        decide = policy.decide
+        note_demand_fm_access = policy.note_demand_fm_access
         counters = self._counts
-        note_demand_fm_access = self.policy.note_demand_fm_access
         xta_lat = self.params.xta_latency_ns
         sector_bytes = self.sector_bytes
         line_bytes = self.dram_line_bytes
-        serve_xta_miss = self._serve_xta_miss
+        metadata_span = self._metadata_span
+        migrate_verdict = MigrationVerdict.MIGRATE
+        evicted_by = {verdict: f"evictions.{verdict.value}"
+                      for verdict in MigrationVerdict}
+
+        if self.model_metadata:
+            def metadata(key: int, is_write: bool, now_ns: float) -> float:
+                """One remap-metadata access to NM; its latency."""
+                counters["metadata.accesses"] += 1.0
+                address = key * LINE_SIZE % metadata_span
+                return near_line(n_slots[address % n_period // n_span],
+                                 address // n_stride, is_write, now_ns,
+                                 KIND_METADATA)
+        else:
+            def metadata(key: int, is_write: bool, now_ns: float) -> float:
+                """No-Remap: metadata accesses are free."""
+                return 0.0
+
+        def copy_lines(mask, read_block, read_frame, write_block,
+                       write_frame, now_ns):
+            """Copy the lines set in ``mask`` between two frames as
+            background traffic, one block read and one block write per
+            run of contiguous lines, runs in line order.  The two devices
+            keep separate state and a block streams its lines in order,
+            so every counter and float equals copying line by line."""
+            read_base = read_frame * sector_bytes
+            write_base = write_frame * sector_bytes
+            line = 0
+            while mask:
+                # Skip the clear lines below the next run, then measure it.
+                skip = (mask & -mask).bit_length() - 1
+                mask >>= skip
+                line += skip
+                run = (~mask & (mask + 1)).bit_length() - 1
+                offset = line * line_bytes
+                read_block(read_base + offset, run * line_bytes, False,
+                           now_ns, False)
+                write_block(write_base + offset, run * line_bytes, True,
+                            now_ns, False)
+                mask >>= run
+                line += run
+
+        def xta_miss(sector, line, offset, is_write, now_ns):
+            # The remap-table read is on the critical path: the sector's
+            # location must be known before the data can be fetched.
+            latency = xta_lat + metadata(sector, False, now_ns)
+            in_near = home_in_near[sector]
+            home = home_frame[sector]
+
+            # The victim: the set's first free way (LRU stamp -1, never
+            # touched) if it has one, else its least recently used way.
+            base = sector % num_sets * ways
+            end = base + ways
+            stamps = lru[base:end]
+            slot = base + stamps.index(min(stamps))
+            evicted = tags[slot]
+            if evicted >= 0:
+                # The set is full: evict the way's sector.
+                nm_frame = nm_frames[slot]
+                fm_frame = fm_frames[slot]
+                if fm_frame < 0:
+                    # The sector already lives in NM; nothing moves.
+                    counters["evictions.nm_resident"] += 1.0
+                else:
+                    # Saturated counters take no part in the comparison.
+                    others = (access_counters[base:slot]
+                              + access_counters[slot + 1:end])
+                    verdict = decide(
+                        access_counters[slot],
+                        [count for count in others if count < counter_max],
+                        popcount(valid[slot]), popcount(dirty[slot]), now_ns)
+                    if verdict is migrate_verdict:
+                        # Figure 10: complete the sector in NM and make
+                        # its frame the sector's permanent home.
+                        counters["migrations"] += 1.0
+                        missing = full & ~valid[slot]
+                        copy_lines(missing, far_block, fm_frame, near_block,
+                                   nm_frame, now_ns)
+                        counters["migrations.lines_fetched"] += \
+                            popcount(missing)
+                        assign_to_near(evicted, nm_frame)
+                        metadata(evicted, True, now_ns)
+                        if free_fm.push(fm_frame):
+                            metadata(fm_frame, True, now_ns)
+                        cache_owned.discard(nm_frame)
+                    else:
+                        # Figure 9: write the dirty lines back to the FM
+                        # home and free the frame.
+                        counters["evictions.to_fm"] += 1.0
+                        counters[evicted_by[verdict]] += 1.0
+                        copy_lines(dirty[slot], near_block, nm_frame,
+                                   far_block, fm_frame, now_ns)
+                        counters["evictions.lines_written_back"] += \
+                            popcount(dirty[slot])
+                        pool.append(nm_frame)
+                del slot_of[evicted]
+
+            if in_near:
+                # 2a: the sector already lives in NM.  It shows every line
+                # valid and dirty and has no FM pointer (Section 3.4).
+                counters["fills.sector_in_nm"] += 1.0
+                frame, fm_home, valid_mask, dirty_mask = home, -1, full, full
+            else:
+                # 2b: the sector lives in FM; it gets a cache frame and
+                # its demand line.
+                counters["fills.sector_in_fm"] += 1.0
+                note_demand_fm_access(now_ns)
+                frame = pool.pop() if pool else steal_flat_frame(now_ns)
+                fm_home = home
+                valid_mask = 1 << line
+                dirty_mask = valid_mask if is_write else 0
+            slot_of[sector] = slot
+            tags[slot] = sector
+            access_counters[slot] = 0
+            nm_frames[slot] = frame
+            fm_frames[slot] = fm_home
+            valid[slot] = valid_mask
+            dirty[slot] = dirty_mask
+            lru[slot] = next(ticks)
+
+            if in_near:
+                address = frame * sector_bytes + offset
+                latency += near_line(n_slots[address % n_period // n_span],
+                                     address // n_stride, is_write, now_ns,
+                                     KIND_DEMAND)
+                system.requests_from_nm += 1
+                return latency
+            # The inverted remap table learns the sector now (Section
+            # 3.4), so the NM allocator can always resolve this frame.
+            record_inverse_nm(frame, sector)
+            metadata(frame, True, now_ns)
+            line_offset = line * line_bytes
+            latency += far_transfer(home * sector_bytes + line_offset,
+                                    line_bytes, False, now_ns, True)
+            near_transfer(frame * sector_bytes + line_offset, line_bytes,
+                          True, now_ns, False)
+            return latency
+
+        def steal_flat_frame(now_ns):
+            """Figure 8: swap a flat sector out of NM to a free FM frame
+            and hand its frame to the DRAM cache."""
+            count = len(usable)
+            for _ in range(2 * count):
+                # The NM counter: a FIFO sweep that resumes where the
+                # previous allocation stopped.
+                candidate = usable[frames.fifo_index % count]
+                frames.fifo_index += 1
+                if candidate in cache_owned:
+                    continue
+                # Inverted remap lookup to learn which sector lives there.
+                metadata(candidate, False, now_ns)
+                victim = inverse_nm.get(candidate, -1)
+                if victim in slot_of:
+                    # Sectors present in the DRAM cache stay in NM.
+                    counters["allocation.skipped_in_cache"] += 1.0
+                    continue
+                counters["allocation.swaps"] += 1.0
+                fm_frame, spilled = free_fm.pop()
+                if spilled:
+                    metadata(fm_frame, False, now_ns)
+                if victim >= 0:
+                    # Copy the whole victim sector from NM to FM.
+                    near_block(candidate * sector_bytes, sector_bytes,
+                               False, now_ns, False)
+                    far_block(fm_frame * sector_bytes, sector_bytes, True,
+                              now_ns, False)
+                    assign_to_far(victim, fm_frame)
+                    metadata(victim, True, now_ns)
+                else:
+                    # Defensive: an unmapped frame is adopted without a
+                    # swap, and the free FM frame goes back on the stack.
+                    free_fm.push(fm_frame)
+                cache_owned.add(candidate)
+                frames.swap_allocations += 1
+                return candidate
+            raise RuntimeError(
+                "no near-memory frame available for the DRAM cache")
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
             sector = sec_col[i]
             slot = slot_of.get(sector)
             if slot is None:
                 counters["xta.misses"] += 1.0
-                latency, in_near = serve_xta_miss(sector, line_col[i],
-                                                  off_col[i], is_write,
-                                                  now_ns, xta_lat)
-                if in_near:
-                    system.requests_from_nm += 1
-                return latency
+                return xta_miss(sector, line_col[i], off_col[i], is_write,
+                                now_ns)
             lru[slot] = next(ticks)
             fm_frame = fm_frames[slot]
             bit = 1 << line_col[i]
@@ -205,176 +410,6 @@ class DCMC:
             return xta_lat + latency
 
         return step
-
-    # -- 2 -------------------------------------------------------------
-    def _serve_xta_miss(self, sector: int, line: int, offset: int,
-                        is_write: bool, now_ns: float,
-                        latency: float) -> Tuple[float, bool]:
-        """Serve an XTA miss; return the latency and whether the sector
-        already lived in NM (the request was served from NM)."""
-        # The remap-table read is on the critical path: the sector's location
-        # must be known before the data can be fetched.
-        latency += self._metadata_access(sector, False, now_ns, critical=True)
-        in_near, home = self.remap.lookup(sector)
-
-        xta = self.xta
-        slot = xta.victim_way(sector)
-        if xta.tags[slot] >= 0:
-            self._evict(slot, now_ns)
-
-        if in_near:
-            # 2a: sector already lives in NM; link it to the XTA.
-            self._counts["fills.sector_in_nm"] += 1.0
-            xta.allocate(slot, sector, home, -1)
-            latency += self.near.access(home * self.sector_bytes + offset,
-                                        is_write, now_ns, demand=True)
-            return latency, True
-
-        # 2b: sector lives in FM; obtain a cache frame and fetch the line.
-        self._counts["fills.sector_in_fm"] += 1.0
-        self.policy.note_demand_fm_access(now_ns)
-        frame = self._obtain_cache_frame(now_ns)
-        xta.allocate(slot, sector, frame, home)
-        # Inverted remap table learns the sector's processor address now
-        # (Section 3.4), so the NM allocator can always resolve this frame.
-        self.remap.record_inverse_nm(frame, sector)
-        self._metadata_access(frame, True, now_ns, critical=False)
-
-        line_offset = line * self.dram_line_bytes
-        latency += self.far.transfer_block(
-            home * self.sector_bytes + line_offset,
-            self.dram_line_bytes, False, now_ns, demand=True)
-        self.near.transfer_block(frame * self.sector_bytes + line_offset,
-                                 self.dram_line_bytes, True, now_ns,
-                                 demand=False)
-        bit = 1 << line
-        xta.valid[slot] = bit
-        if is_write:
-            xta.dirty[slot] = bit
-        return latency, False
-
-    # ------------------------------------------------------------------
-    # DRAM-cache eviction (Figure 9) and migration (Figure 10)
-    # ------------------------------------------------------------------
-    def _evict(self, slot: int, now_ns: float) -> None:
-        """Evict the sector linked in ``slot`` and free the way."""
-        xta = self.xta
-        if xta.fm_frames[slot] < 0:
-            # Case 1: the sector already lives in NM; nothing moves.
-            self._counts["evictions.nm_resident"] += 1.0
-        else:
-            verdict = self.policy.decide(
-                xta.counters[slot], xta.competing_counters(slot),
-                popcount(xta.valid[slot]), popcount(xta.dirty[slot]), now_ns)
-            if verdict.migrate:
-                self._migrate_sector(slot, now_ns)
-            else:
-                self._evict_sector_to_fm(slot, now_ns, verdict)
-        xta.clear(slot)
-
-    def _copy_lines(self, mask: int, source: MemoryController,
-                    source_frame: int, dest: MemoryController,
-                    dest_frame: int, now_ns: float) -> None:
-        """Copy the DRAM-cache lines set in ``mask`` between two frames as
-        background traffic: one block read and one block write per run of
-        contiguous lines, runs in line order.
-
-        The two devices keep separate state and a block streams its lines
-        in order, so every counter and float equals copying the lines one
-        by one.
-        """
-        line_bytes = self.dram_line_bytes
-        source_base = source_frame * self.sector_bytes
-        dest_base = dest_frame * self.sector_bytes
-        line = 0
-        while mask:
-            # Skip the clear lines below the next run, then measure the run.
-            skip = (mask & -mask).bit_length() - 1
-            mask >>= skip
-            line += skip
-            run = (~mask & (mask + 1)).bit_length() - 1
-            offset = line * line_bytes
-            source.transfer_block(source_base + offset, run * line_bytes,
-                                  False, now_ns, demand=False)
-            dest.transfer_block(dest_base + offset, run * line_bytes,
-                                True, now_ns, demand=False)
-            mask >>= run
-            line += run
-
-    def _migrate_sector(self, slot: int, now_ns: float) -> None:
-        """Complete the sector in NM and make its frame the permanent home."""
-        counts = self._counts
-        counts["migrations"] += 1.0
-        xta = self.xta
-        sector = xta.tags[slot]
-        nm_frame = xta.nm_frames[slot]
-        old_fm_frame = xta.fm_frames[slot]
-        missing = xta.full_valid_mask & ~xta.valid[slot]
-        self._copy_lines(missing, self.far, old_fm_frame, self.near,
-                         nm_frame, now_ns)
-        counts["migrations.lines_fetched"] += popcount(missing)
-
-        self.remap.assign_to_near(sector, nm_frame)
-        self._metadata_access(sector, True, now_ns, critical=False)
-        if self.free_fm.push(old_fm_frame):
-            self._metadata_access(old_fm_frame, True, now_ns, critical=False)
-        self.frames.claim_for_flat(nm_frame)
-
-    def _evict_sector_to_fm(self, slot: int, now_ns: float,
-                            verdict: MigrationVerdict) -> None:
-        """Write dirty lines back to the sector's FM home and free the frame."""
-        counts = self._counts
-        counts["evictions.to_fm"] += 1.0
-        counts[f"evictions.{verdict.value}"] += 1.0
-        xta = self.xta
-        dirty = xta.dirty[slot]
-        self._copy_lines(dirty, self.near, xta.nm_frames[slot], self.far,
-                         xta.fm_frames[slot], now_ns)
-        counts["evictions.lines_written_back"] += popcount(dirty)
-        self.frames.release_to_pool(xta.nm_frames[slot])
-
-    # ------------------------------------------------------------------
-    # NM allocation (Figure 8)
-    # ------------------------------------------------------------------
-    def _obtain_cache_frame(self, now_ns: float) -> int:
-        frame = self.frames.take_from_pool()
-        if frame is not None:
-            return frame
-        return self._swap_allocate(now_ns)
-
-    def _swap_allocate(self, now_ns: float) -> int:
-        """Steal a flat NM frame by swapping its sector out to a free FM frame."""
-        for candidate in self.frames.victim_candidates():
-            # Inverted remap lookup to learn which sector lives there.
-            self._metadata_access(candidate, False, now_ns, critical=False)
-            victim_sector = self.remap.sector_at_nm_frame(candidate)
-            if victim_sector >= 0 and self.xta.probe(victim_sector) is not None:
-                # Sectors present in the DRAM cache must not be swapped out.
-                self._counts["allocation.skipped_in_cache"] += 1.0
-                continue
-
-            self._counts["allocation.swaps"] += 1.0
-            fm_frame, spilled = self.free_fm.pop()
-            if spilled:
-                self._metadata_access(fm_frame, False, now_ns, critical=False)
-            if victim_sector >= 0:
-                # Copy the whole victim sector from NM to the free FM frame.
-                self.near.transfer_block(candidate * self.sector_bytes,
-                                         self.sector_bytes, False, now_ns,
-                                         demand=False)
-                self.far.transfer_block(fm_frame * self.sector_bytes,
-                                        self.sector_bytes, True, now_ns,
-                                        demand=False)
-                self.remap.assign_to_far(victim_sector, fm_frame)
-                self._metadata_access(victim_sector, True, now_ns,
-                                      critical=False)
-            else:
-                # Defensive: an unmapped frame can be adopted without a swap,
-                # and the free FM frame goes back on the stack.
-                self.free_fm.push(fm_frame)
-            self.frames.adopt(candidate)
-            return candidate
-        raise RuntimeError("no near-memory frame available for the DRAM cache")
 
     # ------------------------------------------------------------------
     # reporting

@@ -9,18 +9,24 @@ The near memory is split — logically, never physically — into
 Because of indirection, any frame can end up backing DRAM-cache data or
 holding a flat-space sector over time.  :class:`NMFramePool` tracks which
 frames the cache currently owns (free pool + frames backing cached sectors)
-and implements the FIFO "NM counter" used to pick swap victims when a new
-cache frame must be carved out of the flat space.
+and the FIFO "NM counter" the DCMC step sweeps for a swap victim when a
+new cache frame must be carved out of the flat space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set
+from typing import List, Set
 
 
 class NMFramePool:
-    """Tracks ownership of near-memory frames (sector granularity)."""
+    """Tracks ownership of near-memory frames (sector granularity).
+
+    The state is plain and public, and the DCMC step reads and writes it
+    directly: the step takes a frame from ``pool`` or, when the pool is
+    empty, sweeps ``usable`` from ``fifo_index`` for a frame to swap out
+    of the flat space, and hands frames back on evictions and
+    migrations.
+    """
 
     def __init__(self, total_frames: int, metadata_frames: int,
                  carveout_frames: int) -> None:
@@ -33,15 +39,17 @@ class NMFramePool:
         self.carveout_frames = carveout_frames
 
         first_usable = metadata_frames
-        self._usable = list(range(first_usable, total_frames))
-        #: frames currently free for the DRAM cache to use
-        self._pool: List[int] = list(range(first_usable,
-                                           first_usable + carveout_frames))
+        #: every frame outside the metadata region, in FIFO order
+        self.usable: List[int] = list(range(first_usable, total_frames))
+        #: frames currently free for the DRAM cache to use (a stack)
+        self.pool: List[int] = list(range(first_usable,
+                                          first_usable + carveout_frames))
         #: frames the cache owns (free pool + frames backing cached sectors)
-        self._cache_owned: Set[int] = set(self._pool)
-        #: FIFO pointer over the usable frames (Section 3.5's NM counter)
-        self._fifo_index = 0
-
+        self.cache_owned: Set[int] = set(self.pool)
+        #: the NM counter (Section 3.5): the next ``usable`` index the
+        #: swap allocator examines; it wraps around and never resets
+        self.fifo_index = 0
+        #: frames taken from the flat space by a swap
         self.swap_allocations = 0
 
     # ------------------------------------------------------------------
@@ -55,83 +63,27 @@ class NMFramePool:
 
     @property
     def usable_frames(self) -> int:
-        return len(self._usable)
-
-    # ------------------------------------------------------------------
-    # pool operations
-    # ------------------------------------------------------------------
-    def take_from_pool(self) -> Optional[int]:
-        """Grab a free cache frame, or ``None`` when the pool is empty."""
-        if not self._pool:
-            return None
-        return self._pool.pop()
-
-    def release_to_pool(self, frame: int) -> None:
-        """A cached sector was evicted (not migrated): its frame is free again."""
-        if frame not in self._cache_owned:
-            raise ValueError(f"frame {frame} is not cache-owned")
-        self._pool.append(frame)
-
-    def claim_for_flat(self, frame: int) -> None:
-        """A cached sector was migrated: its frame becomes a flat-space home."""
-        if frame not in self._cache_owned:
-            raise ValueError(f"frame {frame} is not cache-owned")
-        self._cache_owned.discard(frame)
-
-    def adopt(self, frame: int) -> None:
-        """A flat-space frame was swapped out and now backs cache data."""
-        if frame in self._cache_owned:
-            raise ValueError(f"frame {frame} is already cache-owned")
-        if frame < self.metadata_frames:
-            raise ValueError(f"frame {frame} is reserved for metadata")
-        self._cache_owned.add(frame)
-        self.swap_allocations += 1
-
-    def is_cache_owned(self, frame: int) -> bool:
-        return frame in self._cache_owned
-
-    # ------------------------------------------------------------------
-    # FIFO victim candidates (Figure 8)
-    # ------------------------------------------------------------------
-    def victim_candidates(self, limit: Optional[int] = None) -> Iterator[int]:
-        """Yield flat-space frames in FIFO order, skipping cache-owned frames.
-
-        The FIFO pointer advances past every candidate yielded, so repeated
-        allocations continue the sweep where the previous one stopped (the
-        paper's wrap-around NM counter).  The caller is responsible for the
-        XTA check and for stopping once it accepts a candidate.
-        """
-        if not self._usable:
-            return
-        attempts = 0
-        max_attempts = limit if limit is not None else 2 * len(self._usable)
-        while attempts < max_attempts:
-            frame = self._usable[self._fifo_index % len(self._usable)]
-            self._fifo_index += 1
-            attempts += 1
-            if frame in self._cache_owned:
-                continue
-            yield frame
+        return len(self.usable)
 
     # ------------------------------------------------------------------
     # accounting / invariants
     # ------------------------------------------------------------------
     @property
     def pool_size(self) -> int:
-        return len(self._pool)
+        return len(self.pool)
 
     @property
     def cache_owned_count(self) -> int:
-        return len(self._cache_owned)
+        return len(self.cache_owned)
 
     @property
     def backing_count(self) -> int:
         """Frames currently backing cached sectors (owned but not free)."""
-        return len(self._cache_owned) - len(self._pool)
+        return len(self.cache_owned) - len(self.pool)
 
     def check_invariants(self) -> bool:
         """The free pool is always a subset of the cache-owned frames and no
         metadata frame is ever handed out."""
-        if not set(self._pool) <= self._cache_owned:
+        if not set(self.pool) <= self.cache_owned:
             return False
-        return all(f >= self.metadata_frames for f in self._cache_owned)
+        return all(f >= self.metadata_frames for f in self.cache_owned)

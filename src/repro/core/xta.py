@@ -17,13 +17,18 @@ The array is flat: each field is one list with an entry per way, indexed
 by ``slot = set * ways + way`` (``tags``, ``valid``, ``dirty``,
 ``counters``, ``nm_frames``, ``fm_frames``, ``lru``), and one
 ``sector -> slot`` dict (``slot_of``) finds a linked sector.  A free way
-has tag -1.  The DCMC step reads and writes these lists directly.
+has tag -1 and LRU stamp -1 (a linked way's stamps start at 1), and a
+way stays linked once used: an eviction relinks it at once.  The DCMC
+step reads and writes these lists directly: it probes ``slot_of``, picks
+a set's victim (its first free way, else its least recently used one),
+links and unlinks sectors, and reads a set's counters for the migration
+decision.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..common import full_mask
 
@@ -56,68 +61,6 @@ class XTA:
         self.slot_of: Dict[int, int] = {}
         #: Source of LRU stamps: ``next(xta.ticks)`` touches a way.
         self.ticks = itertools.count(1)
-
-    # ------------------------------------------------------------------
-    # operations
-    # ------------------------------------------------------------------
-    def probe(self, sector: int) -> Optional[int]:
-        """The slot holding ``sector``, or None; no LRU update.
-
-        Used by the NM allocator to check whether a candidate victim frame is
-        currently linked into the DRAM cache (Section 3.5).
-        """
-        return self.slot_of.get(sector)
-
-    def victim_way(self, sector: int) -> int:
-        """The slot to (re)use for ``sector``: the first free way of its
-        set if one exists, otherwise the LRU way.  The caller evicts it
-        first."""
-        base = sector % self.num_sets * self.ways
-        end = base + self.ways
-        try:
-            return self.tags.index(-1, base, end)
-        except ValueError:
-            stamps = self.lru[base:end]
-            return base + stamps.index(min(stamps))
-
-    def allocate(self, slot: int, sector: int, nm_frame: int,
-                 fm_frame: int) -> int:
-        """Link ``sector`` into the free ``slot`` (``fm_frame`` -1: it
-        already lives in NM) and return the slot."""
-        self.slot_of[sector] = slot
-        self.tags[slot] = sector
-        self.counters[slot] = 0
-        self.nm_frames[slot] = nm_frame
-        self.fm_frames[slot] = fm_frame
-        # A sector that already resides in NM shows all lines valid and
-        # dirty (paper convention, Section 3.4, case 2a).
-        mask = self.full_valid_mask if fm_frame < 0 else 0
-        self.valid[slot] = mask
-        self.dirty[slot] = mask
-        self.lru[slot] = next(self.ticks)
-        return slot
-
-    def clear(self, slot: int) -> None:
-        """Unlink the sector in ``slot`` and free the way."""
-        del self.slot_of[self.tags[slot]]
-        self.tags[slot] = -1
-        self.valid[slot] = 0
-        self.dirty[slot] = 0
-        self.counters[slot] = 0
-        self.nm_frames[slot] = -1
-        self.fm_frames[slot] = -1
-        self.lru[slot] = -1
-
-    def competing_counters(self, slot: int) -> List[int]:
-        """Counters of the other linked sectors in ``slot``'s set that take
-        part in the migration comparison (saturated counters are
-        ignored)."""
-        base = slot - slot % self.ways
-        end = base + self.ways
-        cap = self.counter_max
-        return [count for way, (tag, count) in enumerate(
-                    zip(self.tags[base:end], self.counters[base:end]), base)
-                if way != slot and tag >= 0 and count < cap]
 
     # ------------------------------------------------------------------
     # reporting

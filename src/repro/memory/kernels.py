@@ -12,8 +12,10 @@ pair once and its
 are thin calls into them; each design step (``MemorySystem._step``, which
 both ``MemorySystem.fast_path`` and ``MemorySystem.access`` run) calls
 :func:`make_kernels` for a pair of its own and skips the method call.
-Hybrid2's step binds both memories' pairs and runs its common line-miss
-fill on the block kernels; its rare events keep the controller methods.
+Hybrid2's step binds both memories' pairs and runs on them everything
+but case 2b's demand fill: line hits and fills, metadata accesses,
+write-backs, migrations and swaps.  The demand fill stays on the
+controller methods, the calls the repo benchmark's traced run counts.
 
 The line kernel takes a line's ``(slot, row)``
 (:meth:`~repro.memory.device.DramDevice.locate`) rather than its address:
@@ -41,7 +43,8 @@ kernel or call site issued the line.
 All state lives in the device's per-bank and per-channel lists and its
 counters, so every pair of kernels compiled for one controller shares it:
 a design step's inlined bursts interleave freely with the controller
-methods its rare events (evictions, migrations, swaps) call.
+methods its rare events (the migration baselines' swaps, the DRAM caches'
+victim write-backs, Hybrid2's case-2b fill) call.
 ``tests/test_fastpath.py`` pins the kernels against the frozen golden
 ``tests/data/golden/dram_timing.json`` float for float and
 ``tests/test_engine_equivalence.py`` pins the full engine per design.

@@ -94,17 +94,3 @@ def min_max_geomean(values: Sequence[float]) -> Dict[str, float]:
         "max": max(values),
         "geomean": geometric_mean(values),
     }
-
-
-def speedups_by_class(results: Mapping[str, RunResult],
-                      baselines: Mapping[str, RunResult]) -> Dict[str, float]:
-    """Per-class geometric-mean speedup for one design.
-
-    ``results`` and ``baselines`` map workload names to their runs on the
-    design and on the no-NM baseline respectively.
-    """
-    per_workload = {
-        name: speedup(result, baselines[name])
-        for name, result in results.items() if name in baselines
-    }
-    return group_by_class(per_workload)

@@ -212,11 +212,6 @@ class ExperimentRunner:
             raise SweepExecutionError(self.last_report.failures)
         return result
 
-    def run_baseline(self, workload: Workload,
-                     config: SystemConfig) -> RunResult:
-        """Simulate the no-NM baseline (used for every normalisation)."""
-        return self.run_one(BASELINE_DESIGN, workload, config)
-
     # ------------------------------------------------------------------
     # sweeps
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ numpy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 from ..common import GIB, LINE_SIZE, align_down
@@ -72,9 +72,6 @@ class WorkloadSpec:
     def lines_per_visit(self) -> int:
         """How many distinct lines a region visit touches."""
         return max(1, int(round(self.region_coverage * self.lines_per_region())))
-
-    def with_footprint(self, footprint_gb: float) -> "WorkloadSpec":
-        return replace(self, footprint_gb=footprint_gb)
 
     def as_dict(self) -> dict:
         """JSON-serialisable rendering.

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import dcmc as dcmc_module
 from repro.core.dcmc import DCMC
 from repro.core.hybrid2 import Hybrid2System
-from repro.core.policy import MigrationVerdict
 from repro.memory.controller import MemoryController
+from repro.memory.kernels import make_kernels
 from repro.params import Hybrid2Params, make_config
+from repro.sim.simulator import simulate
+from repro.workloads.catalog import get_workload
 
 #: Every counter and timestamp of a controller, as the DRAM golden pins it.
 controller_state = runpy.run_path(str(
@@ -87,7 +90,7 @@ def test_writes_set_dirty_bits():
     sector = next(s for s in range(dcmc.num_flat_sectors)
                   if not dcmc.remap.lookup(s)[0])
     system.access(sector * dcmc.sector_bytes, True, 0.0)
-    assert dcmc.xta.dirty[dcmc.xta.probe(sector)] == 0b1
+    assert dcmc.xta.dirty[dcmc.xta.slot_of[sector]] == 0b1
 
 
 def test_metadata_traffic_disabled_in_no_remap_mode():
@@ -181,80 +184,116 @@ def line_runs(mask, lines=8):
     return runs
 
 
-def copy_line_by_line(dcmc):
-    """A ``DCMC._copy_lines`` that moves one DRAM-cache line per block
-    transfer: the reference the batched copy must reproduce."""
-    def copy(mask, source, source_frame, dest, dest_frame, now_ns):
-        for line in range(dcmc.lines_per_sector):
-            if mask >> line & 1:
-                offset = line * dcmc.dram_line_bytes
-                source.transfer_block(source_frame * dcmc.sector_bytes
-                                      + offset, dcmc.dram_line_bytes, False,
-                                      now_ns, demand=False)
-                dest.transfer_block(dest_frame * dcmc.sector_bytes + offset,
-                                    dcmc.dram_line_bytes, True, now_ns,
-                                    demand=False)
-    return copy
+def bind_recording_kernels(monkeypatch, reference):
+    """Make every DCMC step compiled from now on bind block kernels that
+    record ``(address, nbytes, is_write)`` per controller; a controller in
+    ``reference`` moves one DRAM-cache line per block transfer instead, the
+    reference a batched copy must reproduce.  Returns the call lists."""
+    calls = {}
 
+    def recording_kernels(controller):
+        line, block = make_kernels(controller)
+        log = calls.setdefault(controller, [])
 
-def record_blocks(controller):
-    """Record ``(address, nbytes, is_write)`` of each ``transfer_block``
-    call on ``controller`` (an instance attribute over the method)."""
-    calls = []
-    method = controller.transfer_block
-
-    def recorded(address, nbytes, is_write, now_ns, demand=False):
-        calls.append((address, nbytes, is_write))
-        return method(address, nbytes, is_write, now_ns, demand)
-    controller.transfer_block = recorded
+        def recorded(address, nbytes, is_write, now_ns, demand):
+            log.append((address, nbytes, is_write))
+            if controller not in reference:
+                return block(address, nbytes, is_write, now_ns, demand)
+            step = Hybrid2Params().cache_line_bytes
+            first = block(address, step, is_write, now_ns, demand)
+            for offset in range(step, nbytes, step):
+                block(address + offset, step, is_write, now_ns, False)
+            return first
+        return line, recorded
+    monkeypatch.setattr(dcmc_module, "make_kernels", recording_kernels)
     return calls
 
 
 @pytest.mark.parametrize("mask", [0b10110110, 0xFF, 0x01, 0x80])
 @pytest.mark.parametrize("move", ["evict", "migrate"])
-def test_batched_line_moves_match_a_per_line_reference(move, mask):
+def test_batched_line_moves_match_a_per_line_reference(monkeypatch, move,
+                                                        mask):
     """An eviction writes back each run of contiguous dirty lines, and a
     migration fetches each run of missing lines, as one block read and
     one block write.  Against a twin system that moves one line per
     transfer, both controllers end in the same state, float for float,
     and the DCMC counters agree."""
-    twins = [make_dcmc()[1], make_dcmc()[1]]
+    mode = "none" if move == "evict" else "all"
+    twins = [make_dcmc(migration_mode=mode)[1] for _ in range(2)]
+    reference_controllers = {twins[1].near, twins[1].far}
+    calls = bind_recording_kernels(monkeypatch, reference_controllers)
     for system in twins:
         run_pressure(system, accesses=300)
     batched, reference = (system.dcmc for system in twins)
-    reference._copy_lines = copy_line_by_line(reference)
+    assert controller_state(batched.near) == controller_state(reference.near)
+    assert controller_state(batched.far) == controller_state(reference.far)
     xta = batched.xta
     slot = next(slot for slot, tag in enumerate(xta.tags)
                 if tag >= 0 and xta.fm_frames[slot] >= 0)
     full = xta.full_valid_mask
+    newcomer = next(s for s in range(batched.num_flat_sectors)
+                    if s not in xta.slot_of)
     for dcmc in (batched, reference):
-        assert dcmc.xta.tags[slot] == xta.tags[slot]
+        assert dcmc.xta.tags == xta.tags
+        dcmc.xta.lru[slot] = 0                      # the set's LRU way
         if move == "evict":
             dcmc.xta.valid[slot], dcmc.xta.dirty[slot] = full, mask
         else:
             dcmc.xta.valid[slot] = dcmc.xta.dirty[slot] = full & ~mask
-    assert controller_state(batched.near) == controller_state(reference.near)
-    assert controller_state(batched.far) == controller_state(reference.far)
     nm_frame, fm_frame = xta.nm_frames[slot], xta.fm_frames[slot]
-    near_calls, far_calls = record_blocks(batched.near), \
-        record_blocks(batched.far)
+    near_calls, far_calls = calls[batched.near], calls[batched.far]
+    near_calls.clear()
+    far_calls.clear()
 
     now = 300 * 25.0 + 100.0
-    for dcmc in (batched, reference):
-        if move == "evict":
-            dcmc._evict_sector_to_fm(slot, now,
-                                     MigrationVerdict.EVICT_COUNTER)
-        else:
-            dcmc._migrate_sector(slot, now)
+    for system in twins:
+        system.access(newcomer * batched.sector_bytes, False, now)
 
+    assert xta.tags[slot] == newcomer
     assert controller_state(batched.near) == controller_state(reference.near)
     assert controller_state(batched.far) == controller_state(reference.far)
     assert batched.counters.as_dict() == reference.counters.as_dict()
     line_bytes = batched.dram_line_bytes
     source, dest = ((nm_frame, near_calls), (fm_frame, far_calls)) \
         if move == "evict" else ((fm_frame, far_calls), (nm_frame, near_calls))
-    for (frame, calls), is_write in ((source, False), (dest, True)):
-        assert calls == [
+    runs = line_runs(mask)
+    for (frame, frame_calls), is_write in ((source, False), (dest, True)):
+        assert frame_calls[:len(runs)] == [
             (frame * batched.sector_bytes + first * line_bytes,
              count * line_bytes, is_write)
-            for first, count in line_runs(mask)]
+            for first, count in runs]
+        # Anything after the runs is a swap's whole-sector copy.
+        assert all(nbytes == batched.sector_bytes
+                   for _, nbytes, _ in frame_calls[len(runs):])
+
+
+@pytest.mark.parametrize("variant", [
+    {}, {"migration_mode": "all"}, {"migration_mode": "none"},
+    {"model_metadata": False}], ids=["policy", "all", "none", "no-remap"])
+@pytest.mark.parametrize("workload,refs", [("omnetpp", 4000),
+                                           ("dc.B", 16000)])
+def test_rare_paths_conserve_misses_frames_and_migrations(workload, refs,
+                                                          variant):
+    """On runs that evict, migrate and swap at the bench config (at seed
+    1 the default policy makes 82 migrations and 53 swaps on omnetpp and
+    175 and 163 on dc.B), every XTA miss is one fill, and one eviction,
+    migration or first use of a free way; every eviction to FM has one
+    verdict; the DCMC and policy count the same migrations and the pool
+    the same swaps; and the remap table and frame pool stay consistent."""
+    config = make_config(nm_gb=1, fm_gb=16, scale=256)
+    system = Hybrid2System(config, **variant)
+    stats = simulate(system, get_workload(workload), refs, seed=1).stats
+    misses = stats["xta.misses"]
+    assert misses == stats["fills.sector_in_fm"] + stats["fills.sector_in_nm"]
+    assert misses == (stats["evictions.nm_resident"]
+                      + stats["evictions.to_fm"] + stats["migrations"]
+                      + stats["xta.allocated"])
+    assert stats["evictions.to_fm"] == (stats["evictions.evict-counter"]
+                                        + stats["evictions.evict-bandwidth"])
+    assert stats["migrations"] == stats["policy.migrations"]
+    assert stats["allocation.swaps"] == stats["frames.swap_allocations"]
+    if not variant:
+        assert stats["allocation.swaps"] > 0 and stats["migrations"] > 0
+    assert stats["requests.from_nm"] <= stats["requests"]
+    assert system.dcmc.remap.check_consistency()
+    assert system.dcmc.frames.check_invariants()

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import DESIGN_FACTORIES, IdealCache
 from repro.core.hybrid2 import Hybrid2System
-from repro.core.nm_allocator import NMFramePool
 from repro.core.policy import eviction_cost, migration_cost, net_cost
 from repro.core.remap import FreeFMStack, RemapTable
 from repro.common import LINE_SIZE
@@ -21,7 +20,8 @@ from repro.cpu.core import miss_columns
 from repro.cpu.trace import Trace
 from repro.memory.controller import MemoryController
 from repro.memory.kernels import KIND_BACKGROUND, KIND_DEMAND, make_kernels
-from repro.params import CoreParams, ddr4_params, hbm2_params, make_config
+from repro.params import (CoreParams, Hybrid2Params, ddr4_params, hbm2_params,
+                          make_config)
 from repro.sim.perfbench import NullMemorySystem
 from repro.sim.simulator import simulate
 from repro.stats import Stats
@@ -72,7 +72,7 @@ def test_stats_merge_is_additive(left, right):
 @given(st.lists(st.integers(0, 500), min_size=1, max_size=200))
 def test_xta_lookup_after_allocate_finds_sector(sectors):
     """Every access through the Hybrid2 step counts one XTA lookup, hits
-    exactly when ``probe`` already found the sector, and leaves the sector
+    exactly when ``slot_of`` already held the sector, and leaves the sector
     linked; the misses allocate (evicting and migrating once the 8 x 16
     XTA of the bench config fills)."""
     config = make_config(nm_gb=1, fm_gb=16, scale=256)
@@ -80,9 +80,9 @@ def test_xta_lookup_after_allocate_finds_sector(sectors):
     xta = system.dcmc.xta
     hits = 0
     for t, sector in enumerate(sectors):
-        hits += xta.probe(sector) is not None
+        hits += sector in xta.slot_of
         system.access(sector * config.hybrid2.sector_bytes, False, t * 20.0)
-        assert xta.probe(sector) is not None
+        assert sector in xta.slot_of
     stats = system.collect_stats()
     assert stats["xta.hits"] + stats["xta.misses"] == len(sectors)
     assert stats["xta.hits"] == hits
@@ -237,28 +237,28 @@ def test_free_fm_stack_is_lifo(frames):
 # ---------------------------------------------------------------------------
 # NM frame pool
 # ---------------------------------------------------------------------------
-@given(st.lists(st.sampled_from(["take", "release", "claim", "adopt"]),
-                max_size=100), st.integers(0, 1_000_000))
-def test_frame_pool_invariants_under_random_operations(ops, seed):
-    pool = NMFramePool(total_frames=32, metadata_frames=2, carveout_frames=8)
-    taken = []
-    flat = list(pool.flat_frames)
-    for op in ops:
-        if op == "take":
-            frame = pool.take_from_pool()
-            if frame is not None:
-                taken.append(frame)
-        elif op == "release" and taken:
-            pool.release_to_pool(taken.pop())
-        elif op == "claim" and taken:
-            pool.claim_for_flat(taken.pop())
-        elif op == "adopt" and flat:
-            frame = flat.pop()
-            if not pool.is_cache_owned(frame):
-                pool.adopt(frame)
-                taken.append(frame)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 120), st.booleans()),
+                min_size=1, max_size=150),
+       st.sampled_from(["policy", "all", "none"]))
+def test_frame_pool_invariants_under_random_operations(refs, mode):
+    """Random references through the Hybrid2 step of a one-set, 16-frame
+    DRAM cache take, return, give up (migrations) and steal (swaps) NM
+    frames; after each one the free pool stays inside the cache-owned
+    frames, no metadata frame is handed out, and every carve-out frame is
+    free, backing a linked sector or paid for by a free FM frame."""
+    config = make_config(nm_gb=1, fm_gb=16, scale=1024,
+                         hybrid2=Hybrid2Params(dram_cache_bytes=64 * 1024))
+    system = Hybrid2System(config, migration_mode=mode)
+    dcmc = system.dcmc
+    pool = dcmc.frames
+    for t, (sector, is_write) in enumerate(refs):
+        system.access(sector * 7 * dcmc.sector_bytes, is_write, t * 20.0)
         assert pool.check_invariants()
         assert pool.pool_size <= pool.cache_owned_count
+        assert (pool.pool_size + pool.backing_count + len(dcmc.free_fm)
+                == pool.carveout_frames)
+    assert dcmc.remap.check_consistency()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def touch(system, sector, times=1):
     the sector's slot."""
     for _ in range(times):
         system.access(sector * system.dcmc.sector_bytes, False, 0.0)
-    return system.dcmc.xta.probe(sector)
+    return system.dcmc.xta.slot_of.get(sector)
 
 
 def homed(system, in_near):
@@ -60,15 +60,12 @@ def test_entry_line_flags():
 
 
 def test_lookup_miss_then_hit(xta):
-    assert xta.probe(12) is None
-    slot = xta.victim_way(12)
-    assert xta.allocate(slot, 12, nm_frame=5, fm_frame=7) == slot
-    assert xta.probe(12) == slot and xta.tags[slot] == 12
-    # Through the step: the first access misses and allocates, the second
-    # hits the same slot; both count as lookups.
+    """The first access misses and links the sector, the second hits the
+    same slot; both count as lookups."""
+    assert xta.slot_of.get(12) is None
     system = hybrid2()
     slot = touch(system, 12)
-    assert slot is not None
+    assert slot is not None and system.dcmc.xta.tags[slot] == 12
     stats = system.collect_stats()
     assert "xta.hits" not in stats and stats["xta.misses"] == 1
     assert touch(system, 12) == slot
@@ -77,25 +74,45 @@ def test_lookup_miss_then_hit(xta):
     assert stats["xta.hit_rate"] == 0.5
 
 
-def test_allocate_fm_sector_starts_empty(xta):
-    slot = xta.allocate(xta.victim_way(3), 3, nm_frame=1, fm_frame=9)
-    assert xta.fm_frames[slot] == 9 and xta.nm_frames[slot] == 1
-    assert xta.valid[slot] == 0 and xta.dirty[slot] == 0
+def test_allocate_fm_sector_starts_empty():
+    """A sector homed in FM (2b) is linked with its FM home, a cache
+    frame from the pool, a zero counter and only the demand line valid."""
+    system = hybrid2()
+    xta = system.dcmc.xta
+    sector = homed(system, in_near=False)
+    system.access(sector * system.dcmc.sector_bytes
+                  + 5 * system.dcmc.dram_line_bytes, False, 0.0)
+    slot = xta.slot_of[sector]
+    assert xta.fm_frames[slot] == system.dcmc.remap.lookup(sector)[1]
+    assert xta.nm_frames[slot] in system.dcmc.frames.cache_owned
+    assert xta.counters[slot] == 0
+    assert xta.valid[slot] == 1 << 5 and xta.dirty[slot] == 0
 
 
-def test_allocate_nm_sector_marks_all_valid_and_dirty(xta):
+def test_allocate_nm_sector_marks_all_valid_and_dirty():
     """Paper convention (case 2a): NM-resident sectors show all lines valid
     and dirty and do not use the FM pointer."""
-    slot = xta.allocate(xta.victim_way(3), 3, nm_frame=1, fm_frame=-1)
+    system = hybrid2()
+    xta = system.dcmc.xta
+    sector = homed(system, in_near=True)
+    slot = touch(system, sector)
     assert xta.fm_frames[slot] == -1
+    assert xta.nm_frames[slot] == system.dcmc.remap.lookup(sector)[1]
     assert xta.valid[slot] == xta.dirty[slot] == 0xFF
 
 
-def test_victim_prefers_invalid_way(xta):
-    first = xta.allocate(xta.victim_way(0), 0, 1, 2)
-    victim = xta.victim_way(4)      # same set (4 % 4 == 0)
+def test_victim_prefers_invalid_way():
+    """A miss takes a free way of the sector's set while one is left,
+    and evicts nothing."""
+    system = hybrid2()
+    xta = system.dcmc.xta
+    first = touch(system, 0)
+    victim = touch(system, xta.num_sets)      # same set
     assert victim != first and victim // xta.ways == first // xta.ways
-    assert xta.tags[victim] == -1
+    assert xta.tags[first] == 0
+    stats = system.collect_stats()
+    assert not any(key.startswith(("evictions", "migrations"))
+                   for key in stats.as_dict())
 
 
 def test_victim_is_lru_when_set_full():
@@ -103,11 +120,13 @@ def test_victim_is_lru_when_set_full():
     victim of a full set is the least recently accessed way."""
     system = hybrid2()
     xta = system.dcmc.xta
-    same_set = [way * xta.num_sets for way in range(xta.ways + 1)]
-    slots = [touch(system, sector) for sector in same_set[:-1]]
-    assert xta.victim_way(same_set[-1]) == slots[0]
-    touch(system, same_set[0])                       # refresh the oldest
-    assert xta.victim_way(same_set[-1]) == slots[1]
+    same_set = [way * xta.num_sets for way in range(xta.ways + 2)]
+    slots = [touch(system, sector) for sector in same_set[:xta.ways]]
+    assert touch(system, same_set[xta.ways]) == slots[0]
+    assert same_set[0] not in xta.slot_of
+    touch(system, same_set[1])                       # refresh the oldest
+    assert touch(system, same_set[xta.ways + 1]) == slots[2]
+    assert same_set[1] in xta.slot_of and same_set[2] not in xta.slot_of
 
 
 def test_access_counter_only_counts_fm_sectors():
@@ -130,37 +149,75 @@ def test_access_counter_saturates():
 
 
 def test_competing_counters_ignore_saturated_and_victim():
-    xta = XTA(num_sets=1, ways=3, lines_per_sector=8, counter_max=3)
-    victim = xta.allocate(xta.victim_way(0), 0, 1, 10)
-    other = xta.allocate(xta.victim_way(1), 1, 2, 11)
-    saturated = xta.allocate(xta.victim_way(2), 2, 3, 12)
+    """The migration decision of an FM sector evicted from a full set
+    sees its own counter and the counters of the set's other ways, less
+    the saturated ones."""
+    system = hybrid2(access_counter_bits=2)
+    xta = system.dcmc.xta
+    decisions = []
+    decide = system.dcmc.policy.decide
+
+    def recorded(counter, competitors, valid, dirty, now_ns):
+        decisions.append((counter, list(competitors), valid, dirty))
+        return decide(counter, competitors, valid, dirty, now_ns)
+    system.dcmc.policy.decide = recorded
+    remap = system.dcmc.remap
+    same_set = [s for s in range(0, remap.num_sectors, xta.num_sets)
+                if not remap.lookup(s)[0]][:xta.ways + 1]
+    slots = [touch(system, sector) for sector in same_set[:xta.ways]]
+    victim, other = slots[:2]
     xta.counters[victim] = 1
     xta.counters[other] = 2
-    xta.counters[saturated] = 3        # at counter_max -> ignored
-    assert xta.competing_counters(victim) == [2]
-    xta.clear(other)                   # a free way does not compete
-    assert xta.competing_counters(victim) == []
+    for slot in slots[2:]:
+        xta.counters[slot] = 3            # at counter_max: ignored
+    touch(system, same_set[xta.ways])
+    assert decisions == [(1, [2], 1, 0)]
+    assert xta.tags[victim] == same_set[xta.ways]
 
 
 def test_probe_does_not_touch_lru_or_stats():
-    system = hybrid2()
+    """The swap allocator's XTA probe (Figure 8) skips a frame whose
+    sector is linked, without touching that way's LRU stamp, and steals
+    the next one."""
+    config = make_config(nm_gb=1, fm_gb=16, scale=1024,
+                         hybrid2=Hybrid2Params(dram_cache_bytes=64 * 1024))
+    system = Hybrid2System(config, migration_mode="all")
+    dcmc = system.dcmc
+    xta, frames = dcmc.xta, dcmc.frames
+    flat_home = dcmc.remap.sector_at_nm_frame(frames.flat_frames[0])
+    fm_homed = [s for s in range(dcmc.num_flat_sectors)
+                if not dcmc.remap.lookup(s)[0]][:xta.ways]
+    for t, sector in enumerate([flat_home] + fm_homed[:-1] + [flat_home]):
+        system.access(sector * dcmc.sector_bytes, False, 10.0 * t)
+    frames.pool.clear()                       # the next 2b miss must swap
+    frames.fifo_index = frames.carveout_frames     # at ``flat_home``'s frame
+    slot = xta.slot_of[flat_home]
+    stamp = xta.lru[slot]
+    system.access(fm_homed[-1] * dcmc.sector_bytes, False, 1000.0)
+    assert dcmc.counters.get("allocation.skipped_in_cache") == 1
+    assert dcmc.counters.get("allocation.swaps") == 1
+    assert xta.nm_frames[xta.slot_of[fm_homed[-1]]] == frames.flat_frames[1]
+    assert xta.slot_of[flat_home] == slot and xta.lru[slot] == stamp
+    assert dcmc.remap.lookup(flat_home) == (1, frames.flat_frames[0])
+
+
+def test_clear_resets_entry():
+    """An eviction unlinks the old sector, and the way it frees is
+    relinked with none of the old entry's counter, valid or dirty bits."""
+    system = hybrid2(access_counter_bits=2)
     xta = system.dcmc.xta
-    slot = touch(system, 0)
-    stats_before = system.collect_stats().as_dict()
-    stamps_before = list(xta.lru)
-    assert xta.probe(0) == slot
-    assert xta.probe(99) is None
-    assert system.collect_stats().as_dict() == stats_before
-    assert xta.lru == stamps_before
-
-
-def test_clear_resets_entry(xta):
-    slot = xta.allocate(xta.victim_way(0), 0, 1, 2)
-    xta.valid[slot] = 0b1
-    xta.clear(slot)
-    assert xta.tags[slot] == -1 and xta.probe(0) is None
-    assert xta.valid[slot] == 0 and xta.nm_frames[slot] == -1
-    assert xta.allocated_entries() == 0
+    same_set = [way * xta.num_sets for way in range(xta.ways + 1)]
+    slots = [touch(system, sector, times=3) for sector in same_set[:xta.ways]]
+    xta.valid[slots[0]] |= 0b110
+    xta.dirty[slots[0]] |= 0b110
+    assert touch(system, same_set[-1]) == slots[0]
+    assert same_set[0] not in xta.slot_of
+    assert xta.allocated_entries() == xta.ways
+    if xta.fm_frames[slots[0]] >= 0:
+        assert xta.valid[slots[0]] == 1 and xta.dirty[slots[0]] == 0
+    else:
+        assert xta.valid[slots[0]] == xta.dirty[slots[0]] == 0xFF
+    assert xta.counters[slots[0]] == 0
 
 
 def test_storage_budget_is_reported():
