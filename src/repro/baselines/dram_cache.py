@@ -91,9 +91,9 @@ class DramCacheSystem(MemorySystem):
         return ((tag * self.num_sets + set_index) % self.nm_lines) * self.line_size
 
     def _columns(self, addresses):
-        """Set index, tag, touched 64 B block, the NM ``(slot, row)`` of
-        the block, and the NM fill base and the FM line base of each
-        address.
+        """Set index, tag, touched 64 B block and the NM ``(slot, row)``
+        of the block, for each address.  A miss derives its NM fill base
+        and FM line base from the set index and the tag.
 
         The block travels as an index, not as its bit: 4 KB lines have 64
         blocks, and ``1 << 63`` overflows int64.
@@ -103,13 +103,10 @@ class DramCacheSystem(MemorySystem):
         tag = address // line_size
         set_index = tag % self.num_sets
         block = (address % line_size) // LINE_SIZE
-        nm_base = self._nm_address(set_index, tag)
-        return (set_index, tag, block,
-                *self.near.device.locate(nm_base + block * LINE_SIZE),
-                nm_base, address - address % line_size)
+        nm_block = self._nm_address(set_index, tag) + block * LINE_SIZE
+        return (set_index, tag, block, *self.near.device.locate(nm_block))
 
-    def _step(self, set_col, tag_col, block_col, nm_slot_col, nm_row_col,
-              nm_base_col, fm_base_col):
+    def _step(self, set_col, tag_col, block_col, nm_slot_col, nm_row_col):
         """Probe the DRAM cache; a miss fetches the whole line from FM.
 
         A hit pays the tag cost and one NM burst.  A miss pays the tag
@@ -129,6 +126,7 @@ class DramCacheSystem(MemorySystem):
         hit_period = max(1, int(round(1.0 / hit_frac))) if hit_frac > 0.0 else 0
         miss_needs_tag = self.tag_in_dram_miss
         evict = self._evict
+        nm_address = self._nm_address
         blocks_per_line = self.blocks_per_line
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
@@ -154,11 +152,13 @@ class DramCacheSystem(MemorySystem):
             latency = tag_lat
             if miss_needs_tag:
                 latency += near_line(0, 0, False, now_ns, 2)
+            set_index = set_col[i]
             if len(cache_set) >= ways:
-                evict(cache_set, set_col[i], now_ns)
-            latency += far_block(fm_base_col[i], line_size, False, now_ns,
+                evict(cache_set, set_index, now_ns)
+            latency += far_block(tag * line_size, line_size, False, now_ns,
                                  True)
-            near_block(nm_base_col[i], line_size, True, now_ns, False)
+            near_block(nm_address(set_index, tag), line_size, True, now_ns,
+                       False)
             cache_set[tag] = DramCacheLine(tag=tag, dirty=is_write,
                                            touched_mask=1 << block_col[i])
             self.fetched_blocks += blocks_per_line

@@ -82,15 +82,17 @@ class MigrationPolicy:
     # ------------------------------------------------------------------
     def note_demand_fm_access(self, now_ns: float) -> None:
         """Every DRAM-cache miss fetched from FM grows the budget."""
-        self._maybe_reset(now_ns)
+        if now_ns >= self._window_end_ns:
+            self._roll_over(now_ns)
         self.budget += 1
 
-    def _maybe_reset(self, now_ns: float) -> None:
-        if now_ns >= self._window_end_ns:
-            self.budget = 0
-            # Skip whole windows if the workload went quiet for a while.
-            while self._window_end_ns <= now_ns:
-                self._window_end_ns += self.window_ns
+    def _roll_over(self, now_ns: float) -> None:
+        """Start the window holding ``now_ns``, which is past the current
+        one's end, with an empty budget."""
+        self.budget = 0
+        # Skip whole windows if the workload went quiet for a while.
+        while self._window_end_ns <= now_ns:
+            self._window_end_ns += self.window_ns
 
     # ------------------------------------------------------------------
     # decision (Figure 10)
@@ -98,7 +100,8 @@ class MigrationPolicy:
     def decide(self, access_counter: int, competing_counters: Iterable[int],
                valid_lines: int, dirty_lines: int, now_ns: float) -> MigrationVerdict:
         """Decide what to do with an FM sector being evicted from the cache."""
-        self._maybe_reset(now_ns)
+        if now_ns >= self._window_end_ns:
+            self._roll_over(now_ns)
 
         if self.mode == "none":
             self.stats.denied_by_counter += 1

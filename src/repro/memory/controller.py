@@ -11,22 +11,21 @@ controller once, at construction; both methods are thin calls into them.
 
 from __future__ import annotations
 
+from ..common import LINE_SIZE
 from ..params import DramParams
 from .device import DramDevice
 from .kernels import KIND_BACKGROUND, KIND_DEMAND, KIND_METADATA, make_kernels
 
 
 class MemoryController:
-    """Issues requests to one :class:`DramDevice` and keeps traffic accounts."""
+    """Issues requests to one :class:`DramDevice` and reports its traffic
+    split, which the device counts in lines."""
 
     #: Fixed controller/queueing pipeline overhead added to every access.
     CONTROLLER_OVERHEAD_NS = 2.0
 
     def __init__(self, params: DramParams) -> None:
         self.device = DramDevice(params)
-        self.demand_bytes = 0
-        self.background_bytes = 0
-        self.metadata_bytes = 0
         self._line, self._block = make_kernels(self)
 
     @property
@@ -73,14 +72,25 @@ class MemoryController:
         Timing state (open rows, bus/bank occupancy) is deliberately kept so
         the measured region continues from a warmed-up device.
         """
-        self.demand_bytes = 0
-        self.background_bytes = 0
-        self.metadata_bytes = 0
         self.device.reset_counters()
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    @property
+    def demand_bytes(self) -> int:
+        device = self.device
+        return (device.line_count - device.background_lines
+                - device.metadata_lines) * LINE_SIZE
+
+    @property
+    def background_bytes(self) -> int:
+        return self.device.background_lines * LINE_SIZE
+
+    @property
+    def metadata_bytes(self) -> int:
+        return self.device.metadata_lines * LINE_SIZE
+
     @property
     def total_bytes(self) -> int:
         return self.device.total_bytes

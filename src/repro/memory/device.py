@@ -1,10 +1,10 @@
 """Event-based DRAM device state, as flat per-bank and per-channel lists.
 
 A :class:`DramDevice` holds the timing state of one memory plus its
-traffic and energy counters.  Every bank has one integer *slot*,
+line counters.  Every bank has one integer *slot*,
 ``channel * banks_per_channel + bank``, and the per-bank state is a set of
-lists indexed by it; the per-channel state is a pair of lists indexed by
-the channel, which ``channel_of[slot]`` gives.
+lists indexed by it; the per-channel bus state is a list indexed by the
+channel, which ``channel_of[slot]`` gives.
 
 The address map is one table, built at construction: ``slot_table`` holds
 the bank slot of every ``span``-aligned span (``span`` is the gcd of the
@@ -41,6 +41,25 @@ from ..common import LINE_SIZE
 from ..params import DramParams
 
 
+#: Terms per ``np.cumsum`` call in :func:`fold`, which bounds its buffer.
+FOLD_CHUNK = 1 << 16
+
+
+def fold(term: float, count: int) -> float:
+    """``0.0 + term + ... + term`` (``count`` terms) added left to right,
+    as a float accumulator taking ``term`` once per event would, bit for
+    bit; ``count * term`` rounds differently.  ``np.cumsum`` adds
+    sequentially, unlike the pairwise ``np.sum``."""
+    total = 0.0
+    while count > 0:
+        chunk = min(count, FOLD_CHUNK)
+        terms = np.full(chunk + 1, term)
+        terms[0] = total
+        total = float(np.cumsum(terms)[-1])
+        count -= chunk
+    return total
+
+
 class DramDevice:
     """One DRAM device (the near memory or the far memory).
 
@@ -49,11 +68,20 @@ class DramDevice:
     row granularity within a channel.
 
     Per bank slot: ``open_row`` (-1 while the bank is precharged),
-    ``ready_at_ns`` (earliest time a new command can use the bank) and the
-    ``row_hits`` / ``row_misses`` / ``activations`` event counts.  Per
-    channel: ``bus_free_at_ns`` (the data bus's next free time) and
-    ``busy_ns`` (its cumulative busy time).  The kernels hold references
-    to these lists, so they are only ever updated in place.
+    ``ready_at_ns`` (earliest time a new command can use the bank),
+    ``lines`` (64 B lines issued since construction) and the
+    ``activations`` / ``row_misses`` event counts.  Per channel:
+    ``bus_free_at_ns`` (the data bus's next free time).  ``writes``,
+    ``background_lines`` and ``metadata_lines`` count lines device-wide.
+    The kernels hold references to these lists, so they are only ever
+    updated in place.
+
+    Everything else is derived on read: ``reads``, the per-slot
+    ``row_hits`` (lines since the reset that were not activations), the
+    per-channel ``busy_ns`` (one ``burst_ns`` per line, warm-up
+    included) and both energies, each float a :func:`fold` of its one
+    constant over its count.  Every term of such a sum is the same, so
+    the order the lines were issued in never matters.
     """
 
     def __init__(self, params: DramParams) -> None:
@@ -62,12 +90,15 @@ class DramDevice:
         slots = params.channels * banks
         self.open_row = [-1] * slots
         self.ready_at_ns = [0.0] * slots
-        self.row_hits = [0] * slots
+        self.lines = [0] * slots
         self.row_misses = [0] * slots
         self.activations = [0] * slots
         self.channel_of = [slot // banks for slot in range(slots)]
         self.bus_free_at_ns = [0.0] * params.channels
-        self.busy_ns = [0.0] * params.channels
+        #: One 64 B line on a channel's data bus (DDR: two transfers per
+        #: cycle).
+        self.burst_ns = LINE_SIZE * (params.clock_ns
+                                     / (params.bus_bits / 8 * 2))
         # The channel rotates every ``interleave`` bytes, the bank every
         # row within the channel; both repeat within ``period``.
         interleave = params.channel_interleave_bytes
@@ -96,18 +127,54 @@ class DramDevice:
         return self._slot_array[index], address // row_stride
 
     def reset_counters(self) -> None:
-        """Zero the line, dynamic-energy (pJ) and per-bank event counters;
-        the timing state (open rows, readiness, bus occupancy) stays."""
-        self.reads = 0
+        """Restart the line, traffic, energy and per-bank event counts;
+        the timing state (open rows, readiness, bus occupancy) and the
+        bus-busy time stay."""
+        self.lines_at_reset = self.lines.copy()
         self.writes = 0
-        self.rw_energy_pj = 0.0
-        self.act_pre_energy_pj = 0.0
-        for counts in (self.row_hits, self.row_misses, self.activations):
+        self.background_lines = 0
+        self.metadata_lines = 0
+        for counts in (self.row_misses, self.activations):
             counts[:] = [0] * len(counts)
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    @property
+    def line_count(self) -> int:
+        """64 B lines issued since the last reset."""
+        return sum(self.lines) - sum(self.lines_at_reset)
+
+    @property
+    def reads(self) -> int:
+        return self.line_count - self.writes
+
+    @property
+    def row_hits(self) -> list[int]:
+        """Per slot: lines since the last reset that found their row open."""
+        return [lines - base - activations for lines, base, activations
+                in zip(self.lines, self.lines_at_reset, self.activations)]
+
+    @property
+    def busy_ns(self) -> list[float]:
+        """Per channel: cumulative data-bus busy time since construction."""
+        banks = self.params.banks_per_channel
+        lines = self.lines
+        return [fold(self.burst_ns, sum(lines[first:first + banks]))
+                for first in range(0, len(lines), banks)]
+
+    @property
+    def rw_energy_pj(self) -> float:
+        """Read/write energy since the last reset, per 64 B line."""
+        return fold(self.params.rw_energy_pj_per_bit * LINE_SIZE * 8,
+                    self.line_count)
+
+    @property
+    def act_pre_energy_pj(self) -> float:
+        """Activate/precharge energy since the last reset, per activation."""
+        return fold(self.params.act_pre_energy_nj * 1000.0,
+                    sum(self.activations))
+
     @property
     def read_bytes(self) -> int:
         return self.reads * LINE_SIZE
@@ -118,7 +185,7 @@ class DramDevice:
 
     @property
     def total_bytes(self) -> int:
-        return (self.reads + self.writes) * LINE_SIZE
+        return self.line_count * LINE_SIZE
 
     @property
     def energy_pj(self) -> float:

@@ -2,10 +2,10 @@
 
 :func:`make_kernels` compiles one
 :class:`~repro.memory.controller.MemoryController` into a pair of closures
-and is the only implementation of DRAM timing and energy in the package:
-it derives the row hit / empty / miss latencies, the burst time and the
-per-line and per-activation energies from the device's
-:class:`~repro.params.DramParams` itself.  The controller builds its own
+and is the only implementation of DRAM timing in the package: it derives
+the row hit / empty / miss latencies from the device's
+:class:`~repro.params.DramParams` itself and reads the burst time the
+device derives.  The controller builds its own
 pair once and its
 :meth:`~repro.memory.controller.MemoryController.access` /
 :meth:`~repro.memory.controller.MemoryController.transfer_block` methods
@@ -23,29 +23,32 @@ a design maps every address it knows before the run in its ``_columns``,
 and the few whose frame is runtime state read the device's slot table
 inline.  Per 64 B line it classifies the row-buffer state (hit / miss /
 empty), waits for the bank, serialises the burst on the channel's data
-bus, and accounts traffic and dynamic energy.
+bus, and counts the line.
 
 The block kernel takes an address and reads the slot table once per
 aligned span, whose lines share a bank and a row: it classifies the
 span's first line as the line kernel would and derives the rest, all
-row hits, in one straight-line sum per float chain.  The sums are as
-long as the device's span has lines, so the kernel is compiled from
+row hits, in one straight-line sum of the completion time.  The sum is
+as long as the device's span has lines, so the kernel is compiled from
 source (:data:`_BLOCK_SOURCE`) once per process and lines-per-span count.
 
-Energy is dynamic only, as in the paper's Figure 18 (refresh and static
-energy are excluded): ``rw_energy_pj_per_bit * 512`` per 64 B line and
-``act_pre_energy_nj * 1000`` pJ per row activation.  Both sums are float
-accumulators on the device, added one line at a time in access order,
-rather than products of the line and activation counts derived
-afterwards, so they stay bit-identical to the per-line sequence whichever
-kernel or call site issued the line.
+Neither kernel touches energy, bus-busy time or traffic bytes.  They
+count integers on the device: lines per bank slot, writes, activations,
+row misses and the background and metadata lines.  The device derives
+the rest on read (:func:`~repro.memory.device.fold`): energy is dynamic
+only, as in the paper's Figure 18 (refresh and static energy are
+excluded), ``rw_energy_pj_per_bit * 512`` per 64 B line and
+``act_pre_energy_nj * 1000`` pJ per row activation, and a channel is
+busy ``burst_ns`` per line.
 
-All state lives in the device's per-bank and per-channel lists and its
-counters, so every pair of kernels compiled for one controller shares it:
-a design step's inlined bursts interleave freely with the controller
-methods its rare events (the migration baselines' swaps, the DRAM caches'
-victim write-backs, Hybrid2's case-2b fill) call.
-``tests/test_fastpath.py`` pins the kernels against the frozen golden
+All state lives in the device: its per-bank and per-channel lists and
+its integer counters, none of them a controller attribute.  So every
+pair of kernels compiled for one controller shares it: a design step's
+inlined bursts interleave freely with the controller methods its rare
+events (the migration baselines' swaps, the DRAM caches' victim
+write-backs, Hybrid2's case-2b fill) call.
+``tests/test_fastpath.py`` pins the kernels and the floats the device
+derives against the frozen golden
 ``tests/data/golden/dram_timing.json`` float for float and
 ``tests/test_engine_equivalence.py`` pins the full engine per design.
 """
@@ -88,24 +91,20 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     params = device.params
     open_rows = device.open_row
     ready_at = device.ready_at_ns
-    row_hits = device.row_hits
+    lines = device.lines
     row_misses = device.row_misses
     activations = device.activations
     channel_of = device.channel_of
     bus_free_at = device.bus_free_at_ns
-    busy_ns = device.busy_ns
     slot_table, period, span, row_stride = device.address_map
     # Row hit: column access only.  Row empty: activate, then column
-    # access.  Row miss: precharge, activate, column access.  A burst is
-    # one line on one channel's data bus (DDR: two transfers per cycle).
+    # access.  Row miss: precharge, activate, column access.
     clock_ns = params.clock_ns
     hit_ns = params.tcas_cycles * clock_ns
     trcd_ns = params.trcd_cycles * clock_ns
     empty_ns = trcd_ns + hit_ns
     miss_ns = params.trp_cycles * clock_ns + trcd_ns + hit_ns
-    burst_ns = LINE_SIZE * (clock_ns / (params.bus_bits / 8 * 2))
-    line_rw_pj = params.rw_energy_pj_per_bit * LINE_SIZE * 8
-    act_pre_pj = params.act_pre_energy_nj * 1000.0
+    burst_ns = device.burst_ns
     overhead_ns = controller.CONTROLLER_OVERHEAD_NS
 
     def line_access(slot: int, row: int, is_write: bool, now_ns: float,
@@ -113,7 +112,6 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
         open_row = open_rows[slot]
         if open_row == row:
             array_latency = hit_ns
-            row_hits[slot] += 1
         else:
             if open_row < 0:
                 array_latency = empty_ns
@@ -121,7 +119,6 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
                 array_latency = miss_ns
                 row_misses[slot] += 1
             activations[slot] += 1
-            device.act_pre_energy_pj += act_pre_pj
             open_rows[slot] = row
 
         ready = ready_at[slot]
@@ -134,30 +131,24 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
             begin = data_ready
         completion = begin + burst_ns
         bus_free_at[channel] = completion
-        busy_ns[channel] += burst_ns
         ready_at[slot] = completion
 
-        device.rw_energy_pj += line_rw_pj
+        lines[slot] += 1
         if is_write:
             device.writes += 1
-        else:
-            device.reads += 1
-        if kind == 0:
-            controller.demand_bytes += LINE_SIZE
-        elif kind == 1:
-            controller.background_bytes += LINE_SIZE
-        else:
-            controller.metadata_bytes += LINE_SIZE
+        if kind:
+            if kind == 1:
+                device.background_lines += 1
+            else:
+                device.metadata_lines += 1
         return (completion - now_ns) + overhead_ns
 
     block_transfer = _block_binder(span // LINE_SIZE)(
-        device=device, controller=controller, slot_table=slot_table,
-        period=period, span=span, row_stride=row_stride,
-        open_rows=open_rows, ready_at=ready_at, row_hits=row_hits,
-        row_misses=row_misses, activations=activations,
-        channel_of=channel_of, bus_free_at=bus_free_at, busy_ns=busy_ns,
-        hit_ns=hit_ns, empty_ns=empty_ns, miss_ns=miss_ns,
-        burst_ns=burst_ns, line_rw_pj=line_rw_pj, act_pre_pj=act_pre_pj,
+        device=device, slot_table=slot_table, period=period, span=span,
+        row_stride=row_stride, open_rows=open_rows, ready_at=ready_at,
+        slot_lines=lines, row_misses=row_misses, activations=activations,
+        channel_of=channel_of, bus_free_at=bus_free_at, hit_ns=hit_ns,
+        empty_ns=empty_ns, miss_ns=miss_ns, burst_ns=burst_ns,
         overhead_ns=overhead_ns)
     return line_access, block_transfer
 
@@ -173,14 +164,11 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
 #: a partial tail span.  :func:`_block_binder` fills in the three span
 #: bodies for a device whose spans hold ``{lines}`` lines.
 _BLOCK_SOURCE = """\
-def bind(device, controller, slot_table, period, span, row_stride,
-         open_rows, ready_at, row_hits, row_misses, activations,
-         channel_of, bus_free_at, busy_ns, hit_ns, empty_ns, miss_ns,
-         burst_ns, line_rw_pj, act_pre_pj, overhead_ns):
+def bind(device, slot_table, period, span, row_stride, open_rows,
+         ready_at, slot_lines, row_misses, activations, channel_of,
+         bus_free_at, hit_ns, empty_ns, miss_ns, burst_ns, overhead_ns):
     def block_transfer(address, nbytes, is_write, now_ns, demand):
         lines = nbytes // LINE_SIZE or 1
-        rw_pj = device.rw_energy_pj
-        act_pj = device.act_pre_energy_pj
         line_address = address
         run = -((address % span - span) // LINE_SIZE)
         if run > lines:
@@ -196,17 +184,9 @@ def bind(device, controller, slot_table, period, span, row_stride,
             if run:
                 line_address = tail + spans * span
 {partial}
-        device.rw_energy_pj = rw_pj
-        device.act_pre_energy_pj = act_pj
         if is_write:
             device.writes += lines
-        else:
-            device.reads += lines
-        if demand:
-            controller.demand_bytes += LINE_SIZE
-            controller.background_bytes += (lines - 1) * LINE_SIZE
-        else:
-            controller.background_bytes += lines * LINE_SIZE
+        device.background_lines += lines - 1 if demand else lines
         return first
     return block_transfer
 """
@@ -219,7 +199,6 @@ row = line_address // row_stride
 open_row = open_rows[slot]
 if open_row == row:
     array_latency = hit_ns
-    row_hits[slot] += {run}
 else:
     if open_row < 0:
         array_latency = empty_ns
@@ -227,9 +206,8 @@ else:
         array_latency = miss_ns
         row_misses[slot] += 1
     activations[slot] += 1
-    act_pj += act_pre_pj
     open_rows[slot] = row
-    row_hits[slot] += {run} - 1
+slot_lines[slot] += {run}
 ready = ready_at[slot]
 if now_ns > ready:
     ready = now_ns
@@ -246,13 +224,8 @@ ready_at[slot] = completion
 
 #: The rest of a partial span: its lines one loop step each.
 _LOOP_CHAIN = """\
-busy = busy_ns[channel] + burst_ns
-rw_pj += line_rw_pj
 for _ in range(run - 1):
-    completion = completion + hit_ns + burst_ns
-    busy += burst_ns
-    rw_pj += line_rw_pj
-busy_ns[channel] = busy"""
+    completion = completion + hit_ns + burst_ns"""
 
 
 def _indent(code: str, depth: int) -> str:
@@ -264,15 +237,13 @@ def _block_binder(lines: int) -> Callable[..., BlockKernel]:
     """``bind`` of :data:`_BLOCK_SOURCE` for spans of ``lines`` lines,
     compiled once per process and line count.
 
-    A whole span advances its completion, bus-busy and read/write-energy
-    chains in one sum each, written out ``lines`` terms long: Python adds
-    left to right, so every float still takes one line at a time, in line
-    order.  The integer counters are bumped once per span or per block.
+    A whole span advances its completion time in one sum, written out
+    ``lines`` terms long: Python adds left to right, so it still takes one
+    line at a time, in line order.  The integer counters are bumped once
+    per span or per block.
     """
-    whole_chain = (
-        "completion = completion" + " + hit_ns + burst_ns" * (lines - 1)
-        + "\nbusy_ns[channel] = busy_ns[channel]" + " + burst_ns" * lines
-        + "\nrw_pj = rw_pj" + " + line_rw_pj" * lines)
+    whole_chain = ("completion = completion"
+                   + " + hit_ns + burst_ns" * (lines - 1))
     head_chain = (f"if run == {lines}:\n{_indent(whole_chain, 4)}\n"
                   f"else:\n{_indent(_LOOP_CHAIN, 4)}")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import (MemoryRequest, align_down, block_index,
+from repro.common import (LINE_SIZE, MemoryRequest, align_down, block_index,
                           block_offset, full_mask, line_index_in_block,
                           lines_per_block, popcount)
 from repro.memory.controller import MemoryController
@@ -61,12 +61,20 @@ def test_traffic_counter():
 
 
 def test_energy_counter():
-    """The device's energy counters and the controller total over them."""
-    controller = MemoryController(hbm2_params(1 << 27))
+    """The device's energies, derived from its line and activation
+    counts, and the controller total over them; the bus-busy time spans
+    a counter reset."""
+    params = hbm2_params(1 << 27)
+    controller = MemoryController(params)
     device = controller.device
-    device.rw_energy_pj = 100.0
-    device.act_pre_energy_pj = 50.0
-    assert device.energy_pj == pytest.approx(150.0)
-    assert controller.energy_pj == device.energy_pj
+    controller.access(0, False, 0.0)      # row empty: activation + line
+    controller.access(0, False, 100.0)    # row hit: line only
+    line_pj = params.rw_energy_pj_per_bit * LINE_SIZE * 8
+    rw = 0.0 + line_pj + line_pj
+    act_pre = 0.0 + params.act_pre_energy_nj * 1000.0
+    assert (device.rw_energy_pj, device.act_pre_energy_pj) == (rw, act_pre)
+    assert device.energy_pj == rw + act_pre == controller.energy_pj
+    busy_ns = device.busy_ns
     controller.reset_counters()
-    assert controller.energy_pj == 0.0
+    assert controller.energy_pj == device.energy_pj == 0.0
+    assert device.busy_ns == busy_ns

@@ -78,8 +78,9 @@ def test_kernel_counters_reset_in_place():
     assert controller.background_bytes == LINE_SIZE
     assert device.write_bytes == LINE_SIZE
     assert device.reads == 0  # zeroed by the reset
-    # The per-bank lists are zeroed in place, so the kernel's row hit on
-    # the still-open row lands in the list the device reports.
+    # The activation list is zeroed in place and the line counts are
+    # snapshotted, so the kernel's line on the still-open row reads as
+    # one row hit since the reset.
     assert (device.row_hits[0], device.activations[0]) == (1, 0)
 
 

@@ -1,11 +1,12 @@
 """Tests for the DRAM substrate: timings, and the controller's timing kernels
-over the device's flat per-bank and per-channel state and its energy
-counters."""
+over the device's flat per-bank and per-channel state, its line counters
+and the energy and busy time it derives from them."""
 
 import pytest
 
 from repro.common import LINE_SIZE
 from repro.memory.controller import MemoryController
+from repro.memory.device import FOLD_CHUNK, fold
 from repro.params import ddr4_params, hbm2_params
 
 
@@ -160,6 +161,29 @@ def test_row_hit_rate_reported(hbm):
 # ---------------------------------------------------------------------------
 # energy model
 # ---------------------------------------------------------------------------
+def added_one_by_one(term, count):
+    """A float accumulator that took ``term`` ``count`` times, as a
+    per-line counter would (not ``sum()``, which compensates on 3.12+)."""
+    total = 0.0
+    for _ in range(count):
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, FOLD_CHUNK - 1, FOLD_CHUNK,
+                                   FOLD_CHUNK + 1, 3 * FOLD_CHUNK + 5])
+@pytest.mark.parametrize("term", [
+    hbm2_params(1 << 27).rw_energy_pj_per_bit * LINE_SIZE * 8,
+    ddr4_params(1 << 27).rw_energy_pj_per_bit * LINE_SIZE * 8,
+    hbm2_params(1 << 27).act_pre_energy_nj * 1000.0,
+    burst_ns(hbm2_params(1 << 27), LINE_SIZE),
+    burst_ns(ddr4_params(1 << 27), LINE_SIZE),
+], ids=["hbm2_line_pj", "ddr4_line_pj", "act_pre_pj", "hbm2_burst_ns",
+        "ddr4_burst_ns"])
+def test_fold_equals_a_per_line_accumulator(term, count):
+    assert fold(term, count) == added_one_by_one(term, count)
+
+
 def test_energy_model_accounting(hbm):
     controller = MemoryController(hbm)
     act_pre_pj = hbm.act_pre_energy_nj * 1000.0

@@ -299,7 +299,10 @@ DRAM_OPS = st.one_of(
 @settings(max_examples=40)
 def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
     """Every 64 B line is counted once as traffic, once in exactly one
-    traffic class, and pays exactly its line and activation energy."""
+    traffic class, once as a row hit or an activation of its bank, and
+    pays exactly its line energy and its channel's burst time; each
+    activation pays its ACT/PRE energy.  The derived floats equal the
+    per-line accumulators they replace, bit for bit."""
     controller = MemoryController(params_factory(1 << 26))
     device = controller.device
     now = 0.0
@@ -314,18 +317,30 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
             _, address, is_write, nbytes, demand = op
             controller.transfer_block(address - address % 64, nbytes,
                                       is_write, now, demand=demand)
+    def added_one_by_one(term, count):
+        total = 0.0
+        for _ in range(count):
+            total += term
+        return total
+
     lines = device.reads + device.writes
     assert device.read_bytes + device.write_bytes == lines * LINE_SIZE
     assert (controller.demand_bytes + controller.background_bytes
             + controller.metadata_bytes) == controller.total_bytes
-    line_rw_pj = device.params.rw_energy_pj_per_bit * LINE_SIZE * 8
-    activations = sum(device.activations)
-    assert device.rw_energy_pj == pytest.approx(lines * line_rw_pj,
-                                                rel=1e-12)
-    assert device.act_pre_energy_pj == pytest.approx(
-        activations * device.params.act_pre_energy_nj * 1000.0, rel=1e-12)
-    hits = sum(device.row_hits)
-    assert hits + activations == lines
+    params = device.params
+    assert device.rw_energy_pj == added_one_by_one(
+        params.rw_energy_pj_per_bit * LINE_SIZE * 8, lines)
+    assert device.act_pre_energy_pj == added_one_by_one(
+        params.act_pre_energy_nj * 1000.0, sum(device.activations))
+    banks = params.banks_per_channel
+    for channel, busy in enumerate(device.busy_ns):
+        channel_lines = sum(device.lines[channel * banks:
+                                         (channel + 1) * banks])
+        assert busy == added_one_by_one(device.burst_ns, channel_lines)
+    for hits, activations, slot_lines in zip(
+            device.row_hits, device.activations, device.lines):
+        assert hits + activations == slot_lines
+    assert sum(device.lines) == lines
 
 
 @given(params_factory=st.sampled_from((hbm2_params, ddr4_params)),
