@@ -8,8 +8,10 @@ additionally writes the raw payload to
 checked-in baseline: engine rates over a pure-Python calibration loop,
 each design's rate over the fixed-latency NULL memory system's.
 
-Environment knobs: ``REPRO_BENCH_PERF_REFS`` (default 40000) and
-``REPRO_BENCH_PERF_REPEAT`` (default 2) bound the measurement cost.
+Environment knobs: ``REPRO_BENCH_PERF_REFS`` (default 60000) and
+``REPRO_BENCH_PERF_REPEAT`` (default 5), the baseline's own settings: the
+gate refuses a run taken at other settings, because the ratios move with
+the trace length and the number of rounds.
 """
 
 import json

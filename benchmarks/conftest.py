@@ -16,8 +16,8 @@ are not cached yet.  Environment knobs (shared with the report CLI):
                                      capped at 8; default auto)
 * ``REPRO_BENCH_STORE``              result-store directory; "0" disables
                                      (default ``benchmarks/results/store``)
-* ``REPRO_BENCH_PERF_REFS``          perf-bench references (default 40000)
-* ``REPRO_BENCH_PERF_REPEAT``        perf-bench repetitions (default 2)
+* ``REPRO_BENCH_PERF_REFS``          perf-bench references (default 60000)
+* ``REPRO_BENCH_PERF_REPEAT``        perf-bench repetitions (default 5)
 * ``REPRO_FULL=1``                   full 30-workload, 48 k-reference sweep
 
 The store is keyed by (design, workload spec, configuration, refs, seed)

@@ -47,7 +47,7 @@ class MemorySystem(abc.ABC):
       ``step(i, is_write, now_ns) -> latency_ns`` reading entry ``i`` of
       each column.  Addresses the design knows before the run reach the
       step as the ``(slot, row)`` columns of
-      :meth:`~repro.memory.device.DramDevice.locate`.
+      :meth:`~repro.memory.controller.MemoryController.locate`.
 
     The step does not count requests: ``requests`` and ``write_requests``
     depend on the schedule alone, so ``simulate()`` adds them once for the

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict
 
-from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from ..stats import Stats
 from .migration_base import MigrationSystem
@@ -71,12 +70,13 @@ class ChameleonGroups(MigrationSystem):
         the flat NM space); half the threshold fills the cache mode
         (:meth:`_fill_cache_mode`), the full threshold swaps the segment
         into NM.  Frames are runtime state: the step maps them inline, with
-        :meth:`~repro.memory.device.DramDevice.locate`'s slot table.
+        :meth:`~repro.memory.controller.MemoryController.locate`'s slot
+        table.
         """
-        near_line, _ = make_kernels(self.near)
-        far_line, _ = make_kernels(self.far)
-        n_slots, n_period, n_span, n_stride = self.near.device.address_map
-        f_slots, f_period, f_span, f_stride = self.far.device.address_map
+        near_line = self.near.line_access
+        far_line = self.far.line_access
+        n_slots, n_period, n_span, n_stride = self.near.address_map
+        f_slots, f_period, f_span, f_stride = self.far.address_map
         seg_bytes = self.segment_bytes
         near_col = self.remap._in_near
         frame_col = self.remap._frame

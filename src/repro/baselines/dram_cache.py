@@ -25,7 +25,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..common import LINE_SIZE, full_mask, popcount
-from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from ..stats import Stats
 from .base import MemorySystem
@@ -49,8 +48,7 @@ class DramCacheSystem(MemorySystem):
                  ways: int = 16, fully_associative: bool = False,
                  tag_in_dram_miss: bool = False,
                  tag_in_dram_hit_fraction: float = 0.0,
-                 tag_latency_ns: float = 0.0,
-                 writeback_whole_line: bool = True) -> None:
+                 tag_latency_ns: float = 0.0) -> None:
         super().__init__(config)
         if line_size % LINE_SIZE:
             raise ValueError("DRAM-cache line size must be a multiple of 64 B")
@@ -61,7 +59,6 @@ class DramCacheSystem(MemorySystem):
         self.tag_in_dram_miss = tag_in_dram_miss
         self.tag_in_dram_hit_fraction = tag_in_dram_hit_fraction
         self.tag_latency_ns = tag_latency_ns
-        self.writeback_whole_line = writeback_whole_line
 
         total_lines = max(1, config.near.capacity_bytes // line_size)
         self.nm_lines = total_lines
@@ -104,7 +101,7 @@ class DramCacheSystem(MemorySystem):
         set_index = tag % self.num_sets
         block = (address % line_size) // LINE_SIZE
         nm_block = self._nm_address(set_index, tag) + block * LINE_SIZE
-        return (set_index, tag, block, *self.near.device.locate(nm_block))
+        return (set_index, tag, block, *self.near.locate(nm_block))
 
     def _step(self, set_col, tag_col, block_col, nm_slot_col, nm_row_col):
         """Probe the DRAM cache; a miss fetches the whole line from FM.
@@ -116,8 +113,9 @@ class DramCacheSystem(MemorySystem):
         every ``1 / tag_in_dram_hit_fraction``-th hit, a deterministic
         stand-in for that fraction; tag reads go to NM address 0, (0, 0).
         """
-        near_line, near_block = make_kernels(self.near)
-        _, far_block = make_kernels(self.far)
+        near_line = self.near.line_access
+        near_block = self.near.block_transfer
+        far_block = self.far.block_transfer
         line_size = self.line_size
         sets = self._sets
         ways = self.ways
@@ -171,13 +169,13 @@ class DramCacheSystem(MemorySystem):
         victim_tag, victim = cache_set.popitem(last=False)
         self.used_blocks += popcount(victim.touched_mask)
         if victim.dirty:
+            # The whole line goes back: the cache keeps one dirty bit per
+            # line.
             self.writebacks += 1
-            nbytes = (self.line_size if self.writeback_whole_line
-                      else popcount(victim.touched_mask) * LINE_SIZE)
-            nbytes = max(LINE_SIZE, nbytes)
+            line_size = self.line_size
             self.near.transfer_block(self._nm_address(set_index, victim_tag),
-                                     nbytes, False, now_ns, demand=False)
-            self.far.transfer_block(victim_tag * self.line_size, nbytes, True,
+                                     line_size, False, now_ns, demand=False)
+            self.far.transfer_block(victim_tag * line_size, line_size, True,
                                     now_ns, demand=False)
 
     # ------------------------------------------------------------------

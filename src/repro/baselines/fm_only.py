@@ -11,7 +11,6 @@ metric in Figures 2 and 12-18.
 
 from __future__ import annotations
 
-from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from .base import MemorySystem
 
@@ -28,12 +27,12 @@ class FarMemoryOnly(MemorySystem):
     def _columns(self, addresses):
         """The far-memory ``(slot, row)`` of each address, wrapped to the
         far memory."""
-        return self.far.device.locate(
+        return self.far.locate(
             addresses % self.config.far.capacity_bytes)
 
     def _step(self, slot_col, row_col):
         """Serve the request from far memory (the only memory there is)."""
-        far_line, _ = make_kernels(self.far)
+        far_line = self.far.line_access
 
         def step(i: int, is_write: bool, now_ns: float) -> float:
             return far_line(slot_col[i], row_col[i], is_write, now_ns, 0)

@@ -35,14 +35,7 @@ class LgmMigration(MigrationSystem):
     name = "LGM"
 
     def __init__(self, config: SystemConfig, *, watermark: int = 32,
-                 min_accesses: int = 2, interval_ns: float | None = None,
-                 seed: int = 17) -> None:
-        if interval_ns is None:
-            # See MemPod: the interval shrinks with the capacity scale so the
-            # scheme gets a comparable number of migration opportunities over
-            # the (much shorter) scaled run.
-            interval_ns = max(1_000.0, 50_000.0 * 16 / config.scale)
-        self.interval_ns = interval_ns
+                 min_accesses: int = 2, seed: int = 17) -> None:
         super().__init__(config, seed=seed)
         self.watermark = watermark
         self.min_accesses = min_accesses

@@ -61,14 +61,7 @@ class MemPod(MigrationSystem):
     name = "MPOD"
 
     def __init__(self, config: SystemConfig, *, mea_counters: int = 16,
-                 interval_ns: float | None = None, seed: int = 17) -> None:
-        if interval_ns is None:
-            # The paper's 50 us interval is tuned for an unscaled (1 GB NM,
-            # 1 B-instruction) run; the scaled model compresses simulated
-            # time, so the interval shrinks with the same factor to keep the
-            # number of migration opportunities per unit of work comparable.
-            interval_ns = max(1_000.0, 50_000.0 * 16 / config.scale)
-        self.interval_ns = interval_ns
+                 seed: int = 17) -> None:
         super().__init__(config, seed=seed)
         self.mea = MeaCounters(mea_counters)
         self.intervals = 0

@@ -28,7 +28,6 @@ from typing import Optional
 
 from ..common import LINE_SIZE
 from ..core.remap import RemapTable
-from ..memory.kernels import make_kernels
 from ..params import SystemConfig
 from ..stats import Stats
 from .base import MemorySystem
@@ -36,7 +35,7 @@ from .base import MemorySystem
 #: Migration granularity shared by the baselines (2 KB, as in the paper).
 SEGMENT_BYTES = 2048
 
-#: Interval length used by MemPod and LGM (50 us).
+#: The paper's interval of MemPod and LGM (50 us), for an unscaled run.
 INTERVAL_NS = 50_000.0
 
 
@@ -71,7 +70,6 @@ class MigrationSystem(MemorySystem):
 
     name = "MIGRATION"
     segment_bytes = SEGMENT_BYTES
-    interval_ns = INTERVAL_NS
     #: Whether remap metadata lives in memory (True) or fits on chip
     #: (False, e.g. group-based Chameleon).
     remap_in_memory = True
@@ -86,6 +84,11 @@ class MigrationSystem(MemorySystem):
                                 self.fm_frames, seed=seed)
         self.remap_cache = RemapCache(config.hybrid2.cache_sectors)
         self._fifo_victim = 0
+        # The paper's interval is tuned for an unscaled (1 GB NM,
+        # 1 B-instruction) run; the scaled model compresses simulated
+        # time, so the interval shrinks with the same factor to keep the
+        # number of migration opportunities per unit of work comparable.
+        self.interval_ns = max(1_000.0, INTERVAL_NS * 16 / config.scale)
         self._interval_end_ns = self.interval_ns
         self._interval_fm_accesses = 0
         self.migrations = 0
@@ -105,7 +108,7 @@ class MigrationSystem(MemorySystem):
         address = addresses % self.flat_capacity_bytes
         segment = address // self.segment_bytes
         return (segment, address % self.segment_bytes,
-                *self.near.device.locate(
+                *self.near.locate(
                     (segment * 8) % self.config.near.capacity_bytes))
 
     def _step(self, seg_col, off_col, meta_slot_col, meta_row_col):
@@ -117,13 +120,13 @@ class MigrationSystem(MemorySystem):
         current home; far-memory accesses also feed the selection policy
         through the :meth:`_note_hook` closure.  The home frame is runtime
         state: the step maps it inline, with
-        :meth:`~repro.memory.device.DramDevice.locate`'s slot table.
-        Shared by MemPod and LGM; Chameleon replaces it.
+        :meth:`~repro.memory.controller.MemoryController.locate`'s slot
+        table.  Shared by MemPod and LGM; Chameleon replaces it.
         """
-        near_line, _ = make_kernels(self.near)
-        far_line, _ = make_kernels(self.far)
-        n_slots, n_period, n_span, n_stride = self.near.device.address_map
-        f_slots, f_period, f_span, f_stride = self.far.device.address_map
+        near_line = self.near.line_access
+        far_line = self.far.line_access
+        n_slots, n_period, n_span, n_stride = self.near.address_map
+        f_slots, f_period, f_span, f_stride = self.far.address_map
         seg_bytes = self.segment_bytes
         near_col = self.remap._in_near
         frame_col = self.remap._frame

@@ -28,4 +28,3 @@ class TaglessCache(DramCacheSystem):
         super().__init__(config, line_size=line_size, fully_associative=True,
                          tag_in_dram_miss=False, tag_in_dram_hit_fraction=0.0,
                          tag_latency_ns=0.0)
-        self.name = "TAGLESS"

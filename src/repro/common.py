@@ -57,30 +57,6 @@ def align_down(address: int, granularity: int) -> int:
     return address - (address % granularity)
 
 
-def block_index(address: int, granularity: int) -> int:
-    """Index of the ``granularity``-sized block containing ``address``."""
-    return address // granularity
-
-
-def block_offset(address: int, granularity: int) -> int:
-    """Byte offset of ``address`` within its ``granularity``-sized block."""
-    return address % granularity
-
-
-def line_index_in_block(address: int, granularity: int,
-                        line_size: int = LINE_SIZE) -> int:
-    """Index of the ``line_size`` line of ``address`` within its block."""
-    return (address % granularity) // line_size
-
-
-def lines_per_block(granularity: int, line_size: int = LINE_SIZE) -> int:
-    """Number of ``line_size`` lines in a ``granularity``-sized block."""
-    if granularity % line_size:
-        raise ValueError(
-            f"block size {granularity} is not a multiple of line size {line_size}")
-    return granularity // line_size
-
-
 def popcount(mask: int) -> int:
     """Number of set bits in ``mask`` (valid/dirty vectors are ints)."""
     return bin(mask).count("1")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from ..common import LINE_SIZE, popcount
 from ..memory.controller import MemoryController
-from ..memory.kernels import KIND_DEMAND, KIND_METADATA, make_kernels
+from ..memory.kernels import KIND_DEMAND, KIND_METADATA
 from ..params import Hybrid2Params, SystemConfig
 from ..stats import Stats
 from .nm_allocator import NMFramePool
@@ -124,10 +124,11 @@ class DCMC:
         The step works on the XTA's lists, the remap table's columns, the
         frame pool's state, the Free-FM-Stack and the counter dict, and
         issues its DRAM traffic on the NM line kernel and the two block
-        kernels, bound once through
-        :func:`~repro.memory.kernels.make_kernels`.  Runtime frames are
-        mapped inline with :meth:`~repro.memory.device.DramDevice.locate`'s
-        slot table.  ``system`` holds the NM-served request counter.
+        kernels, the memories' own pairs
+        (:func:`~repro.memory.kernels.make_kernels`).  Runtime frames are
+        mapped inline with
+        :meth:`~repro.memory.controller.MemoryController.locate`'s slot
+        table.  ``system`` holds the NM-served request counter.
 
         * An XTA hit does the ``slot_of`` probe, the LRU touch and the
           access counter of a non-migrated sector, then either one NM
@@ -156,9 +157,10 @@ class DCMC:
           the repo benchmark's traced run counts the controller's block
           transfers and requires them in every Hybrid2 cell.
         """
-        near_line, near_block = make_kernels(self.near)
-        _, far_block = make_kernels(self.far)
-        n_slots, n_period, n_span, n_stride = self.near.device.address_map
+        near_line = self.near.line_access
+        near_block = self.near.block_transfer
+        far_block = self.far.block_transfer
+        n_slots, n_period, n_span, n_stride = self.near.address_map
         near_transfer = self.near.transfer_block
         far_transfer = self.far.transfer_block
         xta = self.xta

@@ -161,6 +161,3 @@ class FreeFMStack:
             raise IndexError("Free-FM-Stack is empty: no FM frame to swap into")
         spilled = len(self._frames) > self.on_chip_entries
         return self._frames.pop(), spilled
-
-    def peek_all(self) -> List[int]:
-        return list(self._frames)

@@ -1,56 +1,50 @@
-"""The DRAM timing model: inlined access kernels over flat device state.
+"""The DRAM timing model: inlined access kernels over one memory's state.
 
 :func:`make_kernels` compiles one
 :class:`~repro.memory.controller.MemoryController` into a pair of closures
 and is the only implementation of DRAM timing in the package: it derives
-the row hit / empty / miss latencies from the device's
+the row hit / empty / miss latencies from the memory's
 :class:`~repro.params.DramParams` itself and reads the burst time the
-device derives.  The controller builds its own
-pair once and its
+memory derives.  Each memory calls it once, at construction, and exposes
+the pair as its ``line_access`` / ``block_transfer`` attributes.  Its
 :meth:`~repro.memory.controller.MemoryController.access` /
-:meth:`~repro.memory.controller.MemoryController.transfer_block` methods
-are thin calls into them; each design step (``MemorySystem._step``, which
-both ``MemorySystem.fast_path`` and ``MemorySystem.access`` run) calls
-:func:`make_kernels` for a pair of its own and skips the method call.
-Hybrid2's step binds both memories' pairs and runs on them everything
-but case 2b's demand fill: line hits and fills, metadata accesses,
-write-backs, migrations and swaps.  The demand fill stays on the
-controller methods, the calls the repo benchmark's traced run counts.
+:meth:`~repro.memory.controller.MemoryController.transfer_block`
+methods are thin calls into them, and each design step
+(``MemorySystem._step``, which both ``MemorySystem.fast_path`` and
+``MemorySystem.access`` run) binds the same pair and skips the method
+call.  Hybrid2's step runs on it everything but case 2b's demand fill:
+line hits and fills, metadata accesses, write-backs, migrations and
+swaps.  The demand fill stays on the controller methods, the calls the
+repo benchmark's traced run counts.
 
 The line kernel takes a line's ``(slot, row)``
-(:meth:`~repro.memory.device.DramDevice.locate`) rather than its address:
-a design maps every address it knows before the run in its ``_columns``,
-and the few whose frame is runtime state read the device's slot table
-inline.  Per 64 B line it classifies the row-buffer state (hit / miss /
-empty), waits for the bank, serialises the burst on the channel's data
-bus, and counts the line.
+(:meth:`~repro.memory.controller.MemoryController.locate`) rather than
+its address: a design maps every address it knows before the run in its
+``_columns``, and the few whose frame is runtime state read the memory's
+slot table inline.  Per 64 B line it classifies the row-buffer state
+(hit / miss / empty), waits for the bank, serialises the burst on the
+channel's data bus, and counts the line.
 
 The block kernel takes an address and reads the slot table once per
 aligned span, whose lines share a bank and a row: it classifies the
 span's first line as the line kernel would and derives the rest, all
 row hits, in one straight-line sum of the completion time.  The sum is
-as long as the device's span has lines, so the kernel is compiled from
+as long as the memory's span has lines, so the kernel is compiled from
 source (:data:`_BLOCK_SOURCE`) once per process and lines-per-span count.
 
 Neither kernel touches energy, bus-busy time or traffic bytes.  They
-count integers on the device: lines per bank slot, writes, activations,
-row misses and the background and metadata lines.  The device derives
-the rest on read (:func:`~repro.memory.device.fold`): energy is dynamic
-only, as in the paper's Figure 18 (refresh and static energy are
+count integers on the memory: lines per bank slot, writes, activations,
+row misses and the background and metadata lines.  The memory derives
+the rest on read (:func:`~repro.memory.controller.fold`): energy is
+dynamic only, as in the paper's Figure 18 (refresh and static energy are
 excluded), ``rw_energy_pj_per_bit * 512`` per 64 B line and
 ``act_pre_energy_nj * 1000`` pJ per row activation, and a channel is
 busy ``burst_ns`` per line.
 
-All state lives in the device: its per-bank and per-channel lists and
-its integer counters, none of them a controller attribute.  So every
-pair of kernels compiled for one controller shares it: a design step's
-inlined bursts interleave freely with the controller methods its rare
-events (the migration baselines' swaps, the DRAM caches' victim
-write-backs, Hybrid2's case-2b fill) call.
-``tests/test_fastpath.py`` pins the kernels and the floats the device
-derives against the frozen golden
-``tests/data/golden/dram_timing.json`` float for float and
-``tests/test_engine_equivalence.py`` pins the full engine per design.
+``tests/test_fastpath.py`` pins the kernels and the floats the memory
+derives against the frozen golden ``tests/data/golden/dram_timing.json``
+float for float and ``tests/test_engine_equivalence.py`` pins the full
+engine per design.
 """
 
 from __future__ import annotations
@@ -87,16 +81,15 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     demand traffic.  It leaves every float and counter exactly as issuing
     the block's lines one by one through ``line_access`` would.
     """
-    device = controller.device
-    params = device.params
-    open_rows = device.open_row
-    ready_at = device.ready_at_ns
-    lines = device.lines
-    row_misses = device.row_misses
-    activations = device.activations
-    channel_of = device.channel_of
-    bus_free_at = device.bus_free_at_ns
-    slot_table, period, span, row_stride = device.address_map
+    params = controller.params
+    open_rows = controller.open_row
+    ready_at = controller.ready_at_ns
+    lines = controller.lines
+    row_misses = controller.row_misses
+    activations = controller.activations
+    channel_of = controller.channel_of
+    bus_free_at = controller.bus_free_at_ns
+    slot_table, period, span, row_stride = controller.address_map
     # Row hit: column access only.  Row empty: activate, then column
     # access.  Row miss: precharge, activate, column access.
     clock_ns = params.clock_ns
@@ -104,7 +97,7 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     trcd_ns = params.trcd_cycles * clock_ns
     empty_ns = trcd_ns + hit_ns
     miss_ns = params.trp_cycles * clock_ns + trcd_ns + hit_ns
-    burst_ns = device.burst_ns
+    burst_ns = controller.burst_ns
     overhead_ns = controller.CONTROLLER_OVERHEAD_NS
 
     def line_access(slot: int, row: int, is_write: bool, now_ns: float,
@@ -135,16 +128,16 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
 
         lines[slot] += 1
         if is_write:
-            device.writes += 1
+            controller.writes += 1
         if kind:
             if kind == 1:
-                device.background_lines += 1
+                controller.background_lines += 1
             else:
-                device.metadata_lines += 1
+                controller.metadata_lines += 1
         return (completion - now_ns) + overhead_ns
 
     block_transfer = _block_binder(span // LINE_SIZE)(
-        device=device, slot_table=slot_table, period=period, span=span,
+        controller=controller, slot_table=slot_table, period=period, span=span,
         row_stride=row_stride, open_rows=open_rows, ready_at=ready_at,
         slot_lines=lines, row_misses=row_misses, activations=activations,
         channel_of=channel_of, bus_free_at=bus_free_at, hit_ns=hit_ns,
@@ -162,9 +155,9 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
 #: rest: the head span (from ``address`` to the next span boundary, which
 #: also gives the critical-word latency), a loop over the whole spans, and
 #: a partial tail span.  :func:`_block_binder` fills in the three span
-#: bodies for a device whose spans hold ``{lines}`` lines.
+#: bodies for a memory whose spans hold ``{lines}`` lines.
 _BLOCK_SOURCE = """\
-def bind(device, slot_table, period, span, row_stride, open_rows,
+def bind(controller, slot_table, period, span, row_stride, open_rows,
          ready_at, slot_lines, row_misses, activations, channel_of,
          bus_free_at, hit_ns, empty_ns, miss_ns, burst_ns, overhead_ns):
     def block_transfer(address, nbytes, is_write, now_ns, demand):
@@ -185,8 +178,8 @@ def bind(device, slot_table, period, span, row_stride, open_rows,
                 line_address = tail + spans * span
 {partial}
         if is_write:
-            device.writes += lines
-        device.background_lines += lines - 1 if demand else lines
+            controller.writes += lines
+        controller.background_lines += lines - 1 if demand else lines
         return first
     return block_transfer
 """

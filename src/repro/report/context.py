@@ -21,8 +21,8 @@ from ..workloads.catalog import WorkloadSpec
 #: (``REPRO_BENCH_PERF_*``) are resolved by
 #: :meth:`repro.report.pipeline.ReportSettings.from_env`, the single
 #: source of truth for knob parsing.
-DEFAULT_PERF_REFS = 40_000
-DEFAULT_PERF_REPEAT = 2
+DEFAULT_PERF_REFS = 60_000
+DEFAULT_PERF_REPEAT = 5
 
 
 class ReportContext:

@@ -295,8 +295,10 @@ def compare_to_baseline(payload: dict, baseline: dict,
 
     Raw refs/sec varies with the host, so the gate compares each section's
     ``ratio`` (see the module docstring), measured in one process.  A
-    baseline of another schema, or one missing a section the payload
-    measured, fails: a gate that skips what it cannot compare would pass
+    baseline of another schema, one measured at other
+    :data:`GATED_SETTINGS` (the ratios move with the trace length and the
+    number of rounds), or one missing a section the payload measured,
+    fails: a gate that skips what it cannot compare would pass
     vacuously.  Returns a list of failure messages; empty means no ratio
     fell by more than ``max_regression``.
     """
@@ -304,6 +306,10 @@ def compare_to_baseline(payload: dict, baseline: dict,
         return [f"baseline schema {baseline.get('schema')!r} is not the "
                 f"current schema {BENCH_SCHEMA}; regenerate it with "
                 f"--update-baseline"]
+    differ = _differing_settings(payload, baseline, GATED_SETTINGS)
+    if differ:
+        return [f"run settings differ from the baseline: {setting} (rerun "
+                f"at the baseline's settings)" for setting in differ]
     floor = 1.0 - max_regression
     gated = [(section, payload[section], baseline.get(section))
              for section in ENGINE_SECTIONS if section in payload]
@@ -322,9 +328,21 @@ def compare_to_baseline(payload: dict, baseline: dict,
     return failures
 
 
+#: Run settings a run must share with the baseline to be gated against
+#: it.  The runtime is left out: a gate on another interpreter prints a
+#: note (``python -m repro bench``) and still runs.
+GATED_SETTINGS = ("refs", "workload", "repeat", "small_refs")
+
 #: Run settings every ratio of a baseline shares; a run merges into a
 #: baseline only when they agree.
-RUN_SETTINGS = ("refs", "workload", "repeat", "small_refs", "environment")
+RUN_SETTINGS = GATED_SETTINGS + ("environment",)
+
+
+def _differing_settings(payload: dict, baseline: dict,
+                        keys: Sequence[str]) -> List[str]:
+    """``"<key> <run's> vs baseline <baseline's>"`` per key that differs."""
+    return [f"{key} {payload.get(key)!r} vs baseline {baseline.get(key)!r}"
+            for key in keys if payload.get(key) != baseline.get(key)]
 
 
 def merge_into_baseline(payload: dict, baseline: Optional[dict]) -> dict:
@@ -338,8 +356,7 @@ def merge_into_baseline(payload: dict, baseline: Optional[dict]) -> dict:
     """
     if not baseline or baseline.get("schema") != BENCH_SCHEMA:
         return payload
-    differ = [f"{key} {payload.get(key)!r} vs baseline {baseline.get(key)!r}"
-              for key in RUN_SETTINGS if payload.get(key) != baseline.get(key)]
+    differ = _differing_settings(payload, baseline, RUN_SETTINGS)
     if differ:
         raise ValueError("cannot merge this run into the baseline: "
                          + "; ".join(differ)

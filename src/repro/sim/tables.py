@@ -7,7 +7,7 @@ a measured run can be compared against the published numbers by eye (and in
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -34,49 +34,3 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def class_metric_table(per_design: Mapping[str, Mapping[str, float]],
-                       title: str, metric_name: str = "value") -> str:
-    """Render a {design: {mpki_class: value}} mapping as the paper's grouped
-    bar charts (high / medium / low / all columns)."""
-    headers = ["design", "high", "medium", "low", "all"]
-    rows = []
-    for design, by_class in per_design.items():
-        rows.append([
-            design,
-            by_class.get("high", float("nan")),
-            by_class.get("medium", float("nan")),
-            by_class.get("low", float("nan")),
-            by_class.get("all", float("nan")),
-        ])
-    return format_table(headers, rows, title=f"{title} ({metric_name})")
-
-
-def per_workload_table(per_design: Mapping[str, Mapping[str, float]],
-                       workload_order: Sequence[str], title: str) -> str:
-    """Render a {design: {workload: value}} mapping (Figure 13 style)."""
-    designs = list(per_design)
-    headers = ["workload"] + designs
-    rows = []
-    for workload in workload_order:
-        rows.append([workload] + [per_design[d].get(workload, float("nan"))
-                                  for d in designs])
-    return format_table(headers, rows, title=title)
-
-
-def min_max_geomean_table(per_design: Mapping[str, Mapping[str, float]],
-                          title: str) -> str:
-    """Render the Figure 2 motivation summary."""
-    headers = ["design", "min", "max", "geomean"]
-    rows = [[design, d.get("min", 0.0), d.get("max", 0.0), d.get("geomean", 0.0)]
-            for design, d in per_design.items()]
-    return format_table(headers, rows, title=title)
-
-
-def simple_series_table(series: Mapping[object, float], key_header: str,
-                        value_header: str, title: str) -> str:
-    """Render a one-dimensional series (Figure 1, Figure 11, Figure 14)."""
-    headers = [key_header, value_header]
-    rows = [[key, value] for key, value in series.items()]
-    return format_table(headers, rows, title=title)

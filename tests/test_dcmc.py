@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import dcmc as dcmc_module
 from repro.core.dcmc import DCMC
 from repro.core.hybrid2 import Hybrid2System
+from repro.memory import controller as controller_module
 from repro.memory.controller import MemoryController
 from repro.memory.kernels import make_kernels
 from repro.params import Hybrid2Params, make_config
@@ -185,10 +185,11 @@ def line_runs(mask, lines=8):
 
 
 def bind_recording_kernels(monkeypatch, reference):
-    """Make every DCMC step compiled from now on bind block kernels that
-    record ``(address, nbytes, is_write)`` per controller; a controller in
-    ``reference`` moves one DRAM-cache line per block transfer instead, the
-    reference a batched copy must reproduce.  Returns the call lists."""
+    """Make every controller built from now on compile a block kernel
+    that records ``(address, nbytes, is_write)``; a controller in
+    ``reference`` (which may be filled in after it is built) moves one
+    DRAM-cache line per block transfer instead, the reference a batched
+    copy must reproduce.  Returns the call lists per controller."""
     calls = {}
 
     def recording_kernels(controller):
@@ -205,7 +206,7 @@ def bind_recording_kernels(monkeypatch, reference):
                 block(address + offset, step, is_write, now_ns, False)
             return first
         return line, recorded
-    monkeypatch.setattr(dcmc_module, "make_kernels", recording_kernels)
+    monkeypatch.setattr(controller_module, "make_kernels", recording_kernels)
     return calls
 
 
@@ -219,9 +220,10 @@ def test_batched_line_moves_match_a_per_line_reference(monkeypatch, move,
     transfer, both controllers end in the same state, float for float,
     and the DCMC counters agree."""
     mode = "none" if move == "evict" else "all"
-    twins = [make_dcmc(migration_mode=mode)[1] for _ in range(2)]
-    reference_controllers = {twins[1].near, twins[1].far}
+    reference_controllers = set()
     calls = bind_recording_kernels(monkeypatch, reference_controllers)
+    twins = [make_dcmc(migration_mode=mode)[1] for _ in range(2)]
+    reference_controllers.update((twins[1].near, twins[1].far))
     for system in twins:
         run_pressure(system, accesses=300)
     batched, reference = (system.dcmc for system in twins)
@@ -262,9 +264,12 @@ def test_batched_line_moves_match_a_per_line_reference(monkeypatch, move,
             (frame * batched.sector_bytes + first * line_bytes,
              count * line_bytes, is_write)
             for first, count in runs]
-        # Anything after the runs is a swap's whole-sector copy.
-        assert all(nbytes == batched.sector_bytes
-                   for _, nbytes, _ in frame_calls[len(runs):])
+        # After the runs come a swap's whole-sector copies, and last the
+        # newcomer's case-2b demand fill of one DRAM-cache line, which
+        # ``MemoryController.transfer_block`` issues on the same kernel.
+        *copies, (_, fill_bytes, _) = frame_calls[len(runs):]
+        assert all(nbytes == batched.sector_bytes for _, nbytes, _ in copies)
+        assert fill_bytes == line_bytes
 
 
 @pytest.mark.parametrize("variant", [

@@ -3,10 +3,11 @@
 ``tests/test_engine_equivalence.py`` pins the end-to-end contract; the tests
 here pin the layers underneath it:
 
-* the controller methods and the :func:`repro.memory.kernels.make_kernels`
-  closures against the frozen golden ``tests/data/golden/dram_timing.json``
-  (every returned latency and the final controller state, float for
-  float), recorded from the method-chain timing model the kernels replaced
+* the controller methods and the kernel pair
+  :func:`repro.memory.kernels.make_kernels` compiles for each controller,
+  against the frozen golden ``tests/data/golden/dram_timing.json`` (every
+  returned latency and the final controller state, float for float),
+  recorded from the method-chain timing model the kernels replaced
   and regenerated with ``tools/make_dram_golden.py``;
 * the ``MemorySystem`` access protocol: ``access`` and ``fast_path`` are
   defined once, on the base class, over each design's ``_columns`` and
@@ -24,7 +25,6 @@ from repro.baselines import DESIGN_FACTORIES, IdealCache, MemorySystem
 from repro.common import LINE_SIZE
 from repro.core.hybrid2 import Hybrid2System
 from repro.memory.controller import MemoryController
-from repro.memory.kernels import make_kernels
 from repro.params import hbm2_params, make_config
 from repro.sim.perfbench import NullMemorySystem
 
@@ -68,20 +68,19 @@ def test_kernel_interleaves_with_slow_path():
 def test_kernel_counters_reset_in_place():
     """reset_counters() must be visible to already-compiled kernels."""
     controller = MemoryController(hbm2_params(1 << 27))
-    line_access, _ = make_kernels(controller)
-    device = controller.device
-    line_access(*device.locate(0), False, 0.0, 0)
+    line_access = controller.line_access
+    line_access(*controller.locate(0), False, 0.0, 0)
     controller.reset_counters()
     assert controller.demand_bytes == 0
-    assert device.activations[0] == 0
-    line_access(*device.locate(LINE_SIZE), True, 500.0, 1)
+    assert controller.activations[0] == 0
+    line_access(*controller.locate(LINE_SIZE), True, 500.0, 1)
     assert controller.background_bytes == LINE_SIZE
-    assert device.write_bytes == LINE_SIZE
-    assert device.reads == 0  # zeroed by the reset
+    assert controller.write_bytes == LINE_SIZE
+    assert controller.reads == 0  # zeroed by the reset
     # The activation list is zeroed in place and the line counts are
     # snapshotted, so the kernel's line on the still-open row reads as
     # one row hit since the reset.
-    assert (device.row_hits[0], device.activations[0]) == (1, 0)
+    assert (controller.row_hits[0], controller.activations[0]) == (1, 0)
 
 
 def all_subclasses(cls):

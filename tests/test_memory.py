@@ -1,12 +1,11 @@
-"""Tests for the DRAM substrate: timings, and the controller's timing kernels
-over the device's flat per-bank and per-channel state, its line counters
-and the energy and busy time it derives from them."""
+"""Tests for the DRAM substrate: timings, and a memory's timing kernels
+over its flat per-bank and per-channel state, its line counters and the
+energy and busy time it derives from them."""
 
 import pytest
 
 from repro.common import LINE_SIZE
-from repro.memory.controller import MemoryController
-from repro.memory.device import FOLD_CHUNK, fold
+from repro.memory.controller import FOLD_CHUNK, MemoryController, fold
 from repro.params import ddr4_params, hbm2_params
 
 
@@ -67,37 +66,37 @@ BANK1_ROW0 = 8 * 2048
 
 def _bank(controller, channel, bank):
     """The slot of ``bank`` of ``channel``: the index of its state in the
-    device's per-bank lists."""
-    device = controller.device
-    slot = channel * device.params.banks_per_channel + bank
-    assert device.channel_of[slot] == channel
+    memory's per-bank lists."""
+    slot = channel * controller.params.banks_per_channel + bank
+    assert controller.channel_of[slot] == channel
     return slot
 
 
 def test_bank_classify_and_record(hbm):
     """Empty bank -> activation; same row -> hit; other row -> miss."""
     controller = MemoryController(hbm)
-    device = controller.device
     bank = _bank(controller, 0, 0)
     controller.access(BANK0_ROW0, False, 0.0)
-    assert (device.open_row[bank], device.activations[bank],
-            device.row_misses[bank]) == (0, 1, 0)
+    assert (controller.open_row[bank], controller.activations[bank],
+            controller.row_misses[bank]) == (0, 1, 0)
     controller.access(BANK0_ROW0 + LINE_SIZE, False, 100.0)
-    assert device.row_hits[bank] == 1 and device.activations[bank] == 1
+    assert controller.row_hits[bank] == 1
+    assert controller.activations[bank] == 1
     controller.access(BANK0_ROW1, False, 200.0)
-    assert device.open_row[bank] == 1
-    assert device.row_misses[bank] == 1 and device.activations[bank] == 2
+    assert controller.open_row[bank] == 1
+    assert controller.row_misses[bank] == 1
+    assert controller.activations[bank] == 2
 
 
 def test_bank_precharge(hbm):
     """A precharged bank (no open row) costs an activation, not a miss."""
     controller = MemoryController(hbm)
     controller.access(BANK0_ROW0, False, 0.0)
-    device = controller.device
     bank = _bank(controller, 0, 0)
-    device.open_row[bank] = -1
+    controller.open_row[bank] = -1
     controller.access(BANK0_ROW1, False, 100.0)
-    assert device.row_misses[bank] == 0 and device.activations[bank] == 2
+    assert controller.row_misses[bank] == 0
+    assert controller.activations[bank] == 2
 
 
 def test_channel_bus_serialises_transfers(hbm):
@@ -108,14 +107,13 @@ def test_channel_bus_serialises_transfers(hbm):
     first = controller.access(BANK0_ROW0, False, 0.0)
     second = controller.access(BANK1_ROW0, False, 0.0)
     assert second == first + burst
-    device = controller.device
-    assert device.busy_ns[0] == 2 * burst
-    assert device.bus_free_at_ns[0] == first - \
+    assert controller.busy_ns[0] == 2 * burst
+    assert controller.bus_free_at_ns[0] == first - \
         MemoryController.CONTROLLER_OVERHEAD_NS + burst
 
 
 # ---------------------------------------------------------------------------
-# device state
+# memory state
 # ---------------------------------------------------------------------------
 def test_device_row_hit_is_faster_than_miss(hbm):
     controller = MemoryController(hbm)
@@ -129,18 +127,17 @@ def test_device_counts_traffic_and_energy(hbm):
     controller = MemoryController(hbm)
     controller.access(0, False, 0.0)
     controller.access(4096, True, 0.0)
-    device = controller.device
-    assert device.reads == 1 and device.writes == 1
-    assert device.read_bytes == 64 and device.write_bytes == 64
-    assert device.total_bytes == controller.total_bytes == 128
-    assert device.energy_pj == controller.energy_pj > 0
+    assert controller.reads == 1 and controller.writes == 1
+    assert controller.read_bytes == 64 and controller.write_bytes == 64
+    assert controller.total_bytes == 128
+    assert controller.energy_pj > 0
 
 
 def test_channel_interleave_spreads_accesses(hbm):
     controller = MemoryController(hbm)
     for i in range(hbm.channels):
         controller.access(i * hbm.channel_interleave_bytes, False, 0.0)
-    assert all(busy > 0 for busy in controller.device.busy_ns)
+    assert all(busy > 0 for busy in controller.busy_ns)
 
 
 def test_bandwidth_contention_increases_latency(ddr):
@@ -154,8 +151,7 @@ def test_row_hit_rate_reported(hbm):
     controller = MemoryController(hbm)
     for _ in range(4):
         controller.access(0, False, 0.0)
-    device = controller.device
-    assert 0.5 < device.row_hit_rate <= 1.0
+    assert 0.5 < controller.row_hit_rate <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +186,8 @@ def test_energy_model_accounting(hbm):
     controller.access(BANK0_ROW0, False, 0.0)       # activation + transfer
     controller.access(BANK0_ROW0, False, 100.0)     # row hit: transfer only
     line_pj = hbm.rw_energy_pj_per_bit * LINE_SIZE * 8
-    assert controller.device.rw_energy_pj == 2 * line_pj
-    assert controller.device.act_pre_energy_pj == act_pre_pj
+    assert controller.rw_energy_pj == 2 * line_pj
+    assert controller.act_pre_energy_pj == act_pre_pj
     assert controller.energy_pj == pytest.approx(2 * line_pj + act_pre_pj)
 
 
@@ -210,7 +206,7 @@ def test_controller_classifies_traffic(hbm):
 
 
 def test_controller_adds_overhead(hbm):
-    """An idle device: activate, column access, one burst, plus overhead."""
+    """An idle memory: activate, column access, one burst, plus overhead."""
     controller = MemoryController(hbm)
     latency = controller.access(0, False, 0.0)
     assert latency == (row_latencies_ns(hbm)[1] + burst_ns(hbm, 64)
@@ -221,7 +217,7 @@ def test_controller_transfer_block_moves_whole_block(hbm):
     controller = MemoryController(hbm)
     latency = controller.transfer_block(0, 2048, False, 0.0, demand=True)
     assert controller.total_bytes == 2048
-    assert controller.device.reads == 2048 // LINE_SIZE
+    assert controller.reads == 2048 // LINE_SIZE
     assert controller.demand_bytes == LINE_SIZE
     assert controller.background_bytes == 2048 - LINE_SIZE
     # Critical word first: the block's latency is its first line's.
@@ -231,11 +227,11 @@ def test_controller_transfer_block_moves_whole_block(hbm):
 def test_controller_reset_counters_keeps_timing_state(hbm):
     controller = MemoryController(hbm)
     controller.access(0, False, 0.0)
-    busy_before = controller.device.bus_free_at_ns[0]
+    busy_before = controller.bus_free_at_ns[0]
     controller.reset_counters()
     assert controller.total_bytes == 0
     assert controller.energy_pj == 0
-    assert controller.device.bus_free_at_ns[0] == busy_before
+    assert controller.bus_free_at_ns[0] == busy_before
     # The event counters restart; the open row stays.
-    assert sum(controller.device.activations) == 0
-    assert controller.device.open_row[0] == 0
+    assert sum(controller.activations) == 0
+    assert controller.open_row[0] == 0

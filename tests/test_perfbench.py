@@ -133,6 +133,30 @@ def test_compare_to_baseline_rejects_schema_mismatch():
         current, {"designs": {"MPOD": {"ratio": 0.3}}}) != []
 
 
+def test_compare_to_baseline_refuses_other_run_settings():
+    """The ratios move with the trace length and the number of rounds, so
+    a 40k-ref payload is not gated against a 60k-ref baseline: the gate
+    fails and names every setting that differs.  The runtime only prints
+    a note, so it does not fail the gate."""
+    settings = {"refs": 60_000, "workload": "mcf", "repeat": 5,
+                "small_refs": 2_000,
+                "environment": {"python": "3.11.7"}}
+    baseline = schema(**settings, fast_path={"ratio": 0.5})
+    payload = schema(**dict(settings, refs=40_000),
+                     fast_path={"ratio": 0.5})
+    failures = perfbench.compare_to_baseline(payload, baseline)
+    assert failures == ["run settings differ from the baseline: refs "
+                        "40000 vs baseline 60000 (rerun at the baseline's "
+                        "settings)"]
+    payload.update(workload="lbm", repeat=2, small_refs=None)
+    failures = perfbench.compare_to_baseline(payload, baseline)
+    assert [failure.split(": ")[1].split()[0] for failure in failures] == [
+        "refs", "workload", "repeat", "small_refs"]
+    same = schema(**dict(settings, environment={"python": "3.12.1"}),
+                  fast_path={"ratio": 0.5})
+    assert perfbench.compare_to_baseline(same, baseline) == []
+
+
 def test_bench_cli_writes_report_and_gates(tmp_path, capsys):
     out = tmp_path / "BENCH_engine.json"
     assert main(["bench", "--refs", "300", "--repeat", "1", "--no-designs",

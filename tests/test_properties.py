@@ -19,7 +19,7 @@ from repro.common import LINE_SIZE
 from repro.cpu.core import miss_columns
 from repro.cpu.trace import Trace
 from repro.memory.controller import MemoryController
-from repro.memory.kernels import KIND_BACKGROUND, KIND_DEMAND, make_kernels
+from repro.memory.kernels import KIND_BACKGROUND, KIND_DEMAND
 from repro.params import (CoreParams, Hybrid2Params, ddr4_params, hbm2_params,
                           make_config)
 from repro.sim.perfbench import NullMemorySystem
@@ -262,23 +262,22 @@ def test_frame_pool_invariants_under_random_operations(refs, mode):
 
 
 # ---------------------------------------------------------------------------
-# DRAM timing (the controller's kernels over device state)
+# DRAM timing (a memory's kernels over its state)
 # ---------------------------------------------------------------------------
 @given(st.lists(st.tuples(st.integers(0, (1 << 22) - 64), st.booleans()),
                 min_size=1, max_size=100))
 @settings(max_examples=30)
 def test_dram_device_time_and_energy_are_monotone(requests):
     controller = MemoryController(hbm2_params(4 << 20))
-    device = controller.device
     now = 0.0
     last_energy = 0.0
     for address, is_write in requests:
         latency = controller.access(address - address % 64, is_write, now)
         assert latency > MemoryController.CONTROLLER_OVERHEAD_NS
-        assert device.energy_pj >= last_energy
-        last_energy = device.energy_pj
+        assert controller.energy_pj >= last_energy
+        last_energy = controller.energy_pj
         now = max(now, now + latency - 10.0)
-    assert device.total_bytes == 64 * len(requests)
+    assert controller.total_bytes == 64 * len(requests)
 
 
 #: One operation of a random controller schedule: a line access of one
@@ -304,7 +303,6 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
     activation pays its ACT/PRE energy.  The derived floats equal the
     per-line accumulators they replace, bit for bit."""
     controller = MemoryController(params_factory(1 << 26))
-    device = controller.device
     now = 0.0
     for op, gap in ops:
         now += gap
@@ -323,24 +321,24 @@ def test_dram_controller_conserves_bytes_and_energy(params_factory, ops):
             total += term
         return total
 
-    lines = device.reads + device.writes
-    assert device.read_bytes + device.write_bytes == lines * LINE_SIZE
+    lines = controller.reads + controller.writes
+    assert controller.read_bytes + controller.write_bytes == lines * LINE_SIZE
     assert (controller.demand_bytes + controller.background_bytes
             + controller.metadata_bytes) == controller.total_bytes
-    params = device.params
-    assert device.rw_energy_pj == added_one_by_one(
+    params = controller.params
+    assert controller.rw_energy_pj == added_one_by_one(
         params.rw_energy_pj_per_bit * LINE_SIZE * 8, lines)
-    assert device.act_pre_energy_pj == added_one_by_one(
-        params.act_pre_energy_nj * 1000.0, sum(device.activations))
+    assert controller.act_pre_energy_pj == added_one_by_one(
+        params.act_pre_energy_nj * 1000.0, sum(controller.activations))
     banks = params.banks_per_channel
-    for channel, busy in enumerate(device.busy_ns):
-        channel_lines = sum(device.lines[channel * banks:
+    for channel, busy in enumerate(controller.busy_ns):
+        channel_lines = sum(controller.lines[channel * banks:
                                          (channel + 1) * banks])
-        assert busy == added_one_by_one(device.burst_ns, channel_lines)
+        assert busy == added_one_by_one(controller.burst_ns, channel_lines)
     for hits, activations, slot_lines in zip(
-            device.row_hits, device.activations, device.lines):
+            controller.row_hits, controller.activations, controller.lines):
         assert hits + activations == slot_lines
-    assert sum(device.lines) == lines
+    assert sum(controller.lines) == lines
 
 
 @given(params_factory=st.sampled_from((hbm2_params, ddr4_params)),
@@ -363,8 +361,8 @@ def test_block_kernel_equals_its_lines_issued_one_by_one(
                                  channel_interleave_bytes=interleave,
                                  row_bytes=row_bytes, channels=channels)
     by_block, by_line = MemoryController(params), MemoryController(params)
-    _, block_transfer = make_kernels(by_block)
-    line_access, _ = make_kernels(by_line)
+    block_transfer = by_block.block_transfer
+    line_access = by_line.line_access
     now = 0.0
     for line, nbytes, is_write, demand, gap in ops:
         now += gap
@@ -372,7 +370,7 @@ def test_block_kernel_equals_its_lines_issued_one_by_one(
         got = block_transfer(address, nbytes, is_write, now, demand)
         kinds = [KIND_DEMAND if demand else KIND_BACKGROUND]
         kinds += [KIND_BACKGROUND] * (max(1, nbytes // LINE_SIZE) - 1)
-        want = [line_access(*by_line.device.locate(address + i * LINE_SIZE),
+        want = [line_access(*by_line.locate(address + i * LINE_SIZE),
                             is_write, now, kind)
                 for i, kind in enumerate(kinds)][0]
         assert got == want
@@ -388,29 +386,29 @@ def test_block_kernel_equals_its_lines_issued_one_by_one(
                           max_size=40))
 def test_locate_agrees_on_arrays_ints_and_the_bank_formula(
         params_factory, interleave, row_bytes, channels, addresses):
-    """``DramDevice.locate`` reads one slot table for an int64 ndarray and
-    for each Python int, and gives the channel/bank/row split computed
-    from the address by plain arithmetic, as the kernels did before the
-    table; the table itself holds that split for every span of its
-    period."""
+    """``MemoryController.locate`` reads one slot table for an int64
+    ndarray and for each Python int, and gives the channel/bank/row split
+    computed from the address by plain arithmetic, as the kernels did
+    before the table; the table itself holds that split for every span of
+    its period."""
     params = params_factory(1 << 26)
     overrides = {"channel_interleave_bytes": interleave,
                  "row_bytes": row_bytes, "channels": channels}
     params = dataclasses.replace(params, **{
         key: value for key, value in overrides.items() if value is not None})
-    device = MemoryController(params).device
-    slots, rows = device.locate(np.asarray(addresses, dtype=np.int64))
+    controller = MemoryController(params)
+    slots, rows = controller.locate(np.asarray(addresses, dtype=np.int64))
     banks = params.banks_per_channel
     for address, slot, row in zip(addresses, slots.tolist(), rows.tolist()):
-        assert device.locate(address) == (slot, row)
+        assert controller.locate(address) == (slot, row)
         channel = (address // params.channel_interleave_bytes) \
             % params.channels
         row_global = address // params.row_bytes
         bank = (row_global // params.channels) % banks
         assert (slot, row) == (channel * banks + bank,
                                row_global // (params.channels * banks))
-        assert device.channel_of[slot] == channel
-    slot_table, period, span, row_stride = device.address_map
+        assert controller.channel_of[slot] == channel
+    slot_table, period, span, row_stride = controller.address_map
     assert row_stride == params.row_bytes * params.channels * banks
     assert period % (params.channel_interleave_bytes * params.channels) == 0
     assert period % row_stride == 0

@@ -178,4 +178,4 @@ def test_stack_tracks_max_depth():
         stack.push(frame)
     stack.pop()
     assert stack.max_depth == 5
-    assert stack.peek_all() == [0, 1, 2, 3]
+    assert [stack.pop()[0] for _ in range(len(stack))] == [3, 2, 1, 0]

@@ -11,9 +11,7 @@ from repro.sim import metrics
 from repro.sim.runner import ExperimentRunner
 from repro.sim.perfbench import NullMemorySystem
 from repro.sim.simulator import RunResult, simulate
-from repro.sim.tables import (class_metric_table, format_table,
-                              min_max_geomean_table, per_workload_table,
-                              simple_series_table)
+from repro.sim.tables import format_table
 from repro.stats import Stats
 from repro.workloads import (generate_multiprogrammed, generate_trace,
                              get_workload)
@@ -171,10 +169,3 @@ def test_format_table_alignment():
     assert len(lines) == 5
 
 
-def test_table_renderers_do_not_crash():
-    per_design = {"HYBRID2": {"high": 2.0, "medium": 1.5, "low": 1.0, "all": 1.5}}
-    assert "HYBRID2" in class_metric_table(per_design, "Figure 12")
-    assert "lbm" in per_workload_table({"HYBRID2": {"lbm": 2.0}}, ["lbm"], "Fig 13")
-    assert "min" in min_max_geomean_table({"MPOD": {"min": 1, "max": 2,
-                                                    "geomean": 1.5}}, "Fig 2")
-    assert "64" in simple_series_table({64: 0.0}, "line", "wasted", "Fig 1")

@@ -14,8 +14,8 @@ every channel's bus occupancy):
   any line, so most begin or end inside an aligned span, on a 3-channel
   HBM2 map whose channel interleave (4 KB) exceeds its row (1 KB);
 * ``interleaved`` — 400 DDR4 line accesses, every third through
-  :meth:`MemoryController.access` and the rest through a line kernel
-  from :func:`repro.memory.kernels.make_kernels`, sharing one state.
+  :meth:`MemoryController.access` and the rest through the controller's
+  line kernel (:attr:`MemoryController.line_access`), sharing one state.
 
 ``tests/test_fastpath.py`` replays the schedules and compares against the
 file with float ``==``, so any change to the timing or energy arithmetic
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.common import LINE_SIZE
 from repro.memory.controller import MemoryController
-from repro.memory.kernels import make_kernels
 from repro.params import ddr4_params, hbm2_params
 
 DEFAULT_OUT = (Path(__file__).resolve().parents[1]
@@ -52,26 +51,26 @@ DEFAULT_OUT = (Path(__file__).resolve().parents[1]
 
 def controller_state(controller: MemoryController) -> dict:
     """Every counter and timestamp of ``controller``, JSON-shaped."""
-    device = controller.device
     return {
         "demand_bytes": controller.demand_bytes,
         "background_bytes": controller.background_bytes,
         "metadata_bytes": controller.metadata_bytes,
-        "reads": device.reads,
-        "writes": device.writes,
-        "read_bytes": device.read_bytes,
-        "write_bytes": device.write_bytes,
-        "rw_pj": device.rw_energy_pj,
-        "act_pre_pj": device.act_pre_energy_pj,
+        "reads": controller.reads,
+        "writes": controller.writes,
+        "read_bytes": controller.read_bytes,
+        "write_bytes": controller.write_bytes,
+        "rw_pj": controller.rw_energy_pj,
+        "act_pre_pj": controller.act_pre_energy_pj,
         # Banks in slot order (channel-major); -1 (precharged) is null.
         "banks": [
             [None if open_row < 0 else open_row, ready, hits, misses, acts]
             for open_row, ready, hits, misses, acts in zip(
-                device.open_row, device.ready_at_ns, device.row_hits,
-                device.row_misses, device.activations)
+                controller.open_row, controller.ready_at_ns,
+                controller.row_hits, controller.row_misses,
+                controller.activations)
         ],
-        "buses": [list(bus) for bus in zip(device.bus_free_at_ns,
-                                            device.busy_ns)],
+        "buses": [list(bus) for bus in zip(controller.bus_free_at_ns,
+                                            controller.busy_ns)],
     }
 
 
@@ -126,17 +125,17 @@ def run_line(params, seed: int, route: str) -> dict:
     """Replay :func:`line_schedule` on a fresh controller.
 
     ``route`` is ``"controller"`` (:meth:`MemoryController.access`),
-    ``"kernels"`` (the line kernel :func:`make_kernels` returns, fed
-    :meth:`~repro.memory.device.DramDevice.locate`'s ``(slot, row)``) or
+    ``"kernels"`` (the controller's line kernel, fed
+    :meth:`~MemoryController.locate`'s ``(slot, row)``) or
     ``"mixed"`` (the controller for every third access, else the kernel).
     """
     controller = MemoryController(params)
-    line_access, _ = make_kernels(controller)
+    line_access = controller.line_access
     latencies = []
     for i, (address, is_write, kind, now_ns) in enumerate(
             line_schedule(seed)):
         if route == "kernels" or (route == "mixed" and i % 3):
-            latency = line_access(*controller.device.locate(address),
+            latency = line_access(*controller.locate(address),
                                   is_write, now_ns, kind)
         else:
             latency = controller.access(address, is_write, now_ns,
@@ -150,9 +149,8 @@ def run_block(params, seed: int, route: str,
               schedule: Callable[[int], List[tuple]] = block_schedule
               ) -> dict:
     controller = MemoryController(params)
-    _, block_transfer = make_kernels(controller)
     transfer = (controller.transfer_block if route == "controller"
-                else block_transfer)
+                else controller.block_transfer)
     latencies = [transfer(address, nbytes, is_write, now, demand)
                  for address, nbytes, is_write, now, demand
                  in schedule(seed)]
