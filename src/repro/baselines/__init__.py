@@ -26,7 +26,8 @@ __all__ = [*lazy_exports(__name__, globals(), {
     ".mempod": ("MemPod",),
     ".chameleon": ("ChameleonGroups",),
     ".lgm": ("LgmMigration",),
-    ".migration_base": ("MigrationSystem", "RemapCache"),
+    ".migration_base": ("IntervalMigrationSystem", "MigrationSystem",
+                        "RemapCache"),
 }), "DESIGN_FACTORIES", "EVALUATED_DESIGNS", "make_design"]
 
 

@@ -168,20 +168,22 @@ class MemorySystem(abc.ABC):
         stats.set("requests.from_nm", self.requests_from_nm)
         stats.set("nm_service_ratio", self.nm_service_ratio)
         stats.set("flat_capacity_bytes", self.flat_capacity_bytes)
+        # Each memory's energy is derived on read: read it once.
+        nm_energy = fm_energy = 0.0
         if self.near is not None:
+            nm_energy = self.near.energy_pj
             stats.set("nm.bytes", self.near.total_bytes)
             stats.set("nm.read_bytes", self.near.read_bytes)
             stats.set("nm.write_bytes", self.near.write_bytes)
             stats.set("nm.metadata_bytes", self.near.metadata_bytes)
-            stats.set("nm.energy_pj", self.near.energy_pj)
+            stats.set("nm.energy_pj", nm_energy)
         if self.far is not None:
+            fm_energy = self.far.energy_pj
             stats.set("fm.bytes", self.far.total_bytes)
             stats.set("fm.read_bytes", self.far.read_bytes)
             stats.set("fm.write_bytes", self.far.write_bytes)
-            stats.set("fm.energy_pj", self.far.energy_pj)
-        stats.set("energy_pj",
-                  (self.near.energy_pj if self.near else 0.0) +
-                  (self.far.energy_pj if self.far else 0.0))
+            stats.set("fm.energy_pj", fm_energy)
+        stats.set("energy_pj", nm_energy + fm_energy)
         self._extra_stats(stats)
         return stats
 

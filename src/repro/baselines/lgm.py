@@ -26,10 +26,10 @@ from typing import Dict, Set
 from ..common import LINE_SIZE
 from ..params import SystemConfig
 from ..stats import Stats
-from .migration_base import MigrationSystem
+from .migration_base import IntervalMigrationSystem
 
 
-class LgmMigration(MigrationSystem):
+class LgmMigration(IntervalMigrationSystem):
     """LGM: spatial-locality-guided interval migration."""
 
     name = "LGM"

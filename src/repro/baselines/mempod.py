@@ -23,7 +23,7 @@ from typing import Dict
 
 from ..params import SystemConfig
 from ..stats import Stats
-from .migration_base import MigrationSystem
+from .migration_base import IntervalMigrationSystem
 
 
 class MeaCounters:
@@ -55,7 +55,7 @@ class MeaCounters:
         self.counters.clear()
 
 
-class MemPod(MigrationSystem):
+class MemPod(IntervalMigrationSystem):
     """MemPod: interval-based migration guided by MEA counters."""
 
     name = "MPOD"

@@ -7,13 +7,15 @@ share:
 * a segment-granularity remap table with an on-chip **remap cache** whose
   capacity matches Hybrid2's XTA (the paper equalises these for fairness);
 * a swap primitive (a migration is always an exchange, which is the
-  fundamental cost difference against caches);
-* interval-based bookkeeping (MemPod and LGM migrate at 50 us interval
-  boundaries).
+  fundamental cost difference against caches).
 
-Subclasses implement :meth:`MigrationSystem._note_hook` (how far-memory
-accesses feed the selection policy) and :meth:`MigrationSystem._interval_end` (which
-segments to migrate when an interval expires).
+MemPod and LGM also share interval-based bookkeeping: they migrate at
+50 us interval boundaries, through the remap-table step of
+:class:`IntervalMigrationSystem`.  Its subclasses implement
+:meth:`IntervalMigrationSystem._note_hook` (how far-memory accesses feed
+the selection policy) and :meth:`IntervalMigrationSystem._interval_end`
+(which segments to migrate when an interval expires).  Chameleon swaps
+on its own counters and has a step of its own.
 
 Paper anchor: the shared mechanics of the migration class the paper
 contrasts with caches throughout — swap cost (Section 2), equalised
@@ -42,7 +44,7 @@ INTERVAL_NS = 50_000.0
 class RemapCache:
     """On-chip cache of remap-table entries (LRU over segment numbers).
 
-    :meth:`MigrationSystem._step` does the lookup inline and counts its
+    :meth:`IntervalMigrationSystem._step` does the lookup inline and counts its
     hits and misses here; a swap calls :meth:`refresh`."""
 
     def __init__(self, capacity: int) -> None:
@@ -84,13 +86,6 @@ class MigrationSystem(MemorySystem):
                                 self.fm_frames, seed=seed)
         self.remap_cache = RemapCache(config.hybrid2.cache_sectors)
         self._fifo_victim = 0
-        # The paper's interval is tuned for an unscaled (1 GB NM,
-        # 1 B-instruction) run; the scaled model compresses simulated
-        # time, so the interval shrinks with the same factor to keep the
-        # number of migration opportunities per unit of work comparable.
-        self.interval_ns = max(1_000.0, INTERVAL_NS * 16 / config.scale)
-        self._interval_end_ns = self.interval_ns
-        self._interval_fm_accesses = 0
         self.migrations = 0
         self.swap_bytes = 0
 
@@ -102,93 +97,9 @@ class MigrationSystem(MemorySystem):
         """NM + FM — migration exposes both as main memory (Figure 12)."""
         return self.num_segments * self.segment_bytes
 
-    def _columns(self, addresses):
-        """Segment number and offset in the segment of each address, and
-        the NM ``(slot, row)`` of its remap-table entry."""
-        address = addresses % self.flat_capacity_bytes
-        segment = address // self.segment_bytes
-        return (segment, address % self.segment_bytes,
-                *self.near.locate(
-                    (segment * 8) % self.config.near.capacity_bytes))
-
-    def _step(self, seg_col, off_col, meta_slot_col, meta_row_col):
-        """Translate through the remap table, then serve from NM or FM.
-
-        The step closes any expired interval first (:meth:`_interval_end`
-        migrates), looks the segment up in the remap cache (a miss reads
-        the remap table in NM), serves the request from the segment's
-        current home; far-memory accesses also feed the selection policy
-        through the :meth:`_note_hook` closure.  The home frame is runtime
-        state: the step maps it inline, with
-        :meth:`~repro.memory.controller.MemoryController.locate`'s slot
-        table.  Shared by MemPod and LGM; Chameleon replaces it.
-        """
-        near_line = self.near.line_access
-        far_line = self.far.line_access
-        n_slots, n_period, n_span, n_stride = self.near.address_map
-        f_slots, f_period, f_span, f_stride = self.far.address_map
-        seg_bytes = self.segment_bytes
-        near_col = self.remap._in_near
-        frame_col = self.remap._frame
-        cache = self.remap_cache
-        entries = cache._entries
-        move_to_end = entries.move_to_end
-        cache_capacity = cache.capacity
-        note = self._note_hook()
-
-        def step(i: int, is_write: bool, now_ns: float) -> float:
-            if now_ns >= self._interval_end_ns:
-                self._roll_interval(now_ns)
-            seg = seg_col[i]
-            if seg in entries:
-                move_to_end(seg)
-                cache.hits += 1
-                latency = 0.0
-            else:
-                cache.misses += 1
-                entries[seg] = True
-                if len(entries) > cache_capacity:
-                    entries.popitem(last=False)
-                latency = near_line(meta_slot_col[i], meta_row_col[i], False,
-                                    now_ns, 2)
-            off = off_col[i]
-            address = frame_col[seg] * seg_bytes + off
-            if near_col[seg]:
-                latency += near_line(n_slots[address % n_period // n_span],
-                                     address // n_stride, is_write, now_ns, 0)
-                self.requests_from_nm += 1
-            else:
-                latency += far_line(f_slots[address % f_period // f_span],
-                                    address // f_stride, is_write, now_ns, 0)
-                self._interval_fm_accesses += 1
-                note(seg, off)
-            return latency
-
-        return step
-
     # ------------------------------------------------------------------
     # pieces shared by the subclasses
     # ------------------------------------------------------------------
-    def _roll_interval(self, now_ns: float) -> None:
-        """Close the interval that expired before ``now_ns``."""
-        self._interval_end(now_ns)
-        self._interval_fm_accesses = 0
-        while self._interval_end_ns <= now_ns:
-            self._interval_end_ns += self.interval_ns
-
-    def migration_budget_swaps(self) -> int:
-        """Upper bound on swaps this interval, proportional to the interval's
-        demand far-memory traffic.
-
-        A swap moves two whole segments (about ``4 * segment_bytes`` of
-        traffic); bounding swap traffic by the interval's demand FM traffic
-        keeps the schemes' aggressiveness consistent across the capacity
-        scaling of this model (the unscaled designs are implicitly bounded
-        the same way by what their counters can observe per interval).
-        """
-        demand_bytes = self._interval_fm_accesses * LINE_SIZE
-        return max(1, demand_bytes // (4 * self.segment_bytes))
-
     def _select_nm_victim(self, protected: Optional[set] = None) -> Optional[int]:
         """FIFO choice of an NM frame whose segment will be swapped out."""
         protected = protected or set()
@@ -246,6 +157,114 @@ class MigrationSystem(MemorySystem):
         return True
 
     # ------------------------------------------------------------------
+    # reporting
+    # ------------------------------------------------------------------
+    def _extra_stats(self, stats: Stats) -> None:
+        stats.set("migrations", self.migrations)
+        stats.set("swap_bytes", self.swap_bytes)
+        stats.set("remap_cache.hit_rate", self.remap_cache.hit_rate)
+        stats.set("segments_in_nm", self.remap.count_in_near())
+
+
+class IntervalMigrationSystem(MigrationSystem):
+    """Base class of MemPod and LGM: a remap-table step that migrates at
+    interval boundaries."""
+
+    def __init__(self, config: SystemConfig, seed: int = 17) -> None:
+        super().__init__(config, seed=seed)
+        # The paper's interval is tuned for an unscaled (1 GB NM,
+        # 1 B-instruction) run; the scaled model compresses simulated
+        # time, so the interval shrinks with the same factor to keep the
+        # number of migration opportunities per unit of work comparable.
+        self.interval_ns = max(1_000.0, INTERVAL_NS * 16 / config.scale)
+        self._interval_end_ns = self.interval_ns
+        self._interval_fm_accesses = 0
+
+    def _columns(self, addresses):
+        """Segment number and offset in the segment of each address, and
+        the NM ``(slot, row)`` of its remap-table entry."""
+        address = addresses % self.flat_capacity_bytes
+        segment = address // self.segment_bytes
+        return (segment, address % self.segment_bytes,
+                *self.near.locate(
+                    (segment * 8) % self.config.near.capacity_bytes))
+
+    def _step(self, seg_col, off_col, meta_slot_col, meta_row_col):
+        """Translate through the remap table, then serve from NM or FM.
+
+        The step closes any expired interval first (:meth:`_interval_end`
+        migrates), looks the segment up in the remap cache (a miss reads
+        the remap table in NM), serves the request from the segment's
+        current home; far-memory accesses also feed the selection policy
+        through the :meth:`_note_hook` closure.  The home frame is runtime
+        state: the step maps it inline, with
+        :meth:`~repro.memory.controller.MemoryController.locate`'s slot
+        table.
+        """
+        near_line = self.near.line_access
+        far_line = self.far.line_access
+        n_slots, n_period, n_span, n_stride = self.near.address_map
+        f_slots, f_period, f_span, f_stride = self.far.address_map
+        seg_bytes = self.segment_bytes
+        near_col = self.remap._in_near
+        frame_col = self.remap._frame
+        cache = self.remap_cache
+        entries = cache._entries
+        move_to_end = entries.move_to_end
+        cache_capacity = cache.capacity
+        note = self._note_hook()
+
+        def step(i: int, is_write: bool, now_ns: float) -> float:
+            if now_ns >= self._interval_end_ns:
+                self._roll_interval(now_ns)
+            seg = seg_col[i]
+            if seg in entries:
+                move_to_end(seg)
+                cache.hits += 1
+                latency = 0.0
+            else:
+                cache.misses += 1
+                entries[seg] = True
+                if len(entries) > cache_capacity:
+                    entries.popitem(last=False)
+                latency = near_line(meta_slot_col[i], meta_row_col[i], False,
+                                    now_ns, 2)
+            off = off_col[i]
+            address = frame_col[seg] * seg_bytes + off
+            if near_col[seg]:
+                latency += near_line(n_slots[address % n_period // n_span],
+                                     address // n_stride, is_write, now_ns, 0)
+                self.requests_from_nm += 1
+            else:
+                latency += far_line(f_slots[address % f_period // f_span],
+                                    address // f_stride, is_write, now_ns, 0)
+                self._interval_fm_accesses += 1
+                note(seg, off)
+            return latency
+
+        return step
+
+    def _roll_interval(self, now_ns: float) -> None:
+        """Close the interval that expired before ``now_ns``."""
+        self._interval_end(now_ns)
+        self._interval_fm_accesses = 0
+        while self._interval_end_ns <= now_ns:
+            self._interval_end_ns += self.interval_ns
+
+    def migration_budget_swaps(self) -> int:
+        """Upper bound on swaps this interval, proportional to the interval's
+        demand far-memory traffic.
+
+        A swap moves two whole segments (about ``4 * segment_bytes`` of
+        traffic); bounding swap traffic by the interval's demand FM traffic
+        keeps the schemes' aggressiveness consistent across the capacity
+        scaling of this model (the unscaled designs are implicitly bounded
+        the same way by what their counters can observe per interval).
+        """
+        demand_bytes = self._interval_fm_accesses * LINE_SIZE
+        return max(1, demand_bytes // (4 * self.segment_bytes))
+
+    # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
     def _note_hook(self):
@@ -258,12 +277,3 @@ class MigrationSystem(MemorySystem):
 
     def _interval_end(self, now_ns: float) -> None:
         """Perform end-of-interval migrations (MemPod, LGM)."""
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def _extra_stats(self, stats: Stats) -> None:
-        stats.set("migrations", self.migrations)
-        stats.set("swap_bytes", self.swap_bytes)
-        stats.set("remap_cache.hit_rate", self.remap_cache.hit_rate)
-        stats.set("segments_in_nm", self.remap.count_in_near())

@@ -37,7 +37,8 @@ class Trace:
     reductions and cached, so repeated property access is O(1).
     """
 
-    __slots__ = ("gaps", "addresses", "is_write", "core_ids", "_stat_cache")
+    __slots__ = ("gaps", "addresses", "is_write", "core_ids", "_stat_cache",
+                 "__weakref__")
 
     def __init__(self, gaps: Sequence[int] = (),
                  addresses: Sequence[int] = (),

@@ -36,7 +36,7 @@ column the seed generator produced for a set of cases, and
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -61,11 +61,8 @@ def generate_trace(spec: WorkloadSpec, num_references: int, *, scale: int = 256,
         return Trace()
     rng = np.random.default_rng(seed * 1_000_003 + core_id * 7919)
 
-    footprint = footprint_bytes or spec.scaled_footprint_bytes(scale)
-    if address_limit is not None:
-        available = max(spec.region_bytes, address_limit - base_address)
-        footprint = min(footprint, align_down(available, spec.region_bytes)
-                        or spec.region_bytes)
+    footprint = _clamp(footprint_bytes or spec.scaled_footprint_bytes(scale),
+                       spec.region_bytes, base_address, address_limit)
     lines_per_region = spec.lines_per_region()
     num_regions = max(1, footprint // spec.region_bytes)
     lines_per_visit = spec.lines_per_visit()
@@ -113,38 +110,49 @@ def generate_trace(spec: WorkloadSpec, num_references: int, *, scale: int = 256,
     return Trace(gaps, addresses, writes, core_id=core_id)
 
 
+def _clamp(footprint: int, region_bytes: int, base_address: int,
+           address_limit: int | None) -> int:
+    """``footprint`` cut to the whole regions below ``address_limit``
+    that start at ``base_address`` (at least one region)."""
+    if address_limit is None:
+        return footprint
+    available = max(region_bytes, address_limit - base_address)
+    return min(footprint, align_down(available, region_bytes) or region_bytes)
+
+
+def core_footprints(spec: WorkloadSpec, num_cores: int, *, scale: int = 256,
+                    address_limit: int | None = None) -> List[Tuple[int, int]]:
+    """``(base_address, footprint_bytes)`` of each core's copy in
+    :func:`generate_multiprogrammed`.
+
+    The Table 2 footprint describes the whole (eight-copy or
+    multi-threaded) workload.  SPEC multi-programmed copies therefore each
+    receive a disjoint ``footprint / num_cores`` slice of the address
+    space; multi-threaded NAS workloads share one address space, so every
+    core touches the same footprint.  ``address_limit`` clamps the whole
+    footprint, then each copy's slice.
+    """
+    region = spec.region_bytes
+    footprint = _clamp(spec.scaled_footprint_bytes(scale), region, 0,
+                       address_limit)
+    shared = spec.suite.upper() == "NAS"
+    per_core = footprint if shared else max(
+        region, align_down(footprint // max(1, num_cores), region))
+    return [(base, _clamp(per_core, region, base, address_limit))
+            for base in (0 if shared else core * per_core
+                         for core in range(num_cores))]
+
+
 def generate_multiprogrammed(spec: WorkloadSpec, num_references_per_core: int, *,
                              num_cores: int = 8, scale: int = 256, seed: int = 1,
                              address_limit: int | None = None) -> List[Trace]:
-    """Eight-copies-of-the-same-benchmark methodology of the paper.
-
-    The Table 2 footprint describes the whole (eight-copy or multi-threaded)
-    workload.  SPEC multi-programmed copies therefore each receive a disjoint
-    ``footprint / num_cores`` slice of the address space; multi-threaded NAS
-    workloads share one address space, so every core touches the same
-    footprint.
-    """
-    footprint = spec.scaled_footprint_bytes(scale)
-    if address_limit is not None:
-        footprint = min(footprint, align_down(address_limit, spec.region_bytes)
-                        or spec.region_bytes)
-    traces = []
-    if spec.suite.upper() == "NAS":
-        per_core_footprint = footprint
-    else:
-        per_core_footprint = max(spec.region_bytes,
-                                 align_down(footprint // max(1, num_cores),
-                                            spec.region_bytes))
-    for core in range(num_cores):
-        if spec.suite.upper() == "NAS":
-            base = 0
-        else:
-            base = core * per_core_footprint
-        traces.append(generate_trace(
-            spec, num_references_per_core, scale=scale, seed=seed,
-            base_address=base, core_id=core, address_limit=address_limit,
-            footprint_bytes=per_core_footprint))
-    return traces
+    """Eight-copies-of-the-same-benchmark methodology of the paper: one
+    trace per core over its :func:`core_footprints` slice."""
+    return [generate_trace(spec, num_references_per_core, scale=scale,
+                           seed=seed, base_address=base, core_id=core,
+                           footprint_bytes=footprint)
+            for core, (base, footprint) in enumerate(core_footprints(
+                spec, num_cores, scale=scale, address_limit=address_limit))]
 
 
 def stream_pattern(num_references: int, *, stride: int = LINE_SIZE,

@@ -235,3 +235,28 @@ def test_controller_reset_counters_keeps_timing_state(hbm):
     # The event counters restart; the open row stays.
     assert sum(controller.activations) == 0
     assert controller.open_row[0] == 0
+
+
+@pytest.mark.parametrize("design, memories", [("BASELINE", 1),
+                                               ("HYBRID2", 2)])
+def test_collect_stats_derives_each_energy_once(monkeypatch, small_config,
+                                                drive, design, memories):
+    """Energy is a fold over the line and activation counts, derived on
+    read; ``collect_stats`` reads each memory's once (two folds) and sums
+    those reads for the total."""
+    from repro.baselines import make_design
+    from repro.memory import controller
+
+    system = drive(make_design(design, small_config), n=400)
+    expected = sum(memory.energy_pj for memory in (system.near, system.far)
+                   if memory is not None)
+    folds = []
+
+    def counted(term, count):
+        folds.append(count)
+        return fold(term, count)
+
+    monkeypatch.setattr(controller, "fold", counted)
+    stats = system.collect_stats()
+    assert len(folds) == 2 * memories
+    assert stats["energy_pj"] == expected > 0

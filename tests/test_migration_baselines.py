@@ -9,7 +9,8 @@ import pytest
 from repro.baselines.chameleon import ChameleonGroups
 from repro.baselines.lgm import LgmMigration
 from repro.baselines.mempod import MeaCounters, MemPod
-from repro.baselines.migration_base import SEGMENT_BYTES
+from repro.baselines.migration_base import (SEGMENT_BYTES,
+                                            IntervalMigrationSystem)
 from repro.params import Hybrid2Params, make_config
 
 
@@ -155,6 +156,20 @@ def test_chameleon_has_no_remap_metadata_traffic(small_config, drive):
 def test_mempod_remap_cache_misses_cost_metadata_traffic(small_config, drive):
     system = drive(MemPod(small_config), "deepsjeng", n=1500)
     assert system.near.metadata_bytes > 0
+
+
+def test_only_the_interval_designs_keep_interval_state(small_config):
+    """MemPod and LGM migrate at interval boundaries; Chameleon swaps on
+    its own counters, so it carries no interval, budget or FM count."""
+    for design in (MemPod, LgmMigration):
+        system = design(small_config)
+        assert isinstance(system, IntervalMigrationSystem)
+        assert system.interval_ns > 0
+    system = ChameleonGroups(small_config)
+    assert not isinstance(system, IntervalMigrationSystem)
+    for name in ("interval_ns", "_interval_end_ns", "_interval_fm_accesses",
+                 "_roll_interval", "migration_budget_swaps"):
+        assert not hasattr(system, name)
 
 
 def test_migration_budget_scales_with_demand(small_config):

@@ -171,6 +171,21 @@ def test_victim_candidates_skip_cache_owned():
     assert dcmc.counters.get("metadata.accesses") == metadata + 5
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Figure 8 steal-back: the FIFO sweep of a miss may steal the frame "
+    "that miss's own migration has just given to the flat space, and "
+    "swaps the migrated sector straight back to FM"))
+def test_a_miss_keeps_the_sector_it_migrated_in_nm():
+    """The miss of ``test_victim_candidates_skip_cache_owned`` migrates
+    the XTA victim ``linked[0]`` into NM; the same miss's frame steal must
+    not undo that migration with a swap back to FM."""
+    system = small_system(migration_mode="all")
+    dcmc = system.dcmc
+    linked, sectors = fill_cache(system)
+    read(system, next(sectors), 1000.0)
+    assert dcmc.remap.lookup(linked[0])[0]
+
+
 def test_victim_candidates_fifo_wraps_and_resumes():
     """Each swap resumes the sweep where the previous one stopped, and
     the NM counter wraps around the usable frames."""

@@ -48,6 +48,24 @@ def test_run_benchmark_payload_shape():
     assert "of NULL)  [100 refs]" in rendered
 
 
+def test_every_timed_run_generates_its_trace(monkeypatch):
+    """Each timed ``simulate()`` starts from an empty reuse entry, so the
+    gate keeps timing generation and flattening: without that, repeats
+    and the designs timed after the null system would skip both."""
+    generate = simulator.generate_multiprogrammed
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "generate_multiprogrammed", counted)
+    perfbench.run_benchmark(refs=300, repeat=3, designs=["BASELINE", "CHA"],
+                            engine=False, small_refs=0)
+    # Per round: the null system, then each design after its own null run.
+    assert len(calls) == 3 * 2 * 2
+
+
 def test_run_benchmark_section_switches():
     engine_only = perfbench.run_benchmark(refs=200, repeat=1, designs=[])
     assert "designs" not in engine_only

@@ -21,7 +21,7 @@ import pytest
 from repro.baselines import DESIGN_FACTORIES
 from repro.params import make_config
 from repro.sim.runner import ExperimentRunner
-from repro.sim.simulator import simulate
+from repro.sim.simulator import _forget_inputs, simulate
 from repro.sim.store import ResultStore
 from repro.sim.sweep import SweepJob, coerce_design, job_from_spec
 from repro.trace import cache_dir_for
@@ -80,8 +80,12 @@ def test_corpus_golden_covers_the_cells():
 def test_cached_and_parsed_loads_simulate_identically(corpus_copy):
     workload = TraceFileWorkload.from_path(corpus_copy / "hotcold.tsv.gz")
     factory = DESIGN_FACTORIES["HYBRID2"]
+    # Each run loads the file: the first parses it and writes the sidecar,
+    # the second reads the sidecar, neither reuses the last run's inputs.
+    _forget_inputs()
     cold = simulate(factory(CONFIG), workload, num_references=REFS, seed=1)
     assert cache_dir_for(workload.path).is_dir()
+    _forget_inputs()
     warm = simulate(factory(CONFIG), workload, num_references=REFS, seed=1)
     assert_identical(warm, cold)
 
