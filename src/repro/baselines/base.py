@@ -5,10 +5,11 @@ caches, the migration schemes and Hybrid2 itself — presents the same
 interface to the simulator:
 
 * :meth:`MemorySystem.access` serves one processor-critical 64 B request and
-  returns its latency in ns, and :meth:`MemorySystem.fast_path` compiles
-  the same request path into a per-reference step over a whole address
-  column (both are defined here, once, on top of each design's
-  :meth:`~MemorySystem._columns` and :meth:`~MemorySystem._step`);
+  returns its latency in ns, and :meth:`MemorySystem.fast_path` hands the
+  driver the same request path as a per-reference step plus the value
+  columns of a whole address column (both are defined here, once, on top
+  of each design's :meth:`~MemorySystem._columns` and
+  :meth:`~MemorySystem._step`);
 * :attr:`MemorySystem.flat_capacity_bytes` reports how much main memory the
   design exposes to software (the capacity argument of the paper);
 * :meth:`MemorySystem.collect_stats` returns the counters every figure of
@@ -22,15 +23,18 @@ Figures 1-2).
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Callable, Optional, Sequence
 
+from ..common import LINE_SIZE
 from ..memory.controller import MemoryController
 from ..params import DramParams, SystemConfig
 from ..stats import Stats
 
 
-#: ``step(i, is_write, now_ns) -> latency_ns``: serves reference ``i``.
-Step = Callable[[int, bool, float], float]
+#: ``step(*values, is_write, now_ns) -> latency_ns``: serves the reference
+#: whose :meth:`MemorySystem._columns` values are ``values``.
+Step = Callable[..., float]
 
 
 class MemorySystem(abc.ABC):
@@ -44,18 +48,21 @@ class MemorySystem(abc.ABC):
       for one Python int;
     * :meth:`_step` compiles everything else (state probes and updates,
       DRAM accesses, the counters that depend on state) into a closure
-      ``step(i, is_write, now_ns) -> latency_ns`` reading entry ``i`` of
-      each column.  Addresses the design knows before the run reach the
-      step as the ``(slot, row)`` columns of
+      ``step(*values, is_write, now_ns) -> latency_ns`` that takes one
+      reference's column values as arguments, in :meth:`_columns` order.
+      Addresses the design knows before the run reach the step as the
+      ``(slot, row)`` values of
       :meth:`~repro.memory.controller.MemoryController.locate`.
 
     The step does not count requests: ``requests`` and ``write_requests``
     depend on the schedule alone, so ``simulate()`` adds them once for the
-    measured region, and :meth:`access` counts its own.
+    measured region, and :meth:`access` counts its own.  Nor does it count
+    the requests served from near memory: each is one demand line of the
+    near memory, which :attr:`requests_from_nm` reads.
 
-    :meth:`fast_path` hands :meth:`_step` the columns of a whole run, and
-    :meth:`access` runs the same step at index 0 on one-slot columns, so a
-    single request and a batch take the same code.
+    :meth:`fast_path` hands the step to the driver with the columns of a
+    whole run, and :meth:`access` calls the same step on one address's
+    values, so a single request and a batch take the same code.
     """
 
     #: Short identifier used in result tables ("HYBRID2", "MPOD", ...).
@@ -66,12 +73,7 @@ class MemorySystem(abc.ABC):
         self.near: Optional[MemoryController] = None
         self.far: Optional[MemoryController] = None
         self.requests = 0
-        self.requests_from_nm = 0
         self.write_requests = 0
-        #: The one-slot columns and the step :meth:`access` runs on them,
-        #: compiled on the first call.
-        self._slots: Optional[list] = None
-        self._slot_step: Optional[Step] = None
 
     # ------------------------------------------------------------------
     # mandatory interface
@@ -82,9 +84,9 @@ class MemorySystem(abc.ABC):
         ndarray of addresses or for one Python int address."""
 
     @abc.abstractmethod
-    def _step(self, *columns: list) -> Step:
-        """Compile the access path over ``columns`` (lists, as
-        :meth:`_columns` returns them) into a per-reference step."""
+    def _step(self) -> Step:
+        """Compile the access path into a per-reference step that takes
+        one reference's :meth:`_columns` values."""
 
     @property
     @abc.abstractmethod
@@ -94,37 +96,41 @@ class MemorySystem(abc.ABC):
     # ------------------------------------------------------------------
     # the access path, defined once over _columns/_step
     # ------------------------------------------------------------------
-    def fast_path(self, addresses) -> Step:
-        """Compile the step the driver calls once per reference.
+    def fast_path(self, addresses, columns: list) -> Step:
+        """Return the step the driver calls once per reference, and append
+        its value columns to ``columns``.
 
         ``addresses`` is the full flattened int64 address column of the run
         (scheduler order, warmup included).  :meth:`_columns` vectorizes the
         address arithmetic over it with numpy once; the columns reach the
-        step as Python lists, because native ints index and compare several
-        times faster than numpy scalars in a Python loop.  Rare events
-        (evictions, swaps, interval migrations, XTA misses) run in methods
-        the step calls, which go through the controller methods.
+        driver as Python lists, because native ints iterate several times
+        faster than numpy scalars in a Python loop, and the driver passes
+        each reference's values to the step.  Rare events (evictions,
+        swaps, interval migrations, XTA misses) run in methods the step
+        calls, which go through the controller methods.
         """
-        return self._step(*[column.tolist()
-                            for column in self._columns(addresses)])
+        columns.extend(column.tolist()
+                       for column in self._columns(addresses))
+        return self._step()
+
+    @functools.cached_property
+    def _access_step(self) -> Step:
+        """The step :meth:`access` calls, compiled on its first call.  A
+        run's step is not kept: most steps refer to their system, and a
+        system holding its own step would outlive the run until the next
+        cyclic garbage collection."""
+        return self._step()
 
     def access(self, address: int, is_write: bool, now_ns: float) -> float:
         """Serve one processor-critical 64 B request; return its latency
-        in ns.  Runs the design's :meth:`_step` at index 0 on one-slot
-        columns filled from ``address``, the same code the :meth:`fast_path`
-        step runs, and counts the request (the step does not)."""
-        values = self._columns(int(address))
-        slots = self._slots
-        if slots is None:
-            slots = self._slots = [[value] for value in values]
-            self._slot_step = self._step(*slots)
-        else:
-            for slot, value in zip(slots, values):
-                slot[0] = value
+        in ns.  Calls the design's step on the :meth:`_columns` values of
+        ``address``, the same code the :meth:`fast_path` step runs, and
+        counts the request (the step does not)."""
         self.requests += 1
         if is_write:
             self.write_requests += 1
-        return self._slot_step(0, is_write, now_ns)
+        return self._access_step(*self._columns(int(address)), is_write,
+                                 now_ns)
 
     def reset_measurement(self) -> None:
         """Zero the request, traffic and energy counters after a warm-up.
@@ -137,7 +143,6 @@ class MemorySystem(abc.ABC):
         energy describe the measured region only.
         """
         self.requests = 0
-        self.requests_from_nm = 0
         self.write_requests = 0
         if self.near is not None:
             self.near.reset_counters()
@@ -155,6 +160,14 @@ class MemorySystem(abc.ABC):
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    @property
+    def requests_from_nm(self) -> int:
+        """Requests served from near memory since the last reset: the near
+        memory's demand lines, since every such request issues exactly one
+        and nothing else does (0 without a near memory)."""
+        near = self.near
+        return near.demand_bytes // LINE_SIZE if near is not None else 0
+
     @property
     def nm_service_ratio(self) -> float:
         """Fraction of processor requests served from near memory (Fig. 15)."""

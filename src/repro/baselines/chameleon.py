@@ -58,7 +58,7 @@ class ChameleonGroups(MigrationSystem):
         address = addresses % self.flat_capacity_bytes
         return address // self.segment_bytes, address % self.segment_bytes
 
-    def _step(self, seg_col, off_col):
+    def _step(self):
         """Serve from the cache-mode copy if present, else the flat space.
 
         Chameleon replaces the shared migration step: it reads no
@@ -102,15 +102,12 @@ class ChameleonGroups(MigrationSystem):
             if count == fill_at:
                 self._fill_cache_mode(segment, now_ns)
 
-        def step(i: int, is_write: bool, now_ns: float) -> float:
-            seg = seg_col[i]
-            off = off_col[i]
+        def step(seg: int, off: int, is_write: bool, now_ns: float) -> float:
             if near_col[seg]:
                 address = frame_col[seg] * seg_bytes + off
                 latency = near_line(n_slots[address % n_period // n_span],
                                     address // n_stride, is_write, now_ns, 0)
                 self._last_segment = seg
-                self.requests_from_nm += 1
                 return latency
             if seg in cache_mode:
                 if is_write:
@@ -121,7 +118,6 @@ class ChameleonGroups(MigrationSystem):
                 latency = near_line(n_slots[address % n_period // n_span],
                                     address // n_stride, is_write, now_ns, 0)
                 note_fm(seg, now_ns)
-                self.requests_from_nm += 1
                 return latency
             address = frame_col[seg] * seg_bytes + off
             latency = far_line(f_slots[address % f_period // f_span],

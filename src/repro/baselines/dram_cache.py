@@ -103,7 +103,7 @@ class DramCacheSystem(MemorySystem):
         nm_block = self._nm_address(set_index, tag) + block * LINE_SIZE
         return (set_index, tag, block, *self.near.locate(nm_block))
 
-    def _step(self, set_col, tag_col, block_col, nm_slot_col, nm_row_col):
+    def _step(self):
         """Probe the DRAM cache; a miss fetches the whole line from FM.
 
         A hit pays the tag cost and one NM burst.  A miss pays the tag
@@ -127,13 +127,13 @@ class DramCacheSystem(MemorySystem):
         nm_address = self._nm_address
         blocks_per_line = self.blocks_per_line
 
-        def step(i: int, is_write: bool, now_ns: float) -> float:
-            tag = tag_col[i]
-            cache_set = sets[set_col[i]]
+        def step(set_index: int, tag: int, block: int, nm_slot: int,
+                 nm_row: int, is_write: bool, now_ns: float) -> float:
+            cache_set = sets[set_index]
             line = cache_set.get(tag)
             if line is not None:
                 cache_set.move_to_end(tag)
-                line.touched_mask |= 1 << block_col[i]
+                line.touched_mask |= 1 << block
                 if is_write:
                     line.dirty = True
                 hits = self.cache_hits + 1
@@ -141,16 +141,13 @@ class DramCacheSystem(MemorySystem):
                 latency = tag_lat
                 if hit_period and hits % hit_period == 0:
                     latency += near_line(0, 0, False, now_ns, 2)
-                latency += near_line(nm_slot_col[i], nm_row_col[i], is_write,
-                                     now_ns, 0)
-                self.requests_from_nm += 1
-                return latency
+                return latency + near_line(nm_slot, nm_row, is_write, now_ns,
+                                           0)
 
             self.cache_misses += 1
             latency = tag_lat
             if miss_needs_tag:
                 latency += near_line(0, 0, False, now_ns, 2)
-            set_index = set_col[i]
             if len(cache_set) >= ways:
                 evict(cache_set, set_index, now_ns)
             latency += far_block(tag * line_size, line_size, False, now_ns,
@@ -158,7 +155,7 @@ class DramCacheSystem(MemorySystem):
             near_block(nm_address(set_index, tag), line_size, True, now_ns,
                        False)
             cache_set[tag] = DramCacheLine(tag=tag, dirty=is_write,
-                                           touched_mask=1 << block_col[i])
+                                           touched_mask=1 << block)
             self.fetched_blocks += blocks_per_line
             return latency
 

@@ -30,14 +30,11 @@ class FarMemoryOnly(MemorySystem):
         return self.far.locate(
             addresses % self.config.far.capacity_bytes)
 
-    def _step(self, slot_col, row_col):
-        """Serve the request from far memory (the only memory there is)."""
-        far_line = self.far.line_access
-
-        def step(i: int, is_write: bool, now_ns: float) -> float:
-            return far_line(slot_col[i], row_col[i], is_write, now_ns, 0)
-
-        return step
+    def _step(self):
+        """Serve the request from far memory (the only memory there is):
+        the step is the far memory's line kernel itself, whose ``kind``
+        defaults to demand traffic."""
+        return self.far.line_access
 
     @property
     def flat_capacity_bytes(self) -> int:

@@ -33,8 +33,10 @@ class MeaCounters:
         self.capacity = capacity
         self.counters: Dict[int, int] = {}
 
-    def observe(self, segment: int) -> None:
-        """Feed one far-memory segment visit into the MEA summary."""
+    def observe(self, segment: int, offset: int = 0) -> None:
+        """Feed one far-memory segment visit into the MEA summary.  The
+        offset in the segment is ignored; it is accepted so the migration
+        step can call this as its far-memory hook."""
         if segment in self.counters:
             self.counters[segment] += 1
         elif len(self.counters) < self.capacity:
@@ -69,12 +71,7 @@ class MemPod(IntervalMigrationSystem):
     def _note_hook(self):
         # MemPod only tracks far-memory segments: near-memory residents do
         # not need to migrate.
-        observe = self.mea.observe
-
-        def note(segment, offset):
-            observe(segment)
-
-        return note
+        return self.mea.observe
 
     def _interval_end(self, now_ns: float) -> None:
         self.intervals += 1

@@ -189,14 +189,14 @@ class IntervalMigrationSystem(MigrationSystem):
                 *self.near.locate(
                     (segment * 8) % self.config.near.capacity_bytes))
 
-    def _step(self, seg_col, off_col, meta_slot_col, meta_row_col):
+    def _step(self):
         """Translate through the remap table, then serve from NM or FM.
 
         The step closes any expired interval first (:meth:`_interval_end`
         migrates), looks the segment up in the remap cache (a miss reads
         the remap table in NM), serves the request from the segment's
         current home; far-memory accesses also feed the selection policy
-        through the :meth:`_note_hook` closure.  The home frame is runtime
+        through the :meth:`_note_hook` callable.  The home frame is runtime
         state: the step maps it inline, with
         :meth:`~repro.memory.controller.MemoryController.locate`'s slot
         table.
@@ -214,10 +214,10 @@ class IntervalMigrationSystem(MigrationSystem):
         cache_capacity = cache.capacity
         note = self._note_hook()
 
-        def step(i: int, is_write: bool, now_ns: float) -> float:
+        def step(seg: int, off: int, meta_slot: int, meta_row: int,
+                 is_write: bool, now_ns: float) -> float:
             if now_ns >= self._interval_end_ns:
                 self._roll_interval(now_ns)
-            seg = seg_col[i]
             if seg in entries:
                 move_to_end(seg)
                 cache.hits += 1
@@ -227,14 +227,11 @@ class IntervalMigrationSystem(MigrationSystem):
                 entries[seg] = True
                 if len(entries) > cache_capacity:
                     entries.popitem(last=False)
-                latency = near_line(meta_slot_col[i], meta_row_col[i], False,
-                                    now_ns, 2)
-            off = off_col[i]
+                latency = near_line(meta_slot, meta_row, False, now_ns, 2)
             address = frame_col[seg] * seg_bytes + off
             if near_col[seg]:
                 latency += near_line(n_slots[address % n_period // n_span],
                                      address // n_stride, is_write, now_ns, 0)
-                self.requests_from_nm += 1
             else:
                 latency += far_line(f_slots[address % f_period // f_span],
                                     address // f_stride, is_write, now_ns, 0)
@@ -268,7 +265,7 @@ class IntervalMigrationSystem(MigrationSystem):
     # subclass hooks
     # ------------------------------------------------------------------
     def _note_hook(self):
-        """Return the ``(segment, offset)`` closure the step calls on every
+        """Return the ``(segment, offset)`` callable the step calls on every
         far-memory access to feed the selection policy."""
         def note(segment, offset):
             pass

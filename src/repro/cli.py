@@ -315,6 +315,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   f"misfires", file=sys.stderr)
         failures = perfbench.compare_to_baseline(
             payload, baseline, max_regression=args.max_regression)
+        if baseline.get("schema") == perfbench.BENCH_SCHEMA:
+            print(perfbench.render_gate(payload, baseline,
+                                        args.max_regression))
         if failures:
             for failure in failures:
                 print(f"PERF REGRESSION: {failure}", file=sys.stderr)

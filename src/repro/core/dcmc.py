@@ -117,9 +117,10 @@ class DCMC:
         return (address // self.sector_bytes, offset // self.dram_line_bytes,
                 offset)
 
-    def step(self, system, sec_col, line_col, off_col):
-        """Compile the request path of Figure 7 over the :meth:`columns`
-        lists into the step of :class:`~repro.core.hybrid2.Hybrid2System`.
+    def step(self):
+        """Compile the request path of Figure 7 into the step of
+        :class:`~repro.core.hybrid2.Hybrid2System`, which takes one
+        reference's :meth:`columns` values.
 
         The step works on the XTA's lists, the remap table's columns, the
         frame pool's state, the Free-FM-Stack and the counter dict, and
@@ -128,7 +129,9 @@ class DCMC:
         (:func:`~repro.memory.kernels.make_kernels`).  Runtime frames are
         mapped inline with
         :meth:`~repro.memory.controller.MemoryController.locate`'s slot
-        table.  ``system`` holds the NM-served request counter.
+        table.  Every request served from NM issues one NM demand line
+        and no other request does, so the system derives the NM-served
+        count from the near memory and the step does not keep one.
 
         * An XTA hit does the ``slot_of`` probe, the LRU touch and the
           access counter of a non-migrated sector, then either one NM
@@ -318,11 +321,9 @@ class DCMC:
 
             if in_near:
                 address = frame * sector_bytes + offset
-                latency += near_line(n_slots[address % n_period // n_span],
-                                     address // n_stride, is_write, now_ns,
-                                     KIND_DEMAND)
-                system.requests_from_nm += 1
-                return latency
+                return latency + near_line(
+                    n_slots[address % n_period // n_span],
+                    address // n_stride, is_write, now_ns, KIND_DEMAND)
             # The inverted remap table learns the sector now (Section
             # 3.4), so the NM allocator can always resolve this frame.
             record_inverse_nm(frame, sector)
@@ -374,16 +375,15 @@ class DCMC:
             raise RuntimeError(
                 "no near-memory frame available for the DRAM cache")
 
-        def step(i: int, is_write: bool, now_ns: float) -> float:
-            sector = sec_col[i]
+        def step(sector: int, line: int, offset: int, is_write: bool,
+                 now_ns: float) -> float:
             slot = slot_of.get(sector)
             if slot is None:
                 counters["xta.misses"] += 1.0
-                return xta_miss(sector, line_col[i], off_col[i], is_write,
-                                now_ns)
+                return xta_miss(sector, line, offset, is_write, now_ns)
             lru[slot] = next(ticks)
             fm_frame = fm_frames[slot]
-            bit = 1 << line_col[i]
+            bit = 1 << line
             if fm_frame >= 0:
                 # Only non-migrated sectors count accesses (Section 3.7.1).
                 if access_counters[slot] < counter_max:
@@ -392,7 +392,7 @@ class DCMC:
                     # 1b: fetch the line from FM, install it in NM.
                     counters["line.misses"] += 1.0
                     note_demand_fm_access(now_ns)
-                    line_offset = line_col[i] * line_bytes
+                    line_offset = line * line_bytes
                     latency = xta_lat + far_block(
                         fm_frame * sector_bytes + line_offset, line_bytes,
                         False, now_ns, True)
@@ -405,11 +405,10 @@ class DCMC:
             if is_write:
                 dirty[slot] |= bit
             counters["line.hits"] += 1.0
-            address = nm_frames[slot] * sector_bytes + off_col[i]
-            latency = near_line(n_slots[address % n_period // n_span],
-                                address // n_stride, is_write, now_ns, 0)
-            system.requests_from_nm += 1
-            return xta_lat + latency
+            address = nm_frames[slot] * sector_bytes + offset
+            return xta_lat + near_line(n_slots[address % n_period // n_span],
+                                       address // n_stride, is_write, now_ns,
+                                       0)
 
         return step
 

@@ -32,9 +32,9 @@ class Hybrid2System(MemorySystem):
     def _columns(self, addresses):
         return self.dcmc.columns(addresses)
 
-    def _step(self, *columns):
+    def _step(self):
         """Delegated to the DCMC, which owns every structure."""
-        return self.dcmc.step(self, *columns)
+        return self.dcmc.step()
 
     @property
     def flat_capacity_bytes(self) -> int:

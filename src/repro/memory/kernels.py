@@ -12,7 +12,10 @@ the pair as its ``line_access`` / ``block_transfer`` attributes.  Its
 methods are thin calls into them, and each design step
 (``MemorySystem._step``, which both ``MemorySystem.fast_path`` and
 ``MemorySystem.access`` run) binds the same pair and skips the method
-call.  Hybrid2's step runs on it everything but case 2b's demand fill:
+call.  BASELINE's step is the far memory's line kernel itself: the
+driver passes it a reference's ``(slot, row)``, and ``kind`` defaults to
+demand traffic.  Hybrid2's step runs on it everything but case 2b's
+demand fill:
 line hits and fills, metadata accesses, write-backs, migrations and
 swaps.  The demand fill stays on the controller methods, the calls the
 repo benchmark's traced run counts.
@@ -74,7 +77,8 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     ``line_access(slot, row, is_write, now_ns, kind)`` issues one 64 B
     access to row ``row`` of bank ``slot`` and returns its latency in ns
     (controller overhead included); ``kind`` selects the traffic class
-    (:data:`KIND_DEMAND` / :data:`KIND_BACKGROUND` / :data:`KIND_METADATA`).
+    (:data:`KIND_DEMAND`, the default, / :data:`KIND_BACKGROUND` /
+    :data:`KIND_METADATA`).
     ``block_transfer(address, nbytes, is_write, now_ns, demand)`` streams a
     block as consecutive line bursts, all issued at ``now_ns``, and returns
     the latency of the first line (critical word first); only that line is
@@ -101,7 +105,7 @@ def make_kernels(controller: "MemoryController") -> Tuple[LineKernel,
     overhead_ns = controller.CONTROLLER_OVERHEAD_NS
 
     def line_access(slot: int, row: int, is_write: bool, now_ns: float,
-                    kind: int) -> float:
+                    kind: int = KIND_DEMAND) -> float:
         open_row = open_rows[slot]
         if open_row == row:
             array_latency = hit_ns

@@ -99,8 +99,9 @@ def _calibration_loop() -> float:
 class NullMemorySystem(MemorySystem):
     """Fixed-latency memory system that isolates the engine.
 
-    Every access is served from "near memory" after ``latency_ns``; there
-    are no address columns and the step only counts the NM-served request.
+    Every access is served after ``latency_ns``; there are no address
+    columns, no memories and the step only returns the latency (the
+    system has no near memory, so it counts no NM-served request).
     With the memory model reduced to a constant, ``simulate()`` spends its
     time in trace generation, scheduling and the interval-core arithmetic —
     the fast path this benchmark tracks.
@@ -118,8 +119,7 @@ class NullMemorySystem(MemorySystem):
     def _step(self):
         latency_ns = self.latency_ns
 
-        def step(i: int, is_write: bool, now_ns: float) -> float:
-            self.requests_from_nm += 1
+        def step(is_write: bool, now_ns: float) -> float:
             return latency_ns
 
         return step
@@ -315,14 +315,8 @@ def compare_to_baseline(payload: dict, baseline: dict,
         return [f"run settings differ from the baseline: {setting} (rerun "
                 f"at the baseline's settings)" for setting in differ]
     floor = 1.0 - max_regression
-    gated = [(section, payload[section], baseline.get(section))
-             for section in ENGINE_SECTIONS if section in payload]
-    gated += [(f"{name} {label}", entry, baseline.get(section, {}).get(label))
-              for section, name in (("designs", "design"),
-                                    ("designs_small", "designs_small"))
-              for label, entry in payload.get(section, {}).items()]
     failures = []
-    for label, entry, base in gated:
+    for label, entry, base in _gated(payload, baseline):
         if base is None:
             failures.append(f"{label} is missing from the baseline")
         elif entry["ratio"] < base["ratio"] * floor:
@@ -330,6 +324,35 @@ def compare_to_baseline(payload: dict, baseline: dict,
                 f"{label} ratio regressed: {entry['ratio']:.3f} vs baseline "
                 f"{base['ratio']:.3f} (floor {base['ratio'] * floor:.3f})")
     return failures
+
+
+def _gated(payload: dict, baseline: dict) -> List[tuple]:
+    """``(label, entry, baseline entry or None)`` of every gated ratio
+    the payload measured."""
+    gated = [(section, payload[section], baseline.get(section))
+             for section in ENGINE_SECTIONS if section in payload]
+    gated += [(f"{name} {label}", entry, baseline.get(section, {}).get(label))
+              for section, name in (("designs", "design"),
+                                    ("designs_small", "designs_small"))
+              for label, entry in payload.get(section, {}).items()]
+    return gated
+
+
+def render_gate(payload: dict, baseline: dict,
+                max_regression: float = 0.30) -> str:
+    """One row per gated ratio: this run's, the baseline's and the floor
+    it must stay above (:func:`compare_to_baseline` decides)."""
+    floor = 1.0 - max_regression
+    lines = [f"  {'gated ratio':<24s} {'run':>7s} {'baseline':>9s} "
+             f"{'floor':>7s}"]
+    for label, entry, base in _gated(payload, baseline):
+        if base is None:
+            lines.append(f"  {label:<24s} {entry['ratio']:>7.3f} "
+                         f"{'missing':>9s}")
+            continue
+        lines.append(f"  {label:<24s} {entry['ratio']:>7.3f} "
+                     f"{base['ratio']:>9.3f} {base['ratio'] * floor:>7.3f}")
+    return "\n".join(lines)
 
 
 #: Run settings a run must share with the baseline to be gated against

@@ -9,8 +9,9 @@ with the counters every figure of the evaluation is computed from.
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
-from typing import Optional, Sequence, Tuple, Union
+import functools
+from itertools import islice, repeat
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,16 +60,20 @@ def simulate(system: MemorySystem,
 
     Cores take one reference each per round-robin pass, in index order.
     Every part of the interval-core model that does not depend on latency
-    (instruction counts and the overlap divisor of each miss, see
+    (instruction counts, the compute interval ``gap / issue_width`` and
+    the overlap divisor of each miss, see
     :func:`~repro.cpu.core.miss_columns`) is computed per core in numpy
     before the run, so the loop keeps only each core's time:
-    ``now = time + gap / issue_width``, the design step at ``now``, then
+    ``now = time + compute``, the design step at ``now``, then
     ``time = now + llc + latency * ghz / overlap``, where ``llc`` is
     ``config.cores.llc_latency_cycles``.  These are the float
     expressions, in the order, that the stepped ``IntervalCore`` of
     ``tests/engine_oracle.py`` evaluates per reference, so the counters
     stay bit-identical to stepping one (the engine tests compare the two
-    and pin the counters to frozen goldens).
+    and pin the counters to frozen goldens).  The loop is one generated
+    function per count of design columns (:data:`_DRIVE_SOURCE`): it
+    unpacks each reference's column values from one stream of tuples
+    and passes them to the step, which reads no index.
 
     Those latency-independent inputs (the flattened columns and counts,
     not the traces) are kept for the next call, in one entry per process.
@@ -90,10 +95,13 @@ def simulate(system: MemorySystem,
     if not total_records:
         return _collect_result(system, name, 0, 0.0, 0)
 
+    addr_arr, driver_columns, instructions, writes = schedule
+    # The design's value columns join the driver's, one stream of tuples.
+    columns = list(driver_columns)
+    step = system.fast_path(addr_arr, columns)
+    drive = _driver(len(columns) - len(driver_columns))
+    stream = zip(*columns)
     params = system.config.cores
-    addr_arr, columns, instructions, writes = schedule
-    stream = zip(count(), *columns)
-    step = system.fast_path(addr_arr)
 
     # The first ``warmup_records`` references warm the structures, then the
     # measured region runs with counters reset — two drains of one stream
@@ -101,10 +109,10 @@ def simulate(system: MemorySystem,
     time_cycles = [0.0] * n_cores
     cycles_offset = 0.0
     if warmup_records:
-        _drive(islice(stream, warmup_records), step, time_cycles, params)
+        drive(islice(stream, warmup_records), step, time_cycles, params)
         system.reset_measurement()
         cycles_offset = max(time_cycles)
-    _drive(stream, step, time_cycles, params)
+    drive(stream, step, time_cycles, params)
     # The steps count only what depends on state; the measured region's
     # requests and writes are columns of the schedule.
     system.requests += total_records - warmup_records
@@ -198,14 +206,17 @@ def _schedule(traces: Sequence[Trace], params,
     latency-independent column precomputed.
 
     Returns the int64 address column (what ``system.fast_path``
-    vectorizes over), the ``(core, gap, overlap, is_write)`` columns of the
-    driver, and the instructions retired and the writes issued after the
-    first ``warmup_records`` references.  The order is a column interleave
-    when every core has the same length, else
-    :func:`~repro.cpu.trace.round_robin_order`.  The driver's columns are
-    Python lists, because native ints/bools iterate several times faster
-    than numpy scalars in a Python loop; the numpy intermediates are
-    dropped on return.
+    vectorizes over), the driver's ``(core, compute, overlap, is_write)``
+    columns, and the instructions retired and the writes issued after the
+    first ``warmup_records`` references.  ``compute`` is each miss's
+    compute interval in cycles, ``gap / issue_width``, and ``overlap`` its
+    divisor as a float: both are correctly rounded quotients of exactly
+    representable integers, so the driver's arithmetic is unchanged bit
+    for bit.  The order is a column interleave when every core has the
+    same length, else :func:`~repro.cpu.trace.round_robin_order`.  The
+    driver's columns are Python lists, because native ints, floats and
+    bools iterate several times faster than numpy scalars in a Python
+    loop; the numpy intermediates are dropped on return.
     """
     n_cores = len(traces)
     lengths = [len(t) for t in traces]
@@ -226,8 +237,9 @@ def _schedule(traces: Sequence[Trace], params,
                        for (inst, _), k in zip(misses, warm) if len(inst))
     is_write = flat([t.is_write for t in traces])
     columns = [repeat(0) if n_cores == 1 else core_arr.tolist(),
-               np.maximum(flat([t.gaps for t in traces]), 0).tolist(),
-               flat([div for _, div in misses]).tolist(),
+               _quotients(np.maximum(flat([t.gaps for t in traces]), 0),
+                          params.issue_width),
+               _quotients(flat([div for _, div in misses]), 1),
                is_write.tolist()]
     addresses = flat([t.addresses for t in traces])
     addresses.setflags(write=False)
@@ -235,20 +247,49 @@ def _schedule(traces: Sequence[Trace], params,
             int(np.count_nonzero(is_write[warmup_records:])))
 
 
-def _drive(stream, step, time_cycles: list, params) -> None:
-    """The reference loop of :func:`simulate`: drain ``(i, core, gap,
-    overlap, is_write)`` tuples through ``step``, advancing each core's
-    time by its compute interval, the LLC latency and its exposed memory
-    stall (``IntervalCore.execute`` / ``IntervalCore.memory_miss`` of
-    ``tests/engine_oracle.py``, with everything latency-independent
-    precomputed).
-    """
-    issue_width = params.issue_width
-    llc_cycles = params.llc_latency_cycles
+def _quotients(values: np.ndarray, divisor: int) -> list:
+    """``[v / divisor for v in values]`` as a list that holds one float
+    object per distinct value: the columns take few values, and a float
+    per reference would keep ~24 B more per reference alive."""
+    values = values.tolist()
+    quotient = {value: value / divisor for value in set(values)}
+    # In place: a list grown by appends, as ``list(map(...))`` builds
+    # one, left ~0.5 MB more peak RSS behind at 60k references.
+    for k, value in enumerate(values):
+        values[k] = quotient[value]
+    return values
+
+
+#: The reference loop of :func:`simulate`, as source: ``{values}`` names
+#: the design's value columns, which each tuple of the stream carries
+#: after the driver's ``(core, compute, overlap, is_write)`` and the step
+#: takes before ``is_write`` and ``now_ns``.  Each core's time advances
+#: by its compute interval, the LLC latency and its exposed memory stall
+#: (``IntervalCore.execute`` / ``IntervalCore.memory_miss`` of
+#: ``tests/engine_oracle.py``, with everything latency-independent
+#: precomputed).
+_DRIVE_SOURCE = """\
+def drive(stream, step, time_cycles, params):
+    llc_cycles = float(params.llc_latency_cycles)
     cycle_ns = params.cycle_ns
     ghz = params.frequency_ghz
-    for i, idx, gap, div, is_write in stream:
-        now = time_cycles[idx] + gap / issue_width
-        latency_ns = step(i, is_write, now * cycle_ns)
+    for idx, compute, div, is_write{values} in stream:
+        now = time_cycles[idx] + compute
+        latency_ns = step({arguments}is_write, now * cycle_ns)
         time_cycles[idx] = now + llc_cycles + latency_ns * ghz / div
+"""
 
+
+@functools.lru_cache(maxsize=None)
+def _driver(width: int) -> Callable[..., None]:
+    """``drive(stream, step, time_cycles, params)`` of
+    :data:`_DRIVE_SOURCE` for ``width`` value columns, compiled once per
+    process and width: the loop unpacks each value into a local and
+    passes it on, with no index into the columns."""
+    names = [f"v{k}" for k in range(width)]
+    source = _DRIVE_SOURCE.format(
+        values="".join(f", {name}" for name in names),
+        arguments="".join(f"{name}, " for name in names))
+    scope: Dict[str, Any] = {}
+    exec(compile(source, f"<driver, {width} value columns>", "exec"), scope)
+    return scope["drive"]

@@ -101,16 +101,19 @@ def test_access_and_fast_path_are_defined_once():
 
 
 def test_null_system_steps_without_columns():
-    """The step counts only the NM-served request; ``access`` counts the
-    request itself (``simulate()`` counts the steps' requests)."""
+    """The step takes no values and counts nothing; ``access`` counts the
+    request itself (``simulate()`` counts the steps' requests), and with
+    no near memory no request is NM-served."""
     system = NullMemorySystem(CONFIG, latency_ns=75.0)
-    step = system.fast_path(np.zeros(4, dtype=np.int64))
-    assert step(3, True, 0.0) == 75.0
+    columns = []
+    step = system.fast_path(np.zeros(4, dtype=np.int64), columns)
+    assert columns == []
+    assert step(True, 0.0) == 75.0
     assert (system.requests, system.write_requests,
-            system.requests_from_nm) == (0, 0, 1)
+            system.requests_from_nm) == (0, 0, 0)
     assert system.access(64, True, 10.0) == 75.0
     assert (system.requests, system.write_requests,
-            system.requests_from_nm) == (1, 1, 2)
+            system.requests_from_nm) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES))
@@ -118,9 +121,10 @@ def test_every_design_compiles_a_fast_path(design):
     system = DESIGN_FACTORIES[design](CONFIG)
     addresses = (np.arange(64, dtype=np.int64) * 8192) % \
         system.flat_capacity_bytes
-    step = system.fast_path(addresses)
-    assert step is not None
-    latency = step(0, False, 0.0)
+    columns = []
+    step = system.fast_path(addresses, columns)
+    assert all(len(column) == len(addresses) for column in columns)
+    latency = step(*[column[0] for column in columns], False, 0.0)
     assert latency > 0.0
     # The step leaves request counting to simulate() and access().
     assert system.requests == 0

@@ -19,7 +19,10 @@ def test_null_memory_system_isolates_the_engine():
     result = simulate(perfbench.NullMemorySystem(config, latency_ns=50.0),
                       get_workload("mcf"), num_references=600, seed=1)
     assert result.references == 600 - int(600 * 0.25)
-    assert result.nm_service_ratio == 1.0
+    # No memory at all: no request is served from near memory, and no
+    # energy is spent.
+    assert result.nm_service_ratio == 0.0
+    assert result.stats["requests.from_nm"] == 0
     assert result.energy_pj == 0.0
     assert result.cycles > 0
 
@@ -109,6 +112,22 @@ def test_compare_to_baseline_gates_on_speedup_ratio():
     assert failures == ["fast_path_small is missing from the baseline"]
 
 
+def test_render_gate_shows_each_ratio_beside_its_floor():
+    """Every ratio the gate judges is printed with the baseline's ratio
+    and the floor it must stay above, in gate order."""
+    current = schema(fast_path={"ratio": 0.40},
+                     designs={"MPOD": {"refs_per_sec": 1.0, "ratio": 0.2},
+                              "DFC": {"refs_per_sec": 1.0, "ratio": 0.3}})
+    baseline = schema(fast_path={"ratio": 0.50},
+                      designs={"MPOD": {"ratio": 0.3}})
+    rows = perfbench.render_gate(current, baseline, 0.30).splitlines()
+    assert rows[0].split() == ["gated", "ratio", "run", "baseline", "floor"]
+    assert rows[1].split() == ["fast_path", "0.400", "0.500", "0.350"]
+    assert rows[2].split() == ["design", "MPOD", "0.200", "0.300", "0.210"]
+    assert rows[3].split() == ["design", "DFC", "0.300", "missing"]
+    assert len(rows) == 4
+
+
 def test_compare_to_baseline_gates_per_design():
     current = schema(designs={"MPOD": {"refs_per_sec": 1.0, "ratio": 0.2},
                                "LGM": {"refs_per_sec": 1.0, "ratio": 0.3}})
@@ -190,7 +209,12 @@ def test_bench_cli_writes_report_and_gates(tmp_path, capsys):
     baseline.write_text(json.dumps(impossible))
     assert main(["bench", "--refs", "300", "--repeat", "1", "--no-designs",
                  "--small-refs", "0", "--baseline", str(baseline)]) == 1
-    assert "PERF REGRESSION" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "PERF REGRESSION" in captured.err
+    # The gate table shows the impossible baseline ratio and its floor.
+    assert any(line.split()[:1] == ["fast_path"]
+               and "1000000000.000" in line and "700000000.000" in line
+               for line in captured.out.splitlines())
 
     # ... while gating against this run's own numbers passes.  The two runs
     # are independent 300-ref measurements, so allow for timer noise that a
@@ -278,26 +302,30 @@ def test_gate_trips_on_deliberate_slowdowns(monkeypatch):
         return [f for f in failures
                 if f.startswith(section + " ratio regressed")]
 
-    drive = simulator._drive
+    driver = simulator._driver
 
-    def slow_drive(stream, step, *args):
-        def slowed(i, is_write, now_ns):
-            spin()
-            return step(i, is_write, now_ns)
-        drive(stream, slowed, *args)
+    def slow_driver(width):
+        drive = driver(width)
 
-    monkeypatch.setattr(simulator, "_drive", slow_drive)
+        def slow_drive(stream, step, *args):
+            def slowed(*step_args):
+                spin()
+                return step(*step_args)
+            drive(stream, slowed, *args)
+        return slow_drive
+
+    monkeypatch.setattr(simulator, "_driver", slow_driver)
     assert tripped("fast_path")
 
     cls = type(DESIGN_FACTORIES["TAGLESS"](make_config()))
     make_step = cls._step
 
-    def slow_step(self, *columns):
-        step = make_step(self, *columns)
+    def slow_step(self):
+        step = make_step(self)
 
-        def slowed(i, is_write, now_ns):
+        def slowed(*args):
             spin()
-            return step(i, is_write, now_ns)
+            return step(*args)
         return slowed
 
     monkeypatch.setattr(cls, "_step", slow_step)

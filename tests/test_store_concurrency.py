@@ -11,6 +11,8 @@ import hashlib
 import multiprocessing
 import threading
 import time
+import traceback
+from pathlib import Path
 
 import pytest
 
@@ -42,12 +44,19 @@ def _result(writer: int, index: int) -> RunResult:
                      energy_pj=3.0, flat_capacity_bytes=4)
 
 
-def _writer_process(root: str, writer: int) -> None:
-    store = ResultStore(root)
-    for index in range(CELLS_PER_WRITER):
-        store.put(_key(writer, index), _result(writer, index),
-                  job={"writer": writer, "index": index})
-    store.backend.close()
+def _writer_process(root: str, writer: int, error_path: str) -> None:
+    """Write the writer's cells; on an exception, leave its traceback in
+    ``error_path`` for the test's failure message, then fail the
+    process."""
+    try:
+        store = ResultStore(root)
+        for index in range(CELLS_PER_WRITER):
+            store.put(_key(writer, index), _result(writer, index),
+                      job={"writer": writer, "index": index})
+        store.backend.close()
+    except BaseException:
+        Path(error_path).write_text(traceback.format_exc())
+        raise
 
 
 @pytest.mark.slow
@@ -63,28 +72,35 @@ def test_concurrent_readers_never_see_partial_cells(tmp_path, backend):
 
     bad = []
     seen_ok = set()
+    reader_errors = []
     stop = threading.Event()
 
     def read_loop():
-        reader = ResultStore(root, read_only=True)
-        while not stop.is_set():
-            for key, (status, result) in reader.probe_many(keys).items():
-                if status not in (CELL_MISS, CELL_OK, CELL_UNREADABLE):
-                    bad.append((key, status))
-                if status == CELL_OK:
-                    seen_ok.add(key)
-                    if result.references != 10:
-                        bad.append((key, "mangled result"))
-            time.sleep(0.002)
-        reader.backend.close()
+        # An exception here would end the thread silently and surface
+        # only as cells never seen: keep it for the failure message.
+        try:
+            reader = ResultStore(root, read_only=True)
+            while not stop.is_set():
+                for key, (status, result) in reader.probe_many(keys).items():
+                    if status not in (CELL_MISS, CELL_OK, CELL_UNREADABLE):
+                        bad.append((key, status))
+                    if status == CELL_OK:
+                        seen_ok.add(key)
+                        if result.references != 10:
+                            bad.append((key, "mangled result"))
+                time.sleep(0.002)
+            reader.backend.close()
+        except Exception:
+            reader_errors.append(traceback.format_exc())
 
     reader_thread = threading.Thread(target=read_loop, daemon=True)
     reader_thread.start()
     # Spawned, not forked: a child forked while the reader thread is inside
     # SQLite can inherit a held lock and hang.
     context = multiprocessing.get_context("spawn")
+    error_paths = [str(tmp_path / f"writer-{w}.err") for w in range(WRITERS)]
     processes = [
-        context.Process(target=_writer_process, args=(root, w))
+        context.Process(target=_writer_process, args=(root, w, error_paths[w]))
         for w in range(WRITERS)]
     for process in processes:
         process.start()
@@ -95,25 +111,45 @@ def test_concurrent_readers_never_see_partial_cells(tmp_path, backend):
     for process in hung:
         process.terminate()
         process.join(timeout=10)
+    exit_codes = [process.exitcode for process in processes]
+    writer_errors = {w: Path(path).read_text()
+                     for w, path in enumerate(error_paths)
+                     if Path(path).exists()}
+
+    def diagnosis() -> str:
+        return (f"writer exit codes {exit_codes}, writer errors "
+                f"{writer_errors or 'none'}, reader errors "
+                f"{reader_errors or 'none'}")
+
     if hung:
         stop.set()
     assert not hung, f"{len(hung)} writer(s) still running after " \
-        f"{WRITER_TIMEOUT_S} s"
-    assert [process.exitcode for process in processes] == [0] * WRITERS
+        f"{WRITER_TIMEOUT_S} s; {diagnosis()}"
+    assert exit_codes == [0] * WRITERS, f"a writer failed: {diagnosis()}"
 
-    # Writers are done: keep reading until every cell is visible.
+    # Writers are done: keep reading until every cell is visible (a
+    # reader that died will see nothing more).
     deadline = time.monotonic() + 60
-    while len(seen_ok) < len(keys) and time.monotonic() < deadline:
+    while (len(seen_ok) < len(keys) and time.monotonic() < deadline
+           and reader_thread.is_alive()):
         time.sleep(0.01)
     stop.set()
     reader_thread.join(timeout=10)
 
+    assert not reader_errors, f"the reader thread failed: {diagnosis()}"
     assert not bad, f"reader observed damaged cells: {bad[:5]}"
-    assert len(seen_ok) == len(keys)
+    missing = [key for key in keys if key not in seen_ok]
+    assert not missing, (
+        f"{len(missing)} of {len(keys)} cells never seen by the reader "
+        f"within 60 s, first {missing[:3]}; reader alive "
+        f"{reader_thread.is_alive()}; {diagnosis()}")
     # Post-hoc scan from a fresh handle agrees: nothing corrupt on disk.
     final = ResultStore(root)
-    statuses = {s for _, (s, _) in final.probe_many(keys).items()}
-    assert statuses == {CELL_OK}
+    final_statuses = final.probe_many(keys)
+    statuses = {s for _, (s, _) in final_statuses.items()}
+    assert statuses == {CELL_OK}, {
+        key: status for key, (status, _) in final_statuses.items()
+        if status != CELL_OK}
     assert CELL_CORRUPT not in statuses
 
 
