@@ -40,6 +40,5 @@ def test_engine_fast_path_speedup(benchmark, report_ctx):
         baseline_path = RESULTS_DIR / "BENCH_engine_baseline.json"
         if baseline_path.exists():
             baseline = json.loads(baseline_path.read_text())
-            failures = perfbench.compare_to_baseline(result.raw, baseline,
-                                                     max_regression=0.30)
+            failures = perfbench.compare_to_baseline(result.raw, baseline)
             assert not failures, failures

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -119,6 +118,16 @@ def _seed(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type of ``sweep --refs`` and ``--max-attempts``: a job
+    needs at least one reference and one attempt."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_designs(tokens: Sequence[str]) -> List[DesignRef]:
     """Expand design tokens: registry labels, ``evaluated`` and
     ``module:attr`` factory paths (optionally ``label=module:attr``)."""
@@ -155,7 +164,7 @@ def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
                    help="paper near-memory capacity (default 1)")
     p.add_argument("--fm-gb", type=int, default=16,
                    help="paper far-memory capacity (default 16)")
-    p.add_argument("--refs", type=int, default=40_000,
+    p.add_argument("--refs", type=_positive, default=40_000,
                    help="references per run (default 40000)")
     p.add_argument("--scale", type=int, default=256,
                    help="capacity scale denominator (default 256)")
@@ -174,7 +183,7 @@ def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--strict", action="store_true",
                    help="fail fast on the first exhausted job instead of "
                         "degrading to partial results")
-    p.add_argument("--max-attempts", type=int, default=None, metavar="N",
+    p.add_argument("--max-attempts", type=_positive, default=None, metavar="N",
                    help="attempts per job before it is recorded as failed "
                         "(default REPRO_SWEEP_MAX_ATTEMPTS or 3)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -231,74 +240,27 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
                        help="measure engine refs/sec (perf trajectory)")
     p.add_argument("--refs", type=int, default=60_000,
                    help="references per measurement (default 60000)")
-    p.add_argument("--workload", default="mcf",
-                   help="catalog workload to drive (default mcf)")
     p.add_argument("--repeat", type=int, default=5,
                    help="measurement rounds: rates are the best round, "
                         "gated ratios the median (default 5)")
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--designs", nargs="+", default=None,
-                       help="design labels for the per-design trajectory "
-                            "(default: all registry designs)")
-    which.add_argument("--no-designs", action="store_true",
-                       help="skip the per-design measurements")
-    p.add_argument("--no-engine", action="store_true",
-                   help="skip the engine sections (fast path, generator, "
-                        "small-trace fast path); used by the per-design "
-                        "CI matrix jobs")
-    p.add_argument("--small-refs", type=int, default=None, metavar="N",
-                   help="reference count of the small-trace fast-path "
-                        "and per-design measurements (default 2000; 0 "
-                        "disables them)")
     p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the benchmark report JSON here")
+                   help="write the benchmark report JSON here (over the "
+                        "baseline file, to refresh it)")
     p.add_argument("--baseline", default=None, metavar="FILE",
                    help="compare the ratios (engine rates over a "
                         "calibration loop, design rates over the NULL "
                         "system) against this stored report and fail on "
-                        "regression")
-    p.add_argument("--max-regression", type=float, default=0.30,
-                   help="allowed fractional drop of each ratio vs the "
-                        "baseline (default 0.30)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="merge this run's sections and designs into "
-                        "--baseline instead of gating against it, keeping "
-                        "the ones it did not measure (after an intentional "
-                        "perf change; commit the refreshed file)")
+                        "a drop of more than 30%%")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .sim import perfbench
 
-    designs = [] if args.no_designs else args.designs
-    if designs:
-        # Fail fast (and with the valid choices) before minutes of
-        # measurement, not on the first per-design lookup afterwards.
-        unknown = [d for d in designs if d.upper() not in DESIGN_FACTORIES]
-        if unknown:
-            raise KeyError(f"unknown designs {unknown}; known: "
-                           f"{sorted(DESIGN_FACTORIES)}")
-    get_workload(args.workload)        # same: fail fast on a typo
-    if args.update_baseline and not args.baseline:
-        raise SystemExit("--update-baseline requires --baseline FILE")
-    stored = None
-    if args.update_baseline and os.path.exists(args.baseline):
-        stored = perfbench.load_report(args.baseline)
-    kwargs = {}
-    if args.small_refs is not None:
-        kwargs["small_refs"] = args.small_refs
-    payload = perfbench.run_benchmark(refs=args.refs, workload=args.workload,
-                                      repeat=args.repeat, designs=designs,
-                                      engine=not args.no_engine, **kwargs)
+    payload = perfbench.run_benchmark(refs=args.refs, repeat=args.repeat)
     print(perfbench.render_report(payload))
     if args.out:
         perfbench.write_report(payload, args.out)
         print(f"wrote {args.out}")
-    if args.update_baseline:
-        perfbench.write_report(
-            perfbench.merge_into_baseline(payload, stored), args.baseline)
-        print(f"updated baseline {args.baseline}")
-        return 0
     if args.baseline:
         baseline = perfbench.load_report(args.baseline)
         # The gated ratios are interpreter-sensitive (numpy-bound work
@@ -313,17 +275,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"note: runtime differs from baseline ({rendered}); "
                   f"regenerate the baseline on this runtime if the gate "
                   f"misfires", file=sys.stderr)
-        failures = perfbench.compare_to_baseline(
-            payload, baseline, max_regression=args.max_regression)
+        failures = perfbench.compare_to_baseline(payload, baseline)
         if baseline.get("schema") == perfbench.BENCH_SCHEMA:
-            print(perfbench.render_gate(payload, baseline,
-                                        args.max_regression))
+            print(perfbench.render_gate(payload, baseline))
         if failures:
             for failure in failures:
                 print(f"PERF REGRESSION: {failure}", file=sys.stderr)
             return 1
         print(f"no perf regression vs {args.baseline} "
-              f"(>{args.max_regression:.0%} gate)")
+              f"(>{perfbench.MAX_REGRESSION:.0%} gate)")
     return 0
 
 

@@ -58,6 +58,18 @@ class JobSpecError(ValueError):
     """A submitted job spec could not be parsed or validated."""
 
 
+def _check_refs(refs: Any) -> None:
+    """Refuse an integer reference count outside ``1..MAX_REFS``.  Runs
+    before the job is built, so a non-positive count gets this message
+    rather than :class:`SweepJob`'s; a non-integer is left to
+    :func:`job_from_spec`, which names the field."""
+    if (isinstance(refs, int) and not isinstance(refs, bool)
+            and not 0 < refs <= MAX_REFS):
+        raise JobSpecError(
+            f"refs must be in 1..{MAX_REFS} (got {refs}); run larger "
+            f"sweeps through 'python -m repro sweep'")
+
+
 @dataclass
 class JobRecord:
     """One submitted job and everything that happened to it."""
@@ -142,17 +154,13 @@ class JobQueue:
             spec = payload["spec"]
             if not isinstance(spec, dict):
                 raise JobSpecError("'spec' must be a JSON object")
+            _check_refs(spec.get("num_references"))
             try:
                 job = job_from_spec(spec)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise JobSpecError(f"malformed job spec: {exc}")
         else:
             job = self._job_from_shorthand(payload)
-        if not (0 < job.num_references <= MAX_REFS):
-            raise JobSpecError(
-                f"refs must be in 1..{MAX_REFS} "
-                f"(got {job.num_references}); run larger sweeps through "
-                f"'python -m repro sweep'")
         # Check the design NOW: an unknown design must fail the submission
         # with a 400, not the worker thread minutes later.
         try:
@@ -180,8 +188,10 @@ class JobQueue:
             config = make_config(nm_gb=int(payload.get("nm_gb", 1)),
                                  fm_gb=int(payload.get("fm_gb", 16)),
                                  scale=int(payload.get("scale", 256)))
+            refs = int(payload.get("refs", 2000))
+            _check_refs(refs)
             job = SweepJob(design=ref, workload=spec, config=config,
-                           num_references=int(payload.get("refs", 2000)),
+                           num_references=refs,
                            seed=int(payload.get("seed", 1)),
                            num_cores=payload.get("num_cores"))
             # Round-trip through the stored-spec form: validates that the

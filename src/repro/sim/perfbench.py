@@ -11,8 +11,8 @@ is a ratio of two rates measured in the same process:
   :class:`NullMemorySystem`, divided by the rate of a fixed pure-Python
   calibration loop.  It falls when the engine gets slower and the
   interpreter does not.
-* **fast path (small)** — the same at a small reference count (default
-  2000), where a fixed per-run cost would stop amortizing.
+* **fast path (small)** — the same at :data:`SMALL_REFS` references,
+  where a fixed per-run cost would stop amortizing.
 * **generator** — :func:`~repro.workloads.synthetic.generate_trace` alone,
   divided by the calibration rate.
 * **designs** — each catalog design's refs/sec through ``simulate()``
@@ -35,11 +35,14 @@ two back-to-back timings share most of that drift, so the median of
 paired ratios moves far less between runs than a ratio of two best
 times taken seconds apart.
 
+Every run measures every section on :data:`WORKLOAD` at
+:data:`CONFIG`, with every design of the registry; only the small-trace
+sections are left out, when ``refs`` is at most :data:`SMALL_REFS`.
 Run it with ``python -m repro bench`` (see the CLI) or via
-``benchmarks/bench_perf_engine.py``.  ``python -m repro bench
---update-baseline`` refreshes the checked-in baseline after an
-intentional perf change: the sections and designs the run measured are
-merged into the file, the rest are kept (:func:`merge_into_baseline`).
+``benchmarks/bench_perf_engine.py``.  After an intentional perf change,
+refresh the checked-in baseline by writing a run over it on the pinned
+interpreter: ``python -m repro bench --out
+benchmarks/results/BENCH_engine_baseline.json``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import json
 import platform
 import statistics
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -71,6 +74,15 @@ BENCH_SCHEMA = 4
 #: overhead (column materialization, kernel compilation, a design's
 #: setup and stats) would dominate if it ever stopped amortizing.
 SMALL_REFS = 2_000
+
+#: Catalog workload every timed run drives.
+WORKLOAD = "mcf"
+
+#: System every timed run simulates.
+CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
+
+#: Largest fractional drop of a gated ratio below its baseline value.
+MAX_REGRESSION = 0.30
 
 #: Iterations of :func:`_calibration_loop`, the unit of its rate.
 CALIBRATION_OPS = 100_000
@@ -156,7 +168,7 @@ def _measure(pieces: Dict[str, Timed], pairs: Dict[str, Tuple[str, str]],
     numerator-over-denominator rate ratio."""
     best: Dict[str, float] = {}
     ratios: Dict[str, List[float]] = {name: [] for name in pairs}
-    for _ in range(max(1, repeat)):
+    for _ in range(repeat):
         for name, pair in pairs.items():
             rates = []
             for piece in pair:
@@ -169,61 +181,54 @@ def _measure(pieces: Dict[str, Timed], pairs: Dict[str, Tuple[str, str]],
                   for name, values in ratios.items()}
 
 
-def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
-                  repeat: int = 5,
-                  designs: Optional[Sequence[str]] = None,
-                  config: Optional[SystemConfig] = None,
-                  engine: bool = True,
-                  small_refs: int = SMALL_REFS) -> dict:
-    """Measure everything and return the ``BENCH_engine.json`` payload.
+def run_benchmark(*, refs: int = 60_000, repeat: int = 5) -> dict:
+    """Measure every section and return the ``BENCH_engine.json`` payload.
 
-    ``designs=[]`` skips the per-design sections; ``engine=False`` skips
-    the engine sections (fast path, generator, small-trace fast path).  The
-    CI matrix uses those switches to split the measurement across jobs; the
-    default measures everything.  ``small_refs`` outside ``(0, refs)``
-    skips both small-trace sections.
+    The small-trace sections run only when ``refs`` exceeds
+    :data:`SMALL_REFS`.  Raises ``ValueError`` when ``refs`` or
+    ``repeat`` is below 1.
     """
-    config = config or make_config(nm_gb=1, fm_gb=16, scale=256)
-    labels = [label.upper() for label in (
-        DESIGN_FACTORIES if designs is None else designs)]
-    spec = get_workload(workload)
+    if refs < 1 or repeat < 1:
+        raise ValueError(f"bench needs refs >= 1 and repeat >= 1, got refs "
+                         f"{refs} and repeat {repeat}")
+    spec = get_workload(WORKLOAD)
 
     def run(factory, n: int) -> Timed:
         def timed():
             # Every timed run generates and flattens its trace, as the
             # first design of a workload does.
             _forget_inputs()
-            return simulate(factory(config), spec, num_references=n, seed=1)
+            return simulate(factory(CONFIG), spec, num_references=n, seed=1)
         return timed, n
 
-    small = 0 < small_refs < refs
+    small = refs > SMALL_REFS
     pieces: Dict[str, Timed] = {
         "calibration": (_calibration_loop, CALIBRATION_OPS),
         "null": run(NullMemorySystem, refs),
-        "null_small": run(NullMemorySystem, small_refs),
+        "null_small": run(NullMemorySystem, SMALL_REFS),
         "generator": (lambda: synthetic.generate_trace(spec, refs, seed=1),
                       refs),
-        **{label: run(DESIGN_FACTORIES[label], refs) for label in labels},
-        **{f"{label} small": run(DESIGN_FACTORIES[label], small_refs)
-           for label in labels},
+        **{label: run(factory, refs)
+           for label, factory in DESIGN_FACTORIES.items()},
+        **{f"{label} small": run(factory, SMALL_REFS)
+           for label, factory in DESIGN_FACTORIES.items()},
     }
-    pairs: Dict[str, Tuple[str, str]] = {}
-    if engine:
-        pairs["fast_path"] = ("calibration", "null")
-        if small:
-            pairs["fast_path_small"] = ("calibration", "null_small")
-        pairs["generator"] = ("calibration", "generator")
-    pairs.update((label, ("null", label)) for label in labels)
+    pairs: Dict[str, Tuple[str, str]] = {
+        "fast_path": ("calibration", "null"),
+        "generator": ("calibration", "generator"),
+        **{label: ("null", label) for label in DESIGN_FACTORIES},
+    }
     if small:
+        pairs["fast_path_small"] = ("calibration", "null_small")
         pairs.update((f"{label} small", ("null_small", f"{label} small"))
-                     for label in labels)
+                     for label in DESIGN_FACTORIES)
     rates, ratios = _measure(pieces, pairs, repeat)
 
     payload = {
         "schema": BENCH_SCHEMA,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "refs": refs,
-        "workload": workload,
+        "workload": WORKLOAD,
         "repeat": repeat,
         "environment": {
             "python": platform.python_version(),
@@ -231,29 +236,25 @@ def run_benchmark(*, refs: int = 60_000, workload: str = "mcf",
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
+        "calibration": {"ops_per_sec": rates["calibration"]},
+        "fast_path": {"refs_per_sec": rates["null"],
+                      "ratio": ratios["fast_path"]},
+        "generator": {"records_per_sec": rates["generator"],
+                      "ratio": ratios["generator"]},
+        "null": {"refs_per_sec": rates["null"]},
+        "designs": {label: {"refs_per_sec": rates[label],
+                            "ratio": ratios[label]}
+                    for label in DESIGN_FACTORIES},
     }
-    if engine:
-        payload["calibration"] = {"ops_per_sec": rates["calibration"]}
-        payload["fast_path"] = {"refs_per_sec": rates["null"],
-                                "ratio": ratios["fast_path"]}
-        payload["generator"] = {"records_per_sec": rates["generator"],
-                                "ratio": ratios["generator"]}
-        if small:
-            payload["fast_path_small"] = {"refs_per_sec": rates["null_small"],
-                                          "ratio": ratios["fast_path_small"]}
-    if labels:
-        payload["null"] = {"refs_per_sec": rates["null"]}
-        payload["designs"] = {label: {"refs_per_sec": rates[label],
-                                      "ratio": ratios[label]}
-                              for label in labels}
-        if small:
-            payload["null_small"] = {"refs_per_sec": rates["null_small"]}
-            payload["designs_small"] = {
-                label: {"refs_per_sec": rates[f"{label} small"],
-                        "ratio": ratios[f"{label} small"]}
-                for label in labels}
     if small:
-        payload["small_refs"] = small_refs
+        payload["small_refs"] = SMALL_REFS
+        payload["fast_path_small"] = {"refs_per_sec": rates["null_small"],
+                                      "ratio": ratios["fast_path_small"]}
+        payload["null_small"] = {"refs_per_sec": rates["null_small"]}
+        payload["designs_small"] = {
+            label: {"refs_per_sec": rates[f"{label} small"],
+                    "ratio": ratios[f"{label} small"]}
+            for label in DESIGN_FACTORIES}
     return payload
 
 
@@ -268,8 +269,7 @@ def render_report(payload: dict) -> str:
         lines.append(f"  {name:<11s} {rate:>12,.0f} {unit:<6s}  {note}"
                      .rstrip())
 
-    if "calibration" in payload:
-        row("calibration", payload["calibration"]["ops_per_sec"], "ops/s")
+    row("calibration", payload["calibration"]["ops_per_sec"], "ops/s")
     for name, section, key, unit in (
             ("fast path", "fast_path", "refs_per_sec", "refs/s"),
             ("generator", "generator", "records_per_sec", "recs/s"),
@@ -293,8 +293,7 @@ def render_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def compare_to_baseline(payload: dict, baseline: dict,
-                        max_regression: float = 0.30) -> List[str]:
+def compare_to_baseline(payload: dict, baseline: dict) -> List[str]:
     """Regression check against a stored baseline payload.
 
     Raw refs/sec varies with the host, so the gate compares each section's
@@ -304,17 +303,19 @@ def compare_to_baseline(payload: dict, baseline: dict,
     number of rounds), or one missing a section the payload measured,
     fails: a gate that skips what it cannot compare would pass
     vacuously.  Returns a list of failure messages; empty means no ratio
-    fell by more than ``max_regression``.
+    fell by more than :data:`MAX_REGRESSION`.
     """
     if baseline.get("schema") != BENCH_SCHEMA:
         return [f"baseline schema {baseline.get('schema')!r} is not the "
                 f"current schema {BENCH_SCHEMA}; regenerate it with "
-                f"--update-baseline"]
-    differ = _differing_settings(payload, baseline, GATED_SETTINGS)
+                f"python -m repro bench --out FILE"]
+    differ = [f"{key} {payload.get(key)!r} vs baseline {baseline.get(key)!r}"
+              for key in GATED_SETTINGS
+              if payload.get(key) != baseline.get(key)]
     if differ:
         return [f"run settings differ from the baseline: {setting} (rerun "
                 f"at the baseline's settings)" for setting in differ]
-    floor = 1.0 - max_regression
+    floor = 1.0 - MAX_REGRESSION
     failures = []
     for label, entry, base in _gated(payload, baseline):
         if base is None:
@@ -338,11 +339,10 @@ def _gated(payload: dict, baseline: dict) -> List[tuple]:
     return gated
 
 
-def render_gate(payload: dict, baseline: dict,
-                max_regression: float = 0.30) -> str:
+def render_gate(payload: dict, baseline: dict) -> str:
     """One row per gated ratio: this run's, the baseline's and the floor
     it must stay above (:func:`compare_to_baseline` decides)."""
-    floor = 1.0 - max_regression
+    floor = 1.0 - MAX_REGRESSION
     lines = [f"  {'gated ratio':<24s} {'run':>7s} {'baseline':>9s} "
              f"{'floor':>7s}"]
     for label, entry, base in _gated(payload, baseline):
@@ -359,42 +359,6 @@ def render_gate(payload: dict, baseline: dict,
 #: it.  The runtime is left out: a gate on another interpreter prints a
 #: note (``python -m repro bench``) and still runs.
 GATED_SETTINGS = ("refs", "workload", "repeat", "small_refs")
-
-#: Run settings every ratio of a baseline shares; a run merges into a
-#: baseline only when they agree.
-RUN_SETTINGS = GATED_SETTINGS + ("environment",)
-
-
-def _differing_settings(payload: dict, baseline: dict,
-                        keys: Sequence[str]) -> List[str]:
-    """``"<key> <run's> vs baseline <baseline's>"`` per key that differs."""
-    return [f"{key} {payload.get(key)!r} vs baseline {baseline.get(key)!r}"
-            for key in keys if payload.get(key) != baseline.get(key)]
-
-
-def merge_into_baseline(payload: dict, baseline: Optional[dict]) -> dict:
-    """``baseline`` with the sections and designs ``payload`` measured
-    written over it; everything the run skipped keeps its stored value.
-
-    A missing baseline, or one of another schema, is replaced by the run.
-    Raises ``ValueError`` when a :data:`RUN_SETTINGS` entry differs, since
-    the merged file would then gate some ratios at settings they were not
-    measured at.
-    """
-    if not baseline or baseline.get("schema") != BENCH_SCHEMA:
-        return payload
-    differ = _differing_settings(payload, baseline, RUN_SETTINGS)
-    if differ:
-        raise ValueError("cannot merge this run into the baseline: "
-                         + "; ".join(differ)
-                         + " (rerun at the baseline's settings, or write a "
-                           "full run to a new file)")
-    merged = dict(baseline, **payload)
-    for section in ("designs", "designs_small"):
-        if section in payload:
-            merged[section] = {**baseline.get(section, {}),
-                               **payload[section]}
-    return merged
 
 
 def write_report(payload: dict, path: str = DEFAULT_REPORT) -> None:

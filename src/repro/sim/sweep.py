@@ -215,6 +215,13 @@ class SweepJob:
     seed: int
     num_cores: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # Every job is built here: the CLI, the runner, the service and
+        # the fsck repair path (job_from_spec) alike.
+        if self.num_references < 1:
+            raise ValueError(f"num_references must be positive, got "
+                             f"{self.num_references}")
+
     @property
     def label(self) -> str:
         return self.design.label
@@ -311,9 +318,10 @@ def job_from_spec(spec: Dict[str, Any]) -> SweepJob:
     ``design``, its ``kwargs``, ``workload`` or ``config`` is not an
     object, ``config`` misses or adds a field, or ``num_references``,
     ``seed`` or a non-null ``num_cores`` is not an integer, and
-    ``ValueError`` when ``seed`` is negative or ``num_cores`` is outside
-    ``1..num_references``, so a stored or submitted spec of the wrong
-    shape is refused before it reaches the engine.
+    ``ValueError`` when ``seed`` is negative, ``num_cores`` is outside
+    ``1..num_references`` or ``num_references`` is below 1, so a stored
+    or submitted spec of the wrong shape is refused before it reaches the
+    engine.
     """
     for name in ("design", "workload", "config"):
         if not isinstance(spec[name], dict):
@@ -775,8 +783,10 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    max_attempts = (default_max_attempts() if max_attempts is None
-                    else max(1, max_attempts))
+    if max_attempts is None:
+        max_attempts = default_max_attempts()
+    elif max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     timeout = default_timeout() if timeout is None else (
         timeout if timeout > 0 else None)
     backoff = default_backoff() if backoff is None else max(0.0, backoff)

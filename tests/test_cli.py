@@ -90,6 +90,22 @@ def test_negative_seed_is_refused_at_parse_time(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option, value", [("--refs", "0"),
+                                           ("--refs", "-3"),
+                                           ("--max-attempts", "0")])
+def test_sweep_refuses_non_positive_counts_at_parse_time(option, value,
+                                                         tmp_path, capsys):
+    """A sweep with no references once stored a cell keyed as 0 refs that
+    simulated one per core, and zero attempts was run as one."""
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as excinfo:
+        main(SWEEP_ARGS + [option, value, "--store", str(store)])
+    assert excinfo.value.code == 2
+    assert f"must be a positive integer, got {value}" in \
+        capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_designs_listing(capsys):
     assert main(["designs"]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ from repro.core.variants import (BREAKDOWN_VARIANTS, cache_only, full,
                                  migrate_all, migrate_none, no_remap)
 
 # Drives full Hybrid2 systems through thousands of references per test.
-# CI's fast lane deselects these with ``-m "not slow"``.
+# ``-m "not slow"`` deselects these for a quick local run.
 pytestmark = pytest.mark.slow
 
 

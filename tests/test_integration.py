@@ -11,8 +11,8 @@ from repro.sim import metrics
 from repro.sim.simulator import simulate
 from repro.workloads import get_workload
 
-# Whole-design end-to-end sweeps: the expensive part of the suite.  CI's
-# fast lane deselects these with ``-m "not slow"``.
+# Whole-design end-to-end sweeps: the expensive part of the suite.
+# ``-m "not slow"`` deselects these for a quick local run.
 pytestmark = pytest.mark.slow
 
 REFERENCES = 6000

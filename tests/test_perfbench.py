@@ -1,6 +1,8 @@
 """Tests for the engine performance benchmark and its CLI/regression gate."""
 
+import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,21 @@ from repro.sim import perfbench, simulator
 from repro.sim.simulator import simulate
 from repro.workloads import synthetic
 from repro.workloads.catalog import get_workload
+
+CHECKED_IN_BASELINE = (Path(__file__).resolve().parents[1] / "benchmarks"
+                       / "results" / "BENCH_engine_baseline.json")
+
+
+@pytest.fixture(autouse=True)
+def frozen_heap():
+    """Keep what the test process has loaded out of the collector's
+    reach: the bench runs ``gc.collect()`` before every timed piece,
+    and in a full test session each of those would scan the whole
+    session heap.  The timed calls themselves run with the collector
+    off either way."""
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 def test_null_memory_system_isolates_the_engine():
@@ -27,10 +44,18 @@ def test_null_memory_system_isolates_the_engine():
     assert result.cycles > 0
 
 
-def test_run_benchmark_payload_shape():
-    payload = perfbench.run_benchmark(refs=300, repeat=1, designs=["BASELINE"],
-                                      small_refs=100)
+def narrow_designs(monkeypatch, *labels):
+    """Time only ``labels`` of the design table."""
+    monkeypatch.setattr(perfbench, "DESIGN_FACTORIES",
+                        {label: DESIGN_FACTORIES[label] for label in labels})
+
+
+def test_run_benchmark_payload_shape(monkeypatch):
+    narrow_designs(monkeypatch, "BASELINE")
+    monkeypatch.setattr(perfbench, "SMALL_REFS", 100)
+    payload = perfbench.run_benchmark(refs=300, repeat=1)
     assert payload["schema"] == perfbench.BENCH_SCHEMA == 4
+    assert payload["workload"] == perfbench.WORKLOAD == "mcf"
     assert payload["calibration"]["ops_per_sec"] > 0
     fast = payload["fast_path"]
     assert fast["refs_per_sec"] == payload["null"]["refs_per_sec"] > 0
@@ -49,6 +74,23 @@ def test_run_benchmark_payload_shape():
     assert "fast path" in rendered and "BASELINE" in rendered
     assert "of NULL" in rendered and "per calibration op" in rendered
     assert "of NULL)  [100 refs]" in rendered
+    # At or below the small reference count the small-trace sections
+    # would repeat the main measurement, so they are left out.
+    monkeypatch.setattr(perfbench, "SMALL_REFS", 300)
+    payload = perfbench.run_benchmark(refs=300, repeat=1)
+    assert set(payload["designs"]) == {"BASELINE"}
+    assert "fast_path_small" not in payload and "small_refs" not in payload
+    assert "designs_small" not in payload and "null_small" not in payload
+
+
+@pytest.mark.parametrize("refs, repeat", [(0, 1), (-5, 1), (300, 0),
+                                          (300, -1)])
+def test_run_benchmark_refuses_bad_counts(refs, repeat):
+    """A count below 1 is refused before anything is timed: refs 0 once
+    divided by zero, and refs -5 or repeat 0 measured anyway and recorded
+    the bad value in the payload."""
+    with pytest.raises(ValueError, match="refs >= 1 and repeat >= 1"):
+        perfbench.run_benchmark(refs=refs, repeat=repeat)
 
 
 def test_every_timed_run_generates_its_trace(monkeypatch):
@@ -63,32 +105,11 @@ def test_every_timed_run_generates_its_trace(monkeypatch):
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "generate_multiprogrammed", counted)
-    perfbench.run_benchmark(refs=300, repeat=3, designs=["BASELINE", "CHA"],
-                            engine=False, small_refs=0)
-    # Per round: the null system, then each design after its own null run.
-    assert len(calls) == 3 * 2 * 2
-
-
-def test_run_benchmark_section_switches():
-    engine_only = perfbench.run_benchmark(refs=200, repeat=1, designs=[])
-    assert "designs" not in engine_only
-    assert "fast_path" in engine_only
-    designs_only = perfbench.run_benchmark(refs=200, repeat=1,
-                                           designs=["baseline"], engine=False,
-                                           small_refs=100)
-    assert "fast_path" not in designs_only
-    assert "fast_path_small" not in designs_only
-    assert "calibration" not in designs_only
-    assert set(designs_only["designs"]) == {"BASELINE"}
-    assert designs_only["null"]["refs_per_sec"] > 0
-    # The per-design CI jobs gate the small-trace section too.
-    assert set(designs_only["designs_small"]) == {"BASELINE"}
-    # A small-refs count at or above refs would duplicate the main
-    # measurement, so both small-trace sections are skipped.
-    no_small = perfbench.run_benchmark(refs=200, repeat=1,
-                                       designs=["baseline"], small_refs=200)
-    assert "fast_path_small" not in no_small
-    assert "designs_small" not in no_small and "small_refs" not in no_small
+    narrow_designs(monkeypatch, "BASELINE", "CHA")
+    perfbench.run_benchmark(refs=300, repeat=3)
+    # Per round: the null system of fast_path, then each design after its
+    # own null run (300 refs is below SMALL_REFS: no small-trace runs).
+    assert len(calls) == 3 * (1 + 2 * 2)
 
 
 def schema(**sections):
@@ -98,11 +119,9 @@ def schema(**sections):
 def test_compare_to_baseline_gates_on_speedup_ratio():
     current = schema(fast_path={"ratio": 0.40}, generator={"ratio": 2.0})
     ok_base = schema(fast_path={"ratio": 0.50}, generator={"ratio": 2.5})
-    assert perfbench.compare_to_baseline(current, ok_base,
-                                         max_regression=0.30) == []
+    assert perfbench.compare_to_baseline(current, ok_base) == []
     bad_base = schema(fast_path={"ratio": 0.60}, generator={"ratio": 2.5})
-    failures = perfbench.compare_to_baseline(current, bad_base,
-                                             max_regression=0.30)
+    failures = perfbench.compare_to_baseline(current, bad_base)
     assert len(failures) == 1 and "fast_path" in failures[0]
     # A section the payload did not measure is not gated ...
     assert perfbench.compare_to_baseline(schema(), ok_base) == []
@@ -120,7 +139,7 @@ def test_render_gate_shows_each_ratio_beside_its_floor():
                               "DFC": {"refs_per_sec": 1.0, "ratio": 0.3}})
     baseline = schema(fast_path={"ratio": 0.50},
                       designs={"MPOD": {"ratio": 0.3}})
-    rows = perfbench.render_gate(current, baseline, 0.30).splitlines()
+    rows = perfbench.render_gate(current, baseline).splitlines()
     assert rows[0].split() == ["gated", "ratio", "run", "baseline", "floor"]
     assert rows[1].split() == ["fast_path", "0.400", "0.500", "0.350"]
     assert rows[2].split() == ["design", "MPOD", "0.200", "0.300", "0.210"]
@@ -133,8 +152,7 @@ def test_compare_to_baseline_gates_per_design():
                                "LGM": {"refs_per_sec": 1.0, "ratio": 0.3}})
     baseline = schema(designs={"MPOD": {"ratio": 0.3},
                                 "LGM": {"ratio": 0.3}})
-    failures = perfbench.compare_to_baseline(current, baseline,
-                                             max_regression=0.30)
+    failures = perfbench.compare_to_baseline(current, baseline)
     assert len(failures) == 1 and "MPOD" in failures[0]
     # fast_path_small participates in the gate like the other sections.
     failures = perfbench.compare_to_baseline(
@@ -194,21 +212,21 @@ def test_compare_to_baseline_refuses_other_run_settings():
     assert perfbench.compare_to_baseline(same, baseline) == []
 
 
-def test_bench_cli_writes_report_and_gates(tmp_path, capsys):
+def test_bench_cli_writes_report_and_gates(tmp_path, capsys, monkeypatch):
+    narrow_designs(monkeypatch, "BASELINE")
     out = tmp_path / "BENCH_engine.json"
-    assert main(["bench", "--refs", "300", "--repeat", "1", "--no-designs",
-                 "--small-refs", "0", "--out", str(out)]) == 0
+    args = ["bench", "--refs", "300", "--repeat", "1"]
+    assert main(args + ["--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert "designs" not in payload
+    assert set(payload["designs"]) == {"BASELINE"}
     assert payload["fast_path"]["refs_per_sec"] > 0
 
-    # A baseline with absurd ratios must trip the regression gate ...
+    # A baseline with absurd ratios must trip the regression gate.
     impossible = dict(payload, fast_path=dict(payload["fast_path"],
                                               ratio=1e9))
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps(impossible))
-    assert main(["bench", "--refs", "300", "--repeat", "1", "--no-designs",
-                 "--small-refs", "0", "--baseline", str(baseline)]) == 1
+    assert main(args + ["--baseline", str(baseline)]) == 1
     captured = capsys.readouterr()
     assert "PERF REGRESSION" in captured.err
     # The gate table shows the impossible baseline ratio and its floor.
@@ -216,59 +234,50 @@ def test_bench_cli_writes_report_and_gates(tmp_path, capsys):
                and "1000000000.000" in line and "700000000.000" in line
                for line in captured.out.splitlines())
 
-    # ... while gating against this run's own numbers passes.  The two runs
-    # are independent 300-ref measurements, so allow for timer noise that a
-    # real (repeat>=3, refs>=60k) gate would average away.
-    baseline.write_text(json.dumps(payload))
-    assert main(["bench", "--refs", "300", "--repeat", "1", "--no-designs",
-                 "--small-refs", "0", "--max-regression", "0.75",
-                 "--baseline", str(baseline)]) == 0
+
+def test_bench_cli_round_trip_gates_every_section(tmp_path, capsys,
+                                                  monkeypatch):
+    """``bench --out F`` then ``bench --baseline F`` at the same settings
+    passes, and the gate judges every section: the engine ones and each
+    registry design at the full and the small trace length.  The payload
+    has the checked-in baseline's keys, so writing a run over that file
+    is how it is refreshed."""
+    out = tmp_path / "BENCH_engine.json"
+    args = ["bench", "--refs", str(perfbench.SMALL_REFS + 500),
+            "--repeat", "3"]
+    assert main(args + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == set(json.loads(CHECKED_IN_BASELINE.read_text()))
+    capsys.readouterr()
+    # Two independent short runs differ by timer noise that the real
+    # gate (60k refs, median of 5 rounds) averages away.
+    monkeypatch.setattr(perfbench, "MAX_REGRESSION", 0.75)
+    assert main(args + ["--baseline", str(out)]) == 0
+    output = capsys.readouterr().out
+    assert f"no perf regression vs {out} (>75% gate)" in output
+    table = output.split("gated ratio")[1].split("no perf regression")[0]
+    gated = [" ".join(row.split()[:-3]) for row in table.splitlines()[1:]]
+    assert gated == ["fast_path", "fast_path_small", "generator"] + [
+        f"{section} {label}" for section in ("design", "designs_small")
+        for label in DESIGN_FACTORIES]
 
 
-def test_bench_cli_update_baseline(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    assert main(["bench", "--refs", "200", "--repeat", "1",
-                 "--designs", "BASELINE", "--no-engine",
-                 "--baseline", str(baseline), "--update-baseline"]) == 0
-    payload = json.loads(baseline.read_text())
-    assert set(payload["designs"]) == {"BASELINE"}
-    assert payload["designs"]["BASELINE"]["ratio"] > 0
-    # --update-baseline without --baseline is a usage error.
+@pytest.mark.parametrize("args", [["--refs", "0"], ["--refs", "-5"],
+                                  ["--refs", "300", "--repeat", "0"],
+                                  ["--refs", "300", "--repeat", "-1"]])
+def test_bench_cli_refuses_bad_counts(args, tmp_path, capsys):
+    out = tmp_path / "BENCH_engine.json"
+    assert main(["bench", *args, "--out", str(out)]) == 2
+    assert "refs >= 1 and repeat >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_cli_has_only_the_four_options(capsys):
     with pytest.raises(SystemExit):
-        main(["bench", "--refs", "200", "--repeat", "1", "--no-designs",
-              "--update-baseline"])
-
-
-def test_update_baseline_merges_only_the_measured_sections(tmp_path,
-                                                            capsys):
-    """A partial run refreshes its own sections and designs and keeps
-    every other one, so the other gates still find their entries; a run
-    at other settings is refused and leaves the file as it was."""
-    baseline = tmp_path / "baseline.json"
-    args = ["--refs", "200", "--repeat", "1", "--baseline", str(baseline),
-            "--update-baseline"]
-    assert main(["bench", "--designs", "BASELINE", "TAGLESS"] + args) == 0
-    full = json.loads(baseline.read_text())
-    assert main(["bench", "--no-engine", "--designs", "TAGLESS"] + args) == 0
-    merged = json.loads(baseline.read_text())
-    assert set(merged) == set(full)
-    for section in ("calibration", "fast_path", "generator"):
-        assert merged[section] == full[section]
-    assert set(merged["designs"]) == {"BASELINE", "TAGLESS"}
-    assert merged["designs"]["BASELINE"] == full["designs"]["BASELINE"]
-    assert merged["timestamp"] >= full["timestamp"]
-    # Every gate of the full run still finds its baseline entry.
-    failures = perfbench.compare_to_baseline(full, merged,
-                                             max_regression=1.0)
-    assert failures == []
-
-    before = baseline.read_text()
-    assert main(["bench", "--no-engine", "--designs", "TAGLESS",
-                 "--refs", "300"] + args[2:]) == 2
-    assert "refs 300 vs baseline 200" in capsys.readouterr().err
-    assert baseline.read_text() == before
-    # A baseline of another schema is replaced whole.
-    assert perfbench.merge_into_baseline(full, {"schema": 1}) is full
+        main(["bench", "--help"])
+    options = {token.strip("[],") for token in capsys.readouterr().out.split()
+               if token.startswith(("--", "[--"))}
+    assert options == {"--help", "--refs", "--repeat", "--out", "--baseline"}
 
 
 def spin(n: int = 200) -> int:
@@ -289,15 +298,22 @@ def test_gate_trips_on_deliberate_slowdowns(monkeypatch):
     scan in ``RemapTable.count_in_near`` (the stat every MPOD cell
     collects) trips MPOD's small-trace section.  Each slowdown at least
     triples the time of what it slows, well clear of host noise."""
-    kwargs = dict(refs=20_000, designs=["TAGLESS"], small_refs=0)
-    small = dict(refs=4_000, designs=["MPOD"], engine=False,
-                 small_refs=perfbench.SMALL_REFS)
-    before = perfbench.run_benchmark(**kwargs)
-    before_small = perfbench.run_benchmark(**small)
+    def run(labels, refs, small_refs):
+        # Its own patch context: tripped() undoes only the slowdown.
+        with monkeypatch.context() as patch:
+            narrow_designs(patch, *labels)
+            patch.setattr(perfbench, "SMALL_REFS", small_refs)
+            return perfbench.run_benchmark(refs=refs)
 
-    def tripped(section, kwargs=kwargs, before=before):
-        failures = perfbench.compare_to_baseline(
-            perfbench.run_benchmark(**kwargs), before)
+    # The 20k-ref run leaves its small-trace sections out (SMALL_REFS at
+    # refs); the MPOD run times them at the real SMALL_REFS.
+    main_run = (("TAGLESS",), 20_000, 20_000)
+    small_run = (("MPOD",), 4_000, perfbench.SMALL_REFS)
+    before = run(*main_run)
+    before_small = run(*small_run)
+
+    def tripped(section, settings=main_run, before=before):
+        failures = perfbench.compare_to_baseline(run(*settings), before)
         monkeypatch.undo()
         return [f for f in failures
                 if f.startswith(section + " ratio regressed")]
@@ -346,4 +362,4 @@ def test_gate_trips_on_deliberate_slowdowns(monkeypatch):
                    if self.lookup(sector)[0])
 
     monkeypatch.setattr(RemapTable, "count_in_near", scan_count_in_near)
-    assert tripped("designs_small MPOD", small, before_small)
+    assert tripped("designs_small MPOD", small_run, before_small)

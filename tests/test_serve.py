@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro import package_version
 from repro.cli import main
+from repro.params import make_config
 from repro.report.artifacts import write_artifact
 from repro.report.registry import BenchResult, Table, get_bench
 from repro.serve import JobSpecError, ResponseCache, ServeApp, make_server
@@ -34,7 +35,9 @@ from repro.sim.faults import corrupt_store_cell
 from repro.sim.simulator import RunResult
 from repro.sim.store import (STORE_FORMAT, ResultStore, SqliteBackend,
                              _canonical, _text_checksum)
+from repro.sim.sweep import DesignRef, SweepJob
 from repro.stats import Stats
+from repro.workloads import get_workload
 
 REFS = 300
 JOB = {"design": "HYBRID2", "workload": "mcf", "refs": REFS,
@@ -533,6 +536,17 @@ def test_job_submit_validation(tmp_path):
         with pytest.raises(JobSpecError):
             app.queue.submit({"design": "HYBRID2", "workload": "mcf",
                               "refs": 10 ** 9})
+        # A non-positive count answers the service's own message in both
+        # submission forms, not the job's.
+        spec = SweepJob(DesignRef.of("HYBRID2"), get_workload("mcf"),
+                        make_config(scale=1024), 2000, 1).spec_dict()
+        for body in ({"design": "HYBRID2", "workload": "mcf", "refs": 0},
+                     {"spec": dict(spec, num_references=-3)}):
+            refused = app.handle("POST", "/v1/jobs",
+                                 body=json.dumps(body).encode())
+            assert refused.status == 400
+            assert body_of(refused)["error"].startswith("refs must be in "
+                                                        "1..1000000 (got ")
         with pytest.raises(JobSpecError):
             app.queue.submit({"design": "HYBRID2", "workload": "mcf",
                               "bogus_field": 1})

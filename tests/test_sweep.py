@@ -81,6 +81,26 @@ def test_job_spec_config_must_have_exactly_the_config_fields():
         job_from_spec(missing)
 
 
+@pytest.mark.parametrize("refs", [0, -3])
+def test_job_refuses_a_non_positive_reference_count(refs):
+    """Every path builds its job as a SweepJob, the fsck repair path
+    (job_from_spec) included, so none can store a cell of no refs."""
+    with pytest.raises(ValueError, match="num_references must be positive"):
+        make_job(refs=refs)
+    spec = make_job().spec_dict()
+    spec["num_references"] = refs
+    with pytest.raises(ValueError, match="num_references must be positive"):
+        job_from_spec(spec)
+    runner = ExperimentRunner(num_references=refs, scale=SCALE)
+    with pytest.raises(ValueError, match="num_references must be positive"):
+        runner.run_one("HYBRID2", "mcf", runner.config_for(1))
+
+
+def test_run_jobs_refuses_zero_attempts():
+    with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+        run_jobs([make_job()], max_attempts=0)
+
+
 # ---------------------------------------------------------------------------
 # design coercion
 # ---------------------------------------------------------------------------
