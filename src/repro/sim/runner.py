@@ -123,8 +123,8 @@ class ExperimentRunner:
     pool.  ``store`` (a :class:`ResultStore`, a directory path or a
     ``sqlite:PATH`` URI, or ``None`` to disable caching) persists every
     simulated cell so repeated or interrupted sweeps only simulate what is
-    missing; the dedup pass at dispatch time probes the whole batch in one
-    backend round-trip per shard.
+    missing; the dedup pass at dispatch time probes the whole batch in
+    batched backend round-trips, not one read per cell.
     """
 
     def __init__(self, *, num_references: int = 40_000, scale: int = 256,

@@ -87,7 +87,12 @@ def simulate(system: MemorySystem,
     is replaced by the next workload, so a process (a long-lived
     ``serve`` included) holds its last run's inputs only, ~40 B per
     reference.
+
+    ``num_references`` below 1 raises :class:`ValueError`.
     """
+    if num_references < 1:
+        raise ValueError(f"num_references must be positive, got "
+                         f"{num_references}")
     cores_wanted = num_cores or system.config.cores.num_cores
     name, n_cores, total_records, warmup_records, schedule = _run_inputs(
         system, workload, num_references, seed, cores_wanted,

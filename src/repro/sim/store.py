@@ -1,17 +1,17 @@
-"""Persistent result store: sharded SQLite behind one cell-cache API.
+"""Persistent result store: one SQLite database behind one cell-cache API.
 
 Every sweep cell is deterministic given its :meth:`SweepJob.cache_key`
 (design, workload spec, system configuration, trace length, seed, core
 count), so results can be cached across processes and sessions.  A cell
 is one row ``cells(key PRIMARY KEY, format, checksum, job, result)`` of a
-:class:`SqliteBackend`: N shard databases (``shard-XX.db``) under the
-root, WAL journaling + busy timeouts for safe concurrent multi-process
-writers, and *batched* reads/writes: :meth:`ResultStore.probe_many`
-issues one indexed query per shard instead of one read per cell.
+:class:`SqliteBackend`: one database (``cells.db``) under the root, WAL
+journaling + busy timeouts for safe concurrent multi-process writers,
+and *batched* reads/writes: :meth:`ResultStore.probe_many` issues one
+indexed query per :data:`_SQLITE_CHUNK` keys instead of one read per
+cell.
 
 A store is opened by a plain directory path or a ``sqlite:PATH`` URI;
-any other ``scheme:`` prefix is refused.  The ``sqlite-store.json`` marker
-written at creation records the shard count.
+any other ``scheme:`` prefix is refused.
 
 Every row carries a SHA-256 checksum of its job description and result
 text, so :meth:`ResultStore.probe` distinguishes a plain *miss* from
@@ -88,19 +88,11 @@ def model_fingerprint() -> str:
 #: ``--store`` flag or an explicit :class:`ResultStore`.
 DEFAULT_STORE_DIR = ".repro-store"
 
-#: Marker file identifying a directory as a SQLite store (records the
-#: shard count, so reopening by plain path picks the right layout).
-SQLITE_MARKER = "sqlite-store.json"
-
-#: Shard databases per SQLite store.  Sharding bounds per-database size
-#: and write contention; the count is frozen into the marker at creation.
-DEFAULT_SQLITE_SHARDS = 16
-
-#: How long a writer waits on a locked shard before giving up.
+#: How long a writer waits on the locked database before giving up.
 SQLITE_BUSY_TIMEOUT_MS = 30_000
 
 #: Keys per ``IN (...)`` clause — safely below SQLite's historic 999
-#: bound variable limit, so one shard's batch is usually one query.
+#: bound variable limit.
 _SQLITE_CHUNK = 900
 
 #: Cells per backend round-trip when scanning a whole store.
@@ -159,29 +151,28 @@ def _chunks(items: Sequence, size: int) -> Iterator[Sequence]:
 
 
 class SqliteBackend:
-    """Row storage: N shard SQLite databases (WAL mode) under one root
-    directory.
+    """Row storage: one SQLite database (WAL mode), ``cells.db`` under
+    the root directory.
 
     A backend moves ``cells`` rows verbatim and never interprets
     checksums or formats — integrity semantics live in
     :class:`ResultStore`.  Cells live in ``cells(key PRIMARY KEY, format,
-    checksum, job, result)``, ``job`` and ``result`` holding JSON text;
-    shards created by older versions hold one more column, which is
-    neither read nor written.  Quarantined cells move into a per-shard
-    ``quarantine`` table whose autoincrement id naturally uniquifies
-    repeated quarantines of one key.
+    checksum, job, result)``, ``job`` and ``result`` holding JSON text.
+    Quarantined cells move into a ``quarantine`` table whose
+    autoincrement id naturally uniquifies repeated quarantines of one
+    key.
 
     WAL journaling plus a generous busy timeout make concurrent
     multi-process writers safe: readers never block writers, and a writer
-    blocked on a shard retries for :data:`SQLITE_BUSY_TIMEOUT_MS` before
-    surfacing an error.  All reads are batched per shard
-    (:meth:`fetch_many` issues one indexed query per shard per
-    :data:`_SQLITE_CHUNK` keys); ``select_queries`` counts those
-    round-trips so tests can pin the batching.
+    blocked on the database retries for :data:`SQLITE_BUSY_TIMEOUT_MS`
+    before surfacing an error.  All reads are batched (:meth:`fetch_many`
+    issues one indexed query per :data:`_SQLITE_CHUNK` keys);
+    ``select_queries`` counts those round-trips so tests can pin the
+    batching.
 
     Opened with ``read_only=True``, every mutation raises
-    :class:`StoreReadOnlyError` and the shards are opened ``mode=ro``, so
-    a long-lived reader (``repro serve``) can share a store with
+    :class:`StoreReadOnlyError` and the database is opened ``mode=ro``,
+    so a long-lived reader (``repro serve``) can share a store with
     concurrent sweep writers without ever racing them.
     """
 
@@ -197,27 +188,18 @@ class SqliteBackend:
     )
 
     def __init__(self, root: Union[str, Path],
-                 shards: Optional[int] = None,
                  read_only: bool = False) -> None:
         self.root = Path(root)
+        self.path = self.root / "cells.db"
         self.read_only = read_only
-        self.shards = shards or DEFAULT_SQLITE_SHARDS
-        marker = self.root / SQLITE_MARKER
-        if marker.is_file():
-            try:
-                recorded = json.loads(marker.read_text()).get("shards")
-                if isinstance(recorded, int) and recorded > 0:
-                    self.shards = recorded
-            except (OSError, ValueError):
-                pass
-        self._conns: Dict[int, sqlite3.Connection] = {}
+        self._connection: Optional[sqlite3.Connection] = None
         #: Serialises all connection use: sqlite3 connections are not
-        #: thread-safe by themselves, but sharing them across threads is
+        #: thread-safe by themselves, but sharing one across threads is
         #: fine when every operation holds this lock — which is what lets
         #: a ThreadingHTTPServer (``repro serve``) share one backend.
         self._lock = threading.RLock()
-        #: Instrumentation: SELECT round-trips — the store suite pins "one
-        #: batched query per shard".
+        #: Instrumentation: SELECT round-trips — the store suite pins the
+        #: batching.
         self.select_queries = 0
 
     # -- plumbing ----------------------------------------------------------
@@ -226,69 +208,46 @@ class SqliteBackend:
             raise StoreReadOnlyError(
                 f"store {self.root} was opened read-only")
 
-    def shard_of(self, key: str) -> int:
-        try:
-            return int(key[:2], 16) % self.shards
-        except ValueError:
-            return sum(key.encode("utf-8", "replace")) % self.shards
-
-    def _db_path(self, shard: int) -> Path:
-        return self.root / f"shard-{shard:02d}.db"
-
-    def location(self, key: str) -> str:
-        """The shard database a cell lives in."""
-        return str(self._db_path(self.shard_of(_check_key(key))))
-
-    def _ensure_root(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        marker = self.root / SQLITE_MARKER
-        if not marker.exists():
-            marker.write_text(json.dumps(
-                {"backend": "sqlite", "version": 1, "shards": self.shards},
-                sort_keys=True) + "\n")
-
-    def _conn(self, shard: int,
-              create: bool = False) -> Optional[sqlite3.Connection]:
-        conn = self._conns.get(shard)
-        if conn is not None:
-            return conn
-        path = self._db_path(shard)
-        if not create and not path.exists():
+    def _conn(self, create: bool = False) -> Optional[sqlite3.Connection]:
+        """The database connection, or ``None`` while the database does
+        not exist and ``create`` is false."""
+        if self._connection is not None:
+            return self._connection
+        if not create and not self.path.exists():
             return None
         if create:
             self._check_writable()
-            self._ensure_root()
+            self.root.mkdir(parents=True, exist_ok=True)
         if self.read_only:
             # mode=ro: the connection itself cannot create or modify the
             # database file, so read-only really is enforced by SQLite,
             # not just by the _check_writable guards.
             conn = sqlite3.connect(
-                f"file:{path}?mode=ro", uri=True,
+                f"file:{self.path}?mode=ro", uri=True,
                 timeout=SQLITE_BUSY_TIMEOUT_MS / 1000.0,
                 check_same_thread=False)
             conn.execute(f"PRAGMA busy_timeout={SQLITE_BUSY_TIMEOUT_MS}")
-            self._conns[shard] = conn
-            return conn
-        conn = sqlite3.connect(str(path),
-                               timeout=SQLITE_BUSY_TIMEOUT_MS / 1000.0,
-                               check_same_thread=False)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={SQLITE_BUSY_TIMEOUT_MS}")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        for statement in self._SCHEMA:
-            conn.execute(statement)
-        conn.commit()
-        self._conns[shard] = conn
+        else:
+            conn = sqlite3.connect(str(self.path),
+                                   timeout=SQLITE_BUSY_TIMEOUT_MS / 1000.0,
+                                   check_same_thread=False)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(f"PRAGMA busy_timeout={SQLITE_BUSY_TIMEOUT_MS}")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            for statement in self._SCHEMA:
+                conn.execute(statement)
+            conn.commit()
+        self._connection = conn
         return conn
 
     def close(self) -> None:
         with self._lock:
-            for conn in self._conns.values():
+            if self._connection is not None:
                 try:
-                    conn.close()
+                    self._connection.close()
                 except sqlite3.Error:  # pragma: no cover - defensive
                     pass
-            self._conns.clear()
+                self._connection = None
 
     # -- reads -------------------------------------------------------------
     def fetch_many(self, keys: Sequence[str]
@@ -297,67 +256,58 @@ class SqliteBackend:
         :class:`sqlite3.Error` that kept its chunk from being read.  A
         missing key is absent from the result."""
         out: Dict[str, Union[Row, sqlite3.Error]] = {}
-        by_shard: Dict[int, List[str]] = {}
-        for key in dict.fromkeys(keys):
-            by_shard.setdefault(self.shard_of(key), []).append(key)
+        unique = list(dict.fromkeys(keys))
         with self._lock:
-            for shard, shard_keys in sorted(by_shard.items()):
-                conn = self._conn(shard)
-                if conn is None:
+            conn = self._conn()
+            if conn is None:
+                return out
+            for chunk in _chunks(unique, _SQLITE_CHUNK):
+                marks = ",".join("?" for _ in chunk)
+                try:
+                    self.select_queries += 1
+                    rows = conn.execute(
+                        f"SELECT key, format, checksum, job, result "
+                        f"FROM cells WHERE key IN ({marks})",
+                        tuple(chunk)).fetchall()
+                except sqlite3.Error as exc:
+                    out.update(dict.fromkeys(chunk, exc))
                     continue
-                for chunk in _chunks(shard_keys, _SQLITE_CHUNK):
-                    marks = ",".join("?" for _ in chunk)
-                    try:
-                        self.select_queries += 1
-                        rows = conn.execute(
-                            f"SELECT key, format, checksum, job, result "
-                            f"FROM cells WHERE key IN ({marks})",
-                            tuple(chunk)).fetchall()
-                    except sqlite3.Error as exc:
-                        out.update(dict.fromkeys(chunk, exc))
-                        continue
-                    for row in rows:
-                        out[row[0]] = row[1:]
+                for row in rows:
+                    out[row[0]] = row[1:]
         return out
 
     def all_keys(self) -> List[str]:
         """Every stored key — healthy or not — in sorted order."""
-        keys: List[str] = []
         with self._lock:
-            for shard in range(self.shards):
-                conn = self._conn(shard)
-                if conn is None:
-                    continue
-                try:
-                    self.select_queries += 1
-                    keys.extend(row[0] for row in
-                                conn.execute("SELECT key FROM cells"))
-                except sqlite3.Error:
-                    continue
-        return sorted(keys)
+            conn = self._conn()
+            if conn is None:
+                return []
+            try:
+                self.select_queries += 1
+                return [row[0] for row in conn.execute(
+                    "SELECT key FROM cells ORDER BY key")]
+            except sqlite3.Error:
+                return []
 
     # -- writes ------------------------------------------------------------
     def insert(self, rows: Sequence[tuple]) -> None:
         """Write ``(key, format, checksum, job, result)`` rows verbatim
-        (last writer wins), one transaction per shard."""
+        (last writer wins) in one transaction."""
         self._check_writable()
-        by_shard: Dict[int, List[tuple]] = {}
         for row in rows:
-            by_shard.setdefault(self.shard_of(_check_key(row[0])),
-                                []).append(row)
+            _check_key(row[0])
         with self._lock:
-            for shard, shard_rows in sorted(by_shard.items()):
-                conn = self._conn(shard, create=True)
-                with conn:
-                    conn.executemany(
-                        "INSERT OR REPLACE INTO cells "
-                        "(key, format, checksum, job, result) "
-                        "VALUES (?, ?, ?, ?, ?)", shard_rows)
+            conn = self._conn(create=True)
+            with conn:
+                conn.executemany(
+                    "INSERT OR REPLACE INTO cells "
+                    "(key, format, checksum, job, result) "
+                    "VALUES (?, ?, ?, ?, ?)", rows)
 
     # -- quarantine --------------------------------------------------------
     def quarantine(self, key: str) -> Optional[str]:
-        """Move a cell into its shard's ``quarantine`` table, keeping its
-        columns verbatim (a JSON object of the four, texts as strings) for
+        """Move a cell into the ``quarantine`` table, keeping its columns
+        verbatim (a JSON object of the four, texts as strings) for
         post-mortems; ``None`` if the cell vanished or could not be
         moved."""
         self._check_writable()
@@ -367,7 +317,7 @@ class SqliteBackend:
         text = json.dumps(dict(zip(("format", "checksum", "job", "result"),
                                    row)), sort_keys=True, default=repr)
         with self._lock:
-            conn = self._conn(self.shard_of(key), create=True)
+            conn = self._conn(create=True)
             try:
                 with conn:
                     cursor = conn.execute(
@@ -375,54 +325,43 @@ class SqliteBackend:
                         "(key, payload, quarantined_at) "
                         "VALUES (?, ?, ?)", (key, text, time.time()))
                     conn.execute("DELETE FROM cells WHERE key = ?", (key,))
-            except sqlite3.Error:      # pragma: no cover - locked shard
+            except sqlite3.Error:      # pragma: no cover - locked database
                 return None
-            return (f"{self._db_path(self.shard_of(key))}"
-                    f"#quarantine-{cursor.lastrowid}")
+            return f"{self.path}#quarantine-{cursor.lastrowid}"
 
     def quarantine_stats(self) -> Tuple[int, int]:
-        cells = total = 0
         with self._lock:
-            for shard in range(self.shards):
-                conn = self._conn(shard)
-                if conn is None:
-                    continue
-                try:
-                    count, size = conn.execute(
-                        "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
-                        "FROM quarantine").fetchone()
-                except sqlite3.Error:  # pragma: no cover - locked shard
-                    continue
-                cells += count
-                total += size
-        return cells, total
+            conn = self._conn()
+            if conn is None:
+                return 0, 0
+            try:
+                count, size = conn.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
+                    "FROM quarantine").fetchone()
+            except sqlite3.Error:  # pragma: no cover - locked database
+                return 0, 0
+        return count, size
 
     def purge_quarantine(self) -> int:
         self._check_writable()
-        removed = 0
         with self._lock:
-            for shard in range(self.shards):
-                conn = self._conn(shard)
-                if conn is None:
-                    continue
-                with conn:
-                    removed += conn.execute(
-                        "DELETE FROM quarantine").rowcount
-        return removed
+            conn = self._conn()
+            if conn is None:
+                return 0
+            with conn:
+                return conn.execute("DELETE FROM quarantine").rowcount
 
     def clear(self) -> int:
         """Delete every cell and quarantined copy; returns how many *cells*
         were removed."""
         self._check_writable()
-        removed = 0
         with self._lock:
-            for shard in range(self.shards):
-                conn = self._conn(shard)
-                if conn is None:
-                    continue
-                with conn:
-                    removed += conn.execute("DELETE FROM cells").rowcount
-                    conn.execute("DELETE FROM quarantine")
+            conn = self._conn()
+            if conn is None:
+                return 0
+            with conn:
+                removed = conn.execute("DELETE FROM cells").rowcount
+                conn.execute("DELETE FROM quarantine")
         return removed
 
 
@@ -656,10 +595,10 @@ class ResultStore:
 
     def probe_many(self, keys: Sequence[str]
                    ) -> Dict[str, Tuple[str, Optional[RunResult]]]:
-        """Batched :meth:`probe`: one backend round-trip per shard instead
-        of one read per cell — the sweep dedup pass at ``run_jobs``
-        start-up uses this, so a warm 10k-cell sweep issues a handful of
-        indexed queries."""
+        """Batched :meth:`probe`: one backend round-trip per
+        :data:`_SQLITE_CHUNK` keys instead of one read per cell — the
+        sweep dedup pass at ``run_jobs`` start-up uses this, so a warm
+        10k-cell sweep issues a dozen indexed queries."""
         unique = list(dict.fromkeys(_check_key(key) for key in keys))
         rows = self.backend.fetch_many(unique)
         return {key: self._classify(rows.get(key))[:2] for key in unique}
@@ -691,7 +630,7 @@ class ResultStore:
     def put_many(self, items: Sequence[Tuple[str, RunResult,
                                              Optional[Dict[str, Any]]]]
                  ) -> None:
-        """Batched :meth:`put`: one transaction per shard."""
+        """Batched :meth:`put`: one transaction."""
         self.backend.insert([self._cell_row(key, result, job)
                              for key, result, job in items])
 
@@ -750,7 +689,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def quarantine(self, key: str) -> Optional[str]:
         """Move a cell out of the served namespace but preserve it for
-        post-mortems (a row of its shard's quarantine table).
+        post-mortems (a row of the database's quarantine table).
         Repeated quarantines of one key keep every copy.  Returns the new
         location, or ``None`` if the cell vanished."""
         return self.backend.quarantine(_check_key(key))
@@ -782,8 +721,9 @@ class ResultStore:
         * Quarantine occupancy is always reported, and emptied when
           ``purge_quarantine=True``.
 
-        The scan reads in batches — one indexed query per shard — so
-        paper-scale stores fsck in seconds.
+        The scan reads in batches — one indexed query per
+        :data:`_SCAN_BATCH` cells — so paper-scale stores fsck in
+        seconds.
         """
         report = FsckReport(root=str(self.root), backend=self.backend.kind)
         for key, status in list(self.scan()):
@@ -794,7 +734,7 @@ class ResultStore:
             if status == CELL_MISS:      # deleted since the key listing
                 continue
             issue = CellIssue(key=key, status=status,
-                              path=self.backend.location(key))
+                              path=str(self.backend.path))
             if status == CELL_UNREADABLE:
                 issue.error = ("cell could not be read (transient I/O "
                                "error); left in place")

@@ -68,8 +68,13 @@ def _env_float(name: str, default: float) -> float:
 
 
 def default_max_attempts() -> int:
-    """``REPRO_SWEEP_MAX_ATTEMPTS``: attempts per job (default 3)."""
-    return max(1, int(_env_float("REPRO_SWEEP_MAX_ATTEMPTS", 3)))
+    """``REPRO_SWEEP_MAX_ATTEMPTS``: attempts per job (default 3); a value
+    below 1 raises :class:`ValueError`."""
+    attempts = int(_env_float("REPRO_SWEEP_MAX_ATTEMPTS", 3))
+    if attempts < 1:
+        raise ValueError(f"REPRO_SWEEP_MAX_ATTEMPTS must be >= 1, "
+                         f"got {attempts}")
+    return attempts
 
 
 def default_timeout() -> Optional[float]:
@@ -732,8 +737,8 @@ def prepare_submission(jobs: Sequence[SweepJob],
     submission = Submission(jobs=jobs,
                             keys=[job.cache_key() for job in jobs])
     if store is not None and jobs:
-        # One batched dedup probe instead of a read per job: one indexed
-        # query per shard, so a warm paper-scale sweep starts in
+        # One batched dedup probe instead of a read per job: a few
+        # indexed queries, so a warm paper-scale sweep starts in
         # milliseconds.
         probes = store.probe_many(submission.keys)
         for i, key in enumerate(submission.keys):

@@ -377,3 +377,29 @@ def test_env_knobs_set_engine_defaults(monkeypatch):
     plan_env(monkeypatch, FaultSpec(job=0, mode="crash", attempts=99))
     report = run_jobs(make_jobs(1), workers=1)
     assert report.failures[0].attempts == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_env_max_attempts_below_one_is_refused(monkeypatch, value):
+    """The variable is refused like ``--max-attempts 0``, not clamped to
+    one attempt."""
+    monkeypatch.setenv("REPRO_SWEEP_MAX_ATTEMPTS", value)
+    with pytest.raises(ValueError, match="REPRO_SWEEP_MAX_ATTEMPTS"):
+        run_jobs(make_jobs(1), workers=1)
+
+
+def test_sweep_cli_exits_2_on_zero_env_max_attempts(tmp_path):
+    repo_root = Path(__file__).resolve().parents[1]
+    store = tmp_path / "store"
+    env = dict(os.environ, REPRO_SWEEP_MAX_ATTEMPTS="0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--designs", "HYBRID2",
+         "--workloads", "mcf", "--refs", str(REFS), "--scale", str(SCALE),
+         "--no-baselines", "--store", str(store)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "REPRO_SWEEP_MAX_ATTEMPTS" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not store.exists()

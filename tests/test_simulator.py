@@ -31,6 +31,15 @@ def test_simulate_produces_consistent_result(small_config):
     assert result.nm_service_ratio == 0.0
 
 
+@pytest.mark.parametrize("refs", [0, -3])
+def test_simulate_refuses_a_non_positive_reference_count(small_config,
+                                                         refs):
+    """It once ran one reference per core for these counts."""
+    with pytest.raises(ValueError, match="num_references must be positive"):
+        simulate(NullMemorySystem(small_config), get_workload("mcf"),
+                 num_references=refs, seed=1)
+
+
 def test_llc_latency_is_charged_once_per_measured_reference(small_config):
     trace = generate_trace(get_workload("mcf"), 1200, seed=2)
 

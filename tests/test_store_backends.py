@@ -1,15 +1,17 @@
-"""Semantics suite for the sharded SQLite (WAL) result store.
+"""Semantics suite for the SQLite (WAL) result store.
 
 Round-trip fidelity, the probe status matrix, quarantine/clear hygiene,
 fsck repair, sweep resume, verification on the stored column text, plus
-how a store is opened, batched dedup reads (one indexed query per shard,
-no per-cell I/O) and multi-process concurrent writers.
+how a store is opened, batched dedup reads (one indexed query per chunk
+of keys, no per-cell I/O) and multi-process concurrent writers.
 """
 
 import hashlib
 import json
+import math
 import multiprocessing
 import sqlite3
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,7 @@ from repro.params import make_config
 from repro.sim import store as store_module
 from repro.sim.faults import corrupt_store_cell
 from repro.sim.store import (CELL_CORRUPT, CELL_MISS, CELL_OK, CELL_STALE,
-                             CELL_UNREADABLE, DEFAULT_SQLITE_SHARDS,
-                             STORE_FORMAT, SQLITE_MARKER, ResultStore,
+                             CELL_UNREADABLE, STORE_FORMAT, ResultStore,
                              SqliteBackend, _canonical, _text_checksum)
 from repro.sim.simulator import RunResult
 from repro.sim.sweep import SweepJob, coerce_design, run_jobs
@@ -63,9 +64,7 @@ def synthetic_key(i: int) -> str:
 def test_plain_paths_create_sqlite_stores_and_other_schemes_raise(tmp_path):
     plain = ResultStore(str(tmp_path / "plain"))
     plain.put("a" * 64, sample_result())
-    assert (plain.root / SQLITE_MARKER).is_file()
-    assert sorted(p.name for p in plain.root.glob("shard-*.db")) == [
-        f"shard-{plain.backend.shard_of('a' * 64):02d}.db"]
+    assert [p.name for p in plain.root.glob("*.db")] == ["cells.db"]
     # The same directory opened by URI is the same store.
     assert ResultStore(f"sqlite:{plain.root}").get("a" * 64) is not None
     for uri in (f"json:{tmp_path / 'old'}", f"nosuch:{tmp_path / 'old'}"):
@@ -375,8 +374,7 @@ def test_stored_text_verdict_matches_decoding(row_store, result, job,
     insert_row(row_store, (key, fmt, checksum, job_text, result_text))
     # The reference reads the row back: column affinity may have
     # converted a value on the way in (the text '2' becomes the integer).
-    backend = row_store.backend
-    stored = backend._conn(backend.shard_of(key)).execute(
+    stored = row_store.backend._conn().execute(
         "SELECT key, format, checksum, job, result FROM cells "
         "WHERE key = ?", (key,)).fetchone()
     expected = decoded_verdict(stored)
@@ -546,48 +544,6 @@ def test_deeply_nested_rows_are_corrupt_and_unrepairable(store):
     assert list(store.keys()) == [healthy]
 
 
-#: The ``cells`` table of stores written before the row was the only cell
-#: format: it has one more column, ``extra``.
-PARENT_CELLS_DDL = ("CREATE TABLE cells (key TEXT PRIMARY KEY, format "
-                    "INTEGER, checksum TEXT, job TEXT, result TEXT, "
-                    "extra TEXT)")
-
-
-def test_a_shard_with_the_older_layout_still_works(tmp_path):
-    root = tmp_path / "store"
-    root.mkdir()
-    (root / SQLITE_MARKER).write_text(json.dumps(
-        {"backend": "sqlite", "version": 1,
-         "shards": DEFAULT_SQLITE_SHARDS}, sort_keys=True) + "\n")
-    healthy, added, leftover = (synthetic_key(i) for i in (1, 2, 3))
-    row = ResultStore._cell_row(healthy, sample_result(), {"seed": 1})
-    backend = SqliteBackend(root)
-    conn = sqlite3.connect(backend.location(healthy))
-    with conn:
-        conn.execute(PARENT_CELLS_DDL)
-        conn.execute("INSERT INTO cells VALUES (?, ?, ?, ?, ?, NULL)", row)
-    conn.close()
-    store = ResultStore(root)
-    assert store.get(healthy).as_dict() == sample_result().as_dict()
-    assert store.job_spec(healthy) == {"seed": 1}
-    store.put(added, sample_result(cycles=7.0))
-    assert store.get(added).cycles == 7.0
-    report = store.fsck()
-    assert report.clean and (report.scanned, report.ok) == (2, 2)
-    # A row that holds its cell only in ``extra`` reads stale, is never
-    # served and is not quarantined.
-    conn = store.backend._conn(store.backend.shard_of(leftover))
-    with conn:
-        conn.execute("INSERT INTO cells (key, extra) VALUES (?, ?)",
-                     (leftover, json.dumps({"format": STORE_FORMAT})))
-    assert store.probe(leftover) == (CELL_STALE, None)
-    assert list(store.keys()) == [healthy, added]
-    report = store.fsck()
-    assert report.clean and [issue.key for issue in report.stale] == \
-        [leftover]
-    assert store.quarantine_stats() == (0, 0)
-
-
 def test_the_scan_memo_is_capped(store, monkeypatch):
     monkeypatch.setattr(store_module, "_PROVEN_CAP", 4)
     keys = [synthetic_key(i) for i in range(10)]
@@ -601,9 +557,9 @@ def test_the_scan_memo_is_capped(store, monkeypatch):
 # ---------------------------------------------------------------------------
 # sqlite specifics: batched reads, concurrent writers
 # ---------------------------------------------------------------------------
-def test_sqlite_dedup_probe_is_batched_per_shard(tmp_path):
+def test_sqlite_dedup_probe_is_batched(tmp_path):
     """Acceptance: a 10k-cell dedup pass issues one indexed query per
-    shard — no per-cell reads on the SQLite backend."""
+    chunk of keys — no per-cell reads on the SQLite backend."""
     store = ResultStore(f"sqlite:{tmp_path}")
     backend = store.backend
     assert isinstance(backend, SqliteBackend)
@@ -613,7 +569,7 @@ def test_sqlite_dedup_probe_is_batched_per_shard(tmp_path):
     before = backend.select_queries
     probes = store.probe_many([synthetic_key(i) for i in range(10_000)])
     queries = backend.select_queries - before
-    assert queries <= backend.shards == DEFAULT_SQLITE_SHARDS
+    assert queries <= math.ceil(10_000 / store_module._SQLITE_CHUNK) == 12
     assert sum(1 for status, _ in probes.values()
                if status == CELL_OK) == 10_000
 
@@ -639,6 +595,11 @@ def test_run_jobs_warm_start_uses_one_batched_probe(tmp_path):
     assert len(calls[0]) == 2
 
 
+#: Wall-clock budget for all concurrent writers together; a hang fails
+#: fast.
+WRITERS_TIMEOUT_S = 120
+
+
 def _concurrent_writer(root, start, count):
     store = ResultStore(f"sqlite:{root}")
     store.put_many([(synthetic_key(i), sample_result(cycles=float(i)), None)
@@ -648,26 +609,26 @@ def _concurrent_writer(root, start, count):
 def test_sqlite_concurrent_multiprocess_writers(tmp_path):
     """WAL + busy-timeout make concurrent writer processes safe: every
     cell lands, nothing is corrupted."""
-    procs = [multiprocessing.Process(target=_concurrent_writer,
-                                     args=(str(tmp_path), base * 50, 50))
+    # Spawned, not forked, under one shared deadline: a forked child can
+    # inherit a lock another thread holds and hang.
+    context = multiprocessing.get_context("spawn")
+    procs = [context.Process(target=_concurrent_writer,
+                             args=(str(tmp_path), base * 50, 50))
              for base in range(4)]
     for proc in procs:
         proc.start()
+    deadline = time.monotonic() + WRITERS_TIMEOUT_S
     for proc in procs:
-        proc.join(timeout=120)
-        assert proc.exitcode == 0
+        proc.join(timeout=max(0.0, deadline - time.monotonic()))
+    hung = [proc for proc in procs if proc.is_alive()]
+    for proc in hung:
+        proc.terminate()
+        proc.join(timeout=10)
+    exit_codes = [proc.exitcode for proc in procs]
+    assert not hung, f"writers still running at the deadline: {exit_codes}"
+    assert exit_codes == [0] * 4, f"writer exit codes {exit_codes}"
     store = ResultStore(f"sqlite:{tmp_path}")
-    assert len(store) == 200
+    assert len(store) == 200, f"writer exit codes {exit_codes}"
     report = store.fsck()
-    assert report.clean and report.scanned == 200 and report.ok == 200
-
-
-def test_sqlite_shards_are_stable_across_reopens(tmp_path):
-    first = ResultStore(f"sqlite:{tmp_path}")
-    store_shards = first.backend.shards
-    first.put("9" * 64, sample_result())
-    marker = json.loads((first.root / "sqlite-store.json").read_text())
-    assert marker["shards"] == store_shards
-    reopened = ResultStore(tmp_path)          # marker-based auto-detect
-    assert reopened.backend.shards == store_shards
-    assert reopened.get("9" * 64) is not None
+    assert report.clean and report.scanned == 200 and report.ok == 200, \
+        f"writer exit codes {exit_codes}: {report.summary()}"
