@@ -16,9 +16,9 @@ are not cached yet.  Environment knobs (shared with the report CLI):
                                      capped at 8; default auto)
 * ``REPRO_BENCH_STORE``              result-store directory; "0" disables
                                      (default ``benchmarks/results/store``)
-* ``REPRO_BENCH_PERF_REFS``          perf-bench references (default 60000)
-* ``REPRO_BENCH_PERF_REPEAT``        perf-bench repetitions (default 5)
-* ``REPRO_FULL=1``                   full 30-workload, 48 k-reference sweep
+
+The full 30-workload sweep is ``REPRO_BENCH_REFS=48000
+REPRO_BENCH_WORKLOADS_PER_CLASS=10``.
 
 The store is keyed by (design, workload spec, configuration, refs, seed)
 plus a fingerprint of the ``repro`` package source, so editing simulation

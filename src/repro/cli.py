@@ -23,7 +23,7 @@ Subcommands:
   JSON/markdown/SVG artifacts, with measured-vs-published deviation
   flags::
 
-      python -m repro report                         # all 14 benches
+      python -m repro report                         # all 13 benches
       python -m repro report --bench fig12 fig15 --workers 4
       python -m repro report --list                  # show the registry
 
@@ -119,8 +119,8 @@ def _seed(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type of ``sweep --refs`` and ``--max-attempts``: a job
-    needs at least one reference and one attempt."""
+    """argparse type of the counts a run needs at least one of: ``--refs``,
+    ``sweep --max-attempts``, ``report --per-class`` and ``--scale``."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
@@ -183,16 +183,16 @@ def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--strict", action="store_true",
                    help="fail fast on the first exhausted job instead of "
                         "degrading to partial results")
-    p.add_argument("--max-attempts", type=_positive, default=None, metavar="N",
+    p.add_argument("--max-attempts", type=_positive, default=3, metavar="N",
                    help="attempts per job before it is recorded as failed "
-                        "(default REPRO_SWEEP_MAX_ATTEMPTS or 3)")
+                        "(default 3)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-job wall-clock timeout; hung workers are "
-                        "killed and the job retried (default "
-                        "REPRO_SWEEP_TIMEOUT; 0 disables)")
-    p.add_argument("--backoff", type=float, default=None, metavar="SECONDS",
+                        "killed and the job retried (default and 0: no "
+                        "timeout)")
+    p.add_argument("--backoff", type=float, default=0.5, metavar="SECONDS",
                    help="base retry delay, doubled per attempt (default "
-                        "REPRO_SWEEP_BACKOFF or 0.5)")
+                        "0.5)")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -292,19 +292,20 @@ def _add_report_parser(sub: argparse._SubParsersAction) -> None:
                        help="regenerate the paper-artifact gallery "
                             "(EXPERIMENTS.md + per-bench artifacts)")
     p.add_argument("--bench", nargs="+", default=None, metavar="NAME",
-                   help="bench names to (re)run (default: all 14); the "
+                   help="bench names to (re)run (default: all 13); the "
                         "gallery keeps benches whose artifacts already "
                         "exist")
     p.add_argument("--list", action="store_true",
                    help="list the bench registry and exit")
-    p.add_argument("--refs", type=int, default=None,
+    p.add_argument("--refs", type=_positive, default=None,
                    help="references per run (default REPRO_BENCH_REFS or "
                         "16000)")
-    p.add_argument("--per-class", type=int, default=None,
+    p.add_argument("--per-class", type=_positive, default=None,
                    help="workloads per MPKI class (default "
                         "REPRO_BENCH_WORKLOADS_PER_CLASS or 2)")
-    p.add_argument("--scale", type=int, default=None,
-                   help="capacity scale denominator (default 256)")
+    p.add_argument("--scale", type=_positive, default=None,
+                   help="capacity scale denominator (default "
+                        "REPRO_BENCH_SCALE or 256)")
     p.add_argument("--seed", type=_seed, default=None, help="trace seed")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default REPRO_BENCH_WORKERS or "

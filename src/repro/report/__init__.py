@@ -1,8 +1,8 @@
 """Paper-artifact report pipeline.
 
 One command — ``python -m repro report`` — regenerates the paper's whole
-evaluation (Figures 1-18, Tables 1-2, plus the engine-perf trajectory)
-through the sweep engine and result store, and renders it into a browsable
+evaluation (Figures 1-18, Tables 1-2, plus the real-trace twin) through
+the sweep engine and result store, and renders it into a browsable
 gallery:
 
 * ``artifacts/<bench>.json`` — machine-readable result + deviations;

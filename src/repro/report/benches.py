@@ -1,4 +1,5 @@
-"""Definitions of the 13 registered benches (Figures 1-18, Tables 1-2, perf).
+"""Definitions of the 13 registered benches (Figures 1-18, Tables 1-2 and
+the real-trace twin).
 
 Each bench regenerates one artifact of the paper's evaluation on the scaled
 model and returns a :class:`~repro.report.registry.BenchResult`: rendered
@@ -22,7 +23,7 @@ from ..core.variants import BREAKDOWN_VARIANTS
 from ..baselines import EVALUATED_DESIGNS
 from ..common import MIB
 from ..params import Hybrid2Params
-from ..sim import metrics, perfbench
+from ..sim import metrics
 from ..sim.sweep import DesignRef
 from ..workloads import WORKLOADS, generate_trace
 from .context import ReportContext
@@ -602,77 +603,6 @@ register(BenchSpec(
                 "workload in the catalog, regenerated from the traces the "
                 "generators actually produce.",
     run=run_table2, check=check_table2, uses_sweep=False,
-))
-
-
-# ----------------------------------------------------------------------
-# Engine performance — the repo's own throughput trajectory
-# ----------------------------------------------------------------------
-def run_perf(ctx: ReportContext) -> BenchResult:
-    payload = perfbench.run_benchmark(refs=ctx.perf_refs,
-                                      repeat=ctx.perf_repeat)
-    fast, gen = payload["fast_path"], payload["generator"]
-    summary_rows = [
-        ["calibration loop", round(payload["calibration"]["ops_per_sec"]),
-         None],
-        ["simulate() on NULL", round(fast["refs_per_sec"]),
-         round(fast["ratio"], 3)],
-        ["trace generator", round(gen["records_per_sec"]),
-         round(gen["ratio"], 3)],
-    ]
-    small = payload.get("fast_path_small")
-    if small:
-        summary_rows.append(
-            [f"simulate() on NULL ({payload['small_refs']} refs)",
-             round(small["refs_per_sec"]), round(small["ratio"], 3)])
-    summary_table = Table(
-        title=f"Engine throughput ({payload['refs']} refs, workload "
-              f"{payload['workload']}, {payload['repeat']} rounds)",
-        columns=["path", "rate /s", "per calibration op"],
-        rows=summary_rows,
-        slug="engine")
-    design_table = Table(
-        title="Per-design refs/sec as a share of the NULL system's "
-              "(rates machine-dependent, shares gated)",
-        columns=["design", "share of NULL", "refs/s"],
-        rows=[[label, round(rate["ratio"], 3), round(rate["refs_per_sec"])]
-              for label, rate in payload["designs"].items()],
-        slug="designs", chart="bar", y_label="share of NULL refs/s")
-    return BenchResult(name="perf", tables=[summary_table, design_table],
-                       raw=payload)
-
-
-def check_perf(result: BenchResult) -> None:
-    payload = result.raw
-    # The ratios are gated against the checked-in baseline
-    # (perfbench.compare_to_baseline); what is checked here holds on any
-    # host.  Below ~20k refs the engine's fixed setup stops amortising, so
-    # reduced smoke runs only record the trajectory.
-    if payload["refs"] >= 20_000:
-        fast, gen = payload["fast_path"], payload["generator"]
-        assert gen["records_per_sec"] > fast["refs_per_sec"], (
-            "generating a trace is slower than simulating it")
-        for label, rate in payload.get("designs", {}).items():
-            assert rate["ratio"] < 1.0, (
-                f"{label} outran the fixed-latency NULL system "
-                f"({rate['ratio']:.2f}x its refs/sec)")
-
-
-register(BenchSpec(
-    name="perf", slug="perf_engine",
-    title="Simulation-engine throughput (refs/sec trajectory)",
-    paper_ref="(repo artifact — not a paper figure)",
-    description="Refs/sec of simulate() on the fixed-latency NULL memory "
-                "system and of the vectorized trace generator, each over "
-                "the rate of a fixed pure-Python calibration loop, plus "
-                "every catalog design's refs/sec as a share of the NULL "
-                "system's on the same trace.",
-    run=run_perf, check=check_perf, uses_sweep=False,
-    landmarks="A design's share of the NULL system's refs/sec is the "
-              "engine floor it keeps: every design is slower than NULL, "
-              "and the share falls when its step or DRAM kernels get "
-              "slower.  The generator outruns the simulation it feeds.  "
-              "Raw rates are machine-dependent; CI gates the ratios.",
 ))
 
 

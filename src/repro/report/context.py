@@ -16,27 +16,15 @@ from ..baselines import EVALUATED_DESIGNS
 from ..sim.runner import ExperimentRunner, SweepResult
 from ..workloads.catalog import WorkloadSpec
 
-#: Engine-throughput measurement knobs (the perf bench is time-bound by
-#: these, not by the sweep settings).  Environment overrides
-#: (``REPRO_BENCH_PERF_*``) are resolved by
-#: :meth:`repro.report.pipeline.ReportSettings.from_env`, the single
-#: source of truth for knob parsing.
-DEFAULT_PERF_REFS = 60_000
-DEFAULT_PERF_REPEAT = 5
-
 
 class ReportContext:
     """Runner + workload subset + lazily shared main sweep."""
 
     def __init__(self, runner: ExperimentRunner,
                  workloads: Sequence[WorkloadSpec], *,
-                 perf_refs: int = DEFAULT_PERF_REFS,
-                 perf_repeat: int = DEFAULT_PERF_REPEAT,
                  log: Optional[Callable[[str], None]] = None) -> None:
         self.runner = runner
         self.workloads = list(workloads)
-        self.perf_refs = perf_refs
-        self.perf_repeat = perf_repeat
         self._log = log
         self._main_sweep: Optional[SweepResult] = None
 

@@ -29,7 +29,7 @@ from ..sim.runner import ExperimentRunner
 from ..sim.store import ResultStore
 from ..workloads import representative_workloads
 from . import artifacts, render
-from .context import (DEFAULT_PERF_REFS, DEFAULT_PERF_REPEAT, ReportContext)
+from .context import ReportContext
 from .registry import BenchSpec, all_benches, get_bench
 
 #: Default output locations, relative to the working directory.
@@ -38,8 +38,20 @@ DEFAULT_GALLERY = "EXPERIMENTS.md"
 DEFAULT_STORE = os.path.join("benchmarks", "results", "store")
 
 
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, str(default)))
+def _env_int(name: str, default: int, minimum: int) -> int:
+    """Integer knob ``name``, or ``default`` when unset; a value that is
+    not an integer or is below ``minimum`` raises :class:`ValueError`
+    naming the variable."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass
@@ -53,28 +65,24 @@ class ReportSettings:
     workers: int = 1
     #: Store directory or ``sqlite:PATH`` URI; ``None`` disables caching.
     store: Optional[str] = DEFAULT_STORE
-    perf_refs: int = DEFAULT_PERF_REFS
-    perf_repeat: int = DEFAULT_PERF_REPEAT
     #: Fail fast: re-raise the first bench/job failure instead of
     #: degrading to partial artifacts (``REPRO_STRICT=1`` / ``--strict``).
     strict: bool = False
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "ReportSettings":
-        """Environment defaults (``REPRO_BENCH_*`` / ``REPRO_FULL``),
-        overridable per field with keyword arguments (``None`` ignored)."""
-        full = os.environ.get("REPRO_FULL") == "1"
+        """Environment defaults (``REPRO_BENCH_*``), overridable per field
+        with keyword arguments (``None`` ignored).  A knob that is not an
+        integer, a count below 1 or a negative seed raises
+        :class:`ValueError` naming the variable."""
         settings = cls(
-            refs=_env_int("REPRO_BENCH_REFS", 48_000 if full else 16_000),
+            refs=_env_int("REPRO_BENCH_REFS", cls.refs, 1),
             per_class=_env_int("REPRO_BENCH_WORKLOADS_PER_CLASS",
-                               10 if full else 2),
-            scale=_env_int("REPRO_BENCH_SCALE", 256),
-            seed=_env_int("REPRO_BENCH_SEED", 1),
+                               cls.per_class, 1),
+            scale=_env_int("REPRO_BENCH_SCALE", cls.scale, 1),
+            seed=_env_int("REPRO_BENCH_SEED", cls.seed, 0),
             workers=workers_from_env(),
             store=store_path_from_env(),
-            perf_refs=_env_int("REPRO_BENCH_PERF_REFS", DEFAULT_PERF_REFS),
-            perf_repeat=_env_int("REPRO_BENCH_PERF_REPEAT",
-                                 DEFAULT_PERF_REPEAT),
             strict=os.environ.get("REPRO_STRICT") == "1",
         )
         for key, value in overrides.items():
@@ -103,16 +111,15 @@ class ReportSettings:
                      ) -> ReportContext:
         return ReportContext(self.make_runner(),
                              representative_workloads(per_class=self.per_class),
-                             perf_refs=self.perf_refs,
-                             perf_repeat=self.perf_repeat, log=log)
+                             log=log)
 
 
 def workers_from_env() -> int:
-    """``REPRO_BENCH_WORKERS``: worker count, ``auto`` = one per CPU, max 8."""
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "auto")
-    if raw == "auto":
+    """``REPRO_BENCH_WORKERS``: worker count, ``auto`` (the default) = one
+    per CPU, max 8."""
+    if os.environ.get("REPRO_BENCH_WORKERS", "auto") == "auto":
         return max(1, min(8, os.cpu_count() or 1))
-    return max(1, int(raw))
+    return _env_int("REPRO_BENCH_WORKERS", 1, 1)
 
 
 def store_path_from_env() -> Optional[str]:

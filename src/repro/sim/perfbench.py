@@ -38,10 +38,11 @@ times taken seconds apart.
 Every run measures every section on :data:`WORKLOAD` at
 :data:`CONFIG`, with every design of the registry; only the small-trace
 sections are left out, when ``refs`` is at most :data:`SMALL_REFS`.
-Run it with ``python -m repro bench`` (see the CLI) or via
-``benchmarks/bench_perf_engine.py``.  After an intentional perf change,
-refresh the checked-in baseline by writing a run over it on the pinned
-interpreter: ``python -m repro bench --out
+Besides the ratios, the gate checks what holds on any host from
+:data:`SANITY_REFS` references on (:func:`sanity_failures`).  Run it
+with ``python -m repro bench`` (see the CLI).  After an intentional
+perf change, refresh the checked-in baseline by writing a run over it
+on the pinned interpreter: ``python -m repro bench --out
 benchmarks/results/BENCH_engine_baseline.json``.
 """
 
@@ -83,6 +84,10 @@ CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
 
 #: Largest fractional drop of a gated ratio below its baseline value.
 MAX_REGRESSION = 0.30
+
+#: Reference count from which :func:`sanity_failures` checks a run:
+#: below it the engine's fixed setup stops amortizing.
+SANITY_REFS = 20_000
 
 #: Iterations of :func:`_calibration_loop`, the unit of its rate.
 CALIBRATION_OPS = 100_000
@@ -303,7 +308,8 @@ def compare_to_baseline(payload: dict, baseline: dict) -> List[str]:
     number of rounds), or one missing a section the payload measured,
     fails: a gate that skips what it cannot compare would pass
     vacuously.  Returns a list of failure messages; empty means no ratio
-    fell by more than :data:`MAX_REGRESSION`.
+    fell by more than :data:`MAX_REGRESSION` and
+    :func:`sanity_failures` found nothing.
     """
     if baseline.get("schema") != BENCH_SCHEMA:
         return [f"baseline schema {baseline.get('schema')!r} is not the "
@@ -324,6 +330,25 @@ def compare_to_baseline(payload: dict, baseline: dict) -> List[str]:
             failures.append(
                 f"{label} ratio regressed: {entry['ratio']:.3f} vs baseline "
                 f"{base['ratio']:.3f} (floor {base['ratio'] * floor:.3f})")
+    return failures + sanity_failures(payload)
+
+
+def sanity_failures(payload: dict) -> List[str]:
+    """What a run of :data:`SANITY_REFS` references or more shows on any
+    host: the trace generator outruns ``simulate()`` on the NULL system,
+    and no design outruns the NULL system (every ``designs`` ratio is
+    below 1.0).  Returns a failure message per broken rule."""
+    if payload.get("refs", 0) < SANITY_REFS:
+        return []
+    failures = []
+    if "generator" in payload and (payload["generator"]["records_per_sec"]
+                                   <= payload["fast_path"]["refs_per_sec"]):
+        failures.append("generating a trace is slower than simulating it "
+                        "on the NULL system")
+    failures += [f"design {label} outran the fixed-latency NULL system "
+                 f"({entry['ratio']:.2f}x its refs/sec)"
+                 for label, entry in payload.get("designs", {}).items()
+                 if entry["ratio"] >= 1.0]
     return failures
 
 

@@ -131,9 +131,9 @@ class ExperimentRunner:
                  fm_gb: int = 16, seed: int = 1,
                  num_cores: Optional[int] = None, workers: int = 1,
                  store: Union[ResultStore, str, None] = None,
-                 strict: bool = False, max_attempts: Optional[int] = None,
+                 strict: bool = False, max_attempts: int = 3,
                  timeout: Optional[float] = None,
-                 backoff: Optional[float] = None) -> None:
+                 backoff: float = 0.5) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.num_references = num_references
@@ -144,9 +144,9 @@ class ExperimentRunner:
         self.workers = workers
         self.store = open_store(store)
         #: Fault-tolerance knobs, forwarded to the sweep supervisor
-        #: (``None`` = the ``REPRO_SWEEP_*`` environment defaults).
-        #: ``strict=True`` raises on the first exhausted job instead of
-        #: degrading to partial results.
+        #: (:func:`~repro.sim.sweep.run_jobs`).  ``strict=True`` raises
+        #: on the first exhausted job instead of degrading to partial
+        #: results.
         self.strict = strict
         self.max_attempts = max_attempts
         self.timeout = timeout

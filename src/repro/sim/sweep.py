@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 import traceback as traceback_module
@@ -58,35 +57,6 @@ if TYPE_CHECKING:
 #: Bump to invalidate every stored result when the engine's semantics
 #: (simulate() defaults, key layout, result schema) change incompatibly.
 ENGINE_VERSION = 1
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    return float(raw)
-
-
-def default_max_attempts() -> int:
-    """``REPRO_SWEEP_MAX_ATTEMPTS``: attempts per job (default 3); a value
-    below 1 raises :class:`ValueError`."""
-    attempts = int(_env_float("REPRO_SWEEP_MAX_ATTEMPTS", 3))
-    if attempts < 1:
-        raise ValueError(f"REPRO_SWEEP_MAX_ATTEMPTS must be >= 1, "
-                         f"got {attempts}")
-    return attempts
-
-
-def default_timeout() -> Optional[float]:
-    """``REPRO_SWEEP_TIMEOUT``: per-job wall-clock seconds; 0 disables."""
-    value = _env_float("REPRO_SWEEP_TIMEOUT", 0.0)
-    return value if value > 0 else None
-
-
-def default_backoff() -> float:
-    """``REPRO_SWEEP_BACKOFF``: base retry delay in seconds (default 0.5,
-    doubled per attempt)."""
-    return max(0.0, _env_float("REPRO_SWEEP_BACKOFF", 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +727,9 @@ def prepare_submission(jobs: Sequence[SweepJob],
 # ---------------------------------------------------------------------------
 def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
              store: Optional[object] = None,
-             max_attempts: Optional[int] = None,
+             max_attempts: int = 3,
              timeout: Optional[float] = None,
-             backoff: Optional[float] = None,
+             backoff: float = 0.5,
              strict: bool = False) -> SweepReport:
     """Execute ``jobs`` under the fault-tolerant supervisor.
 
@@ -773,11 +743,10 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
 
     Failure semantics:
 
-    * each job gets ``max_attempts`` tries (``REPRO_SWEEP_MAX_ATTEMPTS``,
-      default 3) with exponential backoff (``backoff * 2**(attempt-1)``
-      seconds, ``REPRO_SWEEP_BACKOFF``, default 0.5);
-    * with ``workers > 1`` a per-attempt wall-clock ``timeout``
-      (``REPRO_SWEEP_TIMEOUT``, 0 = disabled) kills hung workers; dead
+    * each job gets ``max_attempts`` tries (default 3) with exponential
+      backoff (``backoff * 2**(attempt-1)`` seconds, default 0.5);
+    * with ``workers > 1`` a per-attempt wall-clock ``timeout`` (``None``
+      or 0 = disabled, the default) kills hung workers; dead
       workers are respawned and their in-flight job requeued.  The serial
       path retries exceptions but cannot kill a hung attempt (it has no
       process boundary) — use workers for timeout enforcement;
@@ -788,13 +757,11 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if max_attempts is None:
-        max_attempts = default_max_attempts()
-    elif max_attempts < 1:
+    if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    timeout = default_timeout() if timeout is None else (
-        timeout if timeout > 0 else None)
-    backoff = default_backoff() if backoff is None else max(0.0, backoff)
+    if timeout is not None and timeout <= 0:
+        timeout = None
+    backoff = max(0.0, backoff)
 
     submission = prepare_submission(jobs, store)
     jobs = submission.jobs

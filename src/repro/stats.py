@@ -61,20 +61,6 @@ class Stats:
                          for name, value in items})
         return self
 
-    def scaled(self, factor: float) -> "Stats":
-        """Return a new registry with every counter multiplied by ``factor``."""
-        out = Stats()
-        for name, value in self._counters.items():
-            out.set(name, value * factor)
-        return out
-
-    def ratio(self, numerator: str, denominator: str, default: float = 0.0) -> float:
-        """Convenience ``numerator / denominator`` with a zero-guard."""
-        denom = self.get(denominator)
-        if denom == 0:
-            return default
-        return self.get(numerator) / denom
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
         return f"Stats({body})"

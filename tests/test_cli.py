@@ -106,6 +106,35 @@ def test_sweep_refuses_non_positive_counts_at_parse_time(option, value,
     assert not store.exists()
 
 
+@pytest.mark.parametrize("option, value", [("--refs", "0"),
+                                           ("--per-class", "0"),
+                                           ("--scale", "0"),
+                                           ("--per-class", "-2")])
+def test_report_refuses_non_positive_counts_at_parse_time(option, value,
+                                                          tmp_path, capsys):
+    """A report over no workloads or no references once rewrote the
+    artifacts instead of stopping."""
+    out_dir = tmp_path / "artifacts"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", "--bench", "table1", "--no-store", option, value,
+              "--out-dir", str(out_dir),
+              "--gallery", str(tmp_path / "EXPERIMENTS.md")])
+    assert excinfo.value.code == 2
+    assert f"must be a positive integer, got {value}" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_report_names_a_bad_env_knob(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_REFS", "abc")
+    out_dir = tmp_path / "artifacts"
+    assert main(["report", "--bench", "table1", "--no-store",
+                 "--out-dir", str(out_dir)]) == 2
+    assert ("error: REPRO_BENCH_REFS must be an integer, got 'abc'"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_designs_listing(capsys):
     assert main(["designs"]) == 0
     out = capsys.readouterr().out
@@ -124,7 +153,8 @@ def test_report_list(capsys):
     assert main(["report", "--list"]) == 0
     out = capsys.readouterr().out
     assert "fig12" in out and "table2" in out and "trace01" in out
-    assert len(out.strip().splitlines()) == 14
+    assert len(out.strip().splitlines()) == 13
+    assert "perf" not in out.split()
 
 
 def test_report_single_bench_writes_gallery_and_artifacts(tmp_path, capsys):
@@ -141,6 +171,8 @@ def test_report_single_bench_writes_gallery_and_artifacts(tmp_path, capsys):
 
 def test_report_unknown_bench_fails(capsys):
     assert main(["report", "--bench", "fig99", "--no-store"]) == 2
+    assert "unknown bench" in capsys.readouterr().err
+    assert main(["report", "--bench", "perf", "--no-store"]) == 2
     assert "unknown bench" in capsys.readouterr().err
 
 

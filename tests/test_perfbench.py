@@ -171,6 +171,24 @@ def test_compare_to_baseline_gates_per_design():
     assert failures[1] == "designs_small CHA is missing from the baseline"
     assert perfbench.compare_to_baseline(
         schema(designs_small={"MPOD": {"ratio": 0.25}}), small_base) == []
+    # From SANITY_REFS on, a design at or above the NULL system's refs/sec
+    # fails whatever the baseline says; below it nothing is checked.
+    settings = {"refs": perfbench.SANITY_REFS, "workload": "mcf",
+                "repeat": 5}
+    fast = {"fast_path": {"refs_per_sec": 1.0, "ratio": 0.5},
+            "generator": {"records_per_sec": 2.0, "ratio": 1.0}}
+    outran = schema(**settings, **fast,
+                    designs={"MPOD": {"refs_per_sec": 1.0, "ratio": 1.0}})
+    failures = perfbench.compare_to_baseline(outran, outran)
+    assert failures == ["design MPOD outran the fixed-latency NULL system "
+                        "(1.00x its refs/sec)"]
+    slow_generator = dict(outran, designs={}, generator={
+        "records_per_sec": 1.0, "ratio": 0.5})
+    assert perfbench.compare_to_baseline(slow_generator, slow_generator) == [
+        "generating a trace is slower than simulating it on the NULL system"]
+    short = {**settings, "refs": perfbench.SANITY_REFS - 1}
+    assert perfbench.compare_to_baseline(
+        dict(outran, **short), dict(outran, **short)) == []
 
 
 def test_compare_to_baseline_rejects_schema_mismatch():

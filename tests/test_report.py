@@ -17,22 +17,21 @@ from repro.report.render import chart_for_table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Every bench of the paper's evaluation plus the engine-perf trajectory
-#: and the real-trace twin gallery page.
+#: Every bench of the paper's evaluation plus the real-trace twin
+#: gallery page.
 EXPECTED_BENCHES = (
     "fig01", "fig02", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "fig16", "fig17", "fig18", "table1", "table2", "perf",
-    "trace01",
+    "fig15", "fig16", "fig17", "fig18", "table1", "table2", "trace01",
 )
 
 
 # ----------------------------------------------------------------------
 # registry completeness
 # ----------------------------------------------------------------------
-def test_all_14_benches_registered():
+def test_all_13_benches_registered():
     specs = all_benches()
     assert tuple(spec.name for spec in specs) == EXPECTED_BENCHES
-    assert len(specs) == 14
+    assert len(specs) == 13
 
 
 def test_specs_are_complete_and_slugs_unique():
@@ -153,8 +152,7 @@ def test_chart_for_table_forms_are_well_formed_xml():
 @pytest.fixture
 def tiny_settings(tmp_path):
     return ReportSettings(refs=300, per_class=1, scale=1024, seed=1,
-                          workers=1, store=str(tmp_path / "store"),
-                          perf_refs=500, perf_repeat=1)
+                          workers=1, store=str(tmp_path / "store"))
 
 
 def test_generate_report_writes_gallery_and_artifacts(tmp_path,
@@ -172,6 +170,25 @@ def test_generate_report_writes_gallery_and_artifacts(tmp_path,
     text = gallery.read_text()
     assert "table1" in text and "fig13" in text
     assert "fig13.md" in text             # gallery links the bench page
+
+
+def test_artifacts_are_byte_identical_across_runs(tmp_path, tiny_settings):
+    """The same code, settings and seed write the same artifacts: a
+    simulated run and a store-served rerun into another directory."""
+    dirs = [tmp_path / "first", tmp_path / "second"]
+    for out in dirs:
+        generate_report(["table1", "fig13"], settings=tiny_settings,
+                        out_dir=out, gallery=out / "EXPERIMENTS.md")
+    names = sorted(path.name for path in dirs[0].iterdir()
+                   if path.suffix in (".json", ".md", ".svg")
+                   and path.name != "EXPERIMENTS.md")
+    assert {"table1.json", "table1.md", "fig13.json", "fig13.md",
+            "fig13.perbench.svg"} <= set(names)
+    assert names == sorted(path.name for path in dirs[1].iterdir()
+                           if path.name != "EXPERIMENTS.md")
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == \
+            (dirs[1] / name).read_bytes(), name
 
 
 def test_gallery_merges_existing_artifacts(tmp_path, tiny_settings):
@@ -266,6 +283,42 @@ def test_report_settings_strict_env_knob(monkeypatch):
     monkeypatch.delenv("REPRO_STRICT")
     assert not ReportSettings.from_env().strict
     assert ReportSettings.from_env(strict=True).strict
+
+
+BAD_ENV_KNOBS = [
+    ("REPRO_BENCH_REFS", "abc", "must be an integer, got 'abc'"),
+    ("REPRO_BENCH_REFS", "2.7", "must be an integer, got '2.7'"),
+    ("REPRO_BENCH_REFS", "0", "must be >= 1, got 0"),
+    ("REPRO_BENCH_WORKLOADS_PER_CLASS", "0", "must be >= 1, got 0"),
+    ("REPRO_BENCH_SCALE", "-4", "must be >= 1, got -4"),
+    ("REPRO_BENCH_WORKERS", "-3", "must be >= 1, got -3"),
+    ("REPRO_BENCH_WORKERS", "many", "must be an integer, got 'many'"),
+    ("REPRO_BENCH_SEED", "-1", "must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BAD_ENV_KNOBS,
+                         ids=[f"{name}={value}"
+                              for name, value, _ in BAD_ENV_KNOBS])
+def test_report_settings_refuse_bad_env_knobs(monkeypatch, name, value,
+                                              message):
+    """A bad knob is refused with its name instead of running a report
+    over zero workloads or silently with one worker."""
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        ReportSettings.from_env()
+
+
+def test_report_settings_read_valid_env_knobs(monkeypatch):
+    for name, value in (("REPRO_BENCH_REFS", "500"),
+                        ("REPRO_BENCH_WORKLOADS_PER_CLASS", "1"),
+                        ("REPRO_BENCH_SCALE", "1024"),
+                        ("REPRO_BENCH_SEED", "0"),
+                        ("REPRO_BENCH_WORKERS", "3")):
+        monkeypatch.setenv(name, value)
+    settings = ReportSettings.from_env(refs=700)
+    assert (settings.refs, settings.per_class, settings.scale,
+            settings.seed, settings.workers) == (700, 1, 1024, 0, 3)
 
 
 # ----------------------------------------------------------------------

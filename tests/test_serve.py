@@ -189,7 +189,8 @@ def test_listings_and_errors(tmp_path):
         assert len(workloads) == 10
         assert app.handle("GET", "/v1/workloads?class=nope").status == 400
         benches = body_of(app.handle("GET", "/v1/benches"))["benches"]
-        assert len(benches) >= 13
+        assert len(benches) == 13
+        assert app.handle("GET", "/v1/benches/perf").status == 404
         assert app.handle("GET", "/v1/nope").status == 404
         method = app.handle("DELETE", "/v1/designs")
         assert method.status == 405 and "GET" in method.headers["Allow"]

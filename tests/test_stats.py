@@ -1,7 +1,5 @@
 """Tests for the named-counter registry."""
 
-import pytest
-
 from repro.stats import Stats
 
 
@@ -43,22 +41,6 @@ def test_merge_accepts_plain_mapping():
     stats = Stats()
     stats.merge({"z": 4.0})
     assert stats["z"] == 4.0
-
-
-def test_scaled_returns_new_registry():
-    stats = Stats()
-    stats.inc("a", 2)
-    scaled = stats.scaled(10)
-    assert scaled["a"] == 20
-    assert stats["a"] == 2
-
-
-def test_ratio_with_zero_denominator():
-    stats = Stats()
-    stats.inc("num", 4)
-    assert stats.ratio("num", "den", default=-1.0) == -1.0
-    stats.inc("den", 2)
-    assert stats.ratio("num", "den") == pytest.approx(2.0)
 
 
 def test_as_dict_snapshot_is_independent():
