@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -125,6 +126,16 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {value}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """argparse type of ``sweep --timeout`` and ``--backoff``: a finite
+    number of seconds, where 0 means no timeout or no delay."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number of seconds, got {text}")
     return value
 
 
@@ -186,11 +197,13 @@ def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--max-attempts", type=_positive, default=3, metavar="N",
                    help="attempts per job before it is recorded as failed "
                         "(default 3)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--timeout", type=_non_negative, default=None,
+                   metavar="SECONDS",
                    help="per-job wall-clock timeout; hung workers are "
                         "killed and the job retried (default and 0: no "
                         "timeout)")
-    p.add_argument("--backoff", type=float, default=0.5, metavar="SECONDS",
+    p.add_argument("--backoff", type=_non_negative, default=0.5,
+                   metavar="SECONDS",
                    help="base retry delay, doubled per attempt (default "
                         "0.5)")
 

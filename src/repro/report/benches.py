@@ -629,6 +629,8 @@ def _corpus_dir() -> "Path":
 
 
 def run_trace01(ctx: ReportContext) -> BenchResult:
+    from pathlib import Path
+
     from ..workloads.tracefile import TraceFileWorkload
 
     corpus = _corpus_dir()
@@ -650,7 +652,10 @@ def run_trace01(ctx: ReportContext) -> BenchResult:
                          for d in EVALUATED_DESIGNS]
               for trace in order],
         slug="realtrace", chart="bar-grouped", y_label="speedup")
-    traces = {w.name: {"path": w.path, "content_hash": w.content_hash}
+    # By file name and content, not path: the artifact is the same
+    # wherever the corpus is checked out.
+    traces = {w.name: {"file": Path(w.path).name,
+                       "content_hash": w.content_hash}
               for w in workloads}
     return BenchResult(
         name="trace01", tables=[table],

@@ -18,6 +18,7 @@ backed responses carry their source files and are revalidated by
 
 from __future__ import annotations
 
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -130,28 +131,78 @@ class _RequestHandler(BaseHTTPRequestHandler):
     #: and its conditional re-request (every response sets
     #: Content-Length, which 1.1 requires for keep-alive).
     protocol_version = "HTTP/1.1"
+    #: A request line without a version is answered with a status line
+    #: and headers too, not as a bare HTTP/0.9 body.
+    default_request_version = "HTTP/1.0"
+    #: Each response (status line, headers, body) collects in this
+    #: buffer and leaves in one socket write: ``handle_one_request``
+    #: flushes after the ``do_*`` method, ``finish()`` after a refusal
+    #: that closes the connection.  Written in two pieces, the body
+    #: would wait for the client's delayed ACK (~40 ms) under Nagle.
+    wbufsize = 1 << 16
+    #: TCP_NODELAY: a body larger than the buffer leaves in several
+    #: writes, and none of them waits for an ACK either.
+    disable_nagle_algorithm = True
 
-    def _dispatch(self, method: str) -> None:
-        app = self.server.app
+    def __getattr__(self, name: str):
+        # ``handle_one_request`` answers a method with no ``do_<METHOD>``
+        # 501; here every method goes to the router instead, which
+        # answers 405 with ``Allow`` on a known path and 404 elsewhere.
+        if name.startswith("do_"):
+            return partial(self._dispatch, name[3:])
+        raise AttributeError(name)
+
+    def _refusal(self) -> Optional[Response]:
+        """The transport's answer to a request whose body it will not
+        read, or ``None`` for one it passes on to the app."""
+        if self.headers.get("Transfer-Encoding"):
+            return error_response(
+                411, "request bodies need a Content-Length; "
+                     "Transfer-Encoding is not supported")
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
-            refusal = error_response(
+            return error_response(
                 400, f"Content-Length must be a non-negative integer, "
                      f"got {declared!r}")
-        elif int(declared) > MAX_BODY_BYTES:
-            refusal = error_response(
+        if int(declared) > MAX_BODY_BYTES:
+            return error_response(
                 413, f"request body of {declared} bytes exceeds the "
                      f"{MAX_BODY_BYTES}-byte limit", limit=MAX_BODY_BYTES)
-        else:
-            length = int(declared)
-            body = self.rfile.read(length) if length else b""
-            self._send(app.handle(method, self.path,
-                                  dict(self.headers.items()), body))
+        return None
+
+    def _dispatch(self, method: str) -> None:
+        refusal = self._refusal()
+        if refusal is not None:
+            self._refuse(refusal)
             return
+        length = int(self.headers.get("Content-Length") or "0")
+        body = self.rfile.read(length) if length else b""
+        self._send(self.server.app.handle(method, self.path,
+                                          dict(self.headers.items()), body))
+
+    def _refuse(self, response: Response) -> None:
         # The body was never read, so the connection cannot carry another
-        # request: close it after the refusal.
-        refusal.headers["Connection"] = "close"
-        self._send(app._finish(refusal))
+        # request: close it after the refusal (``finish()`` flushes it).
+        response.headers["Connection"] = "close"
+        self._send(self.server.app._finish(response))
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Answer what the stdlib parser refuses itself (a malformed
+        request line or header block, an over-long URI) in the JSON
+        error shape instead of its HTML page."""
+        self._refuse(error_response(
+            code, message or self.responses.get(code, ("error",))[0]))
+
+    def handle_expect_100(self) -> bool:
+        # A request the transport refuses gets its final answer instead
+        # of "100 Continue", so the client never sends the body; any
+        # other gets the interim response now, not buffered behind the
+        # final one.
+        if self._refusal() is None:
+            super().handle_expect_100()
+            self.wfile.flush()
+        return True
 
     def _send(self, response: Response) -> None:
         self.send_response(response.status)
@@ -165,13 +216,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
-        self.wfile.write(response.body)
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
+        if self.command != "HEAD":
+            self.wfile.write(response.body)
 
     def log_message(self, format: str, *args) -> None:
         # Quiet by default; the CLI announces the listen address once.

@@ -64,7 +64,7 @@ class Router:
             hit = route.pattern.match(path)
             if hit is None:
                 continue
-            if route.method == method.upper():
+            if route.method == method:       # methods are case-sensitive
                 return Match(handler=route.handler, params=hit.groupdict())
             if route.method not in allowed:
                 allowed.append(route.method)

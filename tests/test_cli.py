@@ -221,6 +221,28 @@ def test_sweep_strict_fails_fast_on_fault(tmp_path, capsys, monkeypatch):
     assert "injected crash" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--timeout", "-1"),
+                                           ("--backoff", "-0.5"),
+                                           ("--backoff", "nan"),
+                                           ("--timeout", "inf")])
+def test_sweep_refuses_negative_seconds_at_parse_time(option, value,
+                                                      tmp_path, capsys):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as excinfo:
+        main(SWEEP_ARGS + [option, value, "--store", str(store)])
+    assert excinfo.value.code == 2
+    assert f"must be a non-negative number of seconds, got {value}" in \
+        capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_sweep_zero_timeout_and_backoff_run(tmp_path, capsys):
+    """``--timeout 0`` means no timeout and ``--backoff 0`` no delay."""
+    assert main(SWEEP_ARGS + ["--no-store", "--no-baselines",
+                              "--timeout", "0", "--backoff", "0"]) == 0
+    assert "1 simulated" in capsys.readouterr().out
+
+
 def test_store_fsck_detects_quarantines_and_repairs(tmp_path, capsys):
     from repro.sim.faults import corrupt_store_cell
     from repro.sim.store import ResultStore

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -172,18 +173,24 @@ def test_generate_report_writes_gallery_and_artifacts(tmp_path,
     assert "fig13.md" in text             # gallery links the bench page
 
 
-def test_artifacts_are_byte_identical_across_runs(tmp_path, tiny_settings):
+def test_artifacts_are_byte_identical_across_runs(tmp_path, tiny_settings,
+                                                  monkeypatch):
     """The same code, settings and seed write the same artifacts: a
-    simulated run and a store-served rerun into another directory."""
+    simulated run and a store-served rerun into another directory, each
+    reading the trace corpus from its own checkout."""
     dirs = [tmp_path / "first", tmp_path / "second"]
     for out in dirs:
-        generate_report(["table1", "fig13"], settings=tiny_settings,
-                        out_dir=out, gallery=out / "EXPERIMENTS.md")
+        corpus = out.parent / f"{out.name}-checkout" / "traces"
+        shutil.copytree(Path(__file__).parent / "data" / "traces", corpus)
+        monkeypatch.setenv("REPRO_TRACE_CORPUS", str(corpus))
+        generate_report(["table1", "fig13", "trace01"],
+                        settings=tiny_settings, out_dir=out,
+                        gallery=out / "EXPERIMENTS.md")
     names = sorted(path.name for path in dirs[0].iterdir()
                    if path.suffix in (".json", ".md", ".svg")
                    and path.name != "EXPERIMENTS.md")
     assert {"table1.json", "table1.md", "fig13.json", "fig13.md",
-            "fig13.perbench.svg"} <= set(names)
+            "fig13.perbench.svg", "trace01.json"} <= set(names)
     assert names == sorted(path.name for path in dirs[1].iterdir()
                            if path.name != "EXPERIMENTS.md")
     for name in names:

@@ -12,6 +12,7 @@ import contextlib
 import copy
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -677,7 +678,9 @@ def _post(base, path, payload):
 def serving(app):
     """Run ``app`` on an ephemeral port; yields ``(host, port)``."""
     server = make_server(app, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield server.server_address[:2]
@@ -725,6 +728,163 @@ def test_malformed_content_length_is_a_400(tmp_path, declared):
         assert status == 400
         assert "Content-Length" in payload["error"]
         assert headers["Connection"] == "close"
+
+
+def _raw_exchange(address, request):
+    """Send the raw ``request`` bytes on a fresh connection; return
+    ``(status, headers, body, trailing)`` of the one response read until
+    the server closes, where ``trailing`` is anything sent after it."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, rest = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    length = int(headers["Content-Length"])
+    return (int(status_line.split()[1]), headers, json.loads(rest[:length]),
+            rest[length:])
+
+
+@pytest.mark.parametrize("request_bytes, status, mentions", [
+    (b"GARBAGE\r\n\r\n", 400, "GARBAGE"),
+    (b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked"
+     b"\r\n\r\n5\r\nhello\r\n0\r\n\r\n", 411, "Content-Length"),
+], ids=["request-line", "chunked-body"])
+def test_unreadable_request_gets_one_json_refusal(tmp_path, request_bytes,
+                                                  status, mentions):
+    """What the stdlib parser refuses itself, and a chunked body, get one
+    JSON error and a closed connection: the chunk bytes are never parsed
+    as a second request."""
+    app = make_app(tmp_path)
+    with serving(app) as address:
+        answer = _raw_exchange(address, request_bytes)
+        assert app.queue.jobs() == []
+    got, headers, payload, trailing = answer
+    assert got == status and mentions in payload["error"]
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    assert headers["X-Repro-Version"] == package_version()
+    assert trailing == b""
+
+
+def test_expect_100_continue_is_answered_before_the_body(tmp_path):
+    """The interim response leaves at once, not buffered behind the final
+    one; a request the transport refuses gets the refusal instead."""
+    with serving(make_app(tmp_path)) as address:
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 8\r\n"
+                         b"Expect: 100-continue\r\n\r\n")
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        status, _, payload, _ = _raw_exchange(
+            address, b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                     b"Transfer-Encoding: chunked\r\n"
+                     b"Expect: 100-continue\r\n\r\n")
+        assert status == 411 and "Content-Length" in payload["error"]
+
+
+def test_other_methods_are_routed(tmp_path):
+    """Methods other than GET and POST answer 405 with ``Allow`` on a
+    known path and 404 elsewhere, in JSON, and keep the connection."""
+    with serving(make_app(tmp_path)) as address:
+        conn = http.client.HTTPConnection(*address, timeout=30)
+        try:
+            conn.request("PUT", "/v1/jobs")
+            response = conn.getresponse()
+            assert response.status == 405
+            assert response.headers["Allow"] == "POST, GET"
+            assert response.headers["Content-Type"] == "application/json"
+            assert "PUT" in json.loads(response.read())["error"]
+            # Methods are case-sensitive: "get" is not GET.
+            conn.request("get", "/v1/designs")
+            response = conn.getresponse()
+            assert response.status == 405
+            assert response.headers["Allow"] == "GET"
+            response.read()
+            conn.request("DELETE", "/v1/nope")
+            response = conn.getresponse()
+            assert response.status == 404
+            assert "/v1/nope" in json.loads(response.read())["error"]
+            # A HEAD answer declares its body's length but sends none.
+            conn.request("HEAD", "/v1/designs")
+            response = conn.getresponse()
+            assert response.status == 405
+            assert response.headers["Allow"] == "GET"
+            assert response.read() == b""
+            conn.request("GET", "/v1/designs")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+
+
+def _server_writes(monkeypatch, port):
+    """Record every socket write made from ``port`` (the server's side of
+    each accepted connection) as ``(bytes, TCP_NODELAY is set)``."""
+    writes = []
+    for name in ("send", "sendall"):
+        def counting(sock, data, *args, _write=getattr(socket.socket, name)):
+            if sock.getsockname()[1] == port:
+                writes.append((len(data), bool(sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))))
+            return _write(sock, data, *args)
+        monkeypatch.setattr(socket.socket, name, counting)
+    return writes
+
+
+def test_each_response_leaves_in_one_socket_write(tmp_path, monkeypatch):
+    """Status line, headers and body go out in one write: written apart,
+    the body waits for the client's delayed ACK under Nagle."""
+    app = make_app(tmp_path)
+    key = f"{1:064x}"
+    app.store.put(key, sample_result(), job={"design": "HYBRID2"})
+    with serving(app) as address:
+        writes = _server_writes(monkeypatch, address[1])
+        conn = http.client.HTTPConnection(*address, timeout=30)
+
+        def get(path, headers=None):
+            before = len(writes)
+            conn.request("GET", path, headers=headers or {})
+            response = conn.getresponse()
+            response.read()
+            return response.status, response.headers, len(writes) - before
+
+        try:
+            status, headers, count = get(f"/v1/cells/{key}")
+            assert status == 200 and count == 1
+            status, _, count = get(f"/v1/cells/{key}",
+                                   {"If-None-Match": headers["ETag"]})
+            assert status == 304 and count == 1
+            status, _, count = get("/v1/nope")
+            assert status == 404 and count == 1
+        finally:
+            conn.close()
+        status, _, _ = _post_declared(address, str(MAX_BODY_BYTES + 1))
+        assert status == 413 and len(writes) == 4
+    # A body larger than the write buffer would leave in several writes:
+    # TCP_NODELAY keeps those from waiting on ACKs.
+    assert all(nodelay for _, nodelay in writes)
+
+
+def test_keep_alive_requests_do_not_wait_for_delayed_acks(tmp_path):
+    """20 requests on one keep-alive connection: a ~40 ms delayed-ACK
+    stall per response would cost at least 0.8 s."""
+    with serving(make_app(tmp_path)) as address:
+        conn = http.client.HTTPConnection(*address, timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/v1/designs")
+                response = conn.getresponse()
+                assert response.status == 200 and response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+    assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
 
 
 @pytest.mark.slow
