@@ -143,6 +143,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
     #: TCP_NODELAY: a body larger than the buffer leaves in several
     #: writes, and none of them waits for an ACK either.
     disable_nagle_algorithm = True
+    #: Seconds a socket read or write may block: a client that stops
+    #: mid-request, or idles on a kept-alive connection, is disconnected
+    #: (``handle_one_request`` catches the timeout and closes), so it
+    #: cannot hold a handler thread forever.  Time the server spends
+    #: computing an answer, such as a long-poll's wait, is not counted.
+    timeout = 30.0
 
     def __getattr__(self, name: str):
         # ``handle_one_request`` answers a method with no ``do_<METHOD>``

@@ -11,6 +11,7 @@ Endpoint map (also rendered in ``docs/architecture.md``):
 
 =============================  ======  =======================================
 ``/v1/health``                 GET     liveness + store/queue/cache stats
+                                       (``?deep=1``: re-read every cell)
 ``/v1/designs``                GET     design registry (shared ``--json`` schema)
 ``/v1/workloads``              GET     Table 2 catalog (``?class=high|medium|low``)
 ``/v1/benches``                GET     bench registry slices, as data
@@ -77,11 +78,14 @@ def error_response(status: int, message: str, **fields: Any) -> Response:
 # read path
 # ---------------------------------------------------------------------------
 def health(app, params, query, body) -> Response:
+    deep = query.get("deep", "0")
+    if deep not in ("0", "1"):
+        return error_response(400, f"deep must be 0 or 1, got {deep!r}")
     payload = {
         "status": "ok",
         "version": app.version,
         "read_only": app.read_only,
-        "store": app.store.stats_dict(),
+        "store": app.store.stats_dict(deep=deep == "1"),
         "cache": app.cache.stats.as_dict(),
         "jobs": app.queue.stats() if app.queue is not None else None,
     }

@@ -25,6 +25,7 @@ re-simulated by :meth:`ResultStore.fsck`
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -99,7 +100,9 @@ _SQLITE_CHUNK = 900
 _SCAN_BATCH = 1024
 
 #: Verified contents a store remembers as hydrating, so its scans decode
-#: each content once.  At the cap an arbitrary entry makes room.
+#: each content once.  At the cap an arbitrary entry makes room.  A store
+#: of more cells than this keeps no scan index either (see
+#: :meth:`ResultStore.scan`).
 _PROVEN_CAP = 1 << 15
 
 
@@ -136,6 +139,10 @@ def _text_checksum(job: Optional[str], result: str) -> str:
 #: ``cells`` columns after the key, ``(format, checksum, job text, result
 #: text)``.
 Row = Tuple[Any, Any, Any, Any]
+
+#: :meth:`SqliteBackend.state`: ``(connections opened, PRAGMA
+#: data_version, total_changes)``.
+State = Tuple[int, int, int]
 
 #: What a JSON decode of stored text can raise: bad text, a value that
 #: is not text at all, or nesting deeper than the decoder recurses.
@@ -201,6 +208,9 @@ class SqliteBackend:
         #: Instrumentation: SELECT round-trips — the store suite pins the
         #: batching.
         self.select_queries = 0
+        #: Connections opened so far; part of :meth:`state`, because a
+        #: new connection restarts both of SQLite's counters.
+        self._opened = 0
 
     # -- plumbing ----------------------------------------------------------
     def _check_writable(self) -> None:
@@ -238,6 +248,7 @@ class SqliteBackend:
                 conn.execute(statement)
             conn.commit()
         self._connection = conn
+        self._opened += 1
         return conn
 
     def close(self) -> None:
@@ -276,8 +287,9 @@ class SqliteBackend:
                     out[row[0]] = row[1:]
         return out
 
-    def all_keys(self) -> List[str]:
-        """Every stored key — healthy or not — in sorted order."""
+    def all_keys(self) -> Optional[List[str]]:
+        """Every stored key — healthy or not — in sorted order, or
+        ``None`` if the listing could not be read."""
         with self._lock:
             conn = self._conn()
             if conn is None:
@@ -287,7 +299,26 @@ class SqliteBackend:
                 return [row[0] for row in conn.execute(
                     "SELECT key FROM cells ORDER BY key")]
             except sqlite3.Error:
-                return []
+                return None
+
+    def state(self) -> Optional[State]:
+        """A token that moves whenever the database may have changed, or
+        ``None`` while there is no database to read.
+
+        ``PRAGMA data_version`` moves when any other connection or
+        process commits; ``total_changes`` counts the rows this
+        connection wrote; the count of opened connections tells a new
+        connection, whose two counters restart, from the old one.
+        """
+        with self._lock:
+            conn = self._conn()
+            if conn is None:
+                return None
+            try:
+                version = conn.execute("PRAGMA data_version").fetchone()[0]
+            except sqlite3.Error:
+                return None
+            return self._opened, version, conn.total_changes
 
     # -- writes ------------------------------------------------------------
     def insert(self, rows: Sequence[tuple]) -> None:
@@ -303,6 +334,16 @@ class SqliteBackend:
                     "INSERT OR REPLACE INTO cells "
                     "(key, format, checksum, job, result) "
                     "VALUES (?, ?, ?, ?, ?)", rows)
+
+    def insert_tracked(self, rows: Sequence[tuple]
+                       ) -> Tuple[Optional[State], Optional[State]]:
+        """:meth:`insert` plus the :meth:`state` just before and just
+        after it, all under the lock that orders this connection's work,
+        so no other write through this backend falls between the two."""
+        with self._lock:
+            before = self.state()
+            self.insert(rows)
+            return before, self.state()
 
     # -- quarantine --------------------------------------------------------
     def quarantine(self, key: str) -> Optional[str]:
@@ -499,6 +540,12 @@ class ResultStore:
         #: never passes damage.
         self._proven: Set[Tuple[str, Optional[int]]] = set()
         self._proven_lock = threading.Lock()
+        #: The sorted ``(key, status)`` pairs of the last full scan, and
+        #: the backend :meth:`~SqliteBackend.state` they are exact at
+        #: (both ``None`` while nothing is kept).  See :meth:`scan`.
+        self._index: Optional[Tuple[Tuple[str, str], ...]] = None
+        self._index_state: Optional[State] = None
+        self._index_lock = threading.Lock()
 
     @property
     def root(self) -> Path:
@@ -625,14 +672,42 @@ class ResultStore:
         ``fsck --repair`` can rebuild and re-run the cell's job after
         corruption.  The stored checksum covers both texts.
         """
-        self.backend.insert([self._cell_row(key, result, job)])
+        self._insert([self._cell_row(key, result, job)])
 
     def put_many(self, items: Sequence[Tuple[str, RunResult,
                                              Optional[Dict[str, Any]]]]
                  ) -> None:
         """Batched :meth:`put`: one transaction."""
-        self.backend.insert([self._cell_row(key, result, job)
-                             for key, result, job in items])
+        self._insert([self._cell_row(key, result, job)
+                      for key, result, job in items])
+
+    def _insert(self, rows: List[tuple]) -> None:
+        """Write ``rows``; while a scan index is kept, classify just these
+        rows into it, so the next scan need not re-read the store."""
+        if self._index is None:
+            self.backend.insert(rows)
+            return
+        before, after = self.backend.insert_tracked(rows)
+        written = [(row[0], self._classify(row[1:], hydrate=False)[0])
+                   for row in rows]
+        with self._index_lock:
+            # Only this write may lie between the kept state and ``after``:
+            # the same connection, and no commit by any other.
+            if (before is None or before != self._index_state
+                    or after is None or after[:2] != before[:2]):
+                self._index = self._index_state = None
+                return
+            index = list(self._index)
+            for pair in written:
+                at = bisect.bisect_left(index, (pair[0],))
+                if at < len(index) and index[at][0] == pair[0]:
+                    index[at] = pair
+                else:
+                    index.insert(at, pair)
+            if len(index) > _PROVEN_CAP:
+                self._index = self._index_state = None
+            else:
+                self._index, self._index_state = tuple(index), after
 
     def job_spec(self, key: str) -> Optional[Dict[str, Any]]:
         """Best-effort read of a cell's re-simulation description.
@@ -666,15 +741,44 @@ class ResultStore:
             if status == CELL_OK:
                 yield key
 
-    def scan(self) -> Iterator[Tuple[str, str]]:
-        """Yield ``(key, status)`` for every stored cell, sorted, reading
-        in backend-sized batches."""
+    def scan(self) -> Tuple[Tuple[str, str], ...]:
+        """``(key, status)`` of every stored cell, sorted by key.
+
+        Answered from the index of the last full scan while the backend
+        :meth:`~SqliteBackend.state` has not moved since, so a scan of an
+        unchanged store reads no row; :meth:`put`/:meth:`put_many` keep
+        the index current for their own writes.  Any other change (a
+        commit by another connection or process, or a quarantine, clear
+        or purge through this one) moves the state, and the next scan
+        re-reads the store.
+        """
+        state = self.backend.state()
+        with self._index_lock:
+            if state is not None and state == self._index_state:
+                return self._index
+        return self._full_scan()
+
+    def _full_scan(self) -> Tuple[Tuple[str, str], ...]:
+        """Read and verify every row, in backend-sized batches, and keep
+        the result as the index at the state read before the first row.
+        A write that races the scan moves the state past that, so such
+        a scan is never served; one that could not read every row is
+        not kept at all."""
+        state = self.backend.state()
         all_keys = self.backend.all_keys()
-        for chunk in _chunks(all_keys, _SCAN_BATCH):
+        pairs = []
+        for chunk in _chunks(all_keys or [], _SCAN_BATCH):
             records = self.backend.fetch_many(chunk)
-            for key in chunk:
-                yield key, self._classify(records.get(key),
-                                          hydrate=False)[0]
+            pairs.extend((key, self._classify(records.get(key),
+                                              hydrate=False)[0])
+                         for key in chunk)
+        pairs = tuple(pairs)
+        if (state is not None and all_keys is not None
+                and len(pairs) <= _PROVEN_CAP
+                and all(status != CELL_UNREADABLE for _, status in pairs)):
+            with self._index_lock:
+                self._index, self._index_state = pairs, state
+        return pairs
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -726,7 +830,7 @@ class ResultStore:
         seconds.
         """
         report = FsckReport(root=str(self.root), backend=self.backend.kind)
-        for key, status in list(self.scan()):
+        for key, status in self._full_scan():
             report.scanned += 1
             if status == CELL_OK:
                 report.ok += 1
@@ -764,8 +868,9 @@ class ResultStore:
             self.quarantine_stats()
         return report
 
-    def stats_dict(self) -> Dict[str, Any]:
-        """Machine-readable store summary (one full scan).
+    def stats_dict(self, deep: bool = False) -> Dict[str, Any]:
+        """Machine-readable store summary, counted over :meth:`scan`, or
+        over a full re-read and re-hash of every row when ``deep``.
 
         The same payload serves ``python -m repro store stats --json``,
         the serve layer's ``/v1/health`` endpoint and CI gates, so store
@@ -773,7 +878,7 @@ class ResultStore:
         """
         by_status = {CELL_OK: 0, CELL_STALE: 0, CELL_CORRUPT: 0,
                      CELL_UNREADABLE: 0}
-        for _, status in self.scan():
+        for _, status in self._full_scan() if deep else self.scan():
             if status in by_status:
                 by_status[status] += 1
         quarantined, quarantine_bytes = self.quarantine_stats()

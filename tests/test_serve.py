@@ -28,7 +28,7 @@ from repro.params import make_config
 from repro.report.artifacts import write_artifact
 from repro.report.registry import BenchResult, Table, get_bench
 from repro.serve import JobSpecError, ResponseCache, ServeApp, make_server
-from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.app import MAX_BODY_BYTES, _RequestHandler
 from repro.serve.jobqueue import JobQueue
 from repro.serve.respcache import CacheEntry, etag_of
 from repro.serve.router import Router
@@ -176,6 +176,64 @@ def test_health_and_version_header(tmp_path):
         assert payload["status"] == "ok"
         assert payload["store"]["cells"] == 0
         assert payload["jobs"]["workers"] == 1
+    finally:
+        app.close()
+
+
+@pytest.mark.parametrize("cells", [1_000, 10_000])
+def test_listing_and_health_cost_no_store_read(tmp_path, monkeypatch, cells):
+    """On an unchanged store, listings and health calls read no row, at
+    1,000 cells as at 10,000; a job's write reads no more than its own
+    probes; ``?deep=1`` and ``fsck()`` still classify every row."""
+    app = make_app(tmp_path)
+    result = sample_result()
+    app.store.backend.insert([ResultStore._cell_row(f"{i:064x}", result,
+                                                    None)
+                              for i in range(cells)])
+    calls = {"_classify": 0, "probe_many": 0}
+    for name in calls:
+        def counting(*args, _name=name, _unpatched=getattr(ResultStore,
+                                                           name), **kw):
+            calls[_name] += 1
+            return _unpatched(*args, **kw)
+        monkeypatch.setattr(ResultStore, name, counting)
+    backend = app.store.backend
+
+    def store_stats(target="/v1/health"):
+        response = app.handle("GET", target)
+        assert response.status == 200
+        return body_of(response)["store"]
+
+    try:
+        assert store_stats()["ok"] == cells          # the cold scan
+        assert calls["_classify"] == cells
+        queries = backend.select_queries
+        for page in range(20):
+            listing = body_of(app.handle(
+                "GET", f"/v1/cells?offset={page * 50}&limit=50"))
+            assert listing["total"] == cells
+            assert listing["keys"] == [f"{i:064x}" for i in
+                                       range(page * 50, page * 50 + 50)]
+            assert store_stats()["ok"] == cells
+        assert backend.select_queries == queries
+        assert calls["_classify"] == cells
+
+        response = app.handle("POST", "/v1/jobs",
+                              body=json.dumps(JOB).encode())
+        assert response.status == 202
+        record, _ = wait_terminal(app, body_of(response)["job"]["id"])
+        assert record.status == "done"
+        assert store_stats()["ok"] == cells + 1
+        assert body_of(app.handle("GET", "/v1/cells"))["total"] == cells + 1
+        # The job read the store only through its one-key probes.
+        assert backend.select_queries - queries == calls["probe_many"]
+
+        calls["_classify"] = 0
+        assert store_stats("/v1/health?deep=1") == store_stats()
+        assert calls["_classify"] == cells + 1
+        assert app.store.fsck().scanned == cells + 1
+        assert calls["_classify"] == 2 * (cells + 1)
+        assert app.handle("GET", "/v1/health?deep=yes").status == 400
     finally:
         app.close()
 
@@ -885,6 +943,50 @@ def test_keep_alive_requests_do_not_wait_for_delayed_acks(tmp_path):
         finally:
             conn.close()
     assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
+
+def _handler_threads():
+    return {thread for thread in threading.enumerate()
+            if "process_request_thread" in thread.name}
+
+
+def test_idle_connections_are_closed(tmp_path, monkeypatch):
+    """A client that stops mid-request, or idles on a kept-alive
+    connection, is disconnected once a socket read has blocked for the
+    handler's ``timeout``, and its thread exits; a long-poll that waits
+    longer than that on the server's side still completes."""
+    assert 0 < _RequestHandler.timeout <= 60      # no handler waits forever
+    monkeypatch.setattr(_RequestHandler, "timeout", 0.3)
+    monkeypatch.setattr(JobQueue, "_worker", lambda self: None)
+    app = make_app(tmp_path)
+    before = _handler_threads()
+    with serving(app) as address:
+        record, _ = app.queue.submit(JOB)        # stays queued
+        stalled = socket.create_connection(address, timeout=10)
+        stalled.sendall(b"GET /v1/designs HTTP/1.1\r\n")
+        idle = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            idle.request("GET", "/v1/designs")
+            response = idle.getresponse()
+            assert response.status == 200 and response.read()
+            start = time.perf_counter()
+            assert stalled.recv(1) == b""        # closed, no answer
+            assert idle.sock.recv(1) == b""
+            assert time.perf_counter() - start < 5.0
+        finally:
+            stalled.close()
+            idle.close()
+        _, events = app.queue.wait_events(record.id, timeout=0)
+        start = time.perf_counter()
+        status, _, body = _get(f"http://{address[0]}:{address[1]}",
+                               f"/v1/jobs/{record.id}/events"
+                               f"?after={events[-1]['seq']}&wait=1")
+        assert status == 200 and json.loads(body)["status"] == "queued"
+        assert time.perf_counter() - start >= 0.9
+        deadline = time.monotonic() + 5.0
+        while _handler_threads() - before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _handler_threads() - before
 
 
 @pytest.mark.slow

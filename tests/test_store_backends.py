@@ -10,7 +10,10 @@ import hashlib
 import json
 import math
 import multiprocessing
+import random
 import sqlite3
+import sys
+import threading
 import time
 
 import pytest
@@ -552,6 +555,189 @@ def test_the_scan_memo_is_capped(store, monkeypatch):
     for _ in range(3):
         assert list(store.keys()) == keys
         assert len(store._proven) == 4
+
+
+# ---------------------------------------------------------------------------
+# the scan index: exactly what a fresh full scan gives
+# ---------------------------------------------------------------------------
+def fresh_view(root):
+    """``(keys, stats_dict())`` of a new store object on ``root``: a full
+    scan through a new connection."""
+    fresh = ResultStore(f"sqlite:{root}")
+    try:
+        return list(fresh.keys()), fresh.stats_dict()
+    finally:
+        fresh.backend.close()
+
+
+def unreadable_scan(store, writer, key, listing=False):
+    """A write the store must re-read, then a scan that cannot read its
+    one chunk (or, with ``listing``, the key listing); the scan must not
+    be kept."""
+    writer.put(key, sample_result(cycles=-1.0))
+    if listing:
+        store.backend.all_keys = lambda: None
+    else:
+        store.backend.fetch_many = lambda keys: dict.fromkeys(
+            keys, sqlite3.OperationalError("disk I/O error"))
+    try:
+        assert list(store.keys()) == []
+    finally:
+        vars(store.backend).pop("all_keys", None)
+        vars(store.backend).pop("fetch_many", None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_scan_index_equals_a_fresh_scan(tmp_path, seed):
+    """After every step of a random mix of own and foreign writes,
+    damage, quarantine, clear, purge and an unreadable scan, the listing
+    and the counts equal those of a new store on the same database."""
+    rng = random.Random(seed)
+    root = tmp_path / "store"
+    store = ResultStore(f"sqlite:{root}")
+    other = ResultStore(f"sqlite:{root}")
+    store.put(synthetic_key(0), sample_result())
+    served_from_index = 0
+
+    def stored():
+        return [key for key, _ in store.scan()]
+
+    steps = {
+        "put": lambda: store.put(synthetic_key(rng.randrange(40)),
+                                 sample_result(cycles=rng.random())),
+        "put_many": lambda: store.put_many(
+            [(synthetic_key(rng.randrange(40)), sample_result(), None)
+             for _ in range(3)]),
+        "foreign put": lambda: other.put(synthetic_key(rng.randrange(40)),
+                                         sample_result(cycles=2.0)),
+        "corrupt": lambda: corrupt_store_cell(
+            rng.choice((store, other)), rng.choice(stored())),
+        "quarantine": lambda: store.quarantine(rng.choice(stored())),
+        "foreign quarantine": lambda: other.quarantine(
+            rng.choice(stored())),
+        "clear": lambda: store.clear(),
+        "purge": lambda: store.purge_quarantine(),
+        "unreadable": lambda: unreadable_scan(
+            store, other, synthetic_key(rng.randrange(40)),
+            listing=rng.random() < 0.5),
+    }
+    weights = {"put": 6, "put_many": 2, "foreign put": 4, "corrupt": 3,
+               "quarantine": 2, "foreign quarantine": 1, "clear": 1,
+               "purge": 1, "unreadable": 1}
+    for _ in range(60):
+        name = rng.choices(list(weights), list(weights.values()))[0]
+        if name in ("corrupt", "quarantine", "foreign quarantine") \
+                and not list(store.keys()):
+            name = "put"
+        steps[name]()
+        before = store.backend.select_queries
+        expected = fresh_view(root)
+        assert (list(store.keys()), store.stats_dict()) == expected, name
+        assert len(store) == len(expected[0])
+        served_from_index += store.backend.select_queries == before
+    assert served_from_index > 10
+
+
+def test_a_reopened_connection_rescans(tmp_path):
+    """A new connection restarts SQLite's counters, so the state kept
+    from the old one must not match it."""
+    root = tmp_path / "store"
+    store = ResultStore(f"sqlite:{root}")
+    other = ResultStore(f"sqlite:{root}")
+    other.put(synthetic_key(1), sample_result())
+    assert list(store.keys()) == [synthetic_key(1)]
+    store.backend.close()
+    other.put(synthetic_key(2), sample_result())
+    assert list(store.keys()) == [synthetic_key(1), synthetic_key(2)]
+
+
+def test_a_write_racing_a_scan_is_seen_next_time(tmp_path):
+    """A cell written between the scan's listing and its reads is missed
+    by that scan, and the next scan reads the store again."""
+    root = tmp_path / "store"
+    store = ResultStore(f"sqlite:{root}")
+    other = ResultStore(f"sqlite:{root}")
+    store.put(synthetic_key(1), sample_result())
+    unpatched = store.backend.all_keys
+
+    def racing():
+        keys = unpatched()
+        other.put(synthetic_key(2), sample_result())
+        return keys
+
+    store.backend.all_keys = racing
+    assert list(store.keys()) == [synthetic_key(1)]
+    del store.backend.all_keys
+    assert list(store.keys()) == [synthetic_key(1), synthetic_key(2)]
+
+
+def test_a_foreign_commit_inside_a_put_is_seen(tmp_path):
+    """A commit by another connection that lands between the kept state
+    and this store's own write is not covered by classifying the rows
+    the write made: the next scan reads the store again."""
+    root = tmp_path / "store"
+    store = ResultStore(f"sqlite:{root}")
+    other = ResultStore(f"sqlite:{root}")
+    store.put(synthetic_key(1), sample_result())
+    assert list(store.keys()) == [synthetic_key(1)]
+
+    def insert(rows):
+        other.put(synthetic_key(2), sample_result())
+        SqliteBackend.insert(store.backend, rows)
+
+    store.backend.insert = insert
+    store.put(synthetic_key(3), sample_result())
+    del store.backend.insert
+    assert list(store.keys()) == [synthetic_key(i) for i in (1, 2, 3)]
+
+
+def test_puts_racing_listings_stay_exact(tmp_path):
+    """Puts through the store and through a second store object race
+    listings: each listing is sorted and holds every cell the same
+    reader's previous listing held, and the last equals a fresh scan."""
+    root = tmp_path / "store"
+    store = ResultStore(f"sqlite:{root}")
+    other = ResultStore(f"sqlite:{root}")
+    store.put_many([(synthetic_key(i), sample_result(), None)
+                    for i in range(50)])
+    written = sorted(synthetic_key(i) for i in range(250))
+    done = threading.Event()
+    listings = ([], [])
+
+    def writer(target, start):
+        for i in range(start, start + 100):
+            target.put(synthetic_key(i), sample_result(cycles=float(i)))
+
+    def reader(seen):
+        while not done.is_set() or len(seen) < 2:
+            seen.append((list(store.keys()), store.stats_dict()))
+
+    threads = [threading.Thread(target=writer, args=(store, 50)),
+               threading.Thread(target=writer, args=(other, 150))]
+    readers = [threading.Thread(target=reader, args=(seen,))
+               for seen in listings]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads + readers:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads + readers)
+    for seen in listings:
+        assert len(seen) > 1
+        for (earlier, _), (later, stats) in zip(seen, seen[1:]):
+            assert later == sorted(later) and set(earlier) <= set(later)
+            assert set(later) <= set(written)
+            assert stats["corrupt"] == stats["unreadable"] == 0
+    assert (list(store.keys()), store.stats_dict()) == fresh_view(root)
+    assert list(store.keys()) == written
 
 
 # ---------------------------------------------------------------------------
